@@ -82,15 +82,20 @@ def collect_run(name: str,
     if key not in _RUN_CACHE:
         config = workload_config(name, resolved)
         started = time.perf_counter()
+        generated = False
+
+        def produce() -> WorkloadRun:
+            nonlocal generated
+            generated = True
+            return run_workload(name, heap_bytes=resolved)
+
         with get_tracer().span("collect-run", cat="runner",
                                workload=name):
-            run, compiled = trace_cache.fetch_run(
-                name, config,
-                lambda: run_workload(name, heap_bytes=resolved))
+            run, compiled = trace_cache.fetch_run(name, config, produce)
         provenance.record_run(
             workload=name, heap_bytes=resolved,
             config_hash=trace_cache.run_cache_key(name, config),
-            cache="hit" if compiled is not None else "generated",
+            cache="generated" if generated else "hit",
             host_seconds=time.perf_counter() - started)
         _RUN_CACHE[key] = run
         if compiled is not None:
@@ -106,7 +111,8 @@ def compiled_run_traces(name: str,
     key = (name, resolved)
     if key not in _COMPILED_CACHE:
         run = collect_run(name, resolved)
-        # collect_run may have filled it from a disk-cache hit.
+        # collect_run fills it whenever the trace cache is on (from the
+        # entry on a hit, from the store's compile on a miss).
         if key not in _COMPILED_CACHE:
             _COMPILED_CACHE[key] = compile_traces(run.traces)
     return _COMPILED_CACHE[key]

@@ -44,7 +44,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 from repro.config import (SystemConfig, TRACE_CACHE_ENV,
                           TRACE_CACHE_REQUIRE_ENV)
 from repro.errors import ConfigError, ReproError
-from repro.gcalgo.columnar import CompiledTrace, TRACE_SCHEMA_VERSION
+from repro.gcalgo.columnar import (CompiledTrace, TRACE_SCHEMA_VERSION,
+                                   compile_traces)
 from repro.gcalgo.trace_io import load_compiled, save_traces_npz
 from repro.obs.eventlog import get_eventlog
 from repro.workloads.mutator import WorkloadRun
@@ -166,15 +167,21 @@ def _entry_path(directory: Path, key: str) -> Path:
 
 
 def store_run(directory: Union[str, Path], key: str,
-              run: WorkloadRun) -> Path:
-    """Write a captured run under ``key``; returns the entry path."""
+              run: WorkloadRun) -> Tuple[Path, List[CompiledTrace]]:
+    """Write a captured run under ``key``.
+
+    Returns ``(entry path, compiled traces)``: storing compiles every
+    trace to columnar form, and the caller keeps those copies for the
+    fast replayer instead of compiling the traces a second time.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = _entry_path(directory, key)
-    save_traces_npz(run.traces, path, extra={
+    compiled = compile_traces(run.traces)
+    save_traces_npz(compiled, path, extra={
         "run": {name: getattr(run, name) for name in _RUN_FIELDS}})
     STATS.add("stores")
-    return path
+    return path, compiled
 
 
 def load_run(directory: Union[str, Path], key: str
@@ -212,10 +219,11 @@ def fetch_run(workload: str, config: SystemConfig,
               ) -> Tuple[WorkloadRun, Optional[List[CompiledTrace]]]:
     """The capture-once/replay-many entry point.
 
-    Returns ``(run, compiled)`` where ``compiled`` is the cached
-    columnar trace list on a hit and ``None`` when the run was (re)
-    generated by ``produce``.  With no cache directory configured this
-    degrades to calling ``produce`` (still honouring ``require``).
+    Returns ``(run, compiled)`` where ``compiled`` is the columnar
+    trace list: read from the entry on a hit, or compiled once by
+    :func:`store_run` when ``produce`` (re)generated the run.  With no
+    cache directory configured this degrades to calling ``produce``
+    (still honouring ``require``) and ``compiled`` is ``None``.
     """
     if require is None:
         require = bool(os.environ.get(REPRO_TRACE_CACHE_REQUIRE))
@@ -241,9 +249,10 @@ def fetch_run(workload: str, config: SystemConfig,
             f"regenerating them")
     run = produce()
     STATS.add("generated")
+    compiled = None
     if directory is not None:
-        store_run(directory, key, run)
-    return run, None
+        _, compiled = store_run(directory, key, run)
+    return run, compiled
 
 
 def clear(directory: Union[str, Path, None] = None) -> int:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,6 +50,16 @@ from repro.units import CACHE_LINE, HMC_MAX_REQUEST, WORD
 #: Stage-2 loop granularity: plans are consumed in slices of this many
 #: events (the ``replay.kernel.chunks`` metric counts these).
 CHUNK_EVENTS = 4096
+
+#: Stage-1 block size when rows expand into per-line bitmap-cache
+#: accesses: the numpy temporaries scale with one block's lines, not
+#: with the trace's.
+PLAN_BLOCK_ROWS = 2048
+
+#: Largest ``src >> 14`` whose marking-window hash
+#: (``* 2654435761``) still fits int64; rows above it keep the scalar
+#: planner's arbitrary-precision arithmetic.
+_HASH_LIMIT = (2 ** 63 - 1) // 2654435761
 
 
 class FastReplayUnsupported(ReproError):
@@ -848,6 +859,14 @@ class CharonBatchedKernel:
         self.bc_svc = 1 / self.bcs[0].port.rate
         self.bc_mem = self.bcs[0].memory_latency_s
         self.bc_enabled = self.bcs[0].enabled
+        # Per-slice home cubes and the remote penalty of each (slice,
+        # remote?) pair at index ``2 * slice + remote``, one float
+        # object per pair as ``_bc_use`` shares them.
+        self._bc_home = np.array([b.home_cube for b in self.bcs],
+                                 dtype=np.int64)
+        self._bc_pens = np.array(
+            [pen for b in self.bcs for pen in (0.0, 2 * b.link_latency_s)],
+            dtype=object)
         self._read_acc = [0] * len(self.bcs)
         self._read_hits = [0] * len(self.bcs)
 
@@ -1018,13 +1037,10 @@ class CharonBatchedKernel:
         t_rem = tallies["tlb_remote"]
         plans: List = [None] * n
 
-        # Rows stage 1 cannot group: bitmap counts (their cache-line
-        # lists are per-event) and marking-phase scans (mark line
-        # addresses depend on the object address) take the scalar
-        # planner below; so do multi-page ranges found along the way.
-        leftover = bitmap_m.copy()
-        if marking_kind:
-            leftover |= scan_m
+        # Rows found along the way that stage 1 leaves to the scalar
+        # planner: multi-page ranges, bitmap rows touching an unmapped
+        # address, and marking scans whose window hash overflows int64.
+        leftover = np.zeros(n, dtype=bool)
 
         src_cube, src_psize, src_mapped = self.map.lookup_columns(src)
         dst_cube, dst_psize, dst_mapped = self.map.lookup_columns(dst)
@@ -1053,18 +1069,8 @@ class CharonBatchedKernel:
 
             # -- copies ----------------------------------------------
             rows = np.flatnonzero(copy_m & ~sized)
-            if len(rows):
-                uq, inv = np.unique(ucube_cs[rows],
-                                    return_inverse=True)
-                table = []
-                for u0, m in zip(uq.tolist(),
-                                 np.bincount(inv).tolist()):
-                    table.append(self._entry("copy_search", u0, 0,
-                                             ("T", cyc)))
-                    batches[(u0, code_copy)] = \
-                        batches.get((u0, code_copy), 0) + m
-                for i, j in zip(rows.tolist(), inv.tolist()):
-                    plans[i] = table[j]
+            self._plan_trivial(rows, ucube_cs[rows], "copy_search",
+                               code_copy, 0, ("T", cyc), plans, batches)
             rows = np.flatnonzero(copy_m & sized)
             if len(rows):
                 sz = size[rows]
@@ -1151,81 +1157,88 @@ class CharonBatchedKernel:
                     for i, j in zip(vec.tolist(), inv.tolist()):
                         plans[i] = table[j]
 
-            # -- scans (non-marking kinds only) ----------------------
-            if not marking_kind:
-                if cpu_side:
-                    u_all = zeros
-                elif self.scan_local:
-                    u_all = src_cube
-                else:
-                    u_all = np.full(n, self.central, dtype=np.int64)
-                rows = np.flatnonzero(scan_m & (refs <= 0))
-                if len(rows):
-                    uq, inv = np.unique(u_all[rows],
-                                        return_inverse=True)
-                    table = []
-                    for u0, m in zip(uq.tolist(),
-                                     np.bincount(inv).tolist()):
-                        table.append(self._entry("scan_push", u0, 1,
-                                                 ("T", 2 * cyc)))
-                        batches[(u0, code_scan)] = \
-                            batches.get((u0, code_scan), 0) + m
-                    for i, j in zip(rows.tolist(), inv.tolist()):
-                        plans[i] = table[j]
-                rows = np.flatnonzero(scan_m & (refs > 0))
+            # -- scans ---------------------------------------------
+            if cpu_side:
+                u_all = zeros
+            elif self.scan_local:
+                u_all = src_cube
+            else:
+                u_all = np.full(n, self.central, dtype=np.int64)
+            rows = np.flatnonzero(scan_m & (refs <= 0))
+            self._plan_trivial(rows, u_all[rows], "scan_push", code_scan,
+                               1, ("T", 2 * cyc), plans, batches)
+            rows = np.flatnonzero(scan_m & (refs > 0))
+            if len(rows):
+                r_span = int(refs[rows].max()) + 1
+                p_span = int(pushes[rows].max()) + 1
+                if r_span * p_span * 64 * 64 >= 2 ** 62:
+                    leftover[rows] = True
+                    rows = rows[:0]
+                # Marking scans carry per-event mark lines; the rest of
+                # their plan groups like any other scan's.
+                mark_rows = rows[:0]
+                marks: List = []
+                covered = info.heap_end - info.bitmap_covered_start
+                if marking_kind and covered > 0:
+                    mark_rows, marks = self._mark_lines(
+                        rows[pushes[rows] > 0], src, pushes, u_all,
+                        covered, info.bitmap_base, tallies, leftover)
+                    rows = rows[~leftover[rows]]
                 if len(rows):
                     rf_a = refs[rows]
                     ps_a = pushes[rows]
-                    r_span = int(rf_a.max()) + 1
-                    p_span = int(ps_a.max()) + 1
-                    if r_span * p_span * 64 * 64 >= 2 ** 62:
-                        leftover[rows] = True
-                    else:
-                        u_a = u_all[rows]
-                        oc_a = src_cube[rows]
-                        key = ((rf_a * p_span + ps_a) * 64 + u_a) \
-                            * 64 + oc_a
-                        _, first, inv = np.unique(
-                            key, return_index=True,
-                            return_inverse=True)
-                        table = []
-                        for f0, m in zip(first.tolist(),
-                                         np.bincount(inv).tolist()):
-                            u0 = int(u_a[f0])
-                            oc0 = int(oc_a[f0])
-                            rf0 = int(rf_a[f0])
-                            ps0 = int(ps_a[f0])
-                            slot_bytes = max(CACHE_LINE, rf0 * 8)
-                            slot_plan = self._stream_plan(
-                                u0, oc0, slot_bytes, 256, True)
-                            self._account_stream(acc, u0, oc0,
-                                                 slot_bytes * m, m)
-                            per_cube = [rf0 // self.ref_cubes] \
-                                * self.ref_cubes
-                            for extra in range(rf0 % self.ref_cubes):
-                                per_cube[extra] += 1
-                            ref_plans = []
-                            for t, count in enumerate(per_cube):
-                                if count == 0:
-                                    continue
-                                nb = count * CACHE_LINE
-                                ref_plans.append(self._stream_plan(
-                                    u0, t, nb, CACHE_LINE, True))
-                                self._account_stream(acc, u0, t,
-                                                     nb * m, m)
-                            use = self._tlb_use(u0, oc0)
-                            ex = ("P", (use[0], use[1]), slot_plan,
-                                  tuple(ref_plans), ps0 * cyc, None)
-                            table.append(self._entry("scan_push", u0,
-                                                     1, ex))
-                            batches[(u0, code_scan)] = \
-                                batches.get((u0, code_scan), 0) + m
-                            t_tlb[use[2]] += m
-                            if use[3]:
-                                t_rem[use[2]] += m
-                            tallies["probes"] += rf0 * m
-                        for i, j in zip(rows.tolist(), inv.tolist()):
-                            plans[i] = table[j]
+                    u_a = u_all[rows]
+                    oc_a = src_cube[rows]
+                    key = ((rf_a * p_span + ps_a) * 64 + u_a) * 64 + oc_a
+                    _, first, inv = np.unique(key, return_index=True,
+                                              return_inverse=True)
+                    table = []
+                    for f0, m in zip(first.tolist(),
+                                     np.bincount(inv).tolist()):
+                        u0 = int(u_a[f0])
+                        oc0 = int(oc_a[f0])
+                        rf0 = int(rf_a[f0])
+                        ps0 = int(ps_a[f0])
+                        slot_bytes = max(CACHE_LINE, rf0 * 8)
+                        slot_plan = self._stream_plan(
+                            u0, oc0, slot_bytes, 256, True)
+                        self._account_stream(acc, u0, oc0,
+                                             slot_bytes * m, m)
+                        per_cube = [rf0 // self.ref_cubes] \
+                            * self.ref_cubes
+                        for extra in range(rf0 % self.ref_cubes):
+                            per_cube[extra] += 1
+                        ref_plans = []
+                        for t, count in enumerate(per_cube):
+                            if count == 0:
+                                continue
+                            nb = count * CACHE_LINE
+                            ref_plans.append(self._stream_plan(
+                                u0, t, nb, CACHE_LINE, True))
+                            self._account_stream(acc, u0, t, nb * m, m)
+                        use = self._tlb_use(u0, oc0)
+                        ex = ("P", (use[0], use[1]), slot_plan,
+                              tuple(ref_plans), ps0 * cyc, None)
+                        table.append(self._entry("scan_push", u0, 1, ex))
+                        batches[(u0, code_scan)] = \
+                            batches.get((u0, code_scan), 0) + m
+                        t_tlb[use[2]] += m
+                        if use[3]:
+                            t_rem[use[2]] += m
+                        tallies["probes"] += rf0 * m
+                    for i, j in zip(rows.tolist(), inv.tolist()):
+                        plans[i] = table[j]
+                    for i, lines in zip(mark_rows.tolist(), marks):
+                        if lines is not None:
+                            pool, req, resp, ex = plans[i]
+                            plans[i] = (pool, req, resp,
+                                        ex[:5] + (lines,))
+
+            # -- bitmap counts ---------------------------------------
+            rows = np.flatnonzero(bitmap_m)
+            if len(rows):
+                self._plan_bitmap_counts(rows, ev, info, plans, batches,
+                                         tallies, leftover)
 
             rest = np.flatnonzero(leftover).tolist()
             if rest:
@@ -1237,6 +1250,166 @@ class CharonBatchedKernel:
         self._plans = plans
         self._prim_keys, self._prim_ids = _prim_index(compiled)
 
+    def _plan_trivial(self, rows: np.ndarray, units: np.ndarray,
+                      kind_key: str, code: int, has_value: int, ex: Tuple,
+                      plans: List,
+                      batches: Dict[Tuple[int, int], int]) -> None:
+        """Plan ``rows`` whose primitive costs the fixed ``ex`` and
+        touches no memory: one shared plan per unit cube in ``units``."""
+        if not len(rows):
+            return
+        uq, inv = np.unique(units, return_inverse=True)
+        table = []
+        for u0, m in zip(uq.tolist(), np.bincount(inv).tolist()):
+            table.append(self._entry(kind_key, u0, has_value, ex))
+            batches[(u0, code)] = batches.get((u0, code), 0) + m
+        for i, j in zip(rows.tolist(), inv.tolist()):
+            plans[i] = table[j]
+
+    def _bc_lines(self, line_addr: np.ndarray, unit: np.ndarray,
+                  counts: np.ndarray, t_bc: List[int]
+                  ) -> Tuple[np.ndarray, List]:
+        """Vectorized :meth:`_bc_use` over one block's bitmap lines.
+
+        ``line_addr`` and ``unit`` (the issuing unit's cube) are per-line
+        columns, ``counts`` the number of lines of each row in order.
+        Returns ``(ok, lines)``: whether each row's lines are all
+        mapped, and each such row's ``(line_addr, slice, penalty)``
+        tuple exactly as :meth:`_plan_events` builds it (``None`` for
+        the others, which the scalar planner faults on).  Mapped rows'
+        accesses are tallied into ``t_bc``.
+        """
+        cube, _, mapped = self.map.lookup_columns(line_addr)
+        row = np.repeat(np.arange(len(counts)), counts)
+        ok = np.bincount(row[~mapped], minlength=len(counts)) == 0
+        si = cube if self.distributed else np.zeros_like(cube)
+        pen = self._bc_pens[2 * si + (unit != self._bc_home[si])]
+        tally = np.bincount(si[ok[row]], minlength=len(t_bc))
+        for ci, accesses in enumerate(tally.tolist()):
+            t_bc[ci] += accesses
+        triples = zip(line_addr.tolist(), si.tolist(), pen.tolist())
+        lines = []
+        for count, good in zip(counts.tolist(), ok.tolist()):
+            run = tuple(islice(triples, count))
+            lines.append(run if good else None)
+        return ok, lines
+
+    def _mark_lines(self, rows: np.ndarray, src: np.ndarray,
+                    pushes: np.ndarray, unit: np.ndarray, covered: int,
+                    bitmap_base: int, tallies: Dict,
+                    leftover: np.ndarray) -> Tuple[np.ndarray, List]:
+        """Mark lines of marking-phase scan ``rows`` (all with pushes).
+
+        Push ``k`` of a scan at ``src`` marks the bitmap line at byte
+        offset ``(hash(src) + (src & 0x3FF0) + 64 k) % covered``, the
+        scalar planner's hashed window.  Returns the rows planned here
+        and their line tuples (``None`` where a line is unmapped); rows
+        left to the scalar planner are flagged in ``leftover``.
+        """
+        s_all = src[rows]
+        fits = (s_all >= 0) & ((s_all >> 14) <= _HASH_LIMIT)
+        leftover[rows[~fits]] = True
+        rows = rows[fits]
+        marks: List = []
+        for lo in range(0, len(rows), PLAN_BLOCK_ROWS):
+            blk = rows[lo:lo + PLAN_BLOCK_ROWS]
+            s = src[blk]
+            count = pushes[blk]
+            window = ((s >> 14) * 2654435761) % covered + (s & 0x3FF0)
+            first = np.cumsum(count) - count
+            step = 64 * np.arange(int(count.sum()), dtype=np.int64)
+            off = (np.repeat(window - 64 * first, count) + step) % covered
+            ok, lines = self._bc_lines(bitmap_base + off // 64,
+                                       np.repeat(unit[blk], count), count,
+                                       tallies["bc_port"])
+            leftover[blk[~ok]] = True
+            marks += lines
+        return rows, marks
+
+    def _plan_bitmap_counts(self, rows: np.ndarray, ev: np.ndarray, info,
+                            plans: List,
+                            batches: Dict[Tuple[int, int], int],
+                            tallies: Dict, leftover: np.ndarray) -> None:
+        """Vectorized :meth:`_plan_events` over bitmap-count ``rows``.
+
+        A count of ``bits`` bits at ``src`` reads the ``first..last``
+        cache lines its words span in each of the two mark bitmaps.
+        Rows touching an unmapped address (or with a negative ``src``)
+        are flagged in ``leftover``, so the scalar planner plans them or
+        raises their fault in event order.
+        """
+        code = PRIMITIVE_TYPE_CODES[Primitive.BITMAP_COUNT]
+        cyc = self.cyc
+        bc_line = self.bcs[0].line_bytes
+        src = ev["src"][rows]
+        bits = ev["bits"][rows]
+        # src >= 0 keeps the address arithmetic inside int64.
+        ok = src >= 0
+        byte_lo = (src - info.bitmap_covered_start) // WORD // 8
+        if self.cpu_side:
+            unit = np.zeros(len(rows), dtype=np.int64)
+        else:
+            unit, _, mapped = self.map.lookup_columns(
+                info.bitmap_base + byte_lo)
+            ok &= mapped
+        counting = bits > 0
+        owner = 0
+        if self.distributed:
+            entry = self.map.lookup(info.bitmap_base)
+            if entry is None:
+                ok &= ~counting
+            else:
+                owner = entry[0]
+        leftover[rows[~ok]] = True
+
+        pos = np.flatnonzero(ok & ~counting)
+        self._plan_trivial(rows[pos], unit[pos], "bitmap_count", code, 1,
+                           ("T", cyc), plans, batches)
+
+        pos = np.flatnonzero(ok & counting)
+        planned = np.zeros(len(rows), dtype=bool)
+        heads: Dict[int, Tuple] = {}
+        bases = (info.bitmap_base, info.bitmap_base + info.bitmap_bytes)
+        for lo in range(0, len(pos), PLAN_BLOCK_ROWS):
+            blk = pos[lo:lo + PLAN_BLOCK_ROWS]
+            words = (bits[blk] + 63) // 64
+            byte_a = byte_lo[blk]
+            byte_b = byte_a + words * WORD
+            first = np.stack([(base + byte_a) // bc_line
+                              for base in bases], axis=1).ravel()
+            count = np.stack([(base + byte_b - 1) // bc_line
+                              for base in bases], axis=1).ravel() \
+                - first + 1
+            seg = np.cumsum(count) - count
+            index = np.repeat(first - seg, count) \
+                + np.arange(int(count.sum()), dtype=np.int64)
+            per_row = count[0::2] + count[1::2]
+            u_b = unit[blk]
+            good, lines = self._bc_lines(index * bc_line,
+                                         np.repeat(u_b, per_row), per_row,
+                                         tallies["bc_port"])
+            leftover[rows[blk[~good]]] = True
+            planned[blk[good]] = True
+            for i, u0, w, run in zip(rows[blk].tolist(), u_b.tolist(),
+                                     words.tolist(), lines):
+                if run is None:
+                    continue
+                head = heads.get(u0)
+                if head is None:
+                    use = self._tlb_use(u0, owner)
+                    pool, req, resp, _ = self._entry("bitmap_count", u0,
+                                                     1, None)
+                    head = heads[u0] = (pool, req, resp,
+                                        (use[0], use[1]))
+                plans[i] = head[:3] + (("B", head[3], run, w * cyc),)
+        uq, counts = np.unique(unit[planned], return_counts=True)
+        for u0, m in zip(uq.tolist(), counts.tolist()):
+            batches[(u0, code)] = batches.get((u0, code), 0) + m
+            _, _, si, remote = self._tlb_use(u0, owner)
+            tallies["tlb"][si] += m
+            if remote:
+                tallies["tlb_remote"][si] += m
+
     def _plan_events(self, compiled: CompiledTrace, info,
                      indices, plans: List, acc: Dict[int, List[int]],
                      batches: Dict[Tuple[int, int], int],
@@ -1245,9 +1418,12 @@ class CharonBatchedKernel:
 
         Plans ``indices`` exactly as the event-by-event offload path
         would, mutating the shared accumulators.  The vectorized stage
-        1 routes here only the rows it cannot group (bitmap counts,
-        marking-phase scans, multi-page ranges) — plus the whole trace
-        when a ProtectionFault must be raised in event order.
+        1 routes here only the rows it cannot plan in numpy: copies,
+        searches and scans whose range crosses a page, bitmap counts
+        and marking-phase scans that touch an unmapped address (or, for
+        scans, whose window hash would overflow int64) — plus the whole
+        trace when a copy, search or scan address is unmapped, so the
+        ProtectionFault is raised in event order.
         """
         cube_of = self.map.cube_of
         marking_kind = compiled.kind in ("major", "g1", "concurrent")

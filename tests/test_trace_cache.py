@@ -97,8 +97,9 @@ class TestCacheKey:
 class TestStoreLoad:
     def test_round_trip(self, tmp_path, mixed_run):
         key = run_cache_key(WORKLOAD, small_config())
-        path = store_run(tmp_path, key, mixed_run)
+        path, stored = store_run(tmp_path, key, mixed_run)
         assert path.exists() and path.suffix == ".npz"
+        assert len(stored) == len(mixed_run.traces)
         loaded, compiled = load_run(tmp_path, key)
         assert trace_dicts(loaded) == trace_dicts(mixed_run)
         assert len(compiled) == len(mixed_run.traces)
@@ -112,7 +113,7 @@ class TestStoreLoad:
                                                   mixed_run,
                                                   monkeypatch):
         key = run_cache_key(WORKLOAD, small_config())
-        path = store_run(tmp_path, key, mixed_run)
+        path, _ = store_run(tmp_path, key, mixed_run)
         monkeypatch.setattr(trace_io, "TRACE_SCHEMA_VERSION",
                             trace_io.TRACE_SCHEMA_VERSION + 1)
         with pytest.warns(UserWarning, match="stale trace-cache entry"):
@@ -125,7 +126,8 @@ class TestFetchRun:
     def test_miss_generates_and_stores(self, tmp_path):
         run, compiled = fetch_run(WORKLOAD, small_config(),
                                   make_mixed_run, directory=tmp_path)
-        assert compiled is None  # freshly generated, not from disk
+        # Freshly generated: the store compiled each trace once.
+        assert len(compiled) == len(run.traces)
         assert run.sweep_count == 1
         assert len(list(tmp_path.glob("*.npz"))) == 1
         assert trace_cache.STATS["misses"] == 1
@@ -177,7 +179,7 @@ class TestFetchRun:
             run, compiled = fetch_run(WORKLOAD, small_config(),
                                       make_mixed_run,
                                       directory=tmp_path)
-        assert compiled is None  # regenerated
+        assert len(compiled) == len(run.traces)  # regenerated
         assert trace_cache.STATS["stale"] == 1
         assert trace_cache.STATS["generated"] == 2
         # The regenerated entry (written under the bumped version) hits.
