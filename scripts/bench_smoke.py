@@ -242,10 +242,10 @@ def run_sweep_bench() -> None:
     """Run the warm-sweep benchmark and validate its report.
 
     ``bench_sweep.py`` runs the same grid cold (empty caches, serial)
-    and warm (populated caches, warm pool, cache-require armed) and
-    exits non-zero below the 2x warm-over-cold floor, on any stage-1
-    miss during the warm run, or if the two result sets are not
-    bit-exact.
+    and warm (populated caches, 2-process fork pool, cache-require
+    armed) and exits non-zero below the 2x warm-over-cold floor, on
+    any stage-1 miss during the warm run, or if the two result sets
+    are not bit-exact.
     """
     report_path = ARTIFACTS / "BENCH_sweep.json"
     ARTIFACTS.mkdir(parents=True, exist_ok=True)

@@ -7,8 +7,8 @@ subprocesses against the same throwaway cache directories:
 1. **cold** — empty trace and stage-1 caches, serial: the run captures
    the workload, compiles it, computes every stage-1 product, and
    stores everything;
-2. **warm** — the populated caches, ``REPRO_WARM_POOL=1`` and
-   ``processes=2``, with *both* ``REPRO_TRACE_CACHE_REQUIRE`` and
+2. **warm** — the populated caches and ``processes=2`` (a fork pool
+   made for the sweep), with *both* ``REPRO_TRACE_CACHE_REQUIRE`` and
    ``REPRO_STAGE1_CACHE_REQUIRE`` set, so any re-capture or stage-1
    recompute raises instead of quietly slipping through.
 
@@ -52,7 +52,7 @@ FLOOR = 2.0
 #: Environment that must not leak into the measured subprocesses.
 _CONTROLLED = ("REPRO_TRACE_CACHE", "REPRO_TRACE_CACHE_REQUIRE",
                "REPRO_STAGE1_CACHE", "REPRO_STAGE1_CACHE_REQUIRE",
-               "REPRO_WARM_POOL", "REPRO_JOBS", "REPRO_SHARD_JOURNAL")
+               "REPRO_JOBS", "REPRO_SHARD_JOURNAL")
 
 
 def measure(platforms: list, workloads: list,
@@ -115,7 +115,6 @@ def main() -> int:
                   "REPRO_STAGE1_CACHE": str(Path(temp) / "stage1")}
         cold = run_measured(caches, jobs=1)
         warm = run_measured({**caches,
-                             "REPRO_WARM_POOL": "1",
                              "REPRO_TRACE_CACHE_REQUIRE": "1",
                              "REPRO_STAGE1_CACHE_REQUIRE": "1"},
                             jobs=JOBS)

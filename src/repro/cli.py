@@ -187,9 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--heap-mb", type=int, default=None)
     sweep.add_argument("--threads", type=int, default=None)
     sweep.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for 'run' (default "
-                            "$REPRO_JOBS; REPRO_WARM_POOL reuses one "
-                            "warm pool across invocations)")
+                       help="worker processes for 'run', forked "
+                            "per sweep (default $REPRO_JOBS)")
     sweep.add_argument("--format", choices=("table", "json"),
                        default="table")
     sweep.add_argument("--watch", action="store_true",
@@ -445,8 +444,7 @@ def _cmd_stats(args) -> str:
     from repro.obs.adapters import (device_metrics, heap_kernel_metrics,
                                     hmc_metrics, replay_kernel_metrics,
                                     stage1_cache_metrics,
-                                    timing_metrics, trace_cache_metrics,
-                                    warm_sweep_metrics)
+                                    timing_metrics, trace_cache_metrics)
     from repro.obs.export import metrics_csv, metrics_snapshot
     from repro.obs.metrics import MetricsRegistry
     from repro.platform import FastTraceReplayer, make_replayer
@@ -468,7 +466,6 @@ def _cmd_stats(args) -> str:
     heap_kernel_metrics(registry)
     trace_cache_metrics(registry)
     stage1_cache_metrics(registry)
-    warm_sweep_metrics(registry)
     if platform.device is not None:
         device_metrics(registry, platform.device)
     if platform.hmc is not None:
@@ -500,8 +497,8 @@ def _cmd_stats(args) -> str:
 
 def _cmd_sweep(args) -> int:
     """``repro sweep run`` executes a grid sweep through
-    ``replay_grid`` (journaled when a journal is configured, warm-pool
-    fan-out when ``REPRO_WARM_POOL``/spawn routing engages);
+    ``replay_grid`` (journaled when a journal is configured, on a fork
+    pool made for the sweep when ``--jobs`` exceeds 1);
     ``repro sweep status [--watch]`` is the progress monitor's view of
     a journaled sweep (table or the shared JSON serializer)."""
     import time as time_mod

@@ -495,7 +495,6 @@ EVENTLOG_ENV = "REPRO_EVENTLOG"                #: JSONL run-event log
 EVENTLOG_MAX_BYTES_ENV = "REPRO_EVENTLOG_MAX_BYTES"  #: rotation size
 STAGE1_CACHE_ENV = "REPRO_STAGE1_CACHE"        #: stage-1 product cache
 STAGE1_CACHE_REQUIRE_ENV = "REPRO_STAGE1_CACHE_REQUIRE"  #: miss = error
-WARM_POOL_ENV = "REPRO_WARM_POOL"              #: persistent sweep pool
 
 REPLAY_MODES = ("auto", "fast", "event")
 
@@ -585,9 +584,18 @@ class ReplayConfig:
 
 def default_replay_config() -> ReplayConfig:
     """The environment-driven replay configuration."""
+    raw = os.environ.get(REPLAY_JOBS_ENV)
+    try:
+        jobs = int(raw) if raw else 1
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ConfigError(
+            f"{REPLAY_JOBS_ENV} must be a positive process count, "
+            f"got {raw!r}")
     config = ReplayConfig(
         fast_path=os.environ.get(REPLAY_MODE_ENV) or "auto",
         cache_dir=os.environ.get(TRACE_CACHE_ENV) or None,
-        jobs=int(os.environ.get(REPLAY_JOBS_ENV) or 1))
+        jobs=jobs)
     config.validate()
     return config

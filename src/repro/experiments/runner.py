@@ -11,32 +11,33 @@ pipeline:
   (``_COMPILED_CACHE``) for the vectorized fast-path replayer, which
   :func:`replay_platform` selects automatically per platform via
   :func:`repro.platform.fast_replay.make_replayer`;
-* :func:`replay_grid` fans the platform x workload grid out over
-  worker processes with a deterministic merge.  With a shard journal
-  configured (``REPRO_SHARD_JOURNAL`` or ``journal=``), the grid
-  decomposes into durable per-cell shards: workers *steal* pending
-  shards through :mod:`~repro.experiments.shard_journal` claim files,
-  every finished cell persists immediately, and an interrupted sweep
-  resumes from the completed shards with a byte-identical merge.
+* :func:`replay_grid` fans the platform x workload grid out over a
+  fork pool made per call (:func:`_fan_out`, the one place worker
+  processes are created) with a deterministic merge.  With a shard
+  journal configured (``REPRO_SHARD_JOURNAL`` or ``journal=``), the
+  grid decomposes into durable per-cell shards: workers *steal*
+  pending shards through :mod:`~repro.experiments.shard_journal` claim
+  files, every finished cell persists immediately, and an interrupted
+  sweep resumes from the completed shards with a byte-identical merge.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
-from repro.config import (REPLAY_JOBS_ENV, SystemConfig, default_config,
+from repro.config import (SystemConfig, default_config,
                           default_replay_config)
 from repro.errors import OutOfMemoryError
-from repro.experiments import (progress, shard_journal, shm_store,
-                               trace_cache, workers)
+from repro.experiments import progress, shard_journal, trace_cache
 from repro.gcalgo.columnar import CompiledTrace, compile_traces
 from repro.heap.heap import JavaHeap
 from repro.obs import provenance
 from repro.obs.adapters import timing_metrics
+from repro.obs.eventlog import get_eventlog
 from repro.obs.metrics import global_metrics
 from repro.obs.tracer import get_tracer
 from repro.platform import build_platform
@@ -171,8 +172,8 @@ def replay_platform(platform_name: str, name: str,
         platform = build_platform(platform_name, resolved_config, heap)
         replayer = make_replayer(platform, threads=threads, mode=mode)
         # The compiled-trace path never needs the WorkloadRun itself,
-        # so a warm worker whose _COMPILED_CACHE was primed (from the
-        # trace cache or a shared-memory attachment) replays without
+        # so a process whose _COMPILED_CACHE was primed (from the trace
+        # cache, or inherited across the pool's fork) replays without
         # capturing — only the event-by-event path demands the run.
         if isinstance(replayer, FastTraceReplayer):
             traces: Iterable = compiled_run_traces(name, heap_bytes)
@@ -209,23 +210,40 @@ def _journal_worker(payload: tuple) -> None:
                                _grid_worker)
 
 
-def _publish_runs(jobs: Iterable[tuple]) -> tuple:
-    """Publish the jobs' compiled traces to the shared-memory store.
+def _fan_out(function: Callable, items: Sequence,
+             processes: int) -> list:
+    """``[function(item) for item in items]``, on worker processes.
 
-    Returns ``((run_key, handles), ...)`` for the warm-pool payloads;
-    each distinct (workload, heap) publishes once, and repeat grids
-    over the same runs reuse the existing segments.
+    The only code that creates worker processes: a fork-context pool
+    made for this call, one item per task (grid cells are coarse and
+    uneven, and contiguous chunks can serialize the most expensive
+    ones onto one worker), reaped before returning.  It runs serially
+    in this process when ``processes <= 1``, for a single item, or
+    where ``fork`` does not exist.
+
+    An exception raised in a worker reaches the caller.  A worker that
+    *dies* breaks the pool instead: one ``fallback`` event is emitted
+    and the results received so far — a prefix of the list — are
+    returned, so the caller finishes the missing items itself.
     """
-    published = []
-    seen = set()
-    for _, name, heap_bytes, _ in jobs:
-        key = (name, heap_bytes or default_heap_bytes(name))
-        if key in seen:
-            continue
-        seen.add(key)
-        published.append((key,
-                          shm_store.publish(key, _COMPILED_CACHE[key])))
-    return tuple(published)
+    if processes <= 1 or len(items) <= 1 or not _fork_available():
+        return [function(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    results: list = []
+    context = multiprocessing.get_context("fork")
+    try:
+        with ProcessPoolExecutor(min(processes, len(items)),
+                                 mp_context=context) as pool:
+            for result in pool.map(function, items):
+                results.append(result)
+    except BrokenProcessPool:
+        eventlog = get_eventlog()
+        if eventlog.enabled:
+            eventlog.emit("fallback", to="serial",
+                          done=len(results), items=len(items))
+    return results
 
 
 def replay_grid(platform_names: Iterable[str],
@@ -237,16 +255,14 @@ def replay_grid(platform_names: Iterable[str],
                 ) -> Dict[Tuple[str, str], GCTimingResult]:
     """Replay every platform x workload pair; returns the result grid.
 
-    ``processes`` > 1 fans the pairs out over worker processes
-    (default from ``REPRO_JOBS``).  Workload runs are captured in the
-    parent first, so children inherit the traces instead of
-    regenerating them; results merge back in job order, so the outcome
-    — including the parent's replay memo — is identical to a serial
-    sweep regardless of worker scheduling.  With ``REPRO_WARM_POOL``
-    set (or on spawn-only platforms, always) the fan-out runs on the
-    persistent pool from :mod:`~repro.experiments.workers`: compiled
-    traces travel through the zero-copy shared-memory store and the
-    workers stay warm across calls.
+    ``processes`` > 1 fans the pairs out over a fork pool made for
+    this call (default from ``REPRO_JOBS``; see :func:`_fan_out`).
+    Workload runs are captured and compiled in the parent first, so
+    workers inherit the traces instead of regenerating them; results
+    merge back in job order, so the outcome — including the parent's
+    replay memo — is identical to a serial sweep regardless of worker
+    scheduling.  Cells a dead worker left unfinished are replayed in
+    the parent.
 
     With a journal directory (``journal=`` or ``REPRO_SHARD_JOURNAL``)
     the sweep becomes durable and work-stealing: each cell is a shard
@@ -260,7 +276,7 @@ def replay_grid(platform_names: Iterable[str],
     platform_names = list(platform_names)
     workload_names = list(workload_names)
     if processes is None:
-        processes = int(os.environ.get(REPLAY_JOBS_ENV) or 1)
+        processes = default_replay_config().jobs
     jobs = [(platform, name, heap_bytes, threads)
             for name in workload_names for platform in platform_names]
     for name in workload_names:
@@ -272,31 +288,9 @@ def replay_grid(platform_names: Iterable[str],
     else:
         pending = [job for job in jobs
                    if _memo_key(job) not in _REPLAY_CACHE]
-        results = None
-        if processes > 1 and len(pending) > 1:
-            pool = (workers.get_pool(processes)
-                    if workers.use_warm_pool() else None)
-            if pool is not None:
-                published = _publish_runs(pending)
-                results = pool.map(workers._warm_cell,
-                                   [(published, job)
-                                    for job in pending])
-            elif _fork_available():
-                workers.note_start_method("fork")
-                context = multiprocessing.get_context("fork")
-                with context.Pool(min(processes,
-                                      len(pending))) as forked:
-                    # chunksize=1: cells are coarse and uneven, and
-                    # contiguous chunking can serialize the most
-                    # expensive ones onto a single worker.
-                    results = forked.map(_grid_worker, pending,
-                                         chunksize=1)
-        if results is not None:
-            for job, result in zip(pending, results):
-                _REPLAY_CACHE[_memo_key(job)] = result
-        else:
-            for job in pending:
-                _grid_worker(job)
+        results = _fan_out(_grid_worker, pending, processes)
+        for job, result in zip(pending, results):
+            _REPLAY_CACHE[_memo_key(job)] = result
     # Journal/memo hits return straight from the replay memo — the old
     # per-cell replay_platform rebuild re-derived every memo key (and
     # config) even when nothing was left to replay.
@@ -304,7 +298,7 @@ def replay_grid(platform_names: Iterable[str],
     for job in jobs:
         platform, name, job_heap, job_threads = job
         result = _REPLAY_CACHE.get(_memo_key(job))
-        if result is None:  # backstop: a worker died mid-cell
+        if result is None:  # a dead worker's cell: finish it here
             result = replay_platform(platform, name,
                                      heap_bytes=job_heap,
                                      threads=job_threads)
@@ -318,10 +312,10 @@ def _sweep_journaled(directory: Path, jobs: List[tuple],
 
     Fills ``_REPLAY_CACHE`` for every job.  Shards already in the
     journal load without executing a replay; the rest are swept with
-    work-stealing claims — forked workers when ``processes`` allows,
-    and always a final serial pass in the parent, which doubles as the
-    backstop should a worker die mid-shard (its claim is released by
-    ``reset_claims`` on the next sweep, its result simply missing now).
+    work-stealing claims by up to ``processes`` stealers (through
+    :func:`_fan_out`), then by a final pass in the parent, which is
+    the backstop should a worker die mid-shard: the dead workers'
+    claims are cleared first, so their cells still run and persist.
 
     The parent also announces the grid to the progress monitor
     (``sweep.json`` + ``progress.json`` beside the journal, and the
@@ -360,20 +354,11 @@ def _sweep_journaled(directory: Path, jobs: List[tuple],
     progress.write_sweep_manifest(directory, manifest)
     progress.attach_live(directory)
     progress.refresh_progress(directory)
-    if processes > 1 and len(pending) > 1:
-        stealers = min(processes, len(pending))
-        pool = (workers.get_pool(processes)
-                if workers.use_warm_pool() else None)
-        if pool is not None:
-            payload = (_publish_runs(pending.values()),
-                       str(directory), tuple(pending.items()))
-            pool.map(workers._warm_journal, [payload] * stealers)
-        elif _fork_available():
-            workers.note_start_method("fork")
-            payload = (str(directory), tuple(pending.items()))
-            context = multiprocessing.get_context("fork")
-            with context.Pool(stealers) as forked:
-                forked.map(_journal_worker, [payload] * stealers)
+    stealers = min(processes, len(pending))
+    payload = (str(directory), tuple(pending.items()))
+    if len(_fan_out(_journal_worker, [payload] * stealers,
+                    processes)) < stealers:
+        shard_journal.reset_claims(directory)  # the dead workers' claims
     shard_journal.sweep_shards(directory, pending, _grid_worker)
     for key, job in pending.items():
         result = shard_journal.load_shard(directory, key)
@@ -383,10 +368,6 @@ def _sweep_journaled(directory: Path, jobs: List[tuple],
 
 
 def _fork_available() -> bool:
-    # Gates only the classic pool-per-call path: a fresh *spawn* pool
-    # per grid would re-import cold every time, so spawn-only
-    # platforms route through the persistent warm pool instead (see
-    # workers.use_warm_pool) — never the old serial fallback.
     try:
         multiprocessing.get_context("fork")
     except ValueError:

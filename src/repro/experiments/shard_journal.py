@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import time
 import warnings
 from pathlib import Path
-from typing import Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.config import SHARD_JOURNAL_ENV
+from repro.experiments.trace_cache import CacheStats
 from repro.gcalgo.trace import Primitive
 from repro.obs.eventlog import get_eventlog
 from repro.platform.timing import GCTimingResult, PlatformEnergy
@@ -51,8 +51,8 @@ SHARD_FORMAT = "repro-shard-result"
 REPRO_SHARD_JOURNAL = SHARD_JOURNAL_ENV
 
 
-class ShardStats:
-    """Fork-shared tally of journal behaviour (see ``CacheStats``).
+class ShardStats(CacheStats):
+    """Fork-shared tally of journal behaviour.
 
     ``hits`` — shards served from the journal without re-execution
     (the crash/resume tests use this as the no-rework witness);
@@ -62,37 +62,6 @@ class ShardStats:
     """
 
     FIELDS = ("hits", "runs", "stolen", "stale", "stores")
-
-    def __init__(self) -> None:
-        self._lock = multiprocessing.RLock()
-        self._values = {name: multiprocessing.Value("q", 0, lock=False)
-                        for name in self.FIELDS}
-
-    def add(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self._values[name].value += amount
-
-    def __getitem__(self, name: str) -> int:
-        return int(self._values[name].value)
-
-    def keys(self) -> Tuple[str, ...]:
-        return self.FIELDS
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.FIELDS)
-
-    def items(self) -> Iterator[Tuple[str, int]]:
-        return iter(self.snapshot().items())
-
-    def update(self, **values: int) -> None:
-        with self._lock:
-            for name, value in values.items():
-                self._values[name].value = int(value)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {name: int(value.value)
-                    for name, value in self._values.items()}
 
 
 #: Cumulative journal behaviour for this process tree.

@@ -101,7 +101,7 @@ def trace_content_key(compiled: CompiledTrace) -> str:
     version, and the raw bytes of the event columns — so the key is
     stable across processes, machines and codecs: the same captured
     trace loaded from the trace cache, streamed from a chunked file, or
-    attached from shared memory resolves to the same stage-1 entries.
+    inherited by a forked worker resolves to the same stage-1 entries.
     """
     key = compiled.__dict__.get("_content_key")
     if key is None:

@@ -42,19 +42,6 @@ def stage1_cache_metrics(registry: MetricsRegistry) -> None:
                           "tally").set(value)
 
 
-def warm_sweep_metrics(registry: MetricsRegistry) -> None:
-    """Mirror the warm-pool and shared-memory-store tallies into
-    ``pool.*`` / ``shm.*`` gauges."""
-    from repro.experiments import shm_store, workers
-
-    scope = registry.scope("pool")
-    for name, value in workers.pool_stats().items():
-        scope.gauge(name, "warm worker pool tally").set(value)
-    scope = registry.scope("shm")
-    for name, value in shm_store.STATS.snapshot().items():
-        scope.gauge(name, "shared-memory trace store tally").set(value)
-
-
 def device_metrics(registry: MetricsRegistry,
                    device: "CharonDevice") -> None:
     """Mirror a Charon device's unit/TLB/bitmap-cache counters."""

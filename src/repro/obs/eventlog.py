@@ -17,13 +17,10 @@ record type         emitted by
 ``stage1_hit``      :mod:`repro.experiments.stage1_cache` on a served
                     stage-1 product
 ``stage1_miss``     the stage-1 cache before recomputing a product
-``shm_publish``     :mod:`repro.experiments.shm_store` when a trace set
-                    lands in shared memory
-``pool_start``      :mod:`repro.experiments.workers` noting the chosen
-                    sweep start method (once per process)
-``pool_reuse``      the warm pool serving a repeat sweep invocation
 ``fallback``        :func:`repro.platform.fast_replay.make_replayer` on
-                    an auto-mode demotion to event-by-event replay
+                    an auto-mode demotion to event-by-event replay, and
+                    the sweep fan-out finishing a dead worker's cells
+                    serially in the parent
 ``coverage_check``  ``scripts/check_fast_path_coverage.py`` verdicts
 ``run_end``         an ``atexit`` hook per armed process
 ==================  =====================================================
@@ -66,8 +63,7 @@ EVENTLOG_SCHEMA_VERSION = 1
 #: log accepts any type so downstream layers can extend it).
 EVENT_TYPES = ("run_start", "gc_pause", "shard_claimed", "shard_done",
                "cache_hit", "cache_miss", "stage1_hit", "stage1_miss",
-               "shm_publish", "pool_start", "pool_reuse", "fallback",
-               "coverage_check", "run_end")
+               "fallback", "coverage_check", "run_end")
 
 #: Rotated-file suffix appended to the log path.
 ROTATED_SUFFIX = ".1"

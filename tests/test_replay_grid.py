@@ -10,13 +10,16 @@ the shards that never finished.
 
 import multiprocessing
 import os
+import signal
 
 import pytest
 
 from repro.config import REPLAY_JOBS_ENV, TRACE_CACHE_ENV
-from repro.experiments import shard_journal
+from repro.errors import ConfigError
+from repro.experiments import runner, shard_journal
 from repro.experiments.runner import (_fork_available, clear_cache,
                                       replay_grid, replay_platform)
+from repro.obs import eventlog
 
 WORKLOAD = "graphchi-als"  # fastest real workload
 PLATFORMS = ("cpu-ddr4", "ideal", "charon")
@@ -51,6 +54,10 @@ class TestDeterministicMerge:
         monkeypatch.setenv(REPLAY_JOBS_ENV, "2")
         from_env = replay_grid(PLATFORMS, [WORKLOAD])
         grids_equal(serial, from_env)
+        for bad in ("0", "-3", "two"):
+            monkeypatch.setenv(REPLAY_JOBS_ENV, bad)
+            with pytest.raises(ConfigError, match=REPLAY_JOBS_ENV):
+                replay_grid(PLATFORMS, [WORKLOAD])
 
     def test_forked_results_warm_the_memo(self):
         if not _fork_available():
@@ -175,6 +182,64 @@ class TestShardJournal:
         replay_grid(PLATFORMS, [WORKLOAD])
         assert len(list(journal.glob("*.shard.json"))) \
             == len(PLATFORMS)
+
+
+class TestKilledWorker:
+    """A pool worker SIGKILLed mid-cell must not hang the sweep: the
+    pool breaks, one ``fallback`` event is logged, and the parent
+    finishes the missing cells, returning the serial grid."""
+
+    @pytest.mark.parametrize("journaled", [False, True],
+                             ids=["plain", "journaled"])
+    def test_killed_worker_falls_back_to_serial(self, tmp_path,
+                                                journaled):
+        if not _fork_available():
+            pytest.skip("no fork start method on this platform")
+        reference = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
+        clear_cache()
+        journal = tmp_path / "journal" if journaled else None
+        events = tmp_path / "events.jsonl"
+
+        def sweep_with_a_dying_worker():
+            os.setpgid(0, 0)  # lets the test reap a hung pool too
+            sweep_pid = os.getpid()
+            original = runner.replay_platform
+
+            def fragile(platform_name, *args, **kwargs):
+                if platform_name == "charon" \
+                        and os.getpid() != sweep_pid:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return original(platform_name, *args, **kwargs)
+
+            runner.replay_platform = fragile
+            eventlog.get_eventlog().open(events)
+            try:
+                grid = replay_grid(PLATFORMS, [WORKLOAD], processes=2,
+                                   journal=journal)
+                same = (list(grid) == list(reference)
+                        and all(grid[key] == result
+                                for key, result in reference.items()))
+                os._exit(0 if same else 1)
+            except BaseException:
+                os._exit(2)
+
+        context = multiprocessing.get_context("fork")
+        sweep = context.Process(target=sweep_with_a_dying_worker)
+        sweep.start()
+        sweep.join(60)
+        if sweep.is_alive():
+            os.killpg(sweep.pid, signal.SIGKILL)
+            sweep.join()
+            pytest.fail("the sweep hung after its worker was killed")
+        assert sweep.exitcode == 0  # returned the serial grid
+        fallbacks = [record for record in eventlog.read_events(events)
+                     if record["event"] == "fallback"]
+        assert len(fallbacks) == 1
+        assert fallbacks[0]["to"] == "serial"
+        if journaled:
+            assert len(list(journal.glob("*.shard.json"))) \
+                == len(PLATFORMS)
+            assert not list(journal.glob("*.claim"))
 
 
 class TestGridShape:

@@ -1,13 +1,11 @@
 """Tests for the warm sweep engine.
 
-Three layers, one contract: the persistent stage-1 product cache, the
-zero-copy shared-memory trace store, and the warm worker pool must all
-be invisible in the results — a warm sweep returns field-identical
-grids to a cold serial sweep — while being loudly visible in the
-tallies (hits, publishes, reuses) that ``bench_sweep`` and ``repro
-stats`` report.  The crash tests pin the failure contract: a raising
-cell surfaces its error to the caller (never a hang, never a silently
-dropped cell) and the warm pool survives to serve the retry.
+The persistent stage-1 product cache must be invisible in the results
+— a warm sweep returns field-identical grids to a cold serial sweep —
+while being loudly visible in the tallies (hits, misses, stores) that
+``bench_sweep`` and ``repro stats`` report.  The crash test pins the
+failure contract of the fork-pool fan-out: a raising cell surfaces its
+error to the caller (never a hang, never a silently dropped cell).
 """
 
 import os
@@ -17,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro.config import (STAGE1_CACHE_ENV, STAGE1_CACHE_REQUIRE_ENV,
-                          TRACE_CACHE_ENV, WARM_POOL_ENV)
-from repro.experiments import runner, shm_store, stage1_cache, workers
+                          TRACE_CACHE_ENV)
+from repro.experiments import runner, stage1_cache
 from repro.experiments.runner import clear_cache, replay_grid
 
 WORKLOAD = "graphchi-als"  # fastest real workload
@@ -27,23 +25,15 @@ PLATFORMS = ("cpu-ddr4", "ideal", "charon")
 
 @pytest.fixture(autouse=True)
 def warm_sweep_isolation(tmp_path, monkeypatch):
-    """Throwaway disk caches, fresh memos and tallies, and no warm
-    pool unless a test asks for one; tears the pool (and its shared
-    segments) down after every test."""
+    """Throwaway disk caches and fresh memos and tallies."""
     monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "trace-cache"))
     monkeypatch.setenv(STAGE1_CACHE_ENV, str(tmp_path / "stage1"))
     monkeypatch.delenv(STAGE1_CACHE_REQUIRE_ENV, raising=False)
-    monkeypatch.delenv(WARM_POOL_ENV, raising=False)
     clear_cache()
     stage1_cache.reset_stats()
-    shm_store.reset_stats()
-    workers.reset_stats()
     yield
-    workers.shutdown()
     clear_cache()
     stage1_cache.reset_stats()
-    shm_store.reset_stats()
-    workers.reset_stats()
 
 
 def grids_equal(a, b):
@@ -114,104 +104,24 @@ class TestStage1Cache:
         assert stats["stores"] == 1  # only the corrupted entry rebuilt
 
 
-class TestShmStore:
-    def test_publish_attach_round_trip(self):
-        traces = runner.compiled_run_traces(WORKLOAD)
-        handles = shm_store.publish(("round-trip", 0), traces)
-        assert len(handles) == len(traces)
-        rebuilt = shm_store.attach(handles)
-        for original, view in zip(traces, rebuilt):
-            np.testing.assert_array_equal(view.events, original.events)
-            assert not view.events.flags.writeable
-            assert view.kind == original.kind
-            assert view.heap_bytes == original.heap_bytes
-            assert list(view.phase_names) == list(original.phase_names)
-            assert view.residuals == original.residuals
-        shm_store.release(("round-trip", 0))
-
-    def test_republish_is_refcounted(self):
-        traces = runner.compiled_run_traces(WORKLOAD)
-        first = shm_store.publish(("refs", 0), traces)
-        second = shm_store.publish(("refs", 0), traces)
-        assert first == second
-        assert shm_store.STATS.snapshot()["publishes"] == 1
-        shm_store.release(("refs", 0))
-        assert shm_store.published_segments()  # one ref still holds
-        shm_store.release(("refs", 0))
-        assert shm_store.published_segments() == []
-
-    def test_schema_mismatch_is_rejected(self):
-        traces = runner.compiled_run_traces(WORKLOAD)
-        handles = [dict(h) for h in
-                   shm_store.publish(("schema", 0), traces)]
-        handles[0]["schema"] = -1
-        with pytest.raises(ValueError, match="shared trace schema"):
-            shm_store.attach(handles)
-        shm_store.release(("schema", 0))
-
-    def test_no_dev_shm_leak_after_shutdown(self):
-        dev_shm = Path("/dev/shm")
-        if not dev_shm.is_dir():
-            pytest.skip("no /dev/shm on this platform")
-        traces = runner.compiled_run_traces(WORKLOAD)
-        shm_store.publish(("leak-check", 0), traces)
-        names = shm_store.published_segments()
-        assert names
-        for name in names:
-            assert (dev_shm / name).exists()
-        workers.shutdown()
-        for name in names:
-            assert not (dev_shm / name).exists()
-        assert shm_store.published_segments() == []
-
-
-class TestWarmPool:
-    def test_warm_grid_matches_serial_and_reuses_pool(self,
-                                                      monkeypatch):
-        serial = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
-        clear_cache()
-        monkeypatch.setenv(WARM_POOL_ENV, "1")
-        warm = replay_grid(PLATFORMS, [WORKLOAD], processes=2)
-        grids_equal(serial, warm)
-        assert workers.pool_stats() == {"starts": 1, "reuses": 0,
-                                        "maps": 1}
-        clear_cache()
-        again = replay_grid(PLATFORMS, [WORKLOAD], processes=2)
-        grids_equal(serial, again)
-        stats = workers.pool_stats()
-        assert stats["starts"] == 1  # the warmness witness
-        assert stats["reuses"] == 1
-        assert stats["maps"] == 2
-        # the repeat grid reused the published segments too
-        assert shm_store.STATS.snapshot()["publishes"] == 1
-
-    def test_journaled_warm_sweep_matches_serial(self, tmp_path,
-                                                 monkeypatch):
-        serial = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
-        clear_cache()
-        monkeypatch.setenv(WARM_POOL_ENV, "1")
-        journaled = replay_grid(PLATFORMS, [WORKLOAD], processes=2,
-                                journal=tmp_path / "journal")
-        grids_equal(serial, journaled)
-        assert workers.pool_stats()["maps"] == 1
-        assert len(list((tmp_path / "journal")
-                        .glob("*.shard.json"))) == len(PLATFORMS)
-
-    def test_spawn_only_platform_parallelizes(self, monkeypatch):
-        """The spawn routing fix: no fork must mean the warm spawn
-        pool, never the old silent serial fallback."""
+class TestSerialFallback:
+    def test_fork_less_platform_runs_serially(self, monkeypatch):
+        """Without ``fork`` the fan-out runs every cell in this
+        process and returns the serial grid."""
         serial = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
         clear_cache()
         monkeypatch.setattr(runner, "_fork_available", lambda: False)
-        monkeypatch.setattr(workers, "preferred_start_method",
-                            lambda: "spawn")
-        assert workers.use_warm_pool()
-        spawned = replay_grid(PLATFORMS, [WORKLOAD], processes=2)
-        grids_equal(serial, spawned)
-        stats = workers.pool_stats()
-        assert stats["starts"] == 1
-        assert stats["maps"] == 1  # the cells went through the pool
-        assert workers._POOL.start_method == "spawn"
+        original = runner.replay_platform
+        pids = []
+
+        def spy(*args, **kwargs):
+            pids.append(os.getpid())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "replay_platform", spy)
+        unforked = replay_grid(PLATFORMS, [WORKLOAD], processes=2)
+        grids_equal(serial, unforked)
+        assert pids == [os.getpid()] * len(PLATFORMS)
 
 
 class TestWorkerCrash:
@@ -227,38 +137,6 @@ class TestWorkerCrash:
         monkeypatch.setattr(runner, "replay_platform", boom)
         with pytest.raises(RuntimeError, match="injected cell failure"):
             replay_grid(PLATFORMS, [WORKLOAD], processes=2)
-
-    def test_warm_pool_propagates_and_survives(self, tmp_path,
-                                               monkeypatch):
-        """A raising cell surfaces its error; the pool stays up and
-        serves the retry without a restart."""
-        if workers.preferred_start_method() != "fork":
-            pytest.skip("needs fork so workers inherit the patch")
-        serial = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
-        clear_cache()
-        # The workers fork with this patched, *flag-conditional*
-        # replay: the parent defuses it afterwards by deleting the
-        # flag file — the one channel that reaches already-forked
-        # warm workers.
-        flag = tmp_path / "explode"
-        flag.write_text("armed")
-        original = runner.replay_platform
-
-        def fragile(*args, **kwargs):
-            if flag.exists():
-                raise RuntimeError("injected cell failure")
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(runner, "replay_platform", fragile)
-        monkeypatch.setenv(WARM_POOL_ENV, "1")
-        with pytest.raises(RuntimeError, match="injected cell failure"):
-            replay_grid(PLATFORMS, [WORKLOAD], processes=2)
-        flag.unlink()
-        retried = replay_grid(PLATFORMS, [WORKLOAD], processes=2)
-        grids_equal(serial, retried)
-        stats = workers.pool_stats()
-        assert stats["starts"] == 1  # the crash never killed the pool
-        assert stats["reuses"] == 1
 
 
 class TestMemoServedRebuild:
@@ -285,16 +163,13 @@ class TestEventLog:
         log.open(tmp_path / "events.jsonl")
         try:
             replay_grid(PLATFORMS, [WORKLOAD], processes=1)
-            shm_store.publish(
-                ("eventlog", 0), runner.compiled_run_traces(WORKLOAD))
-            shm_store.release(("eventlog", 0))
             clear_cache()
             replay_grid(PLATFORMS, [WORKLOAD], processes=1)
         finally:
             log.close()
         records = eventlog.read_events(tmp_path / "events.jsonl")
         kinds = {record["event"] for record in records}
-        assert {"stage1_miss", "stage1_hit", "shm_publish"} <= kinds
+        assert {"stage1_miss", "stage1_hit"} <= kinds
         for record in records:
             if record["event"].startswith("stage1_"):
                 assert "kernel" in record and "key" in record
