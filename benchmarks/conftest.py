@@ -7,11 +7,11 @@ against a fresh run.  Workload traces are produced once per session and
 shared through :mod:`repro.experiments.runner`'s cache, so the full
 suite replays each workload on each platform exactly once.
 
-Captured traces also persist across sessions: unless the caller
-already pointed ``REPRO_TRACE_CACHE`` somewhere, the content-addressed
-trace cache lives in ``benchmarks/.trace-cache``, so a second
-benchmark run skips every collector execution and goes straight to
-replay.  The session footer prints the cache hit/miss tally.
+Captured traces and stage-1 products also persist across sessions:
+unless the caller already pointed ``REPRO_TRACE_CACHE`` somewhere, the
+content-addressed cache lives in ``benchmarks/.trace-cache``, so a
+second benchmark run skips every collector execution and goes straight
+to replay.  The session footer prints the cache hit/miss tallies.
 """
 
 from __future__ import annotations
@@ -57,5 +57,6 @@ def run_once(benchmark, func):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    from repro.experiments import trace_cache
-    terminalreporter.write_line(trace_cache.stats_line())
+    from repro.experiments.store import CACHES
+    for namespace in CACHES:
+        terminalreporter.write_line(namespace.stats_line())

@@ -99,10 +99,11 @@ def check_artifacts(cache: Path) -> None:
         sys.exit("bench smoke: metric snapshot artifact is empty")
 
     sys.path.insert(0, str(REPO / "src"))
+    from repro.experiments.store import TRACES
     from repro.obs.provenance import load_manifest, round_trips
 
     smoke = set(SMOKE_WORKLOADS.split(","))
-    keys = {path.stem for path in cache.glob("*.npz")}
+    keys = {path.stem for path in TRACES.entries(cache)}
     manifests = sorted(
         (REPO / "benchmarks" / "results").glob("*.manifest.json"))
     if not manifests:
@@ -399,7 +400,10 @@ def main() -> None:
         if first["generated"] != workloads or first["stores"] != workloads:
             sys.exit(f"bench smoke: first run should capture "
                      f"{workloads} workloads, tallied {first}")
-        entries = len(list(Path(cache).glob("*.npz")))
+        # Stage-1 products share the directory; count trace entries.
+        sys.path.insert(0, str(REPO / "src"))
+        from repro.experiments.store import TRACES
+        entries = len(TRACES.entries(cache))
         if entries != workloads:
             sys.exit(f"bench smoke: expected {workloads} cache "
                      f"entries, found {entries}")

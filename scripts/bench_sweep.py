@@ -2,15 +2,15 @@
 """Warm sweep benchmark: cold vs warm wall time over the same grid.
 
 Runs the platform x workload sweep twice in fresh measured
-subprocesses against the same throwaway cache directories:
+subprocesses against the same throwaway cache directory:
 
 1. **cold** — empty trace and stage-1 caches, serial: the run captures
    the workload, compiles it, computes every stage-1 product, and
    stores everything;
 2. **warm** — the populated caches and ``processes=2`` (a fork pool
-   made for the sweep), with *both* ``REPRO_TRACE_CACHE_REQUIRE`` and
-   ``REPRO_STAGE1_CACHE_REQUIRE`` set, so any re-capture or stage-1
-   recompute raises instead of quietly slipping through.
+   made for the sweep), with ``REPRO_TRACE_CACHE_REQUIRE`` set, so any
+   re-capture or stage-1 recompute raises instead of quietly slipping
+   through.
 
 The warm run must finish at least ``FLOOR``x faster, report a 100%
 stage-1 hit rate (zero misses, at least one hit), and return results
@@ -51,7 +51,6 @@ FLOOR = 2.0
 
 #: Environment that must not leak into the measured subprocesses.
 _CONTROLLED = ("REPRO_TRACE_CACHE", "REPRO_TRACE_CACHE_REQUIRE",
-               "REPRO_STAGE1_CACHE", "REPRO_STAGE1_CACHE_REQUIRE",
                "REPRO_JOBS", "REPRO_SHARD_JOURNAL")
 
 
@@ -111,12 +110,9 @@ def main() -> int:
     from bench_meta import bench_metadata
 
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as temp:
-        caches = {"REPRO_TRACE_CACHE": str(Path(temp) / "trace"),
-                  "REPRO_STAGE1_CACHE": str(Path(temp) / "stage1")}
-        cold = run_measured(caches, jobs=1)
-        warm = run_measured({**caches,
-                             "REPRO_TRACE_CACHE_REQUIRE": "1",
-                             "REPRO_STAGE1_CACHE_REQUIRE": "1"},
+        cache = {"REPRO_TRACE_CACHE": str(Path(temp) / "cache")}
+        cold = run_measured(cache, jobs=1)
+        warm = run_measured({**cache, "REPRO_TRACE_CACHE_REQUIRE": "1"},
                             jobs=JOBS)
 
     speedup = cold["wall_seconds"] / warm["wall_seconds"]

@@ -11,7 +11,7 @@ Commands:
 * ``trace WORKLOAD OUT.json`` / ``replay IN.json`` — capture a GC
   trace to disk (``.npz`` for the binary columnar format) and replay
   it later on any platform (``--mode`` picks the fast path);
-* ``cache stats|path|clear`` — the content-addressed trace cache;
+* ``cache stats|path|clear`` — the trace and stage-1 product cache;
 * ``report WORKLOAD`` — a zsim-style Charon device statistics dump;
 * ``stats WORKLOAD`` — the unified metric registry for one replay
   (table, JSON snapshot, or CSV);
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = commands.add_parser("cache", help="inspect or clear the "
                                               "content-addressed trace "
-                                              "cache")
+                                              "and stage-1 cache")
     cache.add_argument("action", choices=("path", "stats", "clear"))
     cache.add_argument("--dir", default=None,
                        help="cache directory (default "
@@ -380,45 +380,28 @@ def _cmd_replay(args) -> str:
 
 
 def _cmd_cache(args) -> str:
-    from repro.experiments import stage1_cache, trace_cache
+    from repro.experiments import store
 
-    directory = trace_cache.cache_dir(args.dir)
-    stage1_dir = stage1_cache.cache_dir()
+    directory = store.resolve(args.dir)
     if args.action == "path":
-        lines = [str(directory) if directory is not None else
-                 "trace cache disabled (set REPRO_TRACE_CACHE or "
-                 "--dir)"]
-        lines.append(f"stage-1 cache: {stage1_dir}"
-                     if stage1_dir is not None else
-                     "stage-1 cache disabled (set REPRO_STAGE1_CACHE)")
-        return "\n".join(lines)
+        return (str(directory) if directory is not None else
+                "cache disabled (set REPRO_TRACE_CACHE or --dir)")
     if args.action == "clear":
-        removed = trace_cache.clear(args.dir)
-        removed_stage1 = stage1_cache.clear()
-        return (f"removed {removed} trace-cache entr"
-                f"{'y' if removed == 1 else 'ies'}, "
-                f"{removed_stage1} stage-1 entr"
-                f"{'y' if removed_stage1 == 1 else 'ies'}")
-    lines = []
-    if directory is None or not directory.exists():
-        lines.append("trace cache disabled or empty; " +
-                     trace_cache.stats_line())
-    else:
-        entries = sorted(path for path in directory.glob("*.npz")
-                         if not path.name.endswith(".stage1.npz"))
-        total = sum(path.stat().st_size for path in entries)
-        lines.append(f"{directory}: {len(entries)} entries, "
-                     f"{total / 2**20:.2f} MB")
-        lines += [f"  {path.name}  "
-                  f"{path.stat().st_size / 2**10:.1f} KB"
-                  for path in entries]
-        lines.append(trace_cache.stats_line())
-    if stage1_dir is not None and stage1_dir.exists():
-        entries = sorted(stage1_dir.glob("*.stage1.npz"))
-        total = sum(path.stat().st_size for path in entries)
-        lines.append(f"stage-1 {stage1_dir}: {len(entries)} entries, "
-                     f"{total / 2**20:.2f} MB")
-    lines.append(stage1_cache.stats_line())
+        counts = [(ns.noun, ns.clear(directory)) for ns in store.CACHES]
+        return "removed " + ", ".join(
+            f"{n} {noun} entr{'y' if n == 1 else 'ies'}"
+            for noun, n in counts)
+    lines = [] if directory is None else [str(directory)]
+    for namespace in store.CACHES:
+        entries = namespace.entries(directory)
+        if entries:
+            total = sum(path.stat().st_size for path in entries)
+            lines.append(f"{namespace.noun}: {len(entries)} entries, "
+                         f"{total / 2**20:.2f} MB")
+            lines += [f"  {path.name}  "
+                      f"{path.stat().st_size / 2**10:.1f} KB"
+                      for path in entries]
+        lines.append(namespace.stats_line())
     return "\n".join(lines)
 
 
@@ -441,10 +424,10 @@ def _cmd_stats(args) -> str:
     from repro.experiments.runner import workload_config
     from repro.gcalgo.columnar import compile_traces
     from repro.heap.heap import JavaHeap
-    from repro.obs.adapters import (device_metrics, heap_kernel_metrics,
-                                    hmc_metrics, replay_kernel_metrics,
-                                    stage1_cache_metrics,
-                                    timing_metrics, trace_cache_metrics)
+    from repro.obs.adapters import (cache_metrics, device_metrics,
+                                    heap_kernel_metrics, hmc_metrics,
+                                    replay_kernel_metrics,
+                                    timing_metrics)
     from repro.obs.export import metrics_csv, metrics_snapshot
     from repro.obs.metrics import MetricsRegistry
     from repro.platform import FastTraceReplayer, make_replayer
@@ -464,8 +447,7 @@ def _cmd_stats(args) -> str:
     timing_metrics(registry, result, workload=args.workload)
     replay_kernel_metrics(registry)
     heap_kernel_metrics(registry)
-    trace_cache_metrics(registry)
-    stage1_cache_metrics(registry)
+    cache_metrics(registry)
     if platform.device is not None:
         device_metrics(registry, platform.device)
     if platform.hmc is not None:
@@ -506,7 +488,7 @@ def _cmd_sweep(args) -> int:
     from repro.experiments import progress, shard_journal
 
     if args.action == "run":
-        from repro.experiments import stage1_cache, trace_cache
+        from repro.experiments.store import CACHES
         from repro.workloads.registry import TABLE3_WORKLOADS
 
         platforms = (args.platforms.split(",") if args.platforms
@@ -521,8 +503,8 @@ def _cmd_sweep(args) -> int:
             print(f"{platform:18s} {workload:16s} "
                   f"{result.wall_seconds * 1e3:10.3f} ms  "
                   f"{result.energy.total_j * 1e3:8.2f} mJ")
-        print(trace_cache.stats_line())
-        print(stage1_cache.stats_line())
+        for namespace in CACHES:
+            print(namespace.stats_line())
         return 0
 
     journal = shard_journal.journal_dir(args.journal)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ConfigError
 from repro.units import GB, KB, MB, NS, gb_per_s
@@ -479,7 +479,7 @@ def scaled_heap_bytes(workload: str) -> int:
 # ---------------------------------------------------------------------------
 
 #: Environment variables steering the experiment replay pipeline.
-TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"          #: cache directory
+TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"          #: trace + stage-1 cache
 TRACE_CACHE_REQUIRE_ENV = "REPRO_TRACE_CACHE_REQUIRE"  #: miss = error
 REPLAY_JOBS_ENV = "REPRO_JOBS"                 #: replay_grid processes
 WORKLOADS_ENV = "REPRO_WORKLOADS"              #: comma-separated subset
@@ -488,13 +488,10 @@ METRICS_OUT_ENV = "REPRO_METRICS_OUT"          #: metric snapshot at exit
 REPLAY_MODE_ENV = "REPRO_REPLAY_MODE"          #: auto | fast | event
 HEAP_KERNELS_ENV = "REPRO_HEAP_KERNELS"        #: scalar | fast
 HEAP_BACKEND_ENV = "REPRO_HEAP_BACKEND"        #: ram | mmap
-TRACE_CHUNK_ENV = "REPRO_TRACE_CHUNK_EVENTS"   #: events per npz chunk
 SHARD_JOURNAL_ENV = "REPRO_SHARD_JOURNAL"      #: sweep-shard directory
 METRICS_PORT_ENV = "REPRO_METRICS_PORT"        #: live /metrics endpoint
 EVENTLOG_ENV = "REPRO_EVENTLOG"                #: JSONL run-event log
 EVENTLOG_MAX_BYTES_ENV = "REPRO_EVENTLOG_MAX_BYTES"  #: rotation size
-STAGE1_CACHE_ENV = "REPRO_STAGE1_CACHE"        #: stage-1 product cache
-STAGE1_CACHE_REQUIRE_ENV = "REPRO_STAGE1_CACHE_REQUIRE"  #: miss = error
 
 REPLAY_MODES = ("auto", "fast", "event")
 
@@ -538,16 +535,6 @@ def default_heap_backend() -> str:
     return backend
 
 
-def default_trace_chunk_events() -> int:
-    """The environment-selected chunk size for binary traces."""
-    raw = os.environ.get(TRACE_CHUNK_ENV)
-    chunk = int(raw) if raw else DEFAULT_TRACE_CHUNK_EVENTS
-    if chunk < 1:
-        raise ConfigError(
-            f"{TRACE_CHUNK_ENV} must be a positive event count, "
-            f"got {chunk}")
-    return chunk
-
 #: Functional-layer kernel selection (see
 #: :mod:`repro.heap.fast_kernels`): ``fast`` (default) runs the
 #: collectors on the vectorized heap primitives, ``scalar`` keeps the
@@ -564,13 +551,11 @@ class ReplayConfig:
     :func:`repro.platform.fast_replay.make_replayer`): ``auto`` uses
     the vectorized fast path wherever the platform declares it
     equivalent, ``fast`` requires it, ``event`` forces the event-by-
-    event replayer.  ``cache_dir`` points the content-addressed trace
-    cache at a directory (``None`` disables it) and ``jobs`` bounds the
+    event replayer, and ``jobs`` bounds the
     :func:`repro.experiments.runner.replay_grid` process fan-out.
     """
 
     fast_path: str = "auto"
-    cache_dir: Optional[str] = None
     jobs: int = 1
 
     def validate(self) -> None:
@@ -595,7 +580,6 @@ def default_replay_config() -> ReplayConfig:
             f"got {raw!r}")
     config = ReplayConfig(
         fast_path=os.environ.get(REPLAY_MODE_ENV) or "auto",
-        cache_dir=os.environ.get(TRACE_CACHE_ENV) or None,
         jobs=jobs)
     config.validate()
     return config

@@ -359,7 +359,12 @@ def _sweep_journaled(directory: Path, jobs: List[tuple],
     if len(_fan_out(_journal_worker, [payload] * stealers,
                     processes)) < stealers:
         shard_journal.reset_claims(directory)  # the dead workers' claims
-    shard_journal.sweep_shards(directory, pending, _grid_worker)
+    # The backstop: cells no stealer journaled (a dead worker's, a failed
+    # write) that this process's memo does not already hold.
+    shard_journal.sweep_shards(
+        directory, {key: job for key, job in pending.items()
+                    if _memo_key(job) not in _REPLAY_CACHE},
+        _grid_worker)
     for key, job in pending.items():
         result = shard_journal.load_shard(directory, key)
         if result is not None:

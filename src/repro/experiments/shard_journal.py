@@ -4,8 +4,10 @@
 workload sweep into *shards* — one per grid cell, keyed by the same
 parameters as the in-process replay memo.  With a journal directory
 configured (``REPRO_SHARD_JOURNAL`` or an explicit ``journal=``), each
-shard's :class:`~repro.platform.timing.GCTimingResult` is persisted as
-an atomically-renamed JSON file the moment it finishes, so
+shard's :class:`~repro.platform.timing.GCTimingResult` persists the
+moment it finishes as an entry of the store's ``shard_journal``
+namespace (``<sha256>.shard.json``, see :mod:`repro.experiments.store`),
+so
 
 * an **interrupted sweep resumes**: on the next run, completed shards
   load from the journal (counted in :data:`STATS` as ``hits``) and only
@@ -16,9 +18,9 @@ an atomically-renamed JSON file the moment it finishes, so
   forked worker walks the full shard list and claims cells with
   ``O_CREAT | O_EXCL`` claim files, so a slow shard never idles the
   rest of the pool and two workers never replay the same cell;
-* a **torn entry is harmless**: the atomic rename means a crash
-  mid-write leaves only a temp file; an unreadable or version-skewed
-  entry is deleted and re-executed (``stale``), never half-read.
+* a **torn or unwritten entry is harmless**: an unreadable or
+  version-skewed entry is discarded (``stale``) and re-executed, and a
+  result whose write fails is replayed by the sweep's parent.
 
 Claim files coordinate the workers of *one* sweep; the parent clears
 leftovers (:func:`reset_claims`) before fanning out, so a crashed
@@ -27,16 +29,16 @@ sweep's orphaned claims cannot block the resume.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import time
-import warnings
 from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
 from repro.config import SHARD_JOURNAL_ENV
-from repro.experiments.trace_cache import CacheStats
+from repro.experiments import store
 from repro.gcalgo.trace import Primitive
 from repro.obs.eventlog import get_eventlog
 from repro.platform.timing import GCTimingResult, PlatformEnergy
@@ -50,42 +52,16 @@ SHARD_FORMAT = "repro-shard-result"
 #: Environment variable naming the journal directory (unset = off).
 REPRO_SHARD_JOURNAL = SHARD_JOURNAL_ENV
 
-
-class ShardStats(CacheStats):
-    """Fork-shared tally of journal behaviour.
-
-    ``hits`` — shards served from the journal without re-execution
-    (the crash/resume tests use this as the no-rework witness);
-    ``runs`` — shards actually executed; ``stolen`` — claim races lost
-    to another worker; ``stale`` — discarded unreadable/skewed entries;
-    ``stores`` — journal writes.
-    """
-
-    FIELDS = ("hits", "runs", "stolen", "stale", "stores")
-
-
-#: Cumulative journal behaviour for this process tree.
-STATS = ShardStats()
-
-
-def reset_stats() -> None:
-    STATS.update(hits=0, runs=0, stolen=0, stale=0, stores=0)
-
-
-def stats_line() -> str:
-    """One-line summary, e.g. for a sweep footer."""
-    return ("shard journal: {hits} resumed, {runs} executed, "
-            "{stolen} stolen, {stale} stale, {stores} stored"
-            .format(**STATS.snapshot()))
+#: Cumulative journal behaviour for this process tree (the crash/resume
+#: tests use ``hits``/``runs`` as the no-rework witness).
+STATS = store.SHARDS.stats
 
 
 def journal_dir(directory: Union[str, Path, None] = None
                 ) -> Optional[Path]:
     """Resolve the journal directory (explicit arg beats the
     environment); ``None`` means journaling is off."""
-    if directory is None:
-        directory = os.environ.get(REPRO_SHARD_JOURNAL) or None
-    return None if directory is None else Path(directory)
+    return store.resolve(directory, REPRO_SHARD_JOURNAL)
 
 
 def shard_key(parts: tuple) -> str:
@@ -104,40 +80,16 @@ def result_to_dict(result: GCTimingResult,
     Ints are exact in JSON and floats survive through their shortest
     repr, so ``result_from_dict(result_to_dict(r)) == r`` field for
     field — the property the byte-identical resume guarantee rests on.
-
-    ``meta`` is an optional side-channel of *execution* metadata (owner
-    pid, host wall time) the progress monitor reads; it never feeds
-    back into the :class:`GCTimingResult`, so adding it needs no
-    format-version bump — :func:`result_from_dict` reads only the
-    result fields.
+    ``meta`` (owner pid, host wall time) is execution metadata for the
+    progress monitor; :func:`result_from_dict` ignores it.
     """
-    payload_meta = {"meta": dict(meta)} if meta else {}
-    return {
-        **payload_meta,
-        "format": SHARD_FORMAT,
-        "version": SHARD_FORMAT_VERSION,
-        "platform": result.platform,
-        "gc_kind": result.gc_kind,
-        "wall_seconds": result.wall_seconds,
-        "primitive_seconds": {
-            primitive.value: seconds
-            for primitive, seconds in result.primitive_seconds.items()
-        },
-        "residual_seconds": result.residual_seconds,
-        "flush_seconds": result.flush_seconds,
-        "dram_bytes": result.dram_bytes,
-        "link_bytes": result.link_bytes,
-        "tsv_bytes": result.tsv_bytes,
-        "local_fraction": result.local_fraction,
-        "bitmap_cache_hits": result.bitmap_cache_hits,
-        "bitmap_cache_accesses": result.bitmap_cache_accesses,
-        "energy": {
-            "host_j": result.energy.host_j,
-            "memory_j": result.energy.memory_j,
-            "charon_j": result.energy.charon_j,
-        },
-        "replay_kernel": result.replay_kernel,
-    }
+    payload = dataclasses.asdict(result)
+    payload["primitive_seconds"] = {
+        primitive.value: seconds
+        for primitive, seconds in result.primitive_seconds.items()}
+    return {**({"meta": dict(meta)} if meta else {}),
+            "format": SHARD_FORMAT, "version": SHARD_FORMAT_VERSION,
+            **payload}
 
 
 def result_from_dict(payload: dict) -> GCTimingResult:
@@ -148,35 +100,16 @@ def result_from_dict(payload: dict) -> GCTimingResult:
         raise ValueError(
             f"shard format version {payload.get('version')}, "
             f"expected {SHARD_FORMAT_VERSION}")
-    energy = payload["energy"]
-    return GCTimingResult(
-        platform=payload["platform"],
-        gc_kind=payload["gc_kind"],
-        wall_seconds=payload["wall_seconds"],
-        primitive_seconds={
-            Primitive(name): seconds
-            for name, seconds in payload["primitive_seconds"].items()
-        },
-        residual_seconds=payload["residual_seconds"],
-        flush_seconds=payload["flush_seconds"],
-        dram_bytes=payload["dram_bytes"],
-        link_bytes=payload["link_bytes"],
-        tsv_bytes=payload["tsv_bytes"],
-        local_fraction=payload["local_fraction"],
-        bitmap_cache_hits=payload["bitmap_cache_hits"],
-        bitmap_cache_accesses=payload["bitmap_cache_accesses"],
-        energy=PlatformEnergy(host_j=energy["host_j"],
-                              memory_j=energy["memory_j"],
-                              charon_j=energy["charon_j"]),
-        replay_kernel=payload["replay_kernel"],
-    )
+    values = {field.name: payload[field.name]
+              for field in dataclasses.fields(GCTimingResult)}
+    values["primitive_seconds"] = {
+        Primitive(name): seconds
+        for name, seconds in payload["primitive_seconds"].items()}
+    values["energy"] = PlatformEnergy(**payload["energy"])
+    return GCTimingResult(**values)
 
 
 # -- the journal on disk ---------------------------------------------------
-
-def _result_path(directory: Path, key: str) -> Path:
-    return directory / f"{key}.shard.json"
-
 
 def _claim_path(directory: Path, key: str) -> Path:
     return directory / f"{key}.claim"
@@ -184,26 +117,26 @@ def _claim_path(directory: Path, key: str) -> Path:
 
 def store_shard(directory: Union[str, Path], key: str,
                 result: GCTimingResult,
-                meta: Optional[dict] = None) -> Path:
-    """Persist one shard's result atomically; returns the entry path.
+                meta: Optional[dict] = None) -> Optional[Path]:
+    """Persist one shard's result atomically; returns the entry path,
+    or ``None`` when the write failed (the shard then re-executes).
 
     ``meta`` (owner pid, host wall time, completion stamp) rides along
     in the payload for the progress monitor; resumes ignore it.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = _result_path(directory, key)
-    temp = path.with_name(path.name + f".tmp{os.getpid():x}")
-    temp.write_text(json.dumps(result_to_dict(result, meta=meta),
-                               separators=(",", ":")))
-    temp.replace(path)
-    STATS.add("stores")
-    return path
+    payload = json.dumps(result_to_dict(result, meta=meta),
+                         separators=(",", ":"))
+    return store.write(store.SHARDS, directory, key,
+                       lambda temp: temp.write_text(payload))
 
 
 def has_shard(directory: Union[str, Path], key: str) -> bool:
     """Whether the journal already holds a (possibly stale) entry."""
-    return _result_path(Path(directory), key).exists()
+    return store.SHARDS.path(directory, key).exists()
+
+
+def _decode(path: Path) -> GCTimingResult:
+    return result_from_dict(json.loads(path.read_text()))
 
 
 def load_shard(directory: Union[str, Path],
@@ -213,17 +146,7 @@ def load_shard(directory: Union[str, Path],
     An unreadable or version-skewed entry warns, is deleted, and reads
     as a miss — it will simply re-execute.
     """
-    path = _result_path(Path(directory), key)
-    if not path.exists():
-        return None
-    try:
-        return result_from_dict(json.loads(path.read_text()))
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        warnings.warn(f"discarding stale shard entry {path.name}: "
-                      f"{exc}", stacklevel=2)
-        STATS.add("stale")
-        path.unlink(missing_ok=True)
-        return None
+    return store.read(store.SHARDS, directory, key, _decode)
 
 
 def claim_shard(directory: Union[str, Path], key: str) -> bool:
@@ -256,26 +179,16 @@ def reset_claims(directory: Union[str, Path, None] = None) -> int:
     """Remove leftover claim files (a crashed sweep's orphans);
     returns how many were removed."""
     directory = journal_dir(directory)
-    if directory is None or not directory.exists():
-        return 0
-    removed = 0
-    for path in directory.glob("*.claim"):
+    claims = list(directory.glob("*.claim")) if directory else []
+    for path in claims:
         path.unlink(missing_ok=True)
-        removed += 1
-    return removed
+    return len(claims)
 
 
 def clear(directory: Union[str, Path, None] = None) -> int:
     """Delete every journal entry and claim; returns how many."""
     directory = journal_dir(directory)
-    if directory is None or not directory.exists():
-        return 0
-    removed = 0
-    for pattern in ("*.shard.json", "*.claim"):
-        for path in directory.glob(pattern):
-            path.unlink(missing_ok=True)
-            removed += 1
-    return removed
+    return store.SHARDS.clear(directory) + reset_claims(directory)
 
 
 def sweep_shards(directory: Union[str, Path],
@@ -285,14 +198,12 @@ def sweep_shards(directory: Union[str, Path],
 
     ``shards`` maps shard key -> job.  The worker walks the whole list:
     a journaled shard is skipped, an unclaimed one is claimed, executed
-    and stored, a lost claim race is counted as ``stolen`` and left to
+    and stored (with owner pid and host seconds for the progress
+    monitor), a lost claim race is counted as ``stolen`` and left to
     its winner.  Called concurrently from every pool worker (and once
-    from the parent as the serial path / completeness backstop).
-
-    Each store carries execution metadata (owner pid, host seconds)
-    and, when a ``sweep.json`` manifest announces a monitored sweep,
-    re-derives ``progress.json`` so watchers see the shard land.
-    Claims and completions also land in the run-event log when armed.
+    from the parent as the serial path / completeness backstop).  A
+    monitored sweep (``sweep.json`` present) re-derives
+    ``progress.json`` after each store.
     """
     from repro.experiments import progress as progress_mod
     directory = Path(directory)
@@ -301,7 +212,7 @@ def sweep_shards(directory: Union[str, Path],
         eventlog = None
     monitored = (directory / progress_mod.SWEEP_MANIFEST).exists()
     for key, job in shards.items():
-        if _result_path(directory, key).exists():
+        if has_shard(directory, key):
             continue
         if not claim_shard(directory, key):
             STATS.add("stolen")
@@ -313,12 +224,12 @@ def sweep_shards(directory: Union[str, Path],
             result = execute(job)
             host_seconds = time.perf_counter() - started
             STATS.add("runs")
-            store_shard(directory, key, result, meta={
+            stored = store_shard(directory, key, result, meta={
                 "pid": os.getpid(),
                 "host_seconds": round(host_seconds, 6),
                 "completed_at": round(time.time(), 6),
             })
-            if eventlog:
+            if eventlog and stored:
                 eventlog.emit("shard_done", shard=key,
                               platform=result.platform,
                               host_seconds=round(host_seconds, 6))

@@ -16,7 +16,7 @@ once and replay it many times; this module round-trips
 
 The binary layout is *chunked and streamed*: the writer compiles and
 serializes one trace at a time, splitting each trace's event array
-into members of at most ``REPRO_TRACE_CHUNK_EVENTS`` events (a trace
+into members of at most ``DEFAULT_TRACE_CHUNK_EVENTS`` events (a trace
 that fits one chunk keeps the original monolithic member name), so
 writing never holds more than one trace in RAM.  On the way back,
 :func:`stream_compiled` is a generator that materializes one trace at
@@ -49,7 +49,7 @@ from typing import (Dict, Iterable, Iterator, List, Optional, Tuple,
 
 import numpy as np
 
-from repro.config import default_trace_chunk_events
+from repro.config import DEFAULT_TRACE_CHUNK_EVENTS
 from repro.errors import ConfigError
 from repro.gcalgo.columnar import (CompiledTrace, EVENT_DTYPE,
                                    STAT_FIELDS, TRACE_SCHEMA_VERSION,
@@ -170,13 +170,13 @@ def _write_member(archive: zipfile.ZipFile, name: str,
 def save_traces_npz(traces: Iterable[Union[GCTrace, CompiledTrace]],
                     path: Union[str, Path],
                     extra: Optional[Dict[str, object]] = None,
-                    chunk_events: Optional[int] = None) -> int:
+                    chunk_events: int = DEFAULT_TRACE_CHUNK_EVENTS) -> int:
     """Write traces as compiled columnar arrays; returns the event total.
 
     The writer *streams*: ``traces`` may be any iterable (including a
     generator), each trace is compiled and serialized as it arrives,
     and its event array is split into members of at most
-    ``chunk_events`` events (``REPRO_TRACE_CHUNK_EVENTS``, default
+    ``chunk_events`` events (default
     :data:`repro.config.DEFAULT_TRACE_CHUNK_EVENTS`) — so peak memory
     is one trace, not the run.  A trace that fits a single chunk keeps
     the original monolithic member name, making the single-chunk file
@@ -184,11 +184,9 @@ def save_traces_npz(traces: Iterable[Union[GCTrace, CompiledTrace]],
 
     ``extra`` is an optional JSON-serializable dict stored alongside
     (the trace cache uses it for the captured run's stats).  The write
-    is atomic: a sibling temp file is renamed into place, so concurrent
-    writers of the same content-addressed entry cannot tear it.
+    is atomic: a sibling temp file is renamed into place (and removed
+    if the write fails).
     """
-    if chunk_events is None:
-        chunk_events = default_trace_chunk_events()
     if chunk_events < 1:
         raise ConfigError("chunk_events must be >= 1")
     path = Path(path)
@@ -196,48 +194,51 @@ def save_traces_npz(traces: Iterable[Union[GCTrace, CompiledTrace]],
     total = 0
     temp = path.with_name(
         path.name + f".tmp{os.getpid():x}_{id(entries):x}")
-    with zipfile.ZipFile(temp, "w", zipfile.ZIP_DEFLATED,
-                         allowZip64=True) as archive:
-        for index, trace in enumerate(traces):
-            compiled = (trace if isinstance(trace, CompiledTrace)
-                        else compile_trace(trace))
-            events = compiled.events
-            count = len(events)
-            chunks = max(1, math.ceil(count / chunk_events))
-            if chunks == 1:
-                _write_member(archive, _event_key(index), events)
-            else:
-                for j in range(chunks):
-                    _write_member(
-                        archive, _event_key(index, j),
-                        events[j * chunk_events:(j + 1) * chunk_events])
-            entries.append({
-                "kind": compiled.kind,
-                "heap_bytes": compiled.heap_bytes,
-                "phases": list(compiled.phase_names),
-                "residuals": {
-                    phase: [work.instructions, work.bytes_accessed]
-                    for phase, work in compiled.residuals.items()
-                },
-                "stats": {name: getattr(compiled, name)
-                          for name in STAT_FIELDS},
-                "events": count,
-                "chunks": chunks,
-                "summary": compiled.summary(),
-            })
-            total += count
-        manifest = {
-            "format": BINARY_FORMAT,
-            "version": TRACE_SCHEMA_VERSION,
-            "chunk_events": chunk_events,
-            "traces": entries,
-        }
-        if extra is not None:
-            manifest["extra"] = extra
-        _write_member(
-            archive, "manifest",
-            np.asarray(json.dumps(manifest, separators=(",", ":"))))
-    temp.replace(path)
+    try:
+        with zipfile.ZipFile(temp, "w", zipfile.ZIP_DEFLATED,
+                             allowZip64=True) as archive:
+            for index, trace in enumerate(traces):
+                compiled = (trace if isinstance(trace, CompiledTrace)
+                            else compile_trace(trace))
+                events = compiled.events
+                count = len(events)
+                chunks = max(1, math.ceil(count / chunk_events))
+                if chunks == 1:
+                    _write_member(archive, _event_key(index), events)
+                else:
+                    for j in range(chunks):
+                        _write_member(
+                            archive, _event_key(index, j),
+                            events[j * chunk_events:(j + 1) * chunk_events])
+                entries.append({
+                    "kind": compiled.kind,
+                    "heap_bytes": compiled.heap_bytes,
+                    "phases": list(compiled.phase_names),
+                    "residuals": {
+                        phase: [work.instructions, work.bytes_accessed]
+                        for phase, work in compiled.residuals.items()
+                    },
+                    "stats": {name: getattr(compiled, name)
+                              for name in STAT_FIELDS},
+                    "events": count,
+                    "chunks": chunks,
+                    "summary": compiled.summary(),
+                })
+                total += count
+            manifest = {
+                "format": BINARY_FORMAT,
+                "version": TRACE_SCHEMA_VERSION,
+                "chunk_events": chunk_events,
+                "traces": entries,
+            }
+            if extra is not None:
+                manifest["extra"] = extra
+            _write_member(
+                archive, "manifest",
+                np.asarray(json.dumps(manifest, separators=(",", ":"))))
+        temp.replace(path)
+    finally:
+        temp.unlink(missing_ok=True)
     return total
 
 

@@ -1,7 +1,7 @@
 """Adapters: pull existing counter sources into the metrics registry.
 
 Each adapter mirrors an externally-owned statistics source —
-the trace-cache tally, :class:`~repro.core.device.CharonDevice`
+the cache tallies, :class:`~repro.core.device.CharonDevice`
 structures, :class:`~repro.mem.hmc.HMCSystem` traffic, and replay
 :class:`~repro.platform.timing.GCTimingResult`\\ s — into labeled
 gauges/counters of a :class:`~repro.obs.metrics.MetricsRegistry`, so
@@ -20,26 +20,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.platform.timing import GCTimingResult
 
 
-def trace_cache_metrics(registry: MetricsRegistry) -> None:
-    """Mirror the trace-cache tally (hits/misses/stale/stores/
-    generated) into ``trace_cache.*`` gauges."""
-    from repro.experiments.trace_cache import STATS
+def cache_metrics(registry: MetricsRegistry) -> None:
+    """Mirror each cache namespace's tally (hits/misses/stale/stores,
+    plus the trace cache's generated runs) into ``trace_cache.*`` and
+    ``stage1_cache.*`` gauges."""
+    from repro.experiments.store import CACHES
 
-    scope = registry.scope("trace_cache")
-    for name, value in STATS.snapshot().items():
-        scope.gauge(name, "content-addressed trace cache "
-                          "tally").set(value)
-
-
-def stage1_cache_metrics(registry: MetricsRegistry) -> None:
-    """Mirror the stage-1 product cache tally (hits/misses/stale/
-    stores) into ``stage1_cache.*`` gauges."""
-    from repro.experiments.stage1_cache import STATS
-
-    scope = registry.scope("stage1_cache")
-    for name, value in STATS.snapshot().items():
-        scope.gauge(name, "content-addressed stage-1 product cache "
-                          "tally").set(value)
+    for namespace in CACHES:
+        scope = registry.scope(namespace.name)
+        for name, value in namespace.stats.snapshot().items():
+            scope.gauge(name, f"content-addressed {namespace.noun} "
+                              f"tally").set(value)
 
 
 def device_metrics(registry: MetricsRegistry,

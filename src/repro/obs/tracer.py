@@ -249,10 +249,10 @@ _INSTALLED: set = set()
 
 
 def _write_metrics_snapshot(path: str) -> None:
-    from repro.obs.adapters import trace_cache_metrics
+    from repro.obs.adapters import cache_metrics
     from repro.obs.export import write_metrics_json
     from repro.obs.metrics import global_metrics
 
     registry = global_metrics()
-    trace_cache_metrics(registry)
+    cache_metrics(registry)
     write_metrics_json(path, registry)

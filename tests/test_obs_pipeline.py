@@ -19,8 +19,8 @@ import time
 import pytest
 
 from repro.gcalgo.columnar import compile_traces
-from repro.obs.adapters import (device_metrics, hmc_metrics,
-                                timing_metrics, trace_cache_metrics)
+from repro.obs.adapters import (cache_metrics, device_metrics,
+                                hmc_metrics, timing_metrics)
 from repro.obs.export import (METRICS_SCHEMA_VERSION, metrics_csv,
                               metrics_snapshot, write_chrome_trace,
                               write_metrics_json)
@@ -144,13 +144,14 @@ def test_adapters_fill_one_registry(mixed_run):
     timing_metrics(registry, result, workload="mixed")
     device_metrics(registry, platform.device)
     hmc_metrics(registry, platform.hmc)
-    trace_cache_metrics(registry)
+    cache_metrics(registry)
     names = {row["metric"] for row in registry.samples()}
     assert "replay.wall_seconds" in names
     assert "charon.offloads" in names
     assert "charon.unit_commands" in names
     assert "hmc.tsv_bytes" in names
     assert "trace_cache.hits" in names
+    assert "stage1_cache.hits" in names
     wall = registry.counter("replay.wall_seconds", platform="charon",
                             workload="mixed")
     assert wall.value == pytest.approx(result.wall_seconds)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import trace_cache
+from repro.experiments import store, trace_cache
 from repro.experiments.runner import workload_config
 from repro.gcalgo.columnar import TRACE_SCHEMA_VERSION
 from repro.obs import provenance
@@ -50,7 +50,7 @@ def test_build_manifest_contents():
     assert manifest["outputs"] == ["x"]
     assert manifest["runs"] == [record]
     assert set(manifest["trace_cache"]) == set(
-        trace_cache.CacheStats.FIELDS)
+        trace_cache.STATS.snapshot())
     assert manifest["host_wall_seconds"] >= 0.0
     assert "python" in manifest and "platform" in manifest
 
@@ -115,10 +115,10 @@ class TestJournaledSweepProvenance:
         self.cache_dir = tmp_path / "trace-cache"
         monkeypatch.setenv(TRACE_CACHE_ENV, str(self.cache_dir))
         clear_cache()
-        shard_journal.reset_stats()
+        shard_journal.STATS.reset()
         yield
         clear_cache()
-        shard_journal.reset_stats()
+        shard_journal.STATS.reset()
 
     def _assert_one_run_with_disk_entry(self):
         runs = provenance.session_runs()
@@ -158,7 +158,7 @@ class TestJournaledSweepProvenance:
         # session must still hold exactly one capture entry whose hash
         # names the single cache entry every worker replayed from.
         self._assert_one_run_with_disk_entry()
-        assert len(list(self.cache_dir.glob("*.npz"))) == 1
+        assert len(store.TRACES.entries(self.cache_dir)) == 1
 
     def test_resume_after_kill_does_not_duplicate_entries(
             self, tmp_path):

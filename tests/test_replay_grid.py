@@ -79,9 +79,9 @@ class TestDeterministicMerge:
 class TestShardJournal:
     @pytest.fixture(autouse=True)
     def fresh_stats(self):
-        shard_journal.reset_stats()
+        shard_journal.STATS.reset()
         yield
-        shard_journal.reset_stats()
+        shard_journal.STATS.reset()
 
     def test_journaled_sweep_matches_plain(self, tmp_path):
         reference = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
@@ -98,7 +98,7 @@ class TestShardJournal:
         journal = tmp_path / "journal"
         first = replay_grid(PLATFORMS, [WORKLOAD], journal=journal)
         clear_cache()
-        shard_journal.reset_stats()
+        shard_journal.STATS.reset()
         second = replay_grid(PLATFORMS, [WORKLOAD], journal=journal)
         grids_equal(first, second)
         stats = shard_journal.STATS.snapshot()
@@ -136,7 +136,7 @@ class TestShardJournal:
         assert len(list(journal.glob("*.claim"))) == 1
 
         clear_cache()
-        shard_journal.reset_stats()
+        shard_journal.STATS.reset()
         resumed = replay_grid(PLATFORMS, [WORKLOAD], journal=journal)
         grids_equal(reference, resumed)
         stats = shard_journal.STATS.snapshot()
@@ -149,7 +149,7 @@ class TestShardJournal:
         torn = sorted(journal.glob("*.shard.json"))[0]
         torn.write_text("{ torn mid-write")
         clear_cache()
-        shard_journal.reset_stats()
+        shard_journal.STATS.reset()
         with pytest.warns(UserWarning, match="stale shard"):
             resumed = replay_grid(PLATFORMS, [WORKLOAD],
                                   journal=journal)
@@ -164,7 +164,7 @@ class TestShardJournal:
             pytest.skip("no fork start method on this platform")
         reference = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
         clear_cache()
-        shard_journal.reset_stats()
+        shard_journal.STATS.reset()
         stolen = replay_grid(PLATFORMS, [WORKLOAD], processes=2,
                              journal=tmp_path / "journal")
         grids_equal(reference, stolen)

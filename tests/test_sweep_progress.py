@@ -29,10 +29,10 @@ def isolated_caches(tmp_path, monkeypatch):
                        raising=False)
     monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "trace-cache"))
     clear_cache()
-    shard_journal.reset_stats()
+    shard_journal.STATS.reset()
     yield
     clear_cache()
-    shard_journal.reset_stats()
+    shard_journal.STATS.reset()
 
 
 def _fabricate_journal(tmp_path, started_ago=10.0):

@@ -12,11 +12,12 @@ import dataclasses
 
 import pytest
 
-from repro.config import default_config
-from repro.experiments import trace_cache
-from repro.experiments.trace_cache import (TraceCacheMiss, fetch_run,
-                                           load_run, run_cache_key,
-                                           store_run)
+from repro.config import (TRACE_CACHE_ENV, TRACE_CACHE_REQUIRE_ENV,
+                          default_config)
+from repro.experiments import store, trace_cache
+from repro.experiments.store import CacheMiss
+from repro.experiments.trace_cache import (fetch_run, load_run,
+                                           run_cache_key, store_run)
 from repro.gcalgo import trace_io
 from repro.gcalgo.trace_io import trace_to_dict
 
@@ -35,9 +36,9 @@ def trace_dicts(run):
 
 @pytest.fixture(autouse=True)
 def fresh_stats():
-    trace_cache.reset_stats()
+    trace_cache.STATS.reset()
     yield
-    trace_cache.reset_stats()
+    trace_cache.STATS.reset()
 
 
 class TestCacheKey:
@@ -149,18 +150,18 @@ class TestFetchRun:
         assert trace_cache.STATS["hits"] == 1
 
     def test_require_raises_on_miss(self, tmp_path):
-        with pytest.raises(TraceCacheMiss, match=WORKLOAD):
+        with pytest.raises(CacheMiss, match=WORKLOAD):
             fetch_run(WORKLOAD, small_config(), make_mixed_run,
                       directory=tmp_path, require=True)
 
     def test_require_env_variable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(trace_cache.REPRO_TRACE_CACHE_REQUIRE, "1")
-        with pytest.raises(TraceCacheMiss):
+        monkeypatch.setenv(TRACE_CACHE_REQUIRE_ENV, "1")
+        with pytest.raises(CacheMiss):
             fetch_run(WORKLOAD, small_config(), make_mixed_run,
                       directory=tmp_path)
 
     def test_no_directory_degrades_to_produce(self, monkeypatch):
-        monkeypatch.delenv(trace_cache.REPRO_TRACE_CACHE,
+        monkeypatch.delenv(TRACE_CACHE_ENV,
                            raising=False)
         run, compiled = fetch_run(WORKLOAD, small_config(),
                                   make_mixed_run)
@@ -213,27 +214,26 @@ class TestInterleavedReuse:
     def test_clear_empties_the_directory(self, tmp_path):
         fetch_run(WORKLOAD, small_config(), make_mixed_run,
                   directory=tmp_path)
-        assert trace_cache.clear(tmp_path) == 1
+        assert store.TRACES.clear(tmp_path) == 1
         assert list(tmp_path.glob("*.npz")) == []
-        assert trace_cache.clear(tmp_path) == 0
+        assert store.TRACES.clear(tmp_path) == 0
 
 
 class TestCacheStats:
     """The tally must survive threads and forked grid workers."""
 
-    def test_mapping_protocol_reads_like_the_old_dict(self):
-        stats = trace_cache.CacheStats()
+    def test_reset_zeroes_every_field(self):
+        stats = store.CacheStats(tuple(trace_cache.STATS.snapshot()))
         stats.add("hits", 3)
-        stats["misses"] = 2
+        stats.add("generated")
         assert stats["hits"] == 3
-        assert dict(stats.items())["misses"] == 2
-        assert tuple(stats) == trace_cache.CacheStats.FIELDS
-        assert set(stats.keys()) == set(stats.snapshot())
+        stats.reset()
+        assert set(stats.snapshot().values()) == {0}
 
     def test_thread_safety(self):
         import threading
 
-        stats = trace_cache.CacheStats()
+        stats = store.CacheStats(tuple(trace_cache.STATS.snapshot()))
         per_thread, threads = 2000, 8
 
         def hammer():
@@ -255,7 +255,7 @@ class TestCacheStats:
             context = multiprocessing.get_context("fork")
         except ValueError:
             pytest.skip("fork start method unavailable")
-        stats = trace_cache.CacheStats()
+        stats = store.CacheStats(tuple(trace_cache.STATS.snapshot()))
         stats.add("generated")
 
         def work():
@@ -275,6 +275,6 @@ class TestCacheStats:
 
     def test_global_stats_surface_even_at_zero(self):
         # `repro cache stats` prints the tally before any fetch.
-        assert "0 hit(s)" in trace_cache.stats_line()
+        assert "0 hit(s)" in store.TRACES.stats_line()
         trace_cache.STATS.add("hits")
-        assert "1 hit(s)" in trace_cache.stats_line()
+        assert "1 hit(s)" in store.TRACES.stats_line()

@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.config import (STAGE1_CACHE_ENV, STAGE1_CACHE_REQUIRE_ENV,
-                          TRACE_CACHE_ENV)
-from repro.experiments import runner, stage1_cache
+from repro.config import TRACE_CACHE_ENV, TRACE_CACHE_REQUIRE_ENV
+from repro.experiments import runner, stage1_cache, store
 from repro.experiments.runner import clear_cache, replay_grid
 
 WORKLOAD = "graphchi-als"  # fastest real workload
@@ -25,15 +24,14 @@ PLATFORMS = ("cpu-ddr4", "ideal", "charon")
 
 @pytest.fixture(autouse=True)
 def warm_sweep_isolation(tmp_path, monkeypatch):
-    """Throwaway disk caches and fresh memos and tallies."""
-    monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "trace-cache"))
-    monkeypatch.setenv(STAGE1_CACHE_ENV, str(tmp_path / "stage1"))
-    monkeypatch.delenv(STAGE1_CACHE_REQUIRE_ENV, raising=False)
+    """A throwaway disk cache and fresh memos and tallies."""
+    monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "cache"))
+    monkeypatch.delenv(TRACE_CACHE_REQUIRE_ENV, raising=False)
     clear_cache()
-    stage1_cache.reset_stats()
+    stage1_cache.STATS.reset()
     yield
     clear_cache()
-    stage1_cache.reset_stats()
+    stage1_cache.STATS.reset()
 
 
 def grids_equal(a, b):
@@ -47,7 +45,7 @@ class TestStage1Cache:
         arrays = (np.arange(5, dtype=np.int64),
                   np.ones((2, 3)) * 0.25)
         key = "ab" * 32
-        stage1_cache.store(tmp_path, key, arrays)
+        stage1_cache.save(tmp_path, key, arrays)
         loaded = stage1_cache.load(tmp_path, key)
         assert len(loaded) == len(arrays)
         for original, back in zip(arrays, loaded):
@@ -61,7 +59,7 @@ class TestStage1Cache:
         assert stats["stores"] == stats["misses"]
         assert stats["hits"] == 0
         clear_cache()
-        stage1_cache.reset_stats()
+        stage1_cache.STATS.reset()
         warm = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
         stats = stage1_cache.STATS.snapshot()
         assert stats["hits"] > 0
@@ -69,7 +67,7 @@ class TestStage1Cache:
         grids_equal(cold, warm)
 
     def test_unset_directory_degrades_to_recompute(self, monkeypatch):
-        monkeypatch.delenv(STAGE1_CACHE_ENV)
+        monkeypatch.delenv(TRACE_CACHE_ENV)
         grid = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
         assert len(grid) == len(PLATFORMS)
         assert stage1_cache.STATS.snapshot() == {
@@ -78,23 +76,26 @@ class TestStage1Cache:
     def test_require_serves_warm_and_rejects_cold(self, monkeypatch):
         replay_grid(PLATFORMS, [WORKLOAD], processes=1)
         clear_cache()
-        stage1_cache.reset_stats()
-        monkeypatch.setenv(STAGE1_CACHE_REQUIRE_ENV, "1")
+        stage1_cache.STATS.reset()
+        monkeypatch.setenv(TRACE_CACHE_REQUIRE_ENV, "1")
         replay_grid(PLATFORMS, [WORKLOAD], processes=1)  # all hits: ok
         assert stage1_cache.STATS.snapshot()["misses"] == 0
         clear_cache()
-        assert stage1_cache.clear() > 0
-        with pytest.raises(stage1_cache.Stage1CacheMiss):
+        # Clearing the stage-1 namespace keeps the traces: the next
+        # miss is a stage-1 product's.
+        assert store.STAGE1.clear(os.environ[TRACE_CACHE_ENV]) > 0
+        assert store.TRACES.entries(os.environ[TRACE_CACHE_ENV])
+        with pytest.raises(store.CacheMiss, match="stage1-cache"):
             replay_grid(PLATFORMS, [WORKLOAD], processes=1)
 
     def test_stale_entry_is_discarded_and_regenerated(self):
         reference = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
         entries = sorted(
-            Path(os.environ[STAGE1_CACHE_ENV]).glob("*.stage1.npz"))
+            Path(os.environ[TRACE_CACHE_ENV]).glob("*.stage1.npz"))
         assert entries
         entries[0].write_bytes(b"not an npz archive")
         clear_cache()
-        stage1_cache.reset_stats()
+        stage1_cache.STATS.reset()
         with pytest.warns(UserWarning, match="stale stage1-cache"):
             regenerated = replay_grid(PLATFORMS, [WORKLOAD],
                                       processes=1)
@@ -168,8 +169,9 @@ class TestEventLog:
         finally:
             log.close()
         records = eventlog.read_events(tmp_path / "events.jsonl")
-        kinds = {record["event"] for record in records}
-        assert {"stage1_miss", "stage1_hit"} <= kinds
-        for record in records:
-            if record["event"].startswith("stage1_"):
-                assert "kernel" in record and "key" in record
+        stage1 = [record for record in records
+                  if record.get("namespace") == "stage1_cache"]
+        assert {"cache_miss", "cache_hit"} <= {
+            record["event"] for record in stage1}
+        for record in stage1:
+            assert "kernel" in record and "key" in record
