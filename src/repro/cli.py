@@ -10,7 +10,8 @@ Commands:
 * ``ablation NAME`` — run one of the ablation studies;
 * ``trace WORKLOAD OUT.json`` / ``replay IN.json`` — capture a GC
   trace to disk (``.npz`` for the binary columnar format) and replay
-  it later on any platform (``--mode`` picks the fast path);
+  it later on any platform (``--mode event`` replays it through the
+  event-by-event oracle instead of the platform's replay kernel);
 * ``cache stats|path|clear`` — the trace and stage-1 product cache;
 * ``report WORKLOAD`` — a zsim-style Charon device statistics dump;
 * ``stats WORKLOAD`` — the unified metric registry for one replay
@@ -141,14 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--platform", choices=PLATFORM_NAMES,
                         default="charon")
     replay.add_argument("--threads", type=int, default=None)
-    replay.add_argument("--mode", choices=REPLAY_MODES, default="auto",
-                        help="auto: fast path where the platform "
-                             "supports it; fast: require it; event: "
-                             "force event-by-event replay")
+    replay.add_argument("--mode", choices=REPLAY_MODES, default="fast",
+                        help="fast: the platform's replay kernel; "
+                             "event: event-by-event replay (the "
+                             "golden oracle)")
     replay.add_argument("--distributed", action="store_true",
                         help="use the distributed (per-cube) "
-                             "TLB/bitmap-cache Charon organisation "
-                             "(its fast path is unsupported)")
+                             "TLB/bitmap-cache Charon organisation")
 
     cache = commands.add_parser("cache", help="inspect or clear the "
                                               "content-addressed trace "
@@ -712,12 +712,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote {len(run.traces)} GC traces "
               f"({events} primitive events) to {args.output}")
     elif args.command == "replay":
-        from repro.platform import FastReplayUnsupported
-        try:
-            print(_cmd_replay(args))
-        except FastReplayUnsupported as exc:
-            print(f"fast replay unsupported: {exc}", file=sys.stderr)
-            return 2
+        print(_cmd_replay(args))
     elif args.command == "cache":
         print(_cmd_cache(args))
     elif args.command == "report":

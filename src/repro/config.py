@@ -485,7 +485,6 @@ REPLAY_JOBS_ENV = "REPRO_JOBS"                 #: replay_grid processes
 WORKLOADS_ENV = "REPRO_WORKLOADS"              #: comma-separated subset
 TRACE_OUT_ENV = "REPRO_TRACE_OUT"              #: Chrome trace at exit
 METRICS_OUT_ENV = "REPRO_METRICS_OUT"          #: metric snapshot at exit
-REPLAY_MODE_ENV = "REPRO_REPLAY_MODE"          #: auto | fast | event
 HEAP_KERNELS_ENV = "REPRO_HEAP_KERNELS"        #: scalar | fast
 HEAP_BACKEND_ENV = "REPRO_HEAP_BACKEND"        #: ram | mmap
 SHARD_JOURNAL_ENV = "REPRO_SHARD_JOURNAL"      #: sweep-shard directory
@@ -493,7 +492,10 @@ METRICS_PORT_ENV = "REPRO_METRICS_PORT"        #: live /metrics endpoint
 EVENTLOG_ENV = "REPRO_EVENTLOG"                #: JSONL run-event log
 EVENTLOG_MAX_BYTES_ENV = "REPRO_EVENTLOG_MAX_BYTES"  #: rotation size
 
-REPLAY_MODES = ("auto", "fast", "event")
+#: ``repro replay --mode`` / :func:`repro.platform.make_replayer`:
+#: ``fast`` (kernel-driven, the default) or ``event`` (the
+#: event-by-event golden oracle).
+REPLAY_MODES = ("fast", "event")
 
 #: Heap-buffer backends (see :mod:`repro.heap.backing`): ``ram``
 #: (default) allocates ``np.zeros`` pages up front, ``mmap`` backs the
@@ -543,32 +545,9 @@ def default_heap_backend() -> str:
 HEAP_KERNEL_MODES = ("scalar", "fast")
 
 
-@dataclass(frozen=True)
-class ReplayConfig:
-    """How the experiment layer turns traces into timing results.
-
-    ``fast_path`` selects the replayer (see
-    :func:`repro.platform.fast_replay.make_replayer`): ``auto`` uses
-    the vectorized fast path wherever the platform declares it
-    equivalent, ``fast`` requires it, ``event`` forces the event-by-
-    event replayer, and ``jobs`` bounds the
-    :func:`repro.experiments.runner.replay_grid` process fan-out.
-    """
-
-    fast_path: str = "auto"
-    jobs: int = 1
-
-    def validate(self) -> None:
-        if self.fast_path not in REPLAY_MODES:
-            raise ConfigError(
-                f"fast_path must be one of {REPLAY_MODES}, "
-                f"got {self.fast_path!r}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-
-
-def default_replay_config() -> ReplayConfig:
-    """The environment-driven replay configuration."""
+def default_replay_jobs() -> int:
+    """The default process count of
+    :func:`repro.experiments.runner.replay_grid`: ``REPRO_JOBS``, or 1."""
     raw = os.environ.get(REPLAY_JOBS_ENV)
     try:
         jobs = int(raw) if raw else 1
@@ -578,8 +557,4 @@ def default_replay_config() -> ReplayConfig:
         raise ConfigError(
             f"{REPLAY_JOBS_ENV} must be a positive process count, "
             f"got {raw!r}")
-    config = ReplayConfig(
-        fast_path=os.environ.get(REPLAY_MODE_ENV) or "auto",
-        jobs=jobs)
-    config.validate()
-    return config
+    return jobs

@@ -20,6 +20,11 @@ what is on disk, so the view survives crashes and resumes for free:
   endpoint of :mod:`repro.obs.live` read one serializer's output
   whether the sweep is alive, crashed, or finished.
 
+Both files go through the store's one atomic write
+(:func:`repro.experiments.store.write`): a failed write (full or
+read-only journal directory) warns, emits a ``fallback`` event and
+leaves the sweep going without that file.
+
 Because state is re-derived from the journal, killing a sweep and
 resuming it continues the completion %/ETA exactly where the journal
 left off — done shards count once, never twice.
@@ -33,41 +38,48 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.experiments import store
+
 #: Bump when the manifest/progress payload layout changes.
 PROGRESS_SCHEMA_VERSION = 1
 
 SWEEP_MANIFEST = "sweep.json"
 PROGRESS_FILE = "progress.json"
 
+#: The two progress files, as store entries keyed by their fixed names
+#: (``sweep`` and ``progress``) rather than content hashes.
+FILES = store.Namespace("sweep_progress", ".json", "sweep-progress",
+                        ("stores",), "sweep progress: {stores} store(s)")
 
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    temp = path.with_name(path.name + f".tmp{os.getpid():x}")
-    temp.write_text(json.dumps(payload, sort_keys=True))
-    temp.replace(path)
+
+def _write_json(directory: Path, name: str, payload: dict
+                ) -> Optional[Path]:
+    """Store ``payload`` as ``<directory>/<name>.json``; ``None`` when
+    the write failed."""
+    text = json.dumps(payload, sort_keys=True)
+    return store.write(FILES, directory, name,
+                       lambda temp: temp.write_text(text))
 
 
 # -- the sweep manifest ----------------------------------------------------
 
 def write_sweep_manifest(directory: Union[str, Path],
-                         shards: Dict[str, dict]) -> Path:
+                         shards: Dict[str, dict]) -> Optional[Path]:
     """Describe the current grid for the progress monitor.
 
     ``shards`` maps shard key -> ``{"platform", "workload",
     "heap_bytes", "threads", "events"}``.  ``started_at`` stamps this
     *session* — a resumed sweep rewrites the manifest, so the ETA is
     computed from the current session's throughput, not the crashed
-    one's wall clock.
+    one's wall clock.  Returns the manifest's path, or ``None`` when
+    the write failed.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / SWEEP_MANIFEST
-    _atomic_write_json(path, {
+    return _write_json(Path(directory), "sweep", {
         "schema": PROGRESS_SCHEMA_VERSION,
         "started_at": round(time.time(), 6),
         "parent_pid": os.getpid(),
         "shards": shards,
     })
-    return path
 
 
 def load_sweep_manifest(directory: Union[str, Path]) -> Optional[dict]:
@@ -235,14 +247,13 @@ def progress_snapshot(directory: Union[str, Path, None] = None
 
 def refresh_progress(directory: Union[str, Path]) -> Optional[Path]:
     """Re-derive and persist ``progress.json``; returns its path (or
-    ``None`` when no manifest announces a sweep here)."""
+    ``None`` when no manifest announces a sweep here, or the write
+    failed)."""
     directory = Path(directory)
     snapshot = progress_snapshot(directory)
     if not snapshot.get("available"):
         return None
-    path = directory / PROGRESS_FILE
-    _atomic_write_json(path, snapshot)
-    return path
+    return _write_json(directory, "progress", snapshot)
 
 
 def attach_live(directory: Union[str, Path]) -> None:

@@ -8,9 +8,8 @@ pipeline:
   :mod:`~repro.experiments.trace_cache`, so a warmed cache directory
   lets a whole benchmark session replay without executing a collector;
 * each run's traces are compiled once to columnar form
-  (``_COMPILED_CACHE``) for the vectorized fast-path replayer, which
-  :func:`replay_platform` selects automatically per platform via
-  :func:`repro.platform.fast_replay.make_replayer`;
+  (``_COMPILED_CACHE``), and :func:`replay_platform` replays them
+  through :class:`~repro.platform.fast_replay.FastTraceReplayer`;
 * :func:`replay_grid` fans the platform x workload grid out over a
   fork pool made per call (:func:`_fan_out`, the one place worker
   processes are created) with a deterministic merge.  With a shard
@@ -30,7 +29,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
 from repro.config import (SystemConfig, default_config,
-                          default_replay_config)
+                          default_replay_jobs)
 from repro.errors import OutOfMemoryError
 from repro.experiments import progress, shard_journal, trace_cache
 from repro.gcalgo.columnar import CompiledTrace, compile_traces
@@ -41,7 +40,7 @@ from repro.obs.eventlog import get_eventlog
 from repro.obs.metrics import global_metrics
 from repro.obs.tracer import get_tracer
 from repro.platform import build_platform
-from repro.platform.fast_replay import FastTraceReplayer, make_replayer
+from repro.platform.fast_replay import FastTraceReplayer
 from repro.platform.timing import GCTimingResult
 from repro.workloads import get_workload, run_workload
 from repro.workloads.base import workload_klasses
@@ -155,30 +154,20 @@ def replay_platform(platform_name: str, name: str,
     """Replay a workload's full GC history on one platform.
 
     Results are memoised on the parameters that affect timing (platform,
-    heap, thread count, Charon organisation/unit counts).  Platforms
-    that declare the vectorized fast path equivalent replay the
-    compiled columnar traces; the rest replay event by event.
+    heap, thread count, Charon organisation/unit counts).  The compiled
+    columnar traces replay through the platform's kernel; the
+    WorkloadRun itself is never needed, so a process whose
+    ``_COMPILED_CACHE`` was primed (from the trace cache, or inherited
+    across the pool's fork) replays without capturing.
     """
     resolved_config = config or workload_config(name, heap_bytes)
-    # REPRO_REPLAY_MODE pins the replayer for the whole pipeline:
-    # "fast" turns silent fallbacks into hard errors (the CI coverage
-    # check), "event" forces the golden path for A/B comparison.
-    mode = default_replay_config().fast_path
-    key = _replay_key(platform_name, name, resolved_config, threads) \
-        + (mode,)
+    key = _replay_key(platform_name, name, resolved_config, threads)
     if key not in _REPLAY_CACHE:
         heap = JavaHeap(resolved_config.heap,
                         klasses=workload_klasses())
         platform = build_platform(platform_name, resolved_config, heap)
-        replayer = make_replayer(platform, threads=threads, mode=mode)
-        # The compiled-trace path never needs the WorkloadRun itself,
-        # so a process whose _COMPILED_CACHE was primed (from the trace
-        # cache, or inherited across the pool's fork) replays without
-        # capturing — only the event-by-event path demands the run.
-        if isinstance(replayer, FastTraceReplayer):
-            traces: Iterable = compiled_run_traces(name, heap_bytes)
-        else:
-            traces = collect_run(name, heap_bytes).traces
+        replayer = FastTraceReplayer(platform, threads=threads)
+        traces = compiled_run_traces(name, heap_bytes)
         with get_tracer().span("replay", cat="runner", workload=name,
                                platform=platform_name):
             result = replayer.replay_all(traces)
@@ -196,11 +185,10 @@ def _grid_worker(job: tuple) -> GCTimingResult:
 
 
 def _memo_key(job: tuple) -> tuple:
-    """The _REPLAY_CACHE key a job resolves to (mode included)."""
+    """The _REPLAY_CACHE key a job resolves to."""
     platform_name, name, heap_bytes, threads = job
     return _replay_key(platform_name, name,
-                       workload_config(name, heap_bytes), threads) \
-        + (default_replay_config().fast_path,)
+                       workload_config(name, heap_bytes), threads)
 
 
 def _journal_worker(payload: tuple) -> None:
@@ -276,7 +264,7 @@ def replay_grid(platform_names: Iterable[str],
     platform_names = list(platform_names)
     workload_names = list(workload_names)
     if processes is None:
-        processes = default_replay_config().jobs
+        processes = default_replay_jobs()
     jobs = [(platform, name, heap_bytes, threads)
             for name in workload_names for platform in platform_names]
     for name in workload_names:

@@ -51,9 +51,9 @@ import numpy as np
 
 from repro.config import DEFAULT_TRACE_CHUNK_EVENTS
 from repro.errors import ConfigError
-from repro.gcalgo.columnar import (CompiledTrace, EVENT_DTYPE,
-                                   STAT_FIELDS, TRACE_SCHEMA_VERSION,
-                                   compile_trace)
+from repro.gcalgo.columnar import (CODE_TO_PRIMITIVE, CompiledTrace,
+                                   EVENT_DTYPE, STAT_FIELDS,
+                                   TRACE_SCHEMA_VERSION, compile_trace)
 from repro.gcalgo.trace import GCTrace, Primitive, ResidualWork, TraceEvent
 
 FORMAT_VERSION = 1
@@ -64,6 +64,11 @@ BINARY_FORMAT = "repro-gctrace-npz"
 #: [primitive, phase, src, dst, size, refs, pushes, bits, bits_cached,
 #:  found]
 _EVENT_FIELDS = ("src", "dst", "size_bytes", "refs", "pushes", "bits")
+
+#: ``_UNKNOWN_CODE[code]`` is True for every ``prim`` byte that names no
+#: primitive.
+_UNKNOWN_CODE = np.ones(256, dtype=bool)
+_UNKNOWN_CODE[list(CODE_TO_PRIMITIVE)] = False
 
 
 def trace_to_dict(trace: GCTrace) -> dict:
@@ -276,6 +281,14 @@ def _compiled_of(archive, path: Path, index: int,
         raise ConfigError(
             f"{path} trace {index} declares {declared} events but "
             f"stores {len(events)}; regenerate the trace")
+    # Every replayer indexes primitives by code, so an unknown code is
+    # rejected here, once, for every reader of the file.
+    present = np.bincount(events["prim"], minlength=256) > 0
+    unknown = np.flatnonzero(present & _UNKNOWN_CODE)
+    if len(unknown):
+        raise ConfigError(
+            f"{path} trace {index} has unknown primitive code "
+            f"{int(unknown[0])}; regenerate the trace")
     residuals = {
         phase: ResidualWork(instructions=instructions,
                             bytes_accessed=bytes_accessed)

@@ -11,15 +11,14 @@ Five platforms replay GC primitive traces (Sec. 5.2):
 * ``ideal`` — offloaded primitives complete in zero time.
 
 Use :func:`~repro.platform.factory.build_platform` to construct one
-with fresh memory systems, and :class:`~repro.platform.replay.TraceReplayer`
-to run traces on it.
+with fresh memory systems, and
+:func:`~repro.platform.fast_replay.make_replayer` to run traces on it.
 """
 
 from repro.platform.timing import GCTimingResult, PlatformEnergy
 from repro.platform.factory import PLATFORM_NAMES, build_platform
 from repro.platform.replay import TraceReplayer
-from repro.platform.fast_replay import (FastReplayUnsupported,
-                                        FastTraceReplayer, make_replayer)
+from repro.platform.fast_replay import FastTraceReplayer, make_replayer
 
 __all__ = [
     "GCTimingResult",
@@ -27,7 +26,6 @@ __all__ = [
     "PLATFORM_NAMES",
     "build_platform",
     "TraceReplayer",
-    "FastReplayUnsupported",
     "FastTraceReplayer",
     "make_replayer",
 ]

@@ -1,12 +1,23 @@
-"""Batched stateful replay kernels (the two-stage fast path).
+"""Replay kernels: one protocol, two families.
 
-The closed-form kernels in :mod:`repro.platform.fast_replay` only cover
-platforms whose event costs are pure functions of the event.  Everything
-else — multi-threaded DDR4, ``cpu-hmc``, the Charon platforms — couples
-events through shared state: FIFO bandwidth horizons, the anonymous
-round-robin cursor, per-unit busy clocks, the TLB/bitmap-cache ports and
-the bitmap cache's tag/LRU contents.  Those platforms replay through the
-kernels here instead, in two stages:
+:class:`~repro.platform.fast_replay.FastTraceReplayer` costs a compiled
+trace through the kernel :func:`kernel_for` picks for a platform and a
+GC thread count.  Every kernel provides ``name``, ``begin(compiled)``
+(stage 1, once per trace), ``run_phase(lo, hi, start, prim_seconds) ->
+(barrier, busy)`` (stage 2, once per phase run) and
+``chunks_processed``.
+
+* **closed-form** (:class:`ClosedFormKernel`: ``ideal`` at any thread
+  count, ``cpu-ddr4`` with one GC thread) — every event's duration is a
+  pure function of the event, so ``begin`` prices the whole trace in a
+  handful of numpy operations and ``run_phase`` only sums slices.
+* **batched-stateful** (multi-threaded ``cpu-ddr4``, ``cpu-hmc``,
+  ``charon`` — unified or ``--distributed`` — and ``charon-cpuside``)
+  — costs couple events through shared state: FIFO bandwidth horizons,
+  the anonymous round-robin cursor, per-unit busy clocks, the
+  TLB/bitmap-cache ports and the bitmap cache's tag/LRU contents.
+
+The batched kernels work in two stages:
 
 * **stage 1** (:meth:`begin`) precomputes, over the compiled trace's
   columns, every order-independent per-event quantity — primitive
@@ -41,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ProtectionFault, ReproError
+from repro.errors import ConfigError, ProtectionFault
 from repro.gcalgo.columnar import (CODE_TO_PRIMITIVE, CompiledTrace,
                                    PRIMITIVE_TYPE_CODES)
 from repro.gcalgo.trace import Primitive, is_marking_phase
@@ -60,12 +71,6 @@ PLAN_BLOCK_ROWS = 2048
 #: (``* 2654435761``) still fits int64; rows above it keep the scalar
 #: planner's arbitrary-precision arithmetic.
 _HASH_LIMIT = (2 ** 63 - 1) // 2654435761
-
-
-class FastReplayUnsupported(ReproError):
-    """The platform's event costs cannot be batched (its
-    :meth:`~repro.platform.base.Platform.fast_replay_support` refused,
-    or the trace touches state the kernel cannot mirror)."""
 
 
 def _prim_index(compiled: CompiledTrace
@@ -352,11 +357,6 @@ def _compute_host_columns(compiled: CompiledTrace, costs,
     search = derived["is_search"]
     scan = derived["is_scan"]
     bitmap = derived["is_bitmap"]
-    known = int(copy.sum() + search.sum() + scan.sum() + bitmap.sum())
-    if known != n:
-        raise FastReplayUnsupported(
-            "trace contains primitive codes the host kernels do not "
-            "price")
 
     if copy.any():
         size = ev["size_bytes"][copy]
@@ -406,69 +406,152 @@ def _path_latency(resources: Sequence) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Host-executed kernels (cpu-ddr4 multi-thread, cpu-hmc)
+# Closed-form kernels (ideal, cpu-ddr4 single-thread)
 # ---------------------------------------------------------------------------
 
-class DDR4BatchedKernel:
-    """Multi-threaded DDR4 replay: precomputed costs, horizon recurrence.
+class ClosedFormKernel:
+    """Replay of a platform whose event durations are pure functions of
+    the event.
 
-    Stage 1 lifts :meth:`HostCostModel._roofline` composed with
-    :meth:`DDR4System.stream` into columns; the only state left for
-    stage 2 is the two channels' bulk/priority FIFO horizons and the GC
-    thread clocks (least-loaded assignment via the same heap the
-    event-by-event replayer uses).
+    ``begin`` prices the whole trace through ``price(compiled)``;
+    ``run_phase`` then needs no state.  One GC thread runs a phase's
+    events back to back, so the phase lasts their sum.  With several
+    threads only the zero-duration ``ideal`` kernel is selected, where
+    any assignment has a zero makespan.  Per-primitive seconds are
+    reduced per phase in primitive-code order, and busy time counts
+    only for host-executed (non-offloading) platforms.
     """
 
-    name = "ddr4-batched"
+    name = "closed-form"
 
-    def __init__(self, platform, threads: int) -> None:
-        core = platform.host.core
-        costs = platform.config.costs
-        ddr4 = platform.ddr4
-        self.platform = platform
+    def __init__(self, platform, threads: int, price) -> None:
         self.threads = threads
-        self.costs = costs
-        self.ipc_hz = core.config.gc_ipc * core.config.freq_hz
-        self.hit_lat = costs.cache_hit_latency_s
-        self.channels = ddr4.channels
-        self.n_ch = len(ddr4.channels)
-        channel = ddr4.channels[0]
-        self.ch_rate = channel.rate
-        self.ch_latency = channel.latency
-        self.ch_mlp = max(1.0, core.mlp / self.n_ch)
-        self.lanes = _Lanes()
-        self.ch_slots = [(self.lanes.slot(ch, False),
-                          self.lanes.slot(ch, True))
-                         for ch in ddr4.channels]
+        self.price = price
+        self.host_executed = not platform.offloads
         self.chunks_processed = 0
-        self._cols = None
+        self._durations = None
+        self._codes = None
 
     def begin(self, compiled: CompiledTrace) -> None:
+        self._durations = self.price(compiled)
+        self._codes = compiled.events["prim"]
+
+    def run_phase(self, lo: int, hi: int, start: float,
+                  prim_seconds: Dict[Primitive, float]
+                  ) -> Tuple[float, float]:
+        seg = self._durations[lo:hi]
+        span = float(seg.sum()) if self.threads == 1 else 0.0
+        codes = self._codes[lo:hi]
+        for code in np.unique(codes):
+            key = CODE_TO_PRIMITIVE[int(code)]
+            prim_seconds[key] = prim_seconds.get(key, 0.0) \
+                + float(seg[codes == code].sum())
+        return start + span, (span if self.host_executed else 0.0)
+
+
+def _zero_durations(compiled: CompiledTrace) -> np.ndarray:
+    """The ideal platform: offloaded primitives take zero cycles and
+    generate no memory traffic."""
+    return np.zeros(len(compiled.events), dtype=np.float64)
+
+
+class _DDR4Streams:
+    """``HostCostModel._roofline`` composed with ``DDR4System.stream``,
+    lifted into per-event columns — the one builder both DDR4 kernels
+    price with.
+
+    Each channel serves ``int(round(miss / channels))`` bytes
+    (round-half-to-even, i.e. ``np.rint``) with no issue bound for host
+    streams; per-event arithmetic keeps the scalar code's IEEE-754
+    operation order.  :meth:`columns` also does the stream's byte and
+    energy accounting in bulk: ``ResourcePath.stream`` reserves the
+    rounded share on every channel once per event with a positive share
+    (a zero share returns before reserving).
+    """
+
+    def __init__(self, platform) -> None:
+        core = platform.host.core
+        self.costs = platform.config.costs
+        self.ipc_hz = core.config.gc_ipc * core.config.freq_hz
+        self.hit_lat = self.costs.cache_hit_latency_s
+        self.channels = platform.ddr4.channels
+        self.n_ch = len(self.channels)
+        channel = self.channels[0]
+        self.ch_rate = channel.rate
+        self.ch_latency = channel.latency  # == ResourcePath.latency here
+        self.ch_mlp = max(1.0, core.mlp / self.n_ch)
+
+    def columns(self, compiled: CompiledTrace):
+        """``(compute, miss, share, service, a_term, b_term, priority)``
+        per event — ``share`` is the rounded bytes each channel serves,
+        and a stream's latency bound is ``a_term + b_term`` past its
+        issue time — after the channels' bulk accounting."""
         compute, miss, dep, priority = host_event_columns(
             compiled, self.costs, self.ipc_hz, self.hit_lat)
-        # DDR4System.stream: each channel serves int(round(miss / n))
-        # bytes (round-half-to-even == np.rint); both channels get the
-        # same share, with no issue bound for host streams.
-        share = miss.astype(np.float64) / self.n_ch
-        r = np.rint(share)
+        r = np.rint(miss.astype(np.float64) / self.n_ch)
         r_i = r.astype(np.int64)
         service = r / self.ch_rate
         n_req = np.ceil(r / CACHE_LINE)
         lat = self.ch_latency
         a_term = lat * dep
         b_term = (n_req - 1.0) * (lat / self.ch_mlp)
-        self._prim_keys, prim_ids = _prim_index(compiled)
-        self._cols = (compute.tolist(), miss.tolist(), r_i.tolist(),
-                      service.tolist(), a_term.tolist(), b_term.tolist(),
-                      priority.tolist(), prim_ids)
-        # Bulk accounting: one reservation of the rounded share on every
-        # channel per event with a positive share.
         served = r_i > 0
         if served.any():
             total = int(r_i[served].sum())
             count = int(served.sum())
             for channel in self.channels:
                 channel.account_bulk(total, count)
+        return compute, miss, r_i, service, a_term, b_term, priority
+
+    def durations(self, compiled: CompiledTrace) -> np.ndarray:
+        """Single-thread event durations in closed form.
+
+        With one GC thread the thread's clock is always at or past every
+        channel-FIFO horizon it has reserved (each event finishes no
+        earlier than its own bandwidth reservation), so ``max(now,
+        busy_until)`` resolves to ``now`` and the horizons can be left
+        untouched: every duration is a function of the event alone.
+        """
+        compute, miss, r_i, service, a_term, b_term, _ = \
+            self.columns(compiled)
+        mem = np.where(r_i > 0, np.maximum(service, a_term + b_term),
+                       a_term)
+        return np.where(miss > 0, np.maximum(compute, mem), compute)
+
+
+# ---------------------------------------------------------------------------
+# Host-executed kernels (cpu-ddr4 multi-thread, cpu-hmc)
+# ---------------------------------------------------------------------------
+
+class DDR4BatchedKernel:
+    """Multi-threaded DDR4 replay: precomputed costs, horizon recurrence.
+
+    Stage 1 builds the :class:`_DDR4Streams` columns; the only state
+    left for stage 2 is the two channels' bulk/priority FIFO horizons
+    and the GC thread clocks (least-loaded assignment via the same heap
+    the event-by-event replayer uses).
+    """
+
+    name = "ddr4-batched"
+
+    def __init__(self, platform, threads: int) -> None:
+        self.platform = platform
+        self.threads = threads
+        self.streams = _DDR4Streams(platform)
+        self.lanes = _Lanes()
+        self.ch_slots = [(self.lanes.slot(ch, False),
+                          self.lanes.slot(ch, True))
+                         for ch in self.streams.channels]
+        self.chunks_processed = 0
+        self._cols = None
+
+    def begin(self, compiled: CompiledTrace) -> None:
+        compute, miss, r_i, service, a_term, b_term, priority = \
+            self.streams.columns(compiled)
+        self._prim_keys, prim_ids = _prim_index(compiled)
+        self._cols = (compute.tolist(), miss.tolist(), r_i.tolist(),
+                      service.tolist(), a_term.tolist(), b_term.tolist(),
+                      priority.tolist(), prim_ids)
 
     def run_phase(self, lo: int, hi: int, start: float,
                   prim_seconds: Dict[Primitive, float]
@@ -1007,11 +1090,6 @@ class CharonBatchedKernel:
         search_m = derived["is_search"]
         scan_m = derived["is_scan"]
         bitmap_m = derived["is_bitmap"]
-        if int(copy_m.sum() + search_m.sum() + scan_m.sum()
-               + bitmap_m.sum()) != n:
-            raise FastReplayUnsupported(
-                "trace contains primitive codes the Charon kernel "
-                "does not model")
         marking_kind = compiled.kind in ("major", "g1", "concurrent")
         cpu_side = self.cpu_side
         cyc = self.cyc
@@ -1891,14 +1969,18 @@ class CharonBatchedKernel:
                 self._read_hits[ci] = 0
 
 
-def batched_kernel_for(platform, threads: int):
-    """The stage-2 kernel matching a batched-stateful platform."""
+def kernel_for(platform, threads: int):
+    """The replay kernel for ``platform`` at ``threads`` GC threads."""
     name = platform.name
+    if name == "ideal":
+        return ClosedFormKernel(platform, threads, _zero_durations)
     if name == "cpu-ddr4":
+        if threads == 1:
+            return ClosedFormKernel(platform, threads,
+                                    _DDR4Streams(platform).durations)
         return DDR4BatchedKernel(platform, threads)
     if name == "cpu-hmc":
         return HostHMCBatchedKernel(platform, threads)
     if name in ("charon", "charon-cpuside"):
         return CharonBatchedKernel(platform, threads)
-    raise FastReplayUnsupported(
-        f"no batched kernel is registered for platform {name!r}")
+    raise ConfigError(f"no replay kernel models platform {name!r}")

@@ -18,7 +18,7 @@ from repro.errors import ProtectionFault
 from repro.gcalgo.columnar import (CompiledTrace, PRIMITIVE_TYPE_CODES,
                                    compile_traces)
 from repro.gcalgo.trace import Primitive
-from repro.platform.batched import _HASH_LIMIT, batched_kernel_for
+from repro.platform.batched import _HASH_LIMIT, kernel_for
 
 from tests.conftest import platform_for
 
@@ -50,7 +50,7 @@ def fresh_kernel(platform_name, threads):
     both planners' plans the same, so the plans compare with ``==``.
     """
     platform, _, _ = platform_for(platform_name)
-    kernel = batched_kernel_for(platform, threads)
+    kernel = kernel_for(platform, threads)
     cubes = platform.hmc.config.cubes
     for c in range(cubes):
         for t in range(cubes):

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.config import TRACE_CACHE_ENV
+from repro.config import SHARD_JOURNAL_ENV, TRACE_CACHE_ENV
 from repro.experiments import progress, shard_journal
 from repro.experiments.progress import (PROGRESS_FILE, SWEEP_MANIFEST,
                                         format_status, format_top,
@@ -18,6 +20,7 @@ from repro.experiments.progress import (PROGRESS_FILE, SWEEP_MANIFEST,
                                         refresh_progress,
                                         write_sweep_manifest)
 from repro.experiments.runner import clear_cache, replay_grid
+from repro.obs import eventlog
 
 WORKLOAD = "graphchi-als"
 PLATFORMS = ("cpu-ddr4", "ideal", "charon")
@@ -265,6 +268,40 @@ class TestLiveSweep:
         assert resumed["shards_done"] == len(PLATFORMS)  # once each
         assert resumed["shards_pending"] == 0
         assert resumed["completion_pct"] == 100.0
+
+    def test_full_journal_directory_degrades(self, tmp_path, monkeypatch):
+        """ENOSPC renaming ``sweep.json``/``progress.json`` into place
+        costs the progress view, not the sweep: same grid, no temp
+        file left, a ``fallback`` event per failed write."""
+        expected = replay_grid(["ideal"], [WORKLOAD], processes=1)
+        clear_cache()
+        real_replace = os.replace
+
+        def replace(source, target):
+            if Path(target).name in (SWEEP_MANIFEST, PROGRESS_FILE):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
+                              str(target))
+            return real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace)
+        journal = tmp_path / "journal"
+        monkeypatch.setenv(SHARD_JOURNAL_ENV, str(journal))
+        log = eventlog.get_eventlog()
+        log.open(tmp_path / "events.jsonl")
+        try:
+            with pytest.warns(UserWarning, match="No space left"):
+                grid = replay_grid(["ideal"], [WORKLOAD], processes=1)
+        finally:
+            log.close()
+        assert grid == expected
+        assert not [path.name for path in journal.iterdir()
+                    if ".tmp" in path.name]
+        fallbacks = [record for record
+                     in eventlog.read_events(tmp_path / "events.jsonl")
+                     if record["event"] == "fallback"]
+        assert fallbacks
+        assert {record["namespace"] for record in fallbacks} \
+            == {"sweep_progress"}
 
 
 class TestCli:

@@ -207,6 +207,24 @@ class TestTampering:
         with pytest.raises(ConfigError):
             load_compiled(path)
 
+    @pytest.mark.parametrize("mode", ["fast", "event"])
+    @pytest.mark.parametrize("platform", ["ideal", "cpu-ddr4", "charon"])
+    def test_unknown_primitive_code_rejected(self, tmp_path, mixed_run,
+                                             platform, mode):
+        """A ``prim`` byte that names no primitive is rejected once, at
+        decode, whichever replayer would have consumed it."""
+        from repro.cli import main
+
+        path = saved_npz(tmp_path, mixed_run)
+        with np.load(path) as archive:
+            members = {key: archive[key] for key in archive.files}
+        members[trace_io._event_key(1)]["prim"][0] = 9
+        np.savez(path, **members)
+        with pytest.raises(ConfigError,
+                           match="trace 1 has unknown primitive code 9"):
+            main(["replay", str(path), "--platform", platform,
+                  "--mode", mode])
+
     def test_json_version_mismatch_rejected(self, tmp_path, mixed_run):
         path = tmp_path / "run.gctrace.json"
         save_traces(mixed_run.traces, path)
