@@ -7,6 +7,8 @@ platform configuration (the five named platforms plus ``charon
 --distributed``) through ``make_replayer``'s default ``fast`` mode at
 each of the 1/2/4/8 GC-thread counts the paper sweeps, then fails if
 
+* the compiled stage-2 loop (``repro.platform.native``: gcc builds
+  ``_stage2.c`` and ``ctypes`` loads it) does not build or load,
 * kernel selection raised for any platform x thread cell (no replay
   kernel models it), or
 * any replay result reports ``replay_kernel == "event"``.
@@ -44,6 +46,7 @@ def main() -> int:
     from repro.gcalgo.columnar import compile_traces
     from repro.errors import ReproError
     from repro.obs.metrics import global_metrics
+    from repro.platform import native
     from repro.platform.fast_replay import make_replayer
 
     from tests.conftest import (TinySpark, make_concurrent_traces,
@@ -59,6 +62,14 @@ def main() -> int:
     compiled_sets = {name: compile_traces(traces)
                      for name, traces in trace_sets.items()}
     failures = []
+
+    try:
+        native.library()
+    except (ReproError, OSError) as exc:
+        failures.append(f"the compiled stage-2 loop did not build or "
+                        f"load: {exc}")
+    else:
+        print("stage-2 library: built and loaded")
 
     # Collect-side guard: generating the trace sets above ran real
     # collectors under the default (fast) heap-kernel mode.

@@ -78,6 +78,18 @@ class SetAssociativeCache:
         self.writebacks += dirty
         return dirty
 
+    def lru_state(self) -> List[List[Tuple[int, bool]]]:
+        """Every set's ``(tag, dirty)`` lines, least recently used
+        first (what a replay kernel loads before running the state
+        machine outside this object)."""
+        return [list(ways.items()) for ways in self._sets]
+
+    def set_lru_state(self, state: List[List[Tuple[int, bool]]]) -> None:
+        """Replace every set's lines; the inverse of :meth:`lru_state`."""
+        for ways, lines in zip(self._sets, state):
+            ways.clear()
+            ways.update(lines)
+
     @property
     def accesses(self) -> int:
         return self.hits + self.misses

@@ -22,6 +22,7 @@ pipeline:
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import time
 from pathlib import Path
@@ -30,7 +31,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 
 from repro.config import (SystemConfig, default_config,
                           default_replay_jobs)
-from repro.errors import OutOfMemoryError
+from repro.errors import ConfigError, OutOfMemoryError
 from repro.experiments import progress, shard_journal, trace_cache
 from repro.gcalgo.columnar import CompiledTrace, compile_traces
 from repro.heap.heap import JavaHeap
@@ -39,7 +40,7 @@ from repro.obs.adapters import timing_metrics
 from repro.obs.eventlog import get_eventlog
 from repro.obs.metrics import global_metrics
 from repro.obs.tracer import get_tracer
-from repro.platform import build_platform
+from repro.platform import build_platform, native
 from repro.platform.fast_replay import FastTraceReplayer
 from repro.platform.timing import GCTimingResult
 from repro.workloads import get_workload, run_workload
@@ -216,6 +217,11 @@ def _fan_out(function: Callable, items: Sequence,
     """
     if processes <= 1 or len(items) <= 1 or not _fork_available():
         return [function(item) for item in items]
+    # Build or fetch the compiled stage-2 loop here, once, so every
+    # worker inherits the loaded library; a missing compiler is left
+    # for the workers' replay kernels to report.
+    with contextlib.suppress(ConfigError):
+        native.library()
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 

@@ -29,11 +29,13 @@ sweep's orphaned claims cannot block the resume.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
 import time
+import warnings
 from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
@@ -154,20 +156,38 @@ def claim_shard(directory: Union[str, Path], key: str) -> bool:
 
     ``O_CREAT | O_EXCL`` makes the filesystem the arbiter: exactly one
     concurrent claimant wins.  Returns False when another worker
-    already holds (or finished) the shard.
+    already holds (or finished) the shard.  A journal that cannot hold
+    the claim file (disk full, read-only or forbidden directory) does
+    not stop the sweep: the failure warns, emits one ``fallback`` event
+    naming the journal, and the shard is computed unclaimed (True).
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     try:
+        directory.mkdir(parents=True, exist_ok=True)
         fd = os.open(_claim_path(directory, key),
                      os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         return False
-    with os.fdopen(fd, "w") as handle:
-        # Owner info for the progress monitor ("who holds this shard,
-        # since when"); the claim's *existence* is what arbitrates.
+    except OSError as exc:
+        return _claim_failed(directory, key, exc)
+    # Owner info for the progress monitor ("who holds this shard, since
+    # when"); the claim's *existence* is what arbitrates, so a failed
+    # write leaves the claim held.
+    with contextlib.suppress(OSError), os.fdopen(fd, "w") as handle:
         handle.write(json.dumps({"pid": os.getpid(),
                                  "claimed_at": round(time.time(), 6)}))
+    return True
+
+
+def _claim_failed(directory: Path, key: str, exc: OSError) -> bool:
+    warnings.warn(f"cannot claim shard {key[:12]} in journal "
+                  f"{directory}: {exc}; computing it unclaimed",
+                  stacklevel=3)
+    eventlog = get_eventlog()
+    if eventlog.enabled:
+        eventlog.emit("fallback", namespace=store.SHARDS.name,
+                      journal=str(directory), to="unclaimed",
+                      key=key[:12], error=str(exc))
     return True
 
 

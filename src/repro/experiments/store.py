@@ -3,11 +3,13 @@
 Captured traces, stage-1 replay products and shard results are each a
 *namespace* of content-addressed entries ``<64-hex key><suffix>``:
 :data:`TRACES` (``.npz``, :mod:`.trace_cache`), :data:`STAGE1`
-(``.stage1.npz``, :mod:`.stage1_cache`) and :data:`SHARDS`
-(``.shard.json``, :mod:`.shard_journal`).  Those modules own their keys
-and codecs; this one owns the mechanics.  The two caches share the
-``REPRO_TRACE_CACHE`` directory and the ``REPRO_TRACE_CACHE_REQUIRE``
-knob; journal results are resume state for one sweep, not a cache, and
+(``.stage1.npz``, :mod:`.stage1_cache`), :data:`SHARDS`
+(``.shard.json``, :mod:`.shard_journal`) and :data:`NATIVE`
+(``.stage2.so``, :mod:`repro.platform.native`).  Those modules own
+their keys and codecs; this one owns the mechanics.  The two caches
+share the ``REPRO_TRACE_CACHE`` directory and the
+``REPRO_TRACE_CACHE_REQUIRE`` knob, and the compiled loop lives there
+too; journal results are resume state for one sweep, not a cache, and
 live in the sweep's ``REPRO_SHARD_JOURNAL`` directory.
 
 Persistent state is an accelerator, never a dependency, so every fault
@@ -130,6 +132,15 @@ SHARDS = Namespace(
     ("hits", "runs", "stolen", "stale", "stores"),
     "shard journal: {hits} resumed, {runs} executed, {stolen} stolen, "
     "{stale} stale, {stores} stored")
+
+#: The compiled stage-2 loop (:mod:`repro.platform.native`): a build
+#: product beside the caches, not a cache of results, so ``repro cache
+#: clear`` leaves it.  ``builds``: compilations in this process tree.
+NATIVE = Namespace(
+    "stage2_native", ".stage2.so", "compiled-kernel",
+    ("hits", "builds", "stale", "stores"),
+    "compiled stage 2: {hits} hit(s), {builds} build(s), {stale} stale, "
+    "{stores} store(s)")
 
 #: The namespaces of the one cache directory.
 CACHES = (TRACES, STAGE1)

@@ -25,29 +25,40 @@ The batched kernels work in two stages:
   latency/MLP/issue bound constants, request/response packet chains,
   cube routing and bitmap line addresses — and applies all
   order-independent *accounting* (byte counters, energy, packet and
-  queue statistics) in bulk;
+  queue statistics) in bulk.  It emits the plan as flat typed columns:
+  each distinct plan is interned once into a template table, and each
+  event stores a template id.  Stream plans are CSR rows of ``(lane
+  slot, service time)`` with their ``(a, b, i1, i2)`` bound constants;
+  Charon templates add a kind code, TLB ``(slot, penalty)`` pairs,
+  packet-chain addends and a tail time, and bitmap-count and
+  marking-scan events carry a per-event CSR of ``(line, slice,
+  penalty)`` bitmap-cache touches;
 * **stage 2** (:meth:`run_phase`) replays only the order-dependent
   recurrence — thread clocks under least-loaded assignment, fluid
   resource ``busy_until`` horizons, unit busy clocks, the anonymous cube
-  cursor, and the bitmap cache's real tag state — as a tight chunked
-  Python loop over the precomputed plans, with no cost-model calls and
-  no :class:`~repro.gcalgo.trace.TraceEvent` dispatch.
+  cursor, and the bitmap cache's real tag/LRU state — in one compiled C
+  loop over those columns (``_stage2.c``: ``host_phase`` for the DDR4
+  and HMC host kernels, ``charon_phase`` for Charon; built and loaded
+  by :mod:`repro.platform.native`).  The state it touches is loaded
+  from the platform objects into arrays before each phase run and
+  written back after it, so between phases the objects stay
+  authoritative for the scalar residual path and the phase-end hooks.
 
 Equivalence is *exact by construction* for every integer counter and
 every individual IEEE-754 operation on the critical path: stage 2
 replicates the scalar code's operation order (``max`` placement,
-addition association, division operands) so clock values match bit for
-bit; only bulk-summed float accounting (busy time, energy) and
-cross-phase float accumulations may differ within the fast path's 1e-9
-relative contract.  ``tests/test_fast_replay_equivalence.py`` holds the
-golden comparisons.
+addition association, division operands, the ``(clock, thread)``
+heap order) and is compiled without floating-point contraction, so
+clock values match bit for bit; only bulk-summed float accounting
+(busy time, energy) and cross-phase float accumulations may differ
+within the fast path's 1e-9 relative contract.
+``tests/test_fast_replay_equivalence.py`` holds the golden
+comparisons.
 """
 
 from __future__ import annotations
 
 import math
-from heapq import heapify, heappop, heappush
-from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,10 +67,11 @@ from repro.errors import ConfigError, ProtectionFault
 from repro.gcalgo.columnar import (CODE_TO_PRIMITIVE, CompiledTrace,
                                    PRIMITIVE_TYPE_CODES)
 from repro.gcalgo.trace import Primitive, is_marking_phase
+from repro.platform import native
 from repro.units import CACHE_LINE, HMC_MAX_REQUEST, WORD
 
-#: Stage-2 loop granularity: plans are consumed in slices of this many
-#: events (the ``replay.kernel.chunks`` metric counts these).
+#: Stage-2 accounting granularity: the ``replay.kernel.chunks`` metric
+#: counts each phase run as this many events per chunk.
 CHUNK_EVENTS = 4096
 
 #: Stage-1 block size when rows expand into per-line bitmap-cache
@@ -74,15 +86,15 @@ _HASH_LIMIT = (2 ** 63 - 1) // 2654435761
 
 
 def _prim_index(compiled: CompiledTrace
-                ) -> Tuple[List[Primitive], List[int]]:
+                ) -> Tuple[List[Primitive], np.ndarray]:
     """``(keys, per-event key index)`` for a compiled trace.
 
-    Stage 2 accumulates per-primitive durations into a small list
+    Stage 2 accumulates per-primitive durations into a small array
     indexed by these ids instead of hashing enum members per event;
     the per-primitive addition order is untouched (each primitive's
     events still add in event order), so results stay bit-identical.
     Pure function of the trace, memoized on it (callers must not
-    mutate the returned lists).
+    mutate the returned key list or int32 id array).
     """
     cache = _kernel_memo(compiled)
     hit = cache.get("prim_index")
@@ -97,7 +109,7 @@ def _prim_index(compiled: CompiledTrace
         uq, ids = stage1_cache.fetch(compiled, "prim_index", (),
                                      produce)
         keys = [CODE_TO_PRIMITIVE[int(code)] for code in uq.tolist()]
-        hit = cache["prim_index"] = (keys, ids.tolist())
+        hit = cache["prim_index"] = (keys, ids.astype(np.int32))
     return hit
 
 
@@ -256,14 +268,16 @@ class _Lanes:
     against them unchanged).  Dynamic accounting (streams whose target
     is only known in stage 2, e.g. anonymous fault traffic) accumulates
     in ``acc_bytes``/``acc_reqs`` and is deposited at ``sync_out``.
+    Resources register while plans are built; :meth:`size` then sizes
+    the arrays the compiled loop reads and writes.
     """
 
     def __init__(self) -> None:
         self.resources: List = []
         self._index: Dict[int, int] = {}
-        self.H: List[float] = []
-        self.acc_bytes: List[int] = []
-        self.acc_reqs: List[int] = []
+        self.H = np.zeros(0)
+        self.acc_bytes = np.zeros(0, dtype=np.int64)
+        self.acc_reqs = np.zeros(0, dtype=np.int64)
 
     def register(self, resource) -> int:
         """Resource index (lane slots are ``2i`` bulk, ``2i+1`` small)."""
@@ -273,29 +287,34 @@ class _Lanes:
             index = len(self.resources)
             self._index[key] = index
             self.resources.append(resource)
-            self.H.extend((0.0, 0.0))
-            self.acc_bytes.append(0)
-            self.acc_reqs.append(0)
         return index
 
     def slot(self, resource, priority: bool) -> int:
         return 2 * self.register(resource) + (1 if priority else 0)
 
+    def size(self) -> None:
+        """(Re)allocate the state arrays for every registered resource."""
+        count = len(self.resources)
+        if len(self.acc_bytes) != count:
+            self.H = np.zeros(2 * count)
+            self.acc_bytes = np.zeros(count, dtype=np.int64)
+            self.acc_reqs = np.zeros(count, dtype=np.int64)
+
     def sync_in(self) -> None:
-        H = self.H
-        for i, resource in enumerate(self.resources):
-            H[2 * i] = resource.busy_until
-            H[2 * i + 1] = resource.small_busy_until
+        self.H[:] = [horizon for resource in self.resources
+                     for horizon in (resource.busy_until,
+                                     resource.small_busy_until)]
 
     def sync_out(self) -> None:
-        H = self.H
+        H = self.H.tolist()
         for i, resource in enumerate(self.resources):
             resource.busy_until = H[2 * i]
             resource.small_busy_until = H[2 * i + 1]
-            if self.acc_reqs[i] or self.acc_bytes[i]:
-                resource.account_bulk(self.acc_bytes[i], self.acc_reqs[i])
-                self.acc_bytes[i] = 0
-                self.acc_reqs[i] = 0
+        for i in np.flatnonzero(self.acc_reqs | self.acc_bytes).tolist():
+            self.resources[i].account_bulk(int(self.acc_bytes[i]),
+                                           int(self.acc_reqs[i]))
+            self.acc_bytes[i] = 0
+            self.acc_reqs[i] = 0
 
 
 def host_event_columns(compiled: CompiledTrace, costs, ipc_hz: float,
@@ -518,160 +537,270 @@ class _DDR4Streams:
                        a_term)
         return np.where(miss > 0, np.maximum(compute, mem), compute)
 
+# ---------------------------------------------------------------------------
+# Flat plans: what stage 1 hands the compiled stage 2
+# ---------------------------------------------------------------------------
+
+class _Interner:
+    """Dense ids for distinct hashable plans, in first-seen order."""
+
+    def __init__(self) -> None:
+        self.ids: Dict = {}
+        self.items: List = []
+
+    def __call__(self, item) -> int:
+        index = self.ids.get(item)
+        if index is None:
+            index = self.ids[item] = len(self.items)
+            self.items.append(item)
+        return index
+
+
+def _offsets(counts: Sequence[int]) -> np.ndarray:
+    """CSR offsets (length ``len(counts) + 1``) of rows of ``counts``."""
+    off = np.zeros(len(counts) + 1, dtype=np.int64)
+    off[1:] = np.cumsum(np.asarray(counts, dtype=np.int64))
+    return off
+
+
+def _stream_columns(streams: Sequence[Tuple]) -> Dict[str, np.ndarray]:
+    """Columns of interned stream plans ``(slots, svcs, a, b, i1, i2)``:
+    a stream reserves ``slots[j]`` for ``svcs[j]`` seconds and ends no
+    earlier than ``(now + a) + b`` or ``(now + i1) + i2``."""
+    columns = {
+        "s_off": _offsets([len(plan[0]) for plan in streams]),
+        "s_slot": np.array([sl for plan in streams for sl in plan[0]],
+                           dtype=np.int32),
+        "s_svc": np.array([svc for plan in streams for svc in plan[1]],
+                          dtype=np.float64)}
+    for k, name in enumerate(("s_a", "s_b", "s_i1", "s_i2"), start=2):
+        columns[name] = np.array([plan[k] for plan in streams],
+                                 dtype=np.float64)
+    return columns
+
+
+class _PrimSums:
+    """Per-primitive duration sums stage 2 accumulates, one slot per key
+    of the trace's primitive index.  A "present" flag per slot makes a
+    key enter ``prim_seconds`` exactly when its first event adds to it,
+    and each key's events still add in event order."""
+
+    def __init__(self, keys: List[Primitive]) -> None:
+        self.keys = keys
+        self.sums = np.zeros(len(keys))
+        self.present = np.zeros(len(keys), dtype=np.uint8)
+
+    def load(self, prim_seconds: Dict[Primitive, float]) -> None:
+        for j, key in enumerate(self.keys):
+            value = prim_seconds.get(key)
+            self.present[j] = value is not None
+            self.sums[j] = 0.0 if value is None else value
+
+    def store(self, prim_seconds: Dict[Primitive, float]) -> None:
+        for key, value, present in zip(self.keys, self.sums.tolist(),
+                                       self.present.tolist()):
+            if present:
+                prim_seconds[key] = value
+
+
+def _chunks(lo: int, hi: int, events: int) -> int:
+    """``replay.kernel.chunks`` for one phase run, after checking that
+    the run lies inside the trace (the C loop indexes the per-event
+    columns unchecked)."""
+    if not 0 <= lo <= hi <= events:
+        raise IndexError(f"phase run [{lo}, {hi}) outside a trace of "
+                         f"{events} events")
+    return len(range(lo, hi, CHUNK_EVENTS))
+
 
 # ---------------------------------------------------------------------------
 # Host-executed kernels (cpu-ddr4 multi-thread, cpu-hmc)
 # ---------------------------------------------------------------------------
 
-class DDR4BatchedKernel:
+class _HostBatchedKernel:
+    """Stage 2 of the host-executed kernels: ``host_phase`` over flat
+    host plans.
+
+    An event with a memory stream points at a template: a list of runs
+    (interned stream ids; each run reserves its lanes and is bounded by
+    its latency term, and the event waits for the latest), or one
+    anonymous stream (bytes, per-cube share, priority) spread over the
+    cubes by the shared round-robin cursor, which stage 2 advances in
+    event order.
+    """
+
+    def __init__(self, platform, threads: int) -> None:
+        self.native = native.library()
+        self.platform = platform
+        self.threads = threads
+        self.lanes = _Lanes()
+        self.chunks_processed = 0
+        self._port = None  # holds the anonymous cube cursor, if any
+        self._anon = {"cubes": 0, "anon_off": np.zeros(1, dtype=np.int64),
+                      "anon_res": np.zeros(0, dtype=np.int32),
+                      "anon_rate": np.zeros(0), "anon_lat": np.zeros(0),
+                      "mlp": 1.0}
+        self._cursor = np.zeros(1, dtype=np.int64)
+        self._out = np.zeros(2)
+        self._block = None
+        self._sums = None
+        self._tid = np.zeros(0, dtype=np.int32)
+
+    def _freeze(self, compiled: CompiledTrace, compute: np.ndarray,
+                tid: np.ndarray, templates: Sequence[Tuple],
+                streams: Sequence[Tuple]) -> None:
+        """Flatten one trace's plans into the stage-2 argument block.
+
+        ``templates`` are ``(0, stream ids)`` run lists or ``(1, nbytes,
+        share, priority)`` anonymous streams.
+        """
+        keys, pid = _prim_index(compiled)
+        self.lanes.size()
+        self._sums = _PrimSums(keys)
+        self._tid = tid
+        runs = [t[1] if t[0] == 0 else () for t in templates]
+        anon = [t if t[0] == 1 else (0, 0, 0, False) for t in templates]
+        self._block = native.Block(native.HOST_FIELDS, {
+            "threads": self.threads, "compute": compute, "tid": tid,
+            "pid": pid,
+            "t_anon": np.array([t[0] for t in templates], dtype=np.int8),
+            "t_off": _offsets([len(r) for r in runs]),
+            "t_stream": np.array([s for r in runs for s in r],
+                                 dtype=np.int32),
+            "t_nbytes": np.array([t[1] for t in anon], dtype=np.int64),
+            "t_share": np.array([t[2] for t in anon], dtype=np.int64),
+            "t_prio": np.array([t[3] for t in anon], dtype=np.int8),
+            **_stream_columns(streams), **self._anon,
+            "H": self.lanes.H, "acc_bytes": self.lanes.acc_bytes,
+            "acc_reqs": self.lanes.acc_reqs, "cursor": self._cursor,
+            "sums": self._sums.sums, "present": self._sums.present})
+
+    def run_phase(self, lo: int, hi: int, start: float,
+                  prim_seconds: Dict[Primitive, float]
+                  ) -> Tuple[float, float]:
+        self.chunks_processed += _chunks(lo, hi, len(self._tid))
+        self.lanes.sync_in()
+        port = self._port
+        if port is not None:
+            self._cursor[0] = port._anon_cube
+        self._sums.load(prim_seconds)
+        if self.native.host_phase(self._block.address, lo, hi, start,
+                                  self._out.ctypes.data):
+            raise MemoryError("stage-2 thread heap allocation failed")
+        self._sums.store(prim_seconds)
+        if port is not None:
+            port._anon_cube = int(self._cursor[0])
+        self.lanes.sync_out()
+        barrier, busy = self._out.tolist()
+        return barrier, busy
+
+
+class DDR4BatchedKernel(_HostBatchedKernel):
     """Multi-threaded DDR4 replay: precomputed costs, horizon recurrence.
 
-    Stage 1 builds the :class:`_DDR4Streams` columns; the only state
-    left for stage 2 is the two channels' bulk/priority FIFO horizons
-    and the GC thread clocks (least-loaded assignment via the same heap
-    the event-by-event replayer uses).
+    Stage 1 builds the :class:`_DDR4Streams` columns and interns one
+    stream per distinct (per-channel share, priority, dependence): both
+    channels' bulk or priority lanes for the share's service time, or —
+    for a miss too small to reach a channel — no lane and a latency
+    bound of ``(now + a) + 0.0``, which is the scalar ``now + a``.  The
+    only state left for stage 2 is the channels' FIFO horizons and the
+    GC thread clocks.
     """
 
     name = "ddr4-batched"
 
     def __init__(self, platform, threads: int) -> None:
-        self.platform = platform
-        self.threads = threads
+        super().__init__(platform, threads)
         self.streams = _DDR4Streams(platform)
-        self.lanes = _Lanes()
         self.ch_slots = [(self.lanes.slot(ch, False),
                           self.lanes.slot(ch, True))
                          for ch in self.streams.channels]
-        self.chunks_processed = 0
-        self._cols = None
 
     def begin(self, compiled: CompiledTrace) -> None:
         compute, miss, r_i, service, a_term, b_term, priority = \
             self.streams.columns(compiled)
-        self._prim_keys, prim_ids = _prim_index(compiled)
-        self._cols = (compute.tolist(), miss.tolist(), r_i.tolist(),
-                      service.tolist(), a_term.tolist(), b_term.tolist(),
-                      priority.tolist(), prim_ids)
-
-    def run_phase(self, lo: int, hi: int, start: float,
-                  prim_seconds: Dict[Primitive, float]
-                  ) -> Tuple[float, float]:
-        lanes = self.lanes
-        lanes.sync_in()
-        H = lanes.H
-        (compute, miss, r_i, service, a_term, b_term, priority,
-         pids) = self._cols
-        (c0_bulk, c0_small), (c1_bulk, c1_small) = self.ch_slots
-        keys = self._prim_keys
-        sums = [prim_seconds.get(key) for key in keys]
-        busy = 0.0
-        heap = [(start, index) for index in range(self.threads)]
-        heapify(heap)
-        for chunk_lo in range(lo, hi, CHUNK_EVENTS):
-            chunk_hi = min(hi, chunk_lo + CHUNK_EVENTS)
-            self.chunks_processed += 1
-            for i in range(chunk_lo, chunk_hi):
-                now, index = heappop(heap)
-                finish = now + compute[i]
-                if miss[i] > 0:
-                    share = r_i[i]
-                    a = a_term[i]
-                    if share > 0:
-                        if priority[i]:
-                            l0, l1 = c0_small, c1_small
-                        else:
-                            l0, l1 = c0_bulk, c1_bulk
-                        svc = service[i]
-                        fl = (now + a) + b_term[i]
-                        s = H[l0]
-                        if s < now:
-                            s = now
-                        e0 = s + svc
-                        H[l0] = e0
-                        if fl > e0:
-                            e0 = fl
-                        s = H[l1]
-                        if s < now:
-                            s = now
-                        e1 = s + svc
-                        H[l1] = e1
-                        if fl > e1:
-                            e1 = fl
-                        mem = e0 if e0 > e1 else e1
-                    else:
-                        mem = now + a
-                    if mem > finish:
-                        finish = mem
-                duration = finish - now
-                pid = pids[i]
-                prev = sums[pid]
-                sums[pid] = (duration if prev is None
-                             else prev + duration)
-                busy += duration
-                heappush(heap, (finish, index))
-        for key, value in zip(keys, sums):
-            if value is not None:
-                prim_seconds[key] = value
-        barrier = max(clock for clock, _ in heap)
-        lanes.sync_out()
-        return barrier, busy
+        tid = np.full(len(miss), -1, dtype=np.int32)
+        streams = []
+        rows = np.flatnonzero(miss > 0)
+        if len(rows):
+            _, dep = np.unique(a_term[rows], return_inverse=True)
+            key = (r_i[rows] * 2 + priority[rows]) * (int(dep.max()) + 1) \
+                + dep
+            _, first, inv = np.unique(key, return_index=True,
+                                      return_inverse=True)
+            for f0 in rows[first].tolist():
+                a = float(a_term[f0])
+                if r_i[f0] > 0:
+                    slots = tuple(pair[1 if priority[f0] else 0]
+                                  for pair in self.ch_slots)
+                    svc = float(service[f0])
+                    streams.append((slots, (svc,) * len(slots), a,
+                                    float(b_term[f0]), 0.0, 0.0))
+                else:
+                    streams.append(((), (), a, 0.0, 0.0, 0.0))
+            tid[rows] = inv
+        self._freeze(compiled, compute, tid,
+                     [(0, (s,)) for s in range(len(streams))], streams)
 
 
-class HostHMCBatchedKernel:
+class HostHMCBatchedKernel(_HostBatchedKernel):
     """``cpu-hmc`` replay: per-cube routed host streams, batched.
 
     Stage 1 resolves every event's miss range into per-cube runs through
     the :class:`_CubeMap` mirror and freezes each run's path (host link,
-    cube-to-cube hop, destination TSVs) into ``(slots, services,
-    latency-bound constants)``; stage 2 replays only the shared-FIFO
-    horizon recurrence.  Ranges that fault (unmapped addresses) fall
-    back — exactly like :meth:`HMCHostPort.stream_range` — to the
-    anonymous round-robin stream, whose cube cursor is *shared state*
-    advanced through the real port so the interleaving with scalar
+    cube-to-cube hop, destination TSVs) into an interned stream; stage 2
+    replays only the shared-FIFO horizon recurrence.  Ranges that fault
+    (unmapped addresses) fall back — exactly like
+    :meth:`HMCHostPort.stream_range` — to the anonymous round-robin
+    stream, whose cube cursor is *shared state*: stage 2 loads it from
+    the port and writes it back, so the interleaving with scalar
     residual work is preserved.
     """
 
     name = "hmc-batched"
 
     def __init__(self, platform, threads: int) -> None:
+        super().__init__(platform, threads)
         core = platform.host.core
         costs = platform.config.costs
-        self.platform = platform
-        self.threads = threads
         self.costs = costs
-        self.port = platform.port
+        self.port = self._port = platform.port
         self.hmc = platform.hmc
         self.ipc_hz = core.config.gc_ipc * core.config.freq_hz
         self.hit_lat = costs.cache_hit_latency_s
         self.mlp = core.mlp
-        self.lanes = _Lanes()
         self.map = _CubeMap(self.port.vm, self.port.pcid)
         # Per-cube host paths: resource lists and path latency, frozen
-        # from the real topology objects.
+        # from the real topology objects (anonymous streams pick their
+        # cube in stage 2, so every path's lanes exist up front).
         self._paths = []
         for cube in range(self.hmc.config.cubes):
             resources = self.hmc.host_path(cube).resources
             self._paths.append((resources, _path_latency(resources)))
-        self.chunks_processed = 0
+        self._anon = {
+            "cubes": len(self._paths),
+            "anon_off": _offsets([len(r) for r, _ in self._paths]),
+            "anon_res": np.array([self.lanes.register(r)
+                                  for resources, _ in self._paths
+                                  for r in resources], dtype=np.int32),
+            "anon_rate": np.array([r.rate for resources, _ in self._paths
+                                   for r in resources], dtype=np.float64),
+            "anon_lat": np.array([lat for _, lat in self._paths],
+                                 dtype=np.float64),
+            "mlp": float(self.mlp)}
         self._plan_cache: Dict[Tuple, Tuple] = {}
-        self._compute: List[float] = []
-        self._prim_keys: List[Primitive] = []
-        self._prim_ids: List[int] = []
-        self._plans: List = []
 
     def _stream_plan(self, cube: int, nbytes: int, prio: bool,
                      dep: float) -> Tuple:
-        """((slot, service) pairs, A, B) of one run, cached by key."""
+        """The stream plan of one run, cached by key."""
         key = (cube, nbytes, prio, dep)
         plan = self._plan_cache.get(key)
         if plan is None:
             resources, lat = self._paths[cube]
-            pairs = tuple((self.lanes.slot(r, prio), nbytes / r.rate)
-                          for r in resources)
             n_req = math.ceil(nbytes / CACHE_LINE)
-            a_term = lat * dep
-            b_term = (n_req - 1) * (lat / self.mlp)
-            plan = (pairs, a_term, b_term)
+            plan = (tuple(self.lanes.slot(r, prio) for r in resources),
+                    tuple(nbytes / r.rate for r in resources),
+                    lat * dep, (n_req - 1) * (lat / self.mlp), 0.0, 0.0)
             self._plan_cache[key] = plan
         return plan
 
@@ -693,7 +822,9 @@ class HostHMCBatchedKernel:
         self.map.refresh()
         src = compiled.events["src"]
         n = len(src)
-        plans: List = [None] * n
+        tid = np.full(n, -1, dtype=np.int32)
+        templates = _Interner()
+        streams = _Interner()
         acc: Dict[int, List[int]] = {}
         need = np.flatnonzero(miss > 0)
         rest: List[int] = []
@@ -714,15 +845,14 @@ class HostHMCBatchedKernel:
                 key = ((nb_s * 256 + cube_s) * 2 + prio_s) * 2 + dep2
                 _, first, inv = np.unique(key, return_index=True,
                                           return_inverse=True)
-                table = []
+                ids = []
                 for f0 in first.tolist():
                     r0 = int(need[rows[f0]])
-                    pairs, a, b = self._stream_plan(
+                    sid = streams(self._stream_plan(
                         int(cube_s[f0]), int(nb_s[f0]),
-                        bool(priority[r0]), float(dep[r0]))
-                    table.append((1, pairs, a, b))
-                for i, j in zip(need[rows].tolist(), inv.tolist()):
-                    plans[i] = table[j]
+                        bool(priority[r0]), float(dep[r0])))
+                    ids.append(templates((0, (sid,))))
+                tid[need[rows]] = np.asarray(ids, dtype=np.int32)[inv]
                 bsum = np.bincount(cube_s,
                                    weights=nb_s.astype(np.float64))
                 bcnt = np.bincount(cube_s)
@@ -743,162 +873,133 @@ class HostHMCBatchedKernel:
             except ProtectionFault:
                 # stream_anon fallback: cube choice is stage-2 state
                 # (the shared round-robin cursor).
-                plans[i] = (0, nbytes, self.port.anon_share(nbytes),
-                            prio, d)
+                tid[i] = templates((1, nbytes,
+                                    self.port.anon_share(nbytes), prio))
                 continue
-            event_plan = []
+            sids = []
             for run_len, cube_r in runs:
-                event_plan.append(self._stream_plan(cube_r, run_len,
-                                                    prio, d))
+                sids.append(streams(self._stream_plan(cube_r, run_len,
+                                                      prio, d)))
                 self._account_runs(acc, cube_r, run_len, 1)
-            if len(event_plan) == 1:
-                pairs, a, b = event_plan[0]
-                plans[i] = (1, pairs, a, b)
-            else:
-                plans[i] = (2, tuple(event_plan))
+            tid[i] = templates((0, tuple(sids)))
         for ri, (nbytes, requests) in acc.items():
             self.lanes.resources[ri].account_bulk(nbytes, requests)
-        self._plans = plans
-        self._compute = compute.tolist()
-        self._prim_keys, self._prim_ids = _prim_index(compiled)
-
-    def _anon_event(self, now: float, H: List[float], plan) -> float:
-        """One faulting range streamed anonymously (stage-2 state: the
-        cube cursor); accounting accumulates into the lanes."""
-        _, nbytes, share, prio, dep = plan
-        lanes = self.lanes
-        port = self.port
-        mem = now
-        remaining = nbytes
-        while remaining > 0:
-            cube = port.take_anon_cube()
-            piece = share if share < remaining else remaining
-            resources, lat = self._paths[cube]
-            f = now
-            for resource in resources:
-                ri = lanes.register(resource)
-                sl = 2 * ri + (1 if prio else 0)
-                s = H[sl]
-                if s < now:
-                    s = now
-                e = s + piece / resource.rate
-                H[sl] = e
-                if e > f:
-                    f = e
-                lanes.acc_bytes[ri] += piece
-                lanes.acc_reqs[ri] += 1
-            # stream_anon passes the range's priority through but keeps
-            # dependent_batches at 1 (its default).
-            fl = (now + lat * 1) + \
-                (math.ceil(piece / CACHE_LINE) - 1) * (lat / self.mlp)
-            if fl > f:
-                f = fl
-            if f > mem:
-                mem = f
-            remaining -= piece
-        return mem
-
-    def run_phase(self, lo: int, hi: int, start: float,
-                  prim_seconds: Dict[Primitive, float]
-                  ) -> Tuple[float, float]:
-        lanes = self.lanes
-        lanes.sync_in()
-        H = lanes.H
-        compute = self._compute
-        pids = self._prim_ids
-        keys = self._prim_keys
-        sums = [prim_seconds.get(key) for key in keys]
-        plans = self._plans
-        busy = 0.0
-        heap = [(start, index) for index in range(self.threads)]
-        heapify(heap)
-        for chunk_lo in range(lo, hi, CHUNK_EVENTS):
-            chunk_hi = min(hi, chunk_lo + CHUNK_EVENTS)
-            self.chunks_processed += 1
-            for cmp, plan, pid in zip(compute[chunk_lo:chunk_hi],
-                                      plans[chunk_lo:chunk_hi],
-                                      pids[chunk_lo:chunk_hi]):
-                now, index = heappop(heap)
-                finish = now + cmp
-                if plan is not None:
-                    tag = plan[0]
-                    if tag == 1:  # one run (the hot case), inlined
-                        _, pairs, a_term, b_term = plan
-                        f = now
-                        for sl, svc in pairs:
-                            s = H[sl]
-                            if s < now:
-                                s = now
-                            e = s + svc
-                            H[sl] = e
-                            if e > f:
-                                f = e
-                        fl = (now + a_term) + b_term
-                        mem = fl if fl > f else f
-                    elif tag == 0:
-                        mem = self._anon_event(now, H, plan)
-                    else:  # multi-run range
-                        mem = now
-                        for pairs, a_term, b_term in plan[1]:
-                            f = now
-                            for sl, svc in pairs:
-                                s = H[sl]
-                                if s < now:
-                                    s = now
-                                e = s + svc
-                                H[sl] = e
-                                if e > f:
-                                    f = e
-                            fl = (now + a_term) + b_term
-                            if fl > f:
-                                f = fl
-                            if f > mem:
-                                mem = f
-                    if mem > finish:
-                        finish = mem
-                duration = finish - now
-                prev = sums[pid]
-                sums[pid] = (duration if prev is None
-                             else prev + duration)
-                busy += duration
-                heappush(heap, (finish, index))
-        for key, value in zip(keys, sums):
-            if value is not None:
-                prim_seconds[key] = value
-        barrier = max(clock for clock, _ in heap)
-        lanes.sync_out()
-        return barrier, busy
+        self._freeze(compiled, compute, tid, templates.items,
+                     streams.items)
 
 
 # ---------------------------------------------------------------------------
 # Charon offload kernel
 # ---------------------------------------------------------------------------
 
+#: Charon template kinds (``KIND_*`` in ``_stage2.c``).
+FIXED, COPY, SEARCH, SCAN, BITMAP = range(5)
+
+#: Per-slice bitmap-cache counters stage 2 returns (``BC_*``).
+_BC_STATS = ("hits", "misses", "evictions", "writebacks")
+
+
+class _Lines:
+    """Per-event bitmap-cache lines ``(address, slice, penalty)``,
+    gathered in any row order and laid out as one CSR in event order."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.pieces: List[Tuple] = []
+
+    def add(self, rows, counts, addrs, slices, pens) -> None:
+        """Lines of ``rows`` (``counts[k]`` lines for ``rows[k]``, in
+        row order)."""
+        if len(rows):
+            self.pieces.append(tuple(np.asarray(a) for a in
+                                     (rows, counts, addrs, slices, pens)))
+
+    def columns(self) -> Dict[str, np.ndarray]:
+        counts = np.zeros(self.n, dtype=np.int64)
+        for rows, count, _, _, _ in self.pieces:
+            counts[rows] = count
+        off = _offsets(counts)
+        total = int(off[-1])
+        addrs = np.zeros(total, dtype=np.int64)
+        slices = np.zeros(total, dtype=np.int32)
+        pens = np.zeros(total, dtype=np.float64)
+        for rows, count, addr, si, pen in self.pieces:
+            seg = np.cumsum(count) - count
+            dest = np.repeat(off[rows] - seg, count) \
+                + np.arange(int(count.sum()), dtype=np.int64)
+            addrs[dest] = addr
+            slices[dest] = si
+            pens[dest] = pen
+        return {"line_off": off, "line_addr": addrs, "line_slice": slices,
+                "line_pen": pens}
+
+
+def _charon_template_columns(templates: Sequence[Tuple]
+                             ) -> Dict[str, np.ndarray]:
+    """Columns of interned Charon templates ``(kind, pool, request
+    addends, response addends, TLB (slot, penalty) pairs, first stream
+    group, second stream group, tail addend)``."""
+    nt = len(templates)
+    chain: List[float] = []
+    t_chain = np.zeros(3 * nt, dtype=np.int64)
+    groups: List[int] = []
+    t_group = np.zeros(3 * nt, dtype=np.int64)
+    tlb_slot = np.zeros(2 * nt, dtype=np.int32)
+    tlb_pen = np.zeros(2 * nt, dtype=np.float64)
+    for t, (_, _, req, resp, tlb, g0, g1, _) in enumerate(templates):
+        t_chain[3 * t] = len(chain)
+        chain += req
+        t_chain[3 * t + 1] = len(chain)
+        chain += resp
+        t_chain[3 * t + 2] = len(chain)
+        t_group[3 * t] = len(groups)
+        groups += g0
+        t_group[3 * t + 1] = len(groups)
+        groups += g1
+        t_group[3 * t + 2] = len(groups)
+        for w, (slot, pen) in enumerate(tlb):
+            tlb_slot[2 * t + w] = slot
+            tlb_pen[2 * t + w] = pen
+    return {"t_kind": np.array([t[0] for t in templates], dtype=np.int8),
+            "t_pool": np.array([t[1] for t in templates], dtype=np.int32),
+            "t_chain": t_chain,
+            "chain": np.array(chain, dtype=np.float64),
+            "t_ntlb": np.array([len(t[4]) for t in templates],
+                               dtype=np.int8),
+            "t_tlb_slot": tlb_slot, "t_tlb_pen": tlb_pen,
+            "t_group": t_group,
+            "t_stream": np.array(groups, dtype=np.int32),
+            "t_tail": np.array([t[7] for t in templates],
+                               dtype=np.float64)}
+
+
 class CharonBatchedKernel:
     """Batched offload replay for ``charon`` / ``charon-cpuside``.
 
     Stage 1 routes every event to its (cube, unit-class) pool, freezes
     the request/response packet chains into flat time addends, compiles
-    each unit execution into stream plans and bitmap line lists, and
+    each unit execution into a template (kind, TLB lookups, stream
+    groups, tail time) and per-event bitmap line lists, and
     bulk-applies every order-independent counter (offload tallies,
     packet/probe/link bytes, TLB lookup counts, unit local/remote
     bytes).  Stage 2 keeps only what is genuinely order-dependent: the
     per-unit busy clocks (least-loaded dispatch), the link/TSV and
-    TLB/bitmap-cache port horizons, and the bitmap cache's real tag/LRU
+    TLB/bitmap-cache port horizons, and the bitmap cache's tag/LRU
     state machine.
 
     Distributed charon is handled by resolving every TLB lookup and
-    bitmap-cache access to its owning slice at plan time: plans carry
-    ``(port slot, remote penalty)`` pairs (and per-line ``(address,
-    slice, penalty)`` triples) instead of assuming the single central
-    slice, and stage 2 keeps one port horizon and one tag array per
-    slice.  With one slice the arithmetic degenerates to the unified
-    fast path bit-for-bit.
+    bitmap-cache access to its owning slice at plan time: templates
+    carry ``(port slot, remote penalty)`` pairs (and lines carry
+    ``(address, slice, penalty)``) instead of assuming the single
+    central slice, and stage 2 keeps one port horizon and one tag array
+    per slice.  With one slice the arithmetic degenerates to the
+    unified case bit-for-bit.
     """
 
     name = "charon-batched"
 
     def __init__(self, platform, threads: int) -> None:
+        self.native = native.library()
         device = platform.device
         cfg = platform.config
         self.platform = platform
@@ -936,38 +1037,49 @@ class CharonBatchedKernel:
         self._tlb_uses = {}  # (unit cube, slice) -> lookup tuple
 
         self.bcs = device.bitmap_cache.slices
-        self.bc_access = [b.cache.access for b in self.bcs]
         self.bc_slots = [self.lanes.slot(b.port, False)
                          for b in self.bcs]
         self.bc_svc = 1 / self.bcs[0].port.rate
         self.bc_mem = self.bcs[0].memory_latency_s
         self.bc_enabled = self.bcs[0].enabled
         # Per-slice home cubes and the remote penalty of each (slice,
-        # remote?) pair at index ``2 * slice + remote``, one float
-        # object per pair as ``_bc_use`` shares them.
+        # remote?) pair at index ``2 * slice + remote``.
         self._bc_home = np.array([b.home_cube for b in self.bcs],
                                  dtype=np.int64)
         self._bc_pens = np.array(
             [pen for b in self.bcs for pen in (0.0, 2 * b.link_latency_s)],
-            dtype=object)
-        self._read_acc = [0] * len(self.bcs)
-        self._read_hits = [0] * len(self.bcs)
+            dtype=np.float64)
+        # Tag/dirty/LRU-stamp arrays of every slice, loaded from the
+        # real caches around each phase that touches them.
+        cache = self.bcs[0].cache
+        self._sets = cache.num_sets
+        self._ways = cache.ways
+        lines = len(self.bcs) * self._sets * self._ways
+        self._tag = np.zeros(lines, dtype=np.int64)
+        self._dirty = np.zeros(lines, dtype=np.uint8)
+        self._stamp = np.zeros(lines, dtype=np.int64)
+        self._clock = np.zeros(len(self.bcs), dtype=np.int64)
+        self._bc_stats = np.zeros(6 * len(self.bcs), dtype=np.int64)
 
-        # Unit pools, in the device's routing keys.
-        self.pools: List[List] = []
+        # Unit pools, in the device's routing keys, flattened.
         self.pool_of: Dict[Tuple[str, int], int] = {}
+        self._units: List = []
+        sizes = []
         for key, units in device.units.items():
-            self.pool_of[key] = len(self.pools)
-            self.pools.append(units)
-        self._busy = [[0.0] * len(p) for p in self.pools]
-        self._acc_cmds = [[0] * len(p) for p in self.pools]
-        self._acc_busy = [[0.0] * len(p) for p in self.pools]
+            self.pool_of[key] = len(sizes)
+            sizes.append(len(units))
+            self._units += units
+        self._pool_off = _offsets(sizes)
+        self._unit_busy = np.zeros(len(self._units))
+        self._unit_cmds = np.zeros(len(self._units), dtype=np.int64)
+        self._unit_time = np.zeros(len(self._units))
 
         # Per-(unit cube, target cube) stream paths.
         self._paths: Dict[Tuple[int, int], Tuple[List, float]] = {}
         self._plan_cache: Dict[Tuple, Tuple] = {}
 
-        # Packet chains (flat addends) per destination cube.
+        # Packet chains per destination cube, as the time addends the
+        # request (dispatch first) and the response add in order.
         hl = self.hmc.host_link
         self._req_size = cfg.charon.request_packet_bytes
         self._resp_sizes = (cfg.charon.response_packet_bytes_noval,
@@ -979,19 +1091,21 @@ class CharonBatchedKernel:
                 cross = self.hmc._link_chain(self.central, cube)
                 self._req_chain[cube] = (
                     self._req_size / hl.rate, hl.latency,
-                    tuple(self._req_size / l.rate + l.latency
-                          for l in cross))
+                    *(self._req_size / l.rate + l.latency for l in cross))
                 back = self.hmc._link_chain(cube, self.central)
                 for hv, size in ((0, self._resp_sizes[0]),
                                  (1, self._resp_sizes[1])):
                     self._resp_chain[(cube, hv)] = (
-                        tuple(size / l.rate + l.latency for l in back),
+                        *(size / l.rate + l.latency for l in back),
                         size / hl.rate, hl.latency)
         self.chunks_processed = 0
-        self._plans: List = []
-        self._prim_keys: List[Primitive] = []
-        self._prim_ids: List[int] = []
         self._bc_uses: Dict[Tuple[int, int], Tuple[int, float]] = {}
+        self._templates = _Interner()
+        self._streams = _Interner()
+        self._out = np.zeros(1)
+        self._block = None
+        self._sums = None
+        self.plan: Dict[str, np.ndarray] = {}
 
     # -- stage-1 helpers ---------------------------------------------------
 
@@ -1020,6 +1134,11 @@ class CharonBatchedKernel:
                     n / self.issue, rt)
             self._plan_cache[key] = plan
         return plan
+
+    def _stream(self, c: int, t: int, nbytes: int, chunk: int,
+                prio: bool) -> int:
+        """Stream id (in this trace's table) of one unit stream."""
+        return self._streams(self._stream_plan(c, t, nbytes, chunk, prio))
 
     def _account_stream(self, acc: Dict[int, List[int]], c: int, t: int,
                         nbytes: int, count: int = 1) -> None:
@@ -1070,14 +1189,16 @@ class CharonBatchedKernel:
             self._bc_uses[key] = use
         return use
 
-    def _entry(self, kind_key: str, u: int, has_value: int,
-               ex: Tuple) -> Tuple:
-        """The per-event plan tuple stage 2 consumes."""
+    def _template(self, kind: int, kind_key: str, u: int, has_value: int,
+                  tlb: Tuple = (), g0: Tuple = (), g1: Tuple = (),
+                  tail: float = 0.0) -> int:
+        """Template id of one unit execution on cube ``u``'s pool."""
         pool = self.pool_of[(kind_key, u)]
         if self.cpu_side:
-            return (pool, None, None, ex)
-        return (pool, self._req_chain[u],
-                self._resp_chain[(u, has_value)], ex)
+            chains = ((), ())
+        else:
+            chains = (self._req_chain[u], self._resp_chain[(u, has_value)])
+        return self._templates((kind, pool, *chains, tlb, g0, g1, tail))
 
     def begin(self, compiled: CompiledTrace) -> None:
         info = self.device._require_init()
@@ -1105,6 +1226,8 @@ class CharonBatchedKernel:
 
         self._local_bytes = 0
         self._remote_bytes = 0
+        self._templates = _Interner()
+        self._streams = _Interner()
         acc: Dict[int, List[int]] = {}
         batches: Dict[Tuple[int, int], int] = {}
         tallies = {"tlb": [0] * len(self.tlbs),
@@ -1113,7 +1236,8 @@ class CharonBatchedKernel:
                    "probes": 0}
         t_tlb = tallies["tlb"]
         t_rem = tallies["tlb_remote"]
-        plans: List = [None] * n
+        tid = np.full(n, -1, dtype=np.int32)
+        lines = _Lines(n)
 
         # Rows found along the way that stage 1 leaves to the scalar
         # planner: multi-page ranges, bitmap rows touching an unmapped
@@ -1137,7 +1261,7 @@ class CharonBatchedKernel:
             # ProtectionFault at the identical event — accounting is
             # deferred to the end of begin, so a faulting begin never
             # mutates the platform on either path.
-            self._plan_events(compiled, info, range(n), plans, acc,
+            self._plan_events(compiled, info, range(n), tid, lines, acc,
                               batches, tallies)
         else:
             zeros = np.zeros(n, dtype=np.int64)
@@ -1148,7 +1272,7 @@ class CharonBatchedKernel:
             # -- copies ----------------------------------------------
             rows = np.flatnonzero(copy_m & ~sized)
             self._plan_trivial(rows, ucube_cs[rows], "copy_search",
-                               code_copy, 0, ("T", cyc), plans, batches)
+                               code_copy, 0, cyc, tid, batches)
             rows = np.flatnonzero(copy_m & sized)
             if len(rows):
                 sz = size[rows]
@@ -1164,7 +1288,7 @@ class CharonBatchedKernel:
                     key = ((sz_a * 64 + u_a) * 64 + sc_a) * 64 + dc_a
                     _, first, inv = np.unique(key, return_index=True,
                                               return_inverse=True)
-                    table = []
+                    ids = []
                     for f0, m in zip(first.tolist(),
                                      np.bincount(inv).tolist()):
                         u0 = int(u_a[f0])
@@ -1173,14 +1297,11 @@ class CharonBatchedKernel:
                         sz0 = int(sz_a[f0])
                         use_s = self._tlb_use(u0, sc0)
                         use_d = self._tlb_use(u0, dc0)
-                        ex = ("C", ((use_s[0], use_s[1]),
-                                    (use_d[0], use_d[1])),
-                              (self._stream_plan(u0, sc0, sz0, chunk,
-                                                 False),),
-                              (self._stream_plan(u0, dc0, sz0, chunk,
-                                                 False),))
-                        table.append(self._entry("copy_search", u0, 0,
-                                                 ex))
+                        ids.append(self._template(
+                            COPY, "copy_search", u0, 0,
+                            ((use_s[0], use_s[1]), (use_d[0], use_d[1])),
+                            (self._stream(u0, sc0, sz0, chunk, False),),
+                            (self._stream(u0, dc0, sz0, chunk, False),)))
                         batches[(u0, code_copy)] = \
                             batches.get((u0, code_copy), 0) + m
                         for _, _, si, rem in (use_s, use_d):
@@ -1191,8 +1312,7 @@ class CharonBatchedKernel:
                             2 * math.ceil(sz0 / chunk) * m
                         self._account_stream(acc, u0, sc0, sz0 * m, m)
                         self._account_stream(acc, u0, dc0, sz0 * m, m)
-                    for i, j in zip(vec.tolist(), inv.tolist()):
-                        plans[i] = table[j]
+                    tid[vec] = np.asarray(ids, dtype=np.int32)[inv]
 
             # -- searches --------------------------------------------
             rows = np.flatnonzero(search_m)
@@ -1210,7 +1330,7 @@ class CharonBatchedKernel:
                     key = (ex_a * 64 + u_a) * 64 + sc_a
                     _, first, inv = np.unique(key, return_index=True,
                                               return_inverse=True)
-                    table = []
+                    ids = []
                     for f0, m in zip(first.tolist(),
                                      np.bincount(inv).tolist()):
                         u0 = int(u_a[f0])
@@ -1218,12 +1338,11 @@ class CharonBatchedKernel:
                         ex0 = int(ex_a[f0])
                         s_chunk = min(HMC_MAX_REQUEST, ex0)
                         use = self._tlb_use(u0, sc0)
-                        ex = ("S", (use[0], use[1]),
-                              (self._stream_plan(u0, sc0, ex0, s_chunk,
-                                                 False),),
-                              math.ceil(ex0 / 32) * cyc)
-                        table.append(self._entry("copy_search", u0, 1,
-                                                 ex))
+                        ids.append(self._template(
+                            SEARCH, "copy_search", u0, 1,
+                            ((use[0], use[1]),),
+                            (self._stream(u0, sc0, ex0, s_chunk, False),),
+                            (), math.ceil(ex0 / 32) * cyc))
                         batches[(u0, code_search)] = \
                             batches.get((u0, code_search), 0) + m
                         t_tlb[use[2]] += m
@@ -1232,8 +1351,7 @@ class CharonBatchedKernel:
                         tallies["probes"] += \
                             math.ceil(ex0 / s_chunk) * m
                         self._account_stream(acc, u0, sc0, ex0 * m, m)
-                    for i, j in zip(vec.tolist(), inv.tolist()):
-                        plans[i] = table[j]
+                    tid[vec] = np.asarray(ids, dtype=np.int32)[inv]
 
             # -- scans ---------------------------------------------
             if cpu_side:
@@ -1244,7 +1362,7 @@ class CharonBatchedKernel:
                 u_all = np.full(n, self.central, dtype=np.int64)
             rows = np.flatnonzero(scan_m & (refs <= 0))
             self._plan_trivial(rows, u_all[rows], "scan_push", code_scan,
-                               1, ("T", 2 * cyc), plans, batches)
+                               1, 2 * cyc, tid, batches)
             rows = np.flatnonzero(scan_m & (refs > 0))
             if len(rows):
                 r_span = int(refs[rows].max()) + 1
@@ -1254,13 +1372,12 @@ class CharonBatchedKernel:
                     rows = rows[:0]
                 # Marking scans carry per-event mark lines; the rest of
                 # their plan groups like any other scan's.
-                mark_rows = rows[:0]
-                marks: List = []
                 covered = info.heap_end - info.bitmap_covered_start
                 if marking_kind and covered > 0:
-                    mark_rows, marks = self._mark_lines(
+                    self._mark_lines(
                         rows[pushes[rows] > 0], src, pushes, u_all,
-                        covered, info.bitmap_base, tallies, leftover)
+                        covered, info.bitmap_base, tallies, leftover,
+                        lines)
                     rows = rows[~leftover[rows]]
                 if len(rows):
                     rf_a = refs[rows]
@@ -1270,7 +1387,7 @@ class CharonBatchedKernel:
                     key = ((rf_a * p_span + ps_a) * 64 + u_a) * 64 + oc_a
                     _, first, inv = np.unique(key, return_index=True,
                                               return_inverse=True)
-                    table = []
+                    ids = []
                     for f0, m in zip(first.tolist(),
                                      np.bincount(inv).tolist()):
                         u0 = int(u_a[f0])
@@ -1278,84 +1395,78 @@ class CharonBatchedKernel:
                         rf0 = int(rf_a[f0])
                         ps0 = int(ps_a[f0])
                         slot_bytes = max(CACHE_LINE, rf0 * 8)
-                        slot_plan = self._stream_plan(
-                            u0, oc0, slot_bytes, 256, True)
+                        slot_stream = self._stream(u0, oc0, slot_bytes,
+                                                   256, True)
                         self._account_stream(acc, u0, oc0,
                                              slot_bytes * m, m)
                         per_cube = [rf0 // self.ref_cubes] \
                             * self.ref_cubes
                         for extra in range(rf0 % self.ref_cubes):
                             per_cube[extra] += 1
-                        ref_plans = []
+                        ref_streams = []
                         for t, count in enumerate(per_cube):
                             if count == 0:
                                 continue
                             nb = count * CACHE_LINE
-                            ref_plans.append(self._stream_plan(
+                            ref_streams.append(self._stream(
                                 u0, t, nb, CACHE_LINE, True))
                             self._account_stream(acc, u0, t, nb * m, m)
                         use = self._tlb_use(u0, oc0)
-                        ex = ("P", (use[0], use[1]), slot_plan,
-                              tuple(ref_plans), ps0 * cyc, None)
-                        table.append(self._entry("scan_push", u0, 1, ex))
+                        ids.append(self._template(
+                            SCAN, "scan_push", u0, 1, ((use[0], use[1]),),
+                            (slot_stream,), tuple(ref_streams),
+                            ps0 * cyc))
                         batches[(u0, code_scan)] = \
                             batches.get((u0, code_scan), 0) + m
                         t_tlb[use[2]] += m
                         if use[3]:
                             t_rem[use[2]] += m
                         tallies["probes"] += rf0 * m
-                    for i, j in zip(rows.tolist(), inv.tolist()):
-                        plans[i] = table[j]
-                    for i, lines in zip(mark_rows.tolist(), marks):
-                        if lines is not None:
-                            pool, req, resp, ex = plans[i]
-                            plans[i] = (pool, req, resp,
-                                        ex[:5] + (lines,))
+                    tid[rows] = np.asarray(ids, dtype=np.int32)[inv]
 
             # -- bitmap counts ---------------------------------------
             rows = np.flatnonzero(bitmap_m)
             if len(rows):
-                self._plan_bitmap_counts(rows, ev, info, plans, batches,
-                                         tallies, leftover)
+                self._plan_bitmap_counts(rows, ev, info, tid, lines,
+                                         batches, tallies, leftover)
 
             rest = np.flatnonzero(leftover).tolist()
             if rest:
-                self._plan_events(compiled, info, rest, plans, acc,
+                self._plan_events(compiled, info, rest, tid, lines, acc,
                                   batches, tallies)
 
         self._finish_accounting(compiled, copy_m, batches, acc,
                                 tallies)
-        self._plans = plans
-        self._prim_keys, self._prim_ids = _prim_index(compiled)
+        self._freeze(compiled, tid, lines)
 
     def _plan_trivial(self, rows: np.ndarray, units: np.ndarray,
-                      kind_key: str, code: int, has_value: int, ex: Tuple,
-                      plans: List,
+                      kind_key: str, code: int, has_value: int,
+                      tail: float, tid: np.ndarray,
                       batches: Dict[Tuple[int, int], int]) -> None:
-        """Plan ``rows`` whose primitive costs the fixed ``ex`` and
-        touches no memory: one shared plan per unit cube in ``units``."""
+        """Plan ``rows`` whose primitive costs the fixed ``tail`` and
+        touches no memory: one template per unit cube in ``units``."""
         if not len(rows):
             return
         uq, inv = np.unique(units, return_inverse=True)
-        table = []
+        ids = []
         for u0, m in zip(uq.tolist(), np.bincount(inv).tolist()):
-            table.append(self._entry(kind_key, u0, has_value, ex))
+            ids.append(self._template(FIXED, kind_key, u0, has_value,
+                                      tail=tail))
             batches[(u0, code)] = batches.get((u0, code), 0) + m
-        for i, j in zip(rows.tolist(), inv.tolist()):
-            plans[i] = table[j]
+        tid[rows] = np.asarray(ids, dtype=np.int32)[inv]
 
     def _bc_lines(self, line_addr: np.ndarray, unit: np.ndarray,
                   counts: np.ndarray, t_bc: List[int]
-                  ) -> Tuple[np.ndarray, List]:
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized :meth:`_bc_use` over one block's bitmap lines.
 
         ``line_addr`` and ``unit`` (the issuing unit's cube) are per-line
         columns, ``counts`` the number of lines of each row in order.
-        Returns ``(ok, lines)``: whether each row's lines are all
-        mapped, and each such row's ``(line_addr, slice, penalty)``
-        tuple exactly as :meth:`_plan_events` builds it (``None`` for
-        the others, which the scalar planner faults on).  Mapped rows'
-        accesses are tallied into ``t_bc``.
+        Returns ``(ok, slices, penalties)``: whether each row's lines
+        are all mapped (the scalar planner faults on the others), and
+        each line's slice and remote penalty exactly as
+        :meth:`_plan_events` resolves them.  Mapped rows' accesses are
+        tallied into ``t_bc``.
         """
         cube, _, mapped = self.map.lookup_columns(line_addr)
         row = np.repeat(np.arange(len(counts)), counts)
@@ -1365,47 +1476,51 @@ class CharonBatchedKernel:
         tally = np.bincount(si[ok[row]], minlength=len(t_bc))
         for ci, accesses in enumerate(tally.tolist()):
             t_bc[ci] += accesses
-        triples = zip(line_addr.tolist(), si.tolist(), pen.tolist())
-        lines = []
-        for count, good in zip(counts.tolist(), ok.tolist()):
-            run = tuple(islice(triples, count))
-            lines.append(run if good else None)
-        return ok, lines
+        return ok, si, pen
+
+    def _add_lines(self, lines: _Lines, rows: np.ndarray,
+                   counts: np.ndarray, line_addr: np.ndarray,
+                   unit: np.ndarray, tallies: Dict) -> np.ndarray:
+        """Resolve one block's lines (``counts[k]`` of them for
+        ``rows[k]``) and add the fully mapped rows' lines to ``lines``;
+        returns which rows those are."""
+        ok, si, pen = self._bc_lines(line_addr, unit, counts,
+                                     tallies["bc_port"])
+        keep = np.repeat(ok, counts)
+        lines.add(rows[ok], counts[ok], line_addr[keep], si[keep],
+                  pen[keep])
+        return ok
 
     def _mark_lines(self, rows: np.ndarray, src: np.ndarray,
                     pushes: np.ndarray, unit: np.ndarray, covered: int,
                     bitmap_base: int, tallies: Dict,
-                    leftover: np.ndarray) -> Tuple[np.ndarray, List]:
+                    leftover: np.ndarray, lines: _Lines) -> None:
         """Mark lines of marking-phase scan ``rows`` (all with pushes).
 
         Push ``k`` of a scan at ``src`` marks the bitmap line at byte
         offset ``(hash(src) + (src & 0x3FF0) + 64 k) % covered``, the
-        scalar planner's hashed window.  Returns the rows planned here
-        and their line tuples (``None`` where a line is unmapped); rows
-        left to the scalar planner are flagged in ``leftover``.
+        scalar planner's hashed window.  Lines of fully mapped rows go
+        to ``lines``; rows left to the scalar planner (an unmapped line,
+        or a hash overflowing int64) are flagged in ``leftover``.
         """
         s_all = src[rows]
         fits = (s_all >= 0) & ((s_all >> 14) <= _HASH_LIMIT)
         leftover[rows[~fits]] = True
         rows = rows[fits]
-        marks: List = []
         for lo in range(0, len(rows), PLAN_BLOCK_ROWS):
             blk = rows[lo:lo + PLAN_BLOCK_ROWS]
             s = src[blk]
-            count = pushes[blk]
+            count = pushes[blk].astype(np.int64)
             window = ((s >> 14) * 2654435761) % covered + (s & 0x3FF0)
             first = np.cumsum(count) - count
             step = 64 * np.arange(int(count.sum()), dtype=np.int64)
             off = (np.repeat(window - 64 * first, count) + step) % covered
-            ok, lines = self._bc_lines(bitmap_base + off // 64,
-                                       np.repeat(unit[blk], count), count,
-                                       tallies["bc_port"])
+            ok = self._add_lines(lines, blk, count, bitmap_base + off // 64,
+                                 np.repeat(unit[blk], count), tallies)
             leftover[blk[~ok]] = True
-            marks += lines
-        return rows, marks
 
     def _plan_bitmap_counts(self, rows: np.ndarray, ev: np.ndarray, info,
-                            plans: List,
+                            tid: np.ndarray, lines: _Lines,
                             batches: Dict[Tuple[int, int], int],
                             tallies: Dict, leftover: np.ndarray) -> None:
         """Vectorized :meth:`_plan_events` over bitmap-count ``rows``.
@@ -1442,17 +1557,16 @@ class CharonBatchedKernel:
 
         pos = np.flatnonzero(ok & ~counting)
         self._plan_trivial(rows[pos], unit[pos], "bitmap_count", code, 1,
-                           ("T", cyc), plans, batches)
+                           cyc, tid, batches)
 
         pos = np.flatnonzero(ok & counting)
+        words = (bits + 63) // 64
         planned = np.zeros(len(rows), dtype=bool)
-        heads: Dict[int, Tuple] = {}
         bases = (info.bitmap_base, info.bitmap_base + info.bitmap_bytes)
         for lo in range(0, len(pos), PLAN_BLOCK_ROWS):
             blk = pos[lo:lo + PLAN_BLOCK_ROWS]
-            words = (bits[blk] + 63) // 64
             byte_a = byte_lo[blk]
-            byte_b = byte_a + words * WORD
+            byte_b = byte_a + words[blk] * WORD
             first = np.stack([(base + byte_a) // bc_line
                               for base in bases], axis=1).ravel()
             count = np.stack([(base + byte_b - 1) // bc_line
@@ -1462,24 +1576,26 @@ class CharonBatchedKernel:
             index = np.repeat(first - seg, count) \
                 + np.arange(int(count.sum()), dtype=np.int64)
             per_row = count[0::2] + count[1::2]
-            u_b = unit[blk]
-            good, lines = self._bc_lines(index * bc_line,
-                                         np.repeat(u_b, per_row), per_row,
-                                         tallies["bc_port"])
+            good = self._add_lines(lines, rows[blk], per_row,
+                                   index * bc_line,
+                                   np.repeat(unit[blk], per_row), tallies)
             leftover[rows[blk[~good]]] = True
             planned[blk[good]] = True
-            for i, u0, w, run in zip(rows[blk].tolist(), u_b.tolist(),
-                                     words.tolist(), lines):
-                if run is None:
-                    continue
-                head = heads.get(u0)
-                if head is None:
-                    use = self._tlb_use(u0, owner)
-                    pool, req, resp, _ = self._entry("bitmap_count", u0,
-                                                     1, None)
-                    head = heads[u0] = (pool, req, resp,
-                                        (use[0], use[1]))
-                plans[i] = head[:3] + (("B", head[3], run, w * cyc),)
+        # One template per (unit cube, words): the count's tail time.
+        done = np.flatnonzero(planned)
+        if len(done):
+            u_d = unit[done]
+            w_d = words[done]
+            _, first, inv = np.unique(u_d * (int(w_d.max()) + 1) + w_d,
+                                      return_index=True,
+                                      return_inverse=True)
+            ids = []
+            for u0, w in zip(u_d[first].tolist(), w_d[first].tolist()):
+                use = self._tlb_use(u0, owner)
+                ids.append(self._template(BITMAP, "bitmap_count", u0, 1,
+                                          ((use[0], use[1]),),
+                                          tail=w * cyc))
+            tid[rows[done]] = np.asarray(ids, dtype=np.int32)[inv]
         uq, counts = np.unique(unit[planned], return_counts=True)
         for u0, m in zip(uq.tolist(), counts.tolist()):
             batches[(u0, code)] = batches.get((u0, code), 0) + m
@@ -1488,19 +1604,21 @@ class CharonBatchedKernel:
             if remote:
                 tallies["tlb_remote"][si] += m
 
-    def _plan_events(self, compiled: CompiledTrace, info,
-                     indices, plans: List, acc: Dict[int, List[int]],
+    def _plan_events(self, compiled: CompiledTrace, info, indices,
+                     tid: np.ndarray, lines: _Lines,
+                     acc: Dict[int, List[int]],
                      batches: Dict[Tuple[int, int], int],
                      tallies: Dict[str, int]) -> None:
         """Scalar (per-event) planner — the reference implementation.
 
         Plans ``indices`` exactly as the event-by-event offload path
-        would, mutating the shared accumulators.  The vectorized stage
-        1 routes here only the rows it cannot plan in numpy: copies,
-        searches and scans whose range crosses a page, bitmap counts
-        and marking-phase scans that touch an unmapped address (or, for
-        scans, whose window hash would overflow int64) — plus the whole
-        trace when a copy, search or scan address is unmapped, so the
+        would, into the same template table and line CSR, mutating the
+        shared accumulators.  The vectorized stage 1 routes here only
+        the rows it cannot plan in numpy: copies, searches and scans
+        whose range crosses a page, bitmap counts and marking-phase
+        scans that touch an unmapped address (or, for scans, whose
+        window hash would overflow int64) — plus the whole trace when a
+        copy, search or scan address is unmapped, so the
         ProtectionFault is raised in event order.
         """
         cube_of = self.map.cube_of
@@ -1513,6 +1631,9 @@ class CharonBatchedKernel:
         t_rem = tallies["tlb_remote"]
         t_bc = tallies["bc_port"]
         bitmap_owner = None  # slice owner of the map base, lazily
+        line_rows: List[int] = []
+        line_counts: List[int] = []
+        touched: List[Tuple[int, int, float]] = []
 
         ev = compiled.events
         prim_c = ev["prim"]
@@ -1538,22 +1659,22 @@ class CharonBatchedKernel:
                     cube = cube_of(src)
                 else:
                     cube = self.central
-                key = ("scan_push", cube)
+                kind_key = "scan_push"
             elif p == code_copy or p == code_search:
                 cube = 0 if self.cpu_side else cube_of(src)
-                key = ("copy_search", cube)
+                kind_key = "copy_search"
             else:
                 bit_index = (src - info.bitmap_covered_start) // WORD
                 baddr = info.bitmap_base + bit_index // 8
                 cube = 0 if self.cpu_side else cube_of(baddr)
-                key = ("bitmap_count", cube)
-            pool = self.pool_of[key]
+                kind_key = "bitmap_count"
             unit_cube = cube  # units live on their routing cube
+            marks = None
 
             if p == code_copy:
                 size = int(size_c[i])
                 if size <= 0:
-                    ex = ("T", cyc)
+                    plan = (FIXED, (), (), (), cyc)
                     uses = ()
                 else:
                     dst = int(dst_c[i])
@@ -1564,19 +1685,18 @@ class CharonBatchedKernel:
                         unit_cube,
                         cube_of(dst) if self.distributed else 0)
                     runs = self.map.split(src, size)
-                    reads = tuple(
-                        self._stream_plan(unit_cube, t, nb, chunk,
-                                          False) for nb, t in runs)
+                    reads = tuple(self._stream(unit_cube, t, nb, chunk,
+                                               False) for nb, t in runs)
                     for nb, t in runs:
                         self._account_stream(acc, unit_cube, t, nb)
                     runs = self.map.split(dst, size)
-                    writes = tuple(
-                        self._stream_plan(unit_cube, t, nb, chunk,
-                                          False) for nb, t in runs)
+                    writes = tuple(self._stream(unit_cube, t, nb, chunk,
+                                                False) for nb, t in runs)
                     for nb, t in runs:
                         self._account_stream(acc, unit_cube, t, nb)
-                    ex = ("C", ((use_s[0], use_s[1]),
-                                (use_d[0], use_d[1])), reads, writes)
+                    plan = (COPY, ((use_s[0], use_s[1]),
+                                   (use_d[0], use_d[1])),
+                            reads, writes, 0.0)
                     uses = (use_s, use_d)
                     tallies["probes"] += 2 * math.ceil(size / chunk)
                 has_value = 0
@@ -1588,64 +1708,62 @@ class CharonBatchedKernel:
                     unit_cube,
                     cube_of(src) if self.distributed else 0)
                 runs = self.map.split(src, examined)
-                run_plans = tuple(
-                    self._stream_plan(unit_cube, t, nb, s_chunk, False)
+                searched = tuple(
+                    self._stream(unit_cube, t, nb, s_chunk, False)
                     for nb, t in runs)
                 for nb, t in runs:
                     self._account_stream(acc, unit_cube, t, nb)
-                ex = ("S", (use[0], use[1]), run_plans,
-                      math.ceil(examined / 32) * cyc)
+                plan = (SEARCH, ((use[0], use[1]),), searched, (),
+                        math.ceil(examined / 32) * cyc)
                 uses = (use,)
                 tallies["probes"] += math.ceil(examined / s_chunk)
                 has_value = 1
             elif p == code_scan:
                 refs = int(refs_c[i])
                 if refs <= 0:
-                    ex = ("T", 2 * cyc)
+                    plan = (FIXED, (), (), (), 2 * cyc)
                     uses = ()
                 else:
                     obj_cube = cube_of(src)
                     use = self._tlb_use(unit_cube, obj_cube)
                     slot_bytes = max(CACHE_LINE, refs * 8)
-                    slot_plan = self._stream_plan(
+                    slot_stream = self._stream(
                         unit_cube, obj_cube, slot_bytes, 256, True)
                     self._account_stream(acc, unit_cube, obj_cube,
                                          slot_bytes)
                     per_cube = [refs // self.ref_cubes] * self.ref_cubes
                     for extra in range(refs % self.ref_cubes):
                         per_cube[extra] += 1
-                    ref_plans = []
+                    ref_streams = []
                     for t, count in enumerate(per_cube):
                         if count == 0:
                             continue
                         nb = count * CACHE_LINE
-                        ref_plans.append(self._stream_plan(
+                        ref_streams.append(self._stream(
                             unit_cube, t, nb, CACHE_LINE, True))
                         self._account_stream(acc, unit_cube, t, nb)
                     pushes = int(pushes_c[i])
-                    marks = None
                     if marking_kind and pushes and covered > 0:
                         window_base = ((src >> 14) * 2654435761) \
                             % max(1, covered)
-                        lines = []
+                        marks = []
                         for index in range(pushes):
                             off = (window_base + (src & 0x3FF0)
                                    + index * 64) % covered
                             line_addr = info.bitmap_base + off // 64
                             ci, bpen = self._bc_use(
                                 unit_cube, cube_of(line_addr))
-                            lines.append((line_addr, ci, bpen))
+                            marks.append((line_addr, ci, bpen))
                             t_bc[ci] += 1
-                        marks = tuple(lines)
-                    ex = ("P", (use[0], use[1]), slot_plan,
-                          tuple(ref_plans), pushes * cyc, marks)
+                    plan = (SCAN, ((use[0], use[1]),), (slot_stream,),
+                            tuple(ref_streams), pushes * cyc)
                     uses = (use,)
                     tallies["probes"] += refs
                 has_value = 1
             else:  # bitmap count
                 bits = int(bits_c[i])
                 if bits <= 0:
-                    ex = ("T", cyc)
+                    plan = (FIXED, (), (), (), cyc)
                     uses = ()
                 else:
                     # The scalar unit translates the (constant) map
@@ -1658,7 +1776,7 @@ class CharonBatchedKernel:
                     bit_offset = (src - info.bitmap_covered_start) // WORD
                     byte_lo = bit_offset // 8
                     byte_hi = byte_lo + words * WORD
-                    lines = []
+                    marks = []
                     for map_base in (info.bitmap_base,
                                      info.bitmap_base
                                      + info.bitmap_bytes):
@@ -1668,10 +1786,10 @@ class CharonBatchedKernel:
                             line_addr = idx * bc_line
                             ci, bpen = self._bc_use(
                                 unit_cube, cube_of(line_addr))
-                            lines.append((line_addr, ci, bpen))
+                            marks.append((line_addr, ci, bpen))
                             t_bc[ci] += 1
-                    ex = ("B", (use[0], use[1]), tuple(lines),
-                          words * cyc)
+                    plan = (BITMAP, ((use[0], use[1]),), (), (),
+                            words * cyc)
                     uses = (use,)
                 has_value = 1
 
@@ -1680,11 +1798,20 @@ class CharonBatchedKernel:
                 if rem:
                     t_rem[si] += 1
             batches[(cube, p)] = batches.get((cube, p), 0) + 1
-            if self.cpu_side:
-                plans[i] = (pool, None, None, ex)
-            else:
-                plans[i] = (pool, self._req_chain[cube],
-                            self._resp_chain[(cube, has_value)], ex)
+            kind, tlb, g0, g1, tail = plan
+            tid[i] = self._template(kind, kind_key, cube, has_value, tlb,
+                                    g0, g1, tail)
+            if marks:
+                line_rows.append(i)
+                line_counts.append(len(marks))
+                touched += marks
+        if line_rows:
+            addrs, slices, pens = zip(*touched)
+            lines.add(np.array(line_rows, dtype=np.int64),
+                      np.array(line_counts, dtype=np.int64),
+                      np.array(addrs, dtype=np.int64),
+                      np.array(slices, dtype=np.int32),
+                      np.array(pens, dtype=np.float64))
 
     def _finish_accounting(self, compiled: CompiledTrace,
                            copy_m: np.ndarray,
@@ -1735,238 +1862,106 @@ class CharonBatchedKernel:
         for ri, (nbytes, requests) in acc.items():
             self.lanes.resources[ri].account_bulk(nbytes, requests)
 
+    def _freeze(self, compiled: CompiledTrace, tid: np.ndarray,
+                lines: _Lines) -> None:
+        """Flatten this trace's plan into :attr:`plan` (the columns
+        stage 2 reads) and the stage-2 argument block."""
+        keys, pid = _prim_index(compiled)
+        self.lanes.size()
+        self._sums = _PrimSums(keys)
+        self.plan = {"tid": tid, **lines.columns(),
+                     **_charon_template_columns(self._templates.items),
+                     **_stream_columns(self._streams.items)}
+        self._block = native.Block(native.CHARON_FIELDS, {
+            "threads": self.threads, "pid": pid, **self.plan,
+            "dispatch": self.dispatch, "tlb_svc": self.tlb_svc,
+            "access_lat": self.access_lat, "bc_svc": self.bc_svc,
+            "bc_mem": self.bc_mem, "bc_enabled": int(self.bc_enabled),
+            "bc_slot": np.array(self.bc_slots, dtype=np.int32),
+            "pool_off": self._pool_off, "unit_busy": self._unit_busy,
+            "unit_cmds": self._unit_cmds, "unit_time": self._unit_time,
+            "sets": self._sets, "ways": self._ways,
+            "line_bytes": self.bcs[0].line_bytes, "tag": self._tag,
+            "dirty": self._dirty, "stamp": self._stamp,
+            "clock": self._clock, "bc_stats": self._bc_stats,
+            "H": self.lanes.H, "sums": self._sums.sums,
+            "present": self._sums.present})
+
     # -- stage 2 -----------------------------------------------------------
 
     def run_phase(self, lo: int, hi: int, start: float,
                   prim_seconds: Dict[Primitive, float]
                   ) -> Tuple[float, float]:
-        lanes = self.lanes
-        lanes.sync_in()
-        self._sync_units_in()
-        H = lanes.H
-        plans = self._plans
-        pids = self._prim_ids
-        keys = self._prim_keys
-        sums = [prim_seconds.get(key) for key in keys]
-        pools_busy = self._busy
-        acc_cmds = self._acc_cmds
-        acc_busy = self._acc_busy
-        dispatch = self.dispatch
-        tlb_svc = self.tlb_svc
-        bc_slots = self.bc_slots
-        bc_svc = self.bc_svc
-        bc_mem = self.bc_mem
-        bc_enabled = self.bc_enabled
-        bc_access = self.bc_access
-        access_lat = self.access_lat
-        n_bc = len(bc_slots)
-        read_acc = [0] * n_bc
-        read_hits = [0] * n_bc
-
-        def run_stream(now: float, plan) -> float:
-            slots, svcs, a, b, i1, i2 = plan
-            f = now
-            for sl, svc in zip(slots, svcs):
-                s = H[sl]
-                if s < now:
-                    s = now
-                e = s + svc
-                H[sl] = e
-                if e > f:
-                    f = e
-            fl = (now + a) + b
-            if fl > f:
-                f = fl
-            fi = (now + i1) + i2
-            if fi > f:
-                f = fi
-            return f
-
-        heap = [(start, index) for index in range(self.threads)]
-        heapify(heap)
-        for chunk_lo in range(lo, hi, CHUNK_EVENTS):
-            chunk_hi = min(hi, chunk_lo + CHUNK_EVENTS)
-            self.chunks_processed += 1
-            for i in range(chunk_lo, chunk_hi):
-                now, index = heappop(heap)
-                pool, req, resp, ex = plans[i]
-                t0 = now + dispatch
-                if req is None:
-                    arrival = t0
-                else:
-                    arrival = (t0 + req[0]) + req[1]
-                    for add in req[2]:
-                        arrival += add
-                busy = pools_busy[pool]
-                u = 0
-                best = busy[0]
-                for k in range(1, len(busy)):
-                    if busy[k] < best:
-                        best = busy[k]
-                        u = k
-                s0 = arrival if arrival > best else best
-
-                kind = ex[0]
-                if kind == "T":
-                    finish = s0 + ex[1]
-                    release = finish
-                elif kind == "C":
-                    f = s0
-                    for sl, pen in ex[1]:
-                        t = H[sl]
-                        if t < s0:
-                            t = s0
-                        d = t + tlb_svc
-                        H[sl] = d
-                        d += pen
-                        if d > f:
-                            f = d
-                    read_f = f
-                    for plan in ex[2]:
-                        r = run_stream(f, plan)
-                        if r > read_f:
-                            read_f = r
-                    first = f + access_lat
-                    write_f = first
-                    for plan in ex[3]:
-                        w = run_stream(first, plan)
-                        if w > write_f:
-                            write_f = w
-                    release = read_f
-                    finish = read_f if read_f > write_f else write_f
-                elif kind == "S":
-                    sl, pen = ex[1]
-                    t = H[sl]
-                    if t < s0:
-                        t = s0
-                    d = t + tlb_svc
-                    H[sl] = d
-                    f = d + pen
-                    for plan in ex[2]:
-                        r = run_stream(f, plan)
-                        if r > f:
-                            f = r
-                    finish = f + ex[3]
-                    release = finish
-                elif kind == "P":
-                    sl, pen = ex[1]
-                    t = H[sl]
-                    if t < s0:
-                        t = s0
-                    d = t + tlb_svc
-                    H[sl] = d
-                    f = d + pen
-                    f = run_stream(f, ex[2])
-                    lf = f
-                    for plan in ex[3]:
-                        r = run_stream(f, plan)
-                        if r > lf:
-                            lf = r
-                    f = lf + ex[4]
-                    marks = ex[5]
-                    if marks is not None:
-                        for line, ci, bc_pen in marks:
-                            hit = (bc_access[ci](line, True)
-                                   if bc_enabled else False)
-                            sl = bc_slots[ci]
-                            t = H[sl]
-                            if t < f:
-                                t = f
-                            d = t + bc_svc
-                            H[sl] = d
-                            if not hit:
-                                d += bc_mem
-                                if not bc_enabled:
-                                    d += bc_mem
-                            d += bc_pen
-                            if d > f:
-                                f = d
-                    finish = f
-                    release = finish
-                else:  # "B"
-                    sl, pen = ex[1]
-                    t = H[sl]
-                    if t < s0:
-                        t = s0
-                    d = t + tlb_svc
-                    H[sl] = d
-                    f = d + pen
-                    last = f
-                    for line, ci, bc_pen in ex[2]:
-                        hit = (bc_access[ci](line, False)
-                               if bc_enabled else False)
-                        read_acc[ci] += 1
-                        if hit:
-                            read_hits[ci] += 1
-                        sl = bc_slots[ci]
-                        t = H[sl]
-                        if t < f:
-                            t = f
-                        d = t + bc_svc
-                        H[sl] = d
-                        if not hit:
-                            d += bc_mem
-                        d += bc_pen
-                        if d > last:
-                            last = d
-                    finish = last + ex[3]
-                    release = finish
-
-                busy[u] = release
-                acc_cmds[pool][u] += 1
-                acc_busy[pool][u] += release - s0
-
-                if resp is None:
-                    r = finish
-                else:
-                    r = finish
-                    for add in resp[0]:
-                        r += add
-                    r = (r + resp[1]) + resp[2]
-                duration = r - now
-                pid = pids[i]
-                prev = sums[pid]
-                sums[pid] = (duration if prev is None
-                             else prev + duration)
-                heappush(heap, (r, index))
-
-        for key, value in zip(keys, sums):
-            if value is not None:
-                prim_seconds[key] = value
-        for ci in range(n_bc):
-            self._read_acc[ci] += read_acc[ci]
-            self._read_hits[ci] += read_hits[ci]
-        barrier = max(clock for clock, _ in heap)
-        lanes.sync_out()
-        self._sync_units_out()
-        return barrier, (hi - lo) * dispatch
+        self.chunks_processed += _chunks(lo, hi, len(self.plan["tid"]))
+        line_off = self.plan["line_off"]
+        bitmap = bool(line_off[hi] > line_off[lo])
+        self.lanes.sync_in()
+        self._unit_busy[:] = [unit.busy_until for unit in self._units]
+        if bitmap and self.bc_enabled:
+            self._caches_in()
+        self._sums.load(prim_seconds)
+        if self.native.charon_phase(self._block.address, lo, hi, start,
+                                    self._out.ctypes.data):
+            raise MemoryError("stage-2 thread heap allocation failed")
+        self._sums.store(prim_seconds)
+        if bitmap:
+            self._caches_out()
+        self.lanes.sync_out()
+        self._units_out()
+        return float(self._out[0]), (hi - lo) * self.dispatch
 
     # -- state synchronisation ---------------------------------------------
 
-    def _sync_units_in(self) -> None:
-        for pool, units in enumerate(self.pools):
-            busy = self._busy[pool]
-            for k, unit in enumerate(units):
-                busy[k] = unit.busy_until
+    def _units_out(self) -> None:
+        for unit, busy, cmds, seconds in zip(
+                self._units, self._unit_busy.tolist(),
+                self._unit_cmds.tolist(), self._unit_time.tolist()):
+            unit.busy_until = busy
+            if cmds:
+                unit.commands += cmds
+                unit.busy_time += seconds
+        self._unit_cmds[:] = 0
+        self._unit_time[:] = 0.0
 
-    def _sync_units_out(self) -> None:
-        for pool, units in enumerate(self.pools):
-            busy = self._busy[pool]
-            cmds = self._acc_cmds[pool]
-            times = self._acc_busy[pool]
-            for k, unit in enumerate(units):
-                unit.busy_until = busy[k]
-                if cmds[k]:
-                    unit.commands += cmds[k]
-                    unit.busy_time += times[k]
-                    cmds[k] = 0
-                    times[k] = 0.0
-        for ci, accesses in enumerate(self._read_acc):
-            if accesses:
-                self.bcs[ci].record_reads(accesses,
-                                          self._read_hits[ci])
-                self._read_acc[ci] = 0
-                self._read_hits[ci] = 0
+    def _caches_in(self) -> None:
+        """Load every slice's tags into the stage-2 arrays: a set's
+        lines take stamps ``1..k`` from least to most recently used."""
+        ways = self._ways
+        tag, dirty, stamp = self._tag, self._dirty, self._stamp
+        stamp[:] = 0
+        for ci, bc in enumerate(self.bcs):
+            base = ci * self._sets
+            for s, lines in enumerate(bc.cache.lru_state()):
+                w0 = (base + s) * ways
+                for w, (line_tag, line_dirty) in enumerate(lines):
+                    tag[w0 + w] = line_tag
+                    dirty[w0 + w] = line_dirty
+                    stamp[w0 + w] = w + 1
+        self._clock[:] = ways
+
+    def _caches_out(self) -> None:
+        """Write the tags back (LRU order = stamp order) and fold the
+        phase's counters into each slice."""
+        stats = self._bc_stats.reshape(len(self.bcs), 6).tolist()
+        if self.bc_enabled:
+            ways = self._ways
+            rows = zip(self._stamp.reshape(-1, ways).tolist(),
+                       self._tag.reshape(-1, ways).tolist(),
+                       self._dirty.reshape(-1, ways).tolist())
+            for bc, counts in zip(self.bcs, stats):
+                state = []
+                for _ in range(self._sets):
+                    stamps, tags, dirty = next(rows)
+                    state.append([(t, bool(d)) for stamp, t, d in
+                                  sorted(zip(stamps, tags, dirty))
+                                  if stamp])
+                bc.cache.set_lru_state(state)
+                for name, value in zip(_BC_STATS, counts):
+                    setattr(bc.cache, name, getattr(bc.cache, name) + value)
+        for bc, counts in zip(self.bcs, stats):
+            if counts[4]:
+                bc.record_reads(counts[4], counts[5])
+        self._bc_stats[:] = 0
 
 
 def kernel_for(platform, threads: int):

@@ -2,8 +2,12 @@
 
 :meth:`CharonBatchedKernel.begin` plans rows in numpy, and
 :meth:`CharonBatchedKernel._plan_events` is the per-event reference
-planner.  On fresh kernels both must build the same plan tuples, the
-same accumulators (stream bytes, offload batches, TLB/bitmap-cache/probe
+planner.  Both intern into the same flat layout — a template table,
+per-event template ids, a stream table and a per-event CSR of
+bitmap-cache lines.  On fresh kernels both must build the same flat
+columns (compared after renumbering templates and streams by first
+use, since the planners intern in different orders), the same
+accumulators (stream bytes, offload batches, TLB/bitmap-cache/probe
 tallies) and leave the device with the same counters, for every golden
 trace kind on every Charon organisation.  The golden replay matrix only
 sees the timing these plans produce; this suite pins the plans
@@ -18,7 +22,9 @@ from repro.errors import ProtectionFault
 from repro.gcalgo.columnar import (CompiledTrace, PRIMITIVE_TYPE_CODES,
                                    compile_traces)
 from repro.gcalgo.trace import Primitive
-from repro.platform.batched import _HASH_LIMIT, kernel_for
+from repro.platform.batched import (BITMAP, SCAN, _HASH_LIMIT, _Interner,
+                                    _Lines, _charon_template_columns,
+                                    _stream_columns, kernel_for)
 
 from tests.conftest import platform_for
 
@@ -59,9 +65,51 @@ def fresh_kernel(platform_name, threads):
     return platform, kernel
 
 
+def flat(kernel):
+    """The kernel's flat plan columns in canonical numbering: templates
+    in order of first use by an event, streams in order of first
+    reference by those templates."""
+    plan = kernel.plan
+    tid = plan["tid"]
+    assert (tid >= 0).all(), "an event was left unplanned"
+    used, first = np.unique(tid, return_index=True)
+    order = used[np.argsort(first)]
+    rank = np.zeros(len(kernel._templates.items), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    stream_rank = {}
+    templates = []
+    for t in order.tolist():
+        kind, pool, req, resp, tlb, g0, g1, tail = \
+            kernel._templates.items[t]
+        g0, g1 = (tuple(stream_rank.setdefault(s, len(stream_rank))
+                        for s in group) for group in (g0, g1))
+        templates.append((kind, pool, req, resp, tlb, g0, g1, tail))
+    streams = sorted(stream_rank, key=stream_rank.get)
+    return {"tid": rank[tid],
+            **{name: plan[name] for name in
+               ("line_off", "line_addr", "line_slice", "line_pen")},
+            **_charon_template_columns(templates),
+            **_stream_columns([kernel._streams.items[s]
+                               for s in streams])}
+
+
+def same_columns(got, want):
+    """Whether two flat plans have the same columns, each equal in
+    dtype and content."""
+    return got.keys() == want.keys() and all(
+        got[name].dtype == want[name].dtype
+        and np.array_equal(got[name], want[name]) for name in got)
+
+
+def same_plan(got, want):
+    """Whether two ``(columns, acc, batches, tallies)`` results agree."""
+    return same_columns(got[0], want[0]) and got[1:] == want[1:]
+
+
 def vectorized(kernel, compiled, spy=None):
-    """Run ``begin``; returns ``(plans, acc, batches, tallies)`` as it
-    handed them to ``_finish_accounting``."""
+    """Run ``begin``; returns ``(columns, acc, batches, tallies)``, the
+    canonical flat plan and the accumulators as ``begin`` handed them
+    to ``_finish_accounting``."""
     seen = {}
     finish = kernel._finish_accounting
 
@@ -80,29 +128,39 @@ def vectorized(kernel, compiled, spy=None):
 
         kernel._plan_events = spying
     kernel.begin(compiled)
-    return kernel._plans, seen["acc"], seen["batches"], seen["tallies"]
+    return flat(kernel), seen["acc"], seen["batches"], seen["tallies"]
 
 
 def scalar(kernel, compiled):
     """Plan every row through ``_plan_events`` and apply the accounting
-    exactly as ``begin`` does."""
+    and the flattening exactly as ``begin`` does."""
     info = kernel.device._require_init()
     kernel.map.refresh()
     n = len(compiled.events)
     kernel._local_bytes = 0
     kernel._remote_bytes = 0
-    plans = [None] * n
+    kernel._templates = _Interner()
+    kernel._streams = _Interner()
+    tid = np.full(n, -1, dtype=np.int32)
+    lines = _Lines(n)
     acc, batches = {}, {}
     tallies = {"tlb": [0] * len(kernel.tlbs),
                "tlb_remote": [0] * len(kernel.tlbs),
                "bc_port": [0] * len(kernel.bcs),
                "probes": 0}
-    kernel._plan_events(compiled, info, range(n), plans, acc, batches,
-                        tallies)
+    kernel._plan_events(compiled, info, range(n), tid, lines, acc,
+                        batches, tallies)
     kernel._finish_accounting(compiled,
                               compiled.derived_columns()["is_copy"],
                               batches, acc, tallies)
-    return plans, acc, batches, tallies
+    kernel._freeze(compiled, tid, lines)
+    return flat(kernel), acc, batches, tallies
+
+
+def line_counts(columns, kind):
+    """Bitmap lines per event of template kind ``kind``."""
+    per_event = np.diff(columns["line_off"])
+    return per_event[columns["t_kind"][columns["tid"]] == kind]
 
 
 def counters(platform):
@@ -172,7 +230,7 @@ class TestPlansMatchScalarPlanner:
             spy = []
             got = vectorized(fast, compiled, spy)
             want = scalar(slow, compiled)
-            assert got[0] == want[0], "plans differ"
+            assert same_columns(got[0], want[0]), "plans differ"
             assert got[1] == want[1], "stream accounting differs"
             assert got[2] == want[2], "offload batches differ"
             assert got[3] == want[3], "tallies differ"
@@ -188,19 +246,17 @@ class TestPlansMatchScalarPlanner:
         """The golden traces exercise both vectorized row kinds with
         multi-line plans, on more than one bitmap-cache slice."""
         _, kernel = fresh_kernel("charon-distributed", 8)
-        lines = {"B": 0, "P": 0}
+        lines = {BITMAP: 0, SCAN: 0}
         slices = set()
         for kind in MARKING_KINDS:
             for compiled in traces[kind]:
-                plans, _, _, _ = vectorized(kernel, compiled)
-                for plan in plans:
-                    ex = plan[3]
-                    found = (ex[2] if ex[0] == "B" else
-                             ex[5] if ex[0] == "P" else None)
-                    if found:
-                        lines[ex[0]] = max(lines[ex[0]], len(found))
-                        slices.update(ci for _, ci, _ in found)
-        assert lines["B"] > 2 and lines["P"] >= 1
+                columns, _, _, _ = vectorized(kernel, compiled)
+                for found in lines:
+                    counts = line_counts(columns, found)
+                    if len(counts):
+                        lines[found] = max(lines[found], counts.max())
+                slices.update(columns["line_slice"].tolist())
+        assert lines[BITMAP] > 2 and lines[SCAN] >= 1
         assert len(slices) > 1
 
     @pytest.mark.parametrize("platform_name", PLATFORMS)
@@ -216,11 +272,10 @@ class TestPlansMatchScalarPlanner:
         slow_platform, slow = fresh_kernel(platform_name, 8)
         spy = []
         got = vectorized(fast, wide, spy)
-        assert got == scalar(slow, wide)
+        assert same_plan(got, scalar(slow, wide))
         assert counters(fast_platform) == counters(slow_platform)
         assert not (ev["prim"][spy] == CODE_SCAN).any()
-        assert max(len(plan[3][5]) for plan in got[0]
-                   if plan[3][0] == "P") > 200
+        assert line_counts(got[0], SCAN).max() > 200
 
 
 def unmap(kernel, platforms, addr):
@@ -251,7 +306,7 @@ def same_outcome(fast_platform, fast, slow_platform, slow, compiled):
         assert counters(fast_platform) == before
         assert str(fast_fault.value) == str(slow_fault)
         return False
-    assert vectorized(fast, compiled) == want
+    assert same_plan(vectorized(fast, compiled), want)
     assert counters(fast_platform) == counters(slow_platform)
     return True
 
@@ -342,7 +397,7 @@ class TestFaultsAndOverflow:
             spy = []
             got = vectorized(fast, big, spy)
             assert spy == [row]
-            assert got == scalar(slow, big)
+            assert same_plan(got, scalar(slow, big))
             assert counters(fast_platform) == counters(slow_platform)
         else:
             before = counters(fast_platform)
@@ -364,5 +419,5 @@ def test_block_boundaries_do_not_change_plans(traces, monkeypatch):
     expected = vectorized(whole, compiled)
     monkeypatch.setattr(batched, "PLAN_BLOCK_ROWS", 3)
     _, blocked = fresh_kernel("charon-distributed", 8)
-    assert vectorized(blocked, compiled) == expected
+    assert same_plan(vectorized(blocked, compiled), expected)
 

@@ -8,6 +8,7 @@ a sweep killed mid-flight resumes byte-identically, re-executing only
 the shards that never finished.
 """
 
+import errno
 import multiprocessing
 import os
 import signal
@@ -173,6 +174,43 @@ class TestShardJournal:
         # once across the pool (the tally is fork-shared)
         assert stats["runs"] == len(PLATFORMS)
         assert stats["stores"] == len(PLATFORMS)
+
+    def test_full_journal_claims_compute_unclaimed(self, tmp_path,
+                                                   monkeypatch):
+        """ENOSPC creating claim files costs the work-stealing
+        arbitration, not the sweep: the grid equals the unfaulted one,
+        every shard still runs and persists, and each failed claim
+        emits a ``fallback`` event naming the journal."""
+        platforms, workloads = ["ideal", "charon"], ["spark-km"]
+        expected = replay_grid(platforms, workloads, processes=1)
+        clear_cache()
+        real_open = os.open
+
+        def full_disk_open(path, flags, *args, **kwargs):
+            if str(path).endswith(".claim"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
+                              str(path))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", full_disk_open)
+        journal = tmp_path / "journal"
+        log = eventlog.get_eventlog()
+        log.open(tmp_path / "events.jsonl")
+        try:
+            with pytest.warns(UserWarning, match="No space left"):
+                grid = replay_grid(platforms, workloads, processes=1,
+                                   journal=journal)
+        finally:
+            log.close()
+        grids_equal(expected, grid)
+        assert shard_journal.STATS["runs"] == len(platforms)
+        assert len(list(journal.glob("*.shard.json"))) == len(platforms)
+        fallbacks = [record for record
+                     in eventlog.read_events(tmp_path / "events.jsonl")
+                     if record["event"] == "fallback"]
+        assert fallbacks
+        assert {record["journal"] for record in fallbacks} \
+            == {str(journal)}
 
     def test_journal_env_variable_is_honored(self, tmp_path,
                                              monkeypatch):
