@@ -20,16 +20,24 @@ demotion to scalar kernels, or any collector run that took the scalar
 path outright (``heap.kernel_calls`` with ``kernel=scalar``) while the
 default ``fast`` mode was in effect.
 
+Before any of that it reads the production modules
+(``src/repro/experiments/*.py``) as text and fails if one names the
+event-by-event ``TraceReplayer`` or calls ``.to_trace(``: the figures,
+tables and sweeps replay the columnar traces a run already holds, and
+per-event objects are for the oracle, the fuzzer and the codec only.
+
 This pins the kernel matrix: every platform x thread cell must select
-a replay kernel, and every collector run must stay on the fast heap
-kernels — a quiet demotion to a scalar path keeps results correct,
-just slow, and nothing else would notice.  Exit status 0 on success.
+a replay kernel, every collector run must stay on the fast heap
+kernels, and no production path decompiles — a quiet demotion to a
+slow path keeps results correct, just slow, and nothing else would
+notice.  Exit status 0 on success.
 Used by the CI ``fast-path-coverage`` job; runnable locally with
 ``python scripts/check_fast_path_coverage.py``.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from pathlib import Path
 
@@ -40,6 +48,23 @@ sys.path.insert(0, str(REPO))
 PLATFORMS = ("ideal", "cpu-ddr4", "cpu-hmc", "charon",
              "charon-cpuside", "charon-distributed")
 THREADS = (1, 2, 4, 8)
+
+#: What a production module must not contain: the event-by-event
+#: replayer (``FastTraceReplayer`` is fine) or a decompile call.
+EVENT_PATH = re.compile(r"\bTraceReplayer\b|\.to_trace\(")
+
+
+def event_path_references() -> list:
+    """``path:line: text`` for every EVENT_PATH match under
+    ``src/repro/experiments``."""
+    found = []
+    for path in sorted((REPO / "src/repro/experiments").glob("*.py")):
+        for number, line in enumerate(
+                path.read_text().splitlines(), 1):
+            if EVENT_PATH.search(line):
+                found.append(f"{path.relative_to(REPO)}:{number}: "
+                             f"{line.strip()}")
+    return found
 
 
 def main() -> int:
@@ -61,7 +86,10 @@ def main() -> int:
     }
     compiled_sets = {name: compile_traces(traces)
                      for name, traces in trace_sets.items()}
-    failures = []
+    failures = [f"production module uses the event path: {found}"
+                for found in event_path_references()]
+    if not failures:
+        print("production modules: no TraceReplayer, no .to_trace(")
 
     try:
         native.library()

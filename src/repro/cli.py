@@ -36,8 +36,8 @@ from typing import List, Optional
 from repro.config import REPLAY_MODES, default_config
 from repro.experiments import ablations, figures, tables
 from repro.experiments.report import render_table
-from repro.experiments.runner import (collect_run, replay_grid,
-                                      replay_platform)
+from repro.experiments.runner import (collect_run, compiled_run_traces,
+                                      replay_grid, replay_platform)
 from repro.gcalgo.trace import Primitive
 from repro.gcalgo.trace_io import load_traces, save_traces
 from repro.obs import provenance
@@ -408,21 +408,20 @@ def _cmd_cache(args) -> str:
 def _cmd_report(args) -> str:
     from repro.core.report import full_report
     from repro.heap.heap import JavaHeap
-    from repro.platform import TraceReplayer
+    from repro.platform import FastTraceReplayer
     from repro.workloads.base import workload_klasses
     from repro.experiments.runner import workload_config
 
-    run = collect_run(args.workload)
     config = workload_config(args.workload)
     heap = JavaHeap(config.heap, klasses=workload_klasses())
     platform = build_platform("charon", config, heap)
-    TraceReplayer(platform).replay_all(run.traces)
+    FastTraceReplayer(platform).replay_all(
+        compiled_run_traces(args.workload))
     return full_report(platform.device)
 
 
 def _cmd_stats(args) -> str:
     from repro.experiments.runner import workload_config
-    from repro.gcalgo.columnar import compile_traces
     from repro.heap.heap import JavaHeap
     from repro.obs.adapters import (cache_metrics, device_metrics,
                                     heap_kernel_metrics, hmc_metrics,
@@ -430,18 +429,15 @@ def _cmd_stats(args) -> str:
                                     timing_metrics)
     from repro.obs.export import metrics_csv, metrics_snapshot
     from repro.obs.metrics import MetricsRegistry
-    from repro.platform import FastTraceReplayer, make_replayer
+    from repro.platform import FastTraceReplayer
     from repro.workloads.base import workload_klasses
 
     heap_bytes = args.heap_mb * (1 << 20) if args.heap_mb else None
-    run = collect_run(args.workload, heap_bytes=heap_bytes)
     config = workload_config(args.workload, heap_bytes)
     heap = JavaHeap(config.heap, klasses=workload_klasses())
     platform = build_platform(args.platform, config, heap)
-    replayer = make_replayer(platform, threads=args.threads)
-    feed = (compile_traces(run.traces)
-            if isinstance(replayer, FastTraceReplayer) else run.traces)
-    result = replayer.replay_all(feed)
+    result = FastTraceReplayer(platform, threads=args.threads).replay_all(
+        compiled_run_traces(args.workload, heap_bytes))
 
     registry = MetricsRegistry()
     timing_metrics(registry, result, workload=args.workload)

@@ -490,7 +490,6 @@ HEAP_BACKEND_ENV = "REPRO_HEAP_BACKEND"        #: ram | mmap
 SHARD_JOURNAL_ENV = "REPRO_SHARD_JOURNAL"      #: sweep-shard directory
 METRICS_PORT_ENV = "REPRO_METRICS_PORT"        #: live /metrics endpoint
 EVENTLOG_ENV = "REPRO_EVENTLOG"                #: JSONL run-event log
-EVENTLOG_MAX_BYTES_ENV = "REPRO_EVENTLOG_MAX_BYTES"  #: rotation size
 
 #: ``repro replay --mode`` / :func:`repro.platform.make_replayer`:
 #: ``fast`` (kernel-driven, the default) or ``event`` (the
@@ -514,17 +513,6 @@ DEFAULT_TRACE_CHUNK_EVENTS = 65536
 #: paper-scale sweep (a record is ~150 bytes) while bounding what a
 #: runaway run can leave behind.
 DEFAULT_EVENTLOG_MAX_BYTES = 16 * MB
-
-
-def default_eventlog_max_bytes() -> int:
-    """The environment-selected event-log rotation threshold."""
-    raw = os.environ.get(EVENTLOG_MAX_BYTES_ENV)
-    limit = int(raw) if raw else DEFAULT_EVENTLOG_MAX_BYTES
-    if limit < 1024:
-        raise ConfigError(
-            f"{EVENTLOG_MAX_BYTES_ENV} must be at least 1024 bytes, "
-            f"got {limit}")
-    return limit
 
 
 def default_heap_backend() -> str:

@@ -11,12 +11,12 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.config import WORKLOADS_ENV
-from repro.experiments.runner import (collect_run, find_min_heap,
-                                      replay_grid, replay_platform,
-                                      workload_config)
+from repro.experiments.runner import (collect_run, compiled_run_traces,
+                                      find_min_heap, replay_grid,
+                                      replay_platform, workload_config)
 from repro.gcalgo.trace import Primitive
 from repro.heap.heap import JavaHeap
-from repro.platform import TraceReplayer, build_platform
+from repro.platform import FastTraceReplayer, build_platform
 from repro.units import align_up, geomean
 from repro.workloads.base import workload_klasses
 from repro.workloads.registry import TABLE3_WORKLOADS, WORKLOAD_ABBREV
@@ -82,15 +82,15 @@ def figure4(workloads: Optional[Iterable[str]] = None
     """Share of each operation in MinorGC/MajorGC time (cpu-ddr4)."""
     rows = []
     for name in _names(workloads):
-        run = collect_run(name)
+        compiled = compiled_run_traces(name)
         config = workload_config(name)
-        for kind, traces in (("minor", run.minor_traces),
-                             ("major", run.major_traces)):
+        for kind in ("minor", "major"):
+            traces = [trace for trace in compiled if trace.kind == kind]
             if not traces:
                 continue
             heap = JavaHeap(config.heap, klasses=workload_klasses())
             platform = build_platform("cpu-ddr4", config, heap)
-            result = TraceReplayer(platform).replay_all(traces)
+            result = FastTraceReplayer(platform).replay_all(traces)
             total = (result.offloadable_seconds
                      + result.residual_seconds)
             if total <= 0:

@@ -7,9 +7,11 @@ pipeline:
   persisted through the content-addressed
   :mod:`~repro.experiments.trace_cache`, so a warmed cache directory
   lets a whole benchmark session replay without executing a collector;
-* each run's traces are compiled once to columnar form
-  (``_COMPILED_CACHE``), and :func:`replay_platform` replays them
-  through :class:`~repro.platform.fast_replay.FastTraceReplayer`;
+* a run's columnar traces (``run.compiled``: read from the entry on
+  a hit, compiled once after a capture) are its one in-memory form,
+  and :func:`replay_platform` replays them through
+  :class:`~repro.platform.fast_replay.FastTraceReplayer` — a sweep
+  never decompiles them to per-event objects;
 * :func:`replay_grid` fans the platform x workload grid out over a
   fork pool made per call (:func:`_fan_out`, the one place worker
   processes are created) with a deterministic merge.  With a shard
@@ -33,7 +35,7 @@ from repro.config import (SystemConfig, default_config,
                           default_replay_jobs)
 from repro.errors import ConfigError, OutOfMemoryError
 from repro.experiments import progress, shard_journal, trace_cache
-from repro.gcalgo.columnar import CompiledTrace, compile_traces
+from repro.gcalgo.columnar import CompiledTrace
 from repro.heap.heap import JavaHeap
 from repro.obs import provenance
 from repro.obs.adapters import timing_metrics
@@ -48,7 +50,6 @@ from repro.workloads.base import workload_klasses
 from repro.workloads.mutator import WorkloadRun
 
 _RUN_CACHE: Dict[Tuple[str, int], WorkloadRun] = {}
-_COMPILED_CACHE: Dict[Tuple[str, int], List[CompiledTrace]] = {}
 _REPLAY_CACHE: Dict[tuple, GCTimingResult] = {}
 
 
@@ -92,15 +93,13 @@ def collect_run(name: str,
 
         with get_tracer().span("collect-run", cat="runner",
                                workload=name):
-            run, compiled = trace_cache.fetch_run(name, config, produce)
+            run = trace_cache.fetch_run(name, config, produce)
         provenance.record_run(
             workload=name, heap_bytes=resolved,
             config_hash=trace_cache.run_cache_key(name, config),
             cache="generated" if generated else "hit",
             host_seconds=time.perf_counter() - started)
         _RUN_CACHE[key] = run
-        if compiled is not None:
-            _COMPILED_CACHE[key] = compiled
     return _RUN_CACHE[key]
 
 
@@ -108,20 +107,11 @@ def compiled_run_traces(name: str,
                         heap_bytes: Optional[int] = None
                         ) -> List[CompiledTrace]:
     """A workload run's traces in columnar form (compiled once)."""
-    resolved = heap_bytes or default_heap_bytes(name)
-    key = (name, resolved)
-    if key not in _COMPILED_CACHE:
-        run = collect_run(name, resolved)
-        # collect_run fills it whenever the trace cache is on (from the
-        # entry on a hit, from the store's compile on a miss).
-        if key not in _COMPILED_CACHE:
-            _COMPILED_CACHE[key] = compile_traces(run.traces)
-    return _COMPILED_CACHE[key]
+    return collect_run(name, heap_bytes).compiled
 
 
 def clear_cache() -> None:
     _RUN_CACHE.clear()
-    _COMPILED_CACHE.clear()
     _REPLAY_CACHE.clear()
 
 
@@ -156,10 +146,9 @@ def replay_platform(platform_name: str, name: str,
 
     Results are memoised on the parameters that affect timing (platform,
     heap, thread count, Charon organisation/unit counts).  The compiled
-    columnar traces replay through the platform's kernel; the
-    WorkloadRun itself is never needed, so a process whose
-    ``_COMPILED_CACHE`` was primed (from the trace cache, or inherited
-    across the pool's fork) replays without capturing.
+    columnar traces replay through the platform's kernel, so a process
+    whose run memo was primed (from the trace cache, or inherited across
+    the pool's fork) replays without capturing or decompiling.
     """
     resolved_config = config or workload_config(name, heap_bytes)
     key = _replay_key(platform_name, name, resolved_config, threads)
@@ -274,7 +263,6 @@ def replay_grid(platform_names: Iterable[str],
     jobs = [(platform, name, heap_bytes, threads)
             for name in workload_names for platform in platform_names]
     for name in workload_names:
-        collect_run(name, heap_bytes)
         compiled_run_traces(name, heap_bytes)
     journal_path = shard_journal.journal_dir(journal)
     if journal_path is not None:

@@ -10,7 +10,7 @@ from repro.core.area_power import (CHARON_AVG_POWER_W, CHARON_TOTAL_AREA_MM2,
                                    charon_area_report, charon_total_area,
                                    logic_layer_fraction,
                                    max_power_density_mw_per_mm2)
-from repro.experiments.runner import collect_run
+from repro.experiments.runner import compiled_run_traces
 from repro.gcalgo.mark_sweep import MarkSweepGC
 from repro.gcalgo.trace import Primitive
 from repro.units import GB, MB
@@ -60,12 +60,11 @@ def table1_demonstration(workload: str = "graphchi-cc"
       ``concurrent-mark`` demo workload) contain Scan&Push and Bitmap
       Count but never Copy (non-moving) or Search (no card scanning).
     """
-    run = collect_run(workload)
     # Young generation: ParallelScavenge minors (Copy + Search).
+    minors = [t for t in compiled_run_traces(workload) if t.kind == "minor"]
     minor_counts = {
-        "copy": sum(t.count(Primitive.COPY) for t in run.minor_traces),
-        "search": sum(t.count(Primitive.SEARCH)
-                      for t in run.minor_traces),
+        "copy": sum(t.count(Primitive.COPY) for t in minors),
+        "search": sum(t.count(Primitive.SEARCH) for t in minors),
     }
     # Old generation handled by mark-sweep on a fresh workload heap.
     workload_obj = get_workload(workload)
@@ -97,10 +96,9 @@ def table1_demonstration(workload: str = "graphchi-cc"
     # The concurrent-marking demonstration: the registered synthetic
     # workload, so its (cached) traces are the same ones ``repro run
     # concurrent-mark`` replays.
-    concurrent_run = collect_run("concurrent-mark")
+    concurrent = compiled_run_traces("concurrent-mark")
     concurrent_counts = {
-        primitive: sum(t.count(primitive)
-                       for t in concurrent_run.traces)
+        primitive: sum(t.count(primitive) for t in concurrent)
         for primitive in Primitive
     }
 

@@ -18,7 +18,9 @@ trace set serves the whole platform grid.
 
 Entries are the store's ``trace_cache`` namespace (``<sha256>.npz`` in
 the binary codec of :mod:`repro.gcalgo.trace_io`); see
-:mod:`repro.experiments.store`.
+:mod:`repro.experiments.store`.  A hit builds the run from the entry's
+columns alone: the fast replayer reads them as they are, and nothing is
+decompiled to per-event objects unless a caller asks for ``run.traces``.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Optional, Union
 
 from repro.config import SystemConfig
 from repro.experiments import store
-from repro.gcalgo.columnar import (CompiledTrace, TRACE_SCHEMA_VERSION,
-                                   compile_traces)
+from repro.gcalgo.columnar import TRACE_SCHEMA_VERSION
 from repro.gcalgo.trace_io import load_compiled, save_traces_npz
 from repro.workloads.mutator import WorkloadRun
 
@@ -65,54 +66,50 @@ def run_cache_key(workload: str, config: SystemConfig) -> str:
 
 
 def store_run(directory: Union[str, Path], key: str, run: WorkloadRun
-              ) -> Tuple[Optional[Path], List[CompiledTrace]]:
-    """Write a captured run under ``key``; returns ``(entry path or
-    None if the write failed, compiled traces)`` — storing compiles
-    every trace, and the caller keeps those for the fast replayer."""
-    compiled = compile_traces(run.traces)
+              ) -> Optional[Path]:
+    """Write a captured run under ``key``; returns the entry path, or
+    None if the write failed.  Storing reads ``run.compiled``, so a
+    captured run compiles here, once."""
     extra = {"run": {name: getattr(run, name) for name in _RUN_FIELDS}}
-    path = store.write(store.TRACES, directory, key,
-                       lambda temp: save_traces_npz(compiled, temp,
+    return store.write(store.TRACES, directory, key,
+                       lambda temp: save_traces_npz(run.compiled, temp,
                                                     extra=extra))
-    return path, compiled
 
 
-def _decode(path: Path) -> Tuple[WorkloadRun, List[CompiledTrace]]:
+def _decode(path: Path) -> WorkloadRun:
     compiled, extra = load_compiled(path)
-    run = WorkloadRun(traces=[trace.to_trace() for trace in compiled],
-                      **dict(extra["run"]))
-    return run, compiled
+    return WorkloadRun(compiled=compiled, **dict(extra["run"]))
 
 
 def load_run(directory: Union[str, Path], key: str
-             ) -> Optional[Tuple[WorkloadRun, List[CompiledTrace]]]:
-    """Fetch ``key`` as ``(run, compiled_traces)`` — decompiled traces
-    for the event-by-event replayer and every functional consumer, the
-    columnar ones for the fast replayer — or ``None`` (also for a stale
-    or unreadable entry)."""
+             ) -> Optional[WorkloadRun]:
+    """Fetch ``key`` as a run holding the entry's columnar traces —
+    nothing is decompiled until something reads ``run.traces`` — or
+    ``None`` (also for a stale or unreadable entry)."""
     return store.read(store.TRACES, directory, key, _decode)
+
+
+def _save(directory: Path, key: str, run: WorkloadRun) -> WorkloadRun:
+    store_run(directory, key, run)
+    return run
 
 
 def fetch_run(workload: str, config: SystemConfig,
               produce: Callable[[], WorkloadRun],
               directory: Union[str, Path, None] = None,
-              require: Optional[bool] = None
-              ) -> Tuple[WorkloadRun, Optional[List[CompiledTrace]]]:
+              require: Optional[bool] = None) -> WorkloadRun:
     """The capture-once/replay-many entry point.
 
-    Returns ``(run, compiled)`` where ``compiled`` is the columnar
-    trace list: read from the entry on a hit, or compiled once by
-    :func:`store_run` when ``produce`` (re)generated the run; ``None``
-    with no cache directory configured (see
+    Returns the run read from the entry on a hit, or the run
+    ``produce`` (re)generated, stored through :func:`store_run` when a
+    cache directory is configured (see
     :func:`repro.experiments.store.fetch`).
     """
-    def generate() -> Tuple[WorkloadRun, None]:
+    def generate() -> WorkloadRun:
         run = produce()
         STATS.add("generated")
-        return run, None
+        return run
 
     return store.fetch(
         store.TRACES, run_cache_key(workload, config), load_run,
-        generate, lambda directory, key, value:
-        (value[0], store_run(directory, key, value[0])[1]),
-        directory, require, workload=workload)
+        generate, _save, directory, require, workload=workload)

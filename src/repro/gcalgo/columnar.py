@@ -103,6 +103,11 @@ class CompiledTrace:
     def __len__(self) -> int:
         return len(self.events)
 
+    def count(self, primitive: Primitive) -> int:
+        """Events of ``primitive`` (as :meth:`GCTrace.count`)."""
+        return int(np.count_nonzero(
+            self.events["prim"] == PRIMITIVE_TYPE_CODES[primitive]))
+
     # -- phase structure ---------------------------------------------------
 
     def phase_runs(self) -> List[Tuple[str, int, int]]:

@@ -25,8 +25,8 @@ Every record carries ``event`` (the type), ``ts`` (Unix seconds) and
 ``pid``; the per-type payload fields are documented in
 ``docs/OBSERVABILITY.md``.  The file **rotates by size**: once an
 append would push it past ``max_bytes`` (default
-:data:`~repro.config.DEFAULT_EVENTLOG_MAX_BYTES`, override with
-``REPRO_EVENTLOG_MAX_BYTES``), the current file is renamed to
+:data:`~repro.config.DEFAULT_EVENTLOG_MAX_BYTES`, a parameter of
+:meth:`EventLog.open`), the current file is renamed to
 ``<path>.1`` (replacing any previous rotation) and a fresh file
 starts — a long sweep keeps at most two files.
 
@@ -50,7 +50,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.config import (EVENTLOG_ENV, default_eventlog_max_bytes)
+from repro.config import DEFAULT_EVENTLOG_MAX_BYTES, EVENTLOG_ENV
 
 #: Bump when a record type's payload fields change incompatibly.
 EVENTLOG_SCHEMA_VERSION = 1
@@ -104,14 +104,13 @@ class EventLog:
     # -- control -----------------------------------------------------------
 
     def open(self, path: Union[str, Path],
-             max_bytes: Optional[int] = None) -> None:
+             max_bytes: int = DEFAULT_EVENTLOG_MAX_BYTES) -> None:
         """Arm the log to append at ``path``, rotating past
-        ``max_bytes`` (default from the environment)."""
+        ``max_bytes``."""
         with self._lock:
             self._close_handle()
             self._path = Path(path)
-            self._max_bytes = (default_eventlog_max_bytes()
-                               if max_bytes is None else int(max_bytes))
+            self._max_bytes = int(max_bytes)
             self._open_handle()
             self.enabled = True
 

@@ -19,10 +19,10 @@ slots the collectors update in place, exactly like JNI global refs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.errors import OutOfMemoryError
+from repro.gcalgo.columnar import CompiledTrace, compile_traces
 from repro.gcalgo.mark_compact import MajorGC
 from repro.gcalgo.mark_sweep import MarkSweepGC
 from repro.gcalgo.parallel_scavenge import MinorGC
@@ -56,31 +56,61 @@ class Handle:
         self._driver.heap.roots[self._index] = 0
 
 
-@dataclass
 class WorkloadRun:
-    """Everything a finished workload run produced."""
+    """Everything a finished workload run produced.
 
-    name: str
-    heap_bytes: int
-    traces: List[GCTrace] = field(default_factory=list)
-    allocated_bytes: int = 0
-    allocated_objects: int = 0
-    mutator_seconds: float = 0.0
-    minor_count: int = 0
-    major_count: int = 0
-    sweep_count: int = 0
+    The columnar :attr:`compiled` list is the run's one in-memory trace
+    form: a trace-cache hit builds the run from the columns alone, and a
+    captured run compiles once, on the first read after capture ends.
+    :attr:`traces` — the per-event objects that only the event-by-event
+    oracle, the fuzzer and the JSON codec read — materialises from the
+    columns on first access and is kept.
+    """
+
+    def __init__(self, name: str, heap_bytes: int,
+                 traces: Optional[List[GCTrace]] = None,
+                 allocated_bytes: int = 0, allocated_objects: int = 0,
+                 mutator_seconds: float = 0.0, minor_count: int = 0,
+                 major_count: int = 0, sweep_count: int = 0,
+                 compiled: Optional[List[CompiledTrace]] = None) -> None:
+        self.name = name
+        self.heap_bytes = heap_bytes
+        self.allocated_bytes = allocated_bytes
+        self.allocated_objects = allocated_objects
+        self.mutator_seconds = mutator_seconds
+        self.minor_count = minor_count
+        self.major_count = major_count
+        self.sweep_count = sweep_count
+        self._compiled = compiled
+        self._traces = (list(traces) if traces is not None
+                        else None if compiled is not None else [])
 
     @property
-    def minor_traces(self) -> List[GCTrace]:
-        return [t for t in self.traces if t.kind == "minor"]
+    def traces(self) -> List[GCTrace]:
+        if self._traces is None:
+            self._traces = [trace.to_trace() for trace in self._compiled]
+        return self._traces
+
+    @traces.setter
+    def traces(self, traces: List[GCTrace]) -> None:
+        self._traces = list(traces)
+        self._compiled = None
 
     @property
-    def major_traces(self) -> List[GCTrace]:
-        return [t for t in self.traces if t.kind == "major"]
+    def compiled(self) -> List[CompiledTrace]:
+        if self._compiled is None:
+            self._compiled = compile_traces(self._traces)
+        return self._compiled
+
+    def record(self, trace: GCTrace) -> None:
+        """Append a just-collected trace (drops any compiled form)."""
+        self.traces.append(trace)
+        self._compiled = None
 
     @property
     def gc_count(self) -> int:
-        return len(self.traces)
+        return len(self._traces if self._traces is not None
+                   else self._compiled)
 
 
 class MutatorDriver:
@@ -258,7 +288,7 @@ class MutatorDriver:
         else:
             trace = MarkSweepGC(self.heap).collect()
             self.run.sweep_count += 1
-        self.run.traces.append(trace)
+        self.run.record(trace)
         self._maybe_verify()
         for hook in self.post_gc_hooks:
             hook(self.heap, kind, trace)

@@ -10,6 +10,7 @@ from repro.gcalgo.columnar import (CompiledTrace, EVENT_DTYPE,
 from repro.gcalgo.trace import GCTrace, Primitive, ResidualWork
 from repro.gcalgo.trace_io import trace_to_dict
 from repro.platform.replay import TraceReplayer
+from repro.workloads.mutator import WorkloadRun
 
 
 def all_traces(mixed_run, tiny_spark_run):
@@ -133,3 +134,38 @@ def test_mixed_run_covers_every_primitive(mixed_run):
     seen = {event.primitive
             for trace in mixed_run.traces for event in trace.events}
     assert seen == set(Primitive)
+
+
+def test_count_matches_object_count(mixed_run):
+    for trace in mixed_run.traces:
+        compiled = compile_trace(trace)
+        for primitive in Primitive:
+            assert compiled.count(primitive) == trace.count(primitive)
+
+
+class TestWorkloadRunForms:
+    def test_compiled_only_run_counts_without_decompiling(
+            self, mixed_run, monkeypatch):
+        compiled = compile_traces(mixed_run.traces)
+        run = WorkloadRun("mixed", mixed_run.heap_bytes,
+                          compiled=compiled)
+        monkeypatch.setattr(CompiledTrace, "to_trace", None)
+        assert run.gc_count == len(compiled)
+        assert run.compiled is compiled
+
+    def test_captured_run_compiles_once(self, mixed_run):
+        run = WorkloadRun("mixed", mixed_run.heap_bytes,
+                          traces=mixed_run.traces)
+        assert run.compiled is run.compiled
+        assert [trace_to_dict(t.to_trace()) for t in run.compiled] \
+            == [trace_to_dict(t) for t in mixed_run.traces]
+
+    def test_assigning_or_recording_traces_drops_compiled(self,
+                                                          mixed_run):
+        run = WorkloadRun("mixed", mixed_run.heap_bytes,
+                          compiled=compile_traces(mixed_run.traces))
+        run.traces = mixed_run.traces[:1]
+        assert len(run.compiled) == run.gc_count == 1
+        run.record(mixed_run.traces[1])
+        assert len(run.compiled) == run.gc_count == 2
+        assert run.compiled[1].kind == mixed_run.traces[1].kind

@@ -8,9 +8,7 @@ import os
 
 import pytest
 
-from repro.config import (ConfigError, EVENTLOG_ENV,
-                          EVENTLOG_MAX_BYTES_ENV,
-                          default_eventlog_max_bytes)
+from repro.config import EVENTLOG_ENV
 from repro.obs import eventlog as eventlog_mod
 from repro.obs.eventlog import (EventLog, get_eventlog,
                                 install_env_eventlog, read_events)
@@ -140,12 +138,18 @@ class TestEnvInstall:
         assert install_env_eventlog(environ=env) is not None
         assert install_env_eventlog(environ=env) is None
 
-    def test_max_bytes_env_is_validated(self, monkeypatch):
-        monkeypatch.setenv(EVENTLOG_MAX_BYTES_ENV, "64")
-        with pytest.raises(ConfigError):
-            default_eventlog_max_bytes()
-        monkeypatch.setenv(EVENTLOG_MAX_BYTES_ENV, "4096")
-        assert default_eventlog_max_bytes() == 4096
+    def test_rotation_size_is_not_an_env_knob(self, tmp_path,
+                                              monkeypatch):
+        # The rotation size is DEFAULT_EVENTLOG_MAX_BYTES (16 MiB) unless
+        # open() is given max_bytes; the environment does not move it.
+        monkeypatch.setenv("REPRO_EVENTLOG_MAX_BYTES", "1024")
+        path = tmp_path / "events.jsonl"
+        install_env_eventlog(environ={EVENTLOG_ENV: str(path)})
+        for index in range(100):
+            get_eventlog().emit("gc_pause", seq=index)
+        get_eventlog().close()
+        assert path.stat().st_size > 1024
+        assert not (tmp_path / "events.jsonl.1").exists()
 
 
 class TestPipelineEmissions:

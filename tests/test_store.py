@@ -53,8 +53,8 @@ def capture_traces(directory: Path):
     """One trace-cache write: a captured run, and the live capture it
     must equal."""
     config = default_config().with_heap_bytes(SMALL_HEAP_BYTES)
-    run, _ = trace_cache.fetch_run("mixed", config, make_mixed_run,
-                                   directory=directory)
+    run = trace_cache.fetch_run("mixed", config, make_mixed_run,
+                                directory=directory)
     return ([trace_to_dict(trace) for trace in run.traces],
             [trace_to_dict(trace) for trace in make_mixed_run().traces])
 

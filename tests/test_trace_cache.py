@@ -98,12 +98,11 @@ class TestCacheKey:
 class TestStoreLoad:
     def test_round_trip(self, tmp_path, mixed_run):
         key = run_cache_key(WORKLOAD, small_config())
-        path, stored = store_run(tmp_path, key, mixed_run)
+        path = store_run(tmp_path, key, mixed_run)
         assert path.exists() and path.suffix == ".npz"
-        assert len(stored) == len(mixed_run.traces)
-        loaded, compiled = load_run(tmp_path, key)
+        loaded = load_run(tmp_path, key)
+        assert len(loaded.compiled) == len(mixed_run.traces)
         assert trace_dicts(loaded) == trace_dicts(mixed_run)
-        assert len(compiled) == len(mixed_run.traces)
         for name in trace_cache._RUN_FIELDS:
             assert getattr(loaded, name) == getattr(mixed_run, name)
 
@@ -114,7 +113,7 @@ class TestStoreLoad:
                                                   mixed_run,
                                                   monkeypatch):
         key = run_cache_key(WORKLOAD, small_config())
-        path, _ = store_run(tmp_path, key, mixed_run)
+        path = store_run(tmp_path, key, mixed_run)
         monkeypatch.setattr(trace_io, "TRACE_SCHEMA_VERSION",
                             trace_io.TRACE_SCHEMA_VERSION + 1)
         with pytest.warns(UserWarning, match="stale trace-cache entry"):
@@ -125,10 +124,10 @@ class TestStoreLoad:
 
 class TestFetchRun:
     def test_miss_generates_and_stores(self, tmp_path):
-        run, compiled = fetch_run(WORKLOAD, small_config(),
-                                  make_mixed_run, directory=tmp_path)
+        run = fetch_run(WORKLOAD, small_config(), make_mixed_run,
+                        directory=tmp_path)
         # Freshly generated: the store compiled each trace once.
-        assert len(compiled) == len(run.traces)
+        assert len(run.compiled) == len(run.traces)
         assert run.sweep_count == 1
         assert len(list(tmp_path.glob("*.npz"))) == 1
         assert trace_cache.STATS["misses"] == 1
@@ -143,10 +142,9 @@ class TestFetchRun:
             raise AssertionError("cache hit must not re-run the "
                                  "collector")
 
-        run, compiled = fetch_run(WORKLOAD, small_config(),
-                                  exploding_producer,
-                                  directory=tmp_path)
-        assert compiled is not None
+        run = fetch_run(WORKLOAD, small_config(), exploding_producer,
+                        directory=tmp_path)
+        assert run.gc_count == len(run.compiled) > 0
         assert trace_cache.STATS["hits"] == 1
 
     def test_require_raises_on_miss(self, tmp_path):
@@ -163,9 +161,8 @@ class TestFetchRun:
     def test_no_directory_degrades_to_produce(self, monkeypatch):
         monkeypatch.delenv(TRACE_CACHE_ENV,
                            raising=False)
-        run, compiled = fetch_run(WORKLOAD, small_config(),
-                                  make_mixed_run)
-        assert compiled is None
+        run = fetch_run(WORKLOAD, small_config(), make_mixed_run)
+        assert run.gc_count > 0
         assert trace_cache.STATS["stores"] == 0
 
     def test_stale_entry_is_regenerated(self, tmp_path, monkeypatch):
@@ -177,17 +174,15 @@ class TestFetchRun:
         monkeypatch.setattr(trace_io, "TRACE_SCHEMA_VERSION",
                             trace_io.TRACE_SCHEMA_VERSION + 1)
         with pytest.warns(UserWarning, match="stale"):
-            run, compiled = fetch_run(WORKLOAD, small_config(),
-                                      make_mixed_run,
-                                      directory=tmp_path)
-        assert len(compiled) == len(run.traces)  # regenerated
+            run = fetch_run(WORKLOAD, small_config(), make_mixed_run,
+                            directory=tmp_path)
+        assert len(run.compiled) == len(run.traces)  # regenerated
         assert trace_cache.STATS["stale"] == 1
         assert trace_cache.STATS["generated"] == 2
         # The regenerated entry (written under the bumped version) hits.
-        again, compiled = fetch_run(WORKLOAD, small_config(),
-                                    lambda: pytest.fail("should hit"),
-                                    directory=tmp_path)
-        assert compiled is not None
+        again = fetch_run(WORKLOAD, small_config(),
+                          lambda: pytest.fail("should hit"),
+                          directory=tmp_path)
         assert trace_dicts(again) == trace_dicts(run)
 
 
@@ -195,15 +190,14 @@ class TestInterleavedReuse:
     def test_cached_and_live_traces_identical(self, tmp_path):
         """Regression: interleave cache reuse with live collection —
         every path must yield event-for-event identical traces."""
-        captured, _ = fetch_run(WORKLOAD, small_config(),
-                                make_mixed_run, directory=tmp_path)
-        cached, compiled = fetch_run(WORKLOAD, small_config(),
-                                     make_mixed_run,
-                                     directory=tmp_path)
+        captured = fetch_run(WORKLOAD, small_config(), make_mixed_run,
+                             directory=tmp_path)
+        cached = fetch_run(WORKLOAD, small_config(), make_mixed_run,
+                           directory=tmp_path)
+        compiled = cached.compiled
         live = make_mixed_run()  # a fresh collector execution
-        required, _ = fetch_run(WORKLOAD, small_config(),
-                                make_mixed_run, directory=tmp_path,
-                                require=True)
+        required = fetch_run(WORKLOAD, small_config(), make_mixed_run,
+                             directory=tmp_path, require=True)
         golden = trace_dicts(live)
         assert trace_dicts(captured) == golden
         assert trace_dicts(cached) == golden

@@ -105,6 +105,62 @@ class TestStage1Cache:
         assert stats["stores"] == 1  # only the corrupted entry rebuilt
 
 
+class TestColumnsAreTheRun:
+    """A trace-cache hit holds columns only: a warm sweep never builds
+    per-event objects, and ``run.traces`` builds them once, on demand."""
+
+    def test_warm_sweep_never_decompiles(self, monkeypatch):
+        from repro.experiments import figures, trace_cache
+        from repro.gcalgo.columnar import CompiledTrace
+        from repro.platform.replay import TraceReplayer
+
+        names = ["spark-km", "graphchi-als"]
+        for name in names:
+            runner.collect_run(name)  # fills the trace cache
+        clear_cache()
+        trace_cache.STATS.reset()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm sweep decompiled a trace or "
+                                 "replayed it event by event")
+
+        monkeypatch.setattr(CompiledTrace, "to_trace", forbidden)
+        monkeypatch.setattr(TraceReplayer, "replay", forbidden)
+        grid = replay_grid(figures.FIG12_PLATFORMS, names, processes=1)
+        assert len(grid) == len(figures.FIG12_PLATFORMS) * len(names)
+        assert figures.figure4(["spark-km"])
+        assert trace_cache.STATS["hits"] == len(names)
+        assert trace_cache.STATS["generated"] == 0
+
+    def test_hit_materialises_traces_once_on_demand(self, monkeypatch):
+        from repro.gcalgo.columnar import CompiledTrace
+        from repro.gcalgo.trace_io import trace_to_dict
+
+        captured = runner.collect_run(WORKLOAD)
+        clear_cache()
+        decode = CompiledTrace.to_trace
+        decoded = []
+
+        def counting(trace):
+            decoded.append(trace)
+            return decode(trace)
+
+        monkeypatch.setattr(CompiledTrace, "to_trace", counting)
+        run = runner.collect_run(WORKLOAD)
+        assert run is not captured
+        assert run.gc_count == len(captured.traces)
+        assert (run.minor_count, run.major_count) \
+            == (captured.minor_count, captured.major_count)
+        assert decoded == []
+        traces = run.traces
+        assert decoded == run.compiled
+        assert run.traces is traces
+        assert len(decoded) == run.gc_count
+        eager = [trace_to_dict(decode(trace)) for trace in run.compiled]
+        assert [trace_to_dict(trace) for trace in traces] == eager
+        assert eager == [trace_to_dict(t) for t in captured.traces]
+
+
 class TestSerialFallback:
     def test_fork_less_platform_runs_serially(self, monkeypatch):
         """Without ``fork`` the fan-out runs every cell in this
