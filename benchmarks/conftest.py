@@ -28,9 +28,9 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 os.environ.setdefault(TRACE_CACHE_ENV,
                       str(pathlib.Path(__file__).parent / ".trace-cache"))
 
-# Honour REPRO_TRACE_OUT / REPRO_METRICS_OUT under pytest too, so a
-# benchmark session can leave a Chrome trace and a metric snapshot
-# behind (the CI bench-smoke job uploads both as artifacts).
+# Honour REPRO_OBS_OUT under pytest too, so a benchmark session can
+# leave a Chrome trace and a metric snapshot behind (the CI bench-smoke
+# job uploads both as artifacts).
 install_env_exporters()
 
 

@@ -12,13 +12,16 @@ grid against a fresh cache directory:
    session footer's cache tally is checked on top ("0 run(s)
    generated", at least one hit).
 
-The second run also exports telemetry through ``REPRO_TRACE_OUT`` /
-``REPRO_METRICS_OUT`` into ``$BENCH_SMOKE_ARTIFACTS`` (default
-``bench-smoke-artifacts/``); the script then checks the Chrome trace
-and metric snapshot are well-formed, and that every provenance
-manifest the benchmarks published round-trips with config hashes that
-match the trace-cache entry keys on disk.  CI uploads the artifact
-directory and ``benchmarks/results/``.
+The second run replays the Fig. 12 grid on a 2-process pool
+(``REPRO_JOBS=2``) and exports telemetry through ``REPRO_OBS_OUT``
+into ``$BENCH_SMOKE_ARTIFACTS`` (default ``bench-smoke-artifacts/``:
+``trace.json`` and ``metrics.json``); the script then checks the
+Chrome trace and metric snapshot are well-formed, that they carry one
+``replay.wall_seconds`` row and one ``replay`` host span per grid cell
+(the pool workers' telemetry reached the parent), and that every
+provenance manifest the benchmarks published round-trips with config
+hashes that match the trace-cache entry keys on disk.  CI uploads the
+artifact directory and ``benchmarks/results/``.
 
 Exit status 0 on success; any failure prints the offending pytest
 output.  Used by the CI ``bench-smoke`` job; runnable locally with
@@ -43,8 +46,12 @@ REPO = Path(__file__).resolve().parent.parent
 SMOKE_WORKLOADS = "spark-km,graphchi-cc"
 ARTIFACTS = Path(os.environ.get("BENCH_SMOKE_ARTIFACTS")
                  or REPO / "bench-smoke-artifacts")
-TRACE_ARTIFACT = ARTIFACTS / "bench-smoke.trace.json"
-METRICS_ARTIFACT = ARTIFACTS / "bench-smoke.metrics.json"
+TRACE_ARTIFACT = ARTIFACTS / "trace.json"
+METRICS_ARTIFACT = ARTIFACTS / "metrics.json"
+#: ``repro.experiments.figures.FIG12_PLATFORMS``: the grid's columns.
+FIG12_PLATFORMS = ("cpu-ddr4", "cpu-hmc", "charon", "ideal")
+#: The Chrome-trace pid of the host (wall-clock) domain.
+HOST_PID = 1
 
 
 def run_bench(cache_dir: str, require: bool) -> str:
@@ -54,10 +61,11 @@ def run_bench(cache_dir: str, require: bool) -> str:
     env.pop("REPRO_TRACE_CACHE_REQUIRE", None)
     if require:
         env["REPRO_TRACE_CACHE_REQUIRE"] = "1"
-        # The proving run also leaves telemetry behind for CI artifacts.
+        # The proving run replays on the pool and leaves its telemetry
+        # behind for CI artifacts.
         ARTIFACTS.mkdir(parents=True, exist_ok=True)
-        env["REPRO_TRACE_OUT"] = str(TRACE_ARTIFACT)
-        env["REPRO_METRICS_OUT"] = str(METRICS_ARTIFACT)
+        env["REPRO_OBS_OUT"] = str(ARTIFACTS)
+        env["REPRO_JOBS"] = "2"
     process = subprocess.run(
         [sys.executable, "-m", "pytest", "-q",
          str(REPO / "benchmarks" / "bench_fig12_speedup.py")],
@@ -97,12 +105,26 @@ def check_artifacts(cache: Path) -> None:
     metrics = json.loads(METRICS_ARTIFACT.read_text())
     if not metrics.get("metrics"):
         sys.exit("bench smoke: metric snapshot artifact is empty")
+    smoke = set(SMOKE_WORKLOADS.split(","))
+    cells = sorted((platform, workload) for platform in FIG12_PLATFORMS
+                   for workload in smoke)
+    walls = sorted((row["labels"]["platform"], row["labels"]["workload"])
+                   for row in metrics["metrics"]
+                   if row["metric"] == "replay.wall_seconds")
+    if walls != cells:
+        sys.exit(f"bench smoke: metric snapshot has replay.wall_seconds "
+                 f"rows for {walls}, expected one per cell {cells}")
+    replays = sorted((e["args"]["platform"], e["args"]["workload"])
+                     for e in complete
+                     if e["name"] == "replay" and e["pid"] == HOST_PID)
+    if replays != cells:
+        sys.exit(f"bench smoke: Chrome trace has replay spans for "
+                 f"{replays}, expected one per cell {cells}")
 
     sys.path.insert(0, str(REPO / "src"))
     from repro.experiments.store import TRACES
     from repro.obs.provenance import load_manifest, round_trips
 
-    smoke = set(SMOKE_WORKLOADS.split(","))
     keys = {path.stem for path in TRACES.entries(cache)}
     manifests = sorted(
         (REPO / "benchmarks" / "results").glob("*.manifest.json"))
@@ -126,7 +148,8 @@ def check_artifacts(cache: Path) -> None:
         sys.exit("bench smoke: no manifest recorded the smoke "
                  "workloads")
     print(f"bench smoke: telemetry artifacts OK — "
-          f"{len(complete)} spans, {len(metrics['metrics'])} metrics, "
+          f"{len(complete)} spans, {len(metrics['metrics'])} metrics "
+          f"({len(cells)} pooled cells each counted once), "
           f"{checked} manifest run(s) matched to cache keys")
 
 

@@ -21,8 +21,9 @@ Commands:
 
 ``--out-dir DIR`` on the exhibit commands writes the rendered output
 *and* a provenance manifest (config hashes, cache hits, versions) into
-``DIR``; ``REPRO_TRACE_OUT``/``REPRO_METRICS_OUT`` dump a Chrome trace
-/ metric snapshot at exit from any command.
+``DIR``; ``REPRO_OBS_OUT=DIR`` dumps a Chrome trace and a metric
+snapshot (``DIR/trace.json``, ``DIR/metrics.json``) at exit from any
+command.
 """
 
 from __future__ import annotations
@@ -422,13 +423,12 @@ def _cmd_report(args) -> str:
 
 def _cmd_stats(args) -> str:
     from repro.experiments.runner import workload_config
+    from repro.experiments.store import CACHES
     from repro.heap.heap import JavaHeap
-    from repro.obs.adapters import (cache_metrics, device_metrics,
-                                    heap_kernel_metrics, hmc_metrics,
-                                    replay_kernel_metrics,
+    from repro.obs.adapters import (device_metrics, hmc_metrics,
                                     timing_metrics)
     from repro.obs.export import metrics_csv, metrics_snapshot
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import global_metrics
     from repro.platform import FastTraceReplayer
     from repro.workloads.base import workload_klasses
 
@@ -439,11 +439,10 @@ def _cmd_stats(args) -> str:
     result = FastTraceReplayer(platform, threads=args.threads).replay_all(
         compiled_run_traces(args.workload, heap_bytes))
 
-    registry = MetricsRegistry()
+    registry = global_metrics()
     timing_metrics(registry, result, workload=args.workload)
-    replay_kernel_metrics(registry)
-    heap_kernel_metrics(registry)
-    cache_metrics(registry)
+    for namespace in CACHES:
+        namespace.stats.snapshot()  # list each cache tally, even at 0
     if platform.device is not None:
         device_metrics(registry, platform.device)
     if platform.hmc is not None:

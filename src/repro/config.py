@@ -483,8 +483,7 @@ TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"          #: trace + stage-1 cache
 TRACE_CACHE_REQUIRE_ENV = "REPRO_TRACE_CACHE_REQUIRE"  #: miss = error
 REPLAY_JOBS_ENV = "REPRO_JOBS"                 #: replay_grid processes
 WORKLOADS_ENV = "REPRO_WORKLOADS"              #: comma-separated subset
-TRACE_OUT_ENV = "REPRO_TRACE_OUT"              #: Chrome trace at exit
-METRICS_OUT_ENV = "REPRO_METRICS_OUT"          #: metric snapshot at exit
+OBS_OUT_ENV = "REPRO_OBS_OUT"                  #: trace + metrics at exit
 HEAP_KERNELS_ENV = "REPRO_HEAP_KERNELS"        #: scalar | fast
 HEAP_BACKEND_ENV = "REPRO_HEAP_BACKEND"        #: ram | mmap
 SHARD_JOURNAL_ENV = "REPRO_SHARD_JOURNAL"      #: sweep-shard directory

@@ -14,7 +14,8 @@ pipeline:
   never decompiles them to per-event objects;
 * :func:`replay_grid` fans the platform x workload grid out over a
   fork pool made per call (:func:`_fan_out`, the one place worker
-  processes are created) with a deterministic merge.  With a shard
+  processes are created) with a deterministic merge of the results
+  and of the metrics and spans each worker recorded.  With a shard
   journal configured (``REPRO_SHARD_JOURNAL`` or ``journal=``), the
   grid decomposes into durable per-cell shards: workers *steal*
   pending shards through :mod:`~repro.experiments.shard_journal` claim
@@ -25,7 +26,9 @@ pipeline:
 from __future__ import annotations
 
 import contextlib
+import functools
 import multiprocessing
+import os
 import time
 from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
@@ -188,6 +191,17 @@ def _journal_worker(payload: tuple) -> None:
                                _grid_worker)
 
 
+def _drain_telemetry() -> tuple:
+    """Take this worker's metric rows and spans.  As the pool
+    initializer it drops the fork's copies of the parent's."""
+    return (global_metrics().drain(),
+            get_tracer().drain(host_tid=os.getpid()))
+
+
+def _run_task(function: Callable, item) -> tuple:
+    return function(item), _drain_telemetry()
+
+
 def _fan_out(function: Callable, items: Sequence,
              processes: int) -> list:
     """``[function(item) for item in items]``, on worker processes.
@@ -199,10 +213,15 @@ def _fan_out(function: Callable, items: Sequence,
     in this process when ``processes <= 1``, for a single item, or
     where ``fork`` does not exist.
 
+    Each task returns the metric rows and spans its worker recorded,
+    merged here in item order, so telemetry reads as if the items had
+    run in this process.
+
     An exception raised in a worker reaches the caller.  A worker that
     *dies* breaks the pool instead: one ``fallback`` event is emitted
     and the results received so far — a prefix of the list — are
-    returned, so the caller finishes the missing items itself.
+    returned, so the caller finishes the missing items itself.  A dead
+    worker's unsent telemetry is lost, so nothing is counted twice.
     """
     if processes <= 1 or len(items) <= 1 or not _fork_available():
         return [function(item) for item in items]
@@ -218,8 +237,12 @@ def _fan_out(function: Callable, items: Sequence,
     context = multiprocessing.get_context("fork")
     try:
         with ProcessPoolExecutor(min(processes, len(items)),
-                                 mp_context=context) as pool:
-            for result in pool.map(function, items):
+                                 mp_context=context,
+                                 initializer=_drain_telemetry) as pool:
+            for result, (rows, events) in pool.map(
+                    functools.partial(_run_task, function), items):
+                global_metrics().merge(rows)
+                get_tracer().merge(events)
                 results.append(result)
     except BrokenProcessPool:
         eventlog = get_eventlog()

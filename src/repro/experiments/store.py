@@ -23,7 +23,6 @@ namespace and leaves the caller going uncached.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 import re
 import threading
@@ -35,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 from repro.config import TRACE_CACHE_ENV, TRACE_CACHE_REQUIRE_ENV
 from repro.errors import ConfigError, ReproError
 from repro.obs.eventlog import get_eventlog
+from repro.obs.metrics import global_metrics
 
 #: What any codec raises decoding a stale, torn or foreign entry.
 STALE_ERRORS = (ConfigError, KeyError, TypeError, ValueError, OSError,
@@ -44,34 +44,34 @@ PathLike = Union[str, Path]
 T = TypeVar("T")
 
 
-class CacheStats:
-    """A cumulative tally, safe across threads *and* forked workers:
-    each field is a ``multiprocessing.Value`` in fork-shared memory
-    under one shared lock, so increments from ``replay_grid`` pool
-    workers land in the tally the parent reports."""
+class Tally:
+    """A namespace's cumulative tally: the ``<namespace>.<field>``
+    counters of the global metrics registry.  Increments made in pool
+    workers reach the parent with the worker's telemetry delta (see
+    ``runner._fan_out``)."""
 
-    def __init__(self, fields: Sequence[str]) -> None:
-        self._lock = multiprocessing.RLock()
-        self._values = {name: multiprocessing.Value("q", 0, lock=False)
-                        for name in fields}
+    def __init__(self, namespace: str, fields: Sequence[str]) -> None:
+        self.namespace = namespace
+        self.fields = tuple(fields)
 
-    def add(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self._values[name].value += amount
+    def _name(self, field: str) -> str:
+        if field not in self.fields:
+            raise KeyError(field)
+        return f"{self.namespace}.{field}"
 
-    def __getitem__(self, name: str) -> int:
-        return int(self._values[name].value)
+    def add(self, field: str, amount: int = 1) -> None:
+        global_metrics().add(self._name(field), amount)
+
+    def __getitem__(self, field: str) -> int:
+        return int(global_metrics().counter(self._name(field)).value)
 
     def reset(self) -> None:
-        with self._lock:
-            for value in self._values.values():
-                value.value = 0
+        for field in self.fields:
+            global_metrics().counter(self._name(field)).reset()
 
     def snapshot(self) -> Dict[str, int]:
-        """A consistent point-in-time copy of the tally."""
-        with self._lock:
-            return {name: int(value.value)
-                    for name, value in self._values.items()}
+        """Every field's count (registering the zero ones)."""
+        return {field: self[field] for field in self.fields}
 
 
 class CacheMiss(ReproError):
@@ -88,7 +88,7 @@ class Namespace:
         self.suffix = suffix
         self.noun = noun
         self.line = line
-        self.stats = CacheStats(fields)
+        self.stats = Tally(name, fields)
         self._entry = re.compile("[0-9a-f]{64}" + re.escape(suffix))
 
     def path(self, directory: PathLike, key: str) -> Path:

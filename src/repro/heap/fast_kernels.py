@@ -119,7 +119,7 @@ def fast_enabled(heap=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Metrics (heap.kernel_* — mirrored into `repro stats` by repro.obs)
+# Metrics (heap.kernel_* — reported by `repro stats`)
 # ---------------------------------------------------------------------------
 
 def record_call(op: str, kernel: str = "fast",

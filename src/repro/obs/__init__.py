@@ -1,21 +1,23 @@
 """Unified telemetry: spans, metrics, exporters, and provenance.
 
-The experiment pipeline produces numbers in four historically separate
-places — :mod:`repro.sim.stats` counters, the
-:mod:`repro.core.report` device dumps, the trace-cache tally, and the
-``gclog`` lines.  This package composes them into one picture of a
-run:
+Every fact a run measures is recorded once, into the process's
+:func:`global_metrics` registry (spans into :func:`get_tracer`).  A
+``replay_grid`` pool worker hands its rows and spans back with each
+result, and ``runner._fan_out`` merges them into the parent's, so a
+pooled sweep reports what a serial one does.  The package:
 
 * :mod:`repro.obs.tracer` — a span tracer with two clock domains:
   *simulated* seconds (what the replayers compute) and *host* wall
   time (what the functional collectors and the experiment driver
   actually spend);
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of labeled
-  counters, gauges and histograms (with percentile queries) that
-  absorbs the old ``sim.stats`` primitives;
-* :mod:`repro.obs.adapters` — bridges pulling the trace-cache tally,
-  :class:`~repro.core.device.CharonDevice` counters, HMC traffic and
-  :class:`~repro.platform.timing.GCTimingResult`\\ s into the registry;
+  counters, gauges and histograms (with percentile queries); the
+  store tallies (``trace_cache.hits``, ``shard_journal.runs``, …) are
+  its counters;
+* :mod:`repro.obs.adapters` — records a replay's
+  :class:`~repro.platform.timing.GCTimingResult`, its
+  :class:`~repro.core.device.CharonDevice` counters and its HMC
+  traffic into a registry;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``) plus JSON/CSV metric snapshots;
 * :mod:`repro.obs.provenance` — per-run manifests (config hash,
@@ -29,8 +31,8 @@ run:
   ``/healthz`` from a stdlib http.server thread.
 
 Everything is off by default and adds only a guard check when
-disabled; set ``REPRO_TRACE_OUT`` (or pass ``--trace-out``) to record
-and export a timeline.
+disabled; set ``REPRO_OBS_OUT=<dir>`` (or pass ``--trace-out``) to
+record and export a timeline.
 """
 
 from repro.obs.eventlog import EventLog, get_eventlog, read_events

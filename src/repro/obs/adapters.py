@@ -1,11 +1,11 @@
-"""Adapters: pull existing counter sources into the metrics registry.
+"""Adapters: record a replay's results into the metrics registry.
 
-Each adapter mirrors an externally-owned statistics source —
-the cache tallies, :class:`~repro.core.device.CharonDevice`
-structures, :class:`~repro.mem.hmc.HMCSystem` traffic, and replay
-:class:`~repro.platform.timing.GCTimingResult`\\ s — into labeled
-gauges/counters of a :class:`~repro.obs.metrics.MetricsRegistry`, so
-one snapshot carries everything a run measured.
+Each adapter records one result — a replay's
+:class:`~repro.platform.timing.GCTimingResult`, the end state of its
+:class:`~repro.core.device.CharonDevice` and its
+:class:`~repro.mem.hmc.HMCSystem` traffic — as labeled counters or
+gauges of a :class:`~repro.obs.metrics.MetricsRegistry`, so one
+snapshot carries everything a run measured.
 """
 
 from __future__ import annotations
@@ -20,22 +20,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.platform.timing import GCTimingResult
 
 
-def cache_metrics(registry: MetricsRegistry) -> None:
-    """Mirror each cache namespace's tally (hits/misses/stale/stores,
-    plus the trace cache's generated runs) into ``trace_cache.*`` and
-    ``stage1_cache.*`` gauges."""
-    from repro.experiments.store import CACHES
-
-    for namespace in CACHES:
-        scope = registry.scope(namespace.name)
-        for name, value in namespace.stats.snapshot().items():
-            scope.gauge(name, f"content-addressed {namespace.noun} "
-                              f"tally").set(value)
-
-
 def device_metrics(registry: MetricsRegistry,
                    device: "CharonDevice") -> None:
-    """Mirror a Charon device's unit/TLB/bitmap-cache counters."""
+    """Record a Charon device's unit/TLB/bitmap-cache counters."""
     from repro.core.report import device_summary, unit_rows
 
     scope = registry.scope("charon")
@@ -52,59 +39,12 @@ def device_metrics(registry: MetricsRegistry,
 
 
 def hmc_metrics(registry: MetricsRegistry, hmc: "HMCSystem") -> None:
-    """Mirror HMC traffic/locality counters (Fig. 13's raw inputs)."""
+    """Record HMC traffic/locality counters (Fig. 13's raw inputs)."""
     from repro.core.report import traffic_summary
 
     scope = registry.scope("hmc")
     for name, value in traffic_summary(hmc).items():
         scope.gauge(name, "HMC traffic counter").set(float(value))
-
-
-def replay_kernel_metrics(registry: MetricsRegistry) -> None:
-    """Mirror the process-wide ``replay.kernel*`` rows into ``registry``.
-
-    The replayers record which kernel ran (event, closed-form, or a
-    batched kernel) and its throughput into the *global* registry; this copies those rows into a per-command
-    snapshot so ``repro stats`` always shows which replay path
-    produced its numbers.
-    """
-    from repro.obs.metrics import global_metrics
-
-    for sample in global_metrics().samples():
-        name = sample["metric"]
-        if not name.startswith("replay.kernel"):
-            continue
-        labels = sample["labels"]
-        if sample["kind"] == "counter":
-            registry.counter(name, "mirrored replay-kernel counter",
-                             **labels).add(sample["value"])
-        elif sample["kind"] == "gauge":
-            registry.gauge(name, "mirrored replay-kernel gauge",
-                           **labels).set(sample["value"])
-
-
-def heap_kernel_metrics(registry: MetricsRegistry) -> None:
-    """Mirror the process-wide ``heap.kernel*`` rows into ``registry``.
-
-    The functional-layer fast kernels count their calls, batch sizes,
-    and scalar fallbacks in the *global* registry (see
-    :mod:`repro.heap.fast_kernels`); this copies those rows into a
-    per-command snapshot so ``repro stats`` shows which heap kernels
-    produced the traces, mirroring ``replay.kernel_*``.
-    """
-    from repro.obs.metrics import global_metrics
-
-    for sample in global_metrics().samples():
-        name = sample["metric"]
-        if not name.startswith("heap.kernel"):
-            continue
-        labels = sample["labels"]
-        if sample["kind"] == "counter":
-            registry.counter(name, "mirrored heap-kernel counter",
-                             **labels).add(sample["value"])
-        elif sample["kind"] == "gauge":
-            registry.gauge(name, "mirrored heap-kernel gauge",
-                           **labels).set(sample["value"])
 
 
 def timing_metrics(registry: MetricsRegistry, result: "GCTimingResult",

@@ -1,17 +1,17 @@
 """The unified metrics registry: labeled counters, gauges, histograms.
 
-This module absorbs the old ``repro.sim.stats`` primitives (which now
-re-export from here, unchanged in behaviour) and extends them into one
-registry the whole pipeline reports through:
+One registry the whole pipeline records into, once per fact:
 
 * metrics may carry **labels** (``registry.counter("replay_wall",
   platform="charon", workload="spark-bs")``), each label combination
   being its own child metric;
-* **gauges** hold last-written values (adapters use them to mirror
-  externally-owned counters like the trace-cache tally);
+* **gauges** hold last-written values (device and HMC state read at
+  the end of a replay);
 * **histograms** answer :meth:`Histogram.percentile` queries;
 * hierarchical ``scope()`` views keep the zsim-style dotted namespaces
-  the simulation components already use.
+  the simulation components already use;
+* :meth:`MetricsRegistry.drain` / :meth:`MetricsRegistry.merge` carry
+  a pool worker's rows back into the parent's registry.
 
 Snapshots (:meth:`MetricsRegistry.samples`) feed the JSON/CSV
 exporters in :mod:`repro.obs.export`.
@@ -62,7 +62,7 @@ class Counter:
 
 
 class Gauge:
-    """A last-value-wins scalar (mirrors externally-owned counters)."""
+    """A last-value-wins scalar."""
 
     kind = "gauge"
 
@@ -201,6 +201,13 @@ class MetricsRegistry:
                                                   description, labels)
             return self._histograms[key]
 
+    def add(self, name: str, amount: float = 1.0, description: str = "",
+            **labels: object) -> None:
+        """Add to the counter ``name`` under the registry lock (for
+        tallies bumped from several threads at once)."""
+        with self._lock:
+            self.counter(name, description, **labels).add(amount)
+
     def scope(self, name: str) -> "MetricsRegistry":
         """A child view sharing storage but prefixing names with ``name``."""
         child = MetricsRegistry(prefix=self._full(name))
@@ -286,6 +293,29 @@ class MetricsRegistry:
                 row["bucket_counts"] = counts
         return rows
 
+    def drain(self) -> List[tuple]:
+        """Take every counter and gauge row as ``(kind, name,
+        description, labels, value)`` and empty the registry (a pool
+        worker's delta; no worker records a histogram, so they drop)."""
+        with self._lock:
+            rows = [(metric.kind, metric.name, metric.description,
+                     metric.labels, metric.value)
+                    for metric in (*self._counters.values(),
+                                   *self._gauges.values())]
+            self._counters.clear()
+            self._gauges.clear()
+            self._histograms.clear()
+        return rows
+
+    def merge(self, rows: List[tuple]) -> None:
+        """Fold rows from :meth:`drain` into this root registry:
+        counters add, gauges take the row's value."""
+        for kind, name, description, labels, value in rows:
+            if kind == "counter":
+                self.add(name, value, description, **labels)
+            else:
+                self.gauge(name, description, **labels).set(value)
+
     def reset(self) -> None:
         for counter in self._counters.values():
             counter.reset()
@@ -295,7 +325,7 @@ class MetricsRegistry:
             histogram.reset()
 
 
-#: The process-wide registry the runner and adapters report into.
+#: The process-wide registry every fact is recorded into.
 _METRICS = MetricsRegistry()
 
 
@@ -304,7 +334,5 @@ def global_metrics() -> MetricsRegistry:
 
 
 def reset_global_metrics() -> None:
-    """Drop every metric from the global registry (tests)."""
-    _METRICS._counters.clear()
-    _METRICS._gauges.clear()
-    _METRICS._histograms.clear()
+    """Drop every metric from the global registry."""
+    _METRICS.drain()

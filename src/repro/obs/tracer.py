@@ -15,9 +15,11 @@ Chrome-trace processes so a timeline never mixes them up:
 The tracer is **disabled by default** and designed so the disabled
 path costs one attribute check: :meth:`span` returns a shared no-op
 context manager and the replayers guard their span emission on
-:attr:`Tracer.enabled`.  The ``REPRO_TRACE_OUT`` environment variable
-enables the global tracer and writes the Chrome trace file at process
-exit (see :func:`install_env_exporters`).
+:attr:`Tracer.enabled`.  The ``REPRO_OBS_OUT`` environment variable
+enables the global tracer and writes the Chrome trace file (with the
+metric snapshot beside it) at process exit (see
+:func:`install_env_exporters`).  A pool worker's spans reach the
+parent's tracer through :meth:`Tracer.drain` / :meth:`Tracer.merge`.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.config import (EVENTLOG_ENV, METRICS_OUT_ENV,
-                          METRICS_PORT_ENV, TRACE_OUT_ENV)
+from repro.config import EVENTLOG_ENV, METRICS_PORT_ENV, OBS_OUT_ENV
 
 CLOCK_SIM = "sim"
 CLOCK_HOST = "host"
@@ -111,6 +112,25 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self._events)
+
+    def drain(self, host_tid: Optional[int] = None
+              ) -> List[Dict[str, Any]]:
+        """Take the recorded events and clear the tracer.  A pool
+        worker passes its pid as ``host_tid``, so its wall-clock spans
+        land on their own track of the parent's timeline instead of
+        overlapping the other workers'."""
+        with self._lock:
+            events, self._events = self._events, []
+        if host_tid is not None:
+            for event in events:
+                if event["pid"] == _CLOCK_PIDS[CLOCK_HOST]:
+                    event["tid"] = host_tid
+        return events
+
+    def merge(self, events: List[Dict[str, Any]]) -> None:
+        """Append the events another tracer's :meth:`drain` took."""
+        with self._lock:
+            self._events.extend(events)
 
     # -- recording ---------------------------------------------------------
 
@@ -210,10 +230,10 @@ def get_tracer() -> Tracer:
 def install_env_exporters(environ=None) -> Dict[str, str]:
     """Arm the opt-in environment knobs; returns what was installed.
 
-    ``REPRO_TRACE_OUT=<path>`` enables the global tracer and writes the
-    Chrome trace there at process exit; ``REPRO_METRICS_OUT=<path>``
-    writes the global metrics registry's JSON snapshot (with the
-    trace-cache tally adapted in) at process exit.  Live observability
+    ``REPRO_OBS_OUT=<dir>`` enables the global tracer and, at process
+    exit, writes the Chrome trace to ``<dir>/trace.json`` and the
+    global metrics registry's JSON snapshot to ``<dir>/metrics.json``.
+    Live observability
     arms here too: ``REPRO_EVENTLOG=<path>`` opens the JSONL run-event
     log and ``REPRO_METRICS_PORT=<port>`` starts the ``/metrics``
     exposition endpoint.  Safe to call more than once — each exporter
@@ -221,17 +241,12 @@ def install_env_exporters(environ=None) -> Dict[str, str]:
     """
     environ = os.environ if environ is None else environ
     installed: Dict[str, str] = {}
-    trace_out = environ.get(TRACE_OUT_ENV)
-    if trace_out and trace_out not in _INSTALLED:
+    obs_out = environ.get(OBS_OUT_ENV)
+    if obs_out and obs_out not in _INSTALLED:
         _TRACER.enable()
-        atexit.register(_TRACER.write_chrome, trace_out)
-        _INSTALLED.add(trace_out)
-        installed[TRACE_OUT_ENV] = trace_out
-    metrics_out = environ.get(METRICS_OUT_ENV)
-    if metrics_out and metrics_out not in _INSTALLED:
-        atexit.register(_write_metrics_snapshot, metrics_out)
-        _INSTALLED.add(metrics_out)
-        installed[METRICS_OUT_ENV] = metrics_out
+        atexit.register(_write_obs_out, Path(obs_out))
+        _INSTALLED.add(obs_out)
+        installed[OBS_OUT_ENV] = obs_out
     # Lazy imports: the live modules cost nothing unless their
     # environment knobs are actually set.
     from repro.obs.eventlog import install_env_eventlog
@@ -248,11 +263,9 @@ def install_env_exporters(environ=None) -> Dict[str, str]:
 _INSTALLED: set = set()
 
 
-def _write_metrics_snapshot(path: str) -> None:
-    from repro.obs.adapters import cache_metrics
+def _write_obs_out(directory: Path) -> None:
     from repro.obs.export import write_metrics_json
     from repro.obs.metrics import global_metrics
 
-    registry = global_metrics()
-    cache_metrics(registry)
-    write_metrics_json(path, registry)
+    _TRACER.write_chrome(directory / "trace.json")
+    write_metrics_json(directory / "metrics.json", global_metrics())

@@ -12,7 +12,6 @@ command-, limited.
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import FluidResource, LatencyLink, ResourcePath
-from repro.sim.stats import Counter, Gauge, Histogram, StatsRegistry
 
 __all__ = [
     "Event",
@@ -20,8 +19,4 @@ __all__ = [
     "FluidResource",
     "LatencyLink",
     "ResourcePath",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "StatsRegistry",
 ]

@@ -224,8 +224,7 @@ class TestKernelDifferential:
 
 class TestKernelMetrics:
     def test_fast_and_scalar_calls_are_counted(self):
-        from repro.obs.metrics import MetricsRegistry, global_metrics
-        from repro.obs.adapters import heap_kernel_metrics
+        from repro.obs.metrics import global_metrics
 
         def collect(mode):
             from repro.gcalgo.parallel_scavenge import MinorGC
@@ -251,11 +250,9 @@ class TestKernelMetrics:
         assert counted("fast") == fast_before + 1
         assert counted("scalar") == scalar_before + 1
 
-        registry = MetricsRegistry()
-        heap_kernel_metrics(registry)
-        mirrored = {sample["metric"]
-                    for sample in registry.samples()}
-        assert "heap.kernel_calls" in mirrored
+        recorded = {sample["metric"]
+                    for sample in global_metrics().samples()}
+        assert "heap.kernel_calls" in recorded
 
     def test_layouts_reject_unaligned_instances(self):
         from repro.heap.klass import KlassKind

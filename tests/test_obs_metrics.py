@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.obs.metrics import (Counter, Gauge, Histogram,
-                               MetricsRegistry, global_metrics,
-                               reset_global_metrics)
+from repro.obs.metrics import (Histogram, MetricsRegistry,
+                               global_metrics, reset_global_metrics)
 
 
 def test_counter_gauge_basics():
@@ -161,10 +160,22 @@ def test_percentile_answers_a_bucket_bound(bounds, values, p):
     assert hist.percentile(p) in bounds
 
 
-def test_sim_stats_shim_is_the_same_classes():
-    from repro.sim import stats
-
-    assert stats.StatsRegistry is MetricsRegistry
-    assert stats.Counter is Counter
-    assert stats.Gauge is Gauge
-    assert stats.Histogram is Histogram
+def test_drain_hands_rows_to_merge_once():
+    """A pool worker's drained rows fold into the parent: counters add,
+    gauges take the last merged value, and the worker starts empty."""
+    worker = MetricsRegistry()
+    worker.counter("replay.wall", "pause", platform="charon").add(2.5)
+    worker.gauge("depth").set(7)
+    worker.histogram("h", [1.0]).record(0.5)
+    delta = worker.drain()
+    assert worker.samples() == []
+    assert worker.drain() == []
+    parent = MetricsRegistry()
+    parent.counter("replay.wall", platform="charon").add(1.0)
+    parent.gauge("depth").set(3)
+    parent.merge(delta)
+    parent.merge([("gauge", "depth", "", {}, 9.0)])
+    assert parent.counter("replay.wall", platform="charon").value == 3.5
+    assert parent.gauge("depth").value == 9.0
+    assert {row["metric"] for row in parent.samples()} \
+        == {"replay.wall", "depth"}

@@ -19,12 +19,13 @@ import time
 import pytest
 
 from repro.gcalgo.columnar import compile_traces
-from repro.obs.adapters import (cache_metrics, device_metrics,
-                                hmc_metrics, timing_metrics)
+from repro.experiments.store import CACHES
+from repro.obs.adapters import device_metrics, hmc_metrics, timing_metrics
 from repro.obs.export import (METRICS_SCHEMA_VERSION, metrics_csv,
                               metrics_snapshot, write_chrome_trace,
                               write_metrics_json)
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (MetricsRegistry, global_metrics,
+                               reset_global_metrics)
 from repro.obs.tracer import Tracer, get_tracer
 from repro.platform import fast_replay
 from repro.platform.fast_replay import FastTraceReplayer
@@ -138,14 +139,17 @@ def test_disabled_tracing_overhead_under_5_percent(
 
 
 def test_adapters_fill_one_registry(mixed_run):
+    reset_global_metrics()
     platform, _, _ = platform_for("charon")
     result = TraceReplayer(platform).replay_all(mixed_run.traces)
-    registry = MetricsRegistry()
+    registry = global_metrics()
     timing_metrics(registry, result, workload="mixed")
     device_metrics(registry, platform.device)
     hmc_metrics(registry, platform.hmc)
-    cache_metrics(registry)
+    for namespace in CACHES:  # the store tallies are rows of it too
+        namespace.stats.snapshot()
     names = {row["metric"] for row in registry.samples()}
+    assert "replay.kernel_events" in names
     assert "replay.wall_seconds" in names
     assert "charon.offloads" in names
     assert "charon.unit_commands" in names

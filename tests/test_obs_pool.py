@@ -1,0 +1,120 @@
+"""Telemetry survives the worker pool: a pooled sweep reports what a
+serial one does.
+
+``replay_grid`` with ``processes=2`` runs its cells in forked workers,
+which hand their metric rows and spans back with each result; the
+parent merges them in job order.  So the parent's registry and tracer
+after a pooled sweep must match a serial sweep's — rows keyed by
+(metric, labels), the store tallies, the simulated-clock spans and the
+host-span names.  Host-time rows (``replay.kernel_seconds`` and
+``replay.kernel_events_per_sec``) differ run to run and are left out.
+
+Two counters count work that genuinely differs with scheduling, so
+they are bounded instead of compared: each worker memoises the
+trace-pure stage-1 products on its own copy of a trace, so a product
+two workers need is read from the stage-1 cache once per worker
+(``stage1_cache.hits``), and a shard-claim race a stealer loses is
+``shard_journal.stolen``.
+"""
+
+import json
+
+import pytest
+
+from repro.experiments import shard_journal, stage1_cache, trace_cache
+from repro.experiments.runner import (_fork_available, clear_cache,
+                                      replay_grid)
+from repro.obs.metrics import global_metrics, reset_global_metrics
+from repro.obs.tracer import get_tracer
+
+# The autouse fixture gives every test a fresh tmp trace cache.
+from tests.test_replay_grid import (PLATFORMS, WORKLOAD,  # noqa: F401
+                                    isolated_caches)
+
+HOST_TIME_ROWS = ("replay.kernel_seconds", "replay.kernel_events_per_sec")
+SCHEDULED = ("stage1_cache.hits", "shard_journal.stolen")
+#: The Chrome-trace pids of the simulated and host clock domains.
+SIM_PID, HOST_PID = 0, 1
+
+
+@pytest.fixture
+def tracing():
+    tracer = get_tracer()
+    was_enabled = tracer.enabled
+    tracer.enable()
+    yield tracer
+    tracer.clear()
+    tracer.enabled = was_enabled
+    reset_global_metrics()
+
+
+def telemetry(tracer, processes, journal=None):
+    """One sweep from cold memos, a reset registry and an empty tracer
+    (the disk caches stay warm); returns what the parent then holds."""
+    clear_cache()
+    reset_global_metrics()
+    tracer.clear()
+    replay_grid(PLATFORMS, [WORKLOAD], processes=processes,
+                journal=journal)
+    tallies = {"trace_cache": trace_cache.STATS.snapshot(),
+               "stage1_cache": stage1_cache.STATS.snapshot(),
+               "shard_journal": shard_journal.STATS.snapshot()}
+    rows = {(row["metric"], tuple(sorted(row["labels"].items()))):
+            row["value"] for row in global_metrics().samples()
+            if row["metric"] not in HOST_TIME_ROWS}
+    events = [event for event in tracer.chrome_events()
+              if event["ph"] != "M"]
+    sim = [json.dumps(event, sort_keys=True) for event in events
+           if event["pid"] == SIM_PID]
+    host = sorted(event["name"] for event in events
+                  if event["pid"] == HOST_PID)
+    return rows, tallies, sim, host
+
+
+@pytest.mark.parametrize("journaled", [False, True],
+                         ids=["plain", "journaled"])
+def test_pooled_telemetry_equals_serial(tmp_path, tracing, journaled):
+    if not _fork_available():
+        pytest.skip("no fork start method on this platform")
+    replay_grid(PLATFORMS, [WORKLOAD], processes=1)  # warm the caches
+
+    def sweep(processes):
+        journal = tmp_path / f"journal-{processes}" if journaled else None
+        return telemetry(tracing, processes, journal)
+
+    serial_rows, serial_tallies, serial_sim, serial_host = sweep(1)
+    rows, tallies, sim, host = sweep(2)
+
+    walls = [key for key in serial_rows
+             if key[0] == "replay.wall_seconds"]
+    assert len(walls) == len(PLATFORMS)
+    assert serial_sim and "replay" in serial_host
+
+    scheduled = {key for key in serial_rows.keys() | rows.keys()
+                 if key[0] in SCHEDULED}
+    assert {key: value for key, value in rows.items()
+            if key not in scheduled} \
+        == {key: value for key, value in serial_rows.items()
+            if key not in scheduled}
+    assert host == serial_host
+    if journaled:  # stealers finish shards in any order
+        assert sorted(sim) == sorted(serial_sim)
+    else:  # merged in job order
+        assert sim == serial_sim
+
+    assert tallies["trace_cache"] == serial_tallies["trace_cache"]
+    pooled_stage1 = dict(tallies["stage1_cache"])
+    serial_stage1 = dict(serial_tallies["stage1_cache"])
+    hits, serial_hits = pooled_stage1.pop("hits"), serial_stage1.pop("hits")
+    assert pooled_stage1 == serial_stage1 == {
+        "misses": 0, "stale": 0, "stores": 0}
+    # Every worker read reached the parent, none twice.
+    assert 0 < serial_hits <= hits <= 2 * serial_hits
+    pooled_shards = dict(tallies["shard_journal"])
+    serial_shards = dict(serial_tallies["shard_journal"])
+    assert serial_shards.pop("stolen") == 0
+    assert 0 <= pooled_shards.pop("stolen") <= len(PLATFORMS)
+    assert pooled_shards == serial_shards
+    if journaled:
+        assert serial_shards["runs"] == serial_shards["stores"] \
+            == len(PLATFORMS)

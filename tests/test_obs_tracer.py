@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.config import METRICS_OUT_ENV, TRACE_OUT_ENV
+from repro.config import OBS_OUT_ENV
 from repro.obs.tracer import (CLOCK_HOST, CLOCK_SIM, Tracer, get_tracer,
                               install_env_exporters)
 
@@ -85,6 +85,22 @@ def test_clear_and_enable_disable(tracer):
     assert len(tracer) == 0
 
 
+def test_drain_moves_events_to_another_tracer(tracer):
+    tracer.add_span("gc", 0.0, 1.0, tid=3)
+    with tracer.span("replay"):
+        pass
+    events = tracer.drain(host_tid=4242)
+    assert len(tracer) == 0
+    sim, host = events
+    assert (sim["pid"], sim["tid"]) == (0, 3)  # sim lanes kept
+    assert (host["pid"], host["tid"]) == (1, 4242)
+    parent = Tracer(enabled=True)
+    parent.add_span("earlier", 0.0, 1.0)
+    parent.merge(events)
+    assert [event["name"] for event in parent.chrome_events()
+            if event["ph"] == "X"] == ["earlier", "gc", "replay"]
+
+
 def test_instant_marker(tracer):
     tracer.instant("cache-hit", args={"key": "abc"})
     [event] = [e for e in tracer.chrome_events() if e["ph"] == "i"]
@@ -95,15 +111,11 @@ def test_install_env_exporters_arms_the_global_tracer(tmp_path):
     tracer = get_tracer()
     was_enabled = tracer.enabled
     try:
-        installed = install_env_exporters({
-            TRACE_OUT_ENV: str(tmp_path / "trace.json"),
-            METRICS_OUT_ENV: str(tmp_path / "metrics.json"),
-        })
-        assert set(installed) == {TRACE_OUT_ENV, METRICS_OUT_ENV}
+        installed = install_env_exporters({OBS_OUT_ENV: str(tmp_path)})
+        assert installed == {OBS_OUT_ENV: str(tmp_path)}
         assert tracer.enabled
-        # Idempotent: the same paths install only once.
-        assert install_env_exporters({
-            TRACE_OUT_ENV: str(tmp_path / "trace.json")}) == {}
+        # Idempotent: the same directory installs only once.
+        assert install_env_exporters({OBS_OUT_ENV: str(tmp_path)}) == {}
         assert install_env_exporters({}) == {}
     finally:
         tracer.enabled = was_enabled

@@ -21,6 +21,7 @@ from repro.experiments import runner, shard_journal
 from repro.experiments.runner import (_fork_available, clear_cache,
                                       replay_grid, replay_platform)
 from repro.obs import eventlog
+from repro.obs.metrics import global_metrics, reset_global_metrics
 
 WORKLOAD = "graphchi-als"  # fastest real workload
 PLATFORMS = ("cpu-ddr4", "ideal", "charon")
@@ -171,7 +172,7 @@ class TestShardJournal:
         grids_equal(reference, stolen)
         stats = shard_journal.STATS.snapshot()
         # claims made the workers disjoint: every shard ran exactly
-        # once across the pool (the tally is fork-shared)
+        # once across the pool (the workers' tallies merge back)
         assert stats["runs"] == len(PLATFORMS)
         assert stats["stores"] == len(PLATFORMS)
 
@@ -225,7 +226,10 @@ class TestShardJournal:
 class TestKilledWorker:
     """A pool worker SIGKILLed mid-cell must not hang the sweep: the
     pool breaks, one ``fallback`` event is logged, and the parent
-    finishes the missing cells, returning the serial grid."""
+    finishes the missing cells, returning the serial grid.  The dead
+    worker's telemetry is lost, never counted twice: a plain sweep
+    records every cell's ``replay.wall_seconds`` exactly once, with
+    the serial value."""
 
     @pytest.mark.parametrize("journaled", [False, True],
                              ids=["plain", "journaled"])
@@ -240,14 +244,18 @@ class TestKilledWorker:
 
         def sweep_with_a_dying_worker():
             os.setpgid(0, 0)  # lets the test reap a hung pool too
+            reset_global_metrics()  # the reference sweep's rows
             sweep_pid = os.getpid()
             original = runner.replay_platform
 
             def fragile(platform_name, *args, **kwargs):
+                # Die having replayed the cell but before handing it
+                # back: its result and telemetry are lost together.
+                result = original(platform_name, *args, **kwargs)
                 if platform_name == "charon" \
                         and os.getpid() != sweep_pid:
                     os.kill(os.getpid(), signal.SIGKILL)
-                return original(platform_name, *args, **kwargs)
+                return result
 
             runner.replay_platform = fragile
             eventlog.get_eventlog().open(events)
@@ -257,9 +265,23 @@ class TestKilledWorker:
                 same = (list(grid) == list(reference)
                         and all(grid[key] == result
                                 for key, result in reference.items()))
-                os._exit(0 if same else 1)
+                if not same:
+                    os._exit(1)
+                os._exit(0 if counted_once(journaled) else 3)
             except BaseException:
                 os._exit(2)
+
+        def counted_once(lost_allowed):
+            walls = {row["labels"]["platform"]: row["value"]
+                     for row in global_metrics().samples()
+                     if row["metric"] == "replay.wall_seconds"}
+            for platform in PLATFORMS:
+                serial = reference[(platform, WORKLOAD)].wall_seconds
+                if platform not in walls and lost_allowed:
+                    continue  # journaled: a dead worker's lost delta
+                if walls.get(platform) != serial:
+                    return False
+            return True
 
         context = multiprocessing.get_context("fork")
         sweep = context.Process(target=sweep_with_a_dying_worker)
@@ -269,7 +291,9 @@ class TestKilledWorker:
             os.killpg(sweep.pid, signal.SIGKILL)
             sweep.join()
             pytest.fail("the sweep hung after its worker was killed")
-        assert sweep.exitcode == 0  # returned the serial grid
+        assert sweep.exitcode != 1  # returned the serial grid
+        assert sweep.exitcode != 3  # a cell's telemetry lost or doubled
+        assert sweep.exitcode == 0
         fallbacks = [record for record in eventlog.read_events(events)
                      if record["event"] == "fallback"]
         assert len(fallbacks) == 1

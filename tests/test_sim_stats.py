@@ -1,8 +1,9 @@
-"""Tests for statistics primitives."""
+"""Tests for the statistics primitives of :mod:`repro.obs.metrics`
+that the simulation components register against."""
 
 import pytest
 
-from repro.sim.stats import Counter, Histogram, StatsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -62,35 +63,35 @@ class TestHistogram:
 
 class TestStatsRegistry:
     def test_counter_identity(self):
-        reg = StatsRegistry()
+        reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
 
     def test_scope_prefixes(self):
-        reg = StatsRegistry()
+        reg = MetricsRegistry()
         child = reg.scope("cube0")
         child.counter("hits").add(3)
         assert reg.as_dict() == {"cube0.hits": 3.0}
 
     def test_nested_scopes(self):
-        reg = StatsRegistry()
+        reg = MetricsRegistry()
         leaf = reg.scope("a").scope("b")
         leaf.counter("x").add(1)
         assert "a.b.x" in reg.as_dict()
 
     def test_counters_iteration_ordered(self):
-        reg = StatsRegistry()
+        reg = MetricsRegistry()
         reg.counter("z").add(1)
         reg.counter("a").add(2)
         assert [name for name, _ in reg.counters()] == ["z", "a"]
 
     def test_histogram_registry(self):
-        reg = StatsRegistry()
+        reg = MetricsRegistry()
         hist = reg.histogram("lat", [1.0, 2.0])
         hist.record(1.5)
         assert reg.histogram("lat", [1.0, 2.0]).total == 1
 
     def test_reset_all(self):
-        reg = StatsRegistry()
+        reg = MetricsRegistry()
         reg.counter("a").add(5)
         reg.histogram("h", [1.0]).record(0.5)
         reg.reset()

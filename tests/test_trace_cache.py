@@ -20,6 +20,7 @@ from repro.experiments.trace_cache import (fetch_run, load_run,
                                            run_cache_key, store_run)
 from repro.gcalgo import trace_io
 from repro.gcalgo.trace_io import trace_to_dict
+from repro.obs.metrics import global_metrics
 
 from tests.conftest import SMALL_HEAP_BYTES, make_mixed_run
 
@@ -213,21 +214,29 @@ class TestInterleavedReuse:
         assert store.TRACES.clear(tmp_path) == 0
 
 
+def _tally_in_worker(hits):
+    trace_cache.STATS.add("hits", hits)
+    trace_cache.STATS.add("stores")
+
+
 class TestCacheStats:
-    """The tally must survive threads and forked grid workers."""
+    """The tally is the namespace's counters in the global metrics
+    registry; pool workers' increments reach it through the telemetry
+    delta (``tests/test_obs_pool.py``)."""
 
     def test_reset_zeroes_every_field(self):
-        stats = store.CacheStats(tuple(trace_cache.STATS.snapshot()))
+        stats = trace_cache.STATS
         stats.add("hits", 3)
         stats.add("generated")
         assert stats["hits"] == 3
+        assert global_metrics().counter("trace_cache.hits").value == 3
         stats.reset()
         assert set(stats.snapshot().values()) == {0}
 
     def test_thread_safety(self):
         import threading
 
-        stats = store.CacheStats(tuple(trace_cache.STATS.snapshot()))
+        stats = trace_cache.STATS
         per_thread, threads = 2000, 8
 
         def hammer():
@@ -242,30 +251,22 @@ class TestCacheStats:
             worker.join()
         assert stats["hits"] == per_thread * threads
 
-    def test_fork_shared_with_worker_processes(self):
-        import multiprocessing
+    def test_pool_worker_increments_reach_the_parent(self):
+        from repro.experiments.runner import _fan_out, _fork_available
 
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
+        if not _fork_available():
             pytest.skip("fork start method unavailable")
-        stats = store.CacheStats(tuple(trace_cache.STATS.snapshot()))
-        stats.add("generated")
+        trace_cache.STATS.add("generated")
+        _fan_out(_tally_in_worker, [5, 5, 5, 5], processes=2)
+        # Counted once each: the fork's copy of the parent's row is
+        # not merged back.
+        assert trace_cache.STATS.snapshot() == {
+            "hits": 20, "misses": 0, "stale": 0, "stores": 4,
+            "generated": 1}
 
-        def work():
-            stats.add("hits", 5)
-            stats.add("stores")
-
-        workers = [context.Process(target=work) for _ in range(4)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        assert all(worker.exitcode == 0 for worker in workers)
-        # The children's increments land in the parent's tally.
-        assert stats.snapshot() == {"hits": 20, "misses": 0,
-                                    "stale": 0, "stores": 4,
-                                    "generated": 1}
+    def test_unknown_field_is_rejected(self):
+        with pytest.raises(KeyError):
+            trace_cache.STATS.add("hit")
 
     def test_global_stats_surface_even_at_zero(self):
         # `repro cache stats` prints the tally before any fetch.
