@@ -326,21 +326,23 @@ def run_live_observability_probe() -> None:
     """Drive a journaled sweep with the live endpoint armed.
 
     Polls ``/metrics`` and ``/progress`` while the sweep runs:
-    the exposition text must parse line by line, the completion
-    percentage must be monotone non-decreasing and reach 100%, and the
-    run-event log (written into the artifact dir, which CI uploads)
-    must carry the typed records the sweep emits.
+    the exposition text must parse line by line and the completion
+    percentage must be monotone non-decreasing and reach 100%.  The
+    sweep exports its telemetry through ``REPRO_OBS_OUT`` (into the
+    artifact dir's ``live-sweep/``, which CI uploads): the Chrome
+    trace must hold simulated ``gc`` spans, and the ``shard_journal``
+    runs plus hits must cover every shard of the sweep manifest.
     """
-    ARTIFACTS.mkdir(parents=True, exist_ok=True)
-    eventlog_path = ARTIFACTS / "bench-smoke.events.jsonl"
-    eventlog_path.unlink(missing_ok=True)
+    obs_out = ARTIFACTS / "live-sweep"
+    for name in ("trace.json", "metrics.json"):
+        (obs_out / name).unlink(missing_ok=True)
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     env["REPRO_METRICS_PORT"] = str(port)
-    env["REPRO_EVENTLOG"] = str(eventlog_path)
+    env["REPRO_OBS_OUT"] = str(obs_out)
     with tempfile.TemporaryDirectory(prefix="live-sweep-") as temp:
         env["REPRO_TRACE_CACHE"] = str(Path(temp) / "cache")
         journal = Path(temp) / "journal"
@@ -390,25 +392,34 @@ def run_live_observability_probe() -> None:
         if completions != sorted(completions):
             sys.exit(f"bench smoke: completion % went backwards: "
                      f"{completions}")
-        final = json.loads(
-            (journal / "progress.json").read_text())
+        sys.path.insert(0, str(REPO / "src"))
+        from repro.experiments.progress import progress_snapshot
+        final = progress_snapshot(journal)
         if final["completion_pct"] != 100.0 \
                 or final["shards_pending"]:
             sys.exit(f"bench smoke: sweep ended at "
                      f"{final['completion_pct']}% with "
                      f"{final['shards_pending']} pending shard(s)")
 
-    sys.path.insert(0, str(REPO / "src"))
-    from repro.obs.eventlog import read_events
-    events = {record["event"] for record in read_events(eventlog_path)}
-    missing = {"run_start", "gc_pause", "shard_claimed", "shard_done",
-               "run_end"} - events
-    if missing:
-        sys.exit(f"bench smoke: run-event log is missing record "
-                 f"type(s): {sorted(missing)}")
+    gc_spans = [event for event in json.loads(
+                    (obs_out / "trace.json").read_text())
+                if event.get("cat") == "gc"]
+    if not gc_spans:
+        sys.exit("bench smoke: the live sweep's trace.json has no "
+                 "gc spans")
+    counters = {row["metric"]: row["value"] for row in json.loads(
+                    (obs_out / "metrics.json").read_text())["metrics"]
+                if not row["labels"]}
+    covered = (counters.get("shard_journal.runs", 0)
+               + counters.get("shard_journal.hits", 0))
+    if covered != final["shards_total"]:
+        sys.exit(f"bench smoke: shard_journal runs + hits = "
+                 f"{covered:g}, the manifest names "
+                 f"{final['shards_total']} shard(s)")
     print(f"bench smoke: live observability OK — "
           f"{len(completions)} /progress samples (monotone to 100%), "
-          f"exposition valid, event log at {eventlog_path.name}")
+          f"exposition valid, {len(gc_spans)} gc spans and "
+          f"{covered:g} journaled shards in {obs_out.name}/")
 
 
 def main() -> None:

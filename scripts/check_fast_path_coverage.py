@@ -149,10 +149,9 @@ def main() -> int:
                           f"{result.replay_kernel}")
 
     # Publish the verdict where live consumers see it: a gauge in the
-    # registry (scraped by /metrics when a port is armed) and a typed
-    # run-event record — a kernel-coverage regression then shows up on
+    # registry (scraped by /metrics when a port is armed, exported by
+    # REPRO_OBS_OUT) — a kernel-coverage regression then shows up on
     # the instrument panel, not only in the CI log.
-    from repro.obs.eventlog import get_eventlog
     from repro.obs.tracer import install_env_exporters
     install_env_exporters()
     coverage = global_metrics().scope("coverage")
@@ -162,13 +161,6 @@ def main() -> int:
     coverage.gauge("fast_path_failures",
                    "fast-path coverage violations found").set(
                        len(failures))
-    eventlog = get_eventlog()
-    if eventlog.enabled:
-        eventlog.emit("coverage_check", ok=not failures,
-                      failures=len(failures),
-                      platforms=len(PLATFORMS), threads=len(THREADS),
-                      trace_sets=len(trace_sets),
-                      detail=failures[:10])
 
     for failure in failures:
         print(f"fast-path coverage: {failure}", file=sys.stderr)

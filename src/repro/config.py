@@ -488,7 +488,6 @@ HEAP_KERNELS_ENV = "REPRO_HEAP_KERNELS"        #: scalar | fast
 HEAP_BACKEND_ENV = "REPRO_HEAP_BACKEND"        #: ram | mmap
 SHARD_JOURNAL_ENV = "REPRO_SHARD_JOURNAL"      #: sweep-shard directory
 METRICS_PORT_ENV = "REPRO_METRICS_PORT"        #: live /metrics endpoint
-EVENTLOG_ENV = "REPRO_EVENTLOG"                #: JSONL run-event log
 
 #: ``repro replay --mode`` / :func:`repro.platform.make_replayer`:
 #: ``fast`` (kernel-driven, the default) or ``event`` (the
@@ -506,12 +505,6 @@ HEAP_BACKENDS = ("ram", "mmap")
 #: addition to the trace being assembled, large enough that the zip
 #: member overhead stays negligible.
 DEFAULT_TRACE_CHUNK_EVENTS = 65536
-
-#: Default size at which the JSONL run-event log rotates (the current
-#: file moves to ``<path>.1`` and a fresh one starts).  Generous for a
-#: paper-scale sweep (a record is ~150 bytes) while bounding what a
-#: runaway run can leave behind.
-DEFAULT_EVENTLOG_MAX_BYTES = 16 * MB
 
 
 def default_heap_backend() -> str:

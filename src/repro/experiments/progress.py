@@ -13,17 +13,15 @@ what is on disk, so the view survives crashes and resumes for free:
   ``claimed`` (a ``.claim`` file names the owner pid) or ``pending``,
   then aggregates completion % (shard- and event-weighted), per-worker
   rates from the execution metadata the journal stores with each
-  result, and an ETA from this session's observed events/sec;
-* :func:`refresh_progress` persists the snapshot atomically as
-  ``progress.json`` beside the journal (the journal refreshes it after
-  every store), so ``repro sweep status`` and the ``/progress``
-  endpoint of :mod:`repro.obs.live` read one serializer's output
-  whether the sweep is alive, crashed, or finished.
+  result, and an ETA from this session's observed events/sec.
+  ``repro sweep status``, ``repro top`` and the ``/progress`` endpoint
+  of :mod:`repro.obs.live` all call it, so they read one serializer's
+  output whether the sweep is alive, crashed, or finished.
 
-Both files go through the store's one atomic write
+The manifest goes through the store's one atomic write
 (:func:`repro.experiments.store.write`): a failed write (full or
-read-only journal directory) warns, emits a ``fallback`` event and
-leaves the sweep going without that file.
+read-only journal directory) warns, counts ``sweep_progress.fallbacks``
+and leaves the sweep going without it.
 
 Because state is re-derived from the journal, killing a sweep and
 resuming it continues the completion %/ETA exactly where the journal
@@ -44,21 +42,11 @@ from repro.experiments import store
 PROGRESS_SCHEMA_VERSION = 1
 
 SWEEP_MANIFEST = "sweep.json"
-PROGRESS_FILE = "progress.json"
 
-#: The two progress files, as store entries keyed by their fixed names
-#: (``sweep`` and ``progress``) rather than content hashes.
+#: The sweep manifest, as a store entry keyed by its fixed name
+#: (``sweep``) rather than a content hash.
 FILES = store.Namespace("sweep_progress", ".json", "sweep-progress",
                         ("stores",), "sweep progress: {stores} store(s)")
-
-
-def _write_json(directory: Path, name: str, payload: dict
-                ) -> Optional[Path]:
-    """Store ``payload`` as ``<directory>/<name>.json``; ``None`` when
-    the write failed."""
-    text = json.dumps(payload, sort_keys=True)
-    return store.write(FILES, directory, name,
-                       lambda temp: temp.write_text(text))
 
 
 # -- the sweep manifest ----------------------------------------------------
@@ -74,12 +62,14 @@ def write_sweep_manifest(directory: Union[str, Path],
     one's wall clock.  Returns the manifest's path, or ``None`` when
     the write failed.
     """
-    return _write_json(Path(directory), "sweep", {
+    text = json.dumps({
         "schema": PROGRESS_SCHEMA_VERSION,
         "started_at": round(time.time(), 6),
         "parent_pid": os.getpid(),
         "shards": shards,
-    })
+    }, sort_keys=True)
+    return store.write(FILES, Path(directory), "sweep",
+                       lambda temp: temp.write_text(text))
 
 
 def load_sweep_manifest(directory: Union[str, Path]) -> Optional[dict]:
@@ -129,9 +119,8 @@ def progress_snapshot(directory: Union[str, Path, None] = None
 
     Returns ``{"available": False}`` when no manifest exists (no sweep
     has announced itself in this journal).  Otherwise the document the
-    ``/progress`` endpoint, ``progress.json`` and ``repro sweep
-    status --format json`` all share — see ``docs/OBSERVABILITY.md``
-    for the field reference.
+    ``/progress`` endpoint and ``repro sweep status --format json``
+    share — see ``docs/OBSERVABILITY.md`` for the field reference.
     """
     from repro.experiments import shard_journal
     directory = shard_journal.journal_dir(directory)
@@ -147,7 +136,6 @@ def progress_snapshot(directory: Union[str, Path, None] = None
     done = claimed = 0
     events_total = events_done = 0
     session_events = 0
-    session_host_seconds = 0.0
     workers: Dict[str, dict] = {}
     for key, spec in sorted(manifest.get("shards", {}).items()):
         events = int(spec.get("events") or 0)
@@ -189,7 +177,6 @@ def progress_snapshot(directory: Union[str, Path, None] = None
             # their events would inflate the observed rate.
             if completed_at is not None and completed_at >= started_at:
                 session_events += events
-                session_host_seconds += host_seconds or 0.0
         elif claim_path.exists():
             claimed += 1
             entry["state"] = "claimed"
@@ -206,13 +193,10 @@ def progress_snapshot(directory: Union[str, Path, None] = None
     pending = total - done - claimed
     events_remaining = events_total - events_done
     elapsed = max(1e-9, now - started_at)
-    # Throughput-weighted ETA: prefer this session's wall-clock rate
-    # (events the session completed over time it has been running);
-    # before the first completion, fall back to the summed per-shard
-    # execution rate from the journal metadata, if any.
-    rate = session_events / elapsed if session_events else 0.0
-    if rate <= 0.0 and session_host_seconds > 0.0:
-        rate = session_events / session_host_seconds
+    # Throughput-weighted ETA from this session's wall-clock rate
+    # (events the session completed over time it has been running).
+    # Until the session completes a shard there is no rate and no ETA.
+    rate = session_events / elapsed
     eta_seconds = (events_remaining / rate
                    if rate > 0.0 and events_remaining else None)
     for worker in workers.values():
@@ -243,17 +227,6 @@ def progress_snapshot(directory: Union[str, Path, None] = None
         "workers": workers,
         "shards": shards,
     }
-
-
-def refresh_progress(directory: Union[str, Path]) -> Optional[Path]:
-    """Re-derive and persist ``progress.json``; returns its path (or
-    ``None`` when no manifest announces a sweep here, or the write
-    failed)."""
-    directory = Path(directory)
-    snapshot = progress_snapshot(directory)
-    if not snapshot.get("available"):
-        return None
-    return _write_json(directory, "progress", snapshot)
 
 
 def attach_live(directory: Union[str, Path]) -> None:

@@ -42,7 +42,6 @@ from repro.gcalgo.columnar import CompiledTrace
 from repro.heap.heap import JavaHeap
 from repro.obs import provenance
 from repro.obs.adapters import timing_metrics
-from repro.obs.eventlog import get_eventlog
 from repro.obs.metrics import global_metrics
 from repro.obs.tracer import get_tracer
 from repro.platform import build_platform, native
@@ -218,10 +217,11 @@ def _fan_out(function: Callable, items: Sequence,
     run in this process.
 
     An exception raised in a worker reaches the caller.  A worker that
-    *dies* breaks the pool instead: one ``fallback`` event is emitted
-    and the results received so far — a prefix of the list — are
-    returned, so the caller finishes the missing items itself.  A dead
-    worker's unsent telemetry is lost, so nothing is counted twice.
+    *dies* breaks the pool instead: the ``fanout.fallbacks`` counter
+    counts it and the results received so far — a prefix of the list —
+    are returned, so the caller finishes the missing items itself.  A
+    dead worker's unsent telemetry is lost, so nothing is counted
+    twice.
     """
     if processes <= 1 or len(items) <= 1 or not _fork_available():
         return [function(item) for item in items]
@@ -245,10 +245,9 @@ def _fan_out(function: Callable, items: Sequence,
                 get_tracer().merge(events)
                 results.append(result)
     except BrokenProcessPool:
-        eventlog = get_eventlog()
-        if eventlog.enabled:
-            eventlog.emit("fallback", to="serial",
-                          done=len(results), items=len(items))
+        global_metrics().add("fanout.fallbacks", description=(
+            "pools broken by a dead worker; the parent finished the "
+            "rest"))
     return results
 
 
@@ -323,12 +322,12 @@ def _sweep_journaled(directory: Path, jobs: List[tuple],
     claims are cleared first, so their cells still run and persist.
 
     The parent also announces the grid to the progress monitor
-    (``sweep.json`` + ``progress.json`` beside the journal, and the
-    live ``/progress`` endpoint when one is serving): every shard's
-    state is thereafter derivable from the journal itself, so watchers
-    see completion reach 100% exactly when the last shard persists —
-    memo-served cells are backfilled into the journal so they count as
-    done rather than lingering as phantom pendings.
+    (``sweep.json`` beside the journal, and the live ``/progress``
+    endpoint when one is serving): every shard's state is thereafter
+    derivable from the journal itself, so watchers see completion
+    reach 100% exactly when the last shard persists — memo-served
+    cells are backfilled into the journal so they count as done rather
+    than lingering as phantom pendings.
     """
     shard_journal.reset_claims(directory)
     pending: Dict[str, tuple] = {}
@@ -358,7 +357,6 @@ def _sweep_journaled(directory: Path, jobs: List[tuple],
             pending[key] = job
     progress.write_sweep_manifest(directory, manifest)
     progress.attach_live(directory)
-    progress.refresh_progress(directory)
     stealers = min(processes, len(pending))
     payload = (str(directory), tuple(pending.items()))
     if len(_fan_out(_journal_worker, [payload] * stealers,
@@ -374,7 +372,6 @@ def _sweep_journaled(directory: Path, jobs: List[tuple],
         result = shard_journal.load_shard(directory, key)
         if result is not None:
             _REPLAY_CACHE[_memo_key(job)] = result
-    progress.refresh_progress(directory)
 
 
 def _fork_available() -> bool:

@@ -42,7 +42,6 @@ from typing import Callable, Dict, Optional, Union
 from repro.config import SHARD_JOURNAL_ENV
 from repro.experiments import store
 from repro.gcalgo.trace import Primitive
-from repro.obs.eventlog import get_eventlog
 from repro.platform.timing import GCTimingResult, PlatformEnergy
 
 #: Bump when the journal payload layout changes; skewed entries are
@@ -158,8 +157,8 @@ def claim_shard(directory: Union[str, Path], key: str) -> bool:
     concurrent claimant wins.  Returns False when another worker
     already holds (or finished) the shard.  A journal that cannot hold
     the claim file (disk full, read-only or forbidden directory) does
-    not stop the sweep: the failure warns, emits one ``fallback`` event
-    naming the journal, and the shard is computed unclaimed (True).
+    not stop the sweep: the failure warns, counts the journal's
+    ``fallbacks``, and the shard is computed unclaimed (True).
     """
     directory = Path(directory)
     try:
@@ -169,25 +168,17 @@ def claim_shard(directory: Union[str, Path], key: str) -> bool:
     except FileExistsError:
         return False
     except OSError as exc:
-        return _claim_failed(directory, key, exc)
+        warnings.warn(f"cannot claim shard {key[:12]} in journal "
+                      f"{directory}: {exc}; computing it unclaimed",
+                      stacklevel=2)
+        STATS.add("fallbacks")
+        return True
     # Owner info for the progress monitor ("who holds this shard, since
     # when"); the claim's *existence* is what arbitrates, so a failed
     # write leaves the claim held.
     with contextlib.suppress(OSError), os.fdopen(fd, "w") as handle:
         handle.write(json.dumps({"pid": os.getpid(),
                                  "claimed_at": round(time.time(), 6)}))
-    return True
-
-
-def _claim_failed(directory: Path, key: str, exc: OSError) -> bool:
-    warnings.warn(f"cannot claim shard {key[:12]} in journal "
-                  f"{directory}: {exc}; computing it unclaimed",
-                  stacklevel=3)
-    eventlog = get_eventlog()
-    if eventlog.enabled:
-        eventlog.emit("fallback", namespace=store.SHARDS.name,
-                      journal=str(directory), to="unclaimed",
-                      key=key[:12], error=str(exc))
     return True
 
 
@@ -221,39 +212,24 @@ def sweep_shards(directory: Union[str, Path],
     and stored (with owner pid and host seconds for the progress
     monitor), a lost claim race is counted as ``stolen`` and left to
     its winner.  Called concurrently from every pool worker (and once
-    from the parent as the serial path / completeness backstop).  A
-    monitored sweep (``sweep.json`` present) re-derives
-    ``progress.json`` after each store.
+    from the parent as the serial path / completeness backstop).
     """
-    from repro.experiments import progress as progress_mod
     directory = Path(directory)
-    eventlog = get_eventlog()
-    if not eventlog.enabled:
-        eventlog = None
-    monitored = (directory / progress_mod.SWEEP_MANIFEST).exists()
     for key, job in shards.items():
         if has_shard(directory, key):
             continue
         if not claim_shard(directory, key):
             STATS.add("stolen")
             continue
-        if eventlog:
-            eventlog.emit("shard_claimed", shard=key)
         try:
             started = time.perf_counter()
             result = execute(job)
             host_seconds = time.perf_counter() - started
             STATS.add("runs")
-            stored = store_shard(directory, key, result, meta={
+            store_shard(directory, key, result, meta={
                 "pid": os.getpid(),
                 "host_seconds": round(host_seconds, 6),
                 "completed_at": round(time.time(), 6),
             })
-            if eventlog and stored:
-                eventlog.emit("shard_done", shard=key,
-                              platform=result.platform,
-                              host_seconds=round(host_seconds, 6))
-            if monitored:
-                progress_mod.refresh_progress(directory)
         finally:
             release_claim(directory, key)

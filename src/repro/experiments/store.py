@@ -16,8 +16,8 @@ Persistent state is an accelerator, never a dependency, so every fault
 degrades to recompute: :func:`read` discards a stale, torn or foreign
 entry (warn, delete, count ``stale``, miss), and a :func:`write` that
 fails with ``OSError`` (disk full, read-only or forbidden directory)
-removes its temp file, warns, emits one ``fallback`` event naming the
-namespace and leaves the caller going uncached.
+removes its temp file, warns, counts the namespace's ``fallbacks``
+and leaves the caller going uncached.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
 from repro.config import TRACE_CACHE_ENV, TRACE_CACHE_REQUIRE_ENV
 from repro.errors import ConfigError, ReproError
-from repro.obs.eventlog import get_eventlog
 from repro.obs.metrics import global_metrics
 
 #: What any codec raises decoding a stale, torn or foreign entry.
@@ -80,7 +79,10 @@ class CacheMiss(ReproError):
 
 class Namespace:
     """One kind of entry: the files ``<64-hex key><suffix>`` of a
-    directory, with its own tally and one-line summary."""
+    directory, with its own tally and one-line summary.  Every tally
+    has a ``fallbacks`` field: the failed writes (and, for the shard
+    journal, failed claims) that left the caller going without the
+    entry."""
 
     def __init__(self, name: str, suffix: str, noun: str,
                  fields: Sequence[str], line: str) -> None:
@@ -88,7 +90,7 @@ class Namespace:
         self.suffix = suffix
         self.noun = noun
         self.line = line
-        self.stats = Tally(name, fields)
+        self.stats = Tally(name, (*fields, "fallbacks"))
         self._entry = re.compile("[0-9a-f]{64}" + re.escape(suffix))
 
     def path(self, directory: PathLike, key: str) -> Path:
@@ -170,10 +172,7 @@ def write(namespace: Namespace, directory: PathLike, key: str,
     except OSError as exc:
         warnings.warn(f"not storing {namespace.noun} entry {path.name}: "
                       f"{exc}", stacklevel=3)
-        eventlog = get_eventlog()
-        if eventlog.enabled:
-            eventlog.emit("fallback", namespace=namespace.name,
-                          to="uncached", key=key[:12], error=str(exc))
+        namespace.stats.add("fallbacks")
         return None
     finally:
         with contextlib.suppress(OSError):
@@ -209,18 +208,14 @@ def fetch(namespace: Namespace, key: str,
     """Read-through/write-through: ``load(directory, key)`` or, on a
     miss, ``save(directory, key, produce())`` — which returns what the
     caller gets.  With no directory this is ``produce()``, still
-    honouring ``require``.  ``label`` (``workload=``/``kernel=``) rides
-    on the ``cache_hit``/``cache_miss`` events and the miss error.
+    honouring ``require``.  ``label`` (``workload=``/``kernel=``) names
+    the entry in the miss error.
     """
     directory = resolve(directory)
     if directory is not None:
         cached = load(directory, key)
         hit = cached is not None
         namespace.stats.add("hits" if hit else "misses")
-        eventlog = get_eventlog()
-        if eventlog.enabled:
-            eventlog.emit("cache_hit" if hit else "cache_miss",
-                          namespace=namespace.name, key=key[:12], **label)
         if hit:
             return cached
     if require is None:

@@ -23,9 +23,6 @@ pooled sweep reports what a serial one does.  The package:
 * :mod:`repro.obs.provenance` — per-run manifests (config hash,
   workload, platform, schema/generator versions, cache behaviour, host
   wall time) written next to every runner/figure/benchmark output;
-* :mod:`repro.obs.eventlog` — a structured JSONL run-event log
-  (``REPRO_EVENTLOG``) with size-based rotation: one greppable
-  timeline of run/GC/shard/cache events per run;
 * :mod:`repro.obs.live` — a live Prometheus-text exposition endpoint
   (``REPRO_METRICS_PORT``) serving ``/metrics``, ``/progress`` and
   ``/healthz`` from a stdlib http.server thread.
@@ -35,7 +32,6 @@ disabled; set ``REPRO_OBS_OUT=<dir>`` (or pass ``--trace-out``) to
 record and export a timeline.
 """
 
-from repro.obs.eventlog import EventLog, get_eventlog, read_events
 from repro.obs.live import (LiveServer, get_live_server,
                             render_prometheus)
 from repro.obs.metrics import (Counter, Gauge, Histogram,
@@ -47,17 +43,14 @@ __all__ = [
     "CLOCK_HOST",
     "CLOCK_SIM",
     "Counter",
-    "EventLog",
     "Gauge",
     "Histogram",
     "LiveServer",
     "MetricsRegistry",
     "Tracer",
-    "get_eventlog",
     "get_live_server",
     "get_tracer",
     "global_metrics",
     "install_env_exporters",
-    "read_events",
     "render_prometheus",
 ]

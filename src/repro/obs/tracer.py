@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.config import EVENTLOG_ENV, METRICS_PORT_ENV, OBS_OUT_ENV
+from repro.config import METRICS_PORT_ENV, OBS_OUT_ENV
 
 CLOCK_SIM = "sim"
 CLOCK_HOST = "host"
@@ -233,9 +233,7 @@ def install_env_exporters(environ=None) -> Dict[str, str]:
     ``REPRO_OBS_OUT=<dir>`` enables the global tracer and, at process
     exit, writes the Chrome trace to ``<dir>/trace.json`` and the
     global metrics registry's JSON snapshot to ``<dir>/metrics.json``.
-    Live observability
-    arms here too: ``REPRO_EVENTLOG=<path>`` opens the JSONL run-event
-    log and ``REPRO_METRICS_PORT=<port>`` starts the ``/metrics``
+    ``REPRO_METRICS_PORT=<port>`` starts the live ``/metrics``
     exposition endpoint.  Safe to call more than once — each exporter
     installs a single time per process.
     """
@@ -247,12 +245,8 @@ def install_env_exporters(environ=None) -> Dict[str, str]:
         atexit.register(_write_obs_out, Path(obs_out))
         _INSTALLED.add(obs_out)
         installed[OBS_OUT_ENV] = obs_out
-    # Lazy imports: the live modules cost nothing unless their
-    # environment knobs are actually set.
-    from repro.obs.eventlog import install_env_eventlog
-    eventlog_path = install_env_eventlog(environ)
-    if eventlog_path is not None:
-        installed[EVENTLOG_ENV] = eventlog_path
+    # Lazy import: the live module costs nothing unless its
+    # environment knob is actually set.
     from repro.obs.live import install_env_live_server
     live_port = install_env_live_server(environ)
     if live_port is not None:

@@ -28,7 +28,6 @@ from repro.config import REPLAY_MODES
 from repro.errors import ConfigError
 from repro.gcalgo.columnar import CompiledTrace, compile_trace
 from repro.gcalgo.trace import GCTrace, Primitive
-from repro.obs.eventlog import COLLECTOR_FOR_KIND, get_eventlog
 from repro.obs.tracer import get_tracer
 from repro.platform.base import Platform
 from repro.platform.batched import kernel_for
@@ -129,19 +128,8 @@ class FastTraceReplayer(TraceReplayer):
         result = self._package(compiled.kind, gc_start, now,
                                flush_seconds, primitive_seconds,
                                residual_seconds, host_busy, before)
-        host_seconds = perf_counter() - started
-        self._note_replay(len(compiled.events), host_seconds,
+        self._note_replay(len(compiled.events), perf_counter() - started,
                           chunks=kernel.chunks_processed - chunks_before)
-        eventlog = get_eventlog()
-        if eventlog.enabled:
-            eventlog.emit(
-                "gc_pause",
-                collector=COLLECTOR_FOR_KIND.get(compiled.kind,
-                                                 compiled.kind),
-                kind=compiled.kind, platform=platform.name,
-                sim_ns=int((now - gc_start) * 1e9),
-                host_ns=int(host_seconds * 1e9),
-                events=len(compiled.events))
         return result
 
 

@@ -18,7 +18,6 @@ from time import perf_counter
 from typing import Dict, Iterable, List, Tuple
 
 from repro.gcalgo.trace import GCTrace, Primitive, TraceEvent
-from repro.obs.eventlog import COLLECTOR_FOR_KIND, get_eventlog
 from repro.obs.tracer import get_tracer
 from repro.platform.base import Platform
 from repro.platform.timing import GCTimingResult, PlatformEnergy
@@ -143,17 +142,7 @@ class TraceReplayer:
         result = self._package(trace.kind, gc_start, now, flush_seconds,
                                primitive_seconds, residual_seconds,
                                host_busy, before)
-        host_seconds = perf_counter() - started
-        self._note_replay(len(trace.events), host_seconds)
-        eventlog = get_eventlog()
-        if eventlog.enabled:
-            eventlog.emit(
-                "gc_pause",
-                collector=COLLECTOR_FOR_KIND.get(trace.kind, trace.kind),
-                kind=trace.kind, platform=platform.name,
-                sim_ns=int((now - gc_start) * 1e9),
-                host_ns=int(host_seconds * 1e9),
-                events=len(trace.events))
+        self._note_replay(len(trace.events), perf_counter() - started)
         return result
 
     def replay_all(self, traces: Iterable[GCTrace]) -> GCTimingResult:

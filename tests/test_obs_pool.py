@@ -15,13 +15,20 @@ trace-pure stage-1 products on its own copy of a trace, so a product
 two workers need is read from the stage-1 cache once per worker
 (``stage1_cache.hits``), and a shard-claim race a stealer loses is
 ``shard_journal.stolen``.
+
+A fallback — a store write that failed, so the caller went uncached —
+is counted where it happens, so a worker's fallbacks reach the parent
+the same way.
 """
 
+import errno
 import json
+import os
 
 import pytest
 
-from repro.experiments import shard_journal, stage1_cache, trace_cache
+from repro.experiments import (shard_journal, stage1_cache, store,
+                               trace_cache)
 from repro.experiments.runner import (_fork_available, clear_cache,
                                       replay_grid)
 from repro.obs.metrics import global_metrics, reset_global_metrics
@@ -107,7 +114,7 @@ def test_pooled_telemetry_equals_serial(tmp_path, tracing, journaled):
     serial_stage1 = dict(serial_tallies["stage1_cache"])
     hits, serial_hits = pooled_stage1.pop("hits"), serial_stage1.pop("hits")
     assert pooled_stage1 == serial_stage1 == {
-        "misses": 0, "stale": 0, "stores": 0}
+        "misses": 0, "stale": 0, "stores": 0, "fallbacks": 0}
     # Every worker read reached the parent, none twice.
     assert 0 < serial_hits <= hits <= 2 * serial_hits
     pooled_shards = dict(tallies["shard_journal"])
@@ -118,3 +125,42 @@ def test_pooled_telemetry_equals_serial(tmp_path, tracing, journaled):
     if journaled:
         assert serial_shards["runs"] == serial_shards["stores"] \
             == len(PLATFORMS)
+
+
+def test_pooled_store_fallbacks_reach_the_parent(monkeypatch):
+    """Workers whose stage-1 writes hit ENOSPC count the fallbacks in
+    their own registries; the parent, which replays nothing itself,
+    ends up holding every one of them."""
+    if not _fork_available():
+        pytest.skip("no fork start method on this platform")
+    real_replace = os.replace
+
+    def full_disk(source, target):
+        if str(target).endswith(store.STAGE1.suffix):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
+                          str(target))
+        return real_replace(source, target)
+
+    monkeypatch.setattr(os, "replace", full_disk)  # forked workers too
+
+    def stage1_counters(processes):
+        clear_cache()
+        reset_global_metrics()
+        replay_grid(PLATFORMS, [WORKLOAD], processes=processes)
+        counters = {row["metric"]: row["value"]
+                    for row in global_metrics().samples()
+                    if not row["labels"]}
+        return (counters.get("stage1_cache.fallbacks", 0),
+                counters.get("stage1_cache.misses", 0))
+
+    try:
+        with pytest.warns(UserWarning, match="No space left"):
+            serial_fallbacks, serial_misses = stage1_counters(1)
+        fallbacks, misses = stage1_counters(2)
+    finally:
+        reset_global_metrics()
+    # Every miss tried to store its product and fell back.
+    assert 0 < fallbacks == misses
+    # A worker misses each product it needs once (its own memo), so
+    # the pool counts at least the serial sweep's fallbacks.
+    assert 0 < serial_fallbacks == serial_misses <= fallbacks

@@ -20,7 +20,6 @@ from repro.errors import ConfigError
 from repro.experiments import runner, shard_journal
 from repro.experiments.runner import (_fork_available, clear_cache,
                                       replay_grid, replay_platform)
-from repro.obs import eventlog
 from repro.obs.metrics import global_metrics, reset_global_metrics
 
 WORKLOAD = "graphchi-als"  # fastest real workload
@@ -181,7 +180,7 @@ class TestShardJournal:
         """ENOSPC creating claim files costs the work-stealing
         arbitration, not the sweep: the grid equals the unfaulted one,
         every shard still runs and persists, and each failed claim
-        emits a ``fallback`` event naming the journal."""
+        counts one of the journal's ``fallbacks``."""
         platforms, workloads = ["ideal", "charon"], ["spark-km"]
         expected = replay_grid(platforms, workloads, processes=1)
         clear_cache()
@@ -195,23 +194,14 @@ class TestShardJournal:
 
         monkeypatch.setattr(os, "open", full_disk_open)
         journal = tmp_path / "journal"
-        log = eventlog.get_eventlog()
-        log.open(tmp_path / "events.jsonl")
-        try:
-            with pytest.warns(UserWarning, match="No space left"):
-                grid = replay_grid(platforms, workloads, processes=1,
-                                   journal=journal)
-        finally:
-            log.close()
+        with pytest.warns(UserWarning, match="No space left"):
+            grid = replay_grid(platforms, workloads, processes=1,
+                               journal=journal)
         grids_equal(expected, grid)
         assert shard_journal.STATS["runs"] == len(platforms)
         assert len(list(journal.glob("*.shard.json"))) == len(platforms)
-        fallbacks = [record for record
-                     in eventlog.read_events(tmp_path / "events.jsonl")
-                     if record["event"] == "fallback"]
-        assert fallbacks
-        assert {record["journal"] for record in fallbacks} \
-            == {str(journal)}
+        # One failed claim per shard; the entries themselves stored.
+        assert shard_journal.STATS["fallbacks"] == len(platforms)
 
     def test_journal_env_variable_is_honored(self, tmp_path,
                                              monkeypatch):
@@ -225,7 +215,7 @@ class TestShardJournal:
 
 class TestKilledWorker:
     """A pool worker SIGKILLed mid-cell must not hang the sweep: the
-    pool breaks, one ``fallback`` event is logged, and the parent
+    pool breaks, ``fanout.fallbacks`` counts it once, and the parent
     finishes the missing cells, returning the serial grid.  The dead
     worker's telemetry is lost, never counted twice: a plain sweep
     records every cell's ``replay.wall_seconds`` exactly once, with
@@ -240,7 +230,6 @@ class TestKilledWorker:
         reference = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
         clear_cache()
         journal = tmp_path / "journal" if journaled else None
-        events = tmp_path / "events.jsonl"
 
         def sweep_with_a_dying_worker():
             os.setpgid(0, 0)  # lets the test reap a hung pool too
@@ -258,7 +247,6 @@ class TestKilledWorker:
                 return result
 
             runner.replay_platform = fragile
-            eventlog.get_eventlog().open(events)
             try:
                 grid = replay_grid(PLATFORMS, [WORKLOAD], processes=2,
                                    journal=journal)
@@ -267,6 +255,8 @@ class TestKilledWorker:
                                 for key, result in reference.items()))
                 if not same:
                     os._exit(1)
+                if global_metrics().counter("fanout.fallbacks").value != 1:
+                    os._exit(4)
                 os._exit(0 if counted_once(journaled) else 3)
             except BaseException:
                 os._exit(2)
@@ -293,11 +283,8 @@ class TestKilledWorker:
             pytest.fail("the sweep hung after its worker was killed")
         assert sweep.exitcode != 1  # returned the serial grid
         assert sweep.exitcode != 3  # a cell's telemetry lost or doubled
+        assert sweep.exitcode != 4  # the broken pool not counted once
         assert sweep.exitcode == 0
-        fallbacks = [record for record in eventlog.read_events(events)
-                     if record["event"] == "fallback"]
-        assert len(fallbacks) == 1
-        assert fallbacks[0]["to"] == "serial"
         if journaled:
             assert len(list(journal.glob("*.shard.json"))) \
                 == len(PLATFORMS)

@@ -3,13 +3,16 @@ stage-1 cache and the shard journal.
 
 Persistent state is an accelerator, never a dependency: a failed write
 must leave the run going uncached (correct result, no temp file left,
-one ``fallback`` event), and namespaces sharing one directory must
-each own exactly their own entries.
+one count of the namespace's ``fallbacks``), and namespaces sharing
+one directory must each own exactly their own entries.
 """
 
 import errno
+import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +20,11 @@ import pytest
 
 from repro.config import (SHARD_JOURNAL_ENV, TRACE_CACHE_ENV,
                           TRACE_CACHE_REQUIRE_ENV, default_config)
-from repro.experiments import shard_journal, stage1_cache, trace_cache
+from repro.experiments import (shard_journal, stage1_cache, store,
+                               trace_cache)
 from repro.experiments.runner import clear_cache, replay_grid
 from repro.gcalgo.columnar import compile_traces
 from repro.gcalgo.trace_io import trace_to_dict
-from repro.obs import eventlog
 
 from tests.conftest import SMALL_HEAP_BYTES, make_mixed_run
 
@@ -79,6 +82,9 @@ def sweep_journaled(directory: Path):
     return grid, replay_grid(["ideal"], ["graphchi-als"], processes=1)
 
 
+NAMESPACES = {namespace.name: namespace
+              for namespace in (store.TRACES, store.STAGE1, store.SHARDS)}
+
 OPERATIONS = {"trace_cache": capture_traces,
               "stage1_cache": compute_stage1,
               "shard_journal": sweep_journaled}
@@ -100,22 +106,72 @@ def test_failed_write_degrades_to_uncached(namespace, tmp_path,
     monkeypatch.setattr(os, "replace", replace)
     monkeypatch.setattr(Path, "replace", lambda self, target:
                         replace(self, target) or Path(target))
-    log = eventlog.get_eventlog()
-    log.open(tmp_path / "events.jsonl")
-    try:
-        with pytest.warns(UserWarning, match="No space left"):
-            result, expected = OPERATIONS[namespace](tmp_path / "store")
-    finally:
-        log.close()
+    tallies = {name: NAMESPACES[name].stats["fallbacks"]
+               for name in NAMESPACES}
+    with pytest.warns(UserWarning, match="No space left"):
+        result, expected = OPERATIONS[namespace](tmp_path / "store")
     assert result == expected
     left = [path.name for path in (tmp_path / "store").rglob("*")]
     assert not [name for name in left if ".tmp" in name]
     assert not [name for name in left if is_entry(name, namespace)]
-    fallbacks = [record for record
-                 in eventlog.read_events(tmp_path / "events.jsonl")
-                 if record["event"] == "fallback"]
-    assert len(fallbacks) == 1
-    assert fallbacks[0]["namespace"] == namespace
+    counted = {name: NAMESPACES[name].stats["fallbacks"] - before
+               for name, before in tallies.items()}
+    assert counted == {name: int(name == namespace)
+                       for name in NAMESPACES}
+
+
+#: Arms every exporter the environment offers, then stores a stage-1
+#: entry whose bytes go to ``/dev/full``: a real ENOSPC from the kernel.
+FULL_DISK_PROBE = """
+import json, sys, urllib.request, warnings
+from repro.experiments import store
+from repro.obs.live import get_live_server
+from repro.obs.tracer import install_env_exporters
+
+armed = install_env_exporters()
+
+def encode(temp):
+    with open("/dev/full", "w") as full:
+        full.write("x")
+
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    stored = store.write(store.STAGE1, sys.argv[1], "0" * 64, encode)
+url = f"http://127.0.0.1:{get_live_server().port}/metrics"
+with urllib.request.urlopen(url, timeout=5) as response:
+    exposition = response.read().decode()
+print(json.dumps({"armed": sorted(armed), "stored": stored is None,
+                  "warned": [str(w.message) for w in caught],
+                  "exposition": exposition}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+def test_full_disk_degrades_with_every_exporter_armed(tmp_path):
+    """With the trace/metrics export and the live endpoint armed, a
+    write that hits ENOSPC still returns ``None`` (no exporter writes
+    on the fault path), and its fallback reaches both the live
+    ``/metrics`` exposition and the exported ``metrics.json``."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [str(Path(__file__).resolve().parent.parent / "src"),
+                    os.environ.get("PYTHONPATH", "")]),
+               REPRO_OBS_OUT=str(tmp_path / "obs"),
+               REPRO_METRICS_PORT="0")
+    process = subprocess.run(
+        [sys.executable, "-c", FULL_DISK_PROBE, str(tmp_path / "store")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert process.returncode == 0, process.stderr
+    report = json.loads(process.stdout)
+    assert report["armed"] == ["REPRO_METRICS_PORT", "REPRO_OBS_OUT"]
+    assert report["stored"]
+    assert any("No space left" in message
+               for message in report["warned"])
+    assert "repro_stage1_cache_fallbacks 1" in report["exposition"]
+    exported = json.loads((tmp_path / "obs" / "metrics.json").read_text())
+    assert {row["metric"]: row["value"] for row in exported["metrics"]
+            }["stage1_cache.fallbacks"] == 1
 
 
 def test_cache_clear_reports_each_namespace(tmp_path, capsys):

@@ -13,14 +13,12 @@ import pytest
 
 from repro.config import SHARD_JOURNAL_ENV, TRACE_CACHE_ENV
 from repro.experiments import progress, shard_journal
-from repro.experiments.progress import (PROGRESS_FILE, SWEEP_MANIFEST,
+from repro.experiments.progress import (FILES, SWEEP_MANIFEST,
                                         format_status, format_top,
                                         load_sweep_manifest,
                                         progress_snapshot,
-                                        refresh_progress,
                                         write_sweep_manifest)
 from repro.experiments.runner import clear_cache, replay_grid
-from repro.obs import eventlog
 
 WORKLOAD = "graphchi-als"
 PLATFORMS = ("cpu-ddr4", "ideal", "charon")
@@ -167,22 +165,6 @@ class TestSnapshot:
         assert claimed["pid"] == 12345
         assert "running_seconds" not in claimed
 
-    def test_refresh_writes_progress_json(self, tmp_path):
-        journal = _fabricate_journal(tmp_path)
-        path = refresh_progress(journal)
-        assert path == journal / PROGRESS_FILE
-        persisted = json.loads(path.read_text())
-        live = progress_snapshot(journal)
-        # The file and the live snapshot are the same serializer's
-        # output; only the generation timestamps may differ.
-        for field in ("shards_total", "shards_done", "shards_claimed",
-                      "completion_pct", "events_total", "workers"):
-            assert persisted[field] == live[field]
-
-    def test_refresh_without_manifest_is_a_noop(self, tmp_path):
-        assert refresh_progress(tmp_path) is None
-        assert not (tmp_path / PROGRESS_FILE).exists()
-
 
 class TestRenderers:
     def test_format_status_unavailable(self):
@@ -212,8 +194,7 @@ class TestLiveSweep:
     def test_journaled_sweep_reaches_100_pct(self, tmp_path):
         journal = tmp_path / "journal"
         replay_grid(PLATFORMS, [WORKLOAD], journal=journal)
-        persisted = json.loads(
-            (journal / PROGRESS_FILE).read_text())
+        persisted = progress_snapshot(journal)
         assert persisted["available"] is True
         assert persisted["shards_total"] == len(PLATFORMS)
         assert persisted["shards_done"] == len(PLATFORMS)
@@ -263,22 +244,22 @@ class TestLiveSweep:
 
         clear_cache()
         replay_grid(PLATFORMS, [WORKLOAD], journal=journal)
-        resumed = json.loads((journal / PROGRESS_FILE).read_text())
+        resumed = progress_snapshot(journal)
         assert resumed["shards_total"] == len(PLATFORMS)
         assert resumed["shards_done"] == len(PLATFORMS)  # once each
         assert resumed["shards_pending"] == 0
         assert resumed["completion_pct"] == 100.0
 
     def test_full_journal_directory_degrades(self, tmp_path, monkeypatch):
-        """ENOSPC renaming ``sweep.json``/``progress.json`` into place
-        costs the progress view, not the sweep: same grid, no temp
-        file left, a ``fallback`` event per failed write."""
+        """ENOSPC renaming ``sweep.json`` into place costs the progress
+        view, not the sweep: same grid, no temp file left, one count of
+        ``sweep_progress.fallbacks``."""
         expected = replay_grid(["ideal"], [WORKLOAD], processes=1)
         clear_cache()
         real_replace = os.replace
 
         def replace(source, target):
-            if Path(target).name in (SWEEP_MANIFEST, PROGRESS_FILE):
+            if Path(target).name == SWEEP_MANIFEST:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
                               str(target))
             return real_replace(source, target)
@@ -286,22 +267,15 @@ class TestLiveSweep:
         monkeypatch.setattr(os, "replace", replace)
         journal = tmp_path / "journal"
         monkeypatch.setenv(SHARD_JOURNAL_ENV, str(journal))
-        log = eventlog.get_eventlog()
-        log.open(tmp_path / "events.jsonl")
-        try:
-            with pytest.warns(UserWarning, match="No space left"):
-                grid = replay_grid(["ideal"], [WORKLOAD], processes=1)
-        finally:
-            log.close()
+        before = FILES.stats["fallbacks"]
+        with pytest.warns(UserWarning, match="No space left"):
+            grid = replay_grid(["ideal"], [WORKLOAD], processes=1)
         assert grid == expected
         assert not [path.name for path in journal.iterdir()
                     if ".tmp" in path.name]
-        fallbacks = [record for record
-                     in eventlog.read_events(tmp_path / "events.jsonl")
-                     if record["event"] == "fallback"]
-        assert fallbacks
-        assert {record["namespace"] for record in fallbacks} \
-            == {"sweep_progress"}
+        assert not (journal / SWEEP_MANIFEST).exists()
+        assert FILES.stats["fallbacks"] - before == 1
+        assert shard_journal.STATS["fallbacks"] == 0
 
 
 class TestCli:

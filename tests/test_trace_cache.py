@@ -262,7 +262,7 @@ class TestCacheStats:
         # not merged back.
         assert trace_cache.STATS.snapshot() == {
             "hits": 20, "misses": 0, "stale": 0, "stores": 4,
-            "generated": 1}
+            "generated": 1, "fallbacks": 0}
 
     def test_unknown_field_is_rejected(self):
         with pytest.raises(KeyError):
