@@ -9,8 +9,9 @@ what is on disk, so the view survives crashes and resumes for free:
   current grid — key, platform, workload, heap, threads, and the
   simulated event count the throughput-weighted ETA weighs by;
 * :func:`progress_snapshot` scans the journal directory and classifies
-  each manifest shard as ``done`` (its ``.shard.json`` exists),
-  ``claimed`` (a ``.claim`` file names the owner pid) or ``pending``,
+  each manifest shard as ``done`` (its journal entry exists),
+  ``claimed`` (its running marker names the replaying pid, see
+  :func:`~repro.experiments.shard_journal.marker_path`) or ``pending``,
   then aggregates completion % (shard- and event-weighted), per-worker
   rates from the execution metadata the journal stores with each
   result, and an ETA from this session's observed events/sec.
@@ -88,7 +89,7 @@ def load_sweep_manifest(directory: Union[str, Path]) -> Optional[dict]:
 # -- deriving progress from the journal ------------------------------------
 
 def _read_claim(path: Path) -> dict:
-    """Owner info from a claim file (tolerates the bare-pid form)."""
+    """Owner info from a running marker (tolerates the bare-pid form)."""
     try:
         raw = path.read_text().strip()
     except OSError:
@@ -140,8 +141,8 @@ def progress_snapshot(directory: Union[str, Path, None] = None
     for key, spec in sorted(manifest.get("shards", {}).items()):
         events = int(spec.get("events") or 0)
         events_total += events
-        result_path = directory / f"{key}.shard.json"
-        claim_path = directory / f"{key}.claim"
+        result_path = store.SHARDS.path(directory, key)
+        claim_path = shard_journal.marker_path(directory, key)
         entry = {
             "key": key,
             "platform": spec.get("platform"),

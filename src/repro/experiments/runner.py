@@ -17,10 +17,11 @@ pipeline:
   processes are created) with a deterministic merge of the results
   and of the metrics and spans each worker recorded.  With a shard
   journal configured (``REPRO_SHARD_JOURNAL`` or ``journal=``), the
-  grid decomposes into durable per-cell shards: workers *steal*
-  pending shards through :mod:`~repro.experiments.shard_journal` claim
-  files, every finished cell persists immediately, and an interrupted
-  sweep resumes from the completed shards with a byte-identical merge.
+  journal wraps each cell the way the trace cache wraps a capture:
+  completed shards load before the fan-out, every cell the pool
+  replays persists through :mod:`~repro.experiments.shard_journal` the
+  moment it finishes, and an interrupted sweep resumes from the
+  completed shards with a byte-identical merge.
 """
 
 from __future__ import annotations
@@ -128,32 +129,21 @@ def layout_heap(name: str,
     return JavaHeap(config.heap, klasses=workload_klasses())
 
 
-def _replay_key(platform_name: str, name: str, config: SystemConfig,
-                threads: Optional[int]) -> tuple:
-    """Memo key: the parameters that affect replay timing."""
-    charon = config.charon
-    return (platform_name, name, config.heap.heap_bytes,
-            threads, config.gc_threads, charon.distributed,
-            charon.copy_search_units, charon.bitmap_count_units,
-            charon.scan_push_units, charon.bitmap_cache_enabled,
-            charon.scan_push_local, config.hmc.topology,
-            config.costs.charon_dispatch_overhead_s)
-
-
 def replay_platform(platform_name: str, name: str,
                     heap_bytes: Optional[int] = None,
                     config: Optional[SystemConfig] = None,
                     threads: Optional[int] = None) -> GCTimingResult:
     """Replay a workload's full GC history on one platform.
 
-    Results are memoised on the parameters that affect timing (platform,
-    heap, thread count, Charon organisation/unit counts).  The compiled
+    Results are memoised on ``(platform, workload, config, threads)`` —
+    everything the result depends on (``SystemConfig`` is a frozen,
+    hashable dataclass, so any field changed is a new key).  The compiled
     columnar traces replay through the platform's kernel, so a process
     whose run memo was primed (from the trace cache, or inherited across
     the pool's fork) replays without capturing or decompiling.
     """
     resolved_config = config or workload_config(name, heap_bytes)
-    key = _replay_key(platform_name, name, resolved_config, threads)
+    key = (platform_name, name, resolved_config, threads)
     if key not in _REPLAY_CACHE:
         heap = JavaHeap(resolved_config.heap,
                         klasses=workload_klasses())
@@ -170,24 +160,22 @@ def replay_platform(platform_name: str, name: str,
 
 # -- grid fan-out ----------------------------------------------------------
 
-def _grid_worker(job: tuple) -> GCTimingResult:
-    platform_name, name, heap_bytes, threads = job
-    return replay_platform(platform_name, name, heap_bytes=heap_bytes,
-                           threads=threads)
-
-
 def _memo_key(job: tuple) -> tuple:
     """The _REPLAY_CACHE key a job resolves to."""
     platform_name, name, heap_bytes, threads = job
-    return _replay_key(platform_name, name,
-                       workload_config(name, heap_bytes), threads)
+    return (platform_name, name, workload_config(name, heap_bytes),
+            threads)
 
 
-def _journal_worker(payload: tuple) -> None:
-    """One pool worker's work-stealing pass over the pending shards."""
-    directory, items = payload
-    shard_journal.sweep_shards(Path(directory), dict(items),
-                               _grid_worker)
+def _replay_cell(journal: Optional[Path], job: tuple) -> GCTimingResult:
+    """Replay one grid cell; with a journal, store it as a shard."""
+    platform_name, name, heap_bytes, threads = job
+    replay = functools.partial(replay_platform, platform_name, name,
+                               heap_bytes=heap_bytes, threads=threads)
+    if journal is None:
+        return replay()
+    return shard_journal.run_shard(
+        journal, shard_journal.shard_key(_memo_key(job)), replay)
 
 
 def _drain_telemetry() -> tuple:
@@ -270,13 +258,14 @@ def replay_grid(platform_names: Iterable[str],
     the parent.
 
     With a journal directory (``journal=`` or ``REPRO_SHARD_JOURNAL``)
-    the sweep becomes durable and work-stealing: each cell is a shard
-    keyed on its replay parameters, completed shards persist the moment
-    they finish and are *not* re-executed on a resumed sweep (they load
-    back through :func:`~repro.experiments.shard_journal.load_shard`,
-    counted as ``hits``), and pool workers claim pending shards
-    first-come-first-served instead of a static partition.  The merged
-    grid is byte-identical whether the sweep ran once or resumed.
+    the sweep becomes durable: each cell is a shard keyed on its memo
+    key, completed shards are *not* re-executed on a resumed sweep
+    (they load back through
+    :func:`~repro.experiments.shard_journal.load_shard` before the
+    fan-out, counted as ``hits``), and every cell replayed — on a
+    worker or, for a dead worker's cell, in the parent — persists the
+    moment it finishes.  The merged grid is byte-identical whether the
+    sweep ran once or resumed.
     """
     platform_names = list(platform_names)
     workload_names = list(workload_names)
@@ -286,51 +275,35 @@ def replay_grid(platform_names: Iterable[str],
             for name in workload_names for platform in platform_names]
     for name in workload_names:
         compiled_run_traces(name, heap_bytes)
-    journal_path = shard_journal.journal_dir(journal)
-    if journal_path is not None:
-        _sweep_journaled(journal_path, jobs, processes)
-    else:
-        pending = [job for job in jobs
-                   if _memo_key(job) not in _REPLAY_CACHE]
-        results = _fan_out(_grid_worker, pending, processes)
-        for job, result in zip(pending, results):
-            _REPLAY_CACHE[_memo_key(job)] = result
-    # Journal/memo hits return straight from the replay memo — the old
-    # per-cell replay_platform rebuild re-derived every memo key (and
-    # config) even when nothing was left to replay.
+    directory = shard_journal.journal_dir(journal)
+    if directory is not None:
+        _resume_journal(directory, jobs)
+    cell = functools.partial(_replay_cell, directory)
+    pending = [job for job in jobs if _memo_key(job) not in _REPLAY_CACHE]
+    for job, result in zip(pending, _fan_out(cell, pending, processes)):
+        _REPLAY_CACHE[_memo_key(job)] = result
     grid: Dict[Tuple[str, str], GCTimingResult] = {}
     for job in jobs:
-        platform, name, job_heap, job_threads = job
         result = _REPLAY_CACHE.get(_memo_key(job))
         if result is None:  # a dead worker's cell: finish it here
-            result = replay_platform(platform, name,
-                                     heap_bytes=job_heap,
-                                     threads=job_threads)
-        grid[(platform, name)] = result
+            result = cell(job)
+        grid[job[:2]] = result
     return grid
 
 
-def _sweep_journaled(directory: Path, jobs: List[tuple],
-                     processes: int) -> None:
-    """Run the grid as durable shards, resuming completed ones.
+def _resume_journal(directory: Path, jobs: List[tuple]) -> None:
+    """Ready a journaled sweep: resume completed shards into the memo.
 
-    Fills ``_REPLAY_CACHE`` for every job.  Shards already in the
-    journal load without executing a replay; the rest are swept with
-    work-stealing claims by up to ``processes`` stealers (through
-    :func:`_fan_out`), then by a final pass in the parent, which is
-    the backstop should a worker die mid-shard: the dead workers'
-    claims are cleared first, so their cells still run and persist.
-
-    The parent also announces the grid to the progress monitor
+    Leftover running markers (a crashed sweep's) are cleared, shards
+    already in the journal load into ``_REPLAY_CACHE`` without
+    executing a replay, and memo-served cells are backfilled into the
+    journal.  The grid is then announced to the progress monitor
     (``sweep.json`` beside the journal, and the live ``/progress``
     endpoint when one is serving): every shard's state is thereafter
     derivable from the journal itself, so watchers see completion
-    reach 100% exactly when the last shard persists — memo-served
-    cells are backfilled into the journal so they count as done rather
-    than lingering as phantom pendings.
+    reach 100% exactly when the last shard persists.
     """
-    shard_journal.reset_claims(directory)
-    pending: Dict[str, tuple] = {}
+    shard_journal.clear_markers(directory)
     manifest: Dict[str, dict] = {}
     for job in jobs:
         platform_name, name, heap_bytes, threads = job
@@ -353,25 +326,8 @@ def _sweep_journaled(directory: Path, jobs: List[tuple],
         if cached is not None:
             shard_journal.STATS.add("hits")
             _REPLAY_CACHE[memo_key] = cached
-        else:
-            pending[key] = job
     progress.write_sweep_manifest(directory, manifest)
     progress.attach_live(directory)
-    stealers = min(processes, len(pending))
-    payload = (str(directory), tuple(pending.items()))
-    if len(_fan_out(_journal_worker, [payload] * stealers,
-                    processes)) < stealers:
-        shard_journal.reset_claims(directory)  # the dead workers' claims
-    # The backstop: cells no stealer journaled (a dead worker's, a failed
-    # write) that this process's memo does not already hold.
-    shard_journal.sweep_shards(
-        directory, {key: job for key, job in pending.items()
-                    if _memo_key(job) not in _REPLAY_CACHE},
-        _grid_worker)
-    for key, job in pending.items():
-        result = shard_journal.load_shard(directory, key)
-        if result is not None:
-            _REPLAY_CACHE[_memo_key(job)] = result
 
 
 def _fork_available() -> bool:

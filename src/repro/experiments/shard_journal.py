@@ -1,35 +1,36 @@
 """Sharded, resumable sweep journal: every grid cell is a durable shard.
 
 :func:`repro.experiments.runner.replay_grid` decomposes a platform x
-workload sweep into *shards* — one per grid cell, keyed by the same
-parameters as the in-process replay memo.  With a journal directory
-configured (``REPRO_SHARD_JOURNAL`` or an explicit ``journal=``), each
-shard's :class:`~repro.platform.timing.GCTimingResult` persists the
-moment it finishes as an entry of the store's ``shard_journal``
-namespace (``<sha256>.shard.json``, see :mod:`repro.experiments.store`),
-so
+workload sweep into *shards* — one per grid cell, keyed by
+:func:`shard_key` over the cell's replay-memo key.  With a journal
+directory configured (``REPRO_SHARD_JOURNAL`` or an explicit
+``journal=``), the journal wraps each cell the way the trace cache
+wraps a capture — read through before the sweep, written through as
+each cell finishes (:func:`run_shard`) — and each shard's
+:class:`~repro.platform.timing.GCTimingResult` persists as an entry of
+the store's ``shard_journal`` namespace (``<sha256>.shard.json``, see
+:mod:`repro.experiments.store`), so
 
 * an **interrupted sweep resumes**: on the next run, completed shards
   load from the journal (counted in :data:`STATS` as ``hits``) and only
   the missing cells execute — the merged grid is byte-identical to an
   uninterrupted sweep because JSON round-trips every int exactly and
   every float through its shortest-repr form;
-* **workers steal work** instead of receiving a static partition: each
-  forked worker walks the full shard list and claims cells with
-  ``O_CREAT | O_EXCL`` claim files, so a slow shard never idles the
-  rest of the pool and two workers never replay the same cell;
 * a **torn or unwritten entry is harmless**: an unreadable or
   version-skewed entry is discarded (``stale``) and re-executed, and a
-  result whose write fails is replayed by the sweep's parent.
+  result whose write fails is simply not resumed next time.
 
-Claim files coordinate the workers of *one* sweep; the parent clears
-leftovers (:func:`reset_claims`) before fanning out, so a crashed
-sweep's orphaned claims cannot block the resume.
+Which worker replays which cell is the worker pool's business (its
+task queue hands each cell to exactly one worker).  While a cell runs,
+a *running marker* ``<key>.claim`` (:func:`marker_path`) names its
+process and start time for the progress monitor; nothing arbitrates
+on it, the sweep's parent clears leftovers (:func:`clear_markers`) so
+a crashed sweep's markers do not read as running, and a marker that
+cannot be written costs only the monitor's view of that cell.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -37,7 +38,7 @@ import os
 import time
 import warnings
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.config import SHARD_JOURNAL_ENV
 from repro.experiments import store
@@ -49,6 +50,10 @@ from repro.platform.timing import GCTimingResult, PlatformEnergy
 SHARD_FORMAT_VERSION = 1
 
 SHARD_FORMAT = "repro-shard-result"
+
+#: The running marker's suffix (``repro sweep status`` calls the cell
+#: ``claimed`` while it exists).
+_MARKER = ".claim"
 
 #: Environment variable naming the journal directory (unset = off).
 REPRO_SHARD_JOURNAL = SHARD_JOURNAL_ENV
@@ -112,15 +117,18 @@ def result_from_dict(payload: dict) -> GCTimingResult:
 
 # -- the journal on disk ---------------------------------------------------
 
-def _claim_path(directory: Path, key: str) -> Path:
-    return directory / f"{key}.claim"
+def marker_path(directory: Union[str, Path], key: str) -> Path:
+    """The running marker of shard ``key``: ``{pid, claimed_at}``,
+    present while a worker replays the cell."""
+    return Path(directory) / f"{key}{_MARKER}"
 
 
 def store_shard(directory: Union[str, Path], key: str,
                 result: GCTimingResult,
                 meta: Optional[dict] = None) -> Optional[Path]:
     """Persist one shard's result atomically; returns the entry path,
-    or ``None`` when the write failed (the shard then re-executes).
+    or ``None`` when the write failed (a resumed sweep then
+    re-executes the shard).
 
     ``meta`` (owner pid, host wall time, completion stamp) rides along
     in the payload for the progress monitor; resumes ignore it.
@@ -150,86 +158,59 @@ def load_shard(directory: Union[str, Path],
     return store.read(store.SHARDS, directory, key, _decode)
 
 
-def claim_shard(directory: Union[str, Path], key: str) -> bool:
-    """Atomically claim a shard for this worker.
-
-    ``O_CREAT | O_EXCL`` makes the filesystem the arbiter: exactly one
-    concurrent claimant wins.  Returns False when another worker
-    already holds (or finished) the shard.  A journal that cannot hold
-    the claim file (disk full, read-only or forbidden directory) does
-    not stop the sweep: the failure warns, counts the journal's
-    ``fallbacks``, and the shard is computed unclaimed (True).
-    """
-    directory = Path(directory)
+def _mark_running(directory: Path, key: str) -> None:
+    """Write the running marker; a journal that cannot hold it (disk
+    full, read-only or forbidden directory) warns, counts the
+    journal's ``fallbacks``, and the cell still runs."""
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        fd = os.open(_claim_path(directory, key),
-                     os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        return False
+        marker_path(directory, key).write_text(json.dumps(
+            {"pid": os.getpid(), "claimed_at": round(time.time(), 6)}))
     except OSError as exc:
-        warnings.warn(f"cannot claim shard {key[:12]} in journal "
-                      f"{directory}: {exc}; computing it unclaimed",
-                      stacklevel=2)
+        warnings.warn(f"cannot mark shard {key[:12]} running in journal "
+                      f"{directory}: {exc}; running it unmarked",
+                      stacklevel=3)
         STATS.add("fallbacks")
-        return True
-    # Owner info for the progress monitor ("who holds this shard, since
-    # when"); the claim's *existence* is what arbitrates, so a failed
-    # write leaves the claim held.
-    with contextlib.suppress(OSError), os.fdopen(fd, "w") as handle:
-        handle.write(json.dumps({"pid": os.getpid(),
-                                 "claimed_at": round(time.time(), 6)}))
-    return True
 
 
-def release_claim(directory: Union[str, Path], key: str) -> None:
-    _claim_path(Path(directory), key).unlink(missing_ok=True)
+def run_shard(directory: Union[str, Path], key: str,
+              execute: Callable[[], GCTimingResult]) -> GCTimingResult:
+    """Execute one shard and write it through to the journal.
+
+    The running marker is up while ``execute()`` runs; the result is
+    stored with its owner pid, host seconds and completion stamp for
+    the progress monitor (a failed store is a store fallback, and the
+    result is still returned).
+    """
+    directory = Path(directory)
+    _mark_running(directory, key)
+    try:
+        started = time.perf_counter()
+        result = execute()
+        host_seconds = time.perf_counter() - started
+        STATS.add("runs")
+        store_shard(directory, key, result, meta={
+            "pid": os.getpid(),
+            "host_seconds": round(host_seconds, 6),
+            "completed_at": round(time.time(), 6),
+        })
+    finally:
+        marker_path(directory, key).unlink(missing_ok=True)
+    return result
 
 
-def reset_claims(directory: Union[str, Path, None] = None) -> int:
-    """Remove leftover claim files (a crashed sweep's orphans);
+def clear_markers(directory: Union[str, Path, None] = None) -> int:
+    """Remove leftover running markers (a crashed sweep's orphans);
     returns how many were removed."""
     directory = journal_dir(directory)
-    claims = list(directory.glob("*.claim")) if directory else []
-    for path in claims:
+    markers = list(directory.glob(f"*{_MARKER}")) if directory else []
+    for path in markers:
         path.unlink(missing_ok=True)
-    return len(claims)
+    return len(markers)
 
 
 def clear(directory: Union[str, Path, None] = None) -> int:
-    """Delete every journal entry and claim; returns how many."""
+    """Delete every journal entry and running marker; returns how
+    many."""
     directory = journal_dir(directory)
-    return store.SHARDS.clear(directory) + reset_claims(directory)
-
-
-def sweep_shards(directory: Union[str, Path],
-                 shards: Dict[str, object],
-                 execute: Callable[[object], GCTimingResult]) -> None:
-    """One worker's work-stealing pass over ``shards``.
-
-    ``shards`` maps shard key -> job.  The worker walks the whole list:
-    a journaled shard is skipped, an unclaimed one is claimed, executed
-    and stored (with owner pid and host seconds for the progress
-    monitor), a lost claim race is counted as ``stolen`` and left to
-    its winner.  Called concurrently from every pool worker (and once
-    from the parent as the serial path / completeness backstop).
-    """
-    directory = Path(directory)
-    for key, job in shards.items():
-        if has_shard(directory, key):
-            continue
-        if not claim_shard(directory, key):
-            STATS.add("stolen")
-            continue
-        try:
-            started = time.perf_counter()
-            result = execute(job)
-            host_seconds = time.perf_counter() - started
-            STATS.add("runs")
-            store_shard(directory, key, result, meta={
-                "pid": os.getpid(),
-                "host_seconds": round(host_seconds, 6),
-                "completed_at": round(time.time(), 6),
-            })
-        finally:
-            release_claim(directory, key)
+    return store.SHARDS.clear(directory) + clear_markers(directory)

@@ -81,8 +81,8 @@ class Namespace:
     """One kind of entry: the files ``<64-hex key><suffix>`` of a
     directory, with its own tally and one-line summary.  Every tally
     has a ``fallbacks`` field: the failed writes (and, for the shard
-    journal, failed claims) that left the caller going without the
-    entry."""
+    journal, failed running-marker writes) that left the caller going
+    without the file."""
 
     def __init__(self, name: str, suffix: str, noun: str,
                  fields: Sequence[str], line: str) -> None:
@@ -127,13 +127,13 @@ STAGE1 = Namespace(
     "stage-1 cache: {hits} hit(s), {misses} miss(es), {stale} stale, "
     "{stores} store(s)")
 
-#: ``hits``: shards resumed without re-execution; ``stolen``: claim
-#: races lost to another worker.
+#: ``hits``: shards resumed without re-execution; ``runs``: shards
+#: executed.
 SHARDS = Namespace(
     "shard_journal", ".shard.json", "shard",
-    ("hits", "runs", "stolen", "stale", "stores"),
-    "shard journal: {hits} resumed, {runs} executed, {stolen} stolen, "
-    "{stale} stale, {stores} stored")
+    ("hits", "runs", "stale", "stores"),
+    "shard journal: {hits} resumed, {runs} executed, {stale} stale, "
+    "{stores} stored")
 
 #: The compiled stage-2 loop (:mod:`repro.platform.native`): a build
 #: product beside the caches, not a cache of results, so ``repro cache

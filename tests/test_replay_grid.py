@@ -8,16 +8,18 @@ a sweep killed mid-flight resumes byte-identically, re-executing only
 the shards that never finished.
 """
 
+import dataclasses
 import errno
 import multiprocessing
 import os
 import signal
+from pathlib import Path
 
 import pytest
 
 from repro.config import REPLAY_JOBS_ENV, TRACE_CACHE_ENV
 from repro.errors import ConfigError
-from repro.experiments import runner, shard_journal
+from repro.experiments import progress, runner, shard_journal
 from repro.experiments.runner import (_fork_available, clear_cache,
                                       replay_grid, replay_platform)
 from repro.obs.metrics import global_metrics, reset_global_metrics
@@ -75,6 +77,24 @@ class TestDeterministicMerge:
         second = replay_grid(PLATFORMS, [WORKLOAD], processes=2)
         for key, result in first.items():
             assert second[key] is result
+
+
+class TestReplayMemo:
+    def test_any_config_field_is_a_new_key(self):
+        """The memo keys on the whole ``SystemConfig``: a replay with a
+        field the old hand-picked key left out (DDR4 channels and
+        bandwidth) must not be served the default config's result."""
+        config = runner.workload_config("spark-km")
+        narrow = dataclasses.replace(config, ddr4=dataclasses.replace(
+            config.ddr4, channels=1, bandwidth_per_channel=4e9))
+        default = replay_platform("cpu-ddr4", "spark-km")
+        memoised = replay_platform("cpu-ddr4", "spark-km", config=narrow)
+        clear_cache()
+        fresh = replay_platform("cpu-ddr4", "spark-km", config=narrow)
+        assert memoised == fresh
+        assert memoised.wall_seconds > default.wall_seconds
+        assert replay_platform("cpu-ddr4", "spark-km",
+                               config=narrow) is fresh
 
 
 class TestShardJournal:
@@ -160,39 +180,66 @@ class TestShardJournal:
         assert stats["runs"] == 1
         assert stats["hits"] == len(PLATFORMS) - 1
 
-    def test_forked_workers_steal_shards(self, tmp_path):
+    def test_each_shard_runs_and_stores_once_across_the_pool(
+            self, tmp_path):
         if not _fork_available():
             pytest.skip("no fork start method on this platform")
         reference = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
         clear_cache()
         shard_journal.STATS.reset()
-        stolen = replay_grid(PLATFORMS, [WORKLOAD], processes=2,
-                             journal=tmp_path / "journal")
-        grids_equal(reference, stolen)
+        journal = tmp_path / "journal"
+        pooled = replay_grid(PLATFORMS, [WORKLOAD], processes=2,
+                             journal=journal)
+        grids_equal(reference, pooled)
         stats = shard_journal.STATS.snapshot()
-        # claims made the workers disjoint: every shard ran exactly
-        # once across the pool (the workers' tallies merge back)
+        # The pool's task queue gives each cell to one worker, and the
+        # workers' tallies merge back: one run and one store per shard.
         assert stats["runs"] == len(PLATFORMS)
         assert stats["stores"] == len(PLATFORMS)
+        assert stats["hits"] == stats["fallbacks"] == 0
+        assert len(list(journal.glob("*.shard.json"))) == len(PLATFORMS)
+        assert not list(journal.glob("*.claim"))
 
-    def test_full_journal_claims_compute_unclaimed(self, tmp_path,
+    def test_running_shard_reads_as_claimed(self, tmp_path,
+                                            monkeypatch):
+        """While a cell replays, its running marker makes the progress
+        monitor report it ``claimed`` by this process."""
+        journal = tmp_path / "journal"
+        seen = []
+        original = runner.replay_platform
+
+        def observed(platform_name, *args, **kwargs):
+            snapshot = progress.progress_snapshot(journal)
+            seen.append((platform_name, snapshot["shards_claimed"],
+                         [(shard["platform"], shard.get("pid"))
+                          for shard in snapshot["shards"]
+                          if shard["state"] == "claimed"]))
+            return original(platform_name, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "replay_platform", observed)
+        replay_grid(PLATFORMS, [WORKLOAD], processes=1, journal=journal)
+        assert seen == [(platform, 1, [(platform, os.getpid())])
+                        for platform in PLATFORMS]
+        assert progress.progress_snapshot(journal)["shards_claimed"] == 0
+
+    def test_unwritable_marker_still_runs_the_shard(self, tmp_path,
                                                    monkeypatch):
-        """ENOSPC creating claim files costs the work-stealing
-        arbitration, not the sweep: the grid equals the unfaulted one,
-        every shard still runs and persists, and each failed claim
-        counts one of the journal's ``fallbacks``."""
+        """ENOSPC writing a running marker costs the progress monitor's
+        view of that cell, not the sweep: the grid equals the unfaulted
+        one, every shard still runs and persists, and each failed
+        marker counts one of the journal's ``fallbacks``."""
         platforms, workloads = ["ideal", "charon"], ["spark-km"]
         expected = replay_grid(platforms, workloads, processes=1)
         clear_cache()
-        real_open = os.open
+        real_write_text = Path.write_text
 
-        def full_disk_open(path, flags, *args, **kwargs):
-            if str(path).endswith(".claim"):
+        def full_disk_write_text(path, *args, **kwargs):
+            if path.name.endswith(".claim"):
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
                               str(path))
-            return real_open(path, flags, *args, **kwargs)
+            return real_write_text(path, *args, **kwargs)
 
-        monkeypatch.setattr(os, "open", full_disk_open)
+        monkeypatch.setattr(Path, "write_text", full_disk_write_text)
         journal = tmp_path / "journal"
         with pytest.warns(UserWarning, match="No space left"):
             grid = replay_grid(platforms, workloads, processes=1,
@@ -200,8 +247,10 @@ class TestShardJournal:
         grids_equal(expected, grid)
         assert shard_journal.STATS["runs"] == len(platforms)
         assert len(list(journal.glob("*.shard.json"))) == len(platforms)
-        # One failed claim per shard; the entries themselves stored.
+        assert not list(journal.glob("*.claim"))
+        # One failed marker per shard; the entries themselves stored.
         assert shard_journal.STATS["fallbacks"] == len(platforms)
+        assert shard_journal.STATS["stores"] == len(platforms)
 
     def test_journal_env_variable_is_honored(self, tmp_path,
                                              monkeypatch):
@@ -217,9 +266,9 @@ class TestKilledWorker:
     """A pool worker SIGKILLed mid-cell must not hang the sweep: the
     pool breaks, ``fanout.fallbacks`` counts it once, and the parent
     finishes the missing cells, returning the serial grid.  The dead
-    worker's telemetry is lost, never counted twice: a plain sweep
-    records every cell's ``replay.wall_seconds`` exactly once, with
-    the serial value."""
+    worker's telemetry is lost, never counted twice: journaled or not,
+    a sweep records every cell's ``replay.wall_seconds`` exactly once,
+    with the serial value."""
 
     @pytest.mark.parametrize("journaled", [False, True],
                              ids=["plain", "journaled"])
@@ -257,21 +306,17 @@ class TestKilledWorker:
                     os._exit(1)
                 if global_metrics().counter("fanout.fallbacks").value != 1:
                     os._exit(4)
-                os._exit(0 if counted_once(journaled) else 3)
+                os._exit(0 if counted_once() else 3)
             except BaseException:
                 os._exit(2)
 
-        def counted_once(lost_allowed):
+        def counted_once():
             walls = {row["labels"]["platform"]: row["value"]
                      for row in global_metrics().samples()
                      if row["metric"] == "replay.wall_seconds"}
-            for platform in PLATFORMS:
-                serial = reference[(platform, WORKLOAD)].wall_seconds
-                if platform not in walls and lost_allowed:
-                    continue  # journaled: a dead worker's lost delta
-                if walls.get(platform) != serial:
-                    return False
-            return True
+            return walls == {
+                platform: reference[(platform, WORKLOAD)].wall_seconds
+                for platform in PLATFORMS}
 
         context = multiprocessing.get_context("fork")
         sweep = context.Process(target=sweep_with_a_dying_worker)
