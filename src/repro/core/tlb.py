@@ -64,26 +64,28 @@ class AcceleratorTLB:
         self._page_sizes = sorted(sizes)
         return loaded
 
+    def resolve(self, vaddr: int, pcid: int) -> int:
+        """The cube of ``vaddr``'s entry, without occupying the port; a
+        missing entry is a protection fault (pinned pages never miss;
+        anything else is not Charon-accessible)."""
+        if not self._page_sizes:
+            raise ProtectionFault(f"TLB {self.name} was never loaded")
+        for page_bytes in self._page_sizes:
+            cube = self.entries.get((pcid, vaddr - (vaddr % page_bytes)))
+            if cube is not None:
+                return cube
+        raise ProtectionFault(
+            f"accelerator TLB {self.name}: no pinned mapping for "
+            f"{vaddr:#x} (pcid {pcid})")
+
     def lookup(self, now: float, vaddr: int, pcid: int,
                from_cube: int) -> Tuple[int, float]:
         """Translate; returns ``(cube, completion_time)``.
 
         The lookup occupies the port; callers off-cube pay the link
-        round trip.  A missing entry is a protection fault (pinned
-        pages never miss; anything else is not Charon-accessible).
+        round trip.  A missing entry faults as in :meth:`resolve`.
         """
-        if not self._page_sizes:
-            raise ProtectionFault(f"TLB {self.name} was never loaded")
-        cube = None
-        for page_bytes in self._page_sizes:
-            key = (pcid, vaddr - (vaddr % page_bytes))
-            if key in self.entries:
-                cube = self.entries[key]
-                break
-        if cube is None:
-            raise ProtectionFault(
-                f"accelerator TLB {self.name}: no pinned mapping for "
-                f"{vaddr:#x} (pcid {pcid})")
+        cube = self.resolve(vaddr, pcid)
         self.lookups += 1
         finish = self.port.reserve(now, 1)
         if from_cube != self.home_cube:

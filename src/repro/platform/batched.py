@@ -32,7 +32,11 @@ The batched kernels work in two stages:
   Charon templates add a kind code, TLB ``(slot, penalty)`` pairs,
   packet-chain addends and a tail time, and bitmap-count and
   marking-scan events carry a per-event CSR of ``(line, slice,
-  penalty)`` bitmap-cache touches;
+  penalty)`` bitmap-cache touches.  Every row is planned this way —
+  address ranges split into per-cube runs by one columnar lookup per
+  page crossed (:meth:`_CubeMap.runs`) — and a trace the event path
+  would fault on raises its first ``ProtectionFault`` here, before any
+  accounting;
 * **stage 2** (:meth:`run_phase`) replays only the order-dependent
   recurrence — thread clocks under least-loaded assignment, fluid
   resource ``busy_until`` horizons, unit busy clocks, the anonymous cube
@@ -59,11 +63,12 @@ comparisons.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError, ProtectionFault
+from repro.errors import ConfigError, SimulationError
 from repro.gcalgo.columnar import (CODE_TO_PRIMITIVE, CompiledTrace,
                                    PRIMITIVE_TYPE_CODES)
 from repro.gcalgo.trace import Primitive, is_marking_phase
@@ -78,12 +83,6 @@ CHUNK_EVENTS = 4096
 #: accesses: the numpy temporaries scale with one block's lines, not
 #: with the trace's.
 PLAN_BLOCK_ROWS = 2048
-
-#: Largest ``src >> 14`` whose marking-window hash
-#: (``* 2654435761``) still fits int64; rows above it keep the scalar
-#: planner's arbitrary-precision arithmetic.
-_HASH_LIMIT = (2 ** 63 - 1) // 2654435761
-
 
 def _prim_index(compiled: CompiledTrace
                 ) -> Tuple[List[Primitive], np.ndarray]:
@@ -134,22 +133,99 @@ def _kernel_memo(compiled: CompiledTrace) -> Dict:
 # Shared stage-1 helpers
 # ---------------------------------------------------------------------------
 
+#: Ends every sorted page-address table: past any page address, so a
+#: ``searchsorted`` index always lands on an entry.
+_PAST_PAGES = np.iinfo(np.int64).max
+
+
+def _key(*columns: np.ndarray) -> np.ndarray:
+    """One int64 per row, equal exactly where every integer column is.
+
+    A mixed-radix packing of the columns; where the radix product would
+    leave int64, the key so far and the column are first renumbered
+    densely with ``np.unique``.
+    """
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    if not len(key):
+        return key
+    span = 1
+    for column in columns:
+        low = int(column.min())
+        width = int(column.max()) - low + 1
+        if span * width >= 2 ** 62:
+            _, key = np.unique(key, return_inverse=True)
+            _, column = np.unique(column, return_inverse=True)
+            low, span, width = 0, int(key.max()) + 1, int(column.max()) + 1
+        key = key * width + (column - low)
+        span *= width
+    return key
+
+
+class _Runs(NamedTuple):
+    """Per-cube runs of a column of address ranges, merged like
+    :meth:`~repro.mem.vm.VirtualMemory.split_range_by_cube`.
+
+    Range ``k``'s first run is ``nbytes[k]`` bytes on ``cube[k]``; the
+    later runs of the few ranges ``multi`` are a CSR (``rest_off``,
+    ``rest_bytes``, ``rest_cube``).  A range reaching an unmapped page is
+    ``bad``, ``bad_at`` its first unmapped address.
+    """
+
+    nbytes: np.ndarray
+    cube: np.ndarray
+    bad: np.ndarray
+    bad_at: np.ndarray
+    multi: np.ndarray
+    rest_off: np.ndarray
+    rest_bytes: np.ndarray
+    rest_cube: np.ndarray
+
+    def of(self, ks: np.ndarray) -> List[List[Tuple[int, int]]]:
+        """The ``(bytes, cube)`` runs of each range in ``ks``, in
+        address order."""
+        runs = [[run] for run in zip(self.nbytes[ks].tolist(),
+                                     self.cube[ks].tolist())]
+        if len(self.multi):
+            at = np.searchsorted(self.multi, ks)
+            for i in np.flatnonzero(
+                    self.multi.take(at, mode="clip") == ks).tolist():
+                lo, hi = self.rest_off[at[i]], self.rest_off[at[i] + 1]
+                runs[i] += zip(self.rest_bytes[lo:hi].tolist(),
+                               self.rest_cube[lo:hi].tolist())
+        return runs
+
+    def columns(self) -> List[np.ndarray]:
+        """Per-range columns equal exactly where the ranges' run
+        sequences are (for :func:`_key`): the first run's bytes and
+        cube, and a key of the later runs if any range has some."""
+        if not len(self.multi):
+            return [self.nbytes, self.cube]
+        # The later runs of each multi-run range, zero-padded.
+        run = np.append(_key(self.rest_bytes, self.rest_cube) + 1, 0)
+        head = self.rest_off[:-1]
+        counts = np.diff(self.rest_off)
+        rest = np.zeros(len(self.nbytes), dtype=np.int64)
+        rest[self.multi] = _key(*(run[np.where(counts > j, head + j, -1)]
+                                  for j in range(int(counts.max())))) + 1
+        return [self.nbytes, self.cube, rest]
+
+
 class _CubeMap:
-    """A pure mirror of :class:`~repro.mem.vm.VirtualMemory` placement.
+    """A columnar mirror of :class:`~repro.mem.vm.VirtualMemory`
+    placement for one pcid.
 
     ``vm.lookup`` walks the page-size tables in *insertion order* and
     returns the first mapping covering the address; the mirror keeps the
     same table order so every lookup resolves identically.  The mirror
     is read-only — it never mutates the VM — and is rebuilt whenever the
-    VM's total mapping count changes.
+    VM's total mapping count changes.  :meth:`lookup_columns` resolves
+    an address column, :meth:`runs` splits a column of ranges.
     """
 
     def __init__(self, vm, pcid: int) -> None:
         self.vm = vm
         self.pcid = pcid
-        self._sizes: List[int] = []
-        self._tables: List[Dict[int, Tuple[int, bool]]] = []
-        self._np_tables = None
+        self._tables: List[Tuple[int, np.ndarray, np.ndarray]] = []
         self._count = -1
         self.refresh()
 
@@ -158,33 +234,18 @@ class _CubeMap:
         if count == self._count:
             return
         self._count = count
-        self._sizes = list(self.vm._tables.keys())
-        self._tables = [
-            {vaddr: (m.cube, m.pinned)
-             for (p, vaddr), m in table.items() if p == self.pcid}
-            for table in self.vm._tables.values()
-        ]
-        self._np_tables = None
-
-    def np_tables(self) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-        """``(page_bytes, sorted page vaddrs, cubes)`` per table, for
-        the vectorized column lookup (built lazily per refresh)."""
-        tables = self._np_tables
-        if tables is None:
-            tables = []
-            for size, table in zip(self._sizes, self._tables):
-                keys = np.fromiter(table.keys(), dtype=np.int64,
-                                   count=len(table))
-                cubes = np.fromiter((e[0] for e in table.values()),
-                                    dtype=np.int64, count=len(table))
-                order = np.argsort(keys)
-                tables.append((size, keys[order], cubes[order]))
-            self._np_tables = tables
-        return tables
+        self._tables = []
+        for size, table in self.vm._tables.items():
+            pages = np.array([(vaddr, m.cube)
+                              for (p, vaddr), m in table.items()
+                              if p == self.pcid] + [(_PAST_PAGES, 0)],
+                             dtype=np.int64)
+            pages = pages[np.argsort(pages[:, 0])]
+            self._tables.append((size, pages[:, 0], pages[:, 1]))
 
     def lookup_columns(self, addrs: np.ndarray
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`lookup` over an int64 address column.
+        """``vm.lookup`` over an int64 address column.
 
         Returns ``(cube, page_bytes, mapped)`` arrays; unmapped rows
         have ``mapped`` False (their cube/page values are meaningless).
@@ -195,65 +256,68 @@ class _CubeMap:
         cube = np.zeros(n, dtype=np.int64)
         psize = np.ones(n, dtype=np.int64)
         mapped = np.zeros(n, dtype=bool)
-        for size, keys, cubes in self.np_tables():
-            if len(keys) == 0:
-                continue
-            todo = ~mapped
-            if not todo.any():
+        todo = np.arange(n)
+        for size, keys, cubes in self._tables:
+            pending = addrs[todo]
+            page = pending & -size  # page sizes are powers of two
+            index = np.searchsorted(keys, page)
+            hit = keys[index] == page
+            rows = todo[hit]
+            cube[rows] = cubes[index[hit]]
+            psize[rows] = size
+            mapped[rows] = True
+            todo = todo[~hit]
+            if not len(todo):
                 break
-            sub = addrs[todo]
-            page = sub - sub % size
-            idx = np.searchsorted(keys, page)
-            idxc = np.minimum(idx, len(keys) - 1)
-            hit = keys[idxc] == page
-            if hit.any():
-                rows = np.flatnonzero(todo)[hit]
-                cube[rows] = cubes[idxc[hit]]
-                psize[rows] = size
-                mapped[rows] = True
         return cube, psize, mapped
 
-    def lookup(self, addr: int) -> Optional[Tuple[int, int, bool]]:
-        """``(cube, page_bytes, pinned)`` of the mapping, or ``None``."""
-        for size, table in zip(self._sizes, self._tables):
-            entry = table.get(addr - addr % size)
-            if entry is not None:
-                return entry[0], size, entry[1]
-        return None
-
-    def cube_of(self, addr: int) -> int:
-        entry = self.lookup(addr)
-        if entry is None:
-            raise ProtectionFault(
-                f"no mapping for vaddr {addr:#x} in pcid {self.pcid}")
-        return entry[0]
-
-    def is_pinned(self, addr: int) -> bool:
-        entry = self.lookup(addr)
-        return entry is not None and entry[2]
-
-    def split(self, start: int, length: int) -> List[Tuple[int, int]]:
-        """``(run_length, cube)`` pieces, merged like
-        :meth:`VirtualMemory.split_range_by_cube` (run starts are not
-        needed by the kernels, only lengths and owners)."""
-        runs: List[Tuple[int, int]] = []
-        cursor = start
-        end = start + length
-        while cursor < end:
-            entry = self.lookup(cursor)
-            if entry is None:
-                raise ProtectionFault(
-                    f"no mapping for vaddr {cursor:#x} in pcid "
-                    f"{self.pcid}")
-            cube, page_bytes, _ = entry
-            page_end = cursor - cursor % page_bytes + page_bytes
-            run_end = end if end < page_end else page_end
-            if runs and runs[-1][1] == cube:
-                runs[-1] = (runs[-1][0] + run_end - cursor, cube)
-            else:
-                runs.append((run_end - cursor, cube))
-            cursor = run_end
-        return runs
+    def runs(self, starts: np.ndarray, lengths: np.ndarray,
+             lookup: Tuple = None) -> _Runs:
+        """Split the ranges ``[starts[k], starts[k] + lengths[k])``
+        (``lengths`` positive; ``lookup`` is ``lookup_columns(starts)``
+        if the caller has it).  Round ``j`` looks up the ``j``-th page of
+        every range still going, so the rounds number the pages the
+        longest range crosses, not the ranges."""
+        ends = starts + lengths
+        cube, psize, mapped = lookup or self.lookup_columns(starts)
+        bad = ~mapped
+        bad_at = starts.copy()
+        stop = np.minimum(ends, (starts & -psize) + psize)
+        nbytes = stop - starts
+        rows = np.flatnonzero(mapped & (stop < ends))
+        if not len(rows):  # no range leaves its first page
+            return _Runs(nbytes, cube, bad, bad_at, rows,
+                         np.zeros(1, dtype=np.int64), rows, rows)
+        cursor = stop[rows]
+        pieces = [(rows, nbytes[rows], cube[rows])]
+        while len(rows):
+            cube_j, psize_j, mapped_j = self.lookup_columns(cursor)
+            bad[rows[~mapped_j]] = True
+            bad_at[rows[~mapped_j]] = cursor[~mapped_j]
+            stop_j = np.minimum(ends[rows], (cursor & -psize_j) + psize_j)
+            pieces.append((rows, stop_j - cursor, cube_j))
+            going = mapped_j & (stop_j < ends[rows])
+            rows, cursor = rows[going], stop_j[going]
+        # Order the pieces by range (the stable sort keeps each range's
+        # rounds, so its pages, in address order), drop ranges that
+        # faulted and merge neighbours on one cube: each range's first
+        # run replaces its first piece, and the rest are its later runs.
+        rows, sizes, cubes = (np.concatenate(part) for part in zip(*pieces))
+        order = np.argsort(rows, kind="stable")
+        order = order[~bad[rows[order]]]
+        rows, sizes, cubes = rows[order], sizes[order], cubes[order]
+        head = np.ones(len(rows), dtype=bool)
+        head[1:] = (rows[1:] != rows[:-1]) | (cubes[1:] != cubes[:-1])
+        heads = np.flatnonzero(head)
+        if len(heads):
+            sizes = np.add.reduceat(sizes, heads)
+        rows, cubes = rows[heads], cubes[heads]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        nbytes[rows[first]] = sizes[first]
+        multi, counts = np.unique(rows[~first], return_counts=True)
+        return _Runs(nbytes, cube, bad, bad_at, multi, _offsets(counts),
+                     sizes[~first], cubes[~first])
 
 
 class _Lanes:
@@ -415,6 +479,31 @@ def _compute_host_columns(compiled: CompiledTrace, costs,
     compute = instr / ipc_hz + hits * hit_lat / 4.0
     priority = ~copy
     return compute, miss, dep, priority
+
+
+def _group(tid: np.ndarray, rows: np.ndarray, key: np.ndarray,
+           plan) -> None:
+    """Give ``rows`` template ids by groups of equal ``key``: ``plan(first,
+    counts)`` yields one per group, from its first row's index into
+    ``rows`` and its row count."""
+    if len(rows):
+        _, first, inv = np.unique(key, return_index=True,
+                                  return_inverse=True)
+        ids = list(plan(first, np.bincount(inv).tolist()))
+        tid[rows] = np.asarray(ids, dtype=np.int32)[inv]
+
+
+def _deposit(streams) -> None:
+    """Bulk-account ``(resources, bytes, count)`` stream totals with one
+    ``account_bulk`` per resource (paths share links and TSVs)."""
+    acc: Dict[int, List] = {}
+    for resources, nbytes, count in streams:
+        for resource in resources:
+            counters = acc.setdefault(id(resource), [resource, 0, 0])
+            counters[1] += nbytes
+            counters[2] += count
+    for resource, nbytes, count in acc.values():
+        resource.account_bulk(nbytes, count)
 
 
 def _path_latency(resources: Sequence) -> float:
@@ -746,11 +835,11 @@ class DDR4BatchedKernel(_HostBatchedKernel):
 class HostHMCBatchedKernel(_HostBatchedKernel):
     """``cpu-hmc`` replay: per-cube routed host streams, batched.
 
-    Stage 1 resolves every event's miss range into per-cube runs through
+    Stage 1 splits every event's miss range into per-cube runs through
     the :class:`_CubeMap` mirror and freezes each run's path (host link,
     cube-to-cube hop, destination TSVs) into an interned stream; stage 2
-    replays only the shared-FIFO horizon recurrence.  Ranges that fault
-    (unmapped addresses) fall back — exactly like
+    replays only the shared-FIFO horizon recurrence.  Ranges reaching an
+    unmapped page fall back — exactly like
     :meth:`HMCHostPort.stream_range` — to the anonymous round-robin
     stream, whose cube cursor is *shared state*: stage 2 loads it from
     the port and writes it back, so the interleaving with scalar
@@ -804,86 +893,47 @@ class HostHMCBatchedKernel(_HostBatchedKernel):
             self._plan_cache[key] = plan
         return plan
 
-    def _account_runs(self, acc: Dict[int, List[int]], cube: int,
-                      nbytes: int, count: int) -> None:
-        """Accumulate ``count`` runs totalling ``nbytes`` on a cube's
-        host path (deposited via ``account_bulk`` when begin ends)."""
-        for resource in self._paths[cube][0]:
-            ri = self.lanes.register(resource)
-            counters = acc.get(ri)
-            if counters is None:
-                counters = acc[ri] = [0, 0]
-            counters[0] += nbytes
-            counters[1] += count
-
     def begin(self, compiled: CompiledTrace) -> None:
         compute, miss, dep, priority = host_event_columns(
             compiled, self.costs, self.ipc_hz, self.hit_lat)
         self.map.refresh()
-        src = compiled.events["src"]
-        n = len(src)
-        tid = np.full(n, -1, dtype=np.int32)
+        tid = np.full(len(miss), -1, dtype=np.int32)
         templates = _Interner()
         streams = _Interner()
-        acc: Dict[int, List[int]] = {}
         need = np.flatnonzero(miss > 0)
-        rest: List[int] = []
-        if len(need):
-            src_n = src[need]
-            nb = miss[need]
-            cube, psize, mapped = self.map.lookup_columns(src_n)
-            # Single-page ranges (the vast majority) plan in bulk: one
-            # run on the page's cube, grouped by (nbytes, cube,
-            # priority, dependence) so each distinct plan is built once.
-            fits = mapped & (src_n % psize + nb <= psize)
-            rows = np.flatnonzero(fits)
-            if len(rows):
-                cube_s = cube[rows]
-                nb_s = nb[rows]
-                prio_s = priority[need][rows].astype(np.int64)
-                dep2 = (dep[need][rows] == 2.0).astype(np.int64)
-                key = ((nb_s * 256 + cube_s) * 2 + prio_s) * 2 + dep2
-                _, first, inv = np.unique(key, return_index=True,
-                                          return_inverse=True)
-                ids = []
-                for f0 in first.tolist():
-                    r0 = int(need[rows[f0]])
-                    sid = streams(self._stream_plan(
-                        int(cube_s[f0]), int(nb_s[f0]),
-                        bool(priority[r0]), float(dep[r0])))
-                    ids.append(templates((0, (sid,))))
-                tid[need[rows]] = np.asarray(ids, dtype=np.int32)[inv]
-                bsum = np.bincount(cube_s,
-                                   weights=nb_s.astype(np.float64))
-                bcnt = np.bincount(cube_s)
-                for c in np.flatnonzero(bcnt).tolist():
-                    self._account_runs(acc, c, int(bsum[c]),
-                                       int(bcnt[c]))
-            rest = need[~fits].tolist()
-        # Leftover events — multi-page ranges and faulting (anonymous)
-        # streams — go through the scalar path, exactly as the
-        # event-by-event port does.
-        for i in rest:
-            addr = int(src[i])
-            nbytes = int(miss[i])
-            prio = bool(priority[i])
-            d = float(dep[i])
-            try:
-                runs = self.map.split(addr, nbytes)
-            except ProtectionFault:
-                # stream_anon fallback: cube choice is stage-2 state
-                # (the shared round-robin cursor).
-                tid[i] = templates((1, nbytes,
-                                    self.port.anon_share(nbytes), prio))
-                continue
-            sids = []
-            for run_len, cube_r in runs:
-                sids.append(streams(self._stream_plan(cube_r, run_len,
-                                                      prio, d)))
-                self._account_runs(acc, cube_r, run_len, 1)
-            tid[i] = templates((0, tuple(sids)))
-        for ri, (nbytes, requests) in acc.items():
-            self.lanes.resources[ri].account_bulk(nbytes, requests)
+        nb = miss[need]
+        prio = priority[need]
+        runs = self.map.runs(compiled.events["src"][need], nb)
+        # A range reaching an unmapped page streams anonymously, exactly
+        # like HMCHostPort.stream_range: its cubes come from the shared
+        # round-robin cursor, which is stage-2 state, so the template
+        # holds only the bytes, the per-cube share and the lane.
+        anon = np.flatnonzero(runs.bad)
+        _group(tid, need[anon], _key(nb[anon], prio[anon]),
+               lambda first, counts: (
+                   templates((1, nbytes, self.port.anon_share(nbytes), lane))
+                   for nbytes, lane in zip(nb[anon[first]].tolist(),
+                                           prio[anon[first]].tolist())))
+        # Every other range is its per-cube runs, one stream each; each
+        # distinct (runs, lane, dependence) template is built once.
+        routed = np.flatnonzero(~runs.bad)
+        dep_r = dep[need[routed]]
+        _group(tid, need[routed],
+               _key(*(column[routed] for column in runs.columns()),
+                    prio[routed], (dep_r == 2.0).astype(np.int64)),
+               lambda first, counts: (
+                   templates((0, tuple(
+                       streams(self._stream_plan(cube, nbytes, lane, d))
+                       for nbytes, cube in run_list)))
+                   for run_list, lane, d in zip(
+                       runs.of(routed[first]), prio[routed[first]].tolist(),
+                       dep_r[first].tolist())))
+        sizes = np.concatenate([runs.nbytes[routed], runs.rest_bytes])
+        cubes = np.concatenate([runs.cube[routed], runs.rest_cube])
+        bsum = np.bincount(cubes, weights=sizes.astype(np.float64))
+        bcnt = np.bincount(cubes)
+        _deposit((self._paths[cube][0], int(bsum[cube]), int(bcnt[cube]))
+                 for cube in np.flatnonzero(bcnt).tolist())
         self._freeze(compiled, compute, tid, templates.items,
                      streams.items)
 
@@ -973,6 +1023,48 @@ def _charon_template_columns(templates: Sequence[Tuple]
                                dtype=np.float64)}
 
 
+#: Where each stage-1 fault check falls among the event path's checks of
+#: one event: unit routing, the unit's TLB translations (each a page
+#: lookup, then a slice entry), the scanned object's page, the copied or
+#: searched ranges, and the bitmap lines.
+_ROUTE, _TRANSLATE, _TRANSLATE_DST, _OBJECT, _RANGE, _RANGE_DST, _LINES = \
+    0, 1, 3, 5, 6, 7, 8
+
+
+class _PlanState:
+    """One Charon ``begin``'s working set: the trace's columns, source
+    page lookups and unit cubes, and what planning gathers until
+    ``begin`` applies it."""
+
+    def __init__(self, kernel: "CharonBatchedKernel",
+                 compiled: CompiledTrace) -> None:
+        self.compiled = compiled
+        self.ev = compiled.events
+        self.derived = compiled.derived_columns()
+        n = len(self.ev)
+        self.src_cube, self.src_psize, self.src_mapped = \
+            kernel.map.lookup_columns(self.ev["src"])
+        if kernel.cpu_side:
+            self.unit = np.zeros(n, dtype=np.int64)
+        elif kernel.scan_local:
+            self.unit = self.src_cube.copy()
+        else:
+            self.unit = np.where(self.derived["is_scan"], kernel.central,
+                                 self.src_cube)
+        self.tid = np.full(n, -1, dtype=np.int32)
+        self.lines = _Lines(n)
+        #: ``(row, order, address, check)`` of each check's first fault.
+        self.faults: List[Tuple] = []
+        self.translations: List[Tuple] = []
+        #: ``[bytes, streams]`` per (unit cube, target cube) pair.
+        self.pairs: Dict[Tuple[int, int], List[int]] = {}
+        self.batches: Dict[Tuple[int, int], int] = {}
+        self.tallies = {"tlb": [0] * len(kernel.tlbs),
+                        "tlb_remote": [0] * len(kernel.tlbs),
+                        "bc_port": [0] * len(kernel.bcs),
+                        "probes": 0, "probing": 0}
+
+
 class CharonBatchedKernel:
     """Batched offload replay for ``charon`` / ``charon-cpuside``.
 
@@ -982,8 +1074,11 @@ class CharonBatchedKernel:
     groups, tail time) and per-event bitmap line lists, and
     bulk-applies every order-independent counter (offload tallies,
     packet/probe/link bytes, TLB lookup counts, unit local/remote
-    bytes).  Stage 2 keeps only what is genuinely order-dependent: the
-    per-unit busy clocks (least-loaded dispatch), the link/TSV and
+    bytes).  It first checks each row where the event path could fault
+    — page lookups, and TLB translations against the slices' loaded
+    (pinned) entries — and raises the first fault in event order.
+    Stage 2 keeps only what is genuinely order-dependent: the per-unit
+    busy clocks (least-loaded dispatch), the link/TSV and
     TLB/bitmap-cache port horizons, and the bitmap cache's tag/LRU
     state machine.
 
@@ -1021,6 +1116,7 @@ class CharonBatchedKernel:
 
         self.lanes = _Lanes()
         self.map = _CubeMap(device.context.vm, self.pcid)
+        self._page_fault = partial(device.context.vm.lookup, pcid=self.pcid)
 
         # TLB / bitmap-cache slices.  Unified devices have one slice;
         # ``charon --distributed`` has one per cube, and every lookup
@@ -1035,6 +1131,8 @@ class CharonBatchedKernel:
                           for t in self.tlbs]
         self.tlb_svc = 1 / self.tlbs[0].port.rate
         self._tlb_uses = {}  # (unit cube, slice) -> lookup tuple
+        self._tlb_stamp = None
+        self._tlb_keys: List[Tuple[List[int], np.ndarray]] = []
 
         self.bcs = device.bitmap_cache.slices
         self.bc_slots = [self.lanes.slot(b.port, False)
@@ -1099,7 +1197,6 @@ class CharonBatchedKernel:
                         *(size / l.rate + l.latency for l in back),
                         size / hl.rate, hl.latency)
         self.chunks_processed = 0
-        self._bc_uses: Dict[Tuple[int, int], Tuple[int, float]] = {}
         self._templates = _Interner()
         self._streams = _Interner()
         self._out = np.zeros(1)
@@ -1135,28 +1232,6 @@ class CharonBatchedKernel:
             self._plan_cache[key] = plan
         return plan
 
-    def _stream(self, c: int, t: int, nbytes: int, chunk: int,
-                prio: bool) -> int:
-        """Stream id (in this trace's table) of one unit stream."""
-        return self._streams(self._stream_plan(c, t, nbytes, chunk, prio))
-
-    def _account_stream(self, acc: Dict[int, List[int]], c: int, t: int,
-                        nbytes: int, count: int = 1) -> None:
-        """Accumulate ``count`` streams totalling ``nbytes`` from unit
-        cube ``c`` to target cube ``t`` (deposited when begin ends)."""
-        if not self.cpu_side:
-            if c == t:
-                self._local_bytes += nbytes
-            else:
-                self._remote_bytes += nbytes
-        for resource in self._path(c, t)[0]:
-            ri = self.lanes.register(resource)
-            counters = acc.get(ri)
-            if counters is None:
-                counters = acc[ri] = [0, 0]
-            counters[0] += nbytes
-            counters[1] += count
-
     def _tlb_use(self, c: int, owner: int) -> Tuple:
         """(slot, penalty, slice, remote?) for one TLB lookup.
 
@@ -1175,20 +1250,6 @@ class CharonBatchedKernel:
             self._tlb_uses[key] = use
         return use
 
-    def _bc_use(self, c: int, owner: int) -> Tuple[int, float]:
-        """(slice, penalty) for one bitmap-cache access from cube
-        ``c`` against the slice owning cube ``owner``."""
-        si = owner if self.distributed else 0
-        key = (c, si)
-        use = self._bc_uses.get(key)
-        if use is None:
-            bc = self.bcs[si]
-            pen = (2 * bc.link_latency_s
-                   if c != bc.home_cube else 0.0)
-            use = (si, pen)
-            self._bc_uses[key] = use
-        return use
-
     def _template(self, kind: int, kind_key: str, u: int, has_value: int,
                   tlb: Tuple = (), g0: Tuple = (), g1: Tuple = (),
                   tail: float = 0.0) -> int:
@@ -1200,641 +1261,421 @@ class CharonBatchedKernel:
             chains = (self._req_chain[u], self._resp_chain[(u, has_value)])
         return self._templates((kind, pool, *chains, tlb, g0, g1, tail))
 
+    def _tally(self, state: _PlanState, u: int, code: int, m: int,
+               uses: Tuple = (), probes: int = 0) -> None:
+        """Count ``m`` offloads of template ``code`` on unit cube ``u``:
+        their TLB lookups ``uses`` and their clflush ``probes`` each."""
+        key = (u, code)
+        state.batches[key] = state.batches.get(key, 0) + m
+        tallies = state.tallies
+        for _, _, si, remote in uses:
+            tallies["tlb"][si] += m
+            if remote:
+                tallies["tlb_remote"][si] += m
+        if probes:
+            tallies["probes"] += probes * m
+            tallies["probing"] += m
+
+    def _run_streams(self, state: _PlanState, u: int, runs, chunk: int,
+                     prio: bool, m: int) -> Tuple[int, ...]:
+        """Stream ids of one template's ``(bytes, cube)`` runs from unit
+        cube ``u``, accounted for its ``m`` events."""
+        ids = []
+        for nbytes, t in runs:
+            ids.append(self._streams(
+                self._stream_plan(u, t, nbytes, chunk, prio)))
+            counters = state.pairs.get((u, t))
+            if counters is None:
+                counters = state.pairs[(u, t)] = [0, 0]
+            counters[0] += nbytes * m
+            counters[1] += m
+        return tuple(ids)
+
+    @staticmethod
+    def _fault(state: _PlanState, order, rows: np.ndarray,
+               addrs: np.ndarray, check) -> None:
+        """Note that ``rows`` fault at check ``order`` (one, or one per
+        row) on ``addrs``; ``check(addr)`` is the scalar check that
+        raises the fault, so ``begin`` raises the event path's own."""
+        if len(rows):
+            order = np.broadcast_to(order, rows.shape)
+            k = int(np.argmin(rows * 16 + order))
+            state.faults.append((int(rows[k]), int(order[k]),
+                                 int(addrs[k]), check))
+
+    def _check_mapped(self, state: _PlanState, order: int,
+                      rows: np.ndarray, addrs: np.ndarray,
+                      mapped: np.ndarray) -> None:
+        """Fault the ``rows`` whose page-table lookup of ``addrs`` (the
+        event path's ``vm.cube_of``) finds no mapping."""
+        if not mapped.all():
+            miss = np.flatnonzero(~mapped)
+            self._fault(state, order, rows[miss], addrs[miss],
+                        self._page_fault)
+
+    def _translate(self, state: _PlanState, order: int, rows: np.ndarray,
+                   addrs: np.ndarray, cube: np.ndarray,
+                   mapped: np.ndarray) -> None:
+        """Queue ``rows``' translations of ``addrs`` for :meth:`_check_tlb`
+        as :meth:`CharonContext.translate` makes them: distributed, the
+        page lookup (``cube``/``mapped``) picks the slice, or faults."""
+        if self.distributed:
+            self._check_mapped(state, order, rows, addrs, mapped)
+            rows, addrs, cube = rows[mapped], addrs[mapped], cube[mapped]
+        state.translations.append((order + 1, rows, addrs, cube))
+
+    def _check_tlb(self, state: _PlanState) -> None:
+        """Fault the queued translations whose TLB slice holds no entry
+        for the address (:meth:`AcceleratorTLB.resolve`): only pages
+        pinned when the TLBs were loaded translate."""
+        queued = state.translations
+        order = np.concatenate([np.full(len(q[1]), q[0]) for q in queued])
+        rows, addrs, cube = (np.concatenate([q[i] for q in queued])
+                             for i in (1, 2, 3))
+        held = np.zeros(len(rows), dtype=bool)
+        for size, keys, slices in self._tlb_pages():
+            page = addrs & -size
+            index = np.searchsorted(keys, page)
+            hit = keys[index] == page
+            if self.distributed:
+                hit &= (slices[index] >> cube) & 1 == 1
+            held |= hit
+        denied = np.flatnonzero(~held)
+        self._fault(state, order[denied], rows[denied], addrs[denied],
+                    self._tlb_fault)
+
+    def _tlb_fault(self, addr: int) -> None:
+        """Raise the fault :meth:`CharonContext.translate` raises when
+        the TLB slice it picks for ``addr`` holds no entry for it."""
+        si = self.map.vm.cube_of(addr, self.pcid) if self.distributed else 0
+        self.tlbs[si].resolve(addr, self.pcid)
+
+    def _tlb_pages(self) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+        """Per page size the TLB slices resolve with, the sorted entry
+        addresses (this pcid's) with a bitmask of the slices holding each
+        at that size; rebuilt when the slices' entries change."""
+        stamp = [(len(t.entries), list(t._page_sizes)) for t in self.tlbs]
+        if stamp != self._tlb_stamp:
+            self._tlb_stamp = stamp
+            self._tlb_keys = []
+            for size in sorted({size for _, sizes in stamp for size in sizes}):
+                held: Dict[int, int] = {}
+                for si, tlb in enumerate(self.tlbs):
+                    if size in tlb._page_sizes:
+                        for pcid, vaddr in tlb.entries:
+                            if pcid == self.pcid:
+                                held[vaddr] = held.get(vaddr, 0) | 1 << si
+                keys = sorted(held)
+                self._tlb_keys.append((
+                    size, np.array(keys + [_PAST_PAGES], dtype=np.int64),
+                    np.array([held[k] for k in keys] + [0], dtype=np.int64)))
+        return self._tlb_keys
+
     def begin(self, compiled: CompiledTrace) -> None:
+        """Plan every event of ``compiled``; a trace the event path
+        would fault on raises its first fault before any counter
+        moves."""
         info = self.device._require_init()
         self.map.refresh()
-        ev = compiled.events
-        prim = ev["prim"]
-        n = len(prim)
-        derived = compiled.derived_columns()
-        copy_m = derived["is_copy"]
-        search_m = derived["is_search"]
-        scan_m = derived["is_scan"]
-        bitmap_m = derived["is_bitmap"]
-        marking_kind = compiled.kind in ("major", "g1", "concurrent")
-        cpu_side = self.cpu_side
-        cyc = self.cyc
-        chunk = self.chunk
-        src = ev["src"]
-        dst = ev["dst"]
-        size = ev["size_bytes"]
-        refs = ev["refs"]
-        pushes = ev["pushes"]
-        code_copy = PRIMITIVE_TYPE_CODES[Primitive.COPY]
-        code_search = PRIMITIVE_TYPE_CODES[Primitive.SEARCH]
-        code_scan = PRIMITIVE_TYPE_CODES[Primitive.SCAN_PUSH]
-
-        self._local_bytes = 0
-        self._remote_bytes = 0
+        state = _PlanState(self, compiled)
         self._templates = _Interner()
         self._streams = _Interner()
-        acc: Dict[int, List[int]] = {}
-        batches: Dict[Tuple[int, int], int] = {}
-        tallies = {"tlb": [0] * len(self.tlbs),
-                   "tlb_remote": [0] * len(self.tlbs),
-                   "bc_port": [0] * len(self.bcs),
-                   "probes": 0}
-        t_tlb = tallies["tlb"]
-        t_rem = tallies["tlb_remote"]
-        tid = np.full(n, -1, dtype=np.int32)
-        lines = _Lines(n)
+        if not self.cpu_side:
+            # Copies and searches (and, spread over the cubes, scans)
+            # are routed to the cube of their source.
+            ev, derived = state.ev, state.derived
+            routed = np.flatnonzero(derived["is_copy"] | derived["is_search"]
+                                    | (derived["is_scan"] & self.scan_local))
+            self._check_mapped(state, _ROUTE, routed,
+                               ev["src"][routed], state.src_mapped[routed])
+        self._copies_and_searches(state)
+        self._scans(state, info)
+        self._bitmap_counts(state, info)
+        self._check_tlb(state)
+        if state.faults:
+            row, _, addr, check = min(state.faults, key=lambda f: f[:2])
+            check(addr)
+            raise SimulationError(f"stage 1 expected event {row} to fault "
+                                  f"at {addr:#x}")
+        self._finish_accounting(state)
+        self._freeze(compiled, state.tid, state.lines)
 
-        # Rows found along the way that stage 1 leaves to the scalar
-        # planner: multi-page ranges, bitmap rows touching an unmapped
-        # address, and marking scans whose window hash overflows int64.
-        leftover = np.zeros(n, dtype=bool)
+    def _copies_and_searches(self, state: _PlanState) -> None:
+        """Copies read their source runs and write their destination
+        runs; searches stream the card-table bytes they examine (at
+        least 32), then compare 32 bytes a cycle.  All their ranges are
+        split into per-cube runs in one pass."""
+        ev = state.ev
+        size = ev["size_bytes"]
+        copies = np.flatnonzero(state.derived["is_copy"] & (size > 0))
+        searches = np.flatnonzero(state.derived["is_search"])
+        examined = np.maximum(32,
+                              state.derived["search_examined"][searches])
+        n = len(copies)
+        src, dst = ev["src"][copies], ev["dst"][copies]
+        dst_at = self.map.lookup_columns(dst)
+        src_at, search_at = ([a[rows] for a in (state.src_cube,
+                                                 state.src_psize,
+                                                 state.src_mapped)]
+                             for rows in (copies, searches))
+        self._translate(state, _TRANSLATE, copies, src, src_at[0],
+                        src_at[2])
+        self._translate(state, _TRANSLATE_DST, copies, dst, dst_at[0],
+                        dst_at[2])
+        self._translate(state, _TRANSLATE, searches, ev["src"][searches],
+                        search_at[0], search_at[2])
+        runs = self.map.runs(
+            np.concatenate([src, dst, ev["src"][searches]]),
+            np.concatenate([size[copies], size[copies], examined]),
+            tuple(map(np.concatenate, zip(src_at, dst_at, search_at))))
+        for order, rows, lo in ((_RANGE, copies, 0), (_RANGE_DST, copies, n),
+                                (_RANGE, searches, 2 * n)):
+            hi = lo + len(rows)
+            self._check_mapped(state, order, rows,
+                               runs.bad_at[lo:hi], ~runs.bad[lo:hi])
+        if state.faults:
+            return
+        code = PRIMITIVE_TYPE_CODES[Primitive.COPY]
+        self._plan_trivial(
+            state, np.flatnonzero(state.derived["is_copy"] & (size <= 0)),
+            "copy_search", code, 0, self.cyc)
+        run_key = _key(*runs.columns())
+        u = state.unit[copies]
 
-        src_cube, src_psize, src_mapped = self.map.lookup_columns(src)
-        dst_cube, dst_psize, dst_mapped = self.map.lookup_columns(dst)
-        sized = size > 0
-        if cpu_side:
-            need_src = (copy_m & sized) | search_m \
-                | (scan_m & (refs > 0))
-        elif self.scan_local:
-            need_src = copy_m | search_m | scan_m
-        else:
-            need_src = copy_m | search_m | (scan_m & (refs > 0))
-        if (need_src & ~src_mapped).any() \
-                or (copy_m & sized & ~dst_mapped).any():
-            # An event will fault.  Replan everything through the
-            # scalar planner, which raises the identical
-            # ProtectionFault at the identical event — accounting is
-            # deferred to the end of begin, so a faulting begin never
-            # mutates the platform on either path.
-            self._plan_events(compiled, info, range(n), tid, lines, acc,
-                              batches, tallies)
-        else:
-            zeros = np.zeros(n, dtype=np.int64)
-            ucube_cs = zeros if cpu_side else src_cube
-            src_off = src % src_psize
-            dst_off = dst % dst_psize
+        def plan_copies(first, counts):
+            for u0, sc, dc, nbytes, read, write, m in zip(
+                    u[first].tolist(), src_at[0][first].tolist(),
+                    dst_at[0][first].tolist(), size[copies[first]].tolist(),
+                    runs.of(first), runs.of(first + n), counts):
+                use_s = self._tlb_use(u0, sc)
+                use_d = self._tlb_use(u0, dc)
+                self._tally(state, u0, code, m, (use_s, use_d),
+                            2 * math.ceil(nbytes / self.chunk))
+                yield self._template(
+                    COPY, "copy_search", u0, 0,
+                    ((use_s[0], use_s[1]), (use_d[0], use_d[1])),
+                    self._run_streams(state, u0, read, self.chunk, False,
+                                      m),
+                    self._run_streams(state, u0, write, self.chunk, False,
+                                      m))
 
-            # -- copies ----------------------------------------------
-            rows = np.flatnonzero(copy_m & ~sized)
-            self._plan_trivial(rows, ucube_cs[rows], "copy_search",
-                               code_copy, 0, cyc, tid, batches)
-            rows = np.flatnonzero(copy_m & sized)
-            if len(rows):
-                sz = size[rows]
-                fits = (src_off[rows] + sz <= src_psize[rows]) \
-                    & (dst_off[rows] + sz <= dst_psize[rows])
-                leftover[rows[~fits]] = True
-                vec = rows[fits]
-                if len(vec):
-                    u_a = ucube_cs[vec]
-                    sc_a = src_cube[vec]
-                    dc_a = dst_cube[vec]
-                    sz_a = size[vec]
-                    key = ((sz_a * 64 + u_a) * 64 + sc_a) * 64 + dc_a
-                    _, first, inv = np.unique(key, return_index=True,
-                                              return_inverse=True)
-                    ids = []
-                    for f0, m in zip(first.tolist(),
-                                     np.bincount(inv).tolist()):
-                        u0 = int(u_a[f0])
-                        sc0 = int(sc_a[f0])
-                        dc0 = int(dc_a[f0])
-                        sz0 = int(sz_a[f0])
-                        use_s = self._tlb_use(u0, sc0)
-                        use_d = self._tlb_use(u0, dc0)
-                        ids.append(self._template(
-                            COPY, "copy_search", u0, 0,
-                            ((use_s[0], use_s[1]), (use_d[0], use_d[1])),
-                            (self._stream(u0, sc0, sz0, chunk, False),),
-                            (self._stream(u0, dc0, sz0, chunk, False),)))
-                        batches[(u0, code_copy)] = \
-                            batches.get((u0, code_copy), 0) + m
-                        for _, _, si, rem in (use_s, use_d):
-                            t_tlb[si] += m
-                            if rem:
-                                t_rem[si] += m
-                        tallies["probes"] += \
-                            2 * math.ceil(sz0 / chunk) * m
-                        self._account_stream(acc, u0, sc0, sz0 * m, m)
-                        self._account_stream(acc, u0, dc0, sz0 * m, m)
-                    tid[vec] = np.asarray(ids, dtype=np.int32)[inv]
+        _group(state.tid, copies,
+                    _key(u, run_key[:n], run_key[n:2 * n]), plan_copies)
+        u = state.unit[searches]
 
-            # -- searches --------------------------------------------
-            rows = np.flatnonzero(search_m)
-            if len(rows):
-                examined = np.maximum(
-                    32, derived["search_examined"][rows])
-                fits = src_off[rows] + examined <= src_psize[rows]
-                leftover[rows[~fits]] = True
-                keep = np.flatnonzero(fits)
-                if len(keep):
-                    vec = rows[keep]
-                    ex_a = examined[keep]
-                    u_a = ucube_cs[vec]
-                    sc_a = src_cube[vec]
-                    key = (ex_a * 64 + u_a) * 64 + sc_a
-                    _, first, inv = np.unique(key, return_index=True,
-                                              return_inverse=True)
-                    ids = []
-                    for f0, m in zip(first.tolist(),
-                                     np.bincount(inv).tolist()):
-                        u0 = int(u_a[f0])
-                        sc0 = int(sc_a[f0])
-                        ex0 = int(ex_a[f0])
-                        s_chunk = min(HMC_MAX_REQUEST, ex0)
-                        use = self._tlb_use(u0, sc0)
-                        ids.append(self._template(
-                            SEARCH, "copy_search", u0, 1,
-                            ((use[0], use[1]),),
-                            (self._stream(u0, sc0, ex0, s_chunk, False),),
-                            (), math.ceil(ex0 / 32) * cyc))
-                        batches[(u0, code_search)] = \
-                            batches.get((u0, code_search), 0) + m
-                        t_tlb[use[2]] += m
-                        if use[3]:
-                            t_rem[use[2]] += m
-                        tallies["probes"] += \
-                            math.ceil(ex0 / s_chunk) * m
-                        self._account_stream(acc, u0, sc0, ex0 * m, m)
-                    tid[vec] = np.asarray(ids, dtype=np.int32)[inv]
+        def plan_searches(first, counts):
+            for u0, sc, ex0, searched, m in zip(
+                    u[first].tolist(), search_at[0][first].tolist(),
+                    examined[first].tolist(), runs.of(first + 2 * n),
+                    counts):
+                s_chunk = min(HMC_MAX_REQUEST, ex0)
+                use = self._tlb_use(u0, sc)
+                self._tally(state, u0, PRIMITIVE_TYPE_CODES[
+                    Primitive.SEARCH], m, (use,), math.ceil(ex0 / s_chunk))
+                yield self._template(
+                    SEARCH, "copy_search", u0, 1, ((use[0], use[1]),),
+                    self._run_streams(state, u0, searched, s_chunk, False,
+                                      m),
+                    (), math.ceil(ex0 / 32) * self.cyc)
 
-            # -- scans ---------------------------------------------
-            if cpu_side:
-                u_all = zeros
-            elif self.scan_local:
-                u_all = src_cube
-            else:
-                u_all = np.full(n, self.central, dtype=np.int64)
-            rows = np.flatnonzero(scan_m & (refs <= 0))
-            self._plan_trivial(rows, u_all[rows], "scan_push", code_scan,
-                               1, 2 * cyc, tid, batches)
-            rows = np.flatnonzero(scan_m & (refs > 0))
-            if len(rows):
-                r_span = int(refs[rows].max()) + 1
-                p_span = int(pushes[rows].max()) + 1
-                if r_span * p_span * 64 * 64 >= 2 ** 62:
-                    leftover[rows] = True
-                    rows = rows[:0]
-                # Marking scans carry per-event mark lines; the rest of
-                # their plan groups like any other scan's.
-                covered = info.heap_end - info.bitmap_covered_start
-                if marking_kind and covered > 0:
-                    self._mark_lines(
-                        rows[pushes[rows] > 0], src, pushes, u_all,
-                        covered, info.bitmap_base, tallies, leftover,
-                        lines)
-                    rows = rows[~leftover[rows]]
-                if len(rows):
-                    rf_a = refs[rows]
-                    ps_a = pushes[rows]
-                    u_a = u_all[rows]
-                    oc_a = src_cube[rows]
-                    key = ((rf_a * p_span + ps_a) * 64 + u_a) * 64 + oc_a
-                    _, first, inv = np.unique(key, return_index=True,
-                                              return_inverse=True)
-                    ids = []
-                    for f0, m in zip(first.tolist(),
-                                     np.bincount(inv).tolist()):
-                        u0 = int(u_a[f0])
-                        oc0 = int(oc_a[f0])
-                        rf0 = int(rf_a[f0])
-                        ps0 = int(ps_a[f0])
-                        slot_bytes = max(CACHE_LINE, rf0 * 8)
-                        slot_stream = self._stream(u0, oc0, slot_bytes,
-                                                   256, True)
-                        self._account_stream(acc, u0, oc0,
-                                             slot_bytes * m, m)
-                        per_cube = [rf0 // self.ref_cubes] \
-                            * self.ref_cubes
-                        for extra in range(rf0 % self.ref_cubes):
-                            per_cube[extra] += 1
-                        ref_streams = []
-                        for t, count in enumerate(per_cube):
-                            if count == 0:
-                                continue
-                            nb = count * CACHE_LINE
-                            ref_streams.append(self._stream(
-                                u0, t, nb, CACHE_LINE, True))
-                            self._account_stream(acc, u0, t, nb * m, m)
-                        use = self._tlb_use(u0, oc0)
-                        ids.append(self._template(
-                            SCAN, "scan_push", u0, 1, ((use[0], use[1]),),
-                            (slot_stream,), tuple(ref_streams),
-                            ps0 * cyc))
-                        batches[(u0, code_scan)] = \
-                            batches.get((u0, code_scan), 0) + m
-                        t_tlb[use[2]] += m
-                        if use[3]:
-                            t_rem[use[2]] += m
-                        tallies["probes"] += rf0 * m
-                    tid[rows] = np.asarray(ids, dtype=np.int32)[inv]
+        _group(state.tid, searches, _key(u, run_key[2 * n:]),
+                    plan_searches)
 
-            # -- bitmap counts ---------------------------------------
-            rows = np.flatnonzero(bitmap_m)
-            if len(rows):
-                self._plan_bitmap_counts(rows, ev, info, tid, lines,
-                                         batches, tallies, leftover)
-
-            rest = np.flatnonzero(leftover).tolist()
-            if rest:
-                self._plan_events(compiled, info, rest, tid, lines, acc,
-                                  batches, tallies)
-
-        self._finish_accounting(compiled, copy_m, batches, acc,
-                                tallies)
-        self._freeze(compiled, tid, lines)
-
-    def _plan_trivial(self, rows: np.ndarray, units: np.ndarray,
-                      kind_key: str, code: int, has_value: int,
-                      tail: float, tid: np.ndarray,
-                      batches: Dict[Tuple[int, int], int]) -> None:
-        """Plan ``rows`` whose primitive costs the fixed ``tail`` and
-        touches no memory: one template per unit cube in ``units``."""
+    def _scans(self, state: _PlanState, info) -> None:
+        """Scans read the object's slots on its cube and one line per
+        reference spread over the cubes; marking scans also touch one
+        mark-bitmap line per push."""
+        ev = state.ev
+        code = PRIMITIVE_TYPE_CODES[Primitive.SCAN_PUSH]
+        rows = np.flatnonzero(state.derived["is_scan"])
         if not len(rows):
             return
-        uq, inv = np.unique(units, return_inverse=True)
-        ids = []
-        for u0, m in zip(uq.tolist(), np.bincount(inv).tolist()):
-            ids.append(self._template(FIXED, kind_key, u0, has_value,
-                                      tail=tail))
-            batches[(u0, code)] = batches.get((u0, code), 0) + m
-        tid[rows] = np.asarray(ids, dtype=np.int32)[inv]
+        refs = ev["refs"][rows]
+        idle = rows[refs <= 0]
+        rows = rows[refs > 0]
+        src = ev["src"][rows]
+        obj_cube = state.src_cube[rows]
+        self._translate(state, _TRANSLATE, rows, src, obj_cube,
+                        state.src_mapped[rows])
+        self._check_mapped(state, _OBJECT, rows, src,
+                           state.src_mapped[rows])
+        pushes = ev["pushes"]
+        covered = info.heap_end - info.bitmap_covered_start
+        if state.compiled.kind in ("major", "g1", "concurrent") \
+                and covered > 0:
+            self._mark_lines(state, rows[pushes[rows] > 0], covered,
+                             info.bitmap_base)
+        if state.faults:
+            return
+        self._plan_trivial(state, idle, "scan_push", code, 1, 2 * self.cyc)
+        rf = refs[refs > 0]
+        ps = pushes[rows]
+        u = state.unit[rows]
 
-    def _bc_lines(self, line_addr: np.ndarray, unit: np.ndarray,
-                  counts: np.ndarray, t_bc: List[int]
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`_bc_use` over one block's bitmap lines.
+        cubes = self.ref_cubes
 
-        ``line_addr`` and ``unit`` (the issuing unit's cube) are per-line
-        columns, ``counts`` the number of lines of each row in order.
-        Returns ``(ok, slices, penalties)``: whether each row's lines
-        are all mapped (the scalar planner faults on the others), and
-        each line's slice and remote penalty exactly as
-        :meth:`_plan_events` resolves them.  Mapped rows' accesses are
-        tallied into ``t_bc``.
-        """
-        cube, _, mapped = self.map.lookup_columns(line_addr)
-        row = np.repeat(np.arange(len(counts)), counts)
-        ok = np.bincount(row[~mapped], minlength=len(counts)) == 0
-        si = cube if self.distributed else np.zeros_like(cube)
-        pen = self._bc_pens[2 * si + (unit != self._bc_home[si])]
-        tally = np.bincount(si[ok[row]], minlength=len(t_bc))
-        for ci, accesses in enumerate(tally.tolist()):
-            t_bc[ci] += accesses
-        return ok, si, pen
+        def plan(first, counts):
+            for u0, oc0, rf0, ps0, m in zip(
+                    u[first].tolist(), obj_cube[first].tolist(),
+                    rf[first].tolist(), ps[first].tolist(), counts):
+                # The referee loads spread round-robin over the cubes.
+                loads = [((rf0 // cubes + (t < rf0 % cubes)) * CACHE_LINE, t)
+                         for t in range(min(rf0, cubes))]
+                use = self._tlb_use(u0, oc0)
+                self._tally(state, u0, code, m, (use,), rf0)
+                yield self._template(
+                    SCAN, "scan_push", u0, 1, ((use[0], use[1]),),
+                    self._run_streams(state, u0,
+                                      [(max(CACHE_LINE, rf0 * 8), oc0)],
+                                      256, True, m),
+                    self._run_streams(state, u0, loads, CACHE_LINE, True,
+                                      m),
+                    ps0 * self.cyc)
 
-    def _add_lines(self, lines: _Lines, rows: np.ndarray,
-                   counts: np.ndarray, line_addr: np.ndarray,
-                   unit: np.ndarray, tallies: Dict) -> np.ndarray:
-        """Resolve one block's lines (``counts[k]`` of them for
-        ``rows[k]``) and add the fully mapped rows' lines to ``lines``;
-        returns which rows those are."""
-        ok, si, pen = self._bc_lines(line_addr, unit, counts,
-                                     tallies["bc_port"])
-        keep = np.repeat(ok, counts)
-        lines.add(rows[ok], counts[ok], line_addr[keep], si[keep],
-                  pen[keep])
-        return ok
+        _group(state.tid, rows, _key(rf, ps, u, obj_cube), plan)
 
-    def _mark_lines(self, rows: np.ndarray, src: np.ndarray,
-                    pushes: np.ndarray, unit: np.ndarray, covered: int,
-                    bitmap_base: int, tallies: Dict,
-                    leftover: np.ndarray, lines: _Lines) -> None:
-        """Mark lines of marking-phase scan ``rows`` (all with pushes).
-
-        Push ``k`` of a scan at ``src`` marks the bitmap line at byte
-        offset ``(hash(src) + (src & 0x3FF0) + 64 k) % covered``, the
-        scalar planner's hashed window.  Lines of fully mapped rows go
-        to ``lines``; rows left to the scalar planner (an unmapped line,
-        or a hash overflowing int64) are flagged in ``leftover``.
-        """
-        s_all = src[rows]
-        fits = (s_all >= 0) & ((s_all >> 14) <= _HASH_LIMIT)
-        leftover[rows[~fits]] = True
-        rows = rows[fits]
+    def _mark_lines(self, state: _PlanState, rows: np.ndarray,
+                    covered: int, bitmap_base: int) -> None:
+        """Mark lines of marking-phase scan ``rows`` (all with pushes):
+        push ``k`` of a scan at ``src`` marks the bitmap line at byte
+        offset ``(h + (src & 0x3FF0) + 64 k) % covered``, where the
+        window hash ``h = ((src >> 14) * 2654435761) % covered`` is exact
+        in int64 — ``src >> 14`` is reduced first, then multiplied by the
+        constant's 16-bit halves with a reduction between them."""
+        if covered >= 2 ** 47:
+            raise ConfigError(f"a {covered}-byte marked heap overflows the "
+                              f"stage-1 window hash (limit 2**47 bytes)")
+        src = state.ev["src"]
+        pushes = state.ev["pushes"]
         for lo in range(0, len(rows), PLAN_BLOCK_ROWS):
             blk = rows[lo:lo + PLAN_BLOCK_ROWS]
             s = src[blk]
-            count = pushes[blk].astype(np.int64)
-            window = ((s >> 14) * 2654435761) % covered + (s & 0x3FF0)
+            count = pushes[blk]
+            x = (s >> 14) % covered
+            h = (((x * (2654435761 >> 16)) % covered) << 16) % covered
+            h = (h + (x * (2654435761 & 0xFFFF)) % covered) % covered
+            window = h + (s & 0x3FF0)
             first = np.cumsum(count) - count
             step = 64 * np.arange(int(count.sum()), dtype=np.int64)
             off = (np.repeat(window - 64 * first, count) + step) % covered
-            ok = self._add_lines(lines, blk, count, bitmap_base + off // 64,
-                                 np.repeat(unit[blk], count), tallies)
-            leftover[blk[~ok]] = True
+            self._add_lines(state, blk, count, bitmap_base + off // 64)
 
-    def _plan_bitmap_counts(self, rows: np.ndarray, ev: np.ndarray, info,
-                            tid: np.ndarray, lines: _Lines,
-                            batches: Dict[Tuple[int, int], int],
-                            tallies: Dict, leftover: np.ndarray) -> None:
-        """Vectorized :meth:`_plan_events` over bitmap-count ``rows``.
-
-        A count of ``bits`` bits at ``src`` reads the ``first..last``
-        cache lines its words span in each of the two mark bitmaps.
-        Rows touching an unmapped address (or with a negative ``src``)
-        are flagged in ``leftover``, so the scalar planner plans them or
-        raises their fault in event order.
-        """
+    def _bitmap_counts(self, state: _PlanState, info) -> None:
+        """Bitmap counts of ``bits`` bits at ``src`` read the cache
+        lines their words span in each of the two mark bitmaps, after
+        translating the bitmap base."""
         code = PRIMITIVE_TYPE_CODES[Primitive.BITMAP_COUNT]
-        cyc = self.cyc
-        bc_line = self.bcs[0].line_bytes
-        src = ev["src"][rows]
-        bits = ev["bits"][rows]
-        # src >= 0 keeps the address arithmetic inside int64.
-        ok = src >= 0
-        byte_lo = (src - info.bitmap_covered_start) // WORD // 8
+        rows = np.flatnonzero(state.derived["is_bitmap"])
+        if not len(rows):
+            return
+        # ``(src - covered_start) // WORD // 8``, exact for any int64
+        # ``src``: the operands are floor-divided by 64 apart.
+        quot, rem = np.divmod(state.ev["src"][rows], 8 * WORD)
+        start_quot, start_rem = divmod(info.bitmap_covered_start, 8 * WORD)
+        byte_lo = (quot - start_quot) + (rem - start_rem) // (8 * WORD)
         if self.cpu_side:
             unit = np.zeros(len(rows), dtype=np.int64)
         else:
-            unit, _, mapped = self.map.lookup_columns(
-                info.bitmap_base + byte_lo)
-            ok &= mapped
-        counting = bits > 0
-        owner = 0
-        if self.distributed:
-            entry = self.map.lookup(info.bitmap_base)
-            if entry is None:
-                ok &= ~counting
-            else:
-                owner = entry[0]
-        leftover[rows[~ok]] = True
-
-        pos = np.flatnonzero(ok & ~counting)
-        self._plan_trivial(rows[pos], unit[pos], "bitmap_count", code, 1,
-                           cyc, tid, batches)
-
-        pos = np.flatnonzero(ok & counting)
+            route = info.bitmap_base + byte_lo
+            unit, _, mapped = self.map.lookup_columns(route)
+            self._check_mapped(state, _ROUTE, rows, route, mapped)
+        state.unit[rows] = unit
+        bits = state.ev["bits"][rows]
+        counting = np.flatnonzero(bits > 0)
+        if len(counting):
+            # Every counting row translates the same base, so only the
+            # first one can be the first to fault on it.
+            base = np.array([info.bitmap_base], dtype=np.int64)
+            owner, _, base_mapped = self.map.lookup_columns(base)
+            self._translate(state, _TRANSLATE, rows[counting[:1]], base,
+                            owner, base_mapped)
         words = (bits + 63) // 64
-        planned = np.zeros(len(rows), dtype=bool)
+        bc_line = self.bcs[0].line_bytes
         bases = (info.bitmap_base, info.bitmap_base + info.bitmap_bytes)
-        for lo in range(0, len(pos), PLAN_BLOCK_ROWS):
-            blk = pos[lo:lo + PLAN_BLOCK_ROWS]
+        for lo in range(0, len(counting), PLAN_BLOCK_ROWS):
+            blk = counting[lo:lo + PLAN_BLOCK_ROWS]
             byte_a = byte_lo[blk]
             byte_b = byte_a + words[blk] * WORD
-            first = np.stack([(base + byte_a) // bc_line
-                              for base in bases], axis=1).ravel()
-            count = np.stack([(base + byte_b - 1) // bc_line
-                              for base in bases], axis=1).ravel() \
-                - first + 1
+            first = np.stack([(b + byte_a) // bc_line for b in bases],
+                             axis=1).ravel()
+            count = np.stack([(b + byte_b - 1) // bc_line for b in bases],
+                             axis=1).ravel() - first + 1
             seg = np.cumsum(count) - count
             index = np.repeat(first - seg, count) \
                 + np.arange(int(count.sum()), dtype=np.int64)
             per_row = count[0::2] + count[1::2]
-            good = self._add_lines(lines, rows[blk], per_row,
-                                   index * bc_line,
-                                   np.repeat(unit[blk], per_row), tallies)
-            leftover[rows[blk[~good]]] = True
-            planned[blk[good]] = True
+            self._add_lines(state, rows[blk], per_row, index * bc_line)
+        if state.faults:
+            return
+        self._plan_trivial(state, rows[bits <= 0], "bitmap_count", code, 1,
+                           self.cyc)
         # One template per (unit cube, words): the count's tail time.
-        done = np.flatnonzero(planned)
-        if len(done):
-            u_d = unit[done]
-            w_d = words[done]
-            _, first, inv = np.unique(u_d * (int(w_d.max()) + 1) + w_d,
-                                      return_index=True,
-                                      return_inverse=True)
-            ids = []
-            for u0, w in zip(u_d[first].tolist(), w_d[first].tolist()):
-                use = self._tlb_use(u0, owner)
-                ids.append(self._template(BITMAP, "bitmap_count", u0, 1,
-                                          ((use[0], use[1]),),
-                                          tail=w * cyc))
-            tid[rows[done]] = np.asarray(ids, dtype=np.int32)[inv]
-        uq, counts = np.unique(unit[planned], return_counts=True)
-        for u0, m in zip(uq.tolist(), counts.tolist()):
-            batches[(u0, code)] = batches.get((u0, code), 0) + m
-            _, _, si, remote = self._tlb_use(u0, owner)
-            tallies["tlb"][si] += m
-            if remote:
-                tallies["tlb_remote"][si] += m
+        u_c = unit[counting]
+        w_c = words[counting]
 
-    def _plan_events(self, compiled: CompiledTrace, info, indices,
-                     tid: np.ndarray, lines: _Lines,
-                     acc: Dict[int, List[int]],
-                     batches: Dict[Tuple[int, int], int],
-                     tallies: Dict[str, int]) -> None:
-        """Scalar (per-event) planner — the reference implementation.
+        def plan(first, counts):
+            for u0, w, m in zip(u_c[first].tolist(), w_c[first].tolist(),
+                                counts):
+                use = self._tlb_use(u0, int(owner[0]))
+                self._tally(state, u0, code, m, (use,))
+                yield self._template(BITMAP, "bitmap_count", u0, 1,
+                                     ((use[0], use[1]),), tail=w * self.cyc)
 
-        Plans ``indices`` exactly as the event-by-event offload path
-        would, into the same template table and line CSR, mutating the
-        shared accumulators.  The vectorized stage 1 routes here only
-        the rows it cannot plan in numpy: copies, searches and scans
-        whose range crosses a page, bitmap counts and marking-phase
-        scans that touch an unmapped address (or, for scans, whose
-        window hash would overflow int64) — plus the whole trace when a
-        copy, search or scan address is unmapped, so the
-        ProtectionFault is raised in event order.
-        """
-        cube_of = self.map.cube_of
-        marking_kind = compiled.kind in ("major", "g1", "concurrent")
-        covered = info.heap_end - info.bitmap_covered_start
-        bc_line = self.bcs[0].line_bytes
-        cyc = self.cyc
-        chunk = self.chunk
-        t_tlb = tallies["tlb"]
-        t_rem = tallies["tlb_remote"]
-        t_bc = tallies["bc_port"]
-        bitmap_owner = None  # slice owner of the map base, lazily
-        line_rows: List[int] = []
-        line_counts: List[int] = []
-        touched: List[Tuple[int, int, float]] = []
+        _group(state.tid, rows[counting], _key(u_c, w_c), plan)
 
-        ev = compiled.events
-        prim_c = ev["prim"]
-        src_c = ev["src"]
-        dst_c = ev["dst"]
-        size_c = ev["size_bytes"]
-        refs_c = ev["refs"]
-        pushes_c = ev["pushes"]
-        bits_c = ev["bits"]
-        found_c = ev["found"]
+    def _add_lines(self, state: _PlanState, rows: np.ndarray,
+                   counts: np.ndarray, line_addr: np.ndarray) -> None:
+        """Add one block's bitmap-cache lines (``counts[k]`` of them for
+        ``rows[k]``, in access order) with their slices and remote
+        penalties; a row reading an unmapped line faults there."""
+        unit = np.repeat(state.unit[rows], counts)
+        cube, _, mapped = self.map.lookup_columns(line_addr)
+        if not mapped.all():
+            self._check_mapped(state, _LINES,
+                               np.repeat(rows, counts), line_addr, mapped)
+        si = cube if self.distributed else np.zeros_like(cube)
+        pen = self._bc_pens[2 * si + (unit != self._bc_home[si])]
+        t_bc = state.tallies["bc_port"]
+        for ci, accesses in enumerate(
+                np.bincount(si, minlength=len(t_bc)).tolist()):
+            t_bc[ci] += accesses
+        state.lines.add(rows, counts, line_addr, si, pen)
 
-        code_copy = PRIMITIVE_TYPE_CODES[Primitive.COPY]
-        code_search = PRIMITIVE_TYPE_CODES[Primitive.SEARCH]
-        code_scan = PRIMITIVE_TYPE_CODES[Primitive.SCAN_PUSH]
+    def _plan_trivial(self, state: _PlanState, rows: np.ndarray,
+                      kind_key: str, code: int, has_value: int,
+                      tail: float) -> None:
+        """Plan ``rows`` whose primitive costs the fixed ``tail`` and
+        touches no memory: one template per unit cube."""
+        units = state.unit[rows]
 
-        for i in indices:
-            p = int(prim_c[i])
-            src = int(src_c[i])
-            if p == code_scan:
-                if self.cpu_side:
-                    cube = 0
-                elif self.scan_local:
-                    cube = cube_of(src)
-                else:
-                    cube = self.central
-                kind_key = "scan_push"
-            elif p == code_copy or p == code_search:
-                cube = 0 if self.cpu_side else cube_of(src)
-                kind_key = "copy_search"
-            else:
-                bit_index = (src - info.bitmap_covered_start) // WORD
-                baddr = info.bitmap_base + bit_index // 8
-                cube = 0 if self.cpu_side else cube_of(baddr)
-                kind_key = "bitmap_count"
-            unit_cube = cube  # units live on their routing cube
-            marks = None
+        def plan(first, counts):
+            for u0, m in zip(units[first].tolist(), counts):
+                self._tally(state, u0, code, m)
+                yield self._template(FIXED, kind_key, u0, has_value,
+                                     tail=tail)
 
-            if p == code_copy:
-                size = int(size_c[i])
-                if size <= 0:
-                    plan = (FIXED, (), (), (), cyc)
-                    uses = ()
-                else:
-                    dst = int(dst_c[i])
-                    use_s = self._tlb_use(
-                        unit_cube,
-                        cube_of(src) if self.distributed else 0)
-                    use_d = self._tlb_use(
-                        unit_cube,
-                        cube_of(dst) if self.distributed else 0)
-                    runs = self.map.split(src, size)
-                    reads = tuple(self._stream(unit_cube, t, nb, chunk,
-                                               False) for nb, t in runs)
-                    for nb, t in runs:
-                        self._account_stream(acc, unit_cube, t, nb)
-                    runs = self.map.split(dst, size)
-                    writes = tuple(self._stream(unit_cube, t, nb, chunk,
-                                                False) for nb, t in runs)
-                    for nb, t in runs:
-                        self._account_stream(acc, unit_cube, t, nb)
-                    plan = (COPY, ((use_s[0], use_s[1]),
-                                   (use_d[0], use_d[1])),
-                            reads, writes, 0.0)
-                    uses = (use_s, use_d)
-                    tallies["probes"] += 2 * math.ceil(size / chunk)
-                has_value = 0
-            elif p == code_search:
-                size = int(size_c[i])
-                examined = max(32, size // 2 if found_c[i] else size)
-                s_chunk = min(HMC_MAX_REQUEST, max(32, examined))
-                use = self._tlb_use(
-                    unit_cube,
-                    cube_of(src) if self.distributed else 0)
-                runs = self.map.split(src, examined)
-                searched = tuple(
-                    self._stream(unit_cube, t, nb, s_chunk, False)
-                    for nb, t in runs)
-                for nb, t in runs:
-                    self._account_stream(acc, unit_cube, t, nb)
-                plan = (SEARCH, ((use[0], use[1]),), searched, (),
-                        math.ceil(examined / 32) * cyc)
-                uses = (use,)
-                tallies["probes"] += math.ceil(examined / s_chunk)
-                has_value = 1
-            elif p == code_scan:
-                refs = int(refs_c[i])
-                if refs <= 0:
-                    plan = (FIXED, (), (), (), 2 * cyc)
-                    uses = ()
-                else:
-                    obj_cube = cube_of(src)
-                    use = self._tlb_use(unit_cube, obj_cube)
-                    slot_bytes = max(CACHE_LINE, refs * 8)
-                    slot_stream = self._stream(
-                        unit_cube, obj_cube, slot_bytes, 256, True)
-                    self._account_stream(acc, unit_cube, obj_cube,
-                                         slot_bytes)
-                    per_cube = [refs // self.ref_cubes] * self.ref_cubes
-                    for extra in range(refs % self.ref_cubes):
-                        per_cube[extra] += 1
-                    ref_streams = []
-                    for t, count in enumerate(per_cube):
-                        if count == 0:
-                            continue
-                        nb = count * CACHE_LINE
-                        ref_streams.append(self._stream(
-                            unit_cube, t, nb, CACHE_LINE, True))
-                        self._account_stream(acc, unit_cube, t, nb)
-                    pushes = int(pushes_c[i])
-                    if marking_kind and pushes and covered > 0:
-                        window_base = ((src >> 14) * 2654435761) \
-                            % max(1, covered)
-                        marks = []
-                        for index in range(pushes):
-                            off = (window_base + (src & 0x3FF0)
-                                   + index * 64) % covered
-                            line_addr = info.bitmap_base + off // 64
-                            ci, bpen = self._bc_use(
-                                unit_cube, cube_of(line_addr))
-                            marks.append((line_addr, ci, bpen))
-                            t_bc[ci] += 1
-                    plan = (SCAN, ((use[0], use[1]),), (slot_stream,),
-                            tuple(ref_streams), pushes * cyc)
-                    uses = (use,)
-                    tallies["probes"] += refs
-                has_value = 1
-            else:  # bitmap count
-                bits = int(bits_c[i])
-                if bits <= 0:
-                    plan = (FIXED, (), (), (), cyc)
-                    uses = ()
-                else:
-                    # The scalar unit translates the (constant) map
-                    # base, so the owning slice is fixed per trace.
-                    if bitmap_owner is None:
-                        bitmap_owner = (cube_of(info.bitmap_base)
-                                        if self.distributed else 0)
-                    use = self._tlb_use(unit_cube, bitmap_owner)
-                    words = (bits + 63) // 64
-                    bit_offset = (src - info.bitmap_covered_start) // WORD
-                    byte_lo = bit_offset // 8
-                    byte_hi = byte_lo + words * WORD
-                    marks = []
-                    for map_base in (info.bitmap_base,
-                                     info.bitmap_base
-                                     + info.bitmap_bytes):
-                        first = (map_base + byte_lo) // bc_line
-                        last = (map_base + byte_hi - 1) // bc_line
-                        for idx in range(first, last + 1):
-                            line_addr = idx * bc_line
-                            ci, bpen = self._bc_use(
-                                unit_cube, cube_of(line_addr))
-                            marks.append((line_addr, ci, bpen))
-                            t_bc[ci] += 1
-                    plan = (BITMAP, ((use[0], use[1]),), (), (),
-                            words * cyc)
-                    uses = (use,)
-                has_value = 1
+        _group(state.tid, rows, units, plan)
 
-            for _, _, si, rem in uses:
-                t_tlb[si] += 1
-                if rem:
-                    t_rem[si] += 1
-            batches[(cube, p)] = batches.get((cube, p), 0) + 1
-            kind, tlb, g0, g1, tail = plan
-            tid[i] = self._template(kind, kind_key, cube, has_value, tlb,
-                                    g0, g1, tail)
-            if marks:
-                line_rows.append(i)
-                line_counts.append(len(marks))
-                touched += marks
-        if line_rows:
-            addrs, slices, pens = zip(*touched)
-            lines.add(np.array(line_rows, dtype=np.int64),
-                      np.array(line_counts, dtype=np.int64),
-                      np.array(addrs, dtype=np.int64),
-                      np.array(slices, dtype=np.int32),
-                      np.array(pens, dtype=np.float64))
-
-    def _finish_accounting(self, compiled: CompiledTrace,
-                           copy_m: np.ndarray,
-                           batches: Dict[Tuple[int, int], int],
-                           acc: Dict[int, List[int]],
-                           tallies: Dict[str, int]) -> None:
+    def _finish_accounting(self, state: _PlanState) -> None:
         """Apply every order-independent counter begin accumulated."""
         device = self.device
+        batches = state.batches
+        tallies = state.tallies
         code_copy = PRIMITIVE_TYPE_CODES[Primitive.COPY]
-        probe_requests = tallies["probes"]
         for (cube, p), count in batches.items():
             device.record_offload_batch(cube, CODE_TO_PRIMITIVE[p],
                                         count, p != code_copy)
         if not self.cpu_side:
             hl = self.hmc.host_link
-            n_events = len(compiled.events)
-            n_copy = int(copy_m.sum())
+            n_events = len(state.ev)
+            n_copy = int(state.derived["is_copy"].sum())
             req_b = self._req_size * n_events
             resp_b = self._resp_sizes[0] * n_copy \
                 + self._resp_sizes[1] * (n_events - n_copy)
-            probe_b = 8 * probe_requests
-            hl.account_bulk(req_b + resp_b + probe_b,
-                            2 * n_events + probe_requests)
+            # A request and a response per event, and one clflush probe
+            # batch (a single ``probe_host`` tally) per probing event.
+            hl.account_bulk(req_b + resp_b + 8 * tallies["probes"],
+                            2 * n_events + tallies["probing"])
             cross: Dict[int, List[int]] = {}
             for (cube, p), count in batches.items():
                 for link in self.hmc._link_chain(self.central, cube):
@@ -1846,8 +1687,11 @@ class CharonBatchedKernel:
                     counters[1] += 2 * count
             for nbytes, requests, link in cross.values():
                 link.account_bulk(nbytes, requests)
-            self.hmc.unit_local_bytes += self._local_bytes
-            self.hmc.unit_remote_bytes += self._remote_bytes
+            local = sum(nbytes for (c, t), (nbytes, _)
+                        in state.pairs.items() if c == t)
+            self.hmc.unit_local_bytes += local
+            self.hmc.unit_remote_bytes += sum(
+                nbytes for nbytes, _ in state.pairs.values()) - local
         for si, lookups in enumerate(tallies["tlb"]):
             if lookups:
                 tlb = self.tlbs[si]
@@ -1859,8 +1703,8 @@ class CharonBatchedKernel:
         for ci, accesses in enumerate(tallies["bc_port"]):
             if accesses:
                 self.bcs[ci].port.account_bulk(accesses, accesses)
-        for ri, (nbytes, requests) in acc.items():
-            self.lanes.resources[ri].account_bulk(nbytes, requests)
+        _deposit((self._path(c, t)[0], nbytes, streams)
+                 for (c, t), (nbytes, streams) in state.pairs.items())
 
     def _freeze(self, compiled: CompiledTrace, tid: np.ndarray,
                 lines: _Lines) -> None:

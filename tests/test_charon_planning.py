@@ -1,40 +1,47 @@
-"""Plan-level differential tests for the Charon kernel's stage 1.
+"""Fast/event agreement on the Charon kernel's stage-1 edge cases.
 
-:meth:`CharonBatchedKernel.begin` plans rows in numpy, and
-:meth:`CharonBatchedKernel._plan_events` is the per-event reference
-planner.  Both intern into the same flat layout — a template table,
-per-event template ids, a stream table and a per-event CSR of
-bitmap-cache lines.  On fresh kernels both must build the same flat
-columns (compared after renumbering templates and streams by first
-use, since the planners intern in different orders), the same
-accumulators (stream bytes, offload batches, TLB/bitmap-cache/probe
-tallies) and leave the device with the same counters, for every golden
-trace kind on every Charon organisation.  The golden replay matrix only
-sees the timing these plans produce; this suite pins the plans
-themselves, so a planning bug that happens not to move a result still
-fails here.
+:meth:`CharonBatchedKernel.begin` plans every row of a trace in numpy;
+the event-by-event :class:`TraceReplayer` (the "scalar" path in the
+test names below) is the oracle.  Each case replays a golden trace —
+as recorded, or with rows mutated to reach a planning edge — through
+both paths on fresh platforms.  Either both raise the same
+``ProtectionFault`` (the fast path before any counter moves), or both
+finish with equivalent results and every platform counter equal
+(:func:`assert_counters_match`), so a planning bug that happens not to
+move a timing result still fails here.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtectionFault
 from repro.gcalgo.columnar import (CompiledTrace, PRIMITIVE_TYPE_CODES,
                                    compile_traces)
 from repro.gcalgo.trace import Primitive
-from repro.platform.batched import (BITMAP, SCAN, _HASH_LIMIT, _Interner,
-                                    _Lines, _charon_template_columns,
-                                    _stream_columns, kernel_for)
+from repro.mem.vm import VirtualMemory
+from repro.platform.batched import BITMAP, SCAN, _CubeMap, _key
+from repro.platform.fast_replay import FastTraceReplayer
+from repro.platform.replay import TraceReplayer
 
 from tests.conftest import platform_for
+from tests.test_fast_replay_equivalence import (assert_counters_match,
+                                                assert_equivalent,
+                                                counters)
 
 KINDS = ("minor", "major", "sweep", "g1", "concurrent")
 PLATFORMS = ("charon", "charon-cpuside", "charon-distributed")
 THREADS = (1, 8)
 MARKING_KINDS = ("major", "g1", "concurrent")
 
+CODE_COPY = PRIMITIVE_TYPE_CODES[Primitive.COPY]
+CODE_SEARCH = PRIMITIVE_TYPE_CODES[Primitive.SEARCH]
 CODE_SCAN = PRIMITIVE_TYPE_CODES[Primitive.SCAN_PUSH]
 CODE_BITMAP = PRIMITIVE_TYPE_CODES[Primitive.BITMAP_COUNT]
+
+#: ``src >> 14`` one past the largest whose marking-window hash
+#: ``(src >> 14) * 2654435761`` fits int64.
+OVERFLOWING = (2 ** 63 - 1) // 2654435761 + 1
 
 
 @pytest.fixture(scope="module")
@@ -47,160 +54,51 @@ def traces(mixed_run, g1_traces_session, concurrent_traces_session):
     return {kind: compile_traces(found) for kind, found in by_kind.items()}
 
 
-def fresh_kernel(platform_name, threads):
-    """A new platform and its Charon kernel, with every stream path's
-    resources registered up front in a fixed order.
+class Pair:
+    """A fast and an event replayer, each on its own fresh platform;
+    ``setup(platform)`` prepares both alike before anything replays."""
 
-    Lane numbers are assigned on first touch, and the two planners touch
-    paths in different orders; pre-registering makes the slot numbers in
-    both planners' plans the same, so the plans compare with ``==``.
-    """
-    platform, _, _ = platform_for(platform_name)
-    kernel = kernel_for(platform, threads)
-    cubes = platform.hmc.config.cubes
-    for c in range(cubes):
-        for t in range(cubes):
-            for resource in kernel._path(c, t)[0]:
-                kernel.lanes.register(resource)
-    return platform, kernel
+    def __init__(self, platform_name, threads=8, setup=None):
+        self.fast_platform, _, _ = platform_for(platform_name)
+        self.slow_platform, _, _ = platform_for(platform_name)
+        if setup is not None:
+            setup(self.fast_platform)
+            setup(self.slow_platform)
+        self.fast = FastTraceReplayer(self.fast_platform, threads=threads)
+        self.slow = TraceReplayer(self.slow_platform, threads=threads)
 
+    @property
+    def kernel(self):
+        return self.fast._kernel
 
-def flat(kernel):
-    """The kernel's flat plan columns in canonical numbering: templates
-    in order of first use by an event, streams in order of first
-    reference by those templates."""
-    plan = kernel.plan
-    tid = plan["tid"]
-    assert (tid >= 0).all(), "an event was left unplanned"
-    used, first = np.unique(tid, return_index=True)
-    order = used[np.argsort(first)]
-    rank = np.zeros(len(kernel._templates.items), dtype=np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    stream_rank = {}
-    templates = []
-    for t in order.tolist():
-        kind, pool, req, resp, tlb, g0, g1, tail = \
-            kernel._templates.items[t]
-        g0, g1 = (tuple(stream_rank.setdefault(s, len(stream_rank))
-                        for s in group) for group in (g0, g1))
-        templates.append((kind, pool, req, resp, tlb, g0, g1, tail))
-    streams = sorted(stream_rank, key=stream_rank.get)
-    return {"tid": rank[tid],
-            **{name: plan[name] for name in
-               ("line_off", "line_addr", "line_slice", "line_pen")},
-            **_charon_template_columns(templates),
-            **_stream_columns([kernel._streams.items[s]
-                               for s in streams])}
+    def replay(self, compiled):
+        """Replay one trace through both; returns whether it planned
+        (``False`` when both raised the same fault)."""
+        before = counters(self.fast_platform)
+        try:
+            want = self.slow.replay(compiled.to_trace())
+        except ProtectionFault as slow_fault:
+            with pytest.raises(ProtectionFault) as fast_fault:
+                self.fast.replay(compiled)
+            assert str(fast_fault.value) == str(slow_fault)
+            assert counters(self.fast_platform) == before
+            return False
+        assert_equivalent(self.fast.replay(compiled), want)
+        assert_counters_match(self.fast_platform, self.slow_platform)
+        return True
 
 
-def same_columns(got, want):
-    """Whether two flat plans have the same columns, each equal in
-    dtype and content."""
-    return got.keys() == want.keys() and all(
-        got[name].dtype == want[name].dtype
-        and np.array_equal(got[name], want[name]) for name in got)
+def line_counts(plan, kind):
+    """Bitmap lines per event of template kind ``kind`` in a plan."""
+    per_event = np.diff(plan["line_off"])
+    return per_event[plan["t_kind"][plan["tid"]] == kind]
 
 
-def same_plan(got, want):
-    """Whether two ``(columns, acc, batches, tallies)`` results agree."""
-    return same_columns(got[0], want[0]) and got[1:] == want[1:]
-
-
-def vectorized(kernel, compiled, spy=None):
-    """Run ``begin``; returns ``(columns, acc, batches, tallies)``, the
-    canonical flat plan and the accumulators as ``begin`` handed them
-    to ``_finish_accounting``."""
-    seen = {}
-    finish = kernel._finish_accounting
-
-    def capture(compiled, copy_m, batches, acc, tallies):
-        seen.update(acc=acc, batches=batches, tallies=tallies)
-        finish(compiled, copy_m, batches, acc, tallies)
-
-    kernel._finish_accounting = capture
-    if spy is not None:
-        plan_events = kernel._plan_events
-
-        def spying(compiled, info, indices, *rest):
-            indices = list(indices)
-            spy.extend(indices)
-            plan_events(compiled, info, indices, *rest)
-
-        kernel._plan_events = spying
-    kernel.begin(compiled)
-    return flat(kernel), seen["acc"], seen["batches"], seen["tallies"]
-
-
-def scalar(kernel, compiled):
-    """Plan every row through ``_plan_events`` and apply the accounting
-    and the flattening exactly as ``begin`` does."""
-    info = kernel.device._require_init()
-    kernel.map.refresh()
-    n = len(compiled.events)
-    kernel._local_bytes = 0
-    kernel._remote_bytes = 0
-    kernel._templates = _Interner()
-    kernel._streams = _Interner()
-    tid = np.full(n, -1, dtype=np.int32)
-    lines = _Lines(n)
-    acc, batches = {}, {}
-    tallies = {"tlb": [0] * len(kernel.tlbs),
-               "tlb_remote": [0] * len(kernel.tlbs),
-               "bc_port": [0] * len(kernel.bcs),
-               "probes": 0}
-    kernel._plan_events(compiled, info, range(n), tid, lines, acc,
-                        batches, tallies)
-    kernel._finish_accounting(compiled,
-                              compiled.derived_columns()["is_copy"],
-                              batches, acc, tallies)
-    kernel._freeze(compiled, tid, lines)
-    return flat(kernel), acc, batches, tallies
-
-
-def line_counts(columns, kind):
-    """Bitmap lines per event of template kind ``kind``."""
-    per_event = np.diff(columns["line_off"])
-    return per_event[columns["t_kind"][columns["tid"]] == kind]
-
-
-def counters(platform):
-    """Every number reachable from the platform's attributes, by path
-    (the heap itself, which replay never writes, is skipped)."""
-    out = {}
-    seen = set()
-
-    def walk(value, path):
-        if isinstance(value, bool) or value is None:
-            return
-        if isinstance(value, (int, float)):
-            out[path] = value
-            return
-        if id(value) in seen or isinstance(value, (str, np.ndarray)):
-            return
-        seen.add(id(value))
-        if isinstance(value, dict):
-            for key, item in value.items():
-                walk(item, f"{path}[{key!r}]")
-        elif isinstance(value, (list, tuple)):
-            for index, item in enumerate(value):
-                walk(item, f"{path}[{index}]")
-        elif type(value).__module__.startswith("repro.") \
-                and type(value).__name__ != "JavaHeap":
-            fields = (vars(value) if hasattr(value, "__dict__")
-                      else {name: getattr(value, name)
-                            for name in getattr(value, "__slots__", ())})
-            for name, item in fields.items():
-                walk(item, f"{path}.{name}")
-
-    walk(platform, "platform")
-    return out
-
-
-def mutated(compiled, row, **fields):
-    """A copy of ``compiled`` with one event's fields replaced."""
+def mutated(compiled, rows, **fields):
+    """A copy of ``compiled`` with some events' fields replaced."""
     events = compiled.events.copy()
     for name, value in fields.items():
-        events[name][row] = value
+        events[name][rows] = value
     stats = {name: getattr(compiled, name) for name in
              ("objects_visited", "objects_copied", "bytes_copied",
               "objects_promoted", "bytes_freed")}
@@ -218,44 +116,38 @@ def first_row(compiled, code, **minimums):
     return int(rows[0])
 
 
+def cubes_of(platform, start, length):
+    """The cubes of ``[start, start + length)``'s per-cube runs."""
+    vm = platform.device.context.vm
+    return [cube for _, _, cube in vm.split_range_by_cube(start, length)]
+
+
 class TestPlansMatchScalarPlanner:
     @pytest.mark.parametrize("threads", THREADS)
     @pytest.mark.parametrize("platform_name", PLATFORMS)
     @pytest.mark.parametrize("kind", KINDS)
     def test_plans_accumulators_and_counters(self, traces, kind,
                                              platform_name, threads):
-        fast_platform, fast = fresh_kernel(platform_name, threads)
-        slow_platform, slow = fresh_kernel(platform_name, threads)
+        pair = Pair(platform_name, threads)
         for compiled in traces[kind]:
-            spy = []
-            got = vectorized(fast, compiled, spy)
-            want = scalar(slow, compiled)
-            assert same_columns(got[0], want[0]), "plans differ"
-            assert got[1] == want[1], "stream accounting differs"
-            assert got[2] == want[2], "offload batches differ"
-            assert got[3] == want[3], "tallies differ"
-            assert counters(fast_platform) == counters(slow_platform)
-            # Nothing faults, so the scalar planner sees no bitmap-count
-            # row and no marking-phase scan.
-            prim = compiled.events["prim"][spy]
-            assert not (prim == CODE_BITMAP).any()
-            if kind in MARKING_KINDS:
-                assert not (prim == CODE_SCAN).any()
+            assert pair.replay(compiled)
 
     def test_marking_and_bitmap_rows_are_covered(self, traces):
-        """The golden traces exercise both vectorized row kinds with
+        """The golden traces exercise both line-carrying row kinds with
         multi-line plans, on more than one bitmap-cache slice."""
-        _, kernel = fresh_kernel("charon-distributed", 8)
+        replayer = FastTraceReplayer(platform_for("charon-distributed")[0],
+                                     threads=8)
         lines = {BITMAP: 0, SCAN: 0}
         slices = set()
         for kind in MARKING_KINDS:
             for compiled in traces[kind]:
-                columns, _, _, _ = vectorized(kernel, compiled)
+                replayer.replay(compiled)
+                plan = replayer._kernel.plan
                 for found in lines:
-                    counts = line_counts(columns, found)
+                    counts = line_counts(plan, found)
                     if len(counts):
                         lines[found] = max(lines[found], counts.max())
-                slices.update(columns["line_slice"].tolist())
+                slices.update(plan["line_slice"].tolist())
         assert lines[BITMAP] > 2 and lines[SCAN] >= 1
         assert len(slices) > 1
 
@@ -268,71 +160,129 @@ class TestPlansMatchScalarPlanner:
         rows = np.flatnonzero((ev["prim"] == CODE_SCAN) & (ev["refs"] > 0))
         wide = mutated(compiled, rows,
                        pushes=np.arange(len(rows)) * 7 % 251 + 1)
-        fast_platform, fast = fresh_kernel(platform_name, 8)
-        slow_platform, slow = fresh_kernel(platform_name, 8)
-        spy = []
-        got = vectorized(fast, wide, spy)
-        assert same_plan(got, scalar(slow, wide))
-        assert counters(fast_platform) == counters(slow_platform)
-        assert not (ev["prim"][spy] == CODE_SCAN).any()
-        assert line_counts(got[0], SCAN).max() > 200
+        pair = Pair(platform_name)
+        assert pair.replay(wide)
+        assert line_counts(pair.kernel.plan, SCAN).max() > 200
+
+    @pytest.mark.parametrize("platform_name", PLATFORMS)
+    def test_page_crossing_search(self, traces, platform_name):
+        """A card-table search whose examined bytes run over a metadata
+        page boundary onto the next cube streams one run per cube."""
+        compiled = traces["minor"][0]
+        row = first_row(compiled, CODE_SEARCH)
+        pair = Pair(platform_name)
+        info = pair.fast_platform.device.heap_info
+        metadata = pair.fast_platform.device.context.vm.page_sizes()[0]
+        src = info.card_table_base + metadata - 64
+        trace = mutated(compiled, row, src=src, size_bytes=256, found=0)
+        assert len(set(cubes_of(pair.fast_platform, src, 256))) == 2
+        assert pair.replay(trace)
+        groups = pair.kernel.plan["t_group"]
+        tid = pair.kernel.plan["tid"][row]
+        assert groups[3 * tid + 1] - groups[3 * tid] == 2
+
+    @pytest.mark.parametrize("platform_name", PLATFORMS)
+    def test_copy_spanning_two_cubes(self, traces, platform_name):
+        """A copy whose source and destination each straddle a heap
+        page boundary reads two runs and writes two runs, on four
+        cubes."""
+        compiled = traces["minor"][0]
+        row = first_row(compiled, CODE_COPY, size_bytes=1)
+        pair = Pair(platform_name)
+        info = pair.fast_platform.device.heap_info
+        huge = pair.fast_platform.device.context.vm.huge_page_bytes
+        src = info.heap_start + huge - 256
+        dst = info.heap_start + 3 * huge - 128
+        trace = mutated(compiled, row, src=src, dst=dst, size_bytes=512)
+        reads = cubes_of(pair.fast_platform, src, 512)
+        writes = cubes_of(pair.fast_platform, dst, 512)
+        assert len(reads) == len(writes) == 2
+        assert len(set(reads + writes)) == 4
+        assert pair.replay(trace)
+        groups = pair.kernel.plan["t_group"]
+        tid = pair.kernel.plan["tid"][row]
+        assert np.diff(groups[3 * tid:3 * tid + 3]).tolist() == [2, 2]
 
 
-def unmap(kernel, platforms, addr):
-    """Drop the page holding ``addr`` from each platform's page tables."""
+def split_vm():
+    """Page tables whose ranges cross page sizes, alternate cubes, and
+    run over neighbouring pages on one cube: 64 KB heap pages (cubes
+    0, 1, 0, ...), 4 KB pinned pages after them (from cube 1, so the
+    last heap page and the first small one share a cube), then a gap,
+    then unpinned 4 KB pages all on cube 1."""
+    vm = VirtualMemory(huge_page_bytes=1 << 16, cubes=2)
+    vm.map_heap(1 << 20, 8 << 16)
+    vm.map_pinned((1 << 20) + (8 << 16), 8 << 12, 1 << 12, first_node=1)
+    vm.map_small((1 << 20) + (12 << 16), 8 << 12, cube=1)
+    return vm
+
+
+@given(st.lists(st.tuples(st.integers((1 << 20) - 5000,
+                                      (1 << 20) + (13 << 16)),
+                          st.integers(1, 5 << 16)),
+                min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_runs_match_split_range_by_cube(ranges):
+    """The columnar split agrees with ``split_range_by_cube`` range by
+    range — the runs, or the fault and its address — and its key
+    columns are equal exactly where the run sequences are."""
+    vm = split_vm()
+    starts, lengths = (np.array(column, dtype=np.int64)
+                       for column in zip(*ranges))
+    runs = _CubeMap(vm, 0).runs(starts, lengths)
+    keys = _key(*runs.columns())
+    of = runs.of(np.arange(len(ranges)))
+    by_runs = {}
+    for k, (start, length) in enumerate(ranges):
+        try:
+            want = vm.split_range_by_cube(start, length)
+        except ProtectionFault as fault:
+            assert runs.bad[k]
+            with pytest.raises(ProtectionFault) as got:
+                vm.lookup(int(runs.bad_at[k]))
+            assert str(got.value) == str(fault)
+            continue
+        assert not runs.bad[k]
+        assert of[k] == [(size, cube) for _, size, cube in want]
+        by_runs.setdefault(tuple(of[k]), set()).add(int(keys[k]))
+    assert all(len(found) == 1 for found in by_runs.values())
+    assert len(set().union(*by_runs.values())) == len(by_runs)
+
+
+def unmap(platforms, addr):
+    """Drop the page holding ``addr`` from each platform's page tables
+    (the TLBs keep the entries they loaded)."""
     for platform in platforms:
         vm = platform.device.context.vm
         for size, table in vm._tables.items():
-            table.pop((kernel.pcid, addr - addr % size), None)
+            table.pop((0, addr - addr % size), None)
 
 
-def routing_address(kernel, compiled, row):
+def routing_address(platform, compiled, row):
     """The first-bitmap byte a bitmap count's unit is routed by."""
-    info = kernel.device._require_init()
+    info = platform.device.heap_info
     bit_offset = (int(compiled.events["src"][row])
                   - info.bitmap_covered_start) // 8
     return info.bitmap_base + bit_offset // 8
 
 
-def same_outcome(fast_platform, fast, slow_platform, slow, compiled):
-    """Both planners raise the same fault (the vectorized one changing
-    no counter), or both plan the trace identically."""
-    before = counters(fast_platform)
-    try:
-        want = scalar(slow, compiled)
-    except ProtectionFault as slow_fault:
-        with pytest.raises(ProtectionFault) as fast_fault:
-            fast.begin(compiled)
-        assert counters(fast_platform) == before
-        assert str(fast_fault.value) == str(slow_fault)
-        return False
-    assert same_plan(vectorized(fast, compiled), want)
-    assert counters(fast_platform) == counters(slow_platform)
-    return True
-
-
 class TestFaultsAndOverflow:
-    """Rows the vectorized planner must leave to the scalar one."""
+    """Rows that fault, or whose plan arithmetic leaves the common case,
+    fault or plan on both paths alike."""
 
     @pytest.mark.parametrize("platform_name", PLATFORMS)
     def test_unmapped_bitmap_line_faults_like_scalar(self, traces,
                                                      platform_name):
         compiled = traces["major"][0]
         row = first_row(compiled, CODE_BITMAP, bits=1)
-        fast_platform, fast = fresh_kernel(platform_name, 8)
-        slow_platform, slow = fresh_kernel(platform_name, 8)
-        info = fast.device._require_init()
+        pair = Pair(platform_name)
+        info = pair.fast_platform.device.heap_info
         # Unmap the page holding the row's first line in the *second*
         # bitmap: the unit-routing address (first bitmap) stays mapped.
-        unmap(fast, (fast_platform, slow_platform),
-              routing_address(fast, compiled, row) + info.bitmap_bytes)
-        before = counters(fast_platform)
-        with pytest.raises(ProtectionFault) as fast_fault:
-            fast.begin(compiled)
-        assert counters(fast_platform) == before
-        with pytest.raises(ProtectionFault) as slow_fault:
-            scalar(slow, compiled)
-        assert str(fast_fault.value) == str(slow_fault.value)
+        unmap((pair.fast_platform, pair.slow_platform),
+              routing_address(pair.fast_platform, compiled, row)
+              + info.bitmap_bytes)
+        assert not pair.replay(compiled)
 
     @pytest.mark.parametrize("platform_name", PLATFORMS)
     @pytest.mark.parametrize("bits", [0, 1], ids=["zero-bit", "counting"])
@@ -344,69 +294,63 @@ class TestFaultsAndOverflow:
         compiled = traces["major"][0]
         row = first_row(compiled, CODE_BITMAP, bits=1)
         trace = mutated(compiled, row, bits=bits)
-        fast_platform, fast = fresh_kernel(platform_name, 8)
-        slow_platform, slow = fresh_kernel(platform_name, 8)
-        unmap(fast, (fast_platform, slow_platform),
-              routing_address(fast, trace, row))
-        planned = same_outcome(fast_platform, fast, slow_platform, slow,
-                               trace)
+        pair = Pair(platform_name)
+        unmap((pair.fast_platform, pair.slow_platform),
+              routing_address(pair.fast_platform, trace, row))
+        planned = pair.replay(trace)
         assert not planned or platform_name == "charon-cpuside"
 
     def test_unmapped_bitmap_base_on_distributed(self, traces):
-        """Distributed Charon translates the bitmap base for every
-        counting row; unmapping it faults like the scalar planner."""
+        """Distributed Charon looks up the bitmap base's page to pick
+        the TLB slice for every counting row; unmapping it faults."""
         compiled = traces["major"][0]
-        fast_platform, fast = fresh_kernel("charon-distributed", 8)
-        slow_platform, slow = fresh_kernel("charon-distributed", 8)
-        info = fast.device._require_init()
-        unmap(fast, (fast_platform, slow_platform), info.bitmap_base)
-        assert not same_outcome(fast_platform, fast, slow_platform, slow,
-                                compiled)
+        pair = Pair("charon-distributed")
+        unmap((pair.fast_platform, pair.slow_platform),
+              pair.fast_platform.device.heap_info.bitmap_base)
+        assert not pair.replay(compiled)
 
     @pytest.mark.parametrize("platform_name", PLATFORMS)
     def test_negative_source_bitmap_count(self, traces, platform_name):
-        """A zero-bit count at a negative ``src`` stays out of the int64
-        address arithmetic; the scalar planner plans it (CPU side) or
-        faults on its routing address."""
+        """A zero-bit count at a negative ``src`` plans at least on the
+        CPU side, which routes nowhere; a counting one at the most
+        negative ``src`` keeps its address arithmetic exact and faults
+        on its unmapped routing address or bitmap lines."""
         compiled = traces["major"][0]
         row = first_row(compiled, CODE_BITMAP, bits=1)
-        trace = mutated(compiled, row, bits=0, src=-4096)
-        fast_platform, fast = fresh_kernel(platform_name, 8)
-        slow_platform, slow = fresh_kernel(platform_name, 8)
-        planned = same_outcome(fast_platform, fast, slow_platform, slow,
-                               trace)
+        pair = Pair(platform_name)
+        planned = pair.replay(mutated(compiled, row, bits=0, src=-4096))
         assert planned or platform_name != "charon-cpuside"
+        pair = Pair(platform_name)
+        assert not pair.replay(mutated(compiled, row, src=-2 ** 63))
 
     @pytest.mark.parametrize("platform_name", PLATFORMS)
-    @pytest.mark.parametrize("mapped", [True, False],
-                             ids=["mapped", "unmapped"])
+    @pytest.mark.parametrize("mapping", ["mapped", "unmapped", "unpinned"])
     def test_hash_overflow_falls_back_to_scalar(self, traces,
-                                                platform_name, mapped):
+                                                platform_name, mapping):
+        """A marking scan whose window hash overflows int64 plans with
+        the exact hash on a pinned page the TLBs hold; an unmapped page,
+        or a mapped but unpinned one, faults in the TLB (Sec. 4.6: the
+        accelerator TLB holds pinned pages only)."""
         compiled = traces["major"][0]
         row = first_row(compiled, CODE_SCAN, refs=1)
-        src = (_HASH_LIMIT + 1) << 14
+        src = OVERFLOWING << 14
         assert (src >> 14) * 2654435761 > 2 ** 63 - 1
-        big = mutated(compiled, row, src=src, pushes=3)
-        fast_platform, fast = fresh_kernel(platform_name, 8)
-        slow_platform, slow = fresh_kernel(platform_name, 8)
-        if mapped:
-            for platform in (fast_platform, slow_platform):
-                platform.device.context.vm.map_small(
-                    src - src % 4096, 4096, pcid=fast.pcid, cube=1)
-        if mapped:
-            spy = []
-            got = vectorized(fast, big, spy)
-            assert spy == [row]
-            assert same_plan(got, scalar(slow, big))
-            assert counters(fast_platform) == counters(slow_platform)
-        else:
-            before = counters(fast_platform)
-            with pytest.raises(ProtectionFault) as fast_fault:
-                fast.begin(big)
-            assert counters(fast_platform) == before
-            with pytest.raises(ProtectionFault) as slow_fault:
-                scalar(slow, big)
-            assert str(fast_fault.value) == str(slow_fault.value)
+        page = src - src % 4096
+
+        def setup(platform):
+            vm = platform.device.context.vm
+            if mapping == "mapped":
+                vm.map_pinned(page, 4096, 4096, first_node=1)
+                platform.device.tlbs.load_from(vm)
+            elif mapping == "unpinned":
+                vm.map_small(page, 4096, cube=1)
+
+        pair = Pair(platform_name, setup=setup)
+        planned = pair.replay(mutated(compiled, row, src=src, pushes=3))
+        assert planned == (mapping == "mapped")
+        if planned:
+            lines = np.diff(pair.kernel.plan["line_off"])
+            assert lines[row] == 3
 
 
 def test_block_boundaries_do_not_change_plans(traces, monkeypatch):
@@ -415,9 +359,15 @@ def test_block_boundaries_do_not_change_plans(traces, monkeypatch):
     from repro.platform import batched
 
     compiled = traces["major"][0]
-    _, whole = fresh_kernel("charon-distributed", 8)
-    expected = vectorized(whole, compiled)
+    whole = FastTraceReplayer(platform_for("charon-distributed")[0],
+                              threads=8)
+    expected = whole.replay(compiled)
     monkeypatch.setattr(batched, "PLAN_BLOCK_ROWS", 3)
-    _, blocked = fresh_kernel("charon-distributed", 8)
-    assert same_plan(vectorized(blocked, compiled), expected)
-
+    blocked = FastTraceReplayer(platform_for("charon-distributed")[0],
+                                threads=8)
+    assert blocked.replay(compiled) == expected
+    got, want = blocked._kernel.plan, whole._kernel.plan
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name

@@ -22,6 +22,7 @@ bit for bit.
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -92,6 +93,60 @@ def assert_equivalent(fast, slow):
         assert fast.local_fraction == approx(slow.local_fraction)
 
 
+def counters(platform):
+    """Every number reachable from the platform's attributes, by path
+    (the heap itself, which replay never writes, is skipped)."""
+    out = {}
+    seen = set()
+
+    def walk(value, path):
+        if isinstance(value, bool) or value is None:
+            return
+        if isinstance(value, (int, float)):
+            out[path] = value
+            return
+        if id(value) in seen or isinstance(value, (str, np.ndarray)):
+            return
+        seen.add(id(value))
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{path}[{key!r}]")
+        elif isinstance(value, (list, tuple)):
+            for index, item in enumerate(value):
+                walk(item, f"{path}[{index}]")
+        elif type(value).__module__.startswith("repro.") \
+                and type(value).__name__ != "JavaHeap":
+            fields = (vars(value) if hasattr(value, "__dict__")
+                      else {name: getattr(value, name)
+                            for name in getattr(value, "__slots__", ())})
+            for name, item in fields.items():
+                walk(item, f"{path}.{name}")
+
+    walk(platform, "platform")
+    return out
+
+
+def assert_counters_match(fast_platform, slow_platform):
+    """Every platform counter agrees after fast and event replay:
+    integers exactly, floats within the 1e-9 contract.
+
+    ``ProcessingUnit._release_at`` is skipped: it is the event path's
+    per-dispatch working value (the last command's early release time), which
+    stage 2 keeps in a local and never writes back.
+    """
+    fast = {path: value for path, value in counters(fast_platform).items()
+            if not path.endswith("._release_at")}
+    slow = {path: value for path, value in counters(slow_platform).items()
+            if not path.endswith("._release_at")}
+    assert fast.keys() == slow.keys()
+    for path, value in slow.items():
+        if isinstance(value, float) or isinstance(fast[path], float):
+            assert fast[path] == pytest.approx(value, rel=REL, abs=1e-18), \
+                path
+        else:
+            assert fast[path] == value, path
+
+
 def traces_of_kind(run, kind):
     traces = [trace for trace in run.traces if trace.kind == kind]
     assert traces, f"fixture run produced no {kind} traces"
@@ -122,6 +177,8 @@ class TestGoldenEquivalence:
             assert fast_result.replay_kernel == \
                 expected_kernel(platform_name, threads)
         assert fast.clock == pytest.approx(slow.clock, rel=REL)
+        if platform_name.startswith("charon") or platform_name == "cpu-hmc":
+            assert_counters_match(fast_platform, slow_platform)
 
     @pytest.mark.parametrize("platform_name,threads", SUPPORTED)
     def test_full_run_equivalence(self, tiny_spark_run, platform_name,

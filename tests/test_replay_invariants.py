@@ -27,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import default_fuzz_config
+from repro.errors import ProtectionFault
 from repro.fuzz.differential import run_schedule
 from repro.fuzz.generator import build_schedule
 from repro.gcalgo.columnar import CompiledTrace, compile_traces
@@ -138,11 +139,13 @@ def test_fresh_replays_are_bit_identical(schedule):
                 == replay(name, threads, traces), (name, threads)
 
 
-def unmapped_sources(compiled, every=3):
+def unmapped_sources(compiled, edge, every=3):
     """A copy of ``compiled`` where every ``every``-th event reads from
-    an address no page table maps."""
+    an address no page table maps, and each next event from ``edge``,
+    so its range runs from a mapped page into an unmapped one."""
     events = compiled.events.copy()
     events["src"][::every] = 1 << 46
+    events["src"][1::every] = edge
     stats = {name: getattr(compiled, name) for name in
              ("objects_visited", "objects_copied", "bytes_copied",
               "objects_promoted", "bytes_freed")}
@@ -150,18 +153,40 @@ def unmapped_sources(compiled, every=3):
                          compiled.phase_names, compiled.residuals, **stats)
 
 
+def mapped_edge(name):
+    """Eight bytes short of the end of the highest page ``name``'s page
+    tables map: the page after it is unmapped."""
+    platform, _, _ = platform_for(name, heap_bytes=FUZZ.heap_bytes)
+    return max(vaddr + size for size, table in platform.vm._tables.items()
+               for _, vaddr in table) - 8
+
+
 @given(schedules, st.sampled_from(THREADS))
 @SETTINGS
 def test_faulting_ranges_match_event(schedule, threads):
-    """On ``cpu-hmc`` a miss range on no mapped page streams
-    anonymously, round-robin over the cubes; stage 2 advances the
-    shared cursor in event order, so fast and event replay agree."""
-    traces = [unmapped_sources(trace) for trace
-              in compile_traces(fuzz_traces(*schedule))]
-    assert_equivalent(
-        replay("cpu-hmc", threads, traces),
-        replay("cpu-hmc", threads, [trace.to_trace() for trace in traces],
-               mode="event"))
+    """Events on unmapped addresses, and ranges that run off the last
+    mapped page.  On ``cpu-hmc`` such a miss range streams anonymously,
+    round-robin over the cubes — a multi-page one too; stage 2 advances
+    the shared cursor in event order, so fast and event replay agree.
+    The Charon organisations fault on them instead: fast replay raises
+    exactly when event replay does, with the same message, and
+    otherwise agrees."""
+    for name in ("cpu-hmc", "charon", "charon-cpuside",
+                 "charon-distributed"):
+        edge = mapped_edge(name)
+        traces = [unmapped_sources(trace, edge) for trace
+                  in compile_traces(fuzz_traces(*schedule))]
+        try:
+            want = replay(name, threads, [trace.to_trace()
+                                          for trace in traces],
+                          mode="event")
+        except ProtectionFault as fault:
+            assert name != "cpu-hmc"
+            with pytest.raises(ProtectionFault) as fast_fault:
+                replay(name, threads, traces)
+            assert str(fast_fault.value) == str(fault)
+        else:
+            assert_equivalent(replay(name, threads, traces), want)
 
 
 def test_cells_cover_every_kernel():
