@@ -5,15 +5,15 @@ Captures the two fast Table 3 workloads at their default heaps (where
 they actually collect), writes the traces as a *chunked* ``.npz``, and
 then replays them in a fresh measured subprocess against a platform
 configured with a ``--scale``-times heap (default 10x) using the
-``mmap`` heap backend and the streaming trace reader:
+streaming trace reader:
 
 * the subprocess runs under a hard ``RLIMIT_AS`` address-space cap, so
   a regression that materializes the whole event stream (or copies it)
   dies with ``MemoryError`` instead of quietly bloating CI;
 * its peak RSS must stay below the scaled heap size itself — the heap
-  buffer and mark bitmaps are lazy (``REPRO_HEAP_BACKEND=mmap``) and
-  replay only reads trace chunks one at a time, so resident memory
-  must not grow with the *configured* heap;
+  buffer and mark bitmaps are ``np.zeros`` (``calloc``: pages commit
+  on first touch) and replay only reads trace chunks one at a time,
+  so resident memory must not grow with the *configured* heap;
 * throughput (events/second through the batched kernels) and peak RSS
   land in ``BENCH_scale.json`` for trend tracking.
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -132,12 +131,10 @@ def main() -> None:
         events = capture(trace_path)
         if not events:
             sys.exit("bench scale: capture produced zero events")
-        env = dict(os.environ)
-        env["REPRO_HEAP_BACKEND"] = "mmap"
         process = subprocess.run(
             [sys.executable, __file__, "--measure", str(trace_path),
              str(heap_bytes), str(as_cap)],
-            cwd=REPO, env=env, text=True,
+            cwd=REPO, text=True,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
         if process.returncode != 0:
             print(process.stdout)
@@ -168,7 +165,6 @@ def main() -> None:
         "threads": THREADS,
         "heap_scale": args.scale,
         "heap_bytes": heap_bytes,
-        "heap_backend": "mmap",
         "chunk_events": CHUNK_EVENTS,
         "address_space_cap_bytes": as_cap,
         **measured,

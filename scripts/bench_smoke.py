@@ -1,16 +1,16 @@
 #!/usr/bin/env python
 """Benchmark smoke: prove the trace cache makes replays capture-free.
 
-Runs ``benchmarks/bench_fig12_speedup.py`` twice on a tiny two-workload
-grid against a fresh cache directory:
+Runs ``python -m repro figure 12 --workloads spark-km graphchi-cc
+--out-dir DIR`` twice against a fresh cache directory, and reads each
+run's provenance manifest (``DIR/manifest.json``):
 
-1. the first run captures the workload traces and stores them in the
-   content-addressed cache;
-2. the second run sets ``REPRO_TRACE_CACHE_REQUIRE``, under which any
-   cache miss raises instead of re-running a collector — so a passing
-   second run *is* the proof of zero collector re-execution.  The
-   session footer's cache tally is checked on top ("0 run(s)
-   generated", at least one hit).
+1. the first run must capture both workloads (its manifest's
+   ``trace_cache`` tally: 2 generated, 2 stored; every ``runs[].cache``
+   is ``generated``), leaving 2 trace entries in the cache;
+2. the second run must serve both from the cache: 0 generated runs,
+   0 misses, at least 2 hits, every ``runs[].cache`` a ``hit`` — the
+   proof of zero collector re-execution.
 
 The second run replays the Fig. 12 grid on a 2-process pool
 (``REPRO_JOBS=2``) and exports telemetry through ``REPRO_OBS_OUT``
@@ -18,12 +18,12 @@ into ``$BENCH_SMOKE_ARTIFACTS`` (default ``bench-smoke-artifacts/``:
 ``trace.json`` and ``metrics.json``); the script then checks the
 Chrome trace and metric snapshot are well-formed, that they carry one
 ``replay.wall_seconds`` row and one ``replay`` host span per grid cell
-(the pool workers' telemetry reached the parent), and that every
-provenance manifest the benchmarks published round-trips with config
-hashes that match the trace-cache entry keys on disk.  CI uploads the
-artifact directory and ``benchmarks/results/``.
+(the pool workers' telemetry reached the parent), that both manifests
+round-trip with config hashes that match the trace-cache entry keys
+on disk, and that the geomean row orders ``cpu-hmc`` < ``charon`` <
+``ideal``.  CI uploads the artifact directory.
 
-Exit status 0 on success; any failure prints the offending pytest
+Exit status 0 on success; any failure prints the offending command
 output.  Used by the CI ``bench-smoke`` job; runnable locally with
 ``python scripts/bench_smoke.py``.
 """
@@ -43,7 +43,7 @@ import urllib.request
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-SMOKE_WORKLOADS = "spark-km,graphchi-cc"
+SMOKE_WORKLOADS = ("spark-km", "graphchi-cc")
 ARTIFACTS = Path(os.environ.get("BENCH_SMOKE_ARTIFACTS")
                  or REPO / "bench-smoke-artifacts")
 TRACE_ARTIFACT = ARTIFACTS / "trace.json"
@@ -54,45 +54,63 @@ FIG12_PLATFORMS = ("cpu-ddr4", "cpu-hmc", "charon", "ideal")
 HOST_PID = 1
 
 
-def run_bench(cache_dir: str, require: bool) -> str:
+def run_figure(cache_dir: str, out_dir: Path, pooled: bool) -> dict:
+    """One ``repro figure 12`` run on the smoke grid; returns its
+    provenance manifest."""
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     env["REPRO_TRACE_CACHE"] = cache_dir
-    env["REPRO_WORKLOADS"] = SMOKE_WORKLOADS
-    env.pop("REPRO_TRACE_CACHE_REQUIRE", None)
-    if require:
-        env["REPRO_TRACE_CACHE_REQUIRE"] = "1"
-        # The proving run replays on the pool and leaves its telemetry
+    for name in ("REPRO_JOBS", "REPRO_OBS_OUT"):
+        env.pop(name, None)
+    if pooled:
+        # The cached run replays on the pool and leaves its telemetry
         # behind for CI artifacts.
         ARTIFACTS.mkdir(parents=True, exist_ok=True)
         env["REPRO_OBS_OUT"] = str(ARTIFACTS)
         env["REPRO_JOBS"] = "2"
     process = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q",
-         str(REPO / "benchmarks" / "bench_fig12_speedup.py")],
+        [sys.executable, "-m", "repro", "figure", "12", "--workloads",
+         *SMOKE_WORKLOADS, "--out-dir", str(out_dir)],
         cwd=REPO, env=env, text=True,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
-    label = "second (cache-required)" if require else "first (capture)"
+    label = "second (cached)" if pooled else "first (capture)"
     if process.returncode != 0:
         print(process.stdout)
         sys.exit(f"bench smoke: {label} run failed "
                  f"(exit {process.returncode})")
     print(f"bench smoke: {label} run passed")
-    return process.stdout
+    return json.loads((out_dir / "manifest.json").read_text())
 
 
-def cache_tally(output: str) -> dict:
-    match = re.search(r"trace cache: (\d+) hit\(s\), (\d+) miss\(es\), "
-                      r"(\d+) stale, (\d+) store\(s\), (\d+) run\(s\) "
-                      r"generated", output)
-    if match is None:
-        print(output)
-        sys.exit("bench smoke: no trace-cache tally in pytest output")
-    keys = ("hits", "misses", "stale", "stores", "generated")
-    return dict(zip(keys, map(int, match.groups())))
+def run_caches(manifest: dict) -> list:
+    """The ``runs[].cache`` of the smoke workloads' captures."""
+    return [run["cache"] for run in manifest["runs"]
+            if run["workload"] in SMOKE_WORKLOADS]
 
 
-def check_artifacts(cache: Path) -> None:
-    """Validate the exported telemetry and the published manifests."""
+def check_geomean(out_dir: Path) -> None:
+    """The Fig. 12 geomean row orders the platforms as the paper does
+    (DDR4 < HMC < Charon < Ideal), with Charon's headline factor in
+    the paper's neighbourhood and HMC alone a modest win."""
+    lines = (out_dir / "figure12.txt").read_text().splitlines()
+    header = lines[1].split()
+    geo = dict(zip(header, lines[-1].split()))
+    if geo.get("workload") != "geomean":
+        sys.exit(f"bench smoke: figure12.txt ends in {lines[-1]!r}, "
+                 f"not the geomean row")
+    hmc, charon, ideal = (float(geo[name]) for name in
+                          ("cpu-hmc", "charon", "ideal"))
+    if not (1.0 < hmc < charon < ideal and 2.0 < charon < 6.0
+            and hmc < 2.0):
+        sys.exit(f"bench smoke: Fig. 12 geomean speedups out of "
+                 f"order or range: {geo}")
+    print(f"bench smoke: Fig. 12 geomean cpu-hmc {hmc}x < charon "
+          f"{charon}x < ideal {ideal}x")
+
+
+def check_artifacts(cache: Path, out_dirs: list) -> None:
+    """Validate the exported telemetry and the runs' manifests."""
     trace = json.loads(TRACE_ARTIFACT.read_text())
     complete = [e for e in trace if e.get("ph") == "X"]
     if not (isinstance(trace, list) and complete):
@@ -105,7 +123,7 @@ def check_artifacts(cache: Path) -> None:
     metrics = json.loads(METRICS_ARTIFACT.read_text())
     if not metrics.get("metrics"):
         sys.exit("bench smoke: metric snapshot artifact is empty")
-    smoke = set(SMOKE_WORKLOADS.split(","))
+    smoke = set(SMOKE_WORKLOADS)
     cells = sorted((platform, workload) for platform in FIG12_PLATFORMS
                    for workload in smoke)
     walls = sorted((row["labels"]["platform"], row["labels"]["workload"])
@@ -126,19 +144,14 @@ def check_artifacts(cache: Path) -> None:
     from repro.obs.provenance import load_manifest, round_trips
 
     keys = {path.stem for path in TRACES.entries(cache)}
-    manifests = sorted(
-        (REPO / "benchmarks" / "results").glob("*.manifest.json"))
-    if not manifests:
-        sys.exit("bench smoke: benchmarks published no provenance "
-                 "manifests")
     checked = 0
-    for path in manifests:
+    for path in (directory / "manifest.json" for directory in out_dirs):
         if not round_trips(path):
             sys.exit(f"bench smoke: manifest {path.name} does not "
                      f"round-trip")
         for run in load_manifest(path).get("runs", ()):
             if run["workload"] not in smoke:
-                continue  # a stale manifest from a full local session
+                continue
             checked += 1
             if run["config_hash"] not in keys:
                 sys.exit(f"bench smoke: manifest {path.name} records "
@@ -233,7 +246,7 @@ def run_scale_bench() -> None:
     """Run the paper-scale replay benchmark and validate its report.
 
     ``bench_scale.py`` replays chunk-streamed traces against a
-    10x-scaled mmap-backed heap in a subprocess under a hard
+    10x-scaled heap in a subprocess under a hard
     address-space cap and exits non-zero if peak RSS reaches the
     scaled heap size — the lazy-heap/streaming regression guard.
     """
@@ -266,10 +279,9 @@ def run_sweep_bench() -> None:
     """Run the warm-sweep benchmark and validate its report.
 
     ``bench_sweep.py`` runs the same grid cold (empty caches, serial)
-    and warm (populated caches, 2-process fork pool, cache-require
-    armed) and exits non-zero below the 2x warm-over-cold floor, on
-    any stage-1 miss during the warm run, or if the two result sets
-    are not bit-exact.
+    and warm (populated caches, 2-process fork pool) and exits non-zero
+    below the 2x warm-over-cold floor, on any stage-1 miss in the warm
+    run's tally, or if the two result sets are not bit-exact.
     """
     report_path = ARTIFACTS / "BENCH_sweep.json"
     ARTIFACTS.mkdir(parents=True, exist_ok=True)
@@ -428,12 +440,16 @@ def main() -> None:
     run_scale_bench()
     run_sweep_bench()
     run_live_observability_probe()
+    out_dirs = [ARTIFACTS / "fig12-capture", ARTIFACTS / "fig12-cached"]
+    workloads = len(SMOKE_WORKLOADS)
     with tempfile.TemporaryDirectory(prefix="trace-cache-") as cache:
-        first = cache_tally(run_bench(cache, require=False))
-        workloads = len(SMOKE_WORKLOADS.split(","))
-        if first["generated"] != workloads or first["stores"] != workloads:
+        manifest = run_figure(cache, out_dirs[0], pooled=False)
+        first = manifest["trace_cache"]
+        if first["generated"] != workloads or first["stores"] != workloads \
+                or run_caches(manifest) != ["generated"] * workloads:
             sys.exit(f"bench smoke: first run should capture "
-                     f"{workloads} workloads, tallied {first}")
+                     f"{workloads} workloads, tallied {first}, runs "
+                     f"{run_caches(manifest)}")
         # Stage-1 products share the directory; count trace entries.
         sys.path.insert(0, str(REPO / "src"))
         from repro.experiments.store import TRACES
@@ -441,14 +457,18 @@ def main() -> None:
         if entries != workloads:
             sys.exit(f"bench smoke: expected {workloads} cache "
                      f"entries, found {entries}")
-        second = cache_tally(run_bench(cache, require=True))
-        if second["generated"] != 0 or second["misses"] != 0:
+        manifest = run_figure(cache, out_dirs[1], pooled=True)
+        second = manifest["trace_cache"]
+        if second["generated"] != 0 or second["misses"] != 0 \
+                or run_caches(manifest) != ["hit"] * workloads:
             sys.exit(f"bench smoke: second run re-executed a "
-                     f"collector, tallied {second}")
+                     f"collector, tallied {second}, runs "
+                     f"{run_caches(manifest)}")
         if second["hits"] < workloads:
             sys.exit(f"bench smoke: second run should hit the cache "
                      f"{workloads} times, tallied {second}")
-        check_artifacts(Path(cache))
+        check_artifacts(Path(cache), out_dirs)
+        check_geomean(out_dirs[1])
     print(f"bench smoke: OK — second run served {second['hits']} "
           f"cached trace set(s), zero collector re-execution")
 

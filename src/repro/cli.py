@@ -34,7 +34,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.config import REPLAY_MODES, default_config
+from repro.config import REPLAY_MODES, SHARD_JOURNAL_ENV, default_config
 from repro.experiments import ablations, figures, tables
 from repro.experiments.report import render_table
 from repro.experiments.runner import (collect_run, compiled_run_traces,
@@ -505,7 +505,7 @@ def _cmd_sweep(args) -> int:
     journal = shard_journal.journal_dir(args.journal)
     if journal is None:
         print("sweep: no journal (pass --journal or set "
-              f"{shard_journal.REPRO_SHARD_JOURNAL})", file=sys.stderr)
+              f"{SHARD_JOURNAL_ENV})", file=sys.stderr)
         return 2
     while True:
         snapshot = progress.progress_snapshot(journal)
@@ -532,7 +532,7 @@ def _cmd_top(args) -> int:
     journal = shard_journal.journal_dir(args.journal)
     if journal is None:
         print("top: no journal (pass --journal or set "
-              f"{shard_journal.REPRO_SHARD_JOURNAL})", file=sys.stderr)
+              f"{SHARD_JOURNAL_ENV})", file=sys.stderr)
         return 2
     while True:
         snapshot = progress.progress_snapshot(journal)

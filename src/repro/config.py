@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import os
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.units import GB, KB, MB, NS, gb_per_s
@@ -475,47 +475,19 @@ def scaled_heap_bytes(workload: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Replay pipeline configuration (the compiled-trace/capture-once layer)
+# Replay pipeline configuration and the environment knobs
 # ---------------------------------------------------------------------------
-
-#: Environment variables steering the experiment replay pipeline.
-TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"          #: trace + stage-1 cache
-TRACE_CACHE_REQUIRE_ENV = "REPRO_TRACE_CACHE_REQUIRE"  #: miss = error
-REPLAY_JOBS_ENV = "REPRO_JOBS"                 #: replay_grid processes
-WORKLOADS_ENV = "REPRO_WORKLOADS"              #: comma-separated subset
-OBS_OUT_ENV = "REPRO_OBS_OUT"                  #: trace + metrics at exit
-HEAP_KERNELS_ENV = "REPRO_HEAP_KERNELS"        #: scalar | fast
-HEAP_BACKEND_ENV = "REPRO_HEAP_BACKEND"        #: ram | mmap
-SHARD_JOURNAL_ENV = "REPRO_SHARD_JOURNAL"      #: sweep-shard directory
-METRICS_PORT_ENV = "REPRO_METRICS_PORT"        #: live /metrics endpoint
 
 #: ``repro replay --mode`` / :func:`repro.platform.make_replayer`:
 #: ``fast`` (kernel-driven, the default) or ``event`` (the
 #: event-by-event golden oracle).
 REPLAY_MODES = ("fast", "event")
 
-#: Heap-buffer backends (see :mod:`repro.heap.backing`): ``ram``
-#: (default) allocates ``np.zeros`` pages up front, ``mmap`` backs the
-#: heap and mark bitmaps with sparse memory-mapped temporary files so
-#: paper-scale heaps allocate lazily and stay out of RSS until touched.
-HEAP_BACKENDS = ("ram", "mmap")
-
 #: Default events per chunk of the chunked binary trace layout.  Small
 #: enough that a writer/reader holds only a bounded slab per trace in
 #: addition to the trace being assembled, large enough that the zip
 #: member overhead stays negligible.
 DEFAULT_TRACE_CHUNK_EVENTS = 65536
-
-
-def default_heap_backend() -> str:
-    """The environment-selected heap-buffer backend."""
-    backend = os.environ.get(HEAP_BACKEND_ENV) or "ram"
-    if backend not in HEAP_BACKENDS:
-        raise ConfigError(
-            f"{HEAP_BACKEND_ENV} must be one of {HEAP_BACKENDS}, "
-            f"got {backend!r}")
-    return backend
-
 
 #: Functional-layer kernel selection (see
 #: :mod:`repro.heap.fast_kernels`): ``fast`` (default) runs the
@@ -524,17 +496,70 @@ def default_heap_backend() -> str:
 #: fuzzer compares against.
 HEAP_KERNEL_MODES = ("scalar", "fast")
 
+#: The environment knobs; :func:`settings` is their only reader.
+TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"          #: trace + stage-1 cache
+REPLAY_JOBS_ENV = "REPRO_JOBS"                 #: replay_grid processes
+OBS_OUT_ENV = "REPRO_OBS_OUT"                  #: trace + metrics at exit
+HEAP_KERNELS_ENV = "REPRO_HEAP_KERNELS"        #: scalar | fast
+SHARD_JOURNAL_ENV = "REPRO_SHARD_JOURNAL"      #: sweep-shard directory
+METRICS_PORT_ENV = "REPRO_METRICS_PORT"        #: live /metrics endpoint
 
-def default_replay_jobs() -> int:
-    """The default process count of
-    :func:`repro.experiments.runner.replay_grid`: ``REPRO_JOBS``, or 1."""
-    raw = os.environ.get(REPLAY_JOBS_ENV)
+
+@dataclass(frozen=True)
+class Settings:
+    """The environment knobs, parsed and validated by :func:`settings`.
+
+    A directory knob that is unset or empty is ``None`` (that store is
+    off); ``cc`` is ``$CC``, the compiler fast replay builds its
+    stage-2 loop with.
+    """
+
+    trace_cache: Optional[str] = None
+    jobs: int = 1
+    obs_out: Optional[str] = None
+    heap_kernels: str = "fast"
+    shard_journal: Optional[str] = None
+    metrics_port: Optional[int] = None
+    cc: str = "gcc"
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-ready field values, for provenance records."""
+        return asdict(self)
+
+
+def settings(environ: Optional[Mapping[str, str]] = None) -> Settings:
+    """Read the knobs from ``environ`` (default ``os.environ``).
+
+    Rebuilt on every call, so a changed environment takes effect at
+    once; ``REPRO_*`` names that are not knobs are ignored.  Raises
+    :class:`ConfigError` naming the knob on an invalid value.
+    """
+    get = (os.environ if environ is None else environ).get
+    raw_jobs = get(REPLAY_JOBS_ENV)
     try:
-        jobs = int(raw) if raw else 1
+        jobs = int(raw_jobs) if raw_jobs else 1
     except ValueError:
         jobs = 0
     if jobs < 1:
-        raise ConfigError(
-            f"{REPLAY_JOBS_ENV} must be a positive process count, "
-            f"got {raw!r}")
-    return jobs
+        raise ConfigError(f"{REPLAY_JOBS_ENV} must be a positive process "
+                          f"count, got {raw_jobs!r}")
+    kernels = get(HEAP_KERNELS_ENV) or "fast"
+    if kernels not in HEAP_KERNEL_MODES:
+        raise ConfigError(f"{HEAP_KERNELS_ENV} must be one of "
+                          f"{HEAP_KERNEL_MODES}, got {kernels!r}")
+    raw_port = get(METRICS_PORT_ENV)
+    port = None
+    if raw_port:
+        try:
+            port = int(raw_port)
+        except ValueError:
+            raise ConfigError(f"{METRICS_PORT_ENV} must be an integer "
+                              f"port, got {raw_port!r}") from None
+        if not 0 <= port <= 65535:
+            raise ConfigError(f"{METRICS_PORT_ENV} must be in "
+                              f"[0, 65535], got {port}")
+    return Settings(trace_cache=get(TRACE_CACHE_ENV) or None, jobs=jobs,
+                    obs_out=get(OBS_OUT_ENV) or None,
+                    heap_kernels=kernels,
+                    shard_journal=get(SHARD_JOURNAL_ENV) or None,
+                    metrics_port=port, cc=get("CC") or "gcc")

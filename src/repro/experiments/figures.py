@@ -7,10 +7,8 @@ EXPERIMENTS.md records the paper-vs-measured comparison.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.config import WORKLOADS_ENV
 from repro.experiments.runner import (collect_run, compiled_run_traces,
                                       find_min_heap, replay_grid,
                                       replay_platform, workload_config)
@@ -28,18 +26,8 @@ FIG12_PLATFORMS = ("cpu-ddr4", "cpu-hmc", "charon", "ideal")
 
 
 def _names(workloads: Optional[Iterable[str]]) -> List[str]:
-    """Resolve a figure's workload list.
-
-    An explicit argument wins; otherwise ``REPRO_WORKLOADS`` (a
-    comma-separated subset, used by the benchmark smoke job to shrink
-    the grid) and finally the full Table 3 set.
-    """
-    if workloads is not None:
-        return list(workloads)
-    env = os.environ.get(WORKLOADS_ENV)
-    if env:
-        return [name.strip() for name in env.split(",") if name.strip()]
-    return list(ALL_WORKLOADS)
+    """A figure's workload list: the argument, or the Table 3 set."""
+    return list(ALL_WORKLOADS if workloads is None else workloads)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,7 @@ from pathlib import Path
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
-from repro.config import (SystemConfig, default_config,
-                          default_replay_jobs)
+from repro.config import SystemConfig, default_config, settings
 from repro.errors import ConfigError, OutOfMemoryError
 from repro.experiments import progress, shard_journal, trace_cache
 from repro.gcalgo.columnar import CompiledTrace
@@ -270,7 +269,7 @@ def replay_grid(platform_names: Iterable[str],
     platform_names = list(platform_names)
     workload_names = list(workload_names)
     if processes is None:
-        processes = default_replay_jobs()
+        processes = settings().jobs
     jobs = [(platform, name, heap_bytes, threads)
             for name in workload_names for platform in platform_names]
     for name in workload_names:

@@ -40,7 +40,7 @@ import warnings
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro.config import SHARD_JOURNAL_ENV
+from repro.config import settings
 from repro.experiments import store
 from repro.gcalgo.trace import Primitive
 from repro.platform.timing import GCTimingResult, PlatformEnergy
@@ -55,9 +55,6 @@ SHARD_FORMAT = "repro-shard-result"
 #: ``claimed`` while it exists).
 _MARKER = ".claim"
 
-#: Environment variable naming the journal directory (unset = off).
-REPRO_SHARD_JOURNAL = SHARD_JOURNAL_ENV
-
 #: Cumulative journal behaviour for this process tree (the crash/resume
 #: tests use ``hits``/``runs`` as the no-rework witness).
 STATS = store.SHARDS.stats
@@ -65,9 +62,9 @@ STATS = store.SHARDS.stats
 
 def journal_dir(directory: Union[str, Path, None] = None
                 ) -> Optional[Path]:
-    """Resolve the journal directory (explicit arg beats the
-    environment); ``None`` means journaling is off."""
-    return store.resolve(directory, REPRO_SHARD_JOURNAL)
+    """Resolve the journal directory (explicit arg beats
+    ``REPRO_SHARD_JOURNAL``); ``None`` means journaling is off."""
+    return store.resolve(directory, "shard_journal")
 
 
 def shard_key(parts: tuple) -> str:
@@ -179,8 +176,9 @@ def run_shard(directory: Union[str, Path], key: str,
 
     The running marker is up while ``execute()`` runs; the result is
     stored with its owner pid, host seconds and completion stamp for
-    the progress monitor (a failed store is a store fallback, and the
-    result is still returned).
+    the progress monitor, and with the knobs it ran under
+    (:meth:`~repro.config.Settings.to_dict`) as provenance (a failed
+    store is a store fallback, and the result is still returned).
     """
     directory = Path(directory)
     _mark_running(directory, key)
@@ -193,6 +191,7 @@ def run_shard(directory: Union[str, Path], key: str,
             "pid": os.getpid(),
             "host_seconds": round(host_seconds, 6),
             "completed_at": round(time.time(), 6),
+            "settings": settings().to_dict(),
         })
     finally:
         marker_path(directory, key).unlink(missing_ok=True)

@@ -4,8 +4,11 @@ The batched replay kernels (:mod:`repro.platform.batched`) split every
 replay into a trace-pure numpy precompute (**stage 1**) and the
 order-dependent recurrence (**stage 2**).  Stage-1 products are pure
 functions of the compiled trace and a small, hashable parameter key,
-so this module persists them beside the captured traces and a warm
-sweep skips stage-1 precompute entirely.
+so this module persists the two trace-pure products — the host cost
+columns (``host_cols``) and the primitive index (``prim_index``) —
+beside the captured traces, and a warm sweep reads them instead of
+recomputing them.  The per-platform plans are not cached: every
+replay's ``begin`` still plans its Charon, HMC or DDR4 templates.
 
 Entries are keyed by a hash of exactly the inputs that determine the
 arrays:
@@ -119,8 +122,8 @@ def load(directory: Union[str, Path],
 
 def fetch(compiled: CompiledTrace, kernel_id: str, params: Sequence,
           produce: Callable[[], Sequence[np.ndarray]],
-          directory: Union[str, Path, None] = None,
-          require: Optional[bool] = None) -> Tuple[np.ndarray, ...]:
+          directory: Union[str, Path, None] = None
+          ) -> Tuple[np.ndarray, ...]:
     """A product's array tuple: from disk on a hit, from ``produce()``
     (then stored) on a miss; see :func:`repro.experiments.store.fetch`.
     The per-trace memo in ``batched.py`` sits in front of this, so a
@@ -134,4 +137,4 @@ def fetch(compiled: CompiledTrace, kernel_id: str, params: Sequence,
         store.STAGE1,
         product_key(trace_content_key(compiled), kernel_id, params),
         load, lambda: tuple(np.asarray(array) for array in produce()),
-        stored, directory, require, kernel=kernel_id)
+        stored, directory)

@@ -7,10 +7,9 @@ Captured traces, stage-1 replay products and shard results are each a
 (``.shard.json``, :mod:`.shard_journal`) and :data:`NATIVE`
 (``.stage2.so``, :mod:`repro.platform.native`).  Those modules own
 their keys and codecs; this one owns the mechanics.  The two caches
-share the ``REPRO_TRACE_CACHE`` directory and the
-``REPRO_TRACE_CACHE_REQUIRE`` knob, and the compiled loop lives there
-too; journal results are resume state for one sweep, not a cache, and
-live in the sweep's ``REPRO_SHARD_JOURNAL`` directory.
+share the ``REPRO_TRACE_CACHE`` directory, and the compiled loop lives
+there too; journal results are resume state for one sweep, not a
+cache, and live in the sweep's ``REPRO_SHARD_JOURNAL`` directory.
 
 Persistent state is an accelerator, never a dependency, so every fault
 degrades to recompute: :func:`read` discards a stale, torn or foreign
@@ -31,8 +30,8 @@ import zipfile
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
-from repro.config import TRACE_CACHE_ENV, TRACE_CACHE_REQUIRE_ENV
-from repro.errors import ConfigError, ReproError
+from repro.config import settings
+from repro.errors import ConfigError
 from repro.obs.metrics import global_metrics
 
 #: What any codec raises decoding a stale, torn or foreign entry.
@@ -71,10 +70,6 @@ class Tally:
     def snapshot(self) -> Dict[str, int]:
         """Every field's count (registering the zero ones)."""
         return {field: self[field] for field in self.fields}
-
-
-class CacheMiss(ReproError):
-    """A cache entry was required (``require``) but none was stored."""
 
 
 class Namespace:
@@ -149,11 +144,11 @@ CACHES = (TRACES, STAGE1)
 
 
 def resolve(directory: Optional[PathLike] = None,
-            env: str = TRACE_CACHE_ENV) -> Optional[Path]:
-    """The directory: an explicit argument beats the environment
-    variable ``env``; ``None`` means the store is off."""
+            knob: str = "trace_cache") -> Optional[Path]:
+    """The directory: an explicit argument beats the :func:`settings`
+    field ``knob``; ``None`` means the store is off."""
     if directory is None:
-        directory = os.environ.get(env) or None
+        directory = getattr(settings(), knob)
     return None if directory is None else Path(directory)
 
 
@@ -203,13 +198,10 @@ def fetch(namespace: Namespace, key: str,
           load: Callable[[Path, str], Optional[T]],
           produce: Callable[[], T],
           save: Callable[[Path, str, T], T],
-          directory: Optional[PathLike] = None,
-          require: Optional[bool] = None, **label: object) -> T:
+          directory: Optional[PathLike] = None) -> T:
     """Read-through/write-through: ``load(directory, key)`` or, on a
     miss, ``save(directory, key, produce())`` — which returns what the
-    caller gets.  With no directory this is ``produce()``, still
-    honouring ``require``.  ``label`` (``workload=``/``kernel=``) names
-    the entry in the miss error.
+    caller gets.  With no directory this is ``produce()``.
     """
     directory = resolve(directory)
     if directory is not None:
@@ -218,13 +210,6 @@ def fetch(namespace: Namespace, key: str,
         namespace.stats.add("hits" if hit else "misses")
         if hit:
             return cached
-    if require is None:
-        require = bool(os.environ.get(TRACE_CACHE_REQUIRE_ENV))
-    if require:
-        what = " ".join(f"{name} {value!r}" for name, value in label.items())
-        raise CacheMiss(
-            f"no {namespace.noun} entry for {what} (key {key[:12]}…) "
-            f"and {TRACE_CACHE_REQUIRE_ENV} forbids recomputing it")
     value = produce()
     if directory is not None:
         value = save(directory, key, value)

@@ -96,8 +96,7 @@ def _save(directory: Path, key: str, run: WorkloadRun) -> WorkloadRun:
 
 def fetch_run(workload: str, config: SystemConfig,
               produce: Callable[[], WorkloadRun],
-              directory: Union[str, Path, None] = None,
-              require: Optional[bool] = None) -> WorkloadRun:
+              directory: Union[str, Path, None] = None) -> WorkloadRun:
     """The capture-once/replay-many entry point.
 
     Returns the run read from the entry on a hit, or the run
@@ -112,4 +111,4 @@ def fetch_run(workload: str, config: SystemConfig,
 
     return store.fetch(
         store.TRACES, run_cache_key(workload, config), load_run,
-        generate, _save, directory, require, workload=workload)
+        generate, _save, directory)

@@ -22,14 +22,13 @@ in the spirit of the paper's wide popcount/subtract hardware (Sec. 3.2):
 the scalar path it shadows — same GCTrace event streams, same residual
 totals, byte-identical post-GC heap buffers.  The differential fuzzer
 (``repro fuzz --kernels``) runs every collector under both modes and
-asserts exactly that.  The ``REPRO_HEAP_KERNELS`` environment variable
-(or :func:`set_kernel_mode` / :func:`use_kernel_mode`) selects the
-path; ``fast`` is the default and ``scalar`` stays as the oracle.
+asserts exactly that.  The ``REPRO_HEAP_KERNELS`` knob (read through
+:func:`repro.config.settings`; :func:`set_kernel_mode` /
+:func:`use_kernel_mode` override it) selects the path; ``fast`` is the default and ``scalar`` stays as the oracle.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import HEAP_KERNEL_MODES, HEAP_KERNELS_ENV
+from repro.config import HEAP_KERNEL_MODES, settings
 from repro.errors import ConfigError, InvalidObjectError
 from repro.heap.klass import (ARRAY_ELEMENTS_OFFSET, KlassKind,
                               KlassTable)
@@ -68,17 +67,12 @@ def kernel_mode() -> str:
     """The selected heap-kernel mode: ``fast`` (default) or ``scalar``."""
     if _MODE_OVERRIDE is not None:
         return _MODE_OVERRIDE
-    mode = os.environ.get(HEAP_KERNELS_ENV) or "fast"
-    if mode not in HEAP_KERNEL_MODES:
-        raise ConfigError(
-            f"{HEAP_KERNELS_ENV} must be one of {HEAP_KERNEL_MODES}, "
-            f"got {mode!r}")
-    return mode
+    return settings().heap_kernels
 
 
 def set_kernel_mode(mode: Optional[str]) -> None:
-    """Override the kernel mode process-wide (``None`` re-reads the
-    environment)."""
+    """Override the kernel mode process-wide (``None`` returns to the
+    ``REPRO_HEAP_KERNELS`` knob)."""
     global _MODE_OVERRIDE
     if mode is not None and mode not in HEAP_KERNEL_MODES:
         raise ConfigError(f"kernel mode must be one of "

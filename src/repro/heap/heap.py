@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.config import HeapConfig
 from repro.errors import ConfigError, InvalidObjectError, OutOfMemoryError
-from repro.heap.backing import allocate
 from repro.heap.card_table import CardTable
 from repro.heap.klass import (ARRAY_LENGTH_OFFSET, HEADER_BYTES,
                               KlassDescriptor, KlassKind, KlassTable,
@@ -40,7 +39,9 @@ class JavaHeap:
         self.klasses = klasses or standard_klass_table()
         self.base = self.layout.heap_start
         size = self.layout.heap_end - self.layout.heap_start
-        self.buffer = allocate(size, dtype=np.uint8)
+        # np.zeros is calloc: pages are committed only once touched, so
+        # a scaled heap costs RSS for the bytes the workload uses.
+        self.buffer = np.zeros(size, dtype=np.uint8)
         self._u64 = self.buffer.view(np.uint64)
         # Metadata regions sit above the heap in the virtual address
         # space (their *contents* live in dedicated structures; the

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.bitmap_math import popcount_int
 from repro.errors import ConfigError
-from repro.heap.backing import allocate
 from repro.units import WORD
 
 
@@ -48,8 +47,8 @@ class MarkBitmaps:
         self.bitmap_base = bitmap_base
         self.num_bits = (covered_end - covered_start) // WORD
         n_words = -(-self.num_bits // 64)
-        self.beg = allocate(n_words, dtype=np.uint64)
-        self.end = allocate(n_words, dtype=np.uint64)
+        self.beg = np.zeros(n_words, dtype=np.uint64)
+        self.end = np.zeros(n_words, dtype=np.uint64)
 
     @property
     def bitmap_bytes(self) -> int:

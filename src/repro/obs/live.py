@@ -33,12 +33,11 @@ ephemeral port (tests); :attr:`LiveServer.port` reports the bound one.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional
 
-from repro.config import METRICS_PORT_ENV, ConfigError
+from repro.config import settings
 from repro.obs.metrics import MetricsRegistry, global_metrics
 
 #: The quantiles /metrics summarises each histogram at.
@@ -264,18 +263,9 @@ def install_env_live_server(environ=None) -> Optional[int]:
     detect the inherited installation flag and stay quiet.
     """
     global _INSTALLED
-    environ = os.environ if environ is None else environ
-    raw = environ.get(METRICS_PORT_ENV)
-    if not raw or _INSTALLED:
+    port = settings(environ).metrics_port
+    if port is None or _INSTALLED:
         return None
-    try:
-        port = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{METRICS_PORT_ENV} must be an integer port, got {raw!r}")
-    if not 0 <= port <= 65535:
-        raise ConfigError(
-            f"{METRICS_PORT_ENV} must be in [0, 65535], got {port}")
     _INSTALLED = True
     return _LIVE.start(port)
 

@@ -6,7 +6,8 @@ wrote it: which workload runs it consumed, each run's **config hash**
 (the very key the content-addressed trace cache stores it under, so an
 output can be traced back to its cached trace set byte for byte),
 whether the traces came from the cache or a fresh collector execution,
-the trace schema / generator versions, and host wall time.
+the trace schema / generator versions, the environment knobs in force
+(:func:`repro.config.settings`), and host wall time.
 
 The experiment runner reports every :func:`record_run` as it captures
 or fetches a workload; :func:`write_manifest` snapshots the session
@@ -23,6 +24,8 @@ import sys
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
+
+from repro.config import settings
 
 #: Bump when the manifest document layout changes.
 MANIFEST_SCHEMA_VERSION = 1
@@ -89,6 +92,7 @@ def build_manifest(command: Optional[str] = None,
         "platform": _platform.platform(),
         "host_wall_seconds": round(time.perf_counter() - _EPOCH, 6),
         "trace_cache": dict(STATS.snapshot()),
+        "settings": settings().to_dict(),
         "runs": session_runs(),
     }
     if command is not None:

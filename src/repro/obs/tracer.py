@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import atexit
 import json
-import os
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.config import METRICS_PORT_ENV, OBS_OUT_ENV
+from repro.config import METRICS_PORT_ENV, OBS_OUT_ENV, settings
 
 CLOCK_SIM = "sim"
 CLOCK_HOST = "host"
@@ -237,9 +236,8 @@ def install_env_exporters(environ=None) -> Dict[str, str]:
     exposition endpoint.  Safe to call more than once — each exporter
     installs a single time per process.
     """
-    environ = os.environ if environ is None else environ
     installed: Dict[str, str] = {}
-    obs_out = environ.get(OBS_OUT_ENV)
+    obs_out = settings(environ).obs_out
     if obs_out and obs_out not in _INSTALLED:
         _TRACER.enable()
         atexit.register(_write_obs_out, Path(obs_out))

@@ -121,7 +121,9 @@ def _kernel_memo(compiled: CompiledTrace) -> Dict:
     once per ``begin``.  This memo is the in-process front of the
     persistent :mod:`~repro.experiments.stage1_cache`: on a memo miss
     the producers below read through it (and write back on a disk
-    miss), so a warm sweep process recomputes no stage-1 arrays at all.
+    miss), so a warm sweep process recomputes neither cached product
+    (``host_cols``, ``prim_index``).  The rest of stage 1 — the Charon,
+    HMC and DDR4 plans — is not cached: every ``begin`` re-plans it.
     """
     memo = compiled.__dict__.get("_kernel_memo")
     if memo is None:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import os
 import shutil
 import subprocess
 import tempfile
@@ -36,6 +35,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.config import settings
 from repro.errors import ConfigError
 
 #: The compiler invocation (the output and source paths follow).
@@ -64,7 +64,7 @@ def library() -> ctypes.CDLL:
 def _compiler() -> Tuple[str, str]:
     """``(path, version banner)`` of the C compiler (``$CC``, else
     ``gcc`` on ``PATH``)."""
-    name = os.environ.get("CC") or "gcc"
+    name = settings().cc
     path = shutil.which(name)
     version = None
     if path is not None:

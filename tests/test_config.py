@@ -1,13 +1,22 @@
-"""Tests for the system configuration (Table 2 encoding)."""
+"""Tests for the system configuration (Table 2 encoding) and the
+environment knobs (:func:`repro.config.settings`)."""
 
+import ast
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.config import (CostModelConfig, HeapConfig, SystemConfig,
-                          default_config, scaled_heap_bytes,
-                          PAPER_HEAP_SCALE)
+from repro import config as config_module
+from repro.config import (HEAP_KERNELS_ENV, METRICS_PORT_ENV,
+                          OBS_OUT_ENV, REPLAY_JOBS_ENV, SHARD_JOURNAL_ENV,
+                          TRACE_CACHE_ENV, CostModelConfig, HeapConfig,
+                          Settings, SystemConfig, default_config,
+                          scaled_heap_bytes, settings, PAPER_HEAP_SCALE)
 from repro.errors import ConfigError
+
+SRC = Path(config_module.__file__).resolve().parent
 
 
 class TestTable2Values:
@@ -129,3 +138,124 @@ class TestDerivedConfigs:
         config = default_config().with_topology("fully-connected")
         assert config.hmc.topology == "fully-connected"
         assert default_config().hmc.topology == "star"
+
+
+class TestSettings:
+    def test_six_knobs(self):
+        names = sorted(value for value in vars(config_module).values()
+                       if isinstance(value, str)
+                       and value.startswith("REPRO_"))
+        assert names == sorted([TRACE_CACHE_ENV, REPLAY_JOBS_ENV,
+                                OBS_OUT_ENV, HEAP_KERNELS_ENV,
+                                SHARD_JOURNAL_ENV, METRICS_PORT_ENV])
+
+    def test_defaults(self):
+        assert settings({}) == Settings()
+        assert settings({}).to_dict() == {
+            "trace_cache": None, "jobs": 1, "obs_out": None,
+            "heap_kernels": "fast", "shard_journal": None,
+            "metrics_port": None, "cc": "gcc"}
+
+    @pytest.mark.parametrize("knob, value", [
+        (REPLAY_JOBS_ENV, "0"), (REPLAY_JOBS_ENV, "-3"),
+        (REPLAY_JOBS_ENV, "two"),
+        (HEAP_KERNELS_ENV, "bogus"),
+        (METRICS_PORT_ENV, "x"), (METRICS_PORT_ENV, "70000"),
+        (METRICS_PORT_ENV, "-1"),
+    ])
+    def test_invalid_value_names_the_knob(self, knob, value):
+        with pytest.raises(ConfigError, match=knob):
+            settings({knob: value})
+
+    @pytest.mark.parametrize("knob, field", [
+        (TRACE_CACHE_ENV, "trace_cache"), (OBS_OUT_ENV, "obs_out"),
+        (SHARD_JOURNAL_ENV, "shard_journal")])
+    def test_directory_knobs_take_any_path(self, knob, field):
+        """A directory knob has no invalid value: any non-empty string
+        is a path, and empty means the store or export is off."""
+        assert getattr(settings({knob: "some dir"}), field) == "some dir"
+        assert getattr(settings({knob: ""}), field) is None
+
+    def test_parsed_values(self):
+        parsed = settings({REPLAY_JOBS_ENV: "3", HEAP_KERNELS_ENV: "scalar",
+                           METRICS_PORT_ENV: "0", "CC": "clang"})
+        assert (parsed.jobs, parsed.heap_kernels, parsed.metrics_port,
+                parsed.cc) == (3, "scalar", 0, "clang")
+        assert settings({"CC": ""}).cc == "gcc"
+
+    def test_unknown_repro_names_are_ignored(self):
+        assert settings({"REPRO_STAGE1_CACHE": "x"}) == settings({})
+
+    def test_to_dict_survives_json(self):
+        knobs = settings({TRACE_CACHE_ENV: "/c", REPLAY_JOBS_ENV: "2",
+                          OBS_OUT_ENV: "o", HEAP_KERNELS_ENV: "scalar",
+                          SHARD_JOURNAL_ENV: "j", METRICS_PORT_ENV: "9",
+                          "CC": "cc"})
+        record = knobs.to_dict()
+        assert json.loads(json.dumps(record)) == record
+        assert Settings(**record) == knobs
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            settings({}).jobs = 2
+
+    def test_read_on_every_call(self, monkeypatch):
+        monkeypatch.setenv(REPLAY_JOBS_ENV, "2")
+        assert settings().jobs == 2
+        monkeypatch.setenv(REPLAY_JOBS_ENV, "5")
+        assert settings().jobs == 5
+
+    def test_readers_take_their_field(self, monkeypatch, tmp_path):
+        from repro.experiments import shard_journal, store
+        from repro.heap import fast_kernels
+
+        monkeypatch.setenv(HEAP_KERNELS_ENV, "scalar")
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "cache"))
+        monkeypatch.setenv(SHARD_JOURNAL_ENV, str(tmp_path / "journal"))
+        assert fast_kernels.kernel_mode() == "scalar"
+        with fast_kernels.use_kernel_mode("fast"):  # the override wins
+            assert fast_kernels.kernel_mode() == "fast"
+        assert store.resolve() == tmp_path / "cache"
+        assert shard_journal.journal_dir() == tmp_path / "journal"
+        monkeypatch.setenv(HEAP_KERNELS_ENV, "bogus")
+        with pytest.raises(ConfigError, match=HEAP_KERNELS_ENV):
+            fast_kernels.kernel_mode()
+
+
+_ENVIRONMENT_READS = {"environ", "environb", "getenv"}
+
+
+def environment_reads(source: str) -> list:
+    """Line numbers where ``source`` reads the process environment
+    through the ``os`` module."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) \
+                and node.attr in _ENVIRONMENT_READS \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "os":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" \
+                and {alias.name for alias in node.names} \
+                & _ENVIRONMENT_READS:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_environment_scan_finds_reads():
+    assert environment_reads("import os\nx = os.environ.get('A')\n"
+                             "y = os.getenv('B')\n") == [2, 3]
+    assert environment_reads("from os import environb\n") == [1]
+    assert environment_reads("import os\nos.getpid()\n") == []
+
+
+def test_only_config_reads_the_environment():
+    """``repro.config.settings`` is the one reader of the environment
+    under ``src/repro``; every other module takes its knob from it."""
+    offenders = {}
+    for path in sorted(SRC.rglob("*.py")):
+        lines = environment_reads(path.read_text())
+        if lines and path != SRC / "config.py":
+            offenders[str(path.relative_to(SRC))] = lines
+    assert offenders == {}
+    assert environment_reads((SRC / "config.py").read_text())

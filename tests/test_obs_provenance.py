@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.config import REPLAY_JOBS_ENV, TRACE_CACHE_ENV, settings
 from repro.experiments import store, trace_cache
 from repro.experiments.runner import workload_config
 from repro.gcalgo.columnar import TRACE_SCHEMA_VERSION
@@ -53,6 +56,20 @@ def test_build_manifest_contents():
         trace_cache.STATS.snapshot())
     assert manifest["host_wall_seconds"] >= 0.0
     assert "python" in manifest and "platform" in manifest
+    assert manifest["settings"] == settings().to_dict()
+
+
+def test_manifest_records_the_knobs(tmp_path, monkeypatch):
+    """Every manifest names the knobs in force, and that record
+    survives the file round trip."""
+    monkeypatch.setenv(REPLAY_JOBS_ENV, "2")
+    monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "cache"))
+    path = provenance.write_manifest(tmp_path / "out", command="cmd")
+    recorded = provenance.load_manifest(path)["settings"]
+    assert recorded == settings().to_dict()
+    assert recorded["jobs"] == 2
+    assert recorded["trace_cache"] == str(tmp_path / "cache")
+    assert provenance.round_trips(path)
 
 
 def test_manifest_config_hash_is_the_trace_cache_key():
@@ -106,12 +123,11 @@ class TestJournaledSweepProvenance:
 
     @pytest.fixture(autouse=True)
     def isolated_sweep(self, tmp_path, monkeypatch):
-        from repro.config import TRACE_CACHE_ENV
+        from repro.config import SHARD_JOURNAL_ENV, TRACE_CACHE_ENV
         from repro.experiments import shard_journal
         from repro.experiments.runner import clear_cache
 
-        monkeypatch.delenv(shard_journal.REPRO_SHARD_JOURNAL,
-                           raising=False)
+        monkeypatch.delenv(SHARD_JOURNAL_ENV, raising=False)
         self.cache_dir = tmp_path / "trace-cache"
         monkeypatch.setenv(TRACE_CACHE_ENV, str(self.cache_dir))
         clear_cache()
@@ -144,6 +160,18 @@ class TestJournaledSweepProvenance:
         assert capture["cache"] in ("hit", "generated")
         manifest = provenance.build_manifest(command="sweep")
         assert manifest["runs"] == provenance.session_runs()
+
+    def test_shard_meta_records_the_knobs(self, tmp_path):
+        from repro.experiments.runner import replay_grid
+
+        journal = tmp_path / "journal"
+        replay_grid(self.PLATFORMS, [self.WORKLOAD], journal=journal)
+        shards = store.SHARDS.entries(journal)
+        assert len(shards) == len(self.PLATFORMS)
+        for path in shards:
+            recorded = json.loads(path.read_text())["meta"]["settings"]
+            assert recorded == settings().to_dict()
+            assert recorded["trace_cache"] == str(self.cache_dir)
 
     def test_forked_sweep_workers_share_the_config_hash(
             self, tmp_path):

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import REPLAY_JOBS_ENV, TRACE_CACHE_ENV
+from repro.config import (REPLAY_JOBS_ENV, SHARD_JOURNAL_ENV,
+                          TRACE_CACHE_ENV)
 from repro.errors import ConfigError
 from repro.experiments import progress, runner, shard_journal
 from repro.experiments.runner import (_fork_available, clear_cache,
@@ -255,8 +256,7 @@ class TestShardJournal:
     def test_journal_env_variable_is_honored(self, tmp_path,
                                              monkeypatch):
         journal = tmp_path / "journal"
-        monkeypatch.setenv(shard_journal.REPRO_SHARD_JOURNAL,
-                           str(journal))
+        monkeypatch.setenv(SHARD_JOURNAL_ENV, str(journal))
         replay_grid(PLATFORMS, [WORKLOAD])
         assert len(list(journal.glob("*.shard.json"))) \
             == len(PLATFORMS)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.config import (SHARD_JOURNAL_ENV, TRACE_CACHE_ENV,
-                          TRACE_CACHE_REQUIRE_ENV, default_config)
+                          default_config)
 from repro.experiments import (shard_journal, stage1_cache, store,
                                trace_cache)
 from repro.experiments.runner import clear_cache, replay_grid
@@ -40,8 +40,7 @@ def is_entry(name: str, namespace: str) -> bool:
 
 @pytest.fixture(autouse=True)
 def isolated(monkeypatch):
-    for name in (TRACE_CACHE_ENV, TRACE_CACHE_REQUIRE_ENV,
-                 SHARD_JOURNAL_ENV):
+    for name in (TRACE_CACHE_ENV, SHARD_JOURNAL_ENV):
         monkeypatch.delenv(name, raising=False)
     clear_cache()
     yield

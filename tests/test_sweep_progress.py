@@ -26,8 +26,7 @@ PLATFORMS = ("cpu-ddr4", "ideal", "charon")
 
 @pytest.fixture(autouse=True)
 def isolated_caches(tmp_path, monkeypatch):
-    monkeypatch.delenv(shard_journal.REPRO_SHARD_JOURNAL,
-                       raising=False)
+    monkeypatch.delenv(SHARD_JOURNAL_ENV, raising=False)
     monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "trace-cache"))
     clear_cache()
     shard_journal.STATS.reset()

@@ -12,10 +12,8 @@ import dataclasses
 
 import pytest
 
-from repro.config import (TRACE_CACHE_ENV, TRACE_CACHE_REQUIRE_ENV,
-                          default_config)
+from repro.config import TRACE_CACHE_ENV, default_config
 from repro.experiments import store, trace_cache
-from repro.experiments.store import CacheMiss
 from repro.experiments.trace_cache import (fetch_run, load_run,
                                            run_cache_key, store_run)
 from repro.gcalgo import trace_io
@@ -148,16 +146,18 @@ class TestFetchRun:
         assert run.gc_count == len(run.compiled) > 0
         assert trace_cache.STATS["hits"] == 1
 
-    def test_require_raises_on_miss(self, tmp_path):
-        with pytest.raises(CacheMiss, match=WORKLOAD):
-            fetch_run(WORKLOAD, small_config(), make_mixed_run,
-                      directory=tmp_path, require=True)
-
-    def test_require_env_variable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TRACE_CACHE_REQUIRE_ENV, "1")
-        with pytest.raises(CacheMiss):
-            fetch_run(WORKLOAD, small_config(), make_mixed_run,
-                      directory=tmp_path)
+    def test_warm_fetch_counts_no_miss(self, tmp_path):
+        """The tally is the capture-free witness: a warm fetch adds a
+        hit and neither a miss nor a generated run."""
+        fetch_run(WORKLOAD, small_config(), make_mixed_run,
+                  directory=tmp_path)
+        cold = trace_cache.STATS.snapshot()
+        assert (cold["misses"], cold["generated"]) == (1, 1)
+        fetch_run(WORKLOAD, small_config(), make_mixed_run,
+                  directory=tmp_path)
+        warm = trace_cache.STATS.snapshot()
+        assert warm["hits"] == cold["hits"] + 1
+        assert (warm["misses"], warm["generated"]) == (1, 1)
 
     def test_no_directory_degrades_to_produce(self, monkeypatch):
         monkeypatch.delenv(TRACE_CACHE_ENV,
@@ -197,12 +197,13 @@ class TestInterleavedReuse:
                            directory=tmp_path)
         compiled = cached.compiled
         live = make_mixed_run()  # a fresh collector execution
-        required = fetch_run(WORKLOAD, small_config(), make_mixed_run,
-                             directory=tmp_path, require=True)
+        served = fetch_run(WORKLOAD, small_config(),
+                           lambda: pytest.fail("should hit"),
+                           directory=tmp_path)
         golden = trace_dicts(live)
         assert trace_dicts(captured) == golden
         assert trace_dicts(cached) == golden
-        assert trace_dicts(required) == golden
+        assert trace_dicts(served) == golden
         # The compiled columnar copies decompile to the same traces.
         assert [trace_to_dict(t.to_trace()) for t in compiled] == golden
 
