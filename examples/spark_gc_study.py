@@ -22,7 +22,7 @@ def main(name: str) -> None:
           f"{run.allocated_objects} objects")
 
     copied = sum(t.bytes_copied for t in run.traces)
-    refs = sum(t.scan_refs_total() for t in run.traces)
+    refs = sum(t.summary()["scan_refs"] for t in run.traces)
     print(f"GC moved {copied / 2**20:.1f} MB and scanned {refs} "
           "references\n")
 

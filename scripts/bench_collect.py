@@ -26,6 +26,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO))
@@ -158,7 +160,8 @@ def _check_equivalence(name: str, seed: int):
     if len(traces_a) != len(traces_b):
         return f"{name}: trace counts differ"
     for index, (a, b) in enumerate(zip(traces_a, traces_b)):
-        if a.kind != b.kind or a.events != b.events:
+        if a.kind != b.kind or a.phase_names != b.phase_names \
+                or not np.array_equal(a.events, b.events):
             return f"{name}: trace #{index} events differ"
         if a.residuals != b.residuals:
             return f"{name}: trace #{index} residuals differ"

@@ -66,7 +66,6 @@ def equivalent(fast, slow) -> bool:
 
 
 def main() -> int:
-    from repro.gcalgo.columnar import compile_traces
     from repro.platform.fast_replay import FastTraceReplayer
     from repro.platform.replay import TraceReplayer
 
@@ -76,7 +75,6 @@ def main() -> int:
         else REPO / "BENCH_replay.json"
     run = TinySpark().run()
     traces = run.traces
-    compiled = compile_traces(traces)
     events = sum(len(trace.events) for trace in traces)
 
     from bench_meta import bench_metadata
@@ -91,7 +89,7 @@ def main() -> int:
         slow_result = TraceReplayer(
             platform_for(name)[0], threads=THREADS).replay_all(traces)
         fast_result = FastTraceReplayer(
-            platform_for(name)[0], threads=THREADS).replay_all(compiled)
+            platform_for(name)[0], threads=THREADS).replay_all(traces)
         equal = equivalent(fast_result, slow_result)
         # Then timing: interleaved best-of-N on fresh platforms.
         best_event = best_fast = float("inf")
@@ -104,7 +102,7 @@ def main() -> int:
             replayer = FastTraceReplayer(platform_for(name)[0],
                                          threads=THREADS)
             start = time.perf_counter()
-            replayer.replay_all(compiled)
+            replayer.replay_all(traces)
             best_fast = min(best_fast, time.perf_counter() - start)
         speedup = best_event / best_fast
         report["platforms"][name] = {

@@ -22,15 +22,15 @@ default ``fast`` mode was in effect.
 
 Before any of that it reads the production modules
 (``src/repro/experiments/*.py``) as text and fails if one names the
-event-by-event ``TraceReplayer`` or calls ``.to_trace(``: the figures,
-tables and sweeps replay the columnar traces a run already holds, and
-per-event objects are for the oracle, the fuzzer and the codec only.
+event-by-event ``TraceReplayer`` or calls ``.iter_events(``: the
+figures, tables and sweeps replay the event columns a run already
+holds, and per-event objects are for the oracle and the fuzzer only.
 
 This pins the kernel matrix: every platform x thread cell must select
 a replay kernel, every collector run must stay on the fast heap
-kernels, and no production path decompiles — a quiet demotion to a
-slow path keeps results correct, just slow, and nothing else would
-notice.  Exit status 0 on success.
+kernels, and no production path builds per-event objects — a quiet
+demotion to a slow path keeps results correct, just slow, and nothing
+else would notice.  Exit status 0 on success.
 Used by the CI ``fast-path-coverage`` job; runnable locally with
 ``python scripts/check_fast_path_coverage.py``.
 """
@@ -50,8 +50,8 @@ PLATFORMS = ("ideal", "cpu-ddr4", "cpu-hmc", "charon",
 THREADS = (1, 2, 4, 8)
 
 #: What a production module must not contain: the event-by-event
-#: replayer (``FastTraceReplayer`` is fine) or a decompile call.
-EVENT_PATH = re.compile(r"\bTraceReplayer\b|\.to_trace\(")
+#: replayer (``FastTraceReplayer`` is fine) or a trace's row iterator.
+EVENT_PATH = re.compile(r"\bTraceReplayer\b|\.iter_events\(")
 
 
 def event_path_references() -> list:
@@ -68,7 +68,6 @@ def event_path_references() -> list:
 
 
 def main() -> int:
-    from repro.gcalgo.columnar import compile_traces
     from repro.errors import ReproError
     from repro.obs.metrics import global_metrics
     from repro.platform import native
@@ -84,12 +83,10 @@ def main() -> int:
         "g1": make_g1_traces(),
         "concurrent": make_concurrent_traces(),
     }
-    compiled_sets = {name: compile_traces(traces)
-                     for name, traces in trace_sets.items()}
     failures = [f"production module uses the event path: {found}"
                 for found in event_path_references()]
     if not failures:
-        print("production modules: no TraceReplayer, no .to_trace(")
+        print("production modules: no TraceReplayer, no .iter_events(")
 
     try:
         native.library()
@@ -138,8 +135,8 @@ def main() -> int:
                 failures.append(f"{name} x{threads}: no replay kernel "
                                 f"({exc})")
                 continue
-            for set_name, compiled in compiled_sets.items():
-                result = replayer.replay_all(compiled)
+            for set_name, traces in trace_sets.items():
+                result = replayer.replay_all(traces)
                 if result.replay_kernel in ("", "event", "mixed"):
                     failures.append(
                         f"{name} x{threads} on {set_name}: replay "

@@ -37,8 +37,8 @@ from typing import List, Optional
 from repro.config import REPLAY_MODES, SHARD_JOURNAL_ENV, default_config
 from repro.experiments import ablations, figures, tables
 from repro.experiments.report import render_table
-from repro.experiments.runner import (collect_run, compiled_run_traces,
-                                      replay_grid, replay_platform)
+from repro.experiments.runner import (collect_run, replay_grid,
+                                      replay_platform)
 from repro.gcalgo.trace import Primitive
 from repro.gcalgo.trace_io import load_traces, save_traces
 from repro.obs import provenance
@@ -335,7 +335,6 @@ def _cmd_compare(args) -> str:
 
 
 def _cmd_replay(args) -> str:
-    from repro.gcalgo.columnar import compile_traces
     from repro.gcalgo.trace_io import load_manifest, stream_compiled
     from repro.heap.heap import JavaHeap
     from repro.platform import FastTraceReplayer, make_replayer
@@ -364,15 +363,10 @@ def _cmd_replay(args) -> str:
     platform = build_platform(args.platform, config, heap)
     replayer = make_replayer(platform, threads=args.threads,
                              mode=args.mode)
-    if isinstance(replayer, FastTraceReplayer):
-        feed = (stream_compiled(args.input) if binary
-                else compile_traces(traces))
-        path_note = "fast path"
-    else:
-        feed = (traces if traces is not None else
-                (t.to_trace() for t in stream_compiled(args.input)))
-        path_note = "event-by-event"
-    result = replayer.replay_all(feed)
+    path_note = ("fast path" if isinstance(replayer, FastTraceReplayer)
+                 else "event-by-event")
+    result = replayer.replay_all(stream_compiled(args.input) if binary
+                                 else traces)
     return (f"replayed {count} traces on {args.platform} "
             f"({path_note}): "
             f"{result.wall_seconds * 1e3:.3f} ms, "
@@ -417,7 +411,7 @@ def _cmd_report(args) -> str:
     heap = JavaHeap(config.heap, klasses=workload_klasses())
     platform = build_platform("charon", config, heap)
     FastTraceReplayer(platform).replay_all(
-        compiled_run_traces(args.workload))
+        collect_run(args.workload).traces)
     return full_report(platform.device)
 
 
@@ -437,7 +431,7 @@ def _cmd_stats(args) -> str:
     heap = JavaHeap(config.heap, klasses=workload_klasses())
     platform = build_platform(args.platform, config, heap)
     result = FastTraceReplayer(platform, threads=args.threads).replay_all(
-        compiled_run_traces(args.workload, heap_bytes))
+        collect_run(args.workload, heap_bytes).traces)
 
     registry = global_metrics()
     timing_metrics(registry, result, workload=args.workload)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.experiments.runner import (collect_run, compiled_run_traces,
-                                      find_min_heap, replay_grid,
-                                      replay_platform, workload_config)
+from repro.experiments.runner import (collect_run, find_min_heap,
+                                      replay_grid, replay_platform,
+                                      workload_config)
 from repro.gcalgo.trace import Primitive
 from repro.heap.heap import JavaHeap
 from repro.platform import FastTraceReplayer, build_platform
@@ -70,10 +70,10 @@ def figure4(workloads: Optional[Iterable[str]] = None
     """Share of each operation in MinorGC/MajorGC time (cpu-ddr4)."""
     rows = []
     for name in _names(workloads):
-        compiled = compiled_run_traces(name)
+        run = collect_run(name)
         config = workload_config(name)
         for kind in ("minor", "major"):
-            traces = [trace for trace in compiled if trace.kind == kind]
+            traces = [trace for trace in run.traces if trace.kind == kind]
             if not traces:
                 continue
             heap = JavaHeap(config.heap, klasses=workload_klasses())

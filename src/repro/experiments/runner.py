@@ -7,11 +7,11 @@ pipeline:
   persisted through the content-addressed
   :mod:`~repro.experiments.trace_cache`, so a warmed cache directory
   lets a whole benchmark session replay without executing a collector;
-* a run's columnar traces (``run.compiled``: read from the entry on
-  a hit, compiled once after a capture) are its one in-memory form,
-  and :func:`replay_platform` replays them through
+* a run's traces hold their events as columns (read from the entry
+  on a hit, sealed as each collection ends on a capture), and
+  :func:`replay_platform` replays them through
   :class:`~repro.platform.fast_replay.FastTraceReplayer` — a sweep
-  never decompiles them to per-event objects;
+  never builds per-event objects;
 * :func:`replay_grid` fans the platform x workload grid out over a
   fork pool made per call (:func:`_fan_out`, the one place worker
   processes are created) with a deterministic merge of the results
@@ -38,7 +38,6 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 from repro.config import SystemConfig, default_config, settings
 from repro.errors import ConfigError, OutOfMemoryError
 from repro.experiments import progress, shard_journal, trace_cache
-from repro.gcalgo.columnar import CompiledTrace
 from repro.heap.heap import JavaHeap
 from repro.obs import provenance
 from repro.obs.adapters import timing_metrics
@@ -105,13 +104,6 @@ def collect_run(name: str,
     return _RUN_CACHE[key]
 
 
-def compiled_run_traces(name: str,
-                        heap_bytes: Optional[int] = None
-                        ) -> List[CompiledTrace]:
-    """A workload run's traces in columnar form (compiled once)."""
-    return collect_run(name, heap_bytes).compiled
-
-
 def clear_cache() -> None:
     _RUN_CACHE.clear()
     _REPLAY_CACHE.clear()
@@ -136,10 +128,10 @@ def replay_platform(platform_name: str, name: str,
 
     Results are memoised on ``(platform, workload, config, threads)`` —
     everything the result depends on (``SystemConfig`` is a frozen,
-    hashable dataclass, so any field changed is a new key).  The compiled
-    columnar traces replay through the platform's kernel, so a process
-    whose run memo was primed (from the trace cache, or inherited across
-    the pool's fork) replays without capturing or decompiling.
+    hashable dataclass, so any field changed is a new key).  The traces'
+    columns replay through the platform's kernel, so a process whose
+    run memo was primed (from the trace cache, or inherited across the
+    pool's fork) replays without capturing.
     """
     resolved_config = config or workload_config(name, heap_bytes)
     key = (platform_name, name, resolved_config, threads)
@@ -148,7 +140,7 @@ def replay_platform(platform_name: str, name: str,
                         klasses=workload_klasses())
         platform = build_platform(platform_name, resolved_config, heap)
         replayer = FastTraceReplayer(platform, threads=threads)
-        traces = compiled_run_traces(name, heap_bytes)
+        traces = collect_run(name, heap_bytes).traces
         with get_tracer().span("replay", cat="runner", workload=name,
                                platform=platform_name):
             result = replayer.replay_all(traces)
@@ -249,7 +241,7 @@ def replay_grid(platform_names: Iterable[str],
 
     ``processes`` > 1 fans the pairs out over a fork pool made for
     this call (default from ``REPRO_JOBS``; see :func:`_fan_out`).
-    Workload runs are captured and compiled in the parent first, so
+    Workload runs are captured in the parent first, so
     workers inherit the traces instead of regenerating them; results
     merge back in job order, so the outcome — including the parent's
     replay memo — is identical to a serial sweep regardless of worker
@@ -273,7 +265,7 @@ def replay_grid(platform_names: Iterable[str],
     jobs = [(platform, name, heap_bytes, threads)
             for name in workload_names for platform in platform_names]
     for name in workload_names:
-        compiled_run_traces(name, heap_bytes)
+        collect_run(name, heap_bytes)
     directory = shard_journal.journal_dir(journal)
     if directory is not None:
         _resume_journal(directory, jobs)
@@ -313,8 +305,8 @@ def _resume_journal(directory: Path, jobs: List[tuple]) -> None:
             "workload": name,
             "heap_bytes": heap_bytes,
             "threads": threads,
-            "events": sum(len(trace) for trace
-                          in compiled_run_traces(name, heap_bytes)),
+            "events": sum(len(trace.events) for trace
+                          in collect_run(name, heap_bytes).traces),
         }
         if memo_key in _REPLAY_CACHE:
             if not shard_journal.has_shard(directory, key):

@@ -3,7 +3,7 @@
 The batched replay kernels (:mod:`repro.platform.batched`) split every
 replay into a trace-pure numpy precompute (**stage 1**) and the
 order-dependent recurrence (**stage 2**).  Stage-1 products are pure
-functions of the compiled trace and a small, hashable parameter key,
+functions of the trace's event columns and a small, hashable parameter key,
 so this module persists the two trace-pure products — the host cost
 columns (``host_cols``) and the primitive index (``prim_index``) —
 beside the captured traces, and a warm sweep reads them instead of
@@ -13,7 +13,7 @@ replay's ``begin`` still plans its Charon, HMC or DDR4 templates.
 Entries are keyed by a hash of exactly the inputs that determine the
 arrays:
 
-* the **compiled-trace content** (kind, heap size, phase names and the
+* the **trace content** (kind, heap size, phase names and the
   raw event columns — see :func:`trace_content_key`),
 * the **kernel product id and its parameter key** (e.g. the host-cost
   constants ``host_event_columns`` prices with),
@@ -34,7 +34,8 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.experiments import store
-from repro.gcalgo.columnar import CompiledTrace, TRACE_SCHEMA_VERSION
+from repro.gcalgo.columnar import TRACE_SCHEMA_VERSION
+from repro.gcalgo.trace import GCTrace
 
 #: Bump when the stored array tuples change meaning or layout for the
 #: same trace/kernel/parameters, so older entries are regenerated.
@@ -44,8 +45,8 @@ STAGE1_SCHEMA_VERSION = 1
 STATS = store.STAGE1.stats
 
 
-def trace_content_key(compiled: CompiledTrace) -> str:
-    """Content hash of a compiled trace (memoized on the trace).
+def trace_content_key(compiled: GCTrace) -> str:
+    """Content hash of a trace (memoized on the trace).
 
     Hashes the trace *content* — kind, heap size, phase names, schema
     version, and the raw bytes of the event columns — so the key is
@@ -120,7 +121,7 @@ def load(directory: Union[str, Path],
     return store.read(store.STAGE1, directory, key, _decode)
 
 
-def fetch(compiled: CompiledTrace, kernel_id: str, params: Sequence,
+def fetch(compiled: GCTrace, kernel_id: str, params: Sequence,
           produce: Callable[[], Sequence[np.ndarray]],
           directory: Union[str, Path, None] = None
           ) -> Tuple[np.ndarray, ...]:

@@ -10,7 +10,7 @@ from repro.core.area_power import (CHARON_AVG_POWER_W, CHARON_TOTAL_AREA_MM2,
                                    charon_area_report, charon_total_area,
                                    logic_layer_fraction,
                                    max_power_density_mw_per_mm2)
-from repro.experiments.runner import compiled_run_traces
+from repro.experiments.runner import collect_run
 from repro.gcalgo.mark_sweep import MarkSweepGC
 from repro.gcalgo.trace import Primitive
 from repro.units import GB, MB
@@ -61,7 +61,7 @@ def table1_demonstration(workload: str = "graphchi-cc"
       Count but never Copy (non-moving) or Search (no card scanning).
     """
     # Young generation: ParallelScavenge minors (Copy + Search).
-    minors = [t for t in compiled_run_traces(workload) if t.kind == "minor"]
+    minors = [t for t in collect_run(workload).traces if t.kind == "minor"]
     minor_counts = {
         "copy": sum(t.count(Primitive.COPY) for t in minors),
         "search": sum(t.count(Primitive.SEARCH) for t in minors),
@@ -96,7 +96,7 @@ def table1_demonstration(workload: str = "graphchi-cc"
     # The concurrent-marking demonstration: the registered synthetic
     # workload, so its (cached) traces are the same ones ``repro run
     # concurrent-mark`` replays.
-    concurrent = compiled_run_traces("concurrent-mark")
+    concurrent = collect_run("concurrent-mark").traces
     concurrent_counts = {
         primitive: sum(t.count(primitive) for t in concurrent)
         for primitive in Primitive

@@ -19,8 +19,7 @@ trace set serves the whole platform grid.
 Entries are the store's ``trace_cache`` namespace (``<sha256>.npz`` in
 the binary codec of :mod:`repro.gcalgo.trace_io`); see
 :mod:`repro.experiments.store`.  A hit builds the run from the entry's
-columns alone: the fast replayer reads them as they are, and nothing is
-decompiled to per-event objects unless a caller asks for ``run.traces``.
+columns alone, which the fast replayer reads as they are.
 """
 
 from __future__ import annotations
@@ -68,24 +67,22 @@ def run_cache_key(workload: str, config: SystemConfig) -> str:
 def store_run(directory: Union[str, Path], key: str, run: WorkloadRun
               ) -> Optional[Path]:
     """Write a captured run under ``key``; returns the entry path, or
-    None if the write failed.  Storing reads ``run.compiled``, so a
-    captured run compiles here, once."""
+    None if the write failed."""
     extra = {"run": {name: getattr(run, name) for name in _RUN_FIELDS}}
     return store.write(store.TRACES, directory, key,
-                       lambda temp: save_traces_npz(run.compiled, temp,
+                       lambda temp: save_traces_npz(run.traces, temp,
                                                     extra=extra))
 
 
 def _decode(path: Path) -> WorkloadRun:
-    compiled, extra = load_compiled(path)
-    return WorkloadRun(compiled=compiled, **dict(extra["run"]))
+    traces, extra = load_compiled(path)
+    return WorkloadRun(traces=traces, **dict(extra["run"]))
 
 
 def load_run(directory: Union[str, Path], key: str
              ) -> Optional[WorkloadRun]:
-    """Fetch ``key`` as a run holding the entry's columnar traces —
-    nothing is decompiled until something reads ``run.traces`` — or
-    ``None`` (also for a stale or unreadable entry)."""
+    """Fetch ``key`` as a run holding the entry's traces, or ``None``
+    (also for a stale or unreadable entry)."""
     return store.read(store.TRACES, directory, key, _decode)
 
 

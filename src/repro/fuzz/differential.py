@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.config import FuzzConfig, default_fuzz_config
 from repro.errors import (FuzzError, HeapError, InfeasibleSchedule,
                           OracleViolation)
@@ -126,15 +128,18 @@ def _assert_kernel_equivalence(collector: str,
             raise OracleViolation(
                 f"[{collector}] collection #{index} kind differs: "
                 f"{a.kind} vs {b.kind}")
-        if a.events != b.events:
-            for pos, (ea, eb) in enumerate(zip(a.events, b.events)):
+        if a.phase_names != b.phase_names \
+                or not np.array_equal(a.events, b.events):
+            for pos, (ea, eb) in enumerate(zip(a.iter_events(),
+                                               b.iter_events())):
                 if ea != eb:
                     raise OracleViolation(
                         f"[{collector}] collection #{index} ({a.kind}) "
                         f"event #{pos} differs: {ea} vs {eb}")
             raise OracleViolation(
                 f"[{collector}] collection #{index} ({a.kind}) event "
-                f"counts differ: {len(a.events)} vs {len(b.events)}")
+                f"streams differ: {len(a.events)} vs {len(b.events)} "
+                f"events, phases {a.phase_names} vs {b.phase_names}")
         if a.residuals != b.residuals:
             raise OracleViolation(
                 f"[{collector}] collection #{index} ({a.kind}) "

@@ -178,7 +178,10 @@ def check_trace_conservation(trace: GCTrace,
                              before: LiveSnapshot) -> None:
     """Assert the trace's bookkeeping laws against the pre-GC graph."""
     kind = trace.kind
-    copy_events = list(trace.events_of(Primitive.COPY))
+    of = {primitive: [] for primitive in Primitive}
+    for event in trace.iter_events():
+        of[event.primitive].append(event)
+    copy_events = of[Primitive.COPY]
     copied_bytes = sum(e.size_bytes for e in copy_events)
     if trace.bytes_copied != copied_bytes:
         raise OracleViolation(
@@ -215,13 +218,13 @@ def check_trace_conservation(trace: GCTrace,
     if trace.bytes_freed < 0:
         raise OracleViolation(f"{kind}: negative bytes_freed "
                               f"{trace.bytes_freed}")
-    for event in trace.events_of(Primitive.SCAN_PUSH):
+    for event in of[Primitive.SCAN_PUSH]:
         if not 0 <= event.pushes <= event.refs <= ARRAY_SCAN_CHUNK:
             raise OracleViolation(
                 f"{kind}: Scan&Push event refs={event.refs} "
                 f"pushes={event.pushes} violates "
                 f"0 <= pushes <= refs <= {ARRAY_SCAN_CHUNK}")
-    for event in trace.events_of(Primitive.BITMAP_COUNT):
+    for event in of[Primitive.BITMAP_COUNT]:
         if event.bits < 0:
             raise OracleViolation(f"{kind}: negative bitmap query")
         if event.bits_cached is not None \
@@ -229,13 +232,12 @@ def check_trace_conservation(trace: GCTrace,
             raise OracleViolation(
                 f"{kind}: bitmap cache walk {event.bits_cached} "
                 f"exceeds query of {event.bits} bits")
-    for event in trace.events_of(Primitive.SEARCH):
+    for event in of[Primitive.SEARCH]:
         if event.size_bytes <= 0:
             raise OracleViolation(f"{kind}: empty Search block")
 
-    mark_refs = sum(e.refs for e in trace.events
-                    if e.primitive is Primitive.SCAN_PUSH
-                    and is_marking_phase(e.phase))
+    mark_refs = sum(e.refs for e in of[Primitive.SCAN_PUSH]
+                    if is_marking_phase(e.phase))
     if kind in ("major", "sweep", "g1"):
         # Stop-the-world marking traverses exactly the reachable set,
         # so Scan&Push ref totals must equal the snapshot's out-degree
@@ -266,9 +268,8 @@ def check_trace_conservation(trace: GCTrace,
                 f"reference slots, live out-degree sum is "
                 f"{before.total_ref_slots}")
     if kind == "minor":
-        evac_refs = sum(e.refs for e in trace.events
-                        if e.primitive is Primitive.SCAN_PUSH
-                        and e.phase == "evacuate")
+        evac_refs = sum(e.refs for e in of[Primitive.SCAN_PUSH]
+                        if e.phase == "evacuate")
         # The scavenger evacuates every reachable young object, plus
         # possibly young objects kept alive only by dead old objects on
         # dirty cards — hence lower bounds, not equalities.

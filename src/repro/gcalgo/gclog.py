@@ -45,8 +45,8 @@ def format_gc_line(trace: GCTrace,
         parts.append(f", {trace.count(Primitive.BITMAP_COUNT)} "
                      "bitmap queries")
     if trace.kind == "concurrent":
-        pauses = len({event.phase for event in trace.events
-                      if event.phase.startswith("concurrent-mark")})
+        pauses = sum(name.startswith("concurrent-mark")
+                     for name in trace.phase_names)
         parts.append(f", {pauses} mark pauses")
     if seconds is not None:
         parts.append(f", {seconds:.6f} secs")

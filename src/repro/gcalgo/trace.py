@@ -1,19 +1,30 @@
 """Primitive traces: what a GC run looked like, platform-independently.
 
 Collectors record every invocation of the four offloadable primitives
-(Search, Copy, Scan&Push, Bitmap Count) as :class:`TraceEvent`\\ s with
+(Search, Copy, Scan&Push, Bitmap Count) into a :class:`GCTrace` with
 real addresses and sizes, and accumulate the *residual* work — pops,
 mark checks, allocation, linked-list walks — as per-phase instruction
 and byte counts (the paper explicitly keeps those on the host,
 Sec. 3.3).  The timing layer replays a :class:`GCTrace` on a platform
 model to produce durations, bandwidth and energy.
+
+A trace keeps its events as columns.  Each recording method appends one
+row tuple in :data:`EVENT_DTYPE` field order and interns the phase
+name; sealing the trace (:func:`repro.gcalgo.columnar.compile_trace`,
+which the first read of :attr:`GCTrace.events` runs) turns the rows into
+one structured array and drops them.  Phase structure is recovered as
+*runs* of consecutive events with the same phase id.
+:meth:`GCTrace.iter_events` is the one place a trace builds per-event
+:class:`TraceEvent` objects.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 
 class Primitive(enum.Enum):
@@ -32,6 +43,38 @@ PRIMITIVE_TYPE_CODES = {
     Primitive.SCAN_PUSH: 0x3,
     Primitive.BITMAP_COUNT: 0x4,
 }
+
+#: Primitive decoding (the packet type codes double as column codes).
+CODE_TO_PRIMITIVE: Dict[int, Primitive] = {
+    code: primitive for primitive, code in PRIMITIVE_TYPE_CODES.items()
+}
+
+_COPY, _SEARCH, _SCAN_PUSH, _BITMAP_COUNT = (
+    PRIMITIVE_TYPE_CODES[primitive] for primitive in
+    (Primitive.COPY, Primitive.SEARCH, Primitive.SCAN_PUSH,
+     Primitive.BITMAP_COUNT))
+
+#: ``bits_cached`` is Optional on a :class:`TraceEvent`; the column
+#: encodes "no cache hit" as -1 (real values are bit counts, never
+#: negative).
+NO_BITS_CACHED = -1
+
+EVENT_DTYPE = np.dtype([
+    ("prim", np.uint8),        # PRIMITIVE_TYPE_CODES value
+    ("phase", np.uint16),      # index into GCTrace.phase_names
+    ("src", np.int64),
+    ("dst", np.int64),
+    ("size_bytes", np.int64),
+    ("refs", np.int64),
+    ("pushes", np.int64),
+    ("bits", np.int64),
+    ("bits_cached", np.int64),  # NO_BITS_CACHED encodes None
+    ("found", np.uint8),
+])
+
+#: Run-stats counters every trace carries.
+STAT_FIELDS = ("objects_visited", "objects_copied", "bytes_copied",
+               "objects_promoted", "bytes_freed")
 
 
 @dataclass
@@ -80,15 +123,30 @@ class ResidualWork:
         self.bytes_accessed += bytes_accessed
 
 
+class _PhaseIds(dict):
+    """Phase name -> ``phase`` column id, interning a name the first
+    time an event records it."""
+
+    def __missing__(self, phase: str) -> int:
+        pid = self[phase] = len(self)
+        return pid
+
+
 class GCTrace:
-    """The full record of one collection."""
+    """The full record of one collection.
+
+    ``events`` is a structured array of :data:`EVENT_DTYPE` and
+    ``phase_names`` interns the phase strings its ``phase`` column
+    indexes into; reading either seals the trace, after which it records
+    nothing more.  ``residuals`` is insertion-ordered (the replayers
+    iterate it for residual-only phases).
+    """
 
     def __init__(self, kind: str, heap_bytes: int = 0) -> None:
         if kind not in ("minor", "major", "sweep", "g1", "concurrent"):
             raise ValueError(f"unknown GC kind {kind!r}")
         self.kind = kind
         self.heap_bytes = heap_bytes
-        self.events: List[TraceEvent] = []
         self.residuals: Dict[str, ResidualWork] = {}
         # Functional outcome summaries, filled by the collector.
         self.objects_visited = 0
@@ -96,70 +154,164 @@ class GCTrace:
         self.bytes_copied = 0
         self.objects_promoted = 0
         self.bytes_freed = 0
+        #: recorded rows and interned phases until the trace is sealed
+        #: (both None after).
+        self._rows: Optional[list] = []
+        self._phase_ids: Optional[_PhaseIds] = _PhaseIds()
+        self._events: Optional[np.ndarray] = None
+        self._phase_names: Tuple[str, ...] = ()
+        self._phase_runs: Optional[List[Tuple[str, int, int]]] = None
+        self._derived: Optional[Dict[str, np.ndarray]] = None
 
     # -- recording ---------------------------------------------------------
 
     def copy(self, phase: str, src: int, dst: int, size_bytes: int) -> None:
-        self.events.append(TraceEvent(Primitive.COPY, phase, src=src,
-                                      dst=dst, size_bytes=size_bytes))
+        self._rows.append((_COPY, self._phase_ids[phase], src, dst,
+                           size_bytes, 0, 0, 0, NO_BITS_CACHED, 0))
 
     def search(self, phase: str, start: int, length: int,
                found: bool) -> None:
-        self.events.append(TraceEvent(Primitive.SEARCH, phase, src=start,
-                                      size_bytes=length, found=found))
+        self._rows.append((_SEARCH, self._phase_ids[phase], start, 0,
+                           length, 0, 0, 0, NO_BITS_CACHED,
+                           1 if found else 0))
 
     def scan_push(self, phase: str, obj: int, refs: int,
                   pushes: int) -> None:
-        self.events.append(TraceEvent(Primitive.SCAN_PUSH, phase, src=obj,
-                                      refs=refs, pushes=pushes))
+        self._rows.append((_SCAN_PUSH, self._phase_ids[phase], obj, 0, 0,
+                           refs, pushes, 0, NO_BITS_CACHED, 0))
 
     def bitmap_count(self, phase: str, range_start: int, bits: int,
                      bits_cached: int = None) -> None:
-        self.events.append(TraceEvent(Primitive.BITMAP_COUNT, phase,
-                                      src=range_start, bits=bits,
-                                      bits_cached=bits_cached))
+        self._rows.append((_BITMAP_COUNT, self._phase_ids[phase],
+                           range_start, 0, 0, 0, 0, bits,
+                           NO_BITS_CACHED if bits_cached is None
+                           else bits_cached, 0))
 
     def residual(self, phase: str, instructions: float,
                  bytes_accessed: int = 0) -> None:
         self.residuals.setdefault(phase, ResidualWork()).add(
             instructions, bytes_accessed)
 
+    # -- the columns -------------------------------------------------------
+
+    def _seal(self, events: np.ndarray, phase_names: Tuple[str, ...]
+              ) -> None:
+        """Install the columns and drop the recording state (called by
+        :mod:`repro.gcalgo.columnar` only)."""
+        self._events = events
+        self._phase_names = phase_names
+        self._rows = self._phase_ids = None
+
+    def _sealed(self) -> "GCTrace":
+        if self._rows is not None:
+            from repro.gcalgo import columnar
+            columnar.compile_trace(self)
+        return self
+
+    @property
+    def events(self) -> np.ndarray:
+        return self._sealed()._events
+
+    @property
+    def phase_names(self) -> Tuple[str, ...]:
+        return self._sealed()._phase_names
+
+    def iter_events(self) -> Iterator[TraceEvent]:
+        """The events as :class:`TraceEvent` objects, in order.
+
+        The one place a trace builds per-event objects — for the
+        event-by-event replayer, the fuzz oracle and the unit tests;
+        every fast path reads the columns.
+        """
+        names = self.phase_names
+        for prim, phase, src, dst, size, refs, pushes, bits, cached, \
+                found in self.events.tolist():
+            yield TraceEvent(
+                CODE_TO_PRIMITIVE[prim], names[phase], src, dst, size,
+                refs, pushes, bits,
+                None if cached == NO_BITS_CACHED else cached, bool(found))
+
+    def phase_runs(self) -> List[Tuple[str, int, int]]:
+        """Maximal runs of consecutive same-phase events.
+
+        Returns ``(phase_name, start, stop)`` triples covering
+        ``events[start:stop]``, in order — the segmentation both
+        replayers walk.  Pure in the events, so it is computed once and
+        memoized (callers must not mutate the returned list).
+        """
+        runs = self._phase_runs
+        if runs is None:
+            ids = self.events["phase"]
+            if len(ids) == 0:
+                runs = []
+            else:
+                cuts = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
+                bounds = [0] + cuts + [len(ids)]
+                names = self.phase_names
+                runs = [(names[int(ids[lo])], lo, hi)
+                        for lo, hi in zip(bounds[:-1], bounds[1:])]
+            self._phase_runs = runs
+        return runs
+
+    def derived_columns(self) -> Dict[str, np.ndarray]:
+        """Config-independent per-event columns the replay kernels share.
+
+        Everything here is a pure function of the recorded events, so it
+        is computed once per trace and memoized (the trace cache hands
+        the same trace to every platform's replayer).  Platform-dependent
+        quantities (service times, cache models, energy) stay in the
+        kernels.
+        """
+        derived = self._derived
+        if derived is None:
+            ev = self.events
+            prim = ev["prim"]
+            size = ev["size_bytes"]
+            found = ev["found"] != 0
+            cached = ev["bits_cached"]
+            derived = {
+                "is_copy": prim == _COPY,
+                "is_search": prim == _SEARCH,
+                "is_scan": prim == _SCAN_PUSH,
+                "is_bitmap": prim == _BITMAP_COUNT,
+                "found": found,
+                # Bytes a search examines before clamping: half the range
+                # on a hit, the full range on a miss (host and device
+                # models clamp to different minima).
+                "search_examined": np.where(found, size // 2, size),
+                # Bitmap bits with the software-cache shortcut applied
+                # (NO_BITS_CACHED means the count really ran).
+                "eff_bits": np.where(cached == NO_BITS_CACHED,
+                                     ev["bits"], cached),
+            }
+            self._derived = derived
+        return derived
+
     # -- summaries ------------------------------------------------------------
 
-    def events_of(self, primitive: Primitive) -> Iterator[TraceEvent]:
-        return (e for e in self.events if e.primitive is primitive)
-
     def count(self, primitive: Primitive) -> int:
-        return sum(1 for _ in self.events_of(primitive))
-
-    def copy_bytes_total(self) -> int:
-        return sum(e.size_bytes for e in self.events_of(Primitive.COPY))
-
-    def search_bytes_total(self) -> int:
-        return sum(e.size_bytes for e in self.events_of(Primitive.SEARCH))
-
-    def scan_refs_total(self) -> int:
-        return sum(e.refs for e in self.events_of(Primitive.SCAN_PUSH))
-
-    def bitmap_bits_total(self) -> int:
-        return sum(e.bits for e in self.events_of(Primitive.BITMAP_COUNT))
-
-    def residual_instructions_total(self) -> float:
-        return sum(r.instructions for r in self.residuals.values())
+        return int(np.count_nonzero(
+            self.events["prim"] == PRIMITIVE_TYPE_CODES[primitive]))
 
     def summary(self) -> Dict[str, float]:
         """Compact description used by reports and tests."""
+        ev = self.events
+        prim = ev["prim"]
+        copies = prim == _COPY
+        scans = prim == _SCAN_PUSH
+        bitmaps = prim == _BITMAP_COUNT
         return {
             "kind": self.kind,
-            "events": len(self.events),
-            "copy_events": self.count(Primitive.COPY),
-            "copy_bytes": self.copy_bytes_total(),
-            "search_events": self.count(Primitive.SEARCH),
-            "scan_push_events": self.count(Primitive.SCAN_PUSH),
-            "scan_refs": self.scan_refs_total(),
-            "bitmap_events": self.count(Primitive.BITMAP_COUNT),
-            "bitmap_bits": self.bitmap_bits_total(),
-            "residual_instructions": self.residual_instructions_total(),
+            "events": len(ev),
+            "copy_events": int(copies.sum()),
+            "copy_bytes": int(ev["size_bytes"][copies].sum()),
+            "search_events": int((prim == _SEARCH).sum()),
+            "scan_push_events": int(scans.sum()),
+            "scan_refs": int(ev["refs"][scans].sum()),
+            "bitmap_events": int(bitmaps.sum()),
+            "bitmap_bits": int(ev["bits"][bitmaps].sum()),
+            "residual_instructions": sum(
+                work.instructions for work in self.residuals.values()),
             "objects_copied": self.objects_copied,
             "bytes_copied": self.bytes_copied,
             "objects_promoted": self.objects_promoted,

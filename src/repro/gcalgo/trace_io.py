@@ -7,15 +7,18 @@ once and replay it many times; this module round-trips
 * a compact **JSON** codec (events positionally, residuals and
   summaries as small maps) — human-greppable, version-controlled
   reproducers;
-* a **binary ``.npz``** codec that stores the columnar
-  :class:`~repro.gcalgo.columnar.CompiledTrace` arrays directly — the
-  capture-once/replay-many artifact the experiment pipeline and the
-  content-addressed trace cache use.  Loading it hands structured
-  arrays straight to the vectorized replayer without per-event Python
-  work.
+* a **binary ``.npz``** codec that stores a trace's event columns
+  directly — the capture-once/replay-many artifact the experiment
+  pipeline and the content-addressed trace cache use.  Loading it
+  hands structured arrays straight to the vectorized replayer without
+  per-event Python work.
 
-The binary layout is *chunked and streamed*: the writer compiles and
-serializes one trace at a time, splitting each trace's event array
+Both readers build their traces through
+:func:`~repro.gcalgo.columnar.trace_from_columns`, which rejects
+malformed columns with a :class:`~repro.errors.ConfigError`.
+
+The binary layout is *chunked and streamed*: the writer serializes one
+trace at a time, splitting each trace's event array
 into members of at most ``DEFAULT_TRACE_CHUNK_EVENTS`` events (a trace
 that fits one chunk keeps the original monolithic member name), so
 writing never holds more than one trace in RAM.  On the way back,
@@ -51,35 +54,35 @@ import numpy as np
 
 from repro.config import DEFAULT_TRACE_CHUNK_EVENTS
 from repro.errors import ConfigError
-from repro.gcalgo.columnar import (CODE_TO_PRIMITIVE, CompiledTrace,
-                                   EVENT_DTYPE, STAT_FIELDS,
-                                   TRACE_SCHEMA_VERSION, compile_trace)
-from repro.gcalgo.trace import GCTrace, Primitive, ResidualWork, TraceEvent
+from repro.gcalgo.columnar import TRACE_SCHEMA_VERSION, trace_from_columns
+from repro.gcalgo.trace import (CODE_TO_PRIMITIVE, EVENT_DTYPE, GCTrace,
+                                NO_BITS_CACHED, PRIMITIVE_TYPE_CODES,
+                                ResidualWork, STAT_FIELDS)
 
 FORMAT_VERSION = 1
 
 BINARY_FORMAT = "repro-gctrace-npz"
 
-#: positional event encoding:
+#: positional event encoding, one JSON row per event:
 #: [primitive, phase, src, dst, size, refs, pushes, bits, bits_cached,
-#:  found]
-_EVENT_FIELDS = ("src", "dst", "size_bytes", "refs", "pushes", "bits")
+#:  found] -- the EVENT_DTYPE fields, with the primitive and phase
+#: spelled out and ``null`` for NO_BITS_CACHED.
+_ROW_FIELDS = len(EVENT_DTYPE.names)
 
-#: ``_UNKNOWN_CODE[code]`` is True for every ``prim`` byte that names no
-#: primitive.
-_UNKNOWN_CODE = np.ones(256, dtype=bool)
-_UNKNOWN_CODE[list(CODE_TO_PRIMITIVE)] = False
+_CODE_OF_NAME = {primitive.value: code
+                 for primitive, code in PRIMITIVE_TYPE_CODES.items()}
 
 
 def trace_to_dict(trace: GCTrace) -> dict:
     """One trace as a JSON-ready dict."""
-    events = []
-    for event in trace.events:
-        row = [event.primitive.value, event.phase]
-        row.extend(getattr(event, name) for name in _EVENT_FIELDS)
-        row.append(event.bits_cached)
-        row.append(1 if event.found else 0)
-        events.append(row)
+    names = trace.phase_names
+    events = [
+        [CODE_TO_PRIMITIVE[prim].value, names[phase], src, dst, size,
+         refs, pushes, bits, None if cached == NO_BITS_CACHED else cached,
+         found]
+        for prim, phase, src, dst, size, refs, pushes, bits, cached, found
+        in trace.events.tolist()
+    ]
     return {
         "kind": trace.kind,
         "heap_bytes": trace.heap_bytes,
@@ -88,38 +91,38 @@ def trace_to_dict(trace: GCTrace) -> dict:
             phase: [work.instructions, work.bytes_accessed]
             for phase, work in trace.residuals.items()
         },
-        "stats": {
-            "objects_visited": trace.objects_visited,
-            "objects_copied": trace.objects_copied,
-            "bytes_copied": trace.bytes_copied,
-            "objects_promoted": trace.objects_promoted,
-            "bytes_freed": trace.bytes_freed,
-        },
+        "stats": {name: getattr(trace, name) for name in STAT_FIELDS},
     }
 
 
 def trace_from_dict(payload: dict) -> GCTrace:
     """Inverse of :func:`trace_to_dict`."""
-    trace = GCTrace(payload["kind"],
-                    heap_bytes=payload.get("heap_bytes", 0))
+    phase_ids: Dict[str, int] = {}
+    rows = []
     for row in payload["events"]:
-        primitive = Primitive(row[0])
-        values = dict(zip(_EVENT_FIELDS, row[2:2 + len(_EVENT_FIELDS)]))
-        trace.events.append(TraceEvent(
-            primitive=primitive, phase=row[1],
-            bits_cached=row[2 + len(_EVENT_FIELDS)],
-            found=bool(row[3 + len(_EVENT_FIELDS)]), **values))
-    for phase, (instructions, bytes_accessed) in \
-            payload.get("residuals", {}).items():
-        trace.residuals[phase] = ResidualWork(
-            instructions=instructions, bytes_accessed=bytes_accessed)
-    stats = payload.get("stats", {})
-    trace.objects_visited = stats.get("objects_visited", 0)
-    trace.objects_copied = stats.get("objects_copied", 0)
-    trace.bytes_copied = stats.get("bytes_copied", 0)
-    trace.objects_promoted = stats.get("objects_promoted", 0)
-    trace.bytes_freed = stats.get("bytes_freed", 0)
-    return trace
+        if len(row) != _ROW_FIELDS:
+            raise ConfigError(f"trace event row {row!r} has {len(row)} "
+                              f"fields, expected {_ROW_FIELDS}")
+        code = _CODE_OF_NAME.get(row[0])
+        if code is None:
+            raise ConfigError(f"trace event row names unknown primitive "
+                              f"{row[0]!r}")
+        cached = row[8]
+        rows.append((code, phase_ids.setdefault(row[1], len(phase_ids)),
+                     *row[2:8],
+                     NO_BITS_CACHED if cached is None else cached,
+                     1 if row[9] else 0))
+    return trace_from_columns(
+        payload["kind"], payload.get("heap_bytes", 0),
+        np.array(rows, dtype=EVENT_DTYPE), list(phase_ids),
+        _residuals(payload), **payload.get("stats", {}))
+
+
+def _residuals(stored: dict) -> Dict[str, ResidualWork]:
+    """A JSON document's or manifest entry's residuals, in order."""
+    return {phase: ResidualWork(instructions, bytes_accessed)
+            for phase, (instructions, bytes_accessed)
+            in stored.get("residuals", {}).items()}
 
 
 def save_traces(traces: Iterable[GCTrace],
@@ -146,8 +149,7 @@ def load_traces(path: Union[str, Path]) -> List[GCTrace]:
     """Read traces written by :func:`save_traces` (either format)."""
     path = Path(path)
     if path.suffix == ".npz":
-        compiled, _ = load_compiled(path)
-        return [trace.to_trace() for trace in compiled]
+        return load_compiled(path)[0]
     document = json.loads(path.read_text())
     if document.get("format") != "repro-gctrace":
         raise ConfigError(f"{path} is not a gctrace file")
@@ -172,14 +174,14 @@ def _write_member(archive: zipfile.ZipFile, name: str,
         np.lib.format.write_array(member, array, allow_pickle=False)
 
 
-def save_traces_npz(traces: Iterable[Union[GCTrace, CompiledTrace]],
+def save_traces_npz(traces: Iterable[GCTrace],
                     path: Union[str, Path],
                     extra: Optional[Dict[str, object]] = None,
                     chunk_events: int = DEFAULT_TRACE_CHUNK_EVENTS) -> int:
-    """Write traces as compiled columnar arrays; returns the event total.
+    """Write traces' event columns; returns the event total.
 
     The writer *streams*: ``traces`` may be any iterable (including a
-    generator), each trace is compiled and serialized as it arrives,
+    generator), each trace is serialized as it arrives,
     and its event array is split into members of at most
     ``chunk_events`` events (default
     :data:`repro.config.DEFAULT_TRACE_CHUNK_EVENTS`) — so peak memory
@@ -203,9 +205,7 @@ def save_traces_npz(traces: Iterable[Union[GCTrace, CompiledTrace]],
         with zipfile.ZipFile(temp, "w", zipfile.ZIP_DEFLATED,
                              allowZip64=True) as archive:
             for index, trace in enumerate(traces):
-                compiled = (trace if isinstance(trace, CompiledTrace)
-                            else compile_trace(trace))
-                events = compiled.events
+                events = trace.events
                 count = len(events)
                 chunks = max(1, math.ceil(count / chunk_events))
                 if chunks == 1:
@@ -216,18 +216,18 @@ def save_traces_npz(traces: Iterable[Union[GCTrace, CompiledTrace]],
                             archive, _event_key(index, j),
                             events[j * chunk_events:(j + 1) * chunk_events])
                 entries.append({
-                    "kind": compiled.kind,
-                    "heap_bytes": compiled.heap_bytes,
-                    "phases": list(compiled.phase_names),
+                    "kind": trace.kind,
+                    "heap_bytes": trace.heap_bytes,
+                    "phases": list(trace.phase_names),
                     "residuals": {
                         phase: [work.instructions, work.bytes_accessed]
-                        for phase, work in compiled.residuals.items()
+                        for phase, work in trace.residuals.items()
                     },
-                    "stats": {name: getattr(compiled, name)
+                    "stats": {name: getattr(trace, name)
                               for name in STAT_FIELDS},
                     "events": count,
                     "chunks": chunks,
-                    "summary": compiled.summary(),
+                    "summary": trace.summary(),
                 })
                 total += count
             manifest = {
@@ -262,8 +262,7 @@ def _validated_manifest(archive, path: Path) -> dict:
     return manifest
 
 
-def _compiled_of(archive, path: Path, index: int,
-                 entry: dict) -> CompiledTrace:
+def _trace_of(archive, path: Path, index: int, entry: dict) -> GCTrace:
     """Materialize one manifest entry's trace from its chunk members."""
     chunks = int(entry.get("chunks", 1))
     if chunks <= 1:
@@ -281,32 +280,18 @@ def _compiled_of(archive, path: Path, index: int,
         raise ConfigError(
             f"{path} trace {index} declares {declared} events but "
             f"stores {len(events)}; regenerate the trace")
-    # Every replayer indexes primitives by code, so an unknown code is
-    # rejected here, once, for every reader of the file.
-    present = np.bincount(events["prim"], minlength=256) > 0
-    unknown = np.flatnonzero(present & _UNKNOWN_CODE)
-    if len(unknown):
-        raise ConfigError(
-            f"{path} trace {index} has unknown primitive code "
-            f"{int(unknown[0])}; regenerate the trace")
-    residuals = {
-        phase: ResidualWork(instructions=instructions,
-                            bytes_accessed=bytes_accessed)
-        for phase, (instructions, bytes_accessed)
-        in entry.get("residuals", {}).items()
-    }
-    return CompiledTrace(
+    return trace_from_columns(
         entry["kind"], entry.get("heap_bytes", 0), events,
-        entry.get("phases", []), residuals,
-        **entry.get("stats", {}))
+        entry.get("phases", []), _residuals(entry),
+        source=f"{path} trace {index}", **entry.get("stats", {}))
 
 
 _NPZ_ERRORS = (ValueError, KeyError, OSError, zipfile.BadZipFile)
 
 
 def load_compiled(path: Union[str, Path]
-                  ) -> Tuple[List[CompiledTrace], Dict[str, object]]:
-    """Read a binary trace file as compiled arrays.
+                  ) -> Tuple[List[GCTrace], Dict[str, object]]:
+    """Read a binary trace file's traces, their events as columns.
 
     Returns ``(traces, extra)`` where ``extra`` is whatever dict
     :func:`save_traces_npz` stored (empty if none).  Raises
@@ -317,7 +302,7 @@ def load_compiled(path: Union[str, Path]
     try:
         with np.load(path, allow_pickle=False) as archive:
             manifest = _validated_manifest(archive, path)
-            traces = [_compiled_of(archive, path, index, entry)
+            traces = [_trace_of(archive, path, index, entry)
                       for index, entry
                       in enumerate(manifest["traces"])]
             return traces, manifest.get("extra", {})
@@ -326,8 +311,7 @@ def load_compiled(path: Union[str, Path]
                           f"{exc}") from exc
 
 
-def stream_compiled(path: Union[str, Path]
-                    ) -> Iterator[CompiledTrace]:
+def stream_compiled(path: Union[str, Path]) -> Iterator[GCTrace]:
     """Yield a binary trace file's traces one at a time.
 
     A generator over the same content :func:`load_compiled` returns,
@@ -340,7 +324,7 @@ def stream_compiled(path: Union[str, Path]
         with np.load(path, allow_pickle=False) as archive:
             manifest = _validated_manifest(archive, path)
             for index, entry in enumerate(manifest["traces"]):
-                yield _compiled_of(archive, path, index, entry)
+                yield _trace_of(archive, path, index, entry)
     except _NPZ_ERRORS as exc:
         raise ConfigError(f"{path} is not a readable gctrace file: "
                           f"{exc}") from exc
@@ -365,7 +349,7 @@ def load_summaries(path: Union[str, Path]) -> List[Dict[str, object]]:
     """Per-trace summaries without loading the event stream.
 
     Files written since the chunked layout carry each trace's
-    :meth:`~repro.gcalgo.columnar.CompiledTrace.summary` in the
+    :meth:`~repro.gcalgo.trace.GCTrace.summary` in the
     manifest; older files fall back to materializing one trace at a
     time (still never the whole file).
     """
@@ -377,16 +361,11 @@ def load_summaries(path: Union[str, Path]) -> List[Dict[str, object]]:
             for index, entry in enumerate(manifest["traces"]):
                 summary = entry.get("summary")
                 if summary is None:  # pre-chunking file
-                    summary = _compiled_of(archive, path, index,
-                                           entry).summary()
+                    summary = _trace_of(archive, path, index,
+                                        entry).summary()
                 summaries.append(summary)
             return summaries
     except _NPZ_ERRORS as exc:
         raise ConfigError(f"{path} is not a readable gctrace file: "
                           f"{exc}") from exc
 
-
-def load_traces_npz(path: Union[str, Path]) -> List[GCTrace]:
-    """Read a binary trace file back as :class:`GCTrace` objects."""
-    compiled, _ = load_compiled(path)
-    return [trace.to_trace() for trace in compiled]

@@ -1,7 +1,7 @@
 """Replay kernels: one protocol, two families.
 
-:class:`~repro.platform.fast_replay.FastTraceReplayer` costs a compiled
-trace through the kernel :func:`kernel_for` picks for a platform and a
+:class:`~repro.platform.fast_replay.FastTraceReplayer` costs a trace's
+event columns through the kernel :func:`kernel_for` picks for a platform and a
 GC thread count.  Every kernel provides ``name``, ``begin(compiled)``
 (stage 1, once per trace), ``run_phase(lo, hi, start, prim_seconds) ->
 (barrier, busy)`` (stage 2, once per phase run) and
@@ -19,7 +19,7 @@ GC thread count.  Every kernel provides ``name``, ``begin(compiled)``
 
 The batched kernels work in two stages:
 
-* **stage 1** (:meth:`begin`) precomputes, over the compiled trace's
+* **stage 1** (:meth:`begin`) precomputes, over the trace's event
   columns, every order-independent per-event quantity — primitive
   classification, per-resource byte reservations and service times,
   latency/MLP/issue bound constants, request/response packet chains,
@@ -69,9 +69,9 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
-from repro.gcalgo.columnar import (CODE_TO_PRIMITIVE, CompiledTrace,
-                                   PRIMITIVE_TYPE_CODES)
-from repro.gcalgo.trace import Primitive, is_marking_phase
+from repro.gcalgo.trace import (CODE_TO_PRIMITIVE, GCTrace,
+                                PRIMITIVE_TYPE_CODES, Primitive,
+                                is_marking_phase)
 from repro.platform import native
 from repro.units import CACHE_LINE, HMC_MAX_REQUEST, WORD
 
@@ -84,9 +84,8 @@ CHUNK_EVENTS = 4096
 #: with the trace's.
 PLAN_BLOCK_ROWS = 2048
 
-def _prim_index(compiled: CompiledTrace
-                ) -> Tuple[List[Primitive], np.ndarray]:
-    """``(keys, per-event key index)`` for a compiled trace.
+def _prim_index(compiled: GCTrace) -> Tuple[List[Primitive], np.ndarray]:
+    """``(keys, per-event key index)`` for a trace.
 
     Stage 2 accumulates per-primitive durations into a small array
     indexed by these ids instead of hashing enum members per event;
@@ -112,10 +111,10 @@ def _prim_index(compiled: CompiledTrace
     return hit
 
 
-def _kernel_memo(compiled: CompiledTrace) -> Dict:
+def _kernel_memo(compiled: GCTrace) -> Dict:
     """Per-trace memo for trace-pure stage-1 products.
 
-    The trace cache hands the same :class:`CompiledTrace` to every
+    The trace cache hands the same :class:`GCTrace` to every
     platform's replayer, so anything that depends only on the trace (or
     on a hashable parameter key) is computed once per trace instead of
     once per ``begin``.  This memo is the in-process front of the
@@ -383,7 +382,7 @@ class _Lanes:
             self.acc_reqs[i] = 0
 
 
-def host_event_columns(compiled: CompiledTrace, costs, ipc_hz: float,
+def host_event_columns(compiled: GCTrace, costs, ipc_hz: float,
                        hit_lat: float):
     """Per-event host-cost columns shared by the host-executed kernels.
 
@@ -396,7 +395,7 @@ def host_event_columns(compiled: CompiledTrace, costs, ipc_hz: float,
     short-request lane (everything except bulk copies).
 
     Pure in the trace and the listed cost parameters, so results are
-    memoized on the trace keyed by those parameters (the same compiled
+    memoized on the trace keyed by those parameters (the same
     trace replays on several platforms and, in benchmarks, repeatedly).
     The cached arrays are frozen read-only; kernels index them but
     never write.
@@ -426,7 +425,7 @@ def host_event_columns(compiled: CompiledTrace, costs, ipc_hz: float,
     return compute, miss, dep, priority
 
 
-def _compute_host_columns(compiled: CompiledTrace, costs,
+def _compute_host_columns(compiled: GCTrace, costs,
                           ipc_hz: float, hit_lat: float):
     """The actual :func:`host_event_columns` precompute (the producer
     behind the memo and the stage-1 cache)."""
@@ -542,7 +541,7 @@ class ClosedFormKernel:
         self._durations = None
         self._codes = None
 
-    def begin(self, compiled: CompiledTrace) -> None:
+    def begin(self, compiled: GCTrace) -> None:
         self._durations = self.price(compiled)
         self._codes = compiled.events["prim"]
 
@@ -559,7 +558,7 @@ class ClosedFormKernel:
         return start + span, (span if self.host_executed else 0.0)
 
 
-def _zero_durations(compiled: CompiledTrace) -> np.ndarray:
+def _zero_durations(compiled: GCTrace) -> np.ndarray:
     """The ideal platform: offloaded primitives take zero cycles and
     generate no memory traffic."""
     return np.zeros(len(compiled.events), dtype=np.float64)
@@ -591,7 +590,7 @@ class _DDR4Streams:
         self.ch_latency = channel.latency  # == ResourcePath.latency here
         self.ch_mlp = max(1.0, core.mlp / self.n_ch)
 
-    def columns(self, compiled: CompiledTrace):
+    def columns(self, compiled: GCTrace):
         """``(compute, miss, share, service, a_term, b_term, priority)``
         per event — ``share`` is the rounded bytes each channel serves,
         and a stream's latency bound is ``a_term + b_term`` past its
@@ -613,7 +612,7 @@ class _DDR4Streams:
                 channel.account_bulk(total, count)
         return compute, miss, r_i, service, a_term, b_term, priority
 
-    def durations(self, compiled: CompiledTrace) -> np.ndarray:
+    def durations(self, compiled: GCTrace) -> np.ndarray:
         """Single-thread event durations in closed form.
 
         With one GC thread the thread's clock is always at or past every
@@ -737,7 +736,7 @@ class _HostBatchedKernel:
         self._sums = None
         self._tid = np.zeros(0, dtype=np.int32)
 
-    def _freeze(self, compiled: CompiledTrace, compute: np.ndarray,
+    def _freeze(self, compiled: GCTrace, compute: np.ndarray,
                 tid: np.ndarray, templates: Sequence[Tuple],
                 streams: Sequence[Tuple]) -> None:
         """Flatten one trace's plans into the stage-2 argument block.
@@ -807,7 +806,7 @@ class DDR4BatchedKernel(_HostBatchedKernel):
                           self.lanes.slot(ch, True))
                          for ch in self.streams.channels]
 
-    def begin(self, compiled: CompiledTrace) -> None:
+    def begin(self, compiled: GCTrace) -> None:
         compute, miss, r_i, service, a_term, b_term, priority = \
             self.streams.columns(compiled)
         tid = np.full(len(miss), -1, dtype=np.int32)
@@ -895,7 +894,7 @@ class HostHMCBatchedKernel(_HostBatchedKernel):
             self._plan_cache[key] = plan
         return plan
 
-    def begin(self, compiled: CompiledTrace) -> None:
+    def begin(self, compiled: GCTrace) -> None:
         compute, miss, dep, priority = host_event_columns(
             compiled, self.costs, self.ipc_hz, self.hit_lat)
         self.map.refresh()
@@ -1039,7 +1038,7 @@ class _PlanState:
     ``begin`` applies it."""
 
     def __init__(self, kernel: "CharonBatchedKernel",
-                 compiled: CompiledTrace) -> None:
+                 compiled: GCTrace) -> None:
         self.compiled = compiled
         self.ev = compiled.events
         self.derived = compiled.derived_columns()
@@ -1373,7 +1372,7 @@ class CharonBatchedKernel:
                     np.array([held[k] for k in keys] + [0], dtype=np.int64)))
         return self._tlb_keys
 
-    def begin(self, compiled: CompiledTrace) -> None:
+    def begin(self, compiled: GCTrace) -> None:
         """Plan every event of ``compiled``; a trace the event path
         would fault on raises its first fault before any counter
         moves."""
@@ -1708,7 +1707,7 @@ class CharonBatchedKernel:
         _deposit((self._path(c, t)[0], nbytes, streams)
                  for (c, t), (nbytes, streams) in state.pairs.items())
 
-    def _freeze(self, compiled: CompiledTrace, tid: np.ndarray,
+    def _freeze(self, compiled: GCTrace, tid: np.ndarray,
                 lines: _Lines) -> None:
         """Flatten this trace's plan into :attr:`plan` (the columns
         stage 2 reads) and the stage-2 argument block."""

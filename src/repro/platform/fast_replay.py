@@ -3,8 +3,8 @@
 The event-by-event :class:`~repro.platform.replay.TraceReplayer` walks
 every :class:`~repro.gcalgo.trace.TraceEvent` through Python attribute
 dispatch; for large traces the *timing layer* dominates experiment
-runtime.  :class:`FastTraceReplayer` costs a whole
-:class:`~repro.gcalgo.columnar.CompiledTrace` through the replay kernel
+runtime.  :class:`FastTraceReplayer` costs the event columns of a whole
+:class:`~repro.gcalgo.trace.GCTrace` through the replay kernel
 :func:`~repro.platform.batched.kernel_for` picks for the platform and
 GC thread count — closed-form for ``ideal`` and single-thread
 ``cpu-ddr4``, batched-stateful everywhere else (see
@@ -22,11 +22,10 @@ accounting (~n*eps).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.config import REPLAY_MODES
 from repro.errors import ConfigError
-from repro.gcalgo.columnar import CompiledTrace, compile_trace
 from repro.gcalgo.trace import GCTrace, Primitive
 from repro.obs.tracer import get_tracer
 from repro.platform.base import Platform
@@ -38,10 +37,8 @@ __all__ = ["FastTraceReplayer", "make_replayer"]
 
 
 class FastTraceReplayer(TraceReplayer):
-    """Kernel-driven replay of compiled traces.
+    """Kernel-driven replay of a trace's event columns.
 
-    Accepts :class:`GCTrace` or :class:`CompiledTrace` inputs (objects
-    are compiled on the fly; feed compiled traces to skip that cost).
     Residual (non-offloadable) phase work still goes through the real
     :meth:`HostCostModel.residual_seconds` scalar path in phase order,
     so its resource accounting — and on HMC-backed platforms its
@@ -56,10 +53,7 @@ class FastTraceReplayer(TraceReplayer):
         self._kernel = kernel_for(platform, self.threads)
         self.kernel_name = self._kernel.name
 
-    def replay(self, trace: Union[GCTrace, CompiledTrace]
-               ) -> GCTimingResult:
-        compiled = (trace if isinstance(trace, CompiledTrace)
-                    else compile_trace(trace))
+    def replay(self, trace: GCTrace) -> GCTimingResult:
         platform = self.platform
         kernel = self._kernel
         started = perf_counter()
@@ -80,17 +74,17 @@ class FastTraceReplayer(TraceReplayer):
         before = self._snapshot()
         # Stage 1: plans and bulk accounting for the whole trace (after
         # the snapshot so counter deltas attribute to this GC).
-        kernel.begin(compiled)
+        kernel.begin(trace)
 
         now = work_start
-        runs = compiled.phase_runs()
+        runs = trace.phase_runs()
         for name, lo, hi in runs:
             phase_start = now
             barrier, busy = kernel.run_phase(lo, hi, now,
                                              primitive_seconds)
             host_busy += busy
             now = barrier
-            work = compiled.residuals.get(name)
+            work = trace.residuals.get(name)
             if work is not None:
                 share = platform.cost_model.residual_seconds(
                     now, work, self._residual_threads)
@@ -100,13 +94,13 @@ class FastTraceReplayer(TraceReplayer):
             platform.phase_end(name)
             if obs is not None:
                 obs.add_span(name, phase_start, now - phase_start,
-                             cat="phase", args={"gc": compiled.kind,
+                             cat="phase", args={"gc": trace.kind,
                                                 "events": hi - lo})
 
         # Residual-only phases that had no events (e.g. summary), in
         # the trace's insertion order — same as the event-by-event path.
         seen = {name for name, _, _ in runs}
-        for name, work in compiled.residuals.items():
+        for name, work in trace.residuals.items():
             if name in seen:
                 continue
             share = platform.cost_model.residual_seconds(
@@ -115,20 +109,20 @@ class FastTraceReplayer(TraceReplayer):
             host_busy += share * self._residual_threads
             if obs is not None:
                 obs.add_span(name, now, share, cat="phase",
-                             args={"gc": compiled.kind, "events": 0})
+                             args={"gc": trace.kind, "events": 0})
             now += share
             platform.phase_end(name)
 
         if obs is not None:
-            obs.add_span(f"{compiled.kind} gc", gc_start, now - gc_start,
+            obs.add_span(f"{trace.kind} gc", gc_start, now - gc_start,
                          cat="gc",
                          args={"platform": platform.name,
-                               "events": len(compiled.events)})
+                               "events": len(trace.events)})
         self.clock = now
-        result = self._package(compiled.kind, gc_start, now,
+        result = self._package(trace.kind, gc_start, now,
                                flush_seconds, primitive_seconds,
                                residual_seconds, host_busy, before)
-        self._note_replay(len(compiled.events), perf_counter() - started,
+        self._note_replay(len(trace.events), perf_counter() - started,
                           chunks=kernel.chunks_processed - chunks_before)
         return result
 

@@ -231,12 +231,9 @@ class TraceReplayer:
 
     @staticmethod
     def _phases(trace: GCTrace) -> List[Tuple[str, List[TraceEvent]]]:
-        phases: List[Tuple[str, List[TraceEvent]]] = []
-        for event in trace.events:
-            if not phases or phases[-1][0] != event.phase:
-                phases.append((event.phase, []))
-            phases[-1][1].append(event)
-        return phases
+        events = list(trace.iter_events())
+        return [(name, events[lo:hi])
+                for name, lo, hi in trace.phase_runs()]
 
     def _energy(self, wall: float, host_busy: float, memory_j: float,
                 charon_busy: float) -> PlatformEnergy:

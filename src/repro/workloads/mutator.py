@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.errors import OutOfMemoryError
-from repro.gcalgo.columnar import CompiledTrace, compile_traces
+from repro.gcalgo import columnar
 from repro.gcalgo.mark_compact import MajorGC
 from repro.gcalgo.mark_sweep import MarkSweepGC
 from repro.gcalgo.parallel_scavenge import MinorGC
@@ -59,20 +59,18 @@ class Handle:
 class WorkloadRun:
     """Everything a finished workload run produced.
 
-    The columnar :attr:`compiled` list is the run's one in-memory trace
-    form: a trace-cache hit builds the run from the columns alone, and a
-    captured run compiles once, on the first read after capture ends.
-    :attr:`traces` — the per-event objects that only the event-by-event
-    oracle, the fuzzer and the JSON codec read — materialises from the
-    columns on first access and is kept.
+    :attr:`traces` holds one sealed :class:`GCTrace` per collection:
+    assigning or recording a trace seals it
+    (:func:`~repro.gcalgo.columnar.compile_trace`), so a run keeps its
+    events as columns only, whether it was captured or read from the
+    trace cache.
     """
 
     def __init__(self, name: str, heap_bytes: int,
                  traces: Optional[List[GCTrace]] = None,
                  allocated_bytes: int = 0, allocated_objects: int = 0,
                  mutator_seconds: float = 0.0, minor_count: int = 0,
-                 major_count: int = 0, sweep_count: int = 0,
-                 compiled: Optional[List[CompiledTrace]] = None) -> None:
+                 major_count: int = 0, sweep_count: int = 0) -> None:
         self.name = name
         self.heap_bytes = heap_bytes
         self.allocated_bytes = allocated_bytes
@@ -81,36 +79,23 @@ class WorkloadRun:
         self.minor_count = minor_count
         self.major_count = major_count
         self.sweep_count = sweep_count
-        self._compiled = compiled
-        self._traces = (list(traces) if traces is not None
-                        else None if compiled is not None else [])
+        self.traces = traces or []
 
     @property
     def traces(self) -> List[GCTrace]:
-        if self._traces is None:
-            self._traces = [trace.to_trace() for trace in self._compiled]
         return self._traces
 
     @traces.setter
     def traces(self, traces: List[GCTrace]) -> None:
-        self._traces = list(traces)
-        self._compiled = None
-
-    @property
-    def compiled(self) -> List[CompiledTrace]:
-        if self._compiled is None:
-            self._compiled = compile_traces(self._traces)
-        return self._compiled
+        self._traces = [columnar.compile_trace(trace) for trace in traces]
 
     def record(self, trace: GCTrace) -> None:
-        """Append a just-collected trace (drops any compiled form)."""
-        self.traces.append(trace)
-        self._compiled = None
+        """Append a just-collected trace, sealed."""
+        self._traces.append(columnar.compile_trace(trace))
 
     @property
     def gc_count(self) -> int:
-        return len(self._traces if self._traces is not None
-                   else self._compiled)
+        return len(self._traces)
 
 
 class MutatorDriver:

@@ -16,9 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtectionFault
-from repro.gcalgo.columnar import (CompiledTrace, PRIMITIVE_TYPE_CODES,
-                                   compile_traces)
-from repro.gcalgo.trace import Primitive
+from repro.gcalgo.columnar import trace_from_columns
+from repro.gcalgo.trace import PRIMITIVE_TYPE_CODES, STAT_FIELDS, Primitive
 from repro.mem.vm import VirtualMemory
 from repro.platform.batched import BITMAP, SCAN, _CubeMap, _key
 from repro.platform.fast_replay import FastTraceReplayer
@@ -46,12 +45,12 @@ OVERFLOWING = (2 ** 63 - 1) // 2654435761 + 1
 
 @pytest.fixture(scope="module")
 def traces(mixed_run, g1_traces_session, concurrent_traces_session):
-    """The golden trace sets, compiled, by kind."""
+    """The golden trace sets, by kind."""
     by_kind = {kind: [t for t in mixed_run.traces if t.kind == kind]
                for kind in ("minor", "major", "sweep")}
     by_kind["g1"] = g1_traces_session
     by_kind["concurrent"] = concurrent_traces_session
-    return {kind: compile_traces(found) for kind, found in by_kind.items()}
+    return by_kind
 
 
 class Pair:
@@ -76,7 +75,7 @@ class Pair:
         (``False`` when both raised the same fault)."""
         before = counters(self.fast_platform)
         try:
-            want = self.slow.replay(compiled.to_trace())
+            want = self.slow.replay(compiled)
         except ProtectionFault as slow_fault:
             with pytest.raises(ProtectionFault) as fast_fault:
                 self.fast.replay(compiled)
@@ -99,11 +98,10 @@ def mutated(compiled, rows, **fields):
     events = compiled.events.copy()
     for name, value in fields.items():
         events[name][rows] = value
-    stats = {name: getattr(compiled, name) for name in
-             ("objects_visited", "objects_copied", "bytes_copied",
-              "objects_promoted", "bytes_freed")}
-    return CompiledTrace(compiled.kind, compiled.heap_bytes, events,
-                         compiled.phase_names, compiled.residuals, **stats)
+    stats = {name: getattr(compiled, name) for name in STAT_FIELDS}
+    return trace_from_columns(compiled.kind, compiled.heap_bytes, events,
+                              compiled.phase_names, compiled.residuals,
+                              **stats)
 
 
 def first_row(compiled, code, **minimums):

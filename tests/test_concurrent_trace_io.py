@@ -15,6 +15,7 @@ Re-bless (only for intentional trace-shape changes)::
     bless_golden()"
 """
 
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ import pytest
 from repro.gcalgo.concurrent_mark import ConcurrentMarkGC
 from repro.gcalgo.gclog import format_gc_line, format_gc_log
 from repro.gcalgo.trace_io import (load_traces, save_traces,
-                                   trace_to_dict)
+                                   save_traces_npz, trace_to_dict)
 from repro.platform import TraceReplayer
 
 from tests.conftest import make_heap, platform_for
@@ -97,6 +98,17 @@ class TestGoldenStability:
         assert "GC cycle (concurrent mark)" in line
         assert "mark pauses" in line
 
+    def test_event_bytes_match_golden(self, fresh_trace, tmp_path):
+        """The event member's bytes pin the column layout: recording
+        order, dtype and phase interning.  (Only that member: the
+        golden manifest predates ``chunk_events``.)"""
+        path = tmp_path / "fresh.gctrace.npz"
+        save_traces_npz([fresh_trace], path)
+        member = "events_00000.npy"
+        with zipfile.ZipFile(path) as fresh, \
+                zipfile.ZipFile(GOLDEN_PATH) as golden:
+            assert fresh.read(member) == golden.read(member)
+
     def test_generation_is_deterministic(self, fresh_trace):
         assert trace_to_dict(make_golden_cycle()) == \
             trace_to_dict(fresh_trace)
@@ -126,10 +138,7 @@ class TestCodecRoundTrips:
 
 class TestTooling:
     def test_phase_structure(self, golden_trace):
-        phases = []
-        for event in golden_trace.events:
-            if not phases or phases[-1] != event.phase:
-                phases.append(event.phase)
+        phases = [name for name, _, _ in golden_trace.phase_runs()]
         # Interleaved pauses precede the final stop-the-world drain.
         assert phases[0].startswith(("barrier-", "concurrent-mark-"))
         assert "final-mark" in phases

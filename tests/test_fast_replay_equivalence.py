@@ -26,8 +26,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.gcalgo.columnar import compile_traces
 from repro.gcalgo.trace import Primitive
+from repro.gcalgo.trace_io import load_compiled, save_traces_npz
 from repro.obs.metrics import global_metrics
 from repro.platform.fast_replay import FastTraceReplayer, make_replayer
 from repro.platform.replay import TraceReplayer
@@ -170,9 +170,8 @@ class TestGoldenEquivalence:
         fast_platform, _, _ = platform_for(platform_name)
         slow = TraceReplayer(slow_platform, threads=threads)
         fast = FastTraceReplayer(fast_platform, threads=threads)
-        compiled = compile_traces(traces)
-        for trace, columnar in zip(traces, compiled):
-            fast_result = fast.replay(columnar)
+        for trace in traces:
+            fast_result = fast.replay(trace)
             assert_equivalent(fast_result, slow.replay(trace))
             assert fast_result.replay_kernel == \
                 expected_kernel(platform_name, threads)
@@ -189,22 +188,24 @@ class TestGoldenEquivalence:
         fast_platform, _, _ = platform_for(platform_name)
         slow = TraceReplayer(slow_platform, threads=threads)
         fast = FastTraceReplayer(fast_platform, threads=threads)
-        compiled = compile_traces(tiny_spark_run.traces)
-        assert_equivalent(fast.replay_all(compiled),
+        assert_equivalent(fast.replay_all(tiny_spark_run.traces),
                           slow.replay_all(tiny_spark_run.traces))
 
     @pytest.mark.parametrize("platform_name",
                              ["cpu-hmc", "charon", "ideal"])
     def test_object_and_compiled_inputs_agree(self, mixed_run,
-                                              platform_name):
-        """FastTraceReplayer accepts GCTrace too, compiling on the fly."""
+                                              platform_name, tmp_path):
+        """A captured trace and its columns read back from a binary
+        trace file replay alike."""
         trace = mixed_run.traces[0]
+        path = tmp_path / "trace.gctrace.npz"
+        save_traces_npz([trace], path)
         a_platform, _, _ = platform_for(platform_name)
         b_platform, _, _ = platform_for(platform_name)
-        from_objects = FastTraceReplayer(a_platform).replay(trace)
-        from_compiled = FastTraceReplayer(b_platform).replay(
-            compile_traces([trace])[0])
-        assert_equivalent(from_objects, from_compiled)
+        captured = FastTraceReplayer(a_platform).replay(trace)
+        loaded = FastTraceReplayer(b_platform).replay(
+            load_compiled(path)[0][0])
+        assert_equivalent(captured, loaded)
 
 
 class TestModeSelection:
@@ -275,7 +276,7 @@ class TestKernelMetrics:
         chunks = scope.counter("kernel_chunks", "", **labels)
         before_events, before_chunks = events.value, chunks.value
         trace = mixed_run.traces[0]
-        FastTraceReplayer(platform).replay(compile_traces([trace])[0])
+        FastTraceReplayer(platform).replay(trace)
         assert events.value == before_events + len(trace.events)
         assert chunks.value > before_chunks
         per_sec = scope.gauge("kernel_events_per_sec", "", **labels)
@@ -295,18 +296,16 @@ class TestSpeedup:
 
     def test_closed_form_at_least_5x(self, tiny_spark_run):
         """cpu-ddr4 with one GC thread measures ~12x here; best-of-5
-        timing keeps scheduler noise out of the comparison, and the
-        compile step is excluded (the pipeline compiles once per run).
+        timing keeps scheduler noise out of the comparison.
         """
         traces = tiny_spark_run.traces
-        compiled = compile_traces(traces)
         slow = self.best_of(
             lambda: TraceReplayer(platform_for("cpu-ddr4")[0], threads=1),
             traces)
         fast = self.best_of(
             lambda: FastTraceReplayer(platform_for("cpu-ddr4")[0],
                                       threads=1),
-            compiled)
+            traces)
         assert slow >= 5.0 * fast, (
             f"fast path only {slow / fast:.1f}x faster "
             f"({slow * 1e3:.2f}ms vs {fast * 1e3:.2f}ms)")
@@ -318,7 +317,6 @@ class TestSpeedup:
         scripts/bench_replay_kernels.py); the in-suite floor is 3x so
         a loaded CI machine cannot flake the build."""
         traces = tiny_spark_run.traces
-        compiled = compile_traces(traces)
         slow = self.best_of(
             lambda: TraceReplayer(platform_for(platform_name)[0],
                                   threads=8),
@@ -326,7 +324,7 @@ class TestSpeedup:
         fast = self.best_of(
             lambda: FastTraceReplayer(platform_for(platform_name)[0],
                                       threads=8),
-            compiled)
+            traces)
         assert slow >= 3.0 * fast, (
             f"{platform_name} batched kernel only {slow / fast:.1f}x "
             f"faster ({slow * 1e3:.2f}ms vs {fast * 1e3:.2f}ms)")
@@ -336,7 +334,6 @@ def test_primitive_seconds_zero_on_ideal(mixed_run):
     """The ideal platform's offloaded primitives are free — the fast
     path must report exact zeros, not merely small numbers."""
     platform, _, _ = platform_for("ideal")
-    result = FastTraceReplayer(platform).replay_all(
-        compile_traces(mixed_run.traces))
+    result = FastTraceReplayer(platform).replay_all(mixed_run.traces)
     for primitive in Primitive:
         assert result.primitive_seconds.get(primitive, 0.0) == 0.0

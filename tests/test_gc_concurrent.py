@@ -183,7 +183,7 @@ class TestTraceShape:
         gc.mark_step(budget=10)
         gc.mark_step(budget=10)
         trace = gc.collect()
-        phases = {event.phase for event in trace.events}
+        phases = set(trace.phase_names)
         assert "concurrent-mark-0" in phases
         assert "concurrent-mark-1" in phases
 

@@ -166,8 +166,9 @@ class TestG1Trace:
     def test_liveness_accounting_via_bitmap_count(self, g1, heap):
         build_chain(g1, heap, 300)
         trace = g1.collect()
-        liveness = [e for e in trace.events_of(Primitive.BITMAP_COUNT)
-                    if e.phase == "liveness"]
+        liveness = [e for e in trace.iter_events()
+                    if e.primitive is Primitive.BITMAP_COUNT
+                    and e.phase == "liveness"]
         # One count per non-free region at mark time.
         assert len(liveness) >= 1
         assert all(e.bits == g1.region_bytes // 8 for e in liveness)

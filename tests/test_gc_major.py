@@ -184,23 +184,26 @@ class TestMajorTrace:
         heap.set_field(a, 0, b.addr)
         heap.roots.append(a.addr)
         trace = MajorGC(heap).collect()
-        marks = [e for e in trace.events_of(Primitive.SCAN_PUSH)
-                 if e.phase == "mark"]
+        marks = [e for e in trace.iter_events()
+                 if e.primitive is Primitive.SCAN_PUSH
+                 and e.phase == "mark"]
         assert len(marks) == 2  # both Nodes scanned
 
     def test_bitmap_events_have_bits(self, heap):
         populate_old(heap, dead_every=2)
         trace = MajorGC(heap).collect()
-        for event in trace.events_of(Primitive.BITMAP_COUNT):
+        for event in trace.iter_events():
+            if event.primitive is not Primitive.BITMAP_COUNT:
+                continue
             assert event.bits >= 0
             assert event.phase in ("adjust", "compact")
 
     def test_compact_queries_use_software_cache(self, heap):
         populate_old(heap, dead_every=2)
         trace = MajorGC(heap).collect()
-        compact_events = [e for e in
-                          trace.events_of(Primitive.BITMAP_COUNT)
-                          if e.phase == "compact"]
+        compact_events = [e for e in trace.iter_events()
+                          if e.primitive is Primitive.BITMAP_COUNT
+                          and e.phase == "compact"]
         cached = [e for e in compact_events
                   if e.bits_cached is not None]
         # Sequential compaction queries hit the software cache.

@@ -177,7 +177,8 @@ class TestCardTableIntegration:
     def test_search_events_cover_card_table(self, heap):
         build_chain(heap, 10)
         trace = MinorGC(heap).collect()
-        searched = trace.search_bytes_total()
+        searched = sum(e.size_bytes for e in trace.iter_events()
+                       if e.primitive is Primitive.SEARCH)
         assert searched == heap.card_table.num_cards
 
 
@@ -186,7 +187,7 @@ class TestTraceContents:
         build_chain(heap, 42)
         trace = MinorGC(heap).collect()
         assert trace.count(Primitive.COPY) == 42
-        assert trace.copy_bytes_total() == trace.bytes_copied
+        assert trace.summary()["copy_bytes"] == trace.bytes_copied
 
     def test_scan_push_only_for_ref_objects(self, heap):
         arr = heap.new_object("typeArray", length=512)
@@ -199,14 +200,15 @@ class TestTraceContents:
         arr = heap.new_object("objArray", length=200)
         heap.roots.append(arr.addr)
         trace = MinorGC(heap).collect()
-        scans = list(trace.events_of(Primitive.SCAN_PUSH))
+        scans = [e for e in trace.iter_events()
+                 if e.primitive is Primitive.SCAN_PUSH]
         assert len(scans) == 4  # 200 refs in chunks of 50
         assert sum(e.refs for e in scans) == 200
 
     def test_residual_recorded(self, heap):
         build_chain(heap, 10)
         trace = MinorGC(heap).collect()
-        assert trace.residual_instructions_total() > 0
+        assert trace.summary()["residual_instructions"] > 0
         assert "drain" in trace.residuals
 
 

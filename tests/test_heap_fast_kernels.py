@@ -207,7 +207,8 @@ class TestBatchedAllocation:
         assert run_a.allocated_bytes == run_b.allocated_bytes
         assert len(run_a.traces) == len(run_b.traces) >= 1
         for a, b in zip(run_a.traces, run_b.traces):
-            assert a.kind == b.kind and a.events == b.events
+            assert a.kind == b.kind and a.phase_names == b.phase_names
+            assert np.array_equal(a.events, b.events)
             assert a.residuals == b.residuals
 
 

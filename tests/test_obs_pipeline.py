@@ -18,7 +18,6 @@ import time
 
 import pytest
 
-from repro.gcalgo.columnar import compile_traces
 from repro.experiments.store import CACHES
 from repro.obs.adapters import device_metrics, hmc_metrics, timing_metrics
 from repro.obs.export import (METRICS_SCHEMA_VERSION, metrics_csv,
@@ -62,8 +61,7 @@ def test_event_replay_spans_cover_sim_time(tracing, mixed_run,
 def test_fast_replay_spans_cover_sim_time(tracing, tiny_spark_run):
     platform, _, _ = platform_for("cpu-ddr4")
     replayer = FastTraceReplayer(platform, threads=1)
-    compiled = compile_traces(tiny_spark_run.traces)
-    result = replayer.replay_all(compiled)
+    result = replayer.replay_all(tiny_spark_run.traces)
     assert _sim_gc_coverage(tracing, result) >= 0.95
 
 
@@ -112,15 +110,13 @@ def test_disabled_tracing_overhead_under_5_percent(
     possibly be — and the real disabled path must stay within 5% of
     it (min-of-N timing, retried to shrug off scheduler noise).
     """
-    compiled = compile_traces(tiny_spark_run.traces)
-
     def measure(repeats=7):
         best = float("inf")
         for _ in range(repeats):
             platform, _, _ = platform_for("cpu-ddr4")
             replayer = FastTraceReplayer(platform, threads=1)
             start = time.perf_counter()
-            replayer.replay_all(compiled)
+            replayer.replay_all(tiny_spark_run.traces)
             best = min(best, time.perf_counter() - start)
         return best
 

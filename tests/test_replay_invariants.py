@@ -30,7 +30,8 @@ from repro.config import default_fuzz_config
 from repro.errors import ProtectionFault
 from repro.fuzz.differential import run_schedule
 from repro.fuzz.generator import build_schedule
-from repro.gcalgo.columnar import CompiledTrace, compile_traces
+from repro.gcalgo.columnar import trace_from_columns
+from repro.gcalgo.trace import STAT_FIELDS
 from repro.platform.fast_replay import make_replayer
 from repro.sim.resources import FluidResource
 
@@ -94,7 +95,7 @@ def replay(name, threads, traces, mode="fast"):
 @given(schedules)
 @SETTINGS
 def test_ideal_is_a_lower_bound(schedule):
-    traces = compile_traces(fuzz_traces(*schedule))
+    traces = fuzz_traces(*schedule)
     for threads in THREADS:
         walls = {name: replay(name, threads, traces).wall_seconds
                  for name in PLATFORMS}
@@ -105,7 +106,7 @@ def test_ideal_is_a_lower_bound(schedule):
 @given(schedules)
 @SETTINGS
 def test_resource_roofline(schedule):
-    traces = compile_traces(fuzz_traces(*schedule))
+    traces = fuzz_traces(*schedule)
     for name in PLATFORMS:
         for threads in THREADS:
             platform, _, _ = platform_for(name, heap_bytes=FUZZ.heap_bytes)
@@ -122,17 +123,16 @@ def test_resource_roofline(schedule):
 @SETTINGS
 def test_fast_matches_event(schedule):
     traces = fuzz_traces(*schedule)
-    compiled = compile_traces(traces)
     for name in PLATFORMS:
         for threads in THREADS:
-            assert_equivalent(replay(name, threads, compiled),
+            assert_equivalent(replay(name, threads, traces),
                               replay(name, threads, traces, mode="event"))
 
 
 @given(schedules)
 @SETTINGS
 def test_fresh_replays_are_bit_identical(schedule):
-    traces = compile_traces(fuzz_traces(*schedule))
+    traces = fuzz_traces(*schedule)
     for name in PLATFORMS:
         for threads in THREADS:
             assert replay(name, threads, traces) \
@@ -146,11 +146,10 @@ def unmapped_sources(compiled, edge, every=3):
     events = compiled.events.copy()
     events["src"][::every] = 1 << 46
     events["src"][1::every] = edge
-    stats = {name: getattr(compiled, name) for name in
-             ("objects_visited", "objects_copied", "bytes_copied",
-              "objects_promoted", "bytes_freed")}
-    return CompiledTrace(compiled.kind, compiled.heap_bytes, events,
-                         compiled.phase_names, compiled.residuals, **stats)
+    stats = {name: getattr(compiled, name) for name in STAT_FIELDS}
+    return trace_from_columns(compiled.kind, compiled.heap_bytes, events,
+                              compiled.phase_names, compiled.residuals,
+                              **stats)
 
 
 def mapped_edge(name):
@@ -175,11 +174,9 @@ def test_faulting_ranges_match_event(schedule, threads):
                  "charon-distributed"):
         edge = mapped_edge(name)
         traces = [unmapped_sources(trace, edge) for trace
-                  in compile_traces(fuzz_traces(*schedule))]
+                  in fuzz_traces(*schedule)]
         try:
-            want = replay(name, threads, [trace.to_trace()
-                                          for trace in traces],
-                          mode="event")
+            want = replay(name, threads, traces, mode="event")
         except ProtectionFault as fault:
             assert name != "cpu-hmc"
             with pytest.raises(ProtectionFault) as fast_fault:
@@ -191,7 +188,7 @@ def test_faulting_ranges_match_event(schedule, threads):
 
 def test_cells_cover_every_kernel():
     """The suite's cells reach every replay kernel."""
-    traces = compile_traces(fuzz_traces(0, "major"))
+    traces = fuzz_traces(0, "major")
     kernels = {replay(name, threads, traces).replay_kernel
                for name in PLATFORMS for threads in THREADS}
     assert kernels == {"closed-form", "ddr4-batched", "hmc-batched",

@@ -23,7 +23,6 @@ from repro.config import (SHARD_JOURNAL_ENV, TRACE_CACHE_ENV,
 from repro.experiments import (shard_journal, stage1_cache, store,
                                trace_cache)
 from repro.experiments.runner import clear_cache, replay_grid
-from repro.gcalgo.columnar import compile_traces
 from repro.gcalgo.trace_io import trace_to_dict
 
 from tests.conftest import SMALL_HEAP_BYTES, make_mixed_run
@@ -48,7 +47,7 @@ def isolated(monkeypatch):
 
 
 def mixed_compiled():
-    return compile_traces(make_mixed_run().traces)[0]
+    return make_mixed_run().traces[0]
 
 
 def capture_traces(directory: Path):

@@ -100,7 +100,7 @@ class TestStoreLoad:
         path = store_run(tmp_path, key, mixed_run)
         assert path.exists() and path.suffix == ".npz"
         loaded = load_run(tmp_path, key)
-        assert len(loaded.compiled) == len(mixed_run.traces)
+        assert len(loaded.traces) == len(mixed_run.traces)
         assert trace_dicts(loaded) == trace_dicts(mixed_run)
         for name in trace_cache._RUN_FIELDS:
             assert getattr(loaded, name) == getattr(mixed_run, name)
@@ -125,8 +125,8 @@ class TestFetchRun:
     def test_miss_generates_and_stores(self, tmp_path):
         run = fetch_run(WORKLOAD, small_config(), make_mixed_run,
                         directory=tmp_path)
-        # Freshly generated: the store compiled each trace once.
-        assert len(run.compiled) == len(run.traces)
+        # Freshly generated: every trace held sealed, as columns.
+        assert all(trace._rows is None for trace in run.traces)
         assert run.sweep_count == 1
         assert len(list(tmp_path.glob("*.npz"))) == 1
         assert trace_cache.STATS["misses"] == 1
@@ -143,7 +143,7 @@ class TestFetchRun:
 
         run = fetch_run(WORKLOAD, small_config(), exploding_producer,
                         directory=tmp_path)
-        assert run.gc_count == len(run.compiled) > 0
+        assert run.gc_count == len(run.traces) > 0
         assert trace_cache.STATS["hits"] == 1
 
     def test_warm_fetch_counts_no_miss(self, tmp_path):
@@ -177,7 +177,7 @@ class TestFetchRun:
         with pytest.warns(UserWarning, match="stale"):
             run = fetch_run(WORKLOAD, small_config(), make_mixed_run,
                             directory=tmp_path)
-        assert len(run.compiled) == len(run.traces)  # regenerated
+        assert run.gc_count == len(run.traces) > 0  # regenerated
         assert trace_cache.STATS["stale"] == 1
         assert trace_cache.STATS["generated"] == 2
         # The regenerated entry (written under the bumped version) hits.
@@ -195,7 +195,6 @@ class TestInterleavedReuse:
                              directory=tmp_path)
         cached = fetch_run(WORKLOAD, small_config(), make_mixed_run,
                            directory=tmp_path)
-        compiled = cached.compiled
         live = make_mixed_run()  # a fresh collector execution
         served = fetch_run(WORKLOAD, small_config(),
                            lambda: pytest.fail("should hit"),
@@ -204,8 +203,6 @@ class TestInterleavedReuse:
         assert trace_dicts(captured) == golden
         assert trace_dicts(cached) == golden
         assert trace_dicts(served) == golden
-        # The compiled columnar copies decompile to the same traces.
-        assert [trace_to_dict(t.to_trace()) for t in compiled] == golden
 
     def test_clear_empties_the_directory(self, tmp_path):
         fetch_run(WORKLOAD, small_config(), make_mixed_run,

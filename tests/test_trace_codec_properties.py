@@ -1,8 +1,8 @@
 """Property tests for the trace codecs (JSON and binary columnar).
 
-Hypothesis generates arbitrary traces — any primitive mix, phase
-interleaving, residuals, stats counters — and both codecs must
-round-trip them field-for-field.  Version or format tampering must be
+Hypothesis records arbitrary traces through the recording methods —
+any primitive mix, phase interleaving, residuals, stats counters — and
+sealing and both codecs must round-trip them field-for-field.  Version or format tampering must be
 rejected loudly with :class:`ConfigError`, never half-read.
 """
 
@@ -28,19 +28,41 @@ from repro.gcalgo.trace_io import (load_compiled, load_manifest,
 PHASES = ("setup", "root", "mark", "evacuate", "drain", "sweep",
           "summary")
 
-events = st.builds(
-    TraceEvent,
-    primitive=st.sampled_from(list(Primitive)),
-    phase=st.sampled_from(PHASES),
-    src=st.integers(0, 2**40),
-    dst=st.integers(0, 2**40),
-    size_bytes=st.integers(0, 2**32),
-    refs=st.integers(0, 10_000),
-    pushes=st.integers(0, 10_000),
-    bits=st.integers(0, 1_000_000),
-    bits_cached=st.one_of(st.none(), st.integers(0, 1_000_000)),
-    found=st.booleans(),
+phases = st.sampled_from(PHASES)
+addresses = st.integers(0, 2**40)
+
+#: One recording-method call: ``(method, phase, *arguments)``.
+recordings = st.one_of(
+    st.tuples(st.just("copy"), phases, addresses, addresses,
+              st.integers(0, 2**32)),
+    st.tuples(st.just("search"), phases, addresses,
+              st.integers(0, 2**32), st.booleans()),
+    st.tuples(st.just("scan_push"), phases, addresses,
+              st.integers(0, 10_000), st.integers(0, 10_000)),
+    st.tuples(st.just("bitmap_count"), phases, addresses,
+              st.integers(0, 1_000_000),
+              st.one_of(st.none(), st.integers(0, 1_000_000))),
 )
+
+
+def recorded_event(method, phase, src, first, second):
+    """The event one recording call stands for."""
+    if method == "copy":
+        return TraceEvent(Primitive.COPY, phase, src=src, dst=first,
+                          size_bytes=second)
+    if method == "search":
+        return TraceEvent(Primitive.SEARCH, phase, src=src,
+                          size_bytes=first, found=second)
+    if method == "scan_push":
+        return TraceEvent(Primitive.SCAN_PUSH, phase, src=src,
+                          refs=first, pushes=second)
+    return TraceEvent(Primitive.BITMAP_COUNT, phase, src=src, bits=first,
+                      bits_cached=second)
+
+
+def record(trace, calls):
+    for method, *arguments in calls:
+        getattr(trace, method)(*arguments)
 
 
 @st.composite
@@ -48,7 +70,7 @@ def traces(draw):
     trace = GCTrace(draw(st.sampled_from(["minor", "major", "sweep",
                                           "g1"])),
                     heap_bytes=draw(st.integers(0, 2**40)))
-    trace.events = draw(st.lists(events, max_size=30))
+    record(trace, draw(st.lists(recordings, max_size=30)))
     for phase in draw(st.lists(st.sampled_from(PHASES), unique=True,
                                max_size=4)):
         trace.residuals[phase] = ResidualWork(
@@ -63,10 +85,12 @@ trace_lists = st.lists(traces(), max_size=3)
 
 
 class TestRoundTripProperties:
-    @given(trace=traces())
-    def test_compile_round_trip(self, trace):
-        assert trace_to_dict(compile_trace(trace).to_trace()) \
-            == trace_to_dict(trace)
+    @given(calls=st.lists(recordings, max_size=30))
+    def test_compile_round_trip(self, calls):
+        trace = GCTrace("major")
+        record(trace, calls)
+        assert list(compile_trace(trace).iter_events()) \
+            == [recorded_event(*call) for call in calls]
 
     @settings(max_examples=25, deadline=None)
     @given(batch=trace_lists)
@@ -123,12 +147,12 @@ class TestChunkedLayout:
             reference, _ = load_compiled(mono)
             streamed = list(stream_compiled(chunked))
             summaries = load_summaries(chunked)
-        assert [trace_to_dict(t.to_trace()) for t in eager] \
-            == [trace_to_dict(t.to_trace()) for t in reference]
+        assert [trace_to_dict(t) for t in eager] \
+            == [trace_to_dict(t) for t in reference]
         for left, right in zip(eager, reference):
             assert np.array_equal(left.events, right.events)
-        assert [trace_to_dict(t.to_trace()) for t in streamed] \
-            == [trace_to_dict(t.to_trace()) for t in eager]
+        assert [trace_to_dict(t) for t in streamed] \
+            == [trace_to_dict(t) for t in eager]
         assert summaries == [t.summary() for t in reference]
 
     def test_single_chunk_keeps_monolithic_member_name(self, tmp_path,

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +11,10 @@ from repro.core.report import (device_summary, full_report,
 from repro.errors import ConfigError
 from repro.gcalgo.mark_compact import MajorGC
 from repro.gcalgo.parallel_scavenge import MinorGC
-from repro.gcalgo.trace import GCTrace, Primitive, TraceEvent
+from repro.gcalgo.trace import GCTrace, Primitive
 from repro.gcalgo.trace_io import (load_traces, save_traces,
-                                   trace_from_dict, trace_to_dict)
+                                   save_traces_npz, trace_from_dict,
+                                   trace_to_dict)
 from repro.platform import TraceReplayer
 
 from tests.conftest import make_heap, platform_for
@@ -31,6 +33,11 @@ def real_traces():
     return traces
 
 
+def same_events(a, b):
+    return (a.phase_names == b.phase_names
+            and np.array_equal(a.events, b.events))
+
+
 class TestTraceRoundtrip:
     def test_dict_roundtrip_preserves_everything(self):
         trace = GCTrace("major", heap_bytes=123)
@@ -46,7 +53,7 @@ class TestTraceRoundtrip:
         assert restored.kind == "major"
         assert restored.heap_bytes == 123
         assert len(restored.events) == 4
-        assert restored.events == trace.events
+        assert same_events(restored, trace)
         assert restored.residuals["setup"].instructions == 1000.0
         assert restored.objects_copied == 1
 
@@ -58,7 +65,7 @@ class TestTraceRoundtrip:
         restored = load_traces(path)
         assert len(restored) == len(traces)
         for original, back in zip(traces, restored):
-            assert back.events == original.events
+            assert same_events(back, original)
             assert back.summary() == original.summary()
 
     def test_replay_of_loaded_traces_identical(self, tmp_path):
@@ -97,11 +104,73 @@ class TestTraceRoundtrip:
     def test_arbitrary_events_roundtrip(self, rows):
         trace = GCTrace("minor")
         for primitive, src, size, refs in rows:
-            trace.events.append(TraceEvent(
-                primitive, "p", src=src, size_bytes=size, refs=refs,
-                pushes=min(refs, 3), bits=size % 513))
+            phase = f"p{refs % 3}"
+            if primitive is Primitive.COPY:
+                trace.copy(phase, src, src + size, size)
+            elif primitive is Primitive.SEARCH:
+                trace.search(phase, src, size, found=refs % 2 == 0)
+            elif primitive is Primitive.SCAN_PUSH:
+                trace.scan_push(phase, src, refs, min(refs, 3))
+            else:
+                trace.bitmap_count(phase, src, size % 513,
+                                   bits_cached=None if refs % 2
+                                   else refs % 7)
         restored = trace_from_dict(trace_to_dict(trace))
-        assert restored.events == trace.events
+        assert same_events(restored, trace)
+
+
+def one_phase_trace():
+    trace = GCTrace("minor", heap_bytes=16 << 20)
+    trace.copy("evacuate", 0x1000, 0x2000, 64)
+    trace.copy("evacuate", 0x1040, 0x2040, 64)
+    return trace
+
+
+def json_with_row(path, edit):
+    save_traces([one_phase_trace()], path)
+    document = json.loads(path.read_text())
+    edit(document["traces"][0]["events"][0])
+    path.write_text(json.dumps(document))
+
+
+def npz_with_phase_id(path, phase_id):
+    save_traces_npz([one_phase_trace()], path)
+    with np.load(path) as archive:
+        members = {key: archive[key] for key in archive.files}
+    members["events_00000"]["phase"][1] = phase_id
+    np.savez(path, **members)
+
+
+def teleport(row):
+    row[0] = "teleport"
+
+
+def three_fields(row):
+    del row[3:]
+
+
+@pytest.mark.parametrize("suffix,write,mode,message", [
+    (".json", lambda path: json_with_row(path, teleport), "fast",
+     "unknown primitive 'teleport'"),
+    (".json", lambda path: json_with_row(path, three_fields), "fast",
+     "has 3 fields, expected 10"),
+    (".npz", lambda path: npz_with_phase_id(path, 5), "fast",
+     "trace 0 has phase id 5 but 1 phase names"),
+    (".npz", lambda path: npz_with_phase_id(path, 5), "event",
+     "trace 0 has phase id 5 but 1 phase names"),
+], ids=["json-unknown-primitive", "json-short-row", "npz-phase-id-fast",
+        "npz-phase-id-event"])
+def test_malformed_trace_file_is_a_config_error(tmp_path, suffix, write,
+                                                mode, message):
+    """``repro replay`` reports a malformed trace file as a
+    ConfigError, never a traceback from deep inside a replayer."""
+    from repro.cli import main
+
+    path = tmp_path / f"bad.gctrace{suffix}"
+    write(path)
+    with pytest.raises(ConfigError, match=message):
+        main(["replay", str(path), "--platform", "charon",
+              "--mode", mode])
 
 
 class TestDeviceReport:

@@ -113,60 +113,77 @@ class TestStage1Cache:
         assert stats["stores"] == 1  # only the corrupted entry rebuilt
 
 
+def forbid_event_objects(monkeypatch):
+    """Make building per-event objects, or replaying event by event,
+    fail the test."""
+    from repro.gcalgo.trace import GCTrace
+    from repro.platform.replay import TraceReplayer
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep built per-event trace objects or "
+                             "replayed a trace event by event")
+
+    monkeypatch.setattr(GCTrace, "iter_events", forbidden)
+    monkeypatch.setattr(TraceReplayer, "replay", forbidden)
+
+
 class TestColumnsAreTheRun:
-    """A trace-cache hit holds columns only: a warm sweep never builds
-    per-event objects, and ``run.traces`` builds them once, on demand."""
+    """A run holds columns only: a sweep, cold or warm, never builds
+    per-event objects, and a trace-cache hit holds the entry's
+    columns."""
 
     def test_warm_sweep_never_decompiles(self, monkeypatch):
-        from repro.experiments import figures, trace_cache
-        from repro.gcalgo.columnar import CompiledTrace
-        from repro.platform.replay import TraceReplayer
+        from repro.experiments import figures
 
         names = ["spark-km", "graphchi-als"]
         for name in names:
             runner.collect_run(name)  # fills the trace cache
         clear_cache()
         trace_cache.STATS.reset()
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a warm sweep decompiled a trace or "
-                                 "replayed it event by event")
-
-        monkeypatch.setattr(CompiledTrace, "to_trace", forbidden)
-        monkeypatch.setattr(TraceReplayer, "replay", forbidden)
+        forbid_event_objects(monkeypatch)
         grid = replay_grid(figures.FIG12_PLATFORMS, names, processes=1)
         assert len(grid) == len(figures.FIG12_PLATFORMS) * len(names)
         assert figures.figure4(["spark-km"])
         assert trace_cache.STATS["hits"] == len(names)
         assert trace_cache.STATS["generated"] == 0
 
-    def test_hit_materialises_traces_once_on_demand(self, monkeypatch):
-        from repro.gcalgo.columnar import CompiledTrace
+    def test_cold_sweep_never_builds_event_objects(self, monkeypatch):
+        from repro.experiments import figures
+
+        trace_cache.STATS.reset()
+        forbid_event_objects(monkeypatch)
+        grid = replay_grid(figures.FIG12_PLATFORMS, [WORKLOAD],
+                           processes=1)
+        assert len(grid) == len(figures.FIG12_PLATFORMS)
+        assert trace_cache.STATS["generated"] == 1
+
+    def test_captured_run_holds_no_event_objects(self):
+        import gc
+
+        from repro.gcalgo.trace import TraceEvent
+
+        trace_cache.STATS.reset()
+        run = runner.collect_run("spark-bs")
+        assert trace_cache.STATS["generated"] == 1
+        assert all(trace._rows is None for trace in run.traces)
+        gc.collect()
+        assert not any(isinstance(thing, TraceEvent)
+                       for thing in gc.get_objects())
+
+    def test_hit_holds_the_entry_columns(self):
         from repro.gcalgo.trace_io import trace_to_dict
 
         captured = runner.collect_run(WORKLOAD)
         clear_cache()
-        decode = CompiledTrace.to_trace
-        decoded = []
-
-        def counting(trace):
-            decoded.append(trace)
-            return decode(trace)
-
-        monkeypatch.setattr(CompiledTrace, "to_trace", counting)
         run = runner.collect_run(WORKLOAD)
         assert run is not captured
         assert run.gc_count == len(captured.traces)
         assert (run.minor_count, run.major_count) \
             == (captured.minor_count, captured.major_count)
-        assert decoded == []
-        traces = run.traces
-        assert decoded == run.compiled
-        assert run.traces is traces
-        assert len(decoded) == run.gc_count
-        eager = [trace_to_dict(decode(trace)) for trace in run.compiled]
-        assert [trace_to_dict(trace) for trace in traces] == eager
-        assert eager == [trace_to_dict(t) for t in captured.traces]
+        assert run.traces is run.traces
+        assert all(trace._rows is None for trace in run.traces)
+        assert [trace_to_dict(trace) for trace in run.traces] \
+            == [trace_to_dict(trace) for trace in captured.traces]
 
 
 class TestSerialFallback:
@@ -194,7 +211,6 @@ class TestWorkerCrash:
         if not runner._fork_available():
             pytest.skip("no fork start method on this platform")
         runner.collect_run(WORKLOAD)
-        runner.compiled_run_traces(WORKLOAD)
 
         def boom(*args, **kwargs):
             raise RuntimeError("injected cell failure")

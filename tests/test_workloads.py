@@ -163,9 +163,9 @@ class TestTinyWorkloadRuns:
         assert "minor" in kinds
 
     def test_spark_copy_dominated(self, tiny_spark_run):
-        copies = sum(t.copy_bytes_total() for t in run_traces(
+        copies = sum(t.summary()["copy_bytes"] for t in run_traces(
             tiny_spark_run))
-        refs = sum(t.scan_refs_total() for t in run_traces(
+        refs = sum(t.summary()["scan_refs"] for t in run_traces(
             tiny_spark_run))
         # Spark demographics: big arrays, few references.
         assert copies > 50 * refs
@@ -173,12 +173,13 @@ class TestTinyWorkloadRuns:
     def test_graph_run_shape(self, tiny_graph_run):
         run = tiny_graph_run
         assert run.minor_count >= 1
-        assert sum(t.scan_refs_total() for t in run.traces) > 1000
+        assert sum(t.summary()["scan_refs"] for t in run.traces) > 1000
 
     def test_graph_cards_exercised(self, tiny_graph_run):
         searches = sum(
             1 for t in tiny_graph_run.traces
-            for e in t.events_of(Primitive.SEARCH) if e.found)
+            for e in t.iter_events()
+            if e.primitive is Primitive.SEARCH and e.found)
         assert searches > 0
 
     def test_traces_alternate_consistently(self, tiny_graph_run):
@@ -194,7 +195,7 @@ class TestTinyWorkloadRuns:
         assert {t.kind for t in run.traces} == {"concurrent"}
         # Interleaved cycles: mark pauses beyond the final drain, and
         # barrier traffic from the mid-chain unlinks.
-        phases = {e.phase for t in run.traces for e in t.events}
+        phases = {p for t in run.traces for p in t.phase_names}
         assert any(p.startswith("concurrent-mark-") for p in phases)
         assert any(p.startswith("barrier-") for p in phases)
 
