@@ -163,7 +163,7 @@ def _check_equivalence(name: str, seed: int):
         if a.kind != b.kind or a.phase_names != b.phase_names \
                 or not np.array_equal(a.events, b.events):
             return f"{name}: trace #{index} events differ"
-        if a.residuals != b.residuals:
+        if list(a.residuals.items()) != list(b.residuals.items()):
             return f"{name}: trace #{index} residuals differ"
         if a.summary() != b.summary():
             return f"{name}: trace #{index} summaries differ"

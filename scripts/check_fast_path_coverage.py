@@ -7,8 +7,9 @@ platform configuration (the five named platforms plus ``charon
 --distributed``) through ``make_replayer``'s default ``fast`` mode at
 each of the 1/2/4/8 GC-thread counts the paper sweeps, then fails if
 
-* the compiled stage-2 loop (``repro.platform.native``: gcc builds
-  ``_stage2.c`` and ``ctypes`` loads it) does not build or load,
+* the compiled kernel library (``repro.platform.native``: gcc builds
+  ``_stage2.c`` and ``_scavenge.c`` into one library and ``ctypes``
+  loads it) does not build or load,
 * kernel selection raised for any platform x thread cell (no replay
   kernel models it), or
 * any replay result reports ``replay_kernel == "event"``.
@@ -77,24 +78,26 @@ def main() -> int:
                                 make_g1_traces, make_mixed_run,
                                 platform_for)
 
+    failures = [f"production module uses the event path: {found}"
+                for found in event_path_references()]
+    if not failures:
+        print("production modules: no TraceReplayer, no .iter_events(")
+
+    # First, because fast capture below needs the library too.
+    try:
+        native.library()
+    except (ReproError, OSError) as exc:
+        print(f"fast-path coverage: the compiled kernel library did not "
+              f"build or load: {exc}", file=sys.stderr)
+        return 1
+    print("kernel library (stage 2, scavenge): built and loaded")
+
     trace_sets = {
         "spark-bs": TinySpark().run().traces,
         "mixed": make_mixed_run().traces,
         "g1": make_g1_traces(),
         "concurrent": make_concurrent_traces(),
     }
-    failures = [f"production module uses the event path: {found}"
-                for found in event_path_references()]
-    if not failures:
-        print("production modules: no TraceReplayer, no .iter_events(")
-
-    try:
-        native.library()
-    except (ReproError, OSError) as exc:
-        failures.append(f"the compiled stage-2 loop did not build or "
-                        f"load: {exc}")
-    else:
-        print("stage-2 library: built and loaded")
 
     # Collect-side guard: generating the trace sets above ran real
     # collectors under the default (fast) heap-kernel mode.

@@ -140,7 +140,9 @@ def _assert_kernel_equivalence(collector: str,
                 f"[{collector}] collection #{index} ({a.kind}) event "
                 f"streams differ: {len(a.events)} vs {len(b.events)} "
                 f"events, phases {a.phase_names} vs {b.phase_names}")
-        if a.residuals != b.residuals:
+        # Items in order: the replayers walk residual-only phases in
+        # insertion order, which dict equality ignores.
+        if list(a.residuals.items()) != list(b.residuals.items()):
             raise OracleViolation(
                 f"[{collector}] collection #{index} ({a.kind}) "
                 f"residuals differ: {a.residuals} vs {b.residuals}")

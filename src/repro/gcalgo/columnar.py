@@ -42,16 +42,22 @@ _MAX_PHASES = np.iinfo(np.uint16).max + 1
 
 
 def compile_trace(trace: GCTrace) -> GCTrace:
-    """Seal ``trace``: its recorded rows become one :data:`EVENT_DTYPE`
-    array and are dropped.  Returns the trace; a sealed trace is
-    returned unchanged."""
+    """Seal ``trace``: its recorded rows and column blocks become one
+    :data:`EVENT_DTYPE` array, in recording order, and are dropped.
+    Returns the trace; a sealed trace is returned unchanged."""
     rows = trace._rows
     if rows is not None:
         if len(trace._phase_ids) > _MAX_PHASES:
             raise ConfigError("trace has too many distinct phases "
                               "for the columnar schema")
-        trace._seal(np.array(rows, dtype=EVENT_DTYPE),
-                    tuple(trace._phase_ids))
+        parts, start = [], 0
+        for at, block in trace._blocks:
+            parts += [np.array(rows[start:at], dtype=EVENT_DTYPE), block]
+            start = at
+        events = np.array(rows[start:], dtype=EVENT_DTYPE)
+        if parts:
+            events = np.concatenate(parts + [events])
+        trace._seal(events, tuple(trace._phase_ids))
     return trace
 
 

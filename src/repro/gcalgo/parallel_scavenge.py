@@ -14,6 +14,14 @@ Operation flow, exactly as the paper describes:
 The collector performs these steps functionally on the real heap while
 recording Search / Copy / Scan&Push events and residual work into a
 :class:`~repro.gcalgo.trace.GCTrace`.
+
+Two kernel modes (:mod:`repro.heap.fast_kernels`): ``scalar`` runs
+:meth:`MinorGC._drain` / :meth:`MinorGC._evacuate` object by object
+and is the oracle; ``fast`` (the default) searches the card table with
+numpy and runs step 3 in C — ``scavenge_drain`` in
+``repro/platform/_scavenge.c``, built by :mod:`repro.platform.native`
+— in place on the heap's u64 buffer, recording the same rows,
+residuals and stats and leaving the same heap, roots, tops and cards.
 """
 
 from __future__ import annotations
@@ -30,6 +38,11 @@ from repro.heap.heap import JavaHeap
 from repro.heap.object_model import MarkWord
 from repro.obs.tracer import get_tracer
 from repro.units import CACHE_LINE
+
+#: The evacuate rows' columns ``scavenge_drain`` fills (``ev_<name>``),
+#: and their first length (doubled whenever a step needs more).
+_EVENT_COLUMNS = ("prim", "src", "dst", "size_bytes", "refs", "pushes")
+_FIRST_ROWS = 4096
 
 
 class MinorGC:
@@ -66,6 +79,14 @@ class MinorGC:
         layout = heap.layout
         obs = get_tracer()
         fast = fast_kernels.fast_enabled(heap)
+        if fast and heap.ref_write_hooks:
+            # The native drain stores references without running them.
+            fast_kernels.record_fallback(
+                "minor", "reference write hooks are installed")
+            fast = False
+        if fast:
+            from repro.platform import native  # repro.platform imports us
+            native.library()  # a missing compiler fails before mutating
         fast_kernels.record_call("minor",
                                  kernel="fast" if fast else "scalar")
         trace = GCTrace("minor", heap_bytes=heap.config.heap_bytes)
@@ -95,7 +116,7 @@ class MinorGC:
             # Step 3: drain.
             with obs.span("drain", cat="collector", gc="minor"):
                 if fast:
-                    self._drain_fast(trace, stack)
+                    self._drain_native(trace, stack)
                 else:
                     self._drain(trace, stack)
 
@@ -137,40 +158,94 @@ class MinorGC:
             trace.residual("drain",
                            RESIDUAL_COSTS["forward_update"])
 
-    def _drain_fast(self, trace: GCTrace, stack: ObjectStack) -> None:
-        """Drain with raw-word decode — same loop, O(1) per step."""
+    def _drain_native(self, trace: GCTrace, stack: ObjectStack) -> None:
+        """:meth:`_drain` in C (``scavenge_drain``, ``_scavenge.c``),
+        in place on the heap buffer: the same rows, residual, stats
+        and heap, roots, tops and card table."""
+        from repro.platform import native  # repro.platform imports us
+        items = stack.take()
+        if not items:
+            return
+        heap, layout = self.heap, self.heap.layout
+        tables = fast_kernels.layouts_for(heap.klasses)
+        roots = np.array(heap.roots, dtype=np.int64)
+        rows = _FIRST_ROWS
+        block = native.Block(native.SCAVENGE_FIELDS, {
+            "words": heap.words, "base": heap.base,
+            "n_words": heap.words.shape[0], "roots": roots,
+            "stack": np.array(items, dtype=np.int64),
+            "depth": len(items), "stack_cap": len(items),
+            "eden_lo": layout.eden.start, "eden_hi": layout.eden.end,
+            "from_lo": layout.survivor_from.start,
+            "from_hi": layout.survivor_from.end,
+            "young_lo": layout.eden.start,
+            "young_hi": layout.survivor_b.end,
+            "to_top": layout.survivor_to.top,
+            "to_end": layout.survivor_to.end, "old_lo": layout.old.start,
+            "old_top": layout.old.top, "old_end": layout.old.end,
+            "tenuring_threshold": self.tenuring_threshold,
+            "n_kinds": tables.kind_code.shape[0],
+            "kind": tables.kind_code, "fixed_size": tables.fixed_size,
+            "ref_count": tables.ref_count, "off_start": tables.off_start,
+            "flat_offsets": tables.flat_offsets,
+            "cards": heap.card_table.bytes,
+            "card_start": heap.card_table.covered_start,
+            "card_bytes": heap.card_table.card_bytes,
+            "pop_cost": RESIDUAL_COSTS["pop"],
+            "check_cost": RESIDUAL_COSTS["check_mark"],
+            "forward_cost": RESIDUAL_COSTS["forward_update"],
+            "allocate_cost": RESIDUAL_COSTS["allocate"],
+            "push_cost": RESIDUAL_COSTS["push"],
+            "trivial_cost": RESIDUAL_COSTS["scan_trivial"],
+            "cache_line": CACHE_LINE,
+            "ev_prim": np.empty(rows, dtype=np.uint8),
+            **{f"ev_{name}": np.empty(rows, dtype=np.int64)
+               for name in _EVENT_COLUMNS[1:]},
+            "n_events": 0, "ev_cap": rows, "drain": 0.0,
+            "drain_bytes": 0, "copied": 0, "bytes_copied": 0,
+            "promoted": 0, "fault_addr": 0})
+        state = block.struct
+        run = native.library().scavenge_drain
+        while True:
+            code = run(block.address)
+            if code == native.SCAVENGE_GROW_STACK:
+                state.stack_cap = block.grow("stack", state.depth).shape[0]
+            elif code == native.SCAVENGE_GROW_ROWS:
+                for name in _EVENT_COLUMNS:
+                    state.ev_cap = block.grow(f"ev_{name}",
+                                              state.n_events).shape[0]
+            else:
+                break
+        layout.survivor_to.top = state.to_top
+        layout.old.top = state.old_top
+        heap.roots[:] = roots.tolist()
+        if code != native.SCAVENGE_DONE:
+            self._raise_fault(code, state.fault_addr)
+        count = state.n_events
+        trace.append_columns("evacuate", **{
+            name: block.arrays[f"ev_{name}"][:count]
+            for name in _EVENT_COLUMNS})
+        # The stack was not empty, so the scalar drain has created its
+        # "drain" residual by now too.
+        trace.residual("drain", state.drain, state.drain_bytes)
+        trace.objects_visited += state.copied
+        trace.objects_copied += state.copied
+        trace.bytes_copied += state.bytes_copied
+        trace.objects_promoted += state.promoted
+
+    def _raise_fault(self, code: int, addr: int) -> None:
+        """Raise the scalar path's error for a native drain fault by
+        repeating, in Python, the access that faulted at ``addr``."""
+        from repro.platform import native
         heap = self.heap
-        layout = heap.layout
-        ops = fast_kernels.HeapOps(heap)
-        roots = heap.roots
-        eden, from_space = layout.eden, layout.survivor_from
-        e_lo, e_hi = eden.start, eden.end
-        f_lo, f_hi = from_space.start, from_space.end
-        pop_cost = RESIDUAL_COSTS["pop"]
-        check_cost = RESIDUAL_COSTS["check_mark"]
-        forward_cost = RESIDUAL_COSTS["forward_update"]
-        while stack:
-            slot = stack.pop()
-            trace.residual("drain", pop_cost)
-            ref = roots[-slot - 1] if slot < 0 else ops.read_word(slot)
-            if ref == 0:
-                continue
-            if not (e_lo <= ref < e_hi or f_lo <= ref < f_hi):
-                # null, old, or already-evacuated To-space object
-                continue
-            mark = MarkWord(ops.read_word(ref))
-            trace.residual("drain", check_cost, CACHE_LINE)
-            if mark.is_forwarded:
-                new_addr = mark.forwarding_address
-            else:
-                new_addr = self._evacuate_fast(ref, mark, trace, stack,
-                                               ops)
-                trace.objects_visited += 1
-            if slot < 0:
-                roots[-slot - 1] = new_addr
-            else:
-                heap.store_ref(slot, new_addr)
-            trace.residual("drain", forward_cost)
+        if code == native.SCAVENGE_BAD_WORD:
+            heap.read_u64(addr)
+        elif code == native.SCAVENGE_BAD_OBJECT:
+            heap.object_at(addr)
+        elif code == native.SCAVENGE_NO_SPACE:
+            heap.layout.old.allocate(heap.object_at(addr).size_bytes)
+        raise AssertionError(f"scavenge_drain fault {code} at {addr:#x} "
+                             f"does not fault in Python")
 
     # -- internals ------------------------------------------------------------
 
@@ -332,47 +407,4 @@ class MinorGC:
         # A promoted object whose young references have not been updated
         # yet keeps its card dirty through the write barrier when the
         # drain updates each pushed slot.
-        return dst
-
-    def _evacuate_fast(self, addr: int, mark: MarkWord, trace: GCTrace,
-                       stack: ObjectStack,
-                       ops: "fast_kernels.HeapOps") -> int:
-        """:meth:`_evacuate` with raw-word header decode."""
-        heap = self.heap
-        layout = heap.layout
-        kid, length, size = ops.decode(addr)
-        age = min(mark.age + 1, 15)
-        promote = age >= self.tenuring_threshold
-        if not promote and not layout.survivor_to.can_allocate(size):
-            promote = True  # survivor overflow promotes early
-        if promote:
-            dst = layout.old.allocate(size)
-            new_mark = MarkWord.fresh()
-            trace.objects_promoted += 1
-        else:
-            dst = layout.survivor_to.allocate(size)
-            new_mark = MarkWord.fresh().with_age(age)
-        trace.residual("drain", RESIDUAL_COSTS["allocate"])
-
-        heap.copy_bytes(addr, dst, size)
-        trace.copy("evacuate", addr, dst, size)
-        trace.objects_copied += 1
-        trace.bytes_copied += size
-        ops.write_word(dst, new_mark.raw)
-        ops.write_word(addr, mark.forwarded_to(dst).raw)
-
-        slots = ops.ref_slots(dst, kid, length)
-        pushes = 0
-        young_lo, young_hi = layout.eden.start, layout.survivor_b.end
-        for slot in slots:
-            target = ops.read_word(slot)
-            if target and young_lo <= target < young_hi:
-                stack.push(slot)
-                pushes += 1
-                trace.residual("drain", RESIDUAL_COSTS["push"])
-        if slots:
-            for refs, chunk_pushes in chunk_refs(len(slots), pushes):
-                trace.scan_push("evacuate", dst, refs, chunk_pushes)
-        else:
-            trace.residual("drain", RESIDUAL_COSTS["scan_trivial"])
         return dst

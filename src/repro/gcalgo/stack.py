@@ -32,6 +32,12 @@ class ObjectStack(Generic[T]):
         self.pops += 1
         return self._items.pop()
 
+    def take(self) -> List[T]:
+        """Remove and return every item, bottom first (for a drain
+        that keeps its own stack)."""
+        items, self._items = self._items, []
+        return items
+
     def __len__(self) -> int:
         return len(self._items)
 

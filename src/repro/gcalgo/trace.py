@@ -10,9 +10,11 @@ model to produce durations, bandwidth and energy.
 
 A trace keeps its events as columns.  Each recording method appends one
 row tuple in :data:`EVENT_DTYPE` field order and interns the phase
-name; sealing the trace (:func:`repro.gcalgo.columnar.compile_trace`,
-which the first read of :attr:`GCTrace.events` runs) turns the rows into
-one structured array and drops them.  Phase structure is recovered as
+name (:meth:`GCTrace.append_columns` appends a whole block of one
+phase's rows, as a native kernel returns them); sealing the trace
+(:func:`repro.gcalgo.columnar.compile_trace`, which the first read of
+:attr:`GCTrace.events` runs) turns the rows into one structured array
+and drops them.  Phase structure is recovered as
 *runs* of consecutive events with the same phase id.
 :meth:`GCTrace.iter_events` is the one place a trace builds per-event
 :class:`TraceEvent` objects.
@@ -154,9 +156,11 @@ class GCTrace:
         self.bytes_copied = 0
         self.objects_promoted = 0
         self.bytes_freed = 0
-        #: recorded rows and interned phases until the trace is sealed
-        #: (both None after).
+        #: recorded rows, ``(len(_rows) at append, EVENT_DTYPE array)``
+        #: column blocks and interned phases until the trace is sealed
+        #: (all None after).
         self._rows: Optional[list] = []
+        self._blocks: Optional[List[Tuple[int, np.ndarray]]] = []
         self._phase_ids: Optional[_PhaseIds] = _PhaseIds()
         self._events: Optional[np.ndarray] = None
         self._phase_names: Tuple[str, ...] = ()
@@ -187,6 +191,21 @@ class GCTrace:
                            NO_BITS_CACHED if bits_cached is None
                            else bits_cached, 0))
 
+    def append_columns(self, phase: str, **columns: np.ndarray) -> None:
+        """Append rows of one phase given as equal-length columns named
+        after :data:`EVENT_DTYPE` fields (``bits_cached`` defaults to
+        :data:`NO_BITS_CACHED`, the others to 0).  No rows, no phase
+        interned."""
+        count = len(next(iter(columns.values())))
+        if not count:
+            return
+        block = np.zeros(count, dtype=EVENT_DTYPE)
+        block["bits_cached"] = NO_BITS_CACHED
+        for name, column in columns.items():
+            block[name] = column
+        block["phase"] = self._phase_ids[phase]
+        self._blocks.append((len(self._rows), block))
+
     def residual(self, phase: str, instructions: float,
                  bytes_accessed: int = 0) -> None:
         self.residuals.setdefault(phase, ResidualWork()).add(
@@ -200,7 +219,7 @@ class GCTrace:
         :mod:`repro.gcalgo.columnar` only)."""
         self._events = events
         self._phase_names = phase_names
-        self._rows = self._phase_ids = None
+        self._rows = self._blocks = self._phase_ids = None
 
     def _sealed(self) -> "GCTrace":
         if self._rows is not None:

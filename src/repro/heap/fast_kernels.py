@@ -15,8 +15,14 @@ in the spirit of the paper's wide popcount/subtract hardware (Sec. 3.2):
   ``np.nonzero``-style pass;
 * :func:`parse_space` / :func:`gather_ref_slots` — batched header
   decode and reference-slot gathering over a parseable space;
-* :class:`HeapOps` — cheap header decode for the inherently sequential
-  stack-drain loops.
+* :class:`HeapOps` — cheap, bounds-checked header decode for the
+  inherently sequential marking and G1 stack drains.
+
+ParallelScavenge's drain, the busiest of those loops, is not here: in
+fast mode it runs in C (``scavenge_drain`` in
+``repro/platform/_scavenge.c``, called by
+:meth:`~repro.gcalgo.parallel_scavenge.MinorGC._drain_native`), on
+the heap buffer and these layout tables.
 
 **Bit-exactness contract**: every kernel is a drop-in replacement for
 the scalar path it shadows — same GCTrace event streams, same residual
@@ -38,8 +44,8 @@ import numpy as np
 
 from repro.config import HEAP_KERNEL_MODES, settings
 from repro.errors import ConfigError, InvalidObjectError
-from repro.heap.klass import (ARRAY_ELEMENTS_OFFSET, KlassKind,
-                              KlassTable)
+from repro.heap.klass import (ARRAY_ELEMENTS_OFFSET, ARRAY_LENGTH_OFFSET,
+                              KlassKind, KlassTable)
 from repro.heap.mark_bitmap import MarkBitmaps
 from repro.units import WORD
 
@@ -528,35 +534,44 @@ def search_blocks_fast(card_table,
 class HeapOps:
     """Raw-word object decode for the inherently sequential loops.
 
-    Stack drains (scavenge, marking, G1 evacuation) are graph
-    traversals whose order defines the trace, so they cannot batch —
-    but they can skip ``object_at``'s ObjectView construction and read
-    headers straight out of the u64 buffer via the layout tables.
+    Stack drains (marking, G1 evacuation) are graph traversals whose
+    order defines the trace, so they cannot batch — but they can skip
+    ``object_at``'s ObjectView construction and read headers straight
+    out of the u64 buffer via the layout tables.  Every access is
+    checked for alignment and bounds and raises the scalar accessors'
+    error, for the word the scalar path reads first.
     """
 
-    __slots__ = ("words", "base", "kind", "size", "offsets",
+    __slots__ = ("words", "base", "n_words", "kind", "size", "offsets",
                  "n_kinds")
 
     def __init__(self, heap) -> None:
         layouts = layouts_for(heap.klasses)
         self.words = heap.words
         self.base = heap.base
+        self.n_words = heap.words.shape[0]
         self.kind = layouts.kind_list
         self.size = layouts.size_list
         self.offsets = layouts.offsets_list
         self.n_kinds = len(layouts.kind_list)
 
+    def _index(self, addr: int, access: str = "read") -> int:
+        if addr % WORD:
+            raise InvalidObjectError(f"unaligned u64 {access} at {addr:#x}")
+        index = (addr - self.base) // WORD
+        if not 0 <= index < self.n_words:
+            raise InvalidObjectError(f"address {addr:#x} outside heap")
+        return index
+
     def read_word(self, addr: int) -> int:
-        return int(self.words[(addr - self.base) // WORD])
+        return int(self.words[self._index(addr)])
 
     def write_word(self, addr: int, value: int) -> None:
-        self.words[(addr - self.base) // WORD] = np.uint64(
-            value & _MASK64)
+        self.words[self._index(addr, "write")] = np.uint64(value & _MASK64)
 
     def decode(self, addr: int) -> Tuple[int, int, int]:
         """``(klass_id, length, size_bytes)`` of the object at ``addr``."""
-        base_word = (addr - self.base) // WORD
-        kid = int(self.words[base_word + 1])
+        kid = int(self.words[self._index(addr + WORD)])
         kind = self.kind[kid] if 0 < kid < self.n_kinds else -1
         if kind < 0:
             if kid == 0:
@@ -565,7 +580,7 @@ class HeapOps:
                 f"garbage klass id {kid:#x} at {addr:#x}")
         if kind == KIND_INSTANCE:
             return kid, 0, self.size[kid]
-        length = int(self.words[base_word + 2])
+        length = int(self.words[self._index(addr + ARRAY_LENGTH_OFFSET)])
         if kind == KIND_OBJ_ARRAY:
             return kid, length, ARRAY_ELEMENTS_OFFSET + length * WORD
         return kid, length, (ARRAY_ELEMENTS_OFFSET

@@ -1,10 +1,18 @@
-"""Build, store and load the compiled stage-2 loop (``_stage2.c``).
+"""Build, store and load the compiled kernels: one library, two sources.
 
-The batched replay kernels (:mod:`repro.platform.batched`) run their
-order-dependent recurrence in one C99 source shipped as package data.
-:func:`library` compiles it with the installed gcc::
+Two C99 sources ship as package data and are built into one shared
+object:
 
-    gcc -std=c99 -O2 -ffp-contract=off -shared -fPIC
+* ``_stage2.c`` — the batched replay kernels' order-dependent stage-2
+  recurrence (``host_phase``, ``charon_phase``;
+  :mod:`repro.platform.batched`);
+* ``_scavenge.c`` — ParallelScavenge's drain/evacuate loop
+  (``scavenge_drain``; :mod:`repro.gcalgo.parallel_scavenge`), run in
+  place on the heap's u64 buffer by fast-mode capture.
+
+:func:`library` compiles both with the installed gcc in one run::
+
+    gcc -std=c99 -O2 -ffp-contract=off -shared -fPIC _stage2.c _scavenge.c
 
 — no ``-ffast-math`` and no floating-point contraction, so every
 parenthesised operation keeps the IEEE-754 result the Python model
@@ -13,13 +21,14 @@ computes — and loads it through stdlib :mod:`ctypes`, once per process
 
 The shared object is an entry of the persistent store's
 :data:`~repro.experiments.store.NATIVE` namespace (``<sha256>.stage2.so``
-in the ``REPRO_TRACE_CACHE`` directory), keyed by the source, the flags
-and ``gcc --version``, and written atomically with a checksum.  An
-entry whose checksum or ``dlopen`` fails is stale: it is deleted
+in the ``REPRO_TRACE_CACHE`` directory), keyed by both sources, the
+flags and ``gcc --version``, and written atomically with a checksum.
+An entry whose checksum or ``dlopen`` fails is stale: it is deleted
 (counted ``stale``) and rebuilt.  With no store directory, or when the
 store cannot be written, the library is built in a per-process
 temporary directory.  A missing compiler raises
-:class:`~repro.errors.ConfigError`; ``--mode event`` needs none.
+:class:`~repro.errors.ConfigError`; replay with ``--mode event`` and
+capture with ``REPRO_HEAP_KERNELS=scalar`` need none.
 """
 
 from __future__ import annotations
@@ -41,13 +50,13 @@ from repro.errors import ConfigError
 #: The compiler invocation (the output and source paths follow).
 FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-SOURCE = "_stage2.c"
+SOURCES = ("_stage2.c", "_scavenge.c")
 
 _LIBRARY = None
 
 
 def library() -> ctypes.CDLL:
-    """The loaded stage-2 library (built or fetched on first use)."""
+    """The loaded kernel library (built or fetched on first use)."""
     global _LIBRARY
     if _LIBRARY is None:
         lib = _load()
@@ -57,6 +66,8 @@ def library() -> ctypes.CDLL:
                                  ctypes.c_int64, ctypes.c_double,
                                  ctypes.c_void_p)
             function.restype = ctypes.c_int
+        lib.scavenge_drain.argtypes = (ctypes.c_void_p,)
+        lib.scavenge_drain.restype = ctypes.c_int
         _LIBRARY = lib
     return _LIBRARY
 
@@ -76,9 +87,10 @@ def _compiler() -> Tuple[str, str]:
             version = None
     if version is None:
         raise ConfigError(
-            f"fast replay compiles its stage-2 loop with gcc, and no "
-            f"working compiler {name!r} was found (set CC or PATH); "
-            f"replay with --mode event, which needs no compiler")
+            f"fast replay and fast capture compile their kernels with "
+            f"gcc, and no working compiler {name!r} was found (set CC "
+            f"or PATH); replay with --mode event and capture with "
+            f"REPRO_HEAP_KERNELS=scalar, which need no compiler")
     return path, version
 
 
@@ -86,9 +98,13 @@ def _load() -> ctypes.CDLL:
     # Imported here: repro.experiments imports the platforms.
     from repro.experiments import store
 
-    source = resources.files("repro.platform").joinpath(SOURCE).read_bytes()
+    package = resources.files("repro.platform")
+    sources = {name: package.joinpath(name).read_bytes()
+               for name in SOURCES}
     cc, version = _compiler()
-    digest = hashlib.sha256(source)
+    digest = hashlib.sha256()
+    for name, source in sources.items():
+        digest.update(name.encode() + b"\x00" + source + b"\x00")
     for part in (" ".join(FLAGS), version):
         digest.update(b"\x00" + part.encode())
     key = digest.hexdigest()
@@ -100,7 +116,7 @@ def _load() -> ctypes.CDLL:
             return lib
     with tempfile.TemporaryDirectory(prefix="repro-stage2-") as temp:
         built = Path(temp) / "stage2.so"
-        _compile(cc, source, built)
+        _compile(cc, sources, built)
         store.NATIVE.stats.add("builds")
         if directory is not None:
             image = built.read_bytes()
@@ -124,14 +140,17 @@ def _open_entry(path: Path) -> ctypes.CDLL:
     return ctypes.CDLL(str(path))
 
 
-def _compile(cc: str, source: bytes, out: Path) -> None:
-    src = out.with_name(SOURCE)
-    src.write_bytes(source)
-    done = subprocess.run([cc, *FLAGS, "-o", str(out), str(src)],
+def _compile(cc: str, sources: Dict[str, bytes], out: Path) -> None:
+    paths = []
+    for name, source in sources.items():
+        path = out.with_name(name)
+        path.write_bytes(source)
+        paths.append(str(path))
+    done = subprocess.run([cc, *FLAGS, "-o", str(out), *paths],
                           capture_output=True, text=True)
     if done.returncode != 0:
-        raise ConfigError(f"compiling {SOURCE} with {cc} failed:\n"
-                          f"{done.stderr}")
+        raise ConfigError(f"compiling {' and '.join(sources)} with {cc} "
+                          f"failed:\n{done.stderr}")
 
 
 # -- argument blocks -------------------------------------------------------
@@ -175,11 +194,36 @@ CHARON_FIELDS = (
     ("bc_stats", "*i8"),
     ("H", "*f8"), ("sums", "*f8"), ("present", "*u1"))
 
+#: ``Scavenge`` in ``_scavenge.c``, field for field.
+SCAVENGE_FIELDS = (
+    ("words", "*u8"), ("base", "i8"), ("n_words", "i8"), ("roots", "*i8"),
+    ("stack", "*i8"), ("depth", "i8"), ("stack_cap", "i8"),
+    ("eden_lo", "i8"), ("eden_hi", "i8"), ("from_lo", "i8"),
+    ("from_hi", "i8"), ("young_lo", "i8"), ("young_hi", "i8"),
+    ("to_top", "i8"), ("to_end", "i8"), ("old_lo", "i8"),
+    ("old_top", "i8"), ("old_end", "i8"), ("tenuring_threshold", "i8"),
+    ("n_kinds", "i8"), ("kind", "*i8"), ("fixed_size", "*i8"),
+    ("ref_count", "*i8"), ("off_start", "*i8"), ("flat_offsets", "*i8"),
+    ("cards", "*u1"), ("card_start", "i8"), ("card_bytes", "i8"),
+    ("pop_cost", "f8"), ("check_cost", "f8"), ("forward_cost", "f8"),
+    ("allocate_cost", "f8"), ("push_cost", "f8"), ("trivial_cost", "f8"),
+    ("cache_line", "i8"),
+    ("ev_prim", "*u1"), ("ev_src", "*i8"), ("ev_dst", "*i8"),
+    ("ev_size_bytes", "*i8"), ("ev_refs", "*i8"), ("ev_pushes", "*i8"),
+    ("n_events", "i8"), ("ev_cap", "i8"),
+    ("drain", "f8"), ("drain_bytes", "i8"), ("copied", "i8"),
+    ("bytes_copied", "i8"), ("promoted", "i8"), ("fault_addr", "i8"))
+
+#: ``scavenge_drain`` return codes: done; grow the row columns or the
+#: stack and call again; or a fault at ``fault_addr``.
+(SCAVENGE_DONE, SCAVENGE_GROW_ROWS, SCAVENGE_GROW_STACK, SCAVENGE_BAD_WORD,
+ SCAVENGE_BAD_OBJECT, SCAVENGE_NO_SPACE) = range(6)
+
 _TYPES: Dict[Tuple, type] = {}
 
 
 class Block:
-    """One argument block for a stage-2 entry point: the ctypes
+    """One argument block for a native entry point: the ctypes
     structure ``fields`` describes, filled from ``values``.
 
     Pointer fields take numpy arrays of exactly the field's dtype, C
@@ -191,10 +235,10 @@ class Block:
         struct_type = _TYPES.get(fields)
         if struct_type is None:
             struct_type = _TYPES[fields] = type(
-                "Stage2Block", (ctypes.Structure,),
+                "NativeBlock", (ctypes.Structure,),
                 {"_fields_": [(name, _SCALARS.get(code, ctypes.c_void_p))
                               for name, code in fields]})
-        self.arrays = []
+        self.arrays: Dict[str, np.ndarray] = {}
         self.struct = struct_type()
         for name, code in fields:
             value = values[name]
@@ -203,8 +247,18 @@ class Block:
                 continue
             if value.dtype != np.dtype(code[1:]) \
                     or not value.flags.c_contiguous:
-                raise TypeError(f"stage-2 field {name} needs a contiguous "
+                raise TypeError(f"native field {name} needs a contiguous "
                                 f"{code[1:]} array, got {value.dtype}")
-            self.arrays.append(value)
+            self.arrays[name] = value
             setattr(self.struct, name, value.ctypes.data)
         self.address = ctypes.addressof(self.struct)
+
+    def grow(self, name: str, keep: int) -> np.ndarray:
+        """Point field ``name`` at an array twice as long, holding the
+        first ``keep`` entries of the old one; returns the new array."""
+        old = self.arrays[name]
+        new = np.empty(2 * old.shape[0], dtype=old.dtype)
+        new[:keep] = old[:keep]
+        self.arrays[name] = new
+        setattr(self.struct, name, new.ctypes.data)
+        return new

@@ -22,6 +22,7 @@ from repro.fuzz.shrink import (failure_predicate, load_reproducer,
                                replay_reproducer, shrink_schedule,
                                write_reproducer)
 from repro.heap import object_model
+from repro.heap.fast_kernels import use_kernel_mode
 
 #: fixed seeds every collector replays; chosen to cover explicit GC
 #: ops, old-generation allocation and at least one humongous object.
@@ -107,6 +108,10 @@ class TestInjectedBug:
 
         monkeypatch.setattr(object_model.MarkWord, "forwarded_to",
                             skewed)
+        # The skew lives in the Python MarkWord, which the scalar
+        # scavenge runs; the fast one forwards in C (_scavenge.c).
+        with use_kernel_mode("scalar"):
+            yield
 
     def test_oracle_catches_and_shrinker_minimizes(
             self, broken_forwarding, config, tmp_path):

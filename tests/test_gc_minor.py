@@ -5,9 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import OutOfMemoryError
+from repro.errors import ConfigError, InvalidObjectError, OutOfMemoryError
+from repro.gcalgo import parallel_scavenge
 from repro.gcalgo.parallel_scavenge import MinorGC
 from repro.gcalgo.trace import Primitive
+from repro.heap.fast_kernels import use_kernel_mode
+from repro.platform import native
+from repro.workloads.registry import run_workload
 
 from tests.conftest import make_heap
 
@@ -259,3 +263,170 @@ class TestScavengeProperty:
         before = snapshot()
         MinorGC(heap).collect()
         assert snapshot() == before
+
+
+def every_branch(heap):
+    """Roots and an old-to-young reference that reach every branch of
+    the drain: object arrays over 50 slots, shared and cyclic objects,
+    a null root, an object that fills To (so the rest overflow into
+    Old) and an Old slot whose young target keeps its card dirty."""
+    layout = heap.layout
+    nodes = [heap.new_object("Node") for _ in range(120)]
+    for node, successor in zip(nodes, nodes[1:]):
+        heap.set_field(node, 0, successor.addr)
+    heap.set_field(nodes[-1], 1, nodes[0].addr)  # a cycle
+    array = heap.new_object("objArray", length=137)
+    for index in range(0, 137, 3):
+        heap.array_store(array.addr, index, nodes[index % 40].addr)
+    bulk = heap.new_object("typeArray",
+                           length=layout.survivor_to.capacity - 4096)
+    old = heap.new_object("Node", space=layout.old)
+    heap.set_field(old, 0, nodes[5].addr)
+    heap.set_field(old, 1, array.addr)
+    heap.roots += [nodes[0].addr, 0, array.addr, nodes[0].addr,
+                   bulk.addr]
+    return old
+
+
+def state(heap):
+    layout = heap.layout
+    return (bytes(heap.buffer), list(heap.roots),
+            heap.card_table.bytes.tobytes(),
+            [space.top for space in layout.spaces],
+            layout.survivor_from.name)
+
+
+def assert_same_trace(a, b):
+    assert a.phase_names == b.phase_names
+    assert a.events.tobytes() == b.events.tobytes()
+    assert list(a.residuals.items()) == list(b.residuals.items())
+    assert a.summary() == b.summary()
+    assert (a.objects_visited, a.bytes_freed) \
+        == (b.objects_visited, b.bytes_freed)
+
+
+class TestNativeDrain:
+    """The C drain (fast mode) against the scalar oracle."""
+
+    def run(self, mode, build, collections=1, threshold=None):
+        heap = make_heap()
+        build(heap)
+        with use_kernel_mode(mode):
+            traces = [MinorGC(heap, tenuring_threshold=threshold).collect()
+                      for _ in range(collections)]
+        return heap, traces
+
+    @pytest.mark.parametrize("first_rows", [4096, 1])
+    def test_every_branch_matches_scalar(self, first_rows, monkeypatch):
+        # One first row makes the drain grow its row columns repeatedly.
+        monkeypatch.setattr(parallel_scavenge, "_FIRST_ROWS", first_rows)
+        runs = {mode: self.run(mode, every_branch, collections=3,
+                               threshold=2)
+                for mode in ("scalar", "fast")}
+        (heap_a, traces_a), (heap_b, traces_b) = runs.values()
+        for a, b in zip(traces_a, traces_b):
+            assert_same_trace(a, b)
+        assert state(heap_a) == state(heap_b)
+        # The oracle really took the branches this heap is built for.
+        first, second, _ = traces_a
+        assert first.objects_promoted > 0  # survivor overflow
+        assert second.objects_promoted > 0  # tenured at the threshold
+        assert any(e.refs == 50 for e in first.iter_events()
+                   if e.primitive is Primitive.SCAN_PUSH)
+
+    def test_card_redirtied_like_scalar(self):
+        def card(mode):
+            heap = make_heap()
+            old = every_branch(heap)
+            with use_kernel_mode(mode):
+                MinorGC(heap).collect()
+            return heap.card_table.is_dirty(old.reference_slots()[0])
+
+        assert card("scalar") and card("fast")
+
+    def test_empty_stack_records_no_drain(self):
+        def build(heap):
+            heap.new_object("Node")  # garbage: no roots, no cards
+        for mode in ("scalar", "fast"):
+            _, (trace,) = self.run(mode, build)
+            assert list(trace.residuals) == ["setup"]
+            assert trace.phase_names == ("card-search",)
+
+    def test_null_roots_only(self):
+        def build(heap):
+            heap.roots += [0, 0]
+        (_, (a,)), (_, (b,)) = (self.run(mode, build)
+                                for mode in ("scalar", "fast"))
+        assert_same_trace(a, b)
+        assert "evacuate" not in b.phase_names
+
+    def test_spark_lr_capture_matches_scalar(self):
+        runs = {}
+        for mode in ("scalar", "fast"):
+            with use_kernel_mode(mode):
+                runs[mode] = run_workload("spark-lr")
+        a, b = runs["scalar"], runs["fast"]
+        kinds = [trace.kind for trace in a.traces]
+        assert kinds.count("minor") == 7 and kinds.count("major") == 2
+        assert [t.kind for t in b.traces] == kinds
+        for trace_a, trace_b in zip(a.traces, b.traces):
+            assert_same_trace(trace_a, trace_b)
+        assert (a.allocated_objects, a.allocated_bytes) \
+            == (b.allocated_objects, b.allocated_bytes)
+
+    def test_garbage_klass_raises_like_scalar(self):
+        def outcome(mode):
+            heap = make_heap()
+            view = heap.new_object("Node")
+            heap.write_u64(view.addr + 8, 0xDEAD)
+            heap.roots.append(view.addr)
+            with use_kernel_mode(mode), \
+                    pytest.raises(InvalidObjectError) as info:
+                MinorGC(heap).collect()
+            return str(info.value)
+
+        assert outcome("fast") == outcome("scalar")
+        assert "garbage klass id 0xdead" in outcome("fast")
+
+    def test_unaligned_root_raises_like_scalar(self):
+        def outcome(mode):
+            heap = make_heap()
+            heap.roots.append(heap.new_object("Node").addr + 4)
+            with use_kernel_mode(mode), \
+                    pytest.raises(InvalidObjectError) as info:
+                MinorGC(heap).collect()
+            return str(info.value)
+
+        assert outcome("fast") == outcome("scalar")
+        assert outcome("fast").startswith("unaligned u64 read")
+
+    def test_old_overflow_raises_like_scalar(self, monkeypatch):
+        # Skip the worst-case pre-check so a promotion overflows Old.
+        monkeypatch.setattr(MinorGC, "promotion_safe", lambda gc: True)
+
+        def outcome(mode):
+            heap = make_heap()
+            old = heap.layout.old
+            heap.new_object("typeArray", length=old.free - 224, space=old)
+            build_chain(heap, 20)
+            with use_kernel_mode(mode), \
+                    pytest.raises(OutOfMemoryError) as info:
+                MinorGC(heap, tenuring_threshold=1).collect()
+            return str(info.value), state(heap)
+
+        message, after = outcome("fast")
+        assert (message, after) == outcome("scalar")
+        assert "'old' cannot fit 48 bytes" in message
+
+    def test_missing_compiler(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(native, "_LIBRARY", None)
+        monkeypatch.setenv("CC", str(tmp_path / "no-such-gcc"))
+        heap = make_heap()
+        build_chain(heap, 10)
+        before = state(heap)
+        with use_kernel_mode("fast"), \
+                pytest.raises(ConfigError, match="REPRO_HEAP_KERNELS=scalar"):
+            MinorGC(heap).collect()
+        assert state(heap) == before
+        with use_kernel_mode("scalar"):
+            assert MinorGC(heap).collect().objects_copied == 10

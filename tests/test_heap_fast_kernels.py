@@ -17,7 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fuzz.differential import compare_kernel_modes
+from repro.errors import InvalidObjectError, OracleViolation
+from repro.fuzz.differential import (_assert_kernel_equivalence,
+                                     compare_kernel_modes)
+from repro.fuzz.executor import ExecutionResult
+from repro.gcalgo.g1 import G1Collector
+from repro.gcalgo.mark_compact import MajorGC
+from repro.gcalgo.mark_sweep import MarkSweepGC
+from repro.gcalgo.trace import GCTrace
 from repro.heap import fast_kernels
 from repro.heap.card_table import CardTable
 from repro.heap.fast_kernels import (CoverageIndex, mark_objects_bulk,
@@ -209,7 +216,7 @@ class TestBatchedAllocation:
         for a, b in zip(run_a.traces, run_b.traces):
             assert a.kind == b.kind and a.phase_names == b.phase_names
             assert np.array_equal(a.events, b.events)
-            assert a.residuals == b.residuals
+            assert list(a.residuals.items()) == list(b.residuals.items())
 
 
 class TestKernelDifferential:
@@ -221,6 +228,52 @@ class TestKernelDifferential:
             else result.detail
         assert result.status == "ok", detail
         assert result.collections_checked > 0
+
+
+    def test_residual_order_is_compared(self):
+        """The replayers walk residual-only phases in insertion order,
+        so two traces whose residuals differ only in that order are not
+        equivalent."""
+        def result(phases):
+            trace = GCTrace("minor")
+            for phase in phases:
+                trace.residual(phase, 10.0, 64)
+            return ExecutionResult(collector="minor", seed=0,
+                                   final_fingerprint="", traces=[trace],
+                                   heap=make_heap())
+
+        a, b = result(["root", "drain"]), result(["drain", "root"])
+        assert a.traces[0].residuals == b.traces[0].residuals
+        with pytest.raises(OracleViolation, match="residuals differ"):
+            _assert_kernel_equivalence("minor", a, b)
+
+
+class TestBadRoots:
+    """A root outside the heap, or not word-aligned, faults in the fast
+    kernels exactly as in the scalar accessors: never a wrapped index,
+    a rounded-down word or a numpy error."""
+
+    @pytest.mark.parametrize("where, error", [
+        ("below", "outside heap"), ("above", "outside heap"),
+        ("unaligned", "unaligned u64 read")])
+    @pytest.mark.parametrize("collector", [MajorGC, MarkSweepGC,
+                                           G1Collector],
+                             ids=["major", "sweep", "g1"])
+    def test_fast_raises_the_scalar_error(self, collector, where, error):
+        def outcome(mode):
+            heap = make_heap()
+            node = heap.new_object("Node").addr
+            heap.roots.append(node)
+            heap.roots.append({"below": heap.base - 64,
+                               "above": heap.layout.heap_end,
+                               "unaligned": node + 4}[where])
+            with use_kernel_mode(mode), pytest.raises(Exception) as info:
+                collector(heap).collect()
+            return type(info.value), str(info.value)
+
+        scalar = outcome("scalar")
+        assert scalar[0] is InvalidObjectError and error in scalar[1]
+        assert outcome("fast") == scalar
 
 
 class TestKernelMetrics:
