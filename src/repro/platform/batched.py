@@ -4,8 +4,7 @@
 event columns through the kernel :func:`kernel_for` picks for a platform and a
 GC thread count.  Every kernel provides ``name``, ``begin(compiled)``
 (stage 1, once per trace), ``run_phase(lo, hi, start, prim_seconds) ->
-(barrier, busy)`` (stage 2, once per phase run) and
-``chunks_processed``.
+(barrier, busy)`` (stage 2, once per phase run).
 
 * **closed-form** (:class:`ClosedFormKernel`: ``ideal`` at any thread
   count, ``cpu-ddr4`` with one GC thread) — every event's duration is a
@@ -74,10 +73,6 @@ from repro.gcalgo.trace import (CODE_TO_PRIMITIVE, GCTrace,
                                 is_marking_phase)
 from repro.platform import native
 from repro.units import CACHE_LINE, HMC_MAX_REQUEST, WORD
-
-#: Stage-2 accounting granularity: the ``replay.kernel.chunks`` metric
-#: counts each phase run as this many events per chunk.
-CHUNK_EVENTS = 4096
 
 #: Stage-1 block size when rows expand into per-line bitmap-cache
 #: accesses: the numpy temporaries scale with one block's lines, not
@@ -537,7 +532,6 @@ class ClosedFormKernel:
         self.threads = threads
         self.price = price
         self.host_executed = not platform.offloads
-        self.chunks_processed = 0
         self._durations = None
         self._codes = None
 
@@ -693,14 +687,12 @@ class _PrimSums:
                 prim_seconds[key] = value
 
 
-def _chunks(lo: int, hi: int, events: int) -> int:
-    """``replay.kernel.chunks`` for one phase run, after checking that
-    the run lies inside the trace (the C loop indexes the per-event
-    columns unchecked)."""
+def _check_run(lo: int, hi: int, events: int) -> None:
+    """Check that a phase run lies inside the trace (the C loop
+    indexes the per-event columns unchecked)."""
     if not 0 <= lo <= hi <= events:
         raise IndexError(f"phase run [{lo}, {hi}) outside a trace of "
                          f"{events} events")
-    return len(range(lo, hi, CHUNK_EVENTS))
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +716,6 @@ class _HostBatchedKernel:
         self.platform = platform
         self.threads = threads
         self.lanes = _Lanes()
-        self.chunks_processed = 0
         self._port = None  # holds the anonymous cube cursor, if any
         self._anon = {"cubes": 0, "anon_off": np.zeros(1, dtype=np.int64),
                       "anon_res": np.zeros(0, dtype=np.int32),
@@ -768,7 +759,7 @@ class _HostBatchedKernel:
     def run_phase(self, lo: int, hi: int, start: float,
                   prim_seconds: Dict[Primitive, float]
                   ) -> Tuple[float, float]:
-        self.chunks_processed += _chunks(lo, hi, len(self._tid))
+        _check_run(lo, hi, len(self._tid))
         self.lanes.sync_in()
         port = self._port
         if port is not None:
@@ -1197,7 +1188,6 @@ class CharonBatchedKernel:
                     self._resp_chain[(cube, hv)] = (
                         *(size / l.rate + l.latency for l in back),
                         size / hl.rate, hl.latency)
-        self.chunks_processed = 0
         self._templates = _Interner()
         self._streams = _Interner()
         self._out = np.zeros(1)
@@ -1737,7 +1727,7 @@ class CharonBatchedKernel:
     def run_phase(self, lo: int, hi: int, start: float,
                   prim_seconds: Dict[Primitive, float]
                   ) -> Tuple[float, float]:
-        self.chunks_processed += _chunks(lo, hi, len(self.plan["tid"]))
+        _check_run(lo, hi, len(self.plan["tid"]))
         line_off = self.plan["line_off"]
         bitmap = bool(line_off[hi] > line_off[lo])
         self.lanes.sync_in()

@@ -57,7 +57,6 @@ class FastTraceReplayer(TraceReplayer):
         platform = self.platform
         kernel = self._kernel
         started = perf_counter()
-        chunks_before = kernel.chunks_processed
         obs = get_tracer()
         if not obs.enabled:
             obs = None
@@ -122,8 +121,7 @@ class FastTraceReplayer(TraceReplayer):
         result = self._package(trace.kind, gc_start, now,
                                flush_seconds, primitive_seconds,
                                residual_seconds, host_busy, before)
-        self._note_replay(len(trace.events), perf_counter() - started,
-                          chunks=kernel.chunks_processed - chunks_before)
+        self._note_replay(len(trace.events), perf_counter() - started)
         return result
 
 

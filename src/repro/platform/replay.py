@@ -153,8 +153,7 @@ class TraceReplayer:
 
     # -- internals -----------------------------------------------------------
 
-    def _note_replay(self, events: int, elapsed: float,
-                     chunks: int = 0) -> None:
+    def _note_replay(self, events: int, elapsed: float) -> None:
         """Record which kernel replayed how much, and how fast.
 
         Feeds the ``replay.kernel_*`` metrics ``repro stats`` reports,
@@ -172,10 +171,6 @@ class TraceReplayer:
         scope.counter("kernel_seconds",
                       "host wall-clock seconds spent replaying",
                       **labels).add(elapsed)
-        if chunks:
-            scope.counter("kernel_chunks",
-                          "stage-2 chunks the batched kernels consumed",
-                          **labels).add(chunks)
         if elapsed > 0:
             scope.gauge("kernel_events_per_sec",
                         "replay throughput of the last GC",

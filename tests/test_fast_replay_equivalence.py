@@ -18,6 +18,10 @@ durations through a sequential clock (``finish - now`` at growing
 results may drift by ~n·eps.  Everything integer (DRAM/link/TSV bytes,
 bitmap-cache counters) is a pure function of the events and must match
 bit for bit.
+
+``TestSpeedup`` holds the fast path's speed floors against the
+event-by-event replayer on the same traces; the benchmark ledger
+(``python3 bench/run.py``) reports the timings themselves.
 """
 
 import time
@@ -273,39 +277,38 @@ class TestKernelMetrics:
         scope = global_metrics().scope("replay")
         labels = {"kernel": "charon-batched", "platform": "charon"}
         events = scope.counter("kernel_events", "", **labels)
-        chunks = scope.counter("kernel_chunks", "", **labels)
-        before_events, before_chunks = events.value, chunks.value
+        before_events = events.value
         trace = mixed_run.traces[0]
         FastTraceReplayer(platform).replay(trace)
         assert events.value == before_events + len(trace.events)
-        assert chunks.value > before_chunks
         per_sec = scope.gauge("kernel_events_per_sec", "", **labels)
         assert per_sec.value > 0
 
 
 class TestSpeedup:
+    """Fast replay against event-by-event replay of the same traces.
+
+    Best-of-7 with the two replayers interleaved on fresh platforms, so
+    scheduler noise and cache warmth hit both sides alike."""
+
     @staticmethod
-    def best_of(build, feed, repeats=5):
-        best = float("inf")
+    def best_of(platform_name, threads, traces, repeats=7):
+        """``(event seconds, fast seconds)``, best of ``repeats``."""
+        best = {TraceReplayer: float("inf"),
+                FastTraceReplayer: float("inf")}
         for _ in range(repeats):
-            replayer = build()
-            start = time.perf_counter()
-            replayer.replay_all(feed)
-            best = min(best, time.perf_counter() - start)
-        return best
+            for replayer_type in best:
+                replayer = replayer_type(platform_for(platform_name)[0],
+                                         threads=threads)
+                start = time.perf_counter()
+                replayer.replay_all(traces)
+                best[replayer_type] = min(best[replayer_type],
+                                          time.perf_counter() - start)
+        return best[TraceReplayer], best[FastTraceReplayer]
 
     def test_closed_form_at_least_5x(self, tiny_spark_run):
-        """cpu-ddr4 with one GC thread measures ~12x here; best-of-5
-        timing keeps scheduler noise out of the comparison.
-        """
-        traces = tiny_spark_run.traces
-        slow = self.best_of(
-            lambda: TraceReplayer(platform_for("cpu-ddr4")[0], threads=1),
-            traces)
-        fast = self.best_of(
-            lambda: FastTraceReplayer(platform_for("cpu-ddr4")[0],
-                                      threads=1),
-            traces)
+        """cpu-ddr4 with one GC thread measures ~12x here."""
+        slow, fast = self.best_of("cpu-ddr4", 1, tiny_spark_run.traces)
         assert slow >= 5.0 * fast, (
             f"fast path only {slow / fast:.1f}x faster "
             f"({slow * 1e3:.2f}ms vs {fast * 1e3:.2f}ms)")
@@ -313,19 +316,11 @@ class TestSpeedup:
     @pytest.mark.parametrize("platform_name", ["charon", "cpu-hmc"])
     def test_batched_kernels_substantially_faster(self, tiny_spark_run,
                                                   platform_name):
-        """The tentpole targets >=5x on these platforms (recorded by
-        scripts/bench_replay_kernels.py); the in-suite floor is 3x so
-        a loaded CI machine cannot flake the build."""
-        traces = tiny_spark_run.traces
-        slow = self.best_of(
-            lambda: TraceReplayer(platform_for(platform_name)[0],
-                                  threads=8),
-            traces)
-        fast = self.best_of(
-            lambda: FastTraceReplayer(platform_for(platform_name)[0],
-                                      threads=8),
-            traces)
-        assert slow >= 3.0 * fast, (
+        """At 8 GC threads the batched kernels replay at least 5x faster
+        than event by event (7-16x on a 2-vCPU VM)."""
+        slow, fast = self.best_of(platform_name, 8,
+                                  tiny_spark_run.traces)
+        assert slow >= 5.0 * fast, (
             f"{platform_name} batched kernel only {slow / fast:.1f}x "
             f"faster ({slow * 1e3:.2f}ms vs {fast * 1e3:.2f}ms)")
 

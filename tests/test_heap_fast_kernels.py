@@ -6,17 +6,20 @@ shadows.  Hypothesis drives the coverage-index ``live_words_in_range``
 equivalence over random mark layouts — including objects straddling the
 query boundaries and 64-bit word seams — and seeded randomness covers
 the bulk bitmap writes, the Search block scan, batched allocation, and
-the end-to-end scalar-vs-fast collector differential.
+the end-to-end scalar-vs-fast collector differential.  One timed test
+holds the fast kernels' speed floor over the scalar ones.
 
 ``derandomize=True`` keeps the Hypothesis examples reproducible in CI.
 """
 
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import HeapConfig
 from repro.errors import InvalidObjectError, OracleViolation
 from repro.fuzz.differential import (_assert_kernel_equivalence,
                                      compare_kernel_modes)
@@ -30,8 +33,11 @@ from repro.heap.card_table import CardTable
 from repro.heap.fast_kernels import (CoverageIndex, mark_objects_bulk,
                                      search_blocks_fast,
                                      use_kernel_mode)
+from repro.heap.heap import JavaHeap
 from repro.heap.mark_bitmap import MarkBitmaps
 from repro.units import WORD
+from repro.workloads.base import workload_klasses
+from repro.workloads.mutator import MutatorDriver
 
 from tests.conftest import make_heap
 
@@ -246,6 +252,78 @@ class TestKernelDifferential:
         assert a.traces[0].residuals == b.traces[0].residuals
         with pytest.raises(OracleViolation, match="residuals differ"):
             _assert_kernel_equivalence("minor", a, b)
+
+
+def populate_classic(seed, heap_bytes=32 << 20):
+    """A seeded, driver-fronted heap: record clusters hanging off
+    rooted old-generation arrays with interleaved garbage (work for
+    compaction), and young records, some rooted and some linked from
+    old slots (dirty cards for the minor collection's card search)."""
+    rng = random.Random(seed)
+    heap = JavaHeap(HeapConfig(heap_bytes=heap_bytes),
+                    klasses=workload_klasses())
+    driver = MutatorDriver(heap, run_name="collect-speed")
+    old = heap.layout.old
+    clusters = []
+    for _ in range(60):
+        array = heap.new_object("objArray", length=32, space=old)
+        if rng.random() < 0.7:
+            driver.handle(array.addr)
+            clusters.append(array.addr)
+        for index in range(32):
+            record = heap.new_object("Record", space=old)
+            if rng.random() < 0.6:
+                heap.array_store(array.addr, index, record.addr)
+        for _ in range(rng.randrange(8)):
+            heap.new_object("Box", space=old)  # immediate garbage
+    young = []
+    for _ in range(4000):
+        record = driver.allocate("Record")
+        if rng.random() < 0.35:
+            driver.handle(record.addr)
+        if rng.random() < 0.2 and clusters:
+            heap.array_store(rng.choice(clusters), rng.randrange(32),
+                             record.addr)
+        if young and rng.random() < 0.5:
+            heap.set_field(record, 0, rng.choice(young))
+        young.append(record.addr)
+    return driver
+
+
+class TestCollectSpeed:
+    def test_minor_plus_major_at_least_3x(self):
+        """The two compacting collectors dominate trace generation:
+        on a seeded 32 MiB heap their scalar time is at least 3x their
+        fast time (9-14x on a 2-vCPU VM).  Best of 3, each
+        collection on a freshly built heap, modes interleaved; the last
+        runs of the two modes must also leave identical traces and
+        heaps."""
+        collections = {"minor": lambda driver: driver.minor_gc(),
+                       "major": lambda driver: driver.major_gc()}
+        best = {"scalar": 0.0, "fast": 0.0}
+        for name, collect in collections.items():
+            times = {mode: float("inf") for mode in best}
+            subjects = {}
+            for _ in range(3):
+                for mode in best:
+                    with use_kernel_mode(mode):
+                        driver = populate_classic(1234)
+                        start = time.perf_counter()
+                        collect(driver)
+                        times[mode] = min(times[mode],
+                                          time.perf_counter() - start)
+                    subjects[mode] = driver
+            for mode in best:
+                best[mode] += times[mode]
+            scalar, fast = subjects["scalar"], subjects["fast"]
+            for a, b in zip(scalar.run.traces, fast.run.traces,
+                            strict=True):
+                assert np.array_equal(a.events, b.events), name
+            assert bytes(scalar.heap.buffer) == bytes(fast.heap.buffer)
+        assert best["scalar"] >= 3.0 * best["fast"], (
+            f"fast minor+major only {best['scalar'] / best['fast']:.1f}x "
+            f"faster ({best['scalar'] * 1e3:.1f}ms vs "
+            f"{best['fast'] * 1e3:.1f}ms)")
 
 
 class TestBadRoots:

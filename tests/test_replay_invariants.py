@@ -15,6 +15,11 @@ Charon kernels, unified, distributed and CPU-side):
   needs at least its bytes over its bandwidth, so the replay's wall
   time is at least that.  GC offload is bound by data movement ("Trash
   Talk", PAPERS.md), and this is the floor data movement sets;
+* a data-movement floor: a Charon copy reads its source and writes its
+  destination in memory, so every Charon organisation moves at least
+  twice the copied bytes through DRAM, and the CPU-side one at least
+  that much over the links too (host platforms are exempt: their
+  cache absorbs some copy bytes);
 * fast and event-by-event replay agree within the golden 1e-9 contract;
 * replay is deterministic: two replays on fresh platforms are
   bit-identical.
@@ -31,7 +36,7 @@ from repro.errors import ProtectionFault
 from repro.fuzz.differential import run_schedule
 from repro.fuzz.generator import build_schedule
 from repro.gcalgo.columnar import trace_from_columns
-from repro.gcalgo.trace import STAT_FIELDS
+from repro.gcalgo.trace import PRIMITIVE_TYPE_CODES, STAT_FIELDS, Primitive
 from repro.platform.fast_replay import make_replayer
 from repro.sim.resources import FluidResource
 
@@ -40,9 +45,11 @@ from tests.test_fast_replay_equivalence import assert_equivalent
 
 PLATFORMS = ("ideal", "cpu-ddr4", "cpu-hmc", "charon", "charon-cpuside",
              "charon-distributed")
+CHARON_PLATFORMS = ("charon", "charon-cpuside", "charon-distributed")
 THREADS = (1, 8)
 COLLECTORS = ("minor", "major", "sweep", "g1", "concurrent")
 FUZZ = default_fuzz_config()
+COPY_CODE = PRIMITIVE_TYPE_CODES[Primitive.COPY]
 
 SETTINGS = settings(max_examples=15, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -117,6 +124,21 @@ def test_resource_roofline(schedule):
                 moved = resource.bytes_served - before[id(resource)]
                 assert moved / resource.rate <= result.wall_seconds, \
                     (name, threads, resource.name)
+
+
+@given(schedules)
+@SETTINGS
+def test_data_movement_floor(schedule):
+    traces = fuzz_traces(*schedule)
+    copied = sum(int(trace.events["size_bytes"][
+                     trace.events["prim"] == COPY_CODE].sum())
+                 for trace in traces)
+    for name in CHARON_PLATFORMS:
+        for threads in THREADS:
+            result = replay(name, threads, traces)
+            assert result.dram_bytes >= 2 * copied, (name, threads)
+            if name == "charon-cpuside":
+                assert result.link_bytes >= 2 * copied, (name, threads)
 
 
 @given(schedules)

@@ -1,9 +1,11 @@
 """Tests for the warm sweep engine.
 
 The persistent stage-1 product cache must be invisible in the results
-— a warm sweep returns field-identical grids to a cold serial sweep —
-while being loudly visible in the tallies (hits, misses, stores) that
-``bench_sweep`` and ``repro stats`` report.  The crash test pins the
+— a warm sweep, serial or pooled, returns field-identical grids to a
+cold serial sweep — while being loudly visible in the tallies (hits,
+misses, stores) that ``repro stats`` and the benchmark ledger report.
+A warm sweep's speed is the ledger's business; here its gate is that it
+captures nothing and misses no stage-1 product.  The crash test pins the
 failure contract of the fork-pool fan-out: a raising cell surfaces its
 error to the caller (never a hang, never a silently dropped cell).
 """
@@ -51,7 +53,11 @@ class TestStage1Cache:
             np.testing.assert_array_equal(back, original)
             assert back.dtype == original.dtype
 
-    def test_cold_then_warm_sweep_is_bit_exact(self):
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_cold_then_warm_sweep_is_bit_exact(self, processes):
+        """A warm sweep, serial or on the fork pool, captures nothing,
+        misses no stage-1 product and returns the cold serial grid bit
+        for bit."""
         cold = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
         stats = stage1_cache.STATS.snapshot()
         assert stats["misses"] > 0
@@ -59,10 +65,13 @@ class TestStage1Cache:
         assert stats["hits"] == 0
         clear_cache()
         stage1_cache.STATS.reset()
-        warm = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
+        trace_cache.STATS.reset()
+        warm = replay_grid(PLATFORMS, [WORKLOAD], processes=processes)
         stats = stage1_cache.STATS.snapshot()
         assert stats["hits"] > 0
         assert stats["misses"] == 0  # the 100%-hit-rate contract
+        assert trace_cache.STATS["generated"] == 0
+        assert trace_cache.STATS["misses"] == 0
         grids_equal(cold, warm)
 
     def test_unset_directory_degrades_to_recompute(self, monkeypatch):
