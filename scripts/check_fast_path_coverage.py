@@ -16,10 +16,13 @@ each of the 1/2/4/8 GC-thread counts the paper sweeps, then fails if
 
 The trace sets themselves are generated fresh at the top, which also
 pins the *collect-side* fast path: the script fails if that generation
-recorded zero fast heap-kernel calls, any ``heap.kernel_fallbacks``
-demotion to scalar kernels, or any collector run that took the scalar
-path outright (``heap.kernel_calls`` with ``kernel=scalar``) while the
-default ``fast`` mode was in effect.
+recorded zero fast heap-kernel calls, no batched mutator chunk
+(``MutatorDriver.allocate_batch``), any ``heap.kernel_fallbacks``
+demotion to scalar kernels or to the per-object mutator path, any
+collector run that took the scalar path outright
+(``heap.kernel_calls`` with ``kernel=scalar``), or a fast MajorGC
+without its native mark, adjust and compact calls while the default
+``fast`` mode was in effect.
 
 Before any of that it reads the production modules
 (``src/repro/experiments/*.py``) as text and fails if one names the
@@ -49,6 +52,12 @@ sys.path.insert(0, str(REPO))
 PLATFORMS = ("ideal", "cpu-ddr4", "cpu-hmc", "charon",
              "charon-cpuside", "charon-distributed")
 THREADS = (1, 2, 4, 8)
+
+#: The collectors whose scalar runs the collect-side guard rejects.
+COLLECTORS = ("minor", "major", "sweep", "g1", "concurrent")
+
+#: The native phases (``_scavenge.c``) every fast MajorGC runs.
+MAJOR_PHASES = ("major_mark", "major_adjust", "major_compact")
 
 #: What a production module must not contain: the event-by-event
 #: replayer (``FastTraceReplayer`` is fine) or a trace's row iterator.
@@ -90,7 +99,8 @@ def main() -> int:
         print(f"fast-path coverage: the compiled kernel library did not "
               f"build or load: {exc}", file=sys.stderr)
         return 1
-    print("kernel library (stage 2, scavenge): built and loaded")
+    print("kernel library (stage 2, scavenge, major): built and "
+          "loaded")
 
     trace_sets = {
         "spark-bs": TinySpark().run().traces,
@@ -100,35 +110,45 @@ def main() -> int:
     }
 
     # Collect-side guard: generating the trace sets above ran real
-    # collectors under the default (fast) heap-kernel mode.
-    fast_calls = 0.0
-    heap_fallbacks = 0.0
-    scalar_collects = []
+    # collectors and mutators under the default (fast) heap-kernel mode.
+    calls = {}
+    heap_fallbacks = []
     for sample in global_metrics().samples():
-        metric = sample["metric"]
-        if metric == "heap.kernel_calls":
-            labels = sample["labels"]
-            if labels.get("kernel") == "fast":
-                fast_calls += sample["value"]
-            elif labels.get("op") in ("minor", "major", "sweep", "g1",
-                                      "concurrent"):
-                scalar_collects.append(
-                    f"{labels['op']} x{sample['value']:.0f}")
-        elif metric == "heap.kernel_fallbacks":
-            heap_fallbacks += sample["value"]
+        labels = sample["labels"]
+        if sample["metric"] == "heap.kernel_calls":
+            key = (labels.get("op"), labels.get("kernel"))
+            calls[key] = calls.get(key, 0.0) + sample["value"]
+        elif sample["metric"] == "heap.kernel_fallbacks":
+            heap_fallbacks.append(f"{labels.get('op')} "
+                                  f"x{sample['value']:.0f}")
+    fast_calls = sum(value for (_, kernel), value in calls.items()
+                     if kernel == "fast")
+    scalar_collects = [f"{op} x{value:.0f}"
+                       for (op, kernel), value in sorted(calls.items())
+                       if kernel == "scalar" and op in COLLECTORS]
     if fast_calls == 0:
         failures.append("trace generation recorded zero fast "
                         "heap-kernel calls")
+    if not calls.get(("alloc", "fast")):
+        failures.append("no mutator allocated through the batched "
+                        "allocate_batch chunks")
     if heap_fallbacks:
-        failures.append(f"{heap_fallbacks:.0f} collector run(s) were "
-                        f"silently demoted to scalar heap kernels")
+        failures.append("fast-mode runs were demoted to the scalar or "
+                        "per-object path: " + ", ".join(heap_fallbacks))
     if scalar_collects:
         failures.append("collector runs took the scalar heap-kernel "
                         "path in fast mode: "
                         + ", ".join(scalar_collects))
+    majors = calls.get(("major", "fast"), 0.0)
+    for phase in MAJOR_PHASES:
+        if calls.get((phase, "fast"), 0.0) < majors:
+            failures.append(f"{majors:.0f} fast MajorGC runs but only "
+                            f"{calls.get((phase, 'fast'), 0.0):.0f} "
+                            f"native {phase} calls")
     if not failures:
         print(f"collect-side kernels: {fast_calls:.0f} fast calls, "
-              f"0 fallbacks, 0 scalar collector runs")
+              f"{majors:.0f} native MajorGC runs, 0 fallbacks, "
+              f"0 scalar collector runs")
     for name in PLATFORMS:
         for threads in THREADS:
             platform, _, _ = platform_for(name)

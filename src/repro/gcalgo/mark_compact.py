@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.gcalgo.stack import ObjectStack
 from repro.gcalgo.trace import (FIXED_GC_INSTRUCTIONS, GCTrace,
+                               PRIMITIVE_TYPE_CODES, Primitive,
                                RESIDUAL_COSTS, chunk_refs)
 from repro.heap import fast_kernels
 from repro.heap.heap import JavaHeap
@@ -45,12 +46,13 @@ from repro.heap.object_model import ObjectView
 from repro.obs.tracer import get_tracer
 from repro.units import CACHE_LINE, WORD
 
-#: Fast-path live-object record: ``(addr, klass_id, length, size)``.
-LiveRec = Tuple[int, int, int, int]
+_SCAN_PUSH, _BITMAP_COUNT = (PRIMITIVE_TYPE_CODES[primitive] for primitive
+                             in (Primitive.SCAN_PUSH,
+                                 Primitive.BITMAP_COUNT))
 
-#: The header mark bit (bit 6 of the mark word), for the bulk
-#: set/clear kernels; MarkWord.marked()/unmarked() toggle the same bit.
-_HEADER_MARK_BIT = 1 << 6
+#: First length of the native mark's stack, live-object and row
+#: columns (doubled whenever a step needs more).
+_FIRST_ROWS = 4096
 
 #: Compaction region size: 512 heap words, HotSpot's RegionSize.
 REGION_WORDS = 512
@@ -110,27 +112,31 @@ class MajorGC:
             self._rebuild_cards(trace)
 
     def _collect_fast(self, trace: GCTrace, obs) -> None:
-        """The vectorized phase pipeline (bit-exact with the scalar
-        one; the differential fuzzer enforces it)."""
+        """The native phase pipeline: mark, adjust and compact run in
+        C (``major_mark``, ``major_adjust``, ``major_compact`` in
+        ``repro/platform/_scavenge.c``), the summary in numpy — bit-exact
+        with the scalar one (the differential fuzzer enforces it)."""
         heap = self.heap
         with obs.span("mark", cat="collector", gc="major"):
-            live_old, live_young = self._mark_fast(trace)
+            old_addrs, old_sizes, young, slots = self._mark_native(trace)
         with obs.span("summary", cat="collector", gc="major"):
             # Freeze the bitmaps into the popcount-prefix-sum index —
             # every live_words_in_range below becomes O(1).
             index = fast_kernels.CoverageIndex(heap.bitmaps)
-            region_live = self._region_live_fast(trace, live_old)
+            region_live = self._region_live_fast(trace, old_addrs,
+                                                 old_sizes)
             prefix_end = self._effective_prefix_end_fast(
-                live_old, self._dense_prefix_end(region_live))
-            region_dest = self._summarize_fast(trace, region_live,
-                                               prefix_end, index)
+                old_addrs, old_sizes, self._dense_prefix_end(region_live))
+            destination = self._destination(
+                prefix_end, self._summarize_fast(trace, region_live,
+                                                 prefix_end, index),
+                index)
         with obs.span("adjust", cat="collector", gc="major"):
-            self._adjust_pointers_fast(trace, live_old, live_young,
-                                       region_dest, prefix_end, index)
+            self._adjust_native(trace, np.concatenate((old_addrs, young)),
+                                slots, destination)
         with obs.span("compact", cat="collector", gc="major"):
-            self._compact_fast(trace, live_old, region_dest,
-                               prefix_end, index)
-            self._unmark_young_fast(live_young)
+            self._compact_native(trace, old_addrs, old_sizes, young,
+                                 destination)
         with obs.span("card-rebuild", cat="collector", gc="major"):
             self._rebuild_cards_fast(trace)
 
@@ -399,293 +405,249 @@ class MajorGC:
 
     # -- fast-path phases ---------------------------------------------------
     #
-    # Same phase structure, same trace events and residual totals, same
-    # final heap bytes — but header decode, bitmap marking, range
-    # queries, mark-bit set/clear, card rebuild and the compaction
-    # memmove all run through the batched kernels.  Mark bits are set
-    # and cleared in bulk at the same addresses the scalar path touches
-    # (including the marked residue left beyond the compacted top).
+    # Same phase structure, same trace events and residuals (created in
+    # the same order), same final heap — the traversal, the pointer
+    # updates and the compaction run in C on the heap buffer, and the
+    # summary and card rebuild in numpy.
 
-    def _mark_fast(self, trace: GCTrace
-                   ) -> Tuple[List[LiveRec], List[LiveRec]]:
+    def _layout_values(self) -> dict:
+        heap = self.heap
+        tables = fast_kernels.layouts_for(heap.klasses)
+        return {"words": heap.words, "base": heap.base,
+                "n_kinds": tables.kind_code.shape[0],
+                "kind": tables.kind_code, "fixed_size": tables.fixed_size,
+                "ref_count": tables.ref_count,
+                "off_start": tables.off_start,
+                "flat_offsets": tables.flat_offsets}
+
+    def _run(self, name: str, block) -> int:
+        """Call native ``name`` on ``block``; raise the scalar path's
+        error for a fault."""
+        from repro.platform import native  # repro.platform imports us
+        fast_kernels.record_call(name)
+        code = getattr(native.library(), name)(block.address)
+        if code in (native.SCAVENGE_DONE, native.SCAVENGE_GROW_ROWS,
+                    native.SCAVENGE_GROW_STACK, native.MAJOR_GROW_LIVE):
+            return code
+        heap = self.heap
+        addr = block.struct.fault_addr
+        if code == native.SCAVENGE_BAD_WORD:
+            heap.read_u64(addr)
+        elif code == native.SCAVENGE_BAD_OBJECT:
+            heap.object_at(addr)
+        elif code == native.MAJOR_BAD_SPAN:
+            heap.bitmaps.mark_object(addr, heap.object_size(addr))
+        elif code == native.MAJOR_BAD_GAP:
+            heap.fill_dead_range(addr, block.struct.fault_end)
+        raise AssertionError(f"{name} fault {code} at {addr:#x} does not "
+                             f"fault in Python")
+
+    def _mark_native(self, trace: GCTrace) -> Tuple[
+            np.ndarray, np.ndarray, np.ndarray, int]:
+        """:meth:`_mark` in C: sets the header mark bits and the Old
+        objects' bitmap bits, records the Scan&Push rows and returns
+        the live Old objects' addresses and sizes by address, the other
+        live objects in mark order and the slots scanned."""
+        from repro.platform import native
         heap = self.heap
         old = heap.layout.old
-        ops = fast_kernels.HeapOps(heap)
-        stack: ObjectStack[int] = ObjectStack()
-        marked = set()
-        live_old: List[LiveRec] = []
-        live_young: List[LiveRec] = []
-
-        n_roots = len(heap.roots)
-        if n_roots:
-            trace.residual("mark", RESIDUAL_COSTS["root"] * n_roots,
-                           CACHE_LINE * n_roots)
-        for addr in heap.roots:
-            if addr and addr not in marked:
-                marked.add(addr)
-                stack.push(addr)
-
-        pop_cost = RESIDUAL_COSTS["pop"]
-        check_cost = RESIDUAL_COSTS["check_mark"]
-        trivial_cost = RESIDUAL_COSTS["scan_trivial"]
-        old_lo, old_hi = old.start, old.end
-        while stack:
-            addr = stack.pop()
-            trace.residual("mark", pop_cost)
-            kid, length, size = ops.decode(addr)
-            trace.objects_visited += 1
-            record = (addr, kid, length, size)
-            if old_lo <= addr < old_hi:
-                live_old.append(record)
+        roots = np.array(heap.roots, dtype=np.int64)
+        first = _FIRST_ROWS
+        block = native.Block(native.MARK_FIELDS, {
+            **self._layout_values(), "n_words": heap.words.shape[0],
+            "roots": roots, "n_roots": roots.shape[0], "roots_done": 0,
+            "stack": np.empty(max(first, roots.shape[0]), dtype=np.int64),
+            "depth": 0, "stack_cap": max(first, roots.shape[0]),
+            "pushed": np.zeros(heap.words.shape[0] // 64 + 1,
+                               dtype=np.uint64),
+            "old_lo": old.start, "old_hi": old.end,
+            "beg": heap.bitmaps.beg, "end": heap.bitmaps.end,
+            "root_cost": RESIDUAL_COSTS["root"],
+            "pop_cost": RESIDUAL_COSTS["pop"],
+            "check_cost": RESIDUAL_COSTS["check_mark"],
+            "trivial_cost": RESIDUAL_COSTS["scan_trivial"],
+            "cache_line": CACHE_LINE,
+            **{name: np.empty(first, dtype=np.int64)
+               for name in ("old_addr", "old_size", "young", "ev_src",
+                            "ev_refs", "ev_pushes")},
+            "n_old": 0, "old_cap": first, "n_young": 0, "young_cap": first,
+            "n_events": 0, "ev_cap": first, "mark": 0.0, "mark_bytes": 0,
+            "touched": 0, "slots": 0, "fault_addr": 0})
+        state = block.struct
+        while True:
+            code = self._run("major_mark", block)
+            if code == native.SCAVENGE_GROW_STACK:
+                state.stack_cap = block.grow("stack", state.depth).shape[0]
+            elif code == native.SCAVENGE_GROW_ROWS:
+                for name in ("ev_src", "ev_refs", "ev_pushes"):
+                    state.ev_cap = block.grow(name,
+                                              state.n_events).shape[0]
+            elif code == native.MAJOR_GROW_LIVE:
+                if state.n_old == state.old_cap:
+                    block.grow("old_addr", state.n_old)
+                    state.old_cap = block.grow("old_size",
+                                               state.n_old).shape[0]
+                else:
+                    state.young_cap = block.grow(
+                        "young", state.n_young).shape[0]
             else:
-                live_young.append(record)
-            slots = ops.ref_slots(addr, kid, length)
-            if slots:
-                trace.residual("mark", check_cost * len(slots))
-                pushes = 0
-                for slot in slots:
-                    target = ops.read_word(slot)
-                    if target and target not in marked:
-                        marked.add(target)
-                        stack.push(target)
-                        pushes += 1
-                for refs, chunk_pushes in chunk_refs(len(slots),
-                                                     pushes):
-                    trace.scan_push("mark", addr, refs, chunk_pushes)
-            else:
-                trace.residual("mark", trivial_cost)
-
-        live_old.sort()
-        # Deferred bulk effects: nothing read the bitmaps or header
-        # mark bits during the traversal, so batching them here leaves
-        # the same state the per-object scalar stores produce.
-        if live_old:
-            columns = np.asarray(live_old, dtype=np.int64)
-            fast_kernels.mark_objects_bulk(heap.bitmaps,
-                                           columns[:, 0],
-                                           columns[:, 3])
-            fast_kernels.or_words_bulk(heap, columns[:, 0],
-                                       _HEADER_MARK_BIT)
-        if live_young:
-            fast_kernels.or_words_bulk(
-                heap,
-                np.asarray([rec[0] for rec in live_young],
-                           dtype=np.int64),
-                _HEADER_MARK_BIT)
-        return live_old, live_young
-
-    def _region_live_fast(self, trace: GCTrace,
-                          live_old: List[LiveRec]) -> List[int]:
-        heap = self.heap
-        old = heap.layout.old
-        n_regions = -(-old.capacity // REGION_BYTES)
-        if not live_old:
-            return [0] * n_regions
-        trace.residual("summary",
-                       RESIDUAL_COSTS["summary_region"] * len(live_old))
-        columns = np.asarray(live_old, dtype=np.int64)
-        addrs, sizes = columns[:, 0], columns[:, 3]
-        first = (addrs - old.start) // REGION_BYTES
-        last = (addrs + sizes - WORD - old.start) // REGION_BYTES
-        region_live = np.zeros(n_regions, dtype=np.int64)
-        contained = first == last
-        np.add.at(region_live, first[contained],
-                  sizes[contained] // WORD)
-        for position in np.flatnonzero(~contained).tolist():
-            start = int(addrs[position])
-            remaining = int(sizes[position])
-            while remaining > 0:
-                region = (start - old.start) // REGION_BYTES
-                region_end = old.start + (region + 1) * REGION_BYTES
-                span = min(remaining, region_end - start)
-                region_live[region] += span // WORD
-                start += span
-                remaining -= span
-        return region_live.tolist()
-
-    def _effective_prefix_end_fast(self, live_old: List[LiveRec],
-                                   region_prefix_end: int) -> int:
-        prefix_end = self.heap.layout.old.start
-        for addr, _, _, size in live_old:
-            if addr >= region_prefix_end:
                 break
-            prefix_end = max(prefix_end, addr + size)
+        if state.touched:
+            trace.residual("mark", state.mark, state.mark_bytes)
+        rows = state.n_events
+        trace.append_columns(
+            "mark", src=block.arrays["ev_src"][:rows],
+            prim=np.full(rows, _SCAN_PUSH, dtype=np.uint8),
+            refs=block.arrays["ev_refs"][:rows],
+            pushes=block.arrays["ev_pushes"][:rows])
+        trace.objects_visited += state.n_old + state.n_young
+        old_addrs = block.arrays["old_addr"][:state.n_old]
+        order = np.argsort(old_addrs, kind="stable")
+        return (old_addrs[order],
+                block.arrays["old_size"][:state.n_old][order],
+                block.arrays["young"][:state.n_young].copy(), state.slots)
+
+    def _region_live_fast(self, trace: GCTrace, addrs: np.ndarray,
+                          sizes: np.ndarray) -> np.ndarray:
+        """:meth:`_region_live` over address and size columns: an
+        object's words split between its first region, its last region
+        and the whole regions in between."""
+        old = self.heap.layout.old
+        n_regions = -(-old.capacity // REGION_BYTES)
+        region_live = np.zeros(n_regions, dtype=np.int64)
+        if not len(addrs):
+            return region_live
+        trace.residual("summary",
+                       RESIDUAL_COSTS["summary_region"] * len(addrs))
+        ends = addrs + sizes
+        first = (addrs - old.start) // REGION_BYTES
+        last = (ends - WORD - old.start) // REGION_BYTES
+        first_end = old.start + (first + 1) * REGION_BYTES
+        np.add.at(region_live, first,
+                  (np.minimum(ends, first_end) - addrs) // WORD)
+        spans = last > first
+        np.add.at(region_live, last[spans],
+                  (ends[spans] - old.start
+                   - last[spans] * REGION_BYTES) // WORD)
+        inner = np.zeros(n_regions + 1, dtype=np.int64)
+        np.add.at(inner, first[spans] + 1, REGION_WORDS)
+        np.add.at(inner, last[spans], -REGION_WORDS)
+        return region_live + np.cumsum(inner[:-1])
+
+    def _effective_prefix_end_fast(self, addrs: np.ndarray,
+                                   sizes: np.ndarray,
+                                   region_prefix_end: int) -> int:
+        inside = addrs < region_prefix_end
+        prefix_end = self.heap.layout.old.start
+        if inside.any():
+            prefix_end = max(prefix_end,
+                             int((addrs[inside] + sizes[inside]).max()))
         return prefix_end
 
-    def _summarize_fast(self, trace: GCTrace, region_live: List[int],
+    def _summarize_fast(self, trace: GCTrace, region_live: np.ndarray,
                         prefix_end: int,
-                        index: "fast_kernels.CoverageIndex"
-                        ) -> Dict[int, int]:
-        heap = self.heap
-        old = heap.layout.old
-        first_moved = (prefix_end - old.start) // REGION_BYTES
-        dest: Dict[int, int] = {}
-        cumulative = (prefix_end - old.start) // WORD
+                        index: "fast_kernels.CoverageIndex") -> np.ndarray:
+        """:meth:`_summarize` as an array: regions below the dense
+        prefix keep their own offset, the rest follow the first moved
+        region's destination by an exclusive running sum."""
+        old = self.heap.layout.old
         n_regions = len(region_live)
+        first_moved = min((prefix_end - old.start) // REGION_BYTES,
+                          n_regions)
+        dest = np.arange(n_regions, dtype=np.int64) * REGION_WORDS
         # The scalar loop only charges regions at or past the dense
         # prefix (the prefix branch ``continue``s before its residual).
-        charged = n_regions - min(first_moved, n_regions)
-        if charged:
-            trace.residual("summary",
-                           RESIDUAL_COSTS["summary_region"] * charged)
-        for region in range(n_regions):
-            region_start = old.start + region * REGION_BYTES
-            if region < first_moved:
-                dest[region] = region * REGION_WORDS
-                continue
-            if region == first_moved and prefix_end > region_start:
-                pre = index.live_words(region_start, prefix_end)
-                dest[region] = cumulative - pre
-                cumulative = dest[region] + region_live[region]
-            else:
-                dest[region] = cumulative
-                cumulative += region_live[region]
+        charged = n_regions - first_moved
+        if not charged:
+            return dest
+        trace.residual("summary",
+                       RESIDUAL_COSTS["summary_region"] * charged)
+        region_start = old.start + first_moved * REGION_BYTES
+        start = ((prefix_end - old.start) // WORD
+                 - index.live_words(region_start, prefix_end))
+        moved = region_live[first_moved:]
+        dest[first_moved:] = start + np.cumsum(moved) - moved
         return dest
 
-    def _new_address_fast(self, trace: GCTrace, phase: str,
-                          region_dest: Dict[int, int], addr: int,
-                          prefix_end: int,
-                          index: "fast_kernels.CoverageIndex") -> int:
-        """:meth:`_new_address` with the O(1) coverage-index query.
+    def _destination(self, prefix_end: int, region_dest: np.ndarray,
+                     index: "fast_kernels.CoverageIndex") -> dict:
+        """The ``Destination`` fields of the adjust and compact blocks
+        (the query cache starts empty)."""
+        return {"old_lo": self.heap.layout.old.start,
+                "prefix_end": prefix_end, "region_dest": region_dest,
+                "coverage": index.coverage, "prefix": index.prefix,
+                "covered_start": index.covered_start,
+                "covered_end": index.covered_end, "last_region": -1,
+                "last_addr": 0}
 
-        The query-cache bookkeeping (and the ``bits_cached`` field it
-        emits) is preserved verbatim — the *trace* must still describe
-        the software baseline's walk."""
-        old = self.heap.layout.old
-        if addr < prefix_end:
-            trace.residual(phase, RESIDUAL_COSTS["check_mark"])
-            return addr
-        region = (addr - old.start) // REGION_BYTES
-        region_start = old.start + region * REGION_BYTES
-        words = index.live_words(region_start, addr)
-        bits = (addr - region_start) // WORD
-        cached = None
-        last = self._last_query
-        if last is not None and last[0] == region_start \
-                and last[1] <= addr:
-            cached = (addr - last[1]) // WORD
-        self._last_query = (region_start, addr)
-        trace.bitmap_count(phase, region_start, bits=bits,
-                           bits_cached=cached)
-        return old.start + (region_dest[region] + words) * WORD
-
-    def _adjust_pointers_fast(self, trace: GCTrace,
-                              live_old: List[LiveRec],
-                              live_young: List[LiveRec],
-                              region_dest: Dict[int, int],
-                              prefix_end: int,
-                              index: "fast_kernels.CoverageIndex"
-                              ) -> None:
+    def _adjust_native(self, trace: GCTrace, live: np.ndarray, slots: int,
+                       destination: dict) -> None:
+        """:meth:`_adjust_pointers` in C, over the live Old objects by
+        address and then the others in mark order; leaves the query
+        cache in ``destination`` for the compaction."""
+        from repro.platform import native
         heap = self.heap
-        layout = heap.layout
-        n_roots = len(heap.roots)
-        if n_roots:
-            trace.residual("adjust",
-                           RESIDUAL_COSTS["forward_update"] * n_roots)
-        for position, addr in enumerate(heap.roots):
-            if addr and layout.in_old(addr):
-                heap.roots[position] = self._new_address_fast(
-                    trace, "adjust", region_dest, addr, prefix_end,
-                    index)
-        all_live = live_old + live_young
-        if not all_live:
-            return
-        columns = np.asarray(all_live, dtype=np.int64)
-        batch = fast_kernels.gather_ref_slots(
-            heap, columns[:, 0], columns[:, 1], columns[:, 2])
-        total_slots = len(batch)
-        if total_slots:
-            trace.residual("adjust",
-                           RESIDUAL_COSTS["check_mark"] * total_slots)
-        # Every slot was read exactly once above, and each write below
-        # goes only to the slot just read — gather-then-loop is exact.
-        old_refs = ((batch.targets >= layout.old.start)
-                    & (batch.targets < layout.old.end))
-        slots = batch.slots
-        targets = batch.targets
-        changed_slots: List[int] = []
-        changed_values: List[int] = []
-        for position in np.flatnonzero(old_refs).tolist():
-            target = int(targets[position])
-            new_target = self._new_address_fast(
-                trace, "adjust", region_dest, target, prefix_end,
-                index)
-            if new_target != target:
-                changed_slots.append(int(slots[position]))
-                changed_values.append(new_target)
-        if changed_slots:
-            trace.residual(
-                "adjust",
-                RESIDUAL_COSTS["forward_update"] * len(changed_slots))
-            word_indices = (np.asarray(changed_slots, dtype=np.int64)
-                            - heap.base) // WORD
-            heap.words[word_indices] = np.asarray(
-                changed_values, dtype=np.uint64)
+        roots = np.array(heap.roots, dtype=np.int64)
+        rows = roots.shape[0] + slots
+        block = native.Block(native.ADJUST_FIELDS, {
+            **self._layout_values(), "roots": roots, "n_roots": roots.shape[0],
+            "live": live, "n_live": live.shape[0],
+            "old_hi": heap.layout.old.end, **destination,
+            "check_cost": RESIDUAL_COSTS["check_mark"],
+            "forward_cost": RESIDUAL_COSTS["forward_update"],
+            **{name: np.empty(rows, dtype=np.int64)
+               for name in ("ev_src", "ev_bits", "ev_bits_cached")},
+            "n_events": 0, "adjust": 0.0, "touched": 0})
+        self._run("major_adjust", block)
+        state = block.struct
+        heap.roots[:] = roots.tolist()
+        if state.touched:
+            trace.residual("adjust", state.adjust)
+        count = state.n_events
+        trace.append_columns("adjust", src=block.arrays["ev_src"][:count],
+                             prim=np.full(count, _BITMAP_COUNT,
+                                          dtype=np.uint8),
+                             bits=block.arrays["ev_bits"][:count],
+                             bits_cached=block.arrays[
+                                 "ev_bits_cached"][:count])
+        destination.update(last_region=state.last_region,
+                           last_addr=state.last_addr)
 
-    def _compact_fast(self, trace: GCTrace, live_old: List[LiveRec],
-                      region_dest: Dict[int, int], prefix_end: int,
-                      index: "fast_kernels.CoverageIndex") -> None:
+    def _compact_native(self, trace: GCTrace, addrs: np.ndarray,
+                        sizes: np.ndarray, young: np.ndarray,
+                        destination: dict) -> None:
+        """:meth:`_compact` and :meth:`_unmark_young` in C."""
+        from repro.platform import native
         heap = self.heap
-        old = heap.layout.old
-        cursor = old.start
-        new_top = prefix_end
-        moved_from = 0
-        for position, (addr, _, _, size) in enumerate(live_old):
-            if addr >= prefix_end:
-                break
-            moved_from = position + 1
-            if addr > cursor:
-                heap.fill_dead_range(cursor, addr)
-                trace.residual("compact", RESIDUAL_COSTS["sweep_step"])
-            cursor = max(cursor, addr + size)
-        # Moved objects slide left; contiguous src/dst runs collapse
-        # into one slice memmove (per-object Copy events preserved).
-        run_src = run_dst = run_len = 0
-
-        def flush_run() -> None:
-            nonlocal run_len
-            if run_len:
-                heap.move_bytes(run_src, run_dst, run_len)
-                run_len = 0
-
-        dst_addrs: List[int] = [rec[0] for rec in
-                                live_old[:moved_from]]
-        for addr, _, _, size in live_old[moved_from:]:
-            dst = self._new_address_fast(trace, "compact", region_dest,
-                                         addr, prefix_end, index)
-            if dst != addr:
-                if run_len and addr == run_src + run_len \
-                        and dst == run_dst + run_len:
-                    run_len += size
-                else:
-                    flush_run()
-                    run_src, run_dst, run_len = addr, dst, size
-                trace.copy("compact", addr, dst, size)
-                trace.objects_copied += 1
-                trace.bytes_copied += size
-            else:
-                flush_run()
-            dst_addrs.append(dst)
-            new_top = dst + size
-        flush_run()
-        # Bulk mark-bit clear at every surviving header (prefix objects
-        # in place, moved objects at their destinations) — the marked
-        # residue at moved objects' old addresses stays, as in the
-        # scalar path.
-        if dst_addrs:
-            fast_kernels.and_words_bulk(
-                heap, np.asarray(dst_addrs, dtype=np.int64),
-                ~_HEADER_MARK_BIT)
-        old.top = new_top
+        rows = 2 * int(np.count_nonzero(
+            addrs >= destination["prefix_end"]))
+        block = native.Block(native.COMPACT_FIELDS, {
+            "words": heap.words, "base": heap.base, "old_addr": addrs,
+            "old_size": sizes, "n_old": addrs.shape[0], "young": young,
+            "n_young": young.shape[0], **destination,
+            "filler_kid": heap.filler_klass.klass_id,
+            "filler_object_kid": heap.filler_object_klass.klass_id,
+            "sweep_cost": RESIDUAL_COSTS["sweep_step"],
+            "ev_prim": np.empty(rows, dtype=np.uint8),
+            **{name: np.empty(rows, dtype=np.int64)
+               for name in ("ev_src", "ev_dst", "ev_size_bytes",
+                            "ev_bits", "ev_bits_cached")},
+            "n_events": 0, "compact": 0.0, "touched": 0, "copied": 0,
+            "bytes_copied": 0, "new_top": 0, "fault_addr": 0,
+            "fault_end": 0})
+        self._run("major_compact", block)
+        state = block.struct
+        if state.touched:
+            trace.residual("compact", state.compact)
+        count = state.n_events
+        trace.append_columns("compact", **{
+            name: block.arrays[f"ev_{name}"][:count]
+            for name in ("prim", "src", "dst", "size_bytes", "bits",
+                         "bits_cached")})
+        trace.objects_copied += state.copied
+        trace.bytes_copied += state.bytes_copied
+        heap.layout.old.top = state.new_top
         heap.bitmaps.clear()
-
-    def _unmark_young_fast(self, live_young: List[LiveRec]) -> None:
-        if live_young:
-            fast_kernels.and_words_bulk(
-                self.heap,
-                np.asarray([rec[0] for rec in live_young],
-                           dtype=np.int64),
-                ~_HEADER_MARK_BIT)
 
     def _rebuild_cards_fast(self, trace: GCTrace) -> None:
         heap = self.heap

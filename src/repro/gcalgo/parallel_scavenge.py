@@ -32,7 +32,8 @@ import numpy as np
 from repro.errors import OutOfMemoryError
 from repro.gcalgo.stack import ObjectStack
 from repro.gcalgo.trace import (FIXED_GC_INSTRUCTIONS, GCTrace,
-                                RESIDUAL_COSTS, chunk_refs)
+                                PRIMITIVE_TYPE_CODES, Primitive,
+                                RESIDUAL_COSTS, chunk_columns, chunk_refs)
 from repro.heap import fast_kernels
 from repro.heap.heap import JavaHeap
 from repro.heap.object_model import MarkWord
@@ -84,9 +85,6 @@ class MinorGC:
             fast_kernels.record_fallback(
                 "minor", "reference write hooks are installed")
             fast = False
-        if fast:
-            from repro.platform import native  # repro.platform imports us
-            native.library()  # a missing compiler fails before mutating
         fast_kernels.record_call("minor",
                                  kernel="fast" if fast else "scalar")
         trace = GCTrace("minor", heap_bytes=heap.config.heap_bytes)
@@ -109,14 +107,14 @@ class MinorGC:
             # dirty cards that hold young references.
             with obs.span("card-search", cat="collector", gc="minor"):
                 if fast:
-                    self._card_search_fast(trace, stack)
+                    card_slots = self._card_search_fast(trace)
                 else:
                     self._card_search(trace, stack)
 
             # Step 3: drain.
             with obs.span("drain", cat="collector", gc="minor"):
                 if fast:
-                    self._drain_native(trace, stack)
+                    self._drain_native(trace, stack, card_slots)
                 else:
                     self._drain(trace, stack)
 
@@ -158,13 +156,16 @@ class MinorGC:
             trace.residual("drain",
                            RESIDUAL_COSTS["forward_update"])
 
-    def _drain_native(self, trace: GCTrace, stack: ObjectStack) -> None:
+    def _drain_native(self, trace: GCTrace, stack: ObjectStack,
+                      card_slots: np.ndarray) -> None:
         """:meth:`_drain` in C (``scavenge_drain``, ``_scavenge.c``),
-        in place on the heap buffer: the same rows, residual, stats
+        in place on the heap buffer, over the stack's root entries with
+        ``card_slots`` pushed on top: the same rows, residual, stats
         and heap, roots, tops and card table."""
         from repro.platform import native  # repro.platform imports us
-        items = stack.take()
-        if not items:
+        items = np.concatenate((np.array(stack.take(), dtype=np.int64),
+                                card_slots))
+        if not items.shape[0]:
             return
         heap, layout = self.heap, self.heap.layout
         tables = fast_kernels.layouts_for(heap.klasses)
@@ -173,8 +174,8 @@ class MinorGC:
         block = native.Block(native.SCAVENGE_FIELDS, {
             "words": heap.words, "base": heap.base,
             "n_words": heap.words.shape[0], "roots": roots,
-            "stack": np.array(items, dtype=np.int64),
-            "depth": len(items), "stack_cap": len(items),
+            "stack": items,
+            "depth": items.shape[0], "stack_cap": items.shape[0],
             "eden_lo": layout.eden.start, "eden_hi": layout.eden.end,
             "from_lo": layout.survivor_from.start,
             "from_hi": layout.survivor_from.end,
@@ -287,12 +288,13 @@ class MinorGC:
                 trace.residual("card-scan",
                                RESIDUAL_COSTS["scan_trivial"])
 
-    def _card_search_fast(self, trace: GCTrace,
-                          stack: ObjectStack) -> None:
-        """Vectorized Search: one pass over cards, batched candidate
-        decode — identical events and pushes to :meth:`_card_search`."""
+    def _card_search_fast(self, trace: GCTrace) -> np.ndarray:
+        """Vectorized Search: one pass over cards, a C header walk of
+        Old and batched candidate decode — the events of
+        :meth:`_card_search`, and the slots it pushes, in push order."""
         heap = self.heap
         card_table = heap.card_table
+        no_slots = np.empty(0, dtype=np.int64)
         for table_addr, n_cards, found in \
                 fast_kernels.search_blocks_fast(card_table):
             trace.search("card-search", table_addr, n_cards, found)
@@ -300,14 +302,14 @@ class MinorGC:
         card_table.clear()
         n_dirty = int(dirty_indices.shape[0])
         if not n_dirty:
-            return
+            return no_slots
         trace.residual("card-scan",
                        RESIDUAL_COSTS["card_lookup"] * n_dirty,
                        CACHE_LINE * n_dirty)
         old = heap.layout.old
         parsed = fast_kernels.parse_space(heap, old.start, old.top)
         if not len(parsed):
-            return
+            return no_slots
         not_filler = ((parsed.kids != heap.filler_klass.klass_id)
                       & (parsed.kids
                          != heap.filler_object_klass.klass_id))
@@ -321,7 +323,7 @@ class MinorGC:
         candidates = np.flatnonzero(
             not_filler & (cum[last + 1] - cum[first] > 0))
         if not candidates.shape[0]:
-            return
+            return no_slots
         batch = fast_kernels.gather_ref_slots(
             heap, parsed.addrs[candidates], parsed.kids[candidates],
             parsed.lengths[candidates])
@@ -329,24 +331,21 @@ class MinorGC:
         young = ((batch.targets != 0)
                  & (batch.targets >= layout.eden.start)
                  & (batch.targets < layout.survivor_b.end))
+        pushes = np.bincount(batch.obj_index[young],
+                             minlength=len(candidates))
+        scanned = batch.counts > 0
+        trivial = len(candidates) - int(np.count_nonzero(scanned))
+        src, refs, shares = chunk_columns(
+            parsed.addrs[candidates][scanned], batch.counts[scanned],
+            pushes[scanned])
+        trace.append_columns("card-scan", prim=np.full(
+            len(src), PRIMITIVE_TYPE_CODES[Primitive.SCAN_PUSH],
+            dtype=np.uint8), src=src, refs=refs, pushes=shares)
+        if trivial:
+            trace.residual("card-scan",
+                           RESIDUAL_COSTS["scan_trivial"] * trivial)
         # Flattened slot order equals the scalar per-object push order.
-        for slot in batch.slots[np.flatnonzero(young)].tolist():
-            stack.push(slot)
-        push_cum = np.concatenate(
-            ([0], np.cumsum(young.astype(np.int64))))
-        seg = np.concatenate(([0], np.cumsum(batch.counts)))
-        counts = batch.counts.tolist()
-        addrs = parsed.addrs[candidates].tolist()
-        for index, addr in enumerate(addrs):
-            n_slots = counts[index]
-            if not n_slots:
-                trace.residual("card-scan",
-                               RESIDUAL_COSTS["scan_trivial"])
-                continue
-            pushes = int(push_cum[seg[index + 1]]
-                         - push_cum[seg[index]])
-            for refs, chunk_pushes in chunk_refs(n_slots, pushes):
-                trace.scan_push("card-scan", addr, refs, chunk_pushes)
+        return batch.slots[np.flatnonzero(young)]
 
     def _read_slot(self, slot: int) -> int:
         if slot < 0:

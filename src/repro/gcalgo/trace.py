@@ -408,3 +408,21 @@ def chunk_refs(refs: int, pushes: int):
         share = min(count, remaining)
         yield count, share
         remaining -= share
+
+
+def chunk_columns(objs: np.ndarray, refs: np.ndarray,
+                  pushes: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`chunk_refs` over a batch of objects with at least one
+    reference slot each: the ``(src, refs, pushes)`` columns of their
+    Scan&Push rows, object by object, chunk by chunk.  Front-loading
+    fills every chunk before the first one short of pushes, so chunk
+    ``k`` gets ``min(its refs, max(0, pushes - k * ARRAY_SCAN_CHUNK))``.
+    """
+    chunks = (refs + ARRAY_SCAN_CHUNK - 1) // ARRAY_SCAN_CHUNK
+    owner = np.repeat(np.arange(len(objs)), chunks)
+    first = np.cumsum(chunks) - chunks
+    lo = (np.arange(len(owner)) - first[owner]) * ARRAY_SCAN_CHUNK
+    counts = np.minimum(refs[owner] - lo, ARRAY_SCAN_CHUNK)
+    shares = np.clip(pushes[owner] - lo, 0, counts)
+    return objs[owner], counts, shares

@@ -13,16 +13,19 @@ in the spirit of the paper's wide popcount/subtract hardware (Sec. 3.2):
   as its AND-masked counterpart);
 * :func:`search_blocks_fast` — the dirty-card Search in one
   ``np.nonzero``-style pass;
-* :func:`parse_space` / :func:`gather_ref_slots` — batched header
-  decode and reference-slot gathering over a parseable space;
+* :func:`parse_space` / :func:`gather_ref_slots` — header decode of a
+  parseable space (a C walk) and batched reference-slot gathering;
 * :class:`HeapOps` — cheap, bounds-checked header decode for the
   inherently sequential marking and G1 stack drains.
 
-ParallelScavenge's drain, the busiest of those loops, is not here: in
-fast mode it runs in C (``scavenge_drain`` in
-``repro/platform/_scavenge.c``, called by
-:meth:`~repro.gcalgo.parallel_scavenge.MinorGC._drain_native`), on
-the heap buffer and these layout tables.
+The busiest loops are not here: in fast mode ParallelScavenge's drain
+(``scavenge_drain``, called by
+:meth:`~repro.gcalgo.parallel_scavenge.MinorGC._drain_native`),
+MajorGC's mark, adjust and compact (``major_mark``, ``major_adjust``,
+``major_compact``, called by
+:class:`~repro.gcalgo.mark_compact.MajorGC`) and :func:`parse_space`'s
+header walk run in C (``repro/platform/_scavenge.c``), on the heap
+buffer and these layout tables.
 
 **Bit-exactness contract**: every kernel is a drop-in replacement for
 the scalar path it shadows — same GCTrace event streams, same residual
@@ -30,7 +33,8 @@ totals, byte-identical post-GC heap buffers.  The differential fuzzer
 (``repro fuzz --kernels``) runs every collector under both modes and
 asserts exactly that.  The ``REPRO_HEAP_KERNELS`` knob (read through
 :func:`repro.config.settings`; :func:`set_kernel_mode` /
-:func:`use_kernel_mode` override it) selects the path; ``fast`` is the default and ``scalar`` stays as the oracle.
+:func:`use_kernel_mode` override it) selects the path; ``fast`` is the
+default and ``scalar`` stays as the oracle.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from repro.heap.mark_bitmap import MarkBitmaps
 from repro.units import WORD
 
 _U64_ONE = np.uint64(1)
-_MASK64 = (1 << 64) - 1
 
 #: Kind codes used by the layout tables (``-1`` marks unused ids).
 KIND_INSTANCE = 0
@@ -101,11 +104,13 @@ def use_kernel_mode(mode: str) -> Iterator[None]:
 def fast_enabled(heap=None) -> bool:
     """True when collectors should take the fast path.
 
-    With a ``heap``, also pre-flights the layout tables; an unsupported
+    With a ``heap``, also pre-flights the fast path: an unsupported
     klass table records a ``heap.kernel_fallbacks`` metric and demotes
-    the run to the scalar path *before* any mutation happens (the
-    kernels never fall back mid-collection — by then the scalar and
-    fast paths must already agree).
+    the run to the scalar path, and the compiled kernels
+    (:func:`repro.platform.native.library`) are loaded, so a missing
+    compiler raises :class:`ConfigError` — both *before* any mutation
+    happens (the kernels never fall back mid-collection — by then the
+    scalar and fast paths must already agree).
     """
     if kernel_mode() != "fast":
         return False
@@ -115,6 +120,8 @@ def fast_enabled(heap=None) -> bool:
         except FastKernelFallback as error:
             record_fallback("layouts", str(error))
             return False
+        from repro.platform import native  # repro.platform imports us
+        native.library()
     return True
 
 
@@ -135,11 +142,6 @@ def record_call(op: str, kernel: str = "fast",
         registry.counter("heap.kernel_batch_items",
                          "items processed by batched heap kernels",
                          op=op).add(float(items))
-
-
-def record_scalar(op: str) -> None:
-    """Count one scalar-path collector run (the oracle path)."""
-    record_call(op, kernel="scalar")
 
 
 def record_fallback(op: str, why: str) -> None:
@@ -222,6 +224,21 @@ def layouts_for(table: KlassTable) -> KlassLayouts:
     return layouts
 
 
+def object_sizes(table: KlassTable, kids: np.ndarray,
+                 lengths: np.ndarray) -> np.ndarray:
+    """Allocation sizes in bytes of objects of klass ids ``kids`` and
+    lengths ``lengths`` (ignored for instances), as
+    :meth:`~repro.heap.klass.KlassDescriptor.instance_bytes` gives
+    them."""
+    layouts = layouts_for(table)
+    kinds = layouts.kind_code[kids]
+    return np.where(
+        kinds == KIND_INSTANCE, layouts.fixed_size[kids],
+        ARRAY_ELEMENTS_OFFSET + np.where(
+            kinds == KIND_OBJ_ARRAY, lengths * WORD,
+            (lengths + WORD - 1) // WORD * WORD))
+
+
 # ---------------------------------------------------------------------------
 # Popcount over uint64 arrays
 # ---------------------------------------------------------------------------
@@ -269,52 +286,47 @@ class ParsedSpace:
 def parse_space(heap, start: int, top: int) -> ParsedSpace:
     """Decode every object header in ``[start, top)`` in one pass.
 
-    One bulk u64→int conversion of the range plus a tight int loop —
-    the batched replacement for ``iterate_space``'s per-object
-    ``object_at`` decode.  Raises :class:`InvalidObjectError` exactly
-    where the scalar walk would (a zero or unknown klass id).
+    The walk runs in C (``parse_space`` in
+    ``repro/platform/_scavenge.c``) on the heap buffer — the batched
+    replacement for ``iterate_space``'s per-object ``object_at``
+    decode.  It reads the words ``object_at`` reads, and raises
+    :class:`InvalidObjectError` where the scalar walk would (a zero or
+    unknown klass id, a header word off the heap).
     """
+    from repro.platform import native  # repro.platform imports us
     layouts = layouts_for(heap.klasses)
-    kind_list = layouts.kind_list
-    size_list = layouts.size_list
-    n_kinds = len(kind_list)
-    lo = heap.word_index(start)
-    words = heap.words[lo:lo + (top - start) // WORD].tolist()
-    n_words = len(words)
-    addrs: List[int] = []
-    kids: List[int] = []
-    lengths: List[int] = []
-    sizes: List[int] = []
-    cursor = 0
-    while cursor < n_words:
-        kid = words[cursor + 1]
-        kind = kind_list[kid] if 0 < kid < n_kinds else -1
-        if kind < 0:
-            addr = start + cursor * WORD
-            if kid == 0:
-                raise InvalidObjectError(f"no object at {addr:#x}")
-            raise InvalidObjectError(
-                f"garbage klass id {kid:#x} at {addr:#x}")
-        if kind == KIND_INSTANCE:
-            length = 0
-            size = size_list[kid]
-        else:
-            length = words[cursor + 2]
-            if kind == KIND_OBJ_ARRAY:
-                size = ARRAY_ELEMENTS_OFFSET + length * WORD
-            else:
-                size = (ARRAY_ELEMENTS_OFFSET
-                        + (length + WORD - 1) // WORD * WORD)
-        addrs.append(start + cursor * WORD)
-        kids.append(kid)
-        lengths.append(length)
-        sizes.append(size)
-        cursor += size // WORD
-    record_call("parse", items=len(addrs))
-    return ParsedSpace(addrs=np.asarray(addrs, dtype=np.int64),
-                       kids=np.asarray(kids, dtype=np.int64),
-                       lengths=np.asarray(lengths, dtype=np.int64),
-                       sizes=np.asarray(sizes, dtype=np.int64))
+    heap.word_index(start)
+    rows = max(64, (top - start) // 256)
+    columns = ("addrs", "kids", "lengths", "sizes")
+    block = native.Block(native.PARSE_FIELDS, {
+        "words": heap.words, "base": heap.base,
+        "n_words": heap.words.shape[0], "cursor": start, "top": top,
+        "n_kinds": layouts.kind_code.shape[0], "kind": layouts.kind_code,
+        "fixed_size": layouts.fixed_size,
+        **{name: np.empty(rows, dtype=np.int64) for name in columns},
+        "count": 0, "cap": rows, "fault_addr": 0})
+    state = block.struct
+    run = native.library().parse_space
+    while True:
+        code = run(block.address)
+        if code != native.SCAVENGE_GROW_ROWS:
+            break
+        for name in columns:
+            state.cap = block.grow(name, state.count).shape[0]
+    addr = state.fault_addr
+    if code == native.SCAVENGE_BAD_WORD:
+        heap.read_u64(addr)
+    elif code == native.SCAVENGE_BAD_OBJECT:
+        heap.object_at(addr)
+    elif code == native.PARSE_BAD_LENGTH:
+        raise InvalidObjectError(f"array at {addr:#x} is longer than "
+                                 f"the heap")
+    if code != native.SCAVENGE_DONE:
+        raise AssertionError(f"parse_space fault {code} at {addr:#x} "
+                             f"does not fault in Python")
+    count = state.count
+    record_call("parse", items=count)
+    return ParsedSpace(*(block.arrays[name][:count] for name in columns))
 
 
 @dataclass
@@ -329,14 +341,6 @@ class RefBatch:
     def __len__(self) -> int:
         return int(self.slots.shape[0])
 
-    def per_object(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-        """Yield ``(object_index, slots, targets)`` per object with
-        at least one reference slot, in object order."""
-        boundaries = np.concatenate(
-            ([0], np.cumsum(self.counts))).astype(np.int64)
-        for index in np.flatnonzero(self.counts):
-            lo, hi = boundaries[index], boundaries[index + 1]
-            yield int(index), self.slots[lo:hi], self.targets[lo:hi]
 
 
 def gather_ref_slots(heap, addrs: np.ndarray, kids: np.ndarray,
@@ -398,23 +402,6 @@ def mark_objects_bulk(bitmaps: MarkBitmaps, addrs: np.ndarray,
         np.bitwise_or.at(array, indices >> 6, masks)
 
 
-def set_words_bulk(heap, addrs: np.ndarray, value: int) -> None:
-    """Store one u64 ``value`` at a batch of word addresses."""
-    heap.words[(addrs - heap.base) // WORD] = np.uint64(value)
-
-
-def and_words_bulk(heap, addrs: np.ndarray, mask: int) -> None:
-    """AND a batch of u64 words with ``mask`` (bulk mark-bit clears)."""
-    indices = (addrs - heap.base) // WORD
-    heap.words[indices] &= np.uint64(mask & _MASK64)
-
-
-def or_words_bulk(heap, addrs: np.ndarray, bits: int) -> None:
-    """OR ``bits`` into a batch of u64 words (bulk mark-bit sets)."""
-    indices = (addrs - heap.base) // WORD
-    heap.words[indices] |= np.uint64(bits & _MASK64)
-
-
 # ---------------------------------------------------------------------------
 # Coverage index: popcount-prefix-sum live_words_in_range
 # ---------------------------------------------------------------------------
@@ -459,9 +446,9 @@ class CoverageIndex:
         coverage = shifted - beg - borrow_in
         word_live = popcount_u64(coverage)
         # One sentinel word so queries at covered_end stay in bounds.
-        self._coverage = np.concatenate(
+        self.coverage = np.concatenate(
             (coverage, np.zeros(1, dtype=np.uint64)))
-        self._prefix = np.concatenate(
+        self.prefix = np.concatenate(
             ([0], np.cumsum(word_live))).astype(np.int64)
 
     def _bit(self, addr: int) -> int:
@@ -474,8 +461,8 @@ class CoverageIndex:
         """Live words in ``[covered_start, addr)``."""
         bit = self._bit(addr)
         word, rem = bit >> 6, bit & 63
-        partial = int(self._coverage[word]) & ((1 << rem) - 1)
-        return int(self._prefix[word]) + _popcount_word(partial)
+        partial = int(self.coverage[word]) & ((1 << rem) - 1)
+        return int(self.prefix[word]) + _popcount_word(partial)
 
     def live_words(self, start_addr: int, end_addr: int) -> int:
         """Drop-in for ``live_words_in_range_fast`` on frozen maps."""
@@ -484,15 +471,6 @@ class CoverageIndex:
         return self.live_upto(min(end_addr, self.covered_end)) \
             - self.live_upto(start_addr)
 
-    def live_upto_batch(self, addrs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`live_upto` over an address batch."""
-        record_call("bitmap_count", items=len(addrs))
-        bits = (addrs - self.covered_start) // WORD
-        words = bits >> 6
-        rems = (bits & 63).astype(np.uint64)
-        masks = np.left_shift(_U64_ONE, rems) - _U64_ONE
-        partial = popcount_u64(self._coverage[words] & masks)
-        return self._prefix[words] + partial
 
 
 def _popcount_word(value: int) -> int:
@@ -555,9 +533,9 @@ class HeapOps:
         self.offsets = layouts.offsets_list
         self.n_kinds = len(layouts.kind_list)
 
-    def _index(self, addr: int, access: str = "read") -> int:
+    def _index(self, addr: int) -> int:
         if addr % WORD:
-            raise InvalidObjectError(f"unaligned u64 {access} at {addr:#x}")
+            raise InvalidObjectError(f"unaligned u64 read at {addr:#x}")
         index = (addr - self.base) // WORD
         if not 0 <= index < self.n_words:
             raise InvalidObjectError(f"address {addr:#x} outside heap")
@@ -565,9 +543,6 @@ class HeapOps:
 
     def read_word(self, addr: int) -> int:
         return int(self.words[self._index(addr)])
-
-    def write_word(self, addr: int, value: int) -> None:
-        self.words[self._index(addr, "write")] = np.uint64(value & _MASK64)
 
     def decode(self, addr: int) -> Tuple[int, int, int]:
         """``(klass_id, length, size_bytes)`` of the object at ``addr``."""

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.config import HeapConfig
 from repro.errors import ConfigError, InvalidObjectError, OutOfMemoryError
+from repro.heap import fast_kernels
 from repro.heap.card_table import CardTable
 from repro.heap.klass import (ARRAY_LENGTH_OFFSET, HEADER_BYTES,
                               KlassDescriptor, KlassKind, KlassTable,
@@ -142,29 +143,27 @@ class JavaHeap:
             self.write_u64(addr + ARRAY_LENGTH_OFFSET, length or 0)
         return view
 
-    def format_object_run(self, start: int, count: int,
-                          klass: KlassDescriptor,
-                          length: Optional[int] = None) -> int:
-        """Format ``count`` back-to-back objects of one shape at once.
+    def format_object_run(self, start: int, kids: np.ndarray,
+                          lengths: np.ndarray) -> np.ndarray:
+        """Format back-to-back objects of per-object shapes at once.
 
-        The run's bytes are zeroed with one slice store and the headers
-        written with three strided stores — byte-identical to calling
-        :meth:`format_object` ``count`` times over the same addresses.
-        Returns the per-object size in bytes.
+        ``kids`` and ``lengths`` give each object's klass id and length
+        (ignored for instances).  The run's bytes are zeroed with one
+        slice store and the headers written with three scattered stores
+        — byte-identical to calling :meth:`format_object` per object
+        over the same addresses.  Returns the objects' addresses.
         """
-        size = align_up(klass.instance_bytes(length), WORD)
+        sizes = fast_kernels.object_sizes(self.klasses, kids, lengths)
+        addrs = start + np.cumsum(sizes) - sizes
         begin = self._index(start)
-        self.buffer[begin:begin + size * count] = 0
-        stride = size // WORD
-        first = begin // WORD
-        self._u64[first:first + stride * count:stride] = \
-            np.uint64(MarkWord.fresh().raw)
-        self._u64[first + 1:first + 1 + stride * count:stride] = \
-            np.uint64(klass.klass_id)
-        if klass.kind.is_array:
-            self._u64[first + 2:first + 2 + stride * count:stride] = \
-                np.uint64(length or 0)
-        return size
+        self.buffer[begin:begin + int(sizes.sum())] = 0
+        heads = begin // WORD + (addrs - start) // WORD
+        self._u64[heads] = np.uint64(MarkWord.fresh().raw)
+        self._u64[heads + 1] = kids
+        arrays = fast_kernels.layouts_for(self.klasses).kind_code[kids] \
+            != fast_kernels.KIND_INSTANCE
+        self._u64[heads[arrays] + 2] = lengths[arrays]
+        return addrs
 
     def new_object(self, klass_name: str, length: Optional[int] = None,
                    space: Optional[Space] = None) -> ObjectView:
@@ -268,6 +267,102 @@ class JavaHeap:
         return self.load_ref(array_addr + ARRAY_LENGTH_OFFSET + WORD
                              + index * WORD)
 
+    def ref_slot(self, obj: int, index: int) -> int:
+        """Address of reference ``index`` of the object at ``obj``: an
+        objArray element, or an instance's ``index``-th reference
+        field (the slot :meth:`array_store` and :meth:`set_field`
+        store to, with their checks)."""
+        view = self.object_at(obj)
+        if view.klass.kind is KlassKind.OBJ_ARRAY:
+            if not 0 <= index < (view.length or 0):
+                raise ConfigError(f"array index {index} out of bounds")
+            return obj + ARRAY_LENGTH_OFFSET + WORD + index * WORD
+        if view.klass.kind is KlassKind.TYPE_ARRAY:
+            raise ConfigError("reference slots are in objArrays and "
+                              "instances")
+        slots = view.reference_slots()
+        if not 0 <= index < len(slots):
+            raise ConfigError(f"ref index {index} out of range for "
+                              f"{view.klass.name}")
+        return slots[index]
+
+    def _ref_slots(self, objs, indices) -> np.ndarray:
+        """:meth:`ref_slot` over ``objs`` and ``indices`` broadcast
+        together, decoded in bulk; the first invalid pair raises
+        :meth:`ref_slot`'s error."""
+        objs, indices = (column.ravel() for column in np.broadcast_arrays(
+            np.asarray(objs, dtype=np.int64),
+            np.asarray(indices, dtype=np.int64)))
+        layouts = fast_kernels.layouts_for(self.klasses)
+        heads = (objs - self.base) // WORD
+        valid = ((objs % WORD == 0) & (heads >= 0)
+                 & (heads + 2 < self._u64.shape[0]))
+        words = self._u64.view(np.int64)
+        kids = np.zeros(objs.shape, dtype=np.int64)
+        kids[valid] = words[heads[valid] + 1]
+        kids[(kids < 0) | (kids >= layouts.kind_code.shape[0])] = 0
+        kinds = layouts.kind_code[kids]
+        is_array = kinds == fast_kernels.KIND_OBJ_ARRAY
+        limit = layouts.ref_count[kids]
+        limit[is_array] = words[heads[is_array] + 2]
+        valid &= ((kinds == fast_kernels.KIND_INSTANCE) | is_array) \
+            & (indices >= 0) & (indices < limit)
+        if not valid.all():
+            return np.array([self.ref_slot(obj, index) for obj, index
+                             in zip(objs.tolist(), indices.tolist())],
+                            dtype=np.int64)
+        fields = layouts.off_start[kids] + indices
+        instance_offsets = (layouts.flat_offsets[np.where(is_array, 0,
+                                                          fields)]
+                            if layouts.flat_offsets.shape[0] else 0)
+        return objs + np.where(
+            is_array, ARRAY_LENGTH_OFFSET + WORD + indices * WORD,
+            instance_offsets)
+
+    def load_refs(self, objs, indices) -> np.ndarray:
+        """:meth:`array_load` / :meth:`get_field` over a batch:
+        reference ``indices`` of ``objs``, broadcast together.  Under
+        the scalar heap kernels each goes through :meth:`load_ref`."""
+        if not fast_kernels.fast_enabled(self):
+            return np.array([
+                self.load_ref(self.ref_slot(obj, index))
+                for obj, index in zip(*_pairs(objs, indices))],
+                dtype=np.int64)
+        slots = self._ref_slots(objs, indices)
+        return self._u64[(slots - self.base) // WORD].astype(np.int64)
+
+    def store_refs(self, objs, indices, targets) -> None:
+        """:meth:`array_store` / :meth:`set_field` over a batch:
+        reference ``indices`` of ``objs`` get ``targets``, all three
+        broadcast together, with the write barrier applied through
+        :meth:`CardTable.dirty_slots`.  Under the scalar heap kernels,
+        or with :attr:`ref_write_hooks` installed (which see each
+        store), each goes through :meth:`store_ref`, in order."""
+        fast = fast_kernels.fast_enabled(self)
+        if fast and self.ref_write_hooks:
+            fast_kernels.record_fallback(
+                "store", "reference write hooks are installed")
+            fast = False
+        if not fast:
+            for obj, index, target in zip(*_pairs(objs, indices,
+                                                  targets)):
+                self.store_ref(self.ref_slot(obj, index), target)
+            return
+        slots = self._ref_slots(objs, indices)
+        targets = np.broadcast_to(np.asarray(targets, dtype=np.int64),
+                                  slots.shape)
+        # A slot stored more than once keeps its last store (a scatter
+        # does not promise an order).
+        _, last = np.unique(slots[::-1], return_index=True)
+        final = slots.shape[0] - 1 - last
+        self._u64[(slots[final] - self.base) // WORD] = targets[final]
+        layout = self.layout
+        old = layout.old
+        barrier = ((targets != 0) & (slots >= old.start)
+                   & (slots < old.end) & (targets >= layout.eden.start)
+                   & (targets < layout.survivor_b.end))
+        self.card_table.dirty_slots(slots[barrier])
+
     def references_of(self, view: ObjectView) -> List[int]:
         """Non-null reference targets of ``view``."""
         return [ref for slot in view.reference_slots()
@@ -336,3 +431,9 @@ class JavaHeap:
         parts = [f"{s.name}: {s.used}/{s.capacity}"
                  for s in self.layout.spaces]
         return ", ".join(parts)
+
+
+def _pairs(*columns) -> List[List[int]]:
+    """``columns`` broadcast together and flattened, as int lists."""
+    return [column.ravel().tolist() for column in np.broadcast_arrays(
+        *(np.asarray(column, dtype=np.int64) for column in columns))]

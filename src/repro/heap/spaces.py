@@ -59,20 +59,6 @@ class Space:
         self.top += size
         return addr
 
-    def allocate_many(self, size: int, count: int) -> int:
-        """Reserve ``count`` back-to-back objects of ``size`` bytes.
-
-        One bump covers the whole run — the addresses are exactly what
-        ``count`` successive :meth:`allocate` calls would have returned.
-        """
-        if count <= 0:
-            raise ConfigError(f"allocation count {count} must be positive")
-        return self.allocate(size * count)
-
-    def fits_count(self, size: int) -> int:
-        """How many ``size``-byte objects the free tail can hold."""
-        return self.free // size if size > 0 else 0
-
     def reset(self) -> None:
         """Empty the space (MinorGC clears Eden and From)."""
         self.top = self.start

@@ -6,9 +6,14 @@ object:
 * ``_stage2.c`` — the batched replay kernels' order-dependent stage-2
   recurrence (``host_phase``, ``charon_phase``;
   :mod:`repro.platform.batched`);
-* ``_scavenge.c`` — ParallelScavenge's drain/evacuate loop
-  (``scavenge_drain``; :mod:`repro.gcalgo.parallel_scavenge`), run in
-  place on the heap's u64 buffer by fast-mode capture.
+* ``_scavenge.c`` — the capture kernels fast mode runs in place on the
+  heap's u64 buffer: ParallelScavenge's drain/evacuate loop
+  (``scavenge_drain``; :mod:`repro.gcalgo.parallel_scavenge`),
+  MajorGC's mark, adjust and compact phases (``major_mark``,
+  ``major_adjust``, ``major_compact``; :mod:`repro.gcalgo.mark_compact`)
+  and the header walk of a parseable space (``parse_space``;
+  :func:`repro.heap.fast_kernels.parse_space`, behind every fast
+  collector's card search, card rebuild and sweep).
 
 :func:`library` compiles both with the installed gcc in one run::
 
@@ -66,8 +71,11 @@ def library() -> ctypes.CDLL:
                                  ctypes.c_int64, ctypes.c_double,
                                  ctypes.c_void_p)
             function.restype = ctypes.c_int
-        lib.scavenge_drain.argtypes = (ctypes.c_void_p,)
-        lib.scavenge_drain.restype = ctypes.c_int
+        for name in ("scavenge_drain", "parse_space", "major_mark",
+                     "major_adjust", "major_compact"):
+            function = getattr(lib, name)
+            function.argtypes = (ctypes.c_void_p,)
+            function.restype = ctypes.c_int
         _LIBRARY = lib
     return _LIBRARY
 
@@ -214,10 +222,75 @@ SCAVENGE_FIELDS = (
     ("drain", "f8"), ("drain_bytes", "i8"), ("copied", "i8"),
     ("bytes_copied", "i8"), ("promoted", "i8"), ("fault_addr", "i8"))
 
-#: ``scavenge_drain`` return codes: done; grow the row columns or the
-#: stack and call again; or a fault at ``fault_addr``.
+#: ``ParseSpace`` in ``_scavenge.c``, field for field.
+PARSE_FIELDS = (
+    ("words", "*u8"), ("base", "i8"), ("n_words", "i8"), ("cursor", "i8"),
+    ("top", "i8"), ("n_kinds", "i8"), ("kind", "*i8"),
+    ("fixed_size", "*i8"), ("addrs", "*i8"), ("kids", "*i8"),
+    ("lengths", "*i8"), ("sizes", "*i8"), ("count", "i8"), ("cap", "i8"),
+    ("fault_addr", "i8"))
+
+#: The klass layout tables (``heap.fast_kernels.KlassLayouts``) the
+#: major kernels decode headers with.
+_LAYOUT_FIELDS = (
+    ("n_kinds", "i8"), ("kind", "*i8"), ("fixed_size", "*i8"),
+    ("ref_count", "*i8"), ("off_start", "*i8"), ("flat_offsets", "*i8"))
+
+#: ``MajorMark`` in ``_scavenge.c``, field for field.
+MARK_FIELDS = (
+    ("words", "*u8"), ("base", "i8"), ("n_words", "i8"), ("roots", "*i8"),
+    ("n_roots", "i8"), ("roots_done", "i8"), ("stack", "*i8"),
+    ("depth", "i8"), ("stack_cap", "i8"), ("pushed", "*u8"),
+    ("old_lo", "i8"), ("old_hi", "i8"), ("beg", "*u8"), ("end", "*u8"),
+    *_LAYOUT_FIELDS,
+    ("root_cost", "f8"), ("pop_cost", "f8"), ("check_cost", "f8"),
+    ("trivial_cost", "f8"), ("cache_line", "i8"),
+    ("old_addr", "*i8"), ("old_size", "*i8"), ("n_old", "i8"),
+    ("old_cap", "i8"), ("young", "*i8"), ("n_young", "i8"),
+    ("young_cap", "i8"),
+    ("ev_src", "*i8"), ("ev_refs", "*i8"), ("ev_pushes", "*i8"),
+    ("n_events", "i8"), ("ev_cap", "i8"),
+    ("mark", "f8"), ("mark_bytes", "i8"), ("touched", "i8"),
+    ("slots", "i8"), ("fault_addr", "i8"))
+
+#: ``Destination`` in ``_scavenge.c`` (embedded in the two blocks
+#: below): the summary's outputs and the query cache.
+_DESTINATION_FIELDS = (
+    ("old_lo", "i8"), ("prefix_end", "i8"), ("region_dest", "*i8"),
+    ("coverage", "*u8"), ("prefix", "*i8"), ("covered_start", "i8"),
+    ("covered_end", "i8"), ("last_region", "i8"), ("last_addr", "i8"))
+
+#: ``MajorAdjust`` in ``_scavenge.c``, field for field.
+ADJUST_FIELDS = (
+    ("words", "*u8"), ("base", "i8"), ("roots", "*i8"), ("n_roots", "i8"),
+    ("live", "*i8"), ("n_live", "i8"),
+    *_LAYOUT_FIELDS, ("old_hi", "i8"), *_DESTINATION_FIELDS,
+    ("check_cost", "f8"), ("forward_cost", "f8"),
+    ("ev_src", "*i8"), ("ev_bits", "*i8"), ("ev_bits_cached", "*i8"),
+    ("n_events", "i8"), ("adjust", "f8"), ("touched", "i8"))
+
+#: ``MajorCompact`` in ``_scavenge.c``, field for field.
+COMPACT_FIELDS = (
+    ("words", "*u8"), ("base", "i8"), ("old_addr", "*i8"),
+    ("old_size", "*i8"), ("n_old", "i8"), ("young", "*i8"),
+    ("n_young", "i8"), *_DESTINATION_FIELDS,
+    ("filler_kid", "i8"), ("filler_object_kid", "i8"),
+    ("sweep_cost", "f8"),
+    ("ev_prim", "*u1"), ("ev_src", "*i8"), ("ev_dst", "*i8"),
+    ("ev_size_bytes", "*i8"), ("ev_bits", "*i8"),
+    ("ev_bits_cached", "*i8"), ("n_events", "i8"),
+    ("compact", "f8"), ("touched", "i8"), ("copied", "i8"),
+    ("bytes_copied", "i8"), ("new_top", "i8"), ("fault_addr", "i8"),
+    ("fault_end", "i8"))
+
+#: Return codes of the ``_scavenge.c`` entry points: done; grow the row
+#: columns or the stack and call again; a fault at ``fault_addr``; an
+#: array longer than the heap (``parse_space``); an Old object past the
+#: mark bitmaps or a dead gap too small for a filler (the major phases);
+#: or grow a live-object column and call again (``major_mark``).
 (SCAVENGE_DONE, SCAVENGE_GROW_ROWS, SCAVENGE_GROW_STACK, SCAVENGE_BAD_WORD,
- SCAVENGE_BAD_OBJECT, SCAVENGE_NO_SPACE) = range(6)
+ SCAVENGE_BAD_OBJECT, SCAVENGE_NO_SPACE, PARSE_BAD_LENGTH, MAJOR_BAD_SPAN,
+ MAJOR_BAD_GAP, MAJOR_GROW_LIVE) = range(10)
 
 _TYPES: Dict[Tuple, type] = {}
 

@@ -16,10 +16,12 @@ the long-lived, pointer-rich old generation the paper describes.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.units import KB
 from repro.workloads.base import Workload
 from repro.workloads.mutator import MutatorDriver
-from repro.workloads.rmat import adjacency_lists, generate_rmat
+from repro.workloads.rmat import adjacency_arrays, generate_rmat
 
 
 class GraphWorkload(Workload):
@@ -55,46 +57,64 @@ class GraphWorkload(Workload):
         heap = driver.heap
         edges = generate_rmat(self.rmat_scale, self.edge_factor,
                               seed=hash(self.name) & 0xFFFF)
-        adjacency = adjacency_lists(edges, self.n_vertices,
-                                    self.max_degree)
+        owners, degree, neighbors = adjacency_arrays(
+            edges, self.n_vertices, self.max_degree)
+        n = self.n_vertices
+        kid = {name: heap.klasses.by_name(name).klass_id
+               for name in ("Vertex", "Box", "objArray", "typeArray")}
 
         self.vertex_table = driver.handle(
-            driver.allocate("objArray", self.n_vertices).addr)
-        # Pass 1: the vertices and their boxed values.
-        for vertex_id in range(self.n_vertices):
-            vertex = driver.allocate("Vertex")
-            heap.array_store(self.vertex_table.addr, vertex_id,
-                             vertex.addr)
-            box = driver.allocate("Box")
-            vertex_addr = heap.array_load(self.vertex_table.addr,
-                                          vertex_id)
-            heap.set_field(heap.object_at(vertex_addr), 0, box.addr)
-        # Pass 2: adjacency arrays (references into the vertex table)
-        # and primitive edge-weight arrays.
-        for vertex_id in range(self.n_vertices):
-            neighbors = adjacency.get(vertex_id, [])
-            if not neighbors:
-                continue
-            adj = driver.allocate("objArray", len(neighbors))
-            vertex_addr = heap.array_load(self.vertex_table.addr,
-                                          vertex_id)
-            heap.set_field(heap.object_at(vertex_addr), 1, adj.addr)
-            weights = driver.allocate("typeArray", len(neighbors) * 8)
+            driver.allocate("objArray", n).addr)
+        # Pass 1: the vertices and their boxed values, interleaved.
+        def store_vertices(first: int, addrs: np.ndarray) -> None:
+            ids = np.arange(first, first + len(addrs))
+            table = self.vertex_table.addr
+            vertex = ids % 2 == 0
+            heap.store_refs(table, ids[vertex] // 2, addrs[vertex])
+            box = ~vertex
+            heap.store_refs(heap.load_refs(table, ids[box] // 2), 0,
+                            addrs[box])
+
+        driver.allocate_batch(np.tile([kid["Vertex"], kid["Box"]], n),
+                              np.zeros(2 * n, dtype=np.int64),
+                              store_vertices)
+        # Pass 2: per vertex with neighbours, an adjacency objArray
+        # (references into the vertex table), a primitive edge-weight
+        # array and a payload.
+        neighbor_start = np.cumsum(degree) - degree
+
+        def store_edges(first: int, addrs: np.ndarray) -> None:
+            ids = np.arange(first, first + len(addrs))
+            role, owner = ids % 3, ids // 3
+            table = self.vertex_table.addr
+            adj = role == 0
+            heap.store_refs(heap.load_refs(table, owners[owner[adj]]), 1,
+                            addrs[adj])
             # Weights hang off the value box to stay reachable.
-            vertex_addr = heap.array_load(self.vertex_table.addr,
-                                          vertex_id)
-            box_addr = heap.get_field(heap.object_at(vertex_addr), 0)
-            heap.set_field(heap.object_at(box_addr), 0, weights.addr)
-            payload = driver.allocate("typeArray", 160)
-            vertex_addr = heap.array_load(self.vertex_table.addr,
-                                          vertex_id)
-            heap.set_field(heap.object_at(vertex_addr), 2, payload.addr)
-            vertex_addr = heap.array_load(self.vertex_table.addr,
-                                          vertex_id)
-            adj_addr = heap.get_field(heap.object_at(vertex_addr), 1)
-            for slot, neighbor in enumerate(neighbors):
-                target = heap.array_load(self.vertex_table.addr, neighbor)
-                heap.array_store(adj_addr, slot, target)
+            weights = role == 1
+            boxes = heap.load_refs(
+                heap.load_refs(table, owners[owner[weights]]), 0)
+            heap.store_refs(boxes, 0, addrs[weights])
+            payload = role == 2
+            vertices = heap.load_refs(table, owners[owner[payload]])
+            heap.store_refs(vertices, 2, addrs[payload])
+            # The payload's allocation is the last before the adjacency
+            # array gets filled.
+            done = owner[payload]
+            counts = degree[done]
+            slot = (np.arange(counts.sum())
+                    - np.repeat(np.cumsum(counts) - counts, counts))
+            targets = heap.load_refs(table, neighbors[
+                np.repeat(neighbor_start[done], counts) + slot])
+            heap.store_refs(np.repeat(heap.load_refs(vertices, 1), counts),
+                            slot, targets)
+
+        driver.allocate_batch(
+            np.tile([kid["objArray"], kid["typeArray"], kid["typeArray"]],
+                    len(owners)),
+            np.stack([degree, degree * 8,
+                      np.full(len(owners), 160)], axis=1).ravel(),
+            store_edges)
         self._message_windows = []
         # Result history ring: one objArray per remembered iteration.
         self.history = [
@@ -111,6 +131,11 @@ class GraphWorkload(Workload):
         vertices (the GraphChi sliding-window I/O pattern)."""
         heap = driver.heap
         step = max(1, int(1.0 / max(touched_fraction, 0.01)))
+        data_kid = heap.klasses.by_name("typeArray").klass_id
+        message_kid = heap.klasses.by_name("Message").klass_id
+        chunks, messages = self.edge_chunks_per_shard, self.messages_per_shard
+        kids = np.repeat([data_kid, message_kid], [chunks, messages])
+        lengths = np.repeat([self.edge_chunk_bytes, 0], [chunks, messages])
         for shard in range(self.shards):
             buffer_handle = driver.handle(driver.allocate(
                 "typeArray", self.shard_buffer_bytes).addr)
@@ -123,17 +148,19 @@ class GraphWorkload(Workload):
             # old-to-young card traffic.
             chunk_ring = driver.handle(driver.allocate(
                 "objArray", self.edge_chunks_per_shard).addr)
-            for chunk in range(self.edge_chunks_per_shard):
-                data = driver.allocate("typeArray",
-                                       self.edge_chunk_bytes)
-                heap.array_store(chunk_ring.addr, chunk, data.addr)
-            for slot in range(self.messages_per_shard):
-                message = driver.allocate("Message")
-                target_id = (base + slot * step) % self.n_vertices
-                target = heap.array_load(self.vertex_table.addr,
-                                         target_id)
-                heap.set_field(message, 0, target)
-                heap.array_store(message_table.addr, slot, message.addr)
+
+            def store_shard(first: int, addrs: np.ndarray) -> None:
+                ids = np.arange(first, first + len(addrs))
+                data = ids < chunks
+                heap.store_refs(chunk_ring.addr, ids[data], addrs[data])
+                slots = ids[~data] - chunks
+                targets = heap.load_refs(
+                    self.vertex_table.addr,
+                    (base + slots * step) % self.n_vertices)
+                heap.store_refs(addrs[~data], 0, targets)
+                heap.store_refs(message_table.addr, slots, addrs[~data])
+
+            driver.allocate_batch(kids, lengths, store_shard)
             # Messages and edge chunks stay in flight for a window of
             # shards (the sliding window), surviving scavenges and
             # feeding the premature-promotion churn real GraphChi runs
@@ -153,12 +180,16 @@ class GraphWorkload(Workload):
         """
         heap = driver.heap
         ring = self.history[iteration % self.history_iterations]
-        count = int(self.n_vertices * fraction)
-        for vertex_id in range(count):
-            result = driver.allocate("Record")
-            target = heap.array_load(self.vertex_table.addr, vertex_id)
-            heap.set_field(result, 0, target)
-            heap.array_store(ring.addr, vertex_id, result.addr)
+
+        def store_results(first: int, addrs: np.ndarray) -> None:
+            ids = np.arange(first, first + len(addrs))
+            heap.store_refs(addrs, 0,
+                            heap.load_refs(self.vertex_table.addr, ids))
+            heap.store_refs(ring.addr, ids, addrs)
+
+        driver.allocate_batch(
+            *driver.shapes("Record", int(self.n_vertices * fraction)),
+            store_results)
 
 
 class ConnectedComponents(GraphWorkload):

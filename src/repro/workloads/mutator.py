@@ -19,7 +19,9 @@ slots the collectors update in place, exactly like JNI global refs.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import OutOfMemoryError
 from repro.gcalgo import columnar
@@ -180,56 +182,90 @@ class MutatorDriver:
                     raise
         raise OutOfMemoryError("allocation failed after full GC")
 
-    def allocate_batch(self, klass_name: str, count: int,
-                       length: Optional[int] = None,
-                       sink: Optional[Callable[[List[int]], None]]
-                       = None) -> int:
-        """Allocate ``count`` identical objects with chunked bumps.
+    def shapes(self, klass_name: str, count: int,
+               length: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+        """``(kids, lengths)`` columns of ``count`` objects of one
+        shape, for :meth:`allocate_batch`."""
+        kid = self.heap.klasses.by_name(klass_name).klass_id
+        return (np.full(count, kid, dtype=np.int64),
+                np.full(count, length, dtype=np.int64))
 
-        Each GC-free chunk reserves its objects with one Eden bump and
-        formats them with one
-        :meth:`~repro.heap.heap.JavaHeap.format_object_run` — byte- and
-        trigger-identical to ``count`` :meth:`allocate` calls (a
-        collection happens exactly when Eden cannot fit the next
-        object, between chunks).  ``sink`` receives each chunk's
-        addresses *before* the next chunk can trigger a collection, so
-        it must anchor them (handles or heap stores) before returning.
+    def allocate_batch(self, kids: np.ndarray, lengths: np.ndarray,
+                       sink: Callable[[int, np.ndarray], None]) -> None:
+        """Allocate objects of klass ids ``kids`` and lengths
+        ``lengths`` (ignored for instances) in order, chunk by chunk.
+
+        A chunk is the longest run of the objects still to allocate
+        that fits in Eden's free tail: one bump reserves it and one
+        :meth:`~repro.heap.heap.JavaHeap.format_object_run` formats it.
+        The object after a chunk, and a large object, goes through
+        :meth:`allocate` at its position, so collections happen exactly
+        where ``len(kids)`` :meth:`allocate` calls would trigger them.
+        After each chunk ``sink(first, addrs)`` receives the index of
+        its first object and its addresses; it must make every store
+        that follows those allocations in program order (anchoring
+        them in handles or the heap) before it returns, because the
+        next chunk may collect.  Then every collection sees the heap
+        the per-object loop leaves.
+
+        With :attr:`step_hooks` installed, or under the scalar heap
+        kernels, every object goes through :meth:`allocate`.
         """
-        if count <= 0:
-            return 0
         heap = self.heap
-        klass = heap.klasses.by_name(klass_name)
-        size = align_up(klass.instance_bytes(length), 8)
+        kids = np.asarray(kids, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+
+        def one(index: int) -> None:
+            klass = heap.klasses.by_id(int(kids[index]))
+            view = self.allocate(klass.name,
+                                 length=int(lengths[index])
+                                 if klass.kind.is_array else None)
+            sink(index, np.array([view.addr], dtype=np.int64))
+
+        fast = fast_kernels.fast_enabled(heap)
+        if fast and self.step_hooks:
+            fast_kernels.record_fallback("alloc",
+                                         "step hooks are installed")
+            fast = False
+        if not fast:
+            for index in range(len(kids)):
+                one(index)
+            return
+        kinds = fast_kernels.layouts_for(heap.klasses).kind_code
+        known = (kids > 0) & (kids < kinds.shape[0])
+        known[known] = kinds[kids[known]] >= 0
+        if not known.all():
+            heap.klasses.by_id(int(kids[~known][0]))
+        sizes = fast_kernels.object_sizes(heap.klasses, kids, lengths)
+        ends = np.cumsum(sizes)
         eden = heap.layout.eden
-        large = size > eden.capacity // self.LARGE_OBJECT_EDEN_FRACTION
-        if large or not fast_kernels.fast_enabled(heap):
-            for _ in range(count):
-                view = self.allocate(klass_name, length=length)
-                if sink is not None:
-                    sink([view.addr])
-            return count
-        remaining = count
-        while remaining:
-            chunk = min(remaining, eden.fits_count(size))
-            if chunk == 0:
-                # Eden tail full: the single-object slow path triggers
-                # the collection exactly where the plain loop would.
-                view = self.allocate(klass_name, length=length)
-                if sink is not None:
-                    sink([view.addr])
-                remaining -= 1
+        # Each chunk stops before the next large object.
+        large = np.flatnonzero(
+            sizes > eden.capacity // self.LARGE_OBJECT_EDEN_FRACTION)
+        limits = np.append(large, len(kids))
+        index = 0
+        while index < len(kids):
+            done = int(ends[index - 1]) if index else 0
+            stop = min(int(np.searchsorted(ends, done + eden.free,
+                                           side="right")),
+                       int(limits[np.searchsorted(limits, index)]))
+            if stop == index:
+                # A large object, or Eden's tail is full: the
+                # per-object path collects where the plain loop would.
+                one(index)
+                index += 1
                 continue
-            fast_kernels.record_call("alloc", items=chunk)
-            start = eden.allocate_many(size, chunk)
-            heap.format_object_run(start, chunk, klass, length)
-            heap.allocated_objects += chunk
-            heap.allocated_bytes += size * chunk
-            self.run.allocated_objects += chunk
-            self.run.allocated_bytes += size * chunk
-            if sink is not None:
-                sink(list(range(start, start + size * chunk, size)))
-            remaining -= chunk
-        return count
+            total = int(ends[stop - 1]) - done
+            fast_kernels.record_call("alloc", items=stop - index)
+            addrs = heap.format_object_run(
+                eden.allocate(total), kids[index:stop],
+                lengths[index:stop])
+            heap.allocated_objects += stop - index
+            heap.allocated_bytes += total
+            self.run.allocated_objects += stop - index
+            self.run.allocated_bytes += total
+            sink(index, addrs)
+            index = stop
 
     # -- collections ----------------------------------------------------------------
 

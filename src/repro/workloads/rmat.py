@@ -11,7 +11,9 @@ irregular.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigError
 
@@ -29,57 +31,68 @@ def generate_rmat(scale: int, edge_factor: int = 6,
         raise ConfigError("scale out of supported range")
     if not 0 < a + b + c < 1:
         raise ConfigError("quadrant probabilities must leave room for d")
-    rng = random.Random(seed)
     n_vertices = 1 << scale
     n_edges = edge_factor * n_vertices
-    edges: List[Tuple[int, int]] = []
-    seen: Set[Tuple[int, int]] = set()
-    ab = a + b
-    abc = a + b + c
+    max_attempts = n_edges * 4
+    # numpy's MT19937 continues the exact stream random.Random(seed)
+    # draws (same state, same 53-bit doubles), so whole batches of
+    # attempts descend the quadrants at once.
+    words = random.Random(seed).getstate()[1]
+    stream = np.random.RandomState()
+    stream.set_state(("MT19937", np.array(words[:-1], dtype=np.uint32),
+                      words[-1]))
+    weights = np.left_shift(1, np.arange(scale - 1, -1, -1))
+    keys = np.empty(0, dtype=np.int64)
     attempts = 0
-    while len(edges) < n_edges and attempts < n_edges * 4:
-        attempts += 1
-        src = dst = 0
-        for _ in range(scale):
-            r = rng.random()
-            if r < a:
-                quadrant = (0, 0)
-            elif r < ab:
-                quadrant = (0, 1)
-            elif r < abc:
-                quadrant = (1, 0)
-            else:
-                quadrant = (1, 1)
-            src = (src << 1) | quadrant[0]
-            dst = (dst << 1) | quadrant[1]
-        if src == dst:
-            continue
-        key = (src, dst)
+    while len(keys) < n_edges and attempts < max_attempts:
+        batch = min(n_edges, max_attempts - attempts)
+        attempts += batch
+        draws = stream.random_sample((batch, scale))
+        src = (draws >= a + b) @ weights
+        dst = (((draws >= a) & (draws < a + b)) | (draws >= a + b + c)) \
+            @ weights
+        fresh = (src << scale | dst)[src != dst]
         if deduplicate:
-            if key in seen:
-                continue
-            seen.add(key)
-        edges.append(key)
-    return edges
+            _, first = np.unique(fresh, return_index=True)
+            fresh = fresh[np.sort(first)]
+            fresh = fresh[~np.isin(fresh, keys)]
+        keys = np.concatenate((keys, fresh))
+    keys = keys[:n_edges]
+    return list(zip((keys >> scale).tolist(),
+                    (keys & (n_vertices - 1)).tolist()))
 
 
-def adjacency_lists(edges: List[Tuple[int, int]],
-                    n_vertices: int,
-                    max_degree: int = 64) -> Dict[int, List[int]]:
-    """Out-adjacency lists, capped at ``max_degree`` per vertex.
+def adjacency_arrays(edges: List[Tuple[int, int]], n_vertices: int,
+                     max_degree: int = 64
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Out-adjacency as arrays, each vertex's first ``max_degree`` edges
+    in edge order: the vertices with out-edges (ascending), their
+    degrees, and their neighbours concatenated in that order.
 
     The cap bounds the worst hub objects so scaled heaps stay
     proportionate; R-MAT hubs at full scale would dwarf the scaled
     survivor spaces.
     """
-    adjacency: Dict[int, List[int]] = {}
-    for src, dst in edges:
-        if src >= n_vertices or dst >= n_vertices:
-            raise ConfigError("edge endpoint out of range")
-        neighbors = adjacency.setdefault(src, [])
-        if len(neighbors) < max_degree:
-            neighbors.append(dst)
-    return adjacency
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    if (pairs >= n_vertices).any():
+        raise ConfigError("edge endpoint out of range")
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    owners, first, counts = np.unique(pairs[:, 0], return_index=True,
+                                      return_counts=True)
+    rank = np.arange(len(pairs)) - np.repeat(first, counts)
+    return (owners, np.minimum(counts, max_degree),
+            pairs[rank < max_degree, 1])
+
+
+def adjacency_lists(edges: List[Tuple[int, int]],
+                    n_vertices: int,
+                    max_degree: int = 64) -> Dict[int, List[int]]:
+    """:func:`adjacency_arrays` as a vertex -> neighbour-list dict."""
+    owners, degree, neighbors = adjacency_arrays(edges, n_vertices,
+                                                 max_degree)
+    return dict(zip(owners.tolist(),
+                    (part.tolist() for part in
+                     np.split(neighbors, np.cumsum(degree)[:-1]))))
 
 
 def degree_histogram(adjacency: Dict[int, List[int]]) -> Dict[int, int]:

@@ -21,6 +21,8 @@ Concretely each iteration:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.units import KB
 from repro.workloads.base import Workload
 from repro.workloads.mutator import MutatorDriver
@@ -44,19 +46,17 @@ class SparkWorkload(Workload):
         heap = driver.heap
         self.cache = driver.handle(
             driver.allocate("objArray", self.cached_partitions).addr)
-        cursor = 0
 
-        def store_partitions(addrs: list) -> None:
+        def store_partitions(first: int, addrs: np.ndarray) -> None:
             # Anchor each chunk into the cache before the next chunk
             # can trigger a (moving) collection.
-            nonlocal cursor
-            for addr in addrs:
-                heap.array_store(self.cache.addr, cursor, addr)
-                cursor += 1
+            heap.store_refs(self.cache.addr,
+                            np.arange(first, first + len(addrs)), addrs)
 
-        driver.allocate_batch("typeArray", self.cached_partitions,
-                              length=self.partition_bytes,
-                              sink=store_partitions)
+        driver.allocate_batch(
+            *driver.shapes("typeArray", self.cached_partitions,
+                           self.partition_bytes),
+            store_partitions)
         self.model = driver.handle(
             driver.allocate("objArray", self.model_capacity).addr)
         self._model_cursor = 0
@@ -66,32 +66,48 @@ class SparkWorkload(Workload):
         records_per_batch = max(
             1, self.records_per_iteration // self.batches_per_iteration)
         keep_every = max(1, records_per_batch // 4)
+        # Each sample allocates a Record pointing at its batch, and
+        # every keep_every-th one also a summary Record.
+        kept = np.arange(records_per_batch) % keep_every == 0
+        per_sample = 1 + kept
+        summary = np.zeros(per_sample.sum(), dtype=bool)
+        summary[(np.cumsum(per_sample) - per_sample)[kept] + 1] = True
+        records = driver.shapes("Record", len(summary))
         # Batches are consumed streaming-style: each batch array lives
         # only while its records are processed (short lifetimes, the
         # Sec. 5.2 Spark demographic).
         for batch in range(self.batches_per_iteration):
             data = driver.handle(
                 driver.allocate("typeArray", self.batch_bytes).addr)
-            for sample in range(records_per_batch):
-                record = driver.allocate("Record")
-                heap.set_field(record, 0, data.addr)
-                if sample % keep_every == 0:
-                    # Model summaries carry aggregated primitives only;
-                    # the store into the old model table dirties cards.
-                    summary = driver.allocate("Record")
-                    heap.array_store(
-                        self.model.addr,
-                        self._model_cursor % self.model_capacity,
-                        summary.addr)
-                    self._model_cursor += 1
+
+            def store_records(first: int, addrs: np.ndarray) -> None:
+                summaries = summary[first:first + len(addrs)]
+                heap.store_refs(addrs[~summaries], 0, data.addr)
+                # Model summaries carry aggregated primitives only;
+                # the store into the old model table dirties cards.
+                slots = self._model_cursor + np.arange(
+                    np.count_nonzero(summaries))
+                heap.store_refs(self.model.addr,
+                                slots % self.model_capacity,
+                                addrs[summaries])
+                self._model_cursor += len(slots)
+
+            driver.allocate_batch(*records, store_records)
             driver.release(data)
 
         # RDD cache churn: replace a few partitions with new data.
-        for slot in range(self.cache_replacements):
-            victim = (index * self.cache_replacements + slot) \
-                % self.cached_partitions
-            fresh = driver.allocate("typeArray", self.partition_bytes)
-            heap.array_store(self.cache.addr, victim, fresh.addr)
+        victims = (index * self.cache_replacements
+                   + np.arange(self.cache_replacements)) \
+            % self.cached_partitions
+
+        def store_fresh(first: int, addrs: np.ndarray) -> None:
+            heap.store_refs(self.cache.addr,
+                            victims[first:first + len(addrs)], addrs)
+
+        driver.allocate_batch(
+            *driver.shapes("typeArray", self.cache_replacements,
+                           self.partition_bytes),
+            store_fresh)
 
 
 class BayesianClassifier(SparkWorkload):

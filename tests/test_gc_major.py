@@ -5,12 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.gcalgo import mark_compact
 from repro.gcalgo.mark_compact import (DENSE_PREFIX_DENSITY, MajorGC,
                                        REGION_BYTES)
 from repro.gcalgo.parallel_scavenge import MinorGC
 from repro.gcalgo.trace import Primitive
+from repro.heap.fast_kernels import use_kernel_mode
 
 from tests.conftest import make_heap
+from tests.test_gc_minor import assert_same_trace, state
 
 
 def populate_old(heap, live=60, dead_every=3, payload=False):
@@ -264,3 +267,111 @@ class TestMajorProperty:
         # And a follow-up scavenge still works on the adjusted heap.
         MinorGC(heap).collect()
         assert snapshot() == before
+
+
+class TestNativeMajor:
+    """The C mark/adjust/compact (fast mode) against the scalar
+    oracle on hand-built heaps: the same rows, residuals in order,
+    summaries and heap, roots, tops and cards."""
+
+    @staticmethod
+    def compare(build, collections=1):
+        runs = []
+        for mode in ("scalar", "fast"):
+            heap = make_heap()
+            build(heap)
+            with use_kernel_mode(mode):
+                traces = [MajorGC(heap).collect()
+                          for _ in range(collections)]
+            runs.append((heap, traces))
+        (heap_a, traces_a), (heap_b, traces_b) = runs
+        for a, b in zip(traces_a, traces_b, strict=True):
+            assert_same_trace(a, b)
+            assert (a.objects_copied, a.bytes_copied) \
+                == (b.objects_copied, b.bytes_copied)
+        assert state(heap_a) == state(heap_b)
+        assert not heap_b.bitmaps.beg.any() and not heap_b.bitmaps.end.any()
+        return traces_a
+
+    def test_cycles(self):
+        def build(heap):
+            old = heap.layout.old
+            for space in (old, None):
+                heap.new_object("typeArray", length=900, space=space)
+                ring = [heap.new_object("Node", space=space)
+                        for _ in range(5)]
+                for a, b in zip(ring, ring[1:] + ring[:1]):
+                    heap.set_field(a, 0, b.addr)
+                    heap.set_field(b, 1, a.addr)
+                heap.roots += [ring[2].addr, ring[2].addr, 0]
+                dead = [heap.new_object("Node", space=space)
+                        for _ in range(3)]
+                heap.set_field(dead[0], 0, dead[1].addr)
+                heap.set_field(dead[1], 0, dead[0].addr)
+        (trace,) = self.compare(build)
+        assert trace.objects_visited == 10
+        assert trace.objects_copied > 0
+
+    def test_young_to_old_and_old_to_young(self):
+        def build(heap):
+            old = heap.layout.old
+            heap.new_object("typeArray", length=6000, space=old)
+            targets = [heap.new_object("Node", space=old)
+                       for _ in range(4)]
+            holder = heap.new_object("objArray", length=120, space=old)
+            for index in range(120):
+                young = heap.new_object("Node")
+                heap.set_field(young, 0, targets[index % 4].addr)
+                if index % 3:
+                    heap.array_store(holder.addr, index, young.addr)
+            heap.roots.append(holder.addr)
+        self.compare(build, collections=2)
+
+    def test_object_straddling_the_dense_prefix(self):
+        def build(heap):
+            old = heap.layout.old
+            keep = []
+            # A dense first region, then an array across its end.
+            while old.top + 48 < old.start + REGION_BYTES - 256:
+                keep.append(heap.new_object("Node", space=old).addr)
+            keep.append(heap.new_object("typeArray", length=1200,
+                                        space=old).addr)
+            for index in range(40):
+                view = heap.new_object("objArray", length=20, space=old)
+                if index % 3 == 0:
+                    keep.append(view.addr)
+                    heap.array_store(view.addr, 0, keep[index])
+            heap.roots += keep
+        (trace,) = self.compare(build)
+        assert trace.count(Primitive.BITMAP_COUNT) > 0
+
+    @pytest.mark.parametrize("first_rows", [4096, 1])
+    def test_objects_spanning_regions(self, first_rows, monkeypatch):
+        # One first row makes the mark grow every column repeatedly.
+        monkeypatch.setattr(mark_compact, "_FIRST_ROWS", first_rows)
+
+        def build(heap):
+            old = heap.layout.old
+            keep = []
+            for index in range(12):
+                heap.new_object("typeArray", length=3000, space=old)
+                big = heap.new_object("objArray", length=1400, space=old)
+                keep.append(big.addr)
+                small = heap.new_object("Node", space=old)
+                heap.array_store(big.addr, index, small.addr)
+                heap.array_store(big.addr, 1399, keep[index // 2])
+            heap.roots += keep[::-1]
+        (trace,) = self.compare(build)
+        assert any(event.refs == 50 for event in trace.iter_events()
+                   if event.primitive is Primitive.SCAN_PUSH)
+
+    def test_empty_old(self):
+        def build(heap):
+            young = [heap.new_object("Node") for _ in range(30)]
+            for a, b in zip(young, young[1:]):
+                heap.set_field(a, 0, b.addr)
+            heap.roots += [young[0].addr, 0]
+        (trace,) = self.compare(build)
+        assert trace.objects_visited == 30
+        assert "adjust" not in trace.phase_names
+        assert "compact" not in trace.residuals

@@ -179,50 +179,148 @@ class TestBatchedAllocation:
     def test_format_object_run_matches_loop(self):
         heap_a = make_heap()
         heap_b = make_heap()
-        klass = heap_a.klasses.by_name("Record")
+        names = ["Record", "objArray", "typeArray", "Node", "typeArray"]
+        lengths = [0, 5, 13, 0, 0]
+        kids = np.array([heap_a.klasses.by_name(name).klass_id
+                         for name in names] * 4)
         start = heap_a.layout.eden.start
-        size = heap_a.format_object_run(start, 16, klass)
-        for index in range(16):
-            heap_b.format_object(start + index * size, klass)
+        # Dirty bytes first: formatting must zero every object body.
+        heap_a.buffer[:1 << 16] = 0xAB
+        heap_b.buffer[:1 << 16] = 0xAB
+        addrs = heap_a.format_object_run(start, kids,
+                                         np.array(lengths * 4))
+        cursor = start
+        for index, kid in enumerate(kids.tolist()):
+            klass = heap_b.klasses.by_id(kid)
+            length = lengths[index % 5] if klass.kind.is_array else None
+            assert addrs[index] == cursor
+            cursor = heap_b.format_object(cursor, klass, length).end_addr
         assert bytes(heap_a.buffer) == bytes(heap_b.buffer)
 
     def test_allocate_batch_matches_plain_loop(self):
-        from repro.workloads.mutator import MutatorDriver
-
+        """Mixed shapes, stores in the sink and a large object in the
+        sequence, across several scavenges: the same heap, roots,
+        cards, counters and traces as one allocate-and-store step per
+        object."""
         def run(batched):
-            heap = make_heap()
+            heap = make_heap(2 << 20)
             driver = MutatorDriver(heap, run_name="batch-test")
-            anchor = driver.allocate("objArray", length=64)
-            handle = driver.handle(anchor.addr)
-            fits = heap.layout.eden.fits_count(48)
-            count = fits + 50  # forces one scavenge mid-run
-            cursor = 0
+            eden = heap.layout.eden.capacity
+            triples = 2 * eden // 1128  # Record, objArray(4), 1000 B
+            # A ring longer than a chunk's triples: older ones die.
+            ring = 1024
+            assert ring > eden // 1128
+            anchor = driver.handle(driver.allocate("objArray",
+                                                   length=ring).addr)
+            kids, lengths = (np.tile(column, triples) for column in (
+                [heap.klasses.by_name(name).klass_id
+                 for name in ("Record", "objArray", "typeArray")],
+                [0, 4, 1000]))
+            lengths[3 * (triples // 2) + 2] = eden // 3  # large: to Old
 
-            def sink(addrs):
-                nonlocal cursor
-                for addr in addrs:
-                    if cursor < 64:
-                        heap.array_store(handle.addr, cursor, addr)
-                    cursor += 1
+            def sink(first, addrs):
+                # Triple t: ring[t] = record; array[0] = record and
+                # record.f0 = array; array[1] = the primitive array.
+                ids = np.arange(first, first + len(addrs))
+                role, triple = ids % 3, ids // 3 % ring
+                heap.store_refs(anchor.addr, triple[role == 0],
+                                addrs[role == 0])
+                records = heap.load_refs(anchor.addr, triple[role == 1])
+                heap.store_refs(addrs[role == 1], 0, records)
+                heap.store_refs(records, 0, addrs[role == 1])
+                arrays = heap.load_refs(
+                    heap.load_refs(anchor.addr, triple[role == 2]), 0)
+                heap.store_refs(arrays, 1, addrs[role == 2])
 
             with use_kernel_mode("fast"):
                 if batched:
-                    driver.allocate_batch("Record", count, sink=sink)
+                    driver.allocate_batch(kids, lengths, sink)
                 else:
-                    for _ in range(count):
-                        sink([driver.allocate("Record").addr])
+                    for index, kid in enumerate(kids.tolist()):
+                        klass = heap.klasses.by_id(kid)
+                        length = int(lengths[index]) \
+                            if klass.kind.is_array else None
+                        view = driver.allocate(klass.name, length)
+                        sink(index, np.array([view.addr]))
             return heap, driver.run
 
         heap_a, run_a = run(batched=True)
         heap_b, run_b = run(batched=False)
         assert bytes(heap_a.buffer) == bytes(heap_b.buffer)
+        assert heap_a.roots == heap_b.roots
+        assert bytes(heap_a.card_table.bytes) \
+            == bytes(heap_b.card_table.bytes)
         assert run_a.allocated_objects == run_b.allocated_objects
         assert run_a.allocated_bytes == run_b.allocated_bytes
-        assert len(run_a.traces) == len(run_b.traces) >= 1
+        assert len(run_a.traces) == len(run_b.traces) >= 2
         for a, b in zip(run_a.traces, run_b.traces):
             assert a.kind == b.kind and a.phase_names == b.phase_names
             assert np.array_equal(a.events, b.events)
             assert list(a.residuals.items()) == list(b.residuals.items())
+
+    def test_step_hooks_fire_per_object(self):
+        """With a step hook installed the batch takes the per-object
+        path: the hook fires once per object, as ``allocate`` fires it,
+        and the demotion is counted."""
+        from repro.gcalgo.concurrent_mark import ConcurrentMarkGC
+        from repro.obs.metrics import global_metrics
+
+        def fallbacks():
+            return sum(sample["value"]
+                       for sample in global_metrics().samples()
+                       if sample["metric"] == "heap.kernel_fallbacks"
+                       and sample["labels"].get("op") == "alloc")
+
+        def steps(batched):
+            heap = make_heap()
+            driver = MutatorDriver(heap, run_name="hooked")
+            gc = ConcurrentMarkGC(heap, region_bytes=64 * 1024)
+            gc.install_step_hook(driver, period=1)
+            fired = []
+            driver.step_hooks.append(lambda heap: fired.append(1))
+            gc.start_cycle()
+            with use_kernel_mode("fast"):
+                if batched:
+                    driver.allocate_batch(*driver.shapes("Record", 100),
+                                          lambda first, addrs: None)
+                else:
+                    for _ in range(100):
+                        driver.allocate("Record")
+            return len(fired), gc._pauses
+
+        before = fallbacks()
+        assert steps(batched=True) == steps(batched=False)
+        assert steps(batched=True)[0] == 100
+        assert fallbacks() == before + 2
+
+    @pytest.mark.parametrize("mode", ["scalar", "fast"])
+    def test_repeated_slot_keeps_the_last_store(self, mode):
+        heap = make_heap()
+        array = heap.new_object("objArray", length=4,
+                                space=heap.layout.old)
+        nodes = [heap.new_object("Node").addr for _ in range(3)]
+        with use_kernel_mode(mode):
+            heap.store_refs(array.addr, [2, 1, 2, 2],
+                            [nodes[0], nodes[1], nodes[2], 0])
+            assert heap.load_refs(array.addr, np.arange(4)).tolist() \
+                == [0, nodes[1], 0, 0]
+        # Young targets stored on the way still dirty the card.
+        assert heap.card_table.is_dirty(array.addr + 24 + 2 * 8)
+
+    def test_ref_write_hooks_see_every_store(self):
+        heap = make_heap()
+        array = heap.new_object("objArray", length=8)
+        node = heap.new_object("Node")
+        seen = []
+        heap.ref_write_hooks.append(
+            lambda slot, old, new: seen.append((slot, old, new)))
+        with use_kernel_mode("fast"):
+            heap.store_refs(array.addr, np.arange(8), node.addr)
+            heap.store_refs(node.addr, [1, 0], [array.addr, 0])
+        slots = [array.addr + 24 + 8 * index for index in range(8)]
+        assert seen == ([(slot, 0, node.addr) for slot in slots]
+                        + [(node.addr + 24, 0, array.addr),
+                           (node.addr + 16, 0, 0)])
 
 
 class TestKernelDifferential:
@@ -327,13 +425,17 @@ class TestCollectSpeed:
 
 
 class TestBadRoots:
-    """A root outside the heap, or not word-aligned, faults in the fast
-    kernels exactly as in the scalar accessors: never a wrapped index,
-    a rounded-down word or a numpy error."""
+    """A root or a reference field outside the heap, not word-aligned
+    or at a garbage header, faults in the fast kernels (the native
+    major phases included) exactly as in the scalar accessors: never a
+    wrapped index, a rounded-down word or a numpy error."""
 
     @pytest.mark.parametrize("where, error", [
         ("below", "outside heap"), ("above", "outside heap"),
-        ("unaligned", "unaligned u64 read")])
+        ("unaligned", "unaligned u64 read"),
+        ("field-below", "outside heap"),
+        ("field-unaligned", "unaligned u64 read"),
+        ("klass", "garbage klass id")])
     @pytest.mark.parametrize("collector", [MajorGC, MarkSweepGC,
                                            G1Collector],
                              ids=["major", "sweep", "g1"])
@@ -342,9 +444,18 @@ class TestBadRoots:
             heap = make_heap()
             node = heap.new_object("Node").addr
             heap.roots.append(node)
-            heap.roots.append({"below": heap.base - 64,
-                               "above": heap.layout.heap_end,
-                               "unaligned": node + 4}[where])
+            bad = {"below": heap.base - 64, "above": heap.layout.heap_end,
+                   "unaligned": node + 4}
+            if where.startswith("field-"):
+                holder = heap.new_object("Node", space=heap.layout.old)
+                heap.write_u64(holder.addr + 16, bad[where[6:]])
+                heap.roots.append(holder.addr)
+            elif where == "klass":
+                garbage = heap.new_object("Node", space=heap.layout.old)
+                heap.write_u64(garbage.addr + 8, 0xDEAD)
+                heap.roots.append(garbage.addr)
+            else:
+                heap.roots.append(bad[where])
             with use_kernel_mode(mode), pytest.raises(Exception) as info:
                 collector(heap).collect()
             return type(info.value), str(info.value)
