@@ -18,14 +18,11 @@ into ``$BENCH_SMOKE_ARTIFACTS`` (default ``bench-smoke-artifacts/``:
 ``trace.json`` and ``metrics.json``); the script then checks the
 Chrome trace and metric snapshot are well-formed, that they carry one
 ``replay.wall_seconds`` row and one ``replay`` host span per grid cell
-(the pool workers' telemetry reached the parent), that both manifests
-round-trip with config hashes that match the trace-cache entry keys
-on disk, and that the geomean row orders ``cpu-hmc`` < ``charon`` <
-``ideal``.  CI uploads the artifact directory.
-
-First, a live probe drives a journaled sweep with
-``REPRO_METRICS_PORT`` and ``REPRO_OBS_OUT`` armed and scrapes its
-``/metrics`` and ``/progress`` endpoints while it runs.
+(the pool workers' telemetry reached the parent) and simulated ``gc``
+spans, that both manifests round-trip with config hashes that match
+the trace-cache entry keys on disk, and that the geomean row orders
+``cpu-hmc`` < ``charon`` < ``ideal``.  CI uploads the artifact
+directory.
 
 Speed numbers come from the benchmark ledger (``python3 bench/run.py``)
 and the speed floors are tier-1 tests; this script checks behaviour
@@ -40,14 +37,9 @@ from __future__ import annotations
 
 import json
 import os
-import re
-import socket
 import subprocess
 import sys
 import tempfile
-import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -146,6 +138,10 @@ def check_artifacts(cache: Path, out_dirs: list) -> None:
     if replays != cells:
         sys.exit(f"bench smoke: Chrome trace has replay spans for "
                  f"{replays}, expected one per cell {cells}")
+    gc_spans = [e for e in complete if e.get("cat") == "gc"]
+    if not gc_spans:
+        sys.exit("bench smoke: Chrome trace artifact has no simulated "
+                 "gc spans")
 
     sys.path.insert(0, str(REPO / "src"))
     from repro.experiments.store import TRACES
@@ -169,133 +165,13 @@ def check_artifacts(cache: Path, out_dirs: list) -> None:
         sys.exit("bench smoke: no manifest recorded the smoke "
                  "workloads")
     print(f"bench smoke: telemetry artifacts OK — "
-          f"{len(complete)} spans, {len(metrics['metrics'])} metrics "
+          f"{len(complete)} spans ({len(gc_spans)} gc), "
+          f"{len(metrics['metrics'])} metrics "
           f"({len(cells)} pooled cells each counted once), "
           f"{checked} manifest run(s) matched to cache keys")
 
 
-_PROM_LINE = re.compile(
-    r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [-+0-9.eEnNaIf]+$")
-
-_LIVE_SWEEP_DRIVER = """
-import sys
-from repro.obs.tracer import install_env_exporters
-install_env_exporters()
-from repro.experiments.runner import replay_grid
-replay_grid(("ideal", "cpu-ddr4", "cpu-hmc", "charon",
-             "charon-cpuside"), ["graphchi-als"],
-            journal=sys.argv[1])
-"""
-
-
-def _scrape(port: int, path: str) -> str:
-    with urllib.request.urlopen(
-            f"http://127.0.0.1:{port}{path}", timeout=5) as response:
-        return response.read().decode("utf-8")
-
-
-def run_live_observability_probe() -> None:
-    """Drive a journaled sweep with the live endpoint armed.
-
-    Polls ``/metrics`` and ``/progress`` while the sweep runs:
-    the exposition text must parse line by line and the completion
-    percentage must be monotone non-decreasing and reach 100%.  The
-    sweep exports its telemetry through ``REPRO_OBS_OUT`` (into the
-    artifact dir's ``live-sweep/``, which CI uploads): the Chrome
-    trace must hold simulated ``gc`` spans, and the ``shard_journal``
-    runs plus hits must cover every shard of the sweep manifest.
-    """
-    obs_out = ARTIFACTS / "live-sweep"
-    for name in ("trace.json", "metrics.json"):
-        (obs_out / name).unlink(missing_ok=True)
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
-    env["REPRO_METRICS_PORT"] = str(port)
-    env["REPRO_OBS_OUT"] = str(obs_out)
-    with tempfile.TemporaryDirectory(prefix="live-sweep-") as temp:
-        env["REPRO_TRACE_CACHE"] = str(Path(temp) / "cache")
-        journal = Path(temp) / "journal"
-        sweep = subprocess.Popen(
-            [sys.executable, "-c", _LIVE_SWEEP_DRIVER, str(journal)],
-            cwd=REPO, env=env, text=True,
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
-        completions = []
-        exposition_checked = False
-        try:
-            while True:
-                finished = sweep.poll() is not None
-                try:
-                    body = _scrape(port, "/metrics")
-                    bad = [line for line in body.splitlines()
-                           if line and not line.startswith("#")
-                           and not _PROM_LINE.match(line)]
-                    if bad:
-                        sys.exit(f"bench smoke: invalid exposition "
-                                 f"line(s): {bad[:3]}")
-                    if body.strip():
-                        exposition_checked = True
-                    if _scrape(port, "/healthz").strip() != "ok":
-                        sys.exit("bench smoke: /healthz did not "
-                                 "answer ok")
-                    progress = json.loads(_scrape(port, "/progress"))
-                    if progress.get("available"):
-                        completions.append(progress["completion_pct"])
-                except (urllib.error.URLError, OSError,
-                        ConnectionError):
-                    pass  # server not up yet (or already exiting)
-                if finished:
-                    break
-                time.sleep(0.05)
-        finally:
-            output = sweep.communicate()[0]
-        if sweep.returncode != 0:
-            print(output)
-            sys.exit(f"bench smoke: live sweep failed "
-                     f"(exit {sweep.returncode})")
-        if not exposition_checked:
-            sys.exit("bench smoke: never scraped a non-empty "
-                     "/metrics exposition mid-run")
-        if not completions:
-            sys.exit("bench smoke: /progress never reported an "
-                     "active sweep")
-        if completions != sorted(completions):
-            sys.exit(f"bench smoke: completion % went backwards: "
-                     f"{completions}")
-        sys.path.insert(0, str(REPO / "src"))
-        from repro.experiments.progress import progress_snapshot
-        final = progress_snapshot(journal)
-        if final["completion_pct"] != 100.0 \
-                or final["shards_pending"]:
-            sys.exit(f"bench smoke: sweep ended at "
-                     f"{final['completion_pct']}% with "
-                     f"{final['shards_pending']} pending shard(s)")
-
-    gc_spans = [event for event in json.loads(
-                    (obs_out / "trace.json").read_text())
-                if event.get("cat") == "gc"]
-    if not gc_spans:
-        sys.exit("bench smoke: the live sweep's trace.json has no "
-                 "gc spans")
-    counters = {row["metric"]: row["value"] for row in json.loads(
-                    (obs_out / "metrics.json").read_text())["metrics"]
-                if not row["labels"]}
-    covered = (counters.get("shard_journal.runs", 0)
-               + counters.get("shard_journal.hits", 0))
-    if covered != final["shards_total"]:
-        sys.exit(f"bench smoke: shard_journal runs + hits = "
-                 f"{covered:g}, the manifest names "
-                 f"{final['shards_total']} shard(s)")
-    print(f"bench smoke: live observability OK — "
-          f"{len(completions)} /progress samples (monotone to 100%), "
-          f"exposition valid, {len(gc_spans)} gc spans and "
-          f"{covered:g} journaled shards in {obs_out.name}/")
-
-
 def main() -> None:
-    run_live_observability_probe()
     out_dirs = [ARTIFACTS / "fig12-capture", ARTIFACTS / "fig12-cached"]
     workloads = len(SMOKE_WORKLOADS)
     with tempfile.TemporaryDirectory(prefix="trace-cache-") as cache:

@@ -168,10 +168,9 @@ def main() -> int:
                     print(f"{name:15s} x{threads} {set_name:8s} -> "
                           f"{result.replay_kernel}")
 
-    # Publish the verdict where live consumers see it: a gauge in the
-    # registry (scraped by /metrics when a port is armed, exported by
-    # REPRO_OBS_OUT) — a kernel-coverage regression then shows up on
-    # the instrument panel, not only in the CI log.
+    # Publish the verdict as a gauge in the registry (exported by
+    # REPRO_OBS_OUT) — a kernel-coverage regression then shows up in
+    # the metric snapshot, not only in the CI log.
     from repro.obs.tracer import install_env_exporters
     install_env_exporters()
     coverage = global_metrics().scope("coverage")

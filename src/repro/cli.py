@@ -12,6 +12,8 @@ Commands:
   trace to disk (``.npz`` for the binary columnar format) and replay
   it later on any platform (``--mode event`` replays it through the
   event-by-event oracle instead of the platform's replay kernel);
+* ``sweep [--platforms P,..] [--workloads W,..] [--jobs N]`` — replay
+  a platform x workload grid;
 * ``cache stats|path|clear`` — the trace and stage-1 product cache;
 * ``report WORKLOAD`` — a zsim-style Charon device statistics dump;
 * ``stats WORKLOAD`` — the unified metric registry for one replay
@@ -34,11 +36,11 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.config import REPLAY_MODES, SHARD_JOURNAL_ENV, default_config
+from repro.config import REPLAY_MODES, default_config
 from repro.experiments import ablations, figures, tables
 from repro.experiments.report import render_table
-from repro.experiments.runner import (collect_run, replay_grid,
-                                      replay_platform)
+from repro.experiments.runner import (collect_run, gc_traces,
+                                      replay_grid, replay_platform)
 from repro.gcalgo.trace import Primitive
 from repro.gcalgo.trace_io import load_traces, save_traces
 from repro.obs import provenance
@@ -174,40 +176,18 @@ def build_parser() -> argparse.ArgumentParser:
                        default="table")
 
     sweep = commands.add_parser(
-        "sweep", help="run or monitor a (journaled) replay_grid sweep")
-    sweep.add_argument("action", choices=("status", "run"))
-    sweep.add_argument("--journal", default=None,
-                       help="journal directory (default "
-                            "$REPRO_SHARD_JOURNAL)")
+        "sweep", help="replay a platform x workload grid")
     sweep.add_argument("--platforms", default=None,
-                       help="comma-separated platform subset for "
-                            "'run' (default: all)")
+                       help="comma-separated platform subset "
+                            "(default: all)")
     sweep.add_argument("--workloads", default=None,
-                       help="comma-separated workload subset for "
-                            "'run' (default: all Table 3 workloads)")
+                       help="comma-separated workload subset "
+                            "(default: all Table 3 workloads)")
     sweep.add_argument("--heap-mb", type=int, default=None)
     sweep.add_argument("--threads", type=int, default=None)
     sweep.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for 'run', forked "
-                            "per sweep (default $REPRO_JOBS)")
-    sweep.add_argument("--format", choices=("table", "json"),
-                       default="table")
-    sweep.add_argument("--watch", action="store_true",
-                       help="redraw until the sweep completes")
-    sweep.add_argument("--interval", type=float, default=2.0,
-                       help="seconds between --watch redraws")
-    sweep.add_argument("--verbose", action="store_true",
-                       help="list every shard, not just the summary")
-
-    top = commands.add_parser(
-        "top", help="curses-free live view of a journaled sweep "
-                    "(active shards, rates, ETA)")
-    top.add_argument("--journal", default=None,
-                     help="journal directory (default "
-                          "$REPRO_SHARD_JOURNAL)")
-    top.add_argument("--interval", type=float, default=2.0)
-    top.add_argument("--once", action="store_true",
-                     help="print one frame and exit (scripts/tests)")
+                       help="worker processes, forked per sweep "
+                            "(default $REPRO_JOBS)")
 
     timeline = commands.add_parser(
         "timeline", help="Chrome-trace span timeline of a replay "
@@ -431,7 +411,7 @@ def _cmd_stats(args) -> str:
     heap = JavaHeap(config.heap, klasses=workload_klasses())
     platform = build_platform(args.platform, config, heap)
     result = FastTraceReplayer(platform, threads=args.threads).replay_all(
-        collect_run(args.workload, heap_bytes).traces)
+        gc_traces(args.workload, heap_bytes))
 
     registry = global_metrics()
     timing_metrics(registry, result, workload=args.workload)
@@ -467,78 +447,26 @@ def _cmd_stats(args) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    """``repro sweep run`` executes a grid sweep through
-    ``replay_grid`` (journaled when a journal is configured, on a fork
-    pool made for the sweep when ``--jobs`` exceeds 1);
-    ``repro sweep status [--watch]`` is the progress monitor's view of
-    a journaled sweep (table or the shared JSON serializer)."""
-    import time as time_mod
+    """``repro sweep`` replays the grid through ``replay_grid``, on a
+    fork pool made for the sweep when ``--jobs`` exceeds 1."""
+    from repro.experiments.store import CACHES
+    from repro.workloads.registry import TABLE3_WORKLOADS
 
-    from repro.experiments import progress, shard_journal
-
-    if args.action == "run":
-        from repro.experiments.store import CACHES
-        from repro.workloads.registry import TABLE3_WORKLOADS
-
-        platforms = (args.platforms.split(",") if args.platforms
-                     else list(PLATFORM_NAMES))
-        workloads = (args.workloads.split(",") if args.workloads
-                     else list(TABLE3_WORKLOADS))
-        heap_bytes = args.heap_mb * (1 << 20) if args.heap_mb else None
-        grid = replay_grid(platforms, workloads,
-                           heap_bytes=heap_bytes, threads=args.threads,
-                           processes=args.jobs, journal=args.journal)
-        for (platform, workload), result in grid.items():
-            print(f"{platform:18s} {workload:16s} "
-                  f"{result.wall_seconds * 1e3:10.3f} ms  "
-                  f"{result.energy.total_j * 1e3:8.2f} mJ")
-        for namespace in CACHES:
-            print(namespace.stats_line())
-        return 0
-
-    journal = shard_journal.journal_dir(args.journal)
-    if journal is None:
-        print("sweep: no journal (pass --journal or set "
-              f"{SHARD_JOURNAL_ENV})", file=sys.stderr)
-        return 2
-    while True:
-        snapshot = progress.progress_snapshot(journal)
-        if args.format == "json":
-            print(json.dumps(snapshot, indent=2, sort_keys=True))
-        else:
-            print(progress.format_status(snapshot,
-                                         verbose=args.verbose))
-        if not args.watch:
-            return 0 if snapshot.get("available") else 1
-        if snapshot.get("available") \
-                and snapshot["shards_done"] == snapshot["shards_total"]:
-            return 0
-        time_mod.sleep(args.interval)
-
-
-def _cmd_top(args) -> int:
-    """``repro top``: redraw the whole one-screen sweep view (ANSI
-    clear, no curses) until the sweep completes."""
-    import time as time_mod
-
-    from repro.experiments import progress, shard_journal
-
-    journal = shard_journal.journal_dir(args.journal)
-    if journal is None:
-        print("top: no journal (pass --journal or set "
-              f"{SHARD_JOURNAL_ENV})", file=sys.stderr)
-        return 2
-    while True:
-        snapshot = progress.progress_snapshot(journal)
-        frame = progress.format_top(snapshot)
-        if args.once:
-            print(frame)
-            return 0 if snapshot.get("available") else 1
-        print("\033[2J\033[H" + frame, flush=True)
-        if snapshot.get("available") \
-                and snapshot["shards_done"] == snapshot["shards_total"]:
-            return 0
-        time_mod.sleep(args.interval)
+    platforms = (args.platforms.split(",") if args.platforms
+                 else list(PLATFORM_NAMES))
+    workloads = (args.workloads.split(",") if args.workloads
+                 else list(TABLE3_WORKLOADS))
+    heap_bytes = args.heap_mb * (1 << 20) if args.heap_mb else None
+    grid = replay_grid(platforms, workloads,
+                       heap_bytes=heap_bytes, threads=args.threads,
+                       processes=args.jobs)
+    for (platform, workload), result in grid.items():
+        print(f"{platform:18s} {workload:16s} "
+              f"{result.wall_seconds * 1e3:10.3f} ms  "
+              f"{result.energy.total_j * 1e3:8.2f} mJ")
+    for namespace in CACHES:
+        print(namespace.stats_line())
+    return 0
 
 
 def _cmd_timeline(args) -> str:
@@ -710,8 +638,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(_cmd_stats(args))
     elif args.command == "sweep":
         return _cmd_sweep(args)
-    elif args.command == "top":
-        return _cmd_top(args)
     elif args.command == "timeline":
         print(_cmd_timeline(args))
     elif args.command == "fuzz":

@@ -501,8 +501,6 @@ TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"          #: trace + stage-1 cache
 REPLAY_JOBS_ENV = "REPRO_JOBS"                 #: replay_grid processes
 OBS_OUT_ENV = "REPRO_OBS_OUT"                  #: trace + metrics at exit
 HEAP_KERNELS_ENV = "REPRO_HEAP_KERNELS"        #: scalar | fast
-SHARD_JOURNAL_ENV = "REPRO_SHARD_JOURNAL"      #: sweep-shard directory
-METRICS_PORT_ENV = "REPRO_METRICS_PORT"        #: live /metrics endpoint
 
 
 @dataclass(frozen=True)
@@ -518,8 +516,6 @@ class Settings:
     jobs: int = 1
     obs_out: Optional[str] = None
     heap_kernels: str = "fast"
-    shard_journal: Optional[str] = None
-    metrics_port: Optional[int] = None
     cc: str = "gcc"
 
     def to_dict(self) -> Dict[str, object]:
@@ -547,19 +543,6 @@ def settings(environ: Optional[Mapping[str, str]] = None) -> Settings:
     if kernels not in HEAP_KERNEL_MODES:
         raise ConfigError(f"{HEAP_KERNELS_ENV} must be one of "
                           f"{HEAP_KERNEL_MODES}, got {kernels!r}")
-    raw_port = get(METRICS_PORT_ENV)
-    port = None
-    if raw_port:
-        try:
-            port = int(raw_port)
-        except ValueError:
-            raise ConfigError(f"{METRICS_PORT_ENV} must be an integer "
-                              f"port, got {raw_port!r}") from None
-        if not 0 <= port <= 65535:
-            raise ConfigError(f"{METRICS_PORT_ENV} must be in "
-                              f"[0, 65535], got {port}")
     return Settings(trace_cache=get(TRACE_CACHE_ENV) or None, jobs=jobs,
                     obs_out=get(OBS_OUT_ENV) or None,
-                    heap_kernels=kernels,
-                    shard_journal=get(SHARD_JOURNAL_ENV) or None,
-                    metrics_port=port, cc=get("CC") or "gcc")
+                    heap_kernels=kernels, cc=get("CC") or "gcc")

@@ -15,13 +15,9 @@ pipeline:
 * :func:`replay_grid` fans the platform x workload grid out over a
   fork pool made per call (:func:`_fan_out`, the one place worker
   processes are created) with a deterministic merge of the results
-  and of the metrics and spans each worker recorded.  With a shard
-  journal configured (``REPRO_SHARD_JOURNAL`` or ``journal=``), the
-  journal wraps each cell the way the trace cache wraps a capture:
-  completed shards load before the fan-out, every cell the pool
-  replays persists through :mod:`~repro.experiments.shard_journal` the
-  moment it finishes, and an interrupted sweep resumes from the
-  completed shards with a byte-identical merge.
+  and of the metrics and spans each worker recorded.  A sweep that is
+  killed re-runs warm: its captures and stage-1 products are already
+  in the caches, so the re-run only replays.
 """
 
 from __future__ import annotations
@@ -31,13 +27,11 @@ import functools
 import multiprocessing
 import os
 import time
-from pathlib import Path
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig, default_config, settings
 from repro.errors import ConfigError, OutOfMemoryError
-from repro.experiments import progress, shard_journal, trace_cache
+from repro.experiments import trace_cache
 from repro.heap.heap import JavaHeap
 from repro.obs import provenance
 from repro.obs.adapters import timing_metrics
@@ -120,6 +114,18 @@ def layout_heap(name: str,
     return JavaHeap(config.heap, klasses=workload_klasses())
 
 
+def gc_traces(name: str, heap_bytes: Optional[int]) -> list:
+    """The run's GC traces; a heap so large that the workload never
+    collects leaves nothing to replay, which is a ``ConfigError``."""
+    traces = collect_run(name, heap_bytes).traces
+    if not traces:
+        resolved = heap_bytes or default_heap_bytes(name)
+        raise ConfigError(
+            f"{name} ran no collection in a {resolved / 2**20:g} MiB "
+            "heap, so there is no GC to replay; use a smaller heap")
+    return traces
+
+
 def replay_platform(platform_name: str, name: str,
                     heap_bytes: Optional[int] = None,
                     config: Optional[SystemConfig] = None,
@@ -136,11 +142,11 @@ def replay_platform(platform_name: str, name: str,
     resolved_config = config or workload_config(name, heap_bytes)
     key = (platform_name, name, resolved_config, threads)
     if key not in _REPLAY_CACHE:
+        traces = gc_traces(name, heap_bytes)
         heap = JavaHeap(resolved_config.heap,
                         klasses=workload_klasses())
         platform = build_platform(platform_name, resolved_config, heap)
         replayer = FastTraceReplayer(platform, threads=threads)
-        traces = collect_run(name, heap_bytes).traces
         with get_tracer().span("replay", cat="runner", workload=name,
                                platform=platform_name):
             result = replayer.replay_all(traces)
@@ -158,15 +164,12 @@ def _memo_key(job: tuple) -> tuple:
             threads)
 
 
-def _replay_cell(journal: Optional[Path], job: tuple) -> GCTimingResult:
-    """Replay one grid cell; with a journal, store it as a shard."""
+def _replay_cell(job: tuple) -> GCTimingResult:
+    """Replay one grid cell.  ``replay_platform`` is looked up when the
+    cell runs, so a rebound module attribute is what every cell calls."""
     platform_name, name, heap_bytes, threads = job
-    replay = functools.partial(replay_platform, platform_name, name,
-                               heap_bytes=heap_bytes, threads=threads)
-    if journal is None:
-        return replay()
-    return shard_journal.run_shard(
-        journal, shard_journal.shard_key(_memo_key(job)), replay)
+    return replay_platform(platform_name, name, heap_bytes=heap_bytes,
+                           threads=threads)
 
 
 def _drain_telemetry() -> tuple:
@@ -234,8 +237,7 @@ def replay_grid(platform_names: Iterable[str],
                 workload_names: Iterable[str],
                 heap_bytes: Optional[int] = None,
                 threads: Optional[int] = None,
-                processes: Optional[int] = None,
-                journal: Union[str, Path, None] = None
+                processes: Optional[int] = None
                 ) -> Dict[Tuple[str, str], GCTimingResult]:
     """Replay every platform x workload pair; returns the result grid.
 
@@ -246,17 +248,8 @@ def replay_grid(platform_names: Iterable[str],
     merge back in job order, so the outcome — including the parent's
     replay memo — is identical to a serial sweep regardless of worker
     scheduling.  Cells a dead worker left unfinished are replayed in
-    the parent.
-
-    With a journal directory (``journal=`` or ``REPRO_SHARD_JOURNAL``)
-    the sweep becomes durable: each cell is a shard keyed on its memo
-    key, completed shards are *not* re-executed on a resumed sweep
-    (they load back through
-    :func:`~repro.experiments.shard_journal.load_shard` before the
-    fan-out, counted as ``hits``), and every cell replayed — on a
-    worker or, for a dead worker's cell, in the parent — persists the
-    moment it finishes.  The merged grid is byte-identical whether the
-    sweep ran once or resumed.
+    the parent.  A workload that ran no collection is a ``ConfigError``
+    before any cell replays.
     """
     platform_names = list(platform_names)
     workload_names = list(workload_names)
@@ -265,60 +258,18 @@ def replay_grid(platform_names: Iterable[str],
     jobs = [(platform, name, heap_bytes, threads)
             for name in workload_names for platform in platform_names]
     for name in workload_names:
-        collect_run(name, heap_bytes)
-    directory = shard_journal.journal_dir(journal)
-    if directory is not None:
-        _resume_journal(directory, jobs)
-    cell = functools.partial(_replay_cell, directory)
+        gc_traces(name, heap_bytes)
     pending = [job for job in jobs if _memo_key(job) not in _REPLAY_CACHE]
-    for job, result in zip(pending, _fan_out(cell, pending, processes)):
+    for job, result in zip(pending,
+                           _fan_out(_replay_cell, pending, processes)):
         _REPLAY_CACHE[_memo_key(job)] = result
     grid: Dict[Tuple[str, str], GCTimingResult] = {}
     for job in jobs:
         result = _REPLAY_CACHE.get(_memo_key(job))
         if result is None:  # a dead worker's cell: finish it here
-            result = cell(job)
+            result = _replay_cell(job)
         grid[job[:2]] = result
     return grid
-
-
-def _resume_journal(directory: Path, jobs: List[tuple]) -> None:
-    """Ready a journaled sweep: resume completed shards into the memo.
-
-    Leftover running markers (a crashed sweep's) are cleared, shards
-    already in the journal load into ``_REPLAY_CACHE`` without
-    executing a replay, and memo-served cells are backfilled into the
-    journal.  The grid is then announced to the progress monitor
-    (``sweep.json`` beside the journal, and the live ``/progress``
-    endpoint when one is serving): every shard's state is thereafter
-    derivable from the journal itself, so watchers see completion
-    reach 100% exactly when the last shard persists.
-    """
-    shard_journal.clear_markers(directory)
-    manifest: Dict[str, dict] = {}
-    for job in jobs:
-        platform_name, name, heap_bytes, threads = job
-        memo_key = _memo_key(job)
-        key = shard_journal.shard_key(memo_key)
-        manifest[key] = {
-            "platform": platform_name,
-            "workload": name,
-            "heap_bytes": heap_bytes,
-            "threads": threads,
-            "events": sum(len(trace.events) for trace
-                          in collect_run(name, heap_bytes).traces),
-        }
-        if memo_key in _REPLAY_CACHE:
-            if not shard_journal.has_shard(directory, key):
-                shard_journal.store_shard(directory, key,
-                                          _REPLAY_CACHE[memo_key])
-            continue
-        cached = shard_journal.load_shard(directory, key)
-        if cached is not None:
-            shard_journal.STATS.add("hits")
-            _REPLAY_CACHE[memo_key] = cached
-    progress.write_sweep_manifest(directory, manifest)
-    progress.attach_live(directory)
 
 
 def _fork_available() -> bool:

@@ -73,9 +73,8 @@ def product_key(trace_key: str, kernel_id: str,
                 params: Sequence) -> str:
     """Entry key for one kernel product of one trace.
 
-    ``params`` is the kernel's parameter tuple (plain scalars);
-    ``repr`` canonicalizes each element the same way the shard journal
-    canonicalizes replay keys.
+    ``params`` is the kernel's parameter tuple (plain scalars), each
+    element canonicalized by its ``repr``.
     """
     payload = {
         "trace": trace_key,

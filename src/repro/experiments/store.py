@@ -1,15 +1,12 @@
 """One persistent store for everything a sweep keeps on disk.
 
-Captured traces, stage-1 replay products and shard results are each a
-*namespace* of content-addressed entries ``<64-hex key><suffix>``:
-:data:`TRACES` (``.npz``, :mod:`.trace_cache`), :data:`STAGE1`
-(``.stage1.npz``, :mod:`.stage1_cache`), :data:`SHARDS`
-(``.shard.json``, :mod:`.shard_journal`) and :data:`NATIVE`
+Captured traces and stage-1 replay products are each a *namespace* of
+content-addressed entries ``<64-hex key><suffix>``: :data:`TRACES`
+(``.npz``, :mod:`.trace_cache`) and :data:`STAGE1` (``.stage1.npz``,
+:mod:`.stage1_cache`); the compiled loop is :data:`NATIVE`
 (``.stage2.so``, :mod:`repro.platform.native`).  Those modules own
-their keys and codecs; this one owns the mechanics.  The two caches
-share the ``REPRO_TRACE_CACHE`` directory, and the compiled loop lives
-there too; journal results are resume state for one sweep, not a
-cache, and live in the sweep's ``REPRO_SHARD_JOURNAL`` directory.
+their keys and codecs; this one owns the mechanics.  All three share
+the ``REPRO_TRACE_CACHE`` directory.
 
 Persistent state is an accelerator, never a dependency, so every fault
 degrades to recompute: :func:`read` discards a stale, torn or foreign
@@ -75,9 +72,8 @@ class Tally:
 class Namespace:
     """One kind of entry: the files ``<64-hex key><suffix>`` of a
     directory, with its own tally and one-line summary.  Every tally
-    has a ``fallbacks`` field: the failed writes (and, for the shard
-    journal, failed running-marker writes) that left the caller going
-    without the file."""
+    has a ``fallbacks`` field: the failed writes that left the caller
+    going without the file."""
 
     def __init__(self, name: str, suffix: str, noun: str,
                  fields: Sequence[str], line: str) -> None:
@@ -122,14 +118,6 @@ STAGE1 = Namespace(
     "stage-1 cache: {hits} hit(s), {misses} miss(es), {stale} stale, "
     "{stores} store(s)")
 
-#: ``hits``: shards resumed without re-execution; ``runs``: shards
-#: executed.
-SHARDS = Namespace(
-    "shard_journal", ".shard.json", "shard",
-    ("hits", "runs", "stale", "stores"),
-    "shard journal: {hits} resumed, {runs} executed, {stale} stale, "
-    "{stores} stored")
-
 #: The compiled stage-2 loop (:mod:`repro.platform.native`): a build
 #: product beside the caches, not a cache of results, so ``repro cache
 #: clear`` leaves it.  ``builds``: compilations in this process tree.
@@ -143,12 +131,11 @@ NATIVE = Namespace(
 CACHES = (TRACES, STAGE1)
 
 
-def resolve(directory: Optional[PathLike] = None,
-            knob: str = "trace_cache") -> Optional[Path]:
-    """The directory: an explicit argument beats the :func:`settings`
-    field ``knob``; ``None`` means the store is off."""
+def resolve(directory: Optional[PathLike] = None) -> Optional[Path]:
+    """The directory: an explicit argument beats ``REPRO_TRACE_CACHE``;
+    ``None`` means the store is off."""
     if directory is None:
-        directory = getattr(settings(), knob)
+        directory = settings().trace_cache
     return None if directory is None else Path(directory)
 
 

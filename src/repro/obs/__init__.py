@@ -12,8 +12,8 @@ pooled sweep reports what a serial one does.  The package:
   actually spend);
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of labeled
   counters, gauges and histograms (with percentile queries); the
-  store tallies (``trace_cache.hits``, ``shard_journal.runs``, …) are
-  its counters;
+  store tallies (``trace_cache.hits``, ``stage1_cache.misses``, …)
+  are its counters;
 * :mod:`repro.obs.adapters` — records a replay's
   :class:`~repro.platform.timing.GCTimingResult`, its
   :class:`~repro.core.device.CharonDevice` counters and its HMC
@@ -22,18 +22,13 @@ pooled sweep reports what a serial one does.  The package:
   Perfetto / ``chrome://tracing``) plus JSON/CSV metric snapshots;
 * :mod:`repro.obs.provenance` — per-run manifests (config hash,
   workload, platform, schema/generator versions, cache behaviour, host
-  wall time) written next to every runner/figure/benchmark output;
-* :mod:`repro.obs.live` — a live Prometheus-text exposition endpoint
-  (``REPRO_METRICS_PORT``) serving ``/metrics``, ``/progress`` and
-  ``/healthz`` from a stdlib http.server thread.
+  wall time) written next to every runner/figure/benchmark output.
 
 Everything is off by default and adds only a guard check when
 disabled; set ``REPRO_OBS_OUT=<dir>`` (or pass ``--trace-out``) to
 record and export a timeline.
 """
 
-from repro.obs.live import (LiveServer, get_live_server,
-                            render_prometheus)
 from repro.obs.metrics import (Counter, Gauge, Histogram,
                                MetricsRegistry, global_metrics)
 from repro.obs.tracer import (CLOCK_HOST, CLOCK_SIM, Tracer,
@@ -45,12 +40,9 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LiveServer",
     "MetricsRegistry",
     "Tracer",
-    "get_live_server",
     "get_tracer",
     "global_metrics",
     "install_env_exporters",
-    "render_prometheus",
 ]

@@ -160,11 +160,11 @@ class MetricsRegistry:
         self._counters: "OrderedDict[str, Counter]" = OrderedDict()
         self._gauges: "OrderedDict[str, Gauge]" = OrderedDict()
         self._histograms: "OrderedDict[str, Histogram]" = OrderedDict()
-        # Guards registration and snapshot iteration (the live /metrics
-        # scraper reads from its own thread).  Counter.add / Gauge.set
-        # on already-registered metrics stay lock-free — a snapshot is
-        # point-in-time consistent per metric, which is all a scrape
-        # needs — so the simulation hot path pays nothing.
+        # Guards registration and sample iteration, so a reader on
+        # another thread never sees a registry mid-insert.  Counter.add
+        # / Gauge.set on already-registered metrics stay lock-free — a
+        # sample is point-in-time consistent per metric — so the
+        # simulation hot path pays nothing.
         self._lock = threading.RLock()
 
     # -- registration ------------------------------------------------------
@@ -267,30 +267,6 @@ class MetricsRegistry:
                 "p90": histogram.percentile(90),
                 "p99": histogram.percentile(99),
             })
-        return rows
-
-    def snapshot(self) -> List[Dict[str, object]]:
-        """Deep-copied sample rows for the live exposition endpoint.
-
-        Like :meth:`samples` but histogram rows additionally carry the
-        bucket ``bounds`` and per-bucket ``bucket_counts`` (the final
-        entry being the overflow bucket) so a renderer can emit
-        Prometheus ``_bucket{le=...}`` series.  Every row is detached
-        from the live metric objects, so the caller can serialize at
-        leisure while the simulation keeps recording.
-        """
-        rows = self.samples()
-        with self._lock:
-            histograms = list(self._histograms.values())
-        extras = {(histogram.name, tuple(sorted(histogram.labels.items()))):
-                  (list(histogram.bounds), list(histogram.counts))
-                  for histogram in histograms}
-        for row in rows:
-            key = (row["metric"], tuple(sorted(row["labels"].items())))
-            if row["kind"] == "histogram" and key in extras:
-                bounds, counts = extras[key]
-                row["bounds"] = bounds
-                row["bucket_counts"] = counts
         return rows
 
     def drain(self) -> List[tuple]:

@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.config import METRICS_PORT_ENV, OBS_OUT_ENV, settings
+from repro.config import OBS_OUT_ENV, settings
 
 CLOCK_SIM = "sim"
 CLOCK_HOST = "host"
@@ -232,9 +232,8 @@ def install_env_exporters(environ=None) -> Dict[str, str]:
     ``REPRO_OBS_OUT=<dir>`` enables the global tracer and, at process
     exit, writes the Chrome trace to ``<dir>/trace.json`` and the
     global metrics registry's JSON snapshot to ``<dir>/metrics.json``.
-    ``REPRO_METRICS_PORT=<port>`` starts the live ``/metrics``
-    exposition endpoint.  Safe to call more than once — each exporter
-    installs a single time per process.
+    Safe to call more than once — the exporter installs a single time
+    per directory per process.
     """
     installed: Dict[str, str] = {}
     obs_out = settings(environ).obs_out
@@ -243,12 +242,6 @@ def install_env_exporters(environ=None) -> Dict[str, str]:
         atexit.register(_write_obs_out, Path(obs_out))
         _INSTALLED.add(obs_out)
         installed[OBS_OUT_ENV] = obs_out
-    # Lazy import: the live module costs nothing unless its
-    # environment knob is actually set.
-    from repro.obs.live import install_env_live_server
-    live_port = install_env_live_server(environ)
-    if live_port is not None:
-        installed[METRICS_PORT_ENV] = str(live_port)
     return installed
 
 

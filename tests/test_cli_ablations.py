@@ -56,6 +56,28 @@ class TestCli:
                      "graphchi-als"]) == 0
         assert "units_" in capsys.readouterr().out
 
+    def test_sweep(self, capsys):
+        assert main(["sweep", "--platforms", "ideal,charon",
+                     "--workloads", "graphchi-als", "--jobs", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cells = [line.split()[:2] for line in lines
+                 if line.endswith(" mJ")]
+        assert cells == [["ideal", "graphchi-als"],
+                         ["charon", "graphchi-als"]]
+        assert any(line.startswith("trace cache: ") for line in lines)
+
+    @pytest.mark.parametrize("argv", [
+        ["top"], ["sweep", "status"], ["sweep", "run"],
+        ["sweep", "--journal", "journal"], ["sweep", "--watch"]],
+        ids=["top", "sweep-status", "sweep-run", "sweep-journal",
+             "sweep-watch"])
+    def test_retired_sweep_monitor_arguments_are_rejected(self, argv):
+        """The progress monitor and the one-choice ``sweep`` action are
+        gone: their arguments are usage errors, not silent no-ops."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "nope"])

@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro import config as config_module
-from repro.config import (HEAP_KERNELS_ENV, METRICS_PORT_ENV,
-                          OBS_OUT_ENV, REPLAY_JOBS_ENV, SHARD_JOURNAL_ENV,
+from repro.config import (HEAP_KERNELS_ENV, OBS_OUT_ENV, REPLAY_JOBS_ENV,
                           TRACE_CACHE_ENV, CostModelConfig, HeapConfig,
                           Settings, SystemConfig, default_config,
                           scaled_heap_bytes, settings, PAPER_HEAP_SCALE)
@@ -141,35 +140,41 @@ class TestDerivedConfigs:
 
 
 class TestSettings:
-    def test_six_knobs(self):
+    def test_four_knobs(self):
         names = sorted(value for value in vars(config_module).values()
                        if isinstance(value, str)
                        and value.startswith("REPRO_"))
         assert names == sorted([TRACE_CACHE_ENV, REPLAY_JOBS_ENV,
-                                OBS_OUT_ENV, HEAP_KERNELS_ENV,
-                                SHARD_JOURNAL_ENV, METRICS_PORT_ENV])
+                                OBS_OUT_ENV, HEAP_KERNELS_ENV])
 
     def test_defaults(self):
         assert settings({}) == Settings()
         assert settings({}).to_dict() == {
             "trace_cache": None, "jobs": 1, "obs_out": None,
-            "heap_kernels": "fast", "shard_journal": None,
-            "metrics_port": None, "cc": "gcc"}
+            "heap_kernels": "fast", "cc": "gcc"}
 
     @pytest.mark.parametrize("knob, value", [
         (REPLAY_JOBS_ENV, "0"), (REPLAY_JOBS_ENV, "-3"),
-        (REPLAY_JOBS_ENV, "two"),
-        (HEAP_KERNELS_ENV, "bogus"),
-        (METRICS_PORT_ENV, "x"), (METRICS_PORT_ENV, "70000"),
-        (METRICS_PORT_ENV, "-1"),
+        (REPLAY_JOBS_ENV, "two"), (REPLAY_JOBS_ENV, "1.5"),
+        (REPLAY_JOBS_ENV, "0x2"),
+        (HEAP_KERNELS_ENV, "bogus"), (HEAP_KERNELS_ENV, "Fast"),
+        (HEAP_KERNELS_ENV, "scalar "),
     ])
     def test_invalid_value_names_the_knob(self, knob, value):
         with pytest.raises(ConfigError, match=knob):
             settings({knob: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("REPRO_SHARD_JOURNAL", "journal"),
+        ("REPRO_METRICS_PORT", "9100"), ("REPRO_METRICS_PORT", "x")])
+    def test_retired_knobs_are_ignored(self, name, value):
+        """The shard journal and the live metrics port are gone: an
+        environment that still sets them reads as if it did not, even
+        with a value the old port knob rejected."""
+        assert settings({name: value}) == Settings()
+
     @pytest.mark.parametrize("knob, field", [
-        (TRACE_CACHE_ENV, "trace_cache"), (OBS_OUT_ENV, "obs_out"),
-        (SHARD_JOURNAL_ENV, "shard_journal")])
+        (TRACE_CACHE_ENV, "trace_cache"), (OBS_OUT_ENV, "obs_out")])
     def test_directory_knobs_take_any_path(self, knob, field):
         """A directory knob has no invalid value: any non-empty string
         is a path, and empty means the store or export is off."""
@@ -178,9 +183,9 @@ class TestSettings:
 
     def test_parsed_values(self):
         parsed = settings({REPLAY_JOBS_ENV: "3", HEAP_KERNELS_ENV: "scalar",
-                           METRICS_PORT_ENV: "0", "CC": "clang"})
-        assert (parsed.jobs, parsed.heap_kernels, parsed.metrics_port,
-                parsed.cc) == (3, "scalar", 0, "clang")
+                           "CC": "clang"})
+        assert (parsed.jobs, parsed.heap_kernels, parsed.cc) \
+            == (3, "scalar", "clang")
         assert settings({"CC": ""}).cc == "gcc"
 
     def test_unknown_repro_names_are_ignored(self):
@@ -189,7 +194,6 @@ class TestSettings:
     def test_to_dict_survives_json(self):
         knobs = settings({TRACE_CACHE_ENV: "/c", REPLAY_JOBS_ENV: "2",
                           OBS_OUT_ENV: "o", HEAP_KERNELS_ENV: "scalar",
-                          SHARD_JOURNAL_ENV: "j", METRICS_PORT_ENV: "9",
                           "CC": "cc"})
         record = knobs.to_dict()
         assert json.loads(json.dumps(record)) == record
@@ -206,17 +210,15 @@ class TestSettings:
         assert settings().jobs == 5
 
     def test_readers_take_their_field(self, monkeypatch, tmp_path):
-        from repro.experiments import shard_journal, store
+        from repro.experiments import store
         from repro.heap import fast_kernels
 
         monkeypatch.setenv(HEAP_KERNELS_ENV, "scalar")
         monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "cache"))
-        monkeypatch.setenv(SHARD_JOURNAL_ENV, str(tmp_path / "journal"))
         assert fast_kernels.kernel_mode() == "scalar"
         with fast_kernels.use_kernel_mode("fast"):  # the override wins
             assert fast_kernels.kernel_mode() == "fast"
         assert store.resolve() == tmp_path / "cache"
-        assert shard_journal.journal_dir() == tmp_path / "journal"
         monkeypatch.setenv(HEAP_KERNELS_ENV, "bogus")
         with pytest.raises(ConfigError, match=HEAP_KERNELS_ENV):
             fast_kernels.kernel_mode()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,6 +50,42 @@ def test_scope_shares_storage_with_prefix():
     assert dict(registry.gauges()) == {"charon.tlb.lookups": 9.0}
 
 
+def test_scope_shares_the_registration_lock():
+    registry = MetricsRegistry()
+    assert registry.scope("gc")._lock is registry._lock
+
+
+def test_concurrent_registration_and_samples():
+    """Registering on one thread while another iterates the samples
+    never raises (the lock guards both)."""
+    registry = MetricsRegistry()
+    stop = threading.Event()
+    errors = []
+
+    def register_loop():
+        for index in range(5000):
+            if stop.is_set():
+                break
+            registry.counter(f"c{index % 50}", shard=index).add(1)
+
+    def sample_loop():
+        try:
+            while not stop.is_set():
+                registry.samples()
+        except Exception as exc:  # pragma: no cover - the failure
+            errors.append(exc)
+
+    writer = threading.Thread(target=register_loop, daemon=True)
+    reader = threading.Thread(target=sample_loop, daemon=True)
+    writer.start()
+    reader.start()
+    writer.join(30)
+    stop.set()
+    reader.join(30)
+    assert not writer.is_alive() and not reader.is_alive()
+    assert not errors
+
+
 def test_samples_rows():
     registry = MetricsRegistry()
     registry.counter("a", "desc").add(2)
@@ -63,6 +101,24 @@ def test_samples_rows():
     assert hrow["count"] == 2
     assert hrow["sum"] == pytest.approx(3.5)
     assert hrow["p50"] in (1.0, 2.0, 4.0)
+
+
+def test_samples_rows_are_detached():
+    """A sample row is a copy: editing it, labels included, leaves the
+    registry as it was."""
+    registry = MetricsRegistry()
+    registry.counter("a", shard="1").add(2)
+    registry.histogram("lat", [1.0, 2.0], shard="1").record(0.5)
+    for row in registry.samples():
+        row["labels"]["shard"] = "edited"
+        row["metric"] = "edited"
+        row["value" if row["kind"] == "counter" else "count"] = -1
+    rows = {(row["metric"], row["kind"]): row
+            for row in registry.samples()}
+    assert rows[("a", "counter")]["labels"] == {"shard": "1"}
+    assert rows[("a", "counter")]["value"] == 2.0
+    assert rows[("lat", "histogram")]["labels"] == {"shard": "1"}
+    assert rows[("lat", "histogram")]["count"] == 1
 
 
 def test_reset_zeroes_everything():

@@ -172,3 +172,18 @@ def test_metric_exports_round_trip(tmp_path):
     assert header.startswith("metric,kind,labels,value")
     assert any("a,counter,x=1,2" in row for row in rows)
     assert len(rows) == 2
+
+
+def test_stats_format_json_is_the_export_document(capsys):
+    """``repro stats --format json`` prints a metric snapshot in the
+    export schema."""
+    from repro.cli import main
+
+    assert main(["stats", "graphchi-als", "--platform", "ideal",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == METRICS_SCHEMA_VERSION
+    rows = {row["metric"]: row for row in payload["metrics"]}
+    assert any(name.startswith("replay.") for name in rows)
+    for row in rows.values():
+        assert {"metric", "kind", "labels"} <= set(row)

@@ -13,9 +13,7 @@ One counter counts work that genuinely differs with scheduling, so it
 is bounded instead of compared: each worker memoises the trace-pure
 stage-1 products on its own copy of a trace, so a product two workers
 need is read from the stage-1 cache once per worker
-(``stage1_cache.hits``).  A journaled sweep takes the same path as a
-plain one — the journal only wraps each cell — so it is held to the
-same contract.
+(``stage1_cache.hits``).
 
 A fallback — a store write that failed, so the caller went uncached —
 is counted where it happens, so a worker's fallbacks reach the parent
@@ -28,8 +26,7 @@ import os
 
 import pytest
 
-from repro.experiments import (shard_journal, stage1_cache, store,
-                               trace_cache)
+from repro.experiments import stage1_cache, store, trace_cache
 from repro.experiments.runner import (_fork_available, clear_cache,
                                       replay_grid)
 from repro.obs.metrics import global_metrics, reset_global_metrics
@@ -56,17 +53,15 @@ def tracing():
     reset_global_metrics()
 
 
-def telemetry(tracer, processes, journal=None):
+def telemetry(tracer, processes):
     """One sweep from cold memos, a reset registry and an empty tracer
     (the disk caches stay warm); returns what the parent then holds."""
     clear_cache()
     reset_global_metrics()
     tracer.clear()
-    replay_grid(PLATFORMS, [WORKLOAD], processes=processes,
-                journal=journal)
+    replay_grid(PLATFORMS, [WORKLOAD], processes=processes)
     tallies = {"trace_cache": trace_cache.STATS.snapshot(),
-               "stage1_cache": stage1_cache.STATS.snapshot(),
-               "shard_journal": shard_journal.STATS.snapshot()}
+               "stage1_cache": stage1_cache.STATS.snapshot()}
     rows = {(row["metric"], tuple(sorted(row["labels"].items()))):
             row["value"] for row in global_metrics().samples()
             if row["metric"] not in HOST_TIME_ROWS}
@@ -79,19 +74,14 @@ def telemetry(tracer, processes, journal=None):
     return rows, tallies, sim, host
 
 
-@pytest.mark.parametrize("journaled", [False, True],
-                         ids=["plain", "journaled"])
-def test_pooled_telemetry_equals_serial(tmp_path, tracing, journaled):
+def test_pooled_telemetry_equals_serial(tracing):
     if not _fork_available():
         pytest.skip("no fork start method on this platform")
     replay_grid(PLATFORMS, [WORKLOAD], processes=1)  # warm the caches
 
-    def sweep(processes):
-        journal = tmp_path / f"journal-{processes}" if journaled else None
-        return telemetry(tracing, processes, journal)
-
-    serial_rows, serial_tallies, serial_sim, serial_host = sweep(1)
-    rows, tallies, sim, host = sweep(2)
+    serial_rows, serial_tallies, serial_sim, serial_host = \
+        telemetry(tracing, 1)
+    rows, tallies, sim, host = telemetry(tracing, 2)
 
     walls = [key for key in serial_rows
              if key[0] == "replay.wall_seconds"]
@@ -116,10 +106,6 @@ def test_pooled_telemetry_equals_serial(tmp_path, tracing, journaled):
         "misses": 0, "stale": 0, "stores": 0, "fallbacks": 0}
     # Every worker read reached the parent, none twice.
     assert 0 < serial_hits <= hits <= 2 * serial_hits
-    assert tallies["shard_journal"] == serial_tallies["shard_journal"]
-    if journaled:
-        assert serial_tallies["shard_journal"]["runs"] \
-            == serial_tallies["shard_journal"]["stores"] == len(PLATFORMS)
 
 
 def test_pooled_store_fallbacks_reach_the_parent(monkeypatch):

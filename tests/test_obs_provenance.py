@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.config import REPLAY_JOBS_ENV, TRACE_CACHE_ENV, settings
@@ -114,119 +112,96 @@ def test_runner_records_provenance_with_matching_hash():
         "graphchi-als", workload_config("graphchi-als", heap_bytes))
 
 
-class TestJournaledSweepProvenance:
-    """Provenance under durable sweeps: one entry per capture, the
-    hash naming a real cache entry — across kills and resumes."""
+class TestSweepProvenance:
+    """Provenance under sweeps: one entry per capture, the hash naming
+    a real cache entry — pooled, and across a kill and re-run."""
 
     WORKLOAD = "graphchi-als"
     PLATFORMS = ("cpu-ddr4", "ideal", "charon")
 
     @pytest.fixture(autouse=True)
     def isolated_sweep(self, tmp_path, monkeypatch):
-        from repro.config import SHARD_JOURNAL_ENV, TRACE_CACHE_ENV
-        from repro.experiments import shard_journal
         from repro.experiments.runner import clear_cache
 
-        monkeypatch.delenv(SHARD_JOURNAL_ENV, raising=False)
         self.cache_dir = tmp_path / "trace-cache"
         monkeypatch.setenv(TRACE_CACHE_ENV, str(self.cache_dir))
         clear_cache()
-        shard_journal.STATS.reset()
         yield
         clear_cache()
-        shard_journal.STATS.reset()
 
     def _assert_one_run_with_disk_entry(self):
         runs = provenance.session_runs()
         captures = [run for run in runs
                     if run["workload"] == self.WORKLOAD]
-        assert len(captures) == 1  # one capture, however many shards
+        assert len(captures) == 1  # one capture, however many cells
         (capture,) = captures
         key = trace_cache.run_cache_key(
             self.WORKLOAD, workload_config(self.WORKLOAD))
         assert capture["config_hash"] == key
         # The hash is not an orphan: it names the cache entry the
-        # sweep's shards replayed from.
+        # sweep's cells replayed from.
         assert (self.cache_dir / f"{key}.npz").exists()
         return capture
 
-    def test_journaled_sweep_records_one_run_per_workload(
-            self, tmp_path):
+    def test_sweep_records_one_run_per_workload(self):
         from repro.experiments.runner import replay_grid
 
-        replay_grid(self.PLATFORMS, [self.WORKLOAD],
-                    journal=tmp_path / "journal")
+        replay_grid(self.PLATFORMS, [self.WORKLOAD])
         capture = self._assert_one_run_with_disk_entry()
         assert capture["cache"] in ("hit", "generated")
         manifest = provenance.build_manifest(command="sweep")
         assert manifest["runs"] == provenance.session_runs()
 
-    def test_shard_meta_records_the_knobs(self, tmp_path):
-        from repro.experiments.runner import replay_grid
-
-        journal = tmp_path / "journal"
-        replay_grid(self.PLATFORMS, [self.WORKLOAD], journal=journal)
-        shards = store.SHARDS.entries(journal)
-        assert len(shards) == len(self.PLATFORMS)
-        for path in shards:
-            recorded = json.loads(path.read_text())["meta"]["settings"]
-            assert recorded == settings().to_dict()
-            assert recorded["trace_cache"] == str(self.cache_dir)
-
-    def test_forked_sweep_workers_share_the_config_hash(
-            self, tmp_path):
+    def test_forked_sweep_workers_share_the_config_hash(self):
         from repro.experiments.runner import (_fork_available,
                                               replay_grid)
 
         if not _fork_available():
             pytest.skip("no fork start method on this platform")
-        replay_grid(self.PLATFORMS, [self.WORKLOAD], processes=2,
-                    journal=tmp_path / "journal")
+        replay_grid(self.PLATFORMS, [self.WORKLOAD], processes=2)
         # Workers record provenance in their own processes; the parent
         # session must still hold exactly one capture entry whose hash
         # names the single cache entry every worker replayed from.
         self._assert_one_run_with_disk_entry()
         assert len(store.TRACES.entries(self.cache_dir)) == 1
 
-    def test_resume_after_kill_does_not_duplicate_entries(
+    def test_rerun_after_kill_does_not_duplicate_entries(
             self, tmp_path):
         import multiprocessing
         import os as os_mod
 
-        from repro.experiments import shard_journal
+        from repro.experiments import runner
         from repro.experiments.runner import clear_cache, replay_grid
 
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:
             pytest.skip("no fork start method on this platform")
-        journal = tmp_path / "journal"
 
-        def crash_after_first_shard():
-            original = shard_journal.store_shard
+        def crash_after_first_cell():
+            original = runner.replay_platform
 
-            def store_and_die(directory, key, result, **kwargs):
-                original(directory, key, result, **kwargs)
+            def replay_and_die(*args, **kwargs):
+                original(*args, **kwargs)
                 os_mod._exit(9)
 
-            shard_journal.store_shard = store_and_die
-            replay_grid(self.PLATFORMS, [self.WORKLOAD],
-                        journal=journal)
+            runner.replay_platform = replay_and_die
+            replay_grid(self.PLATFORMS, [self.WORKLOAD], processes=1)
 
-        sweep = context.Process(target=crash_after_first_shard)
+        sweep = context.Process(target=crash_after_first_cell)
         sweep.start()
         sweep.join()
         assert sweep.exitcode == 9
 
         clear_cache()
         provenance.reset_session()
-        replay_grid(self.PLATFORMS, [self.WORKLOAD], journal=journal)
+        replay_grid(self.PLATFORMS, [self.WORKLOAD])
         capture = self._assert_one_run_with_disk_entry()
-        # The capture survived the kill, so the resume replays it from
+        # The capture survived the kill, so the re-run replays it from
         # the cache rather than re-generating it.
         assert capture["cache"] == "hit"
         path = provenance.write_manifest(tmp_path / "out",
-                                         command="resumed sweep")
+                                         command="re-run sweep")
         assert provenance.round_trips(path)
         assert len(provenance.load_manifest(path)["runs"]) \
             == len(provenance.session_runs())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -117,6 +118,24 @@ def test_install_env_exporters_arms_the_global_tracer(tmp_path):
         # Idempotent: the same directory installs only once.
         assert install_env_exporters({OBS_OUT_ENV: str(tmp_path)}) == {}
         assert install_env_exporters({}) == {}
+    finally:
+        tracer.enabled = was_enabled
+
+
+def test_retired_knobs_arm_nothing(tmp_path):
+    """Neither the old live-endpoint port nor the old journal directory
+    starts a thread or turns the tracer on."""
+    tracer = get_tracer()
+    was_enabled = tracer.enabled
+    threads = threading.active_count()
+    try:
+        tracer.enabled = False
+        assert install_env_exporters({
+            "REPRO_METRICS_PORT": "0",
+            "REPRO_SHARD_JOURNAL": str(tmp_path / "journal")}) == {}
+        assert not tracer.enabled
+        assert threading.active_count() == threads
+        assert not (tmp_path / "journal").exists()
     finally:
         tracer.enabled = was_enabled
 

@@ -3,27 +3,26 @@
 The fork-based fan-out must be an implementation detail: the result
 grid — keys, ordering, and every timing field — must be identical to a
 serial sweep, and the parent's replay memo must end up warm either way.
-The shard-journal tests extend the same contract across process death:
-a sweep killed mid-flight resumes byte-identically, re-executing only
-the shards that never finished.
+The same contract holds across process death: a sweep killed
+mid-flight re-runs warm off the caches, capturing nothing, to the same
+grid.
 """
 
 import dataclasses
-import errno
 import multiprocessing
 import os
 import signal
-from pathlib import Path
 
 import pytest
 
-from repro.config import (REPLAY_JOBS_ENV, SHARD_JOURNAL_ENV,
-                          TRACE_CACHE_ENV)
+from repro.config import REPLAY_JOBS_ENV, TRACE_CACHE_ENV
 from repro.errors import ConfigError
-from repro.experiments import progress, runner, shard_journal
+from repro.experiments import runner, store, trace_cache
 from repro.experiments.runner import (_fork_available, clear_cache,
                                       replay_grid, replay_platform)
 from repro.obs.metrics import global_metrics, reset_global_metrics
+from repro.platform.factory import PLATFORM_NAMES
+from repro.workloads.registry import TABLE3_WORKLOADS
 
 WORKLOAD = "graphchi-als"  # fastest real workload
 PLATFORMS = ("cpu-ddr4", "ideal", "charon")
@@ -98,187 +97,228 @@ class TestReplayMemo:
                                config=narrow) is fresh
 
 
-class TestShardJournal:
-    @pytest.fixture(autouse=True)
-    def fresh_stats(self):
-        shard_journal.STATS.reset()
-        yield
-        shard_journal.STATS.reset()
-
-    def test_journaled_sweep_matches_plain(self, tmp_path):
-        reference = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
-        clear_cache()
-        journaled = replay_grid(PLATFORMS, [WORKLOAD],
-                                journal=tmp_path / "journal")
-        grids_equal(reference, journaled)
-        stats = shard_journal.STATS.snapshot()
-        assert stats["runs"] == len(PLATFORMS)
-        assert stats["stores"] == len(PLATFORMS)
-        assert stats["hits"] == 0
-
-    def test_completed_sweep_resumes_without_executing(self, tmp_path):
-        journal = tmp_path / "journal"
-        first = replay_grid(PLATFORMS, [WORKLOAD], journal=journal)
-        clear_cache()
-        shard_journal.STATS.reset()
-        second = replay_grid(PLATFORMS, [WORKLOAD], journal=journal)
-        grids_equal(first, second)
-        stats = shard_journal.STATS.snapshot()
-        assert stats["hits"] == len(PLATFORMS)
-        assert stats["runs"] == 0  # the no-rework witness
-
-    def test_killed_sweep_resumes_byte_identical(self, tmp_path):
-        """Kill the sweep after its first shard lands (``os._exit`` —
-        no cleanup, the claim file stays orphaned), then resume: only
-        the unfinished shards execute and the merged grid is identical
-        to an uninterrupted serial sweep."""
+class TestKilledSweep:
+    def test_killed_sweep_reruns_warm(self, tmp_path, monkeypatch):
+        """Kill the sweep after its first cell (``os._exit`` — no
+        cleanup), then re-run it: the trace cache already holds the
+        capture, so the re-run captures nothing, and its grid is
+        bit-identical to an uninterrupted sweep's."""
         if not _fork_available():
             pytest.skip("no fork start method on this platform")
-        reference = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
-        clear_cache()
-        journal = tmp_path / "journal"
 
-        def crash_after_first_shard():
-            original = shard_journal.store_shard
+        def crash_after_first_cell():
+            original = runner.replay_platform
 
-            def store_and_die(directory, key, result, **kwargs):
-                original(directory, key, result, **kwargs)
+            def replay_and_die(*args, **kwargs):
+                original(*args, **kwargs)
                 os._exit(9)
 
-            shard_journal.store_shard = store_and_die
-            replay_grid(PLATFORMS, [WORKLOAD], journal=journal)
+            runner.replay_platform = replay_and_die
+            replay_grid(PLATFORMS, [WORKLOAD], processes=1)
 
         context = multiprocessing.get_context("fork")
-        sweep = context.Process(target=crash_after_first_shard)
+        sweep = context.Process(target=crash_after_first_cell)
         sweep.start()
         sweep.join()
         assert sweep.exitcode == 9
-        assert len(list(journal.glob("*.shard.json"))) == 1
-        # the kill skipped the claim release; resume must shrug it off
-        assert len(list(journal.glob("*.claim"))) == 1
 
         clear_cache()
-        shard_journal.STATS.reset()
-        resumed = replay_grid(PLATFORMS, [WORKLOAD], journal=journal)
-        grids_equal(reference, resumed)
-        stats = shard_journal.STATS.snapshot()
-        assert stats["hits"] == 1  # the pre-crash shard, not re-run
-        assert stats["runs"] == len(PLATFORMS) - 1
+        trace_cache.STATS.reset()
+        rerun = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
+        assert trace_cache.STATS["generated"] == 0
+        assert trace_cache.STATS["misses"] == 0
+        assert trace_cache.STATS["hits"] == 1
 
-    def test_torn_entry_is_discarded_and_rerun(self, tmp_path):
-        journal = tmp_path / "journal"
-        reference = replay_grid(PLATFORMS, [WORKLOAD], journal=journal)
-        torn = sorted(journal.glob("*.shard.json"))[0]
-        torn.write_text("{ torn mid-write")
         clear_cache()
-        shard_journal.STATS.reset()
-        with pytest.warns(UserWarning, match="stale shard"):
-            resumed = replay_grid(PLATFORMS, [WORKLOAD],
-                                  journal=journal)
-        grids_equal(reference, resumed)
-        stats = shard_journal.STATS.snapshot()
-        assert stats["stale"] == 1
-        assert stats["runs"] == 1
-        assert stats["hits"] == len(PLATFORMS) - 1
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "fresh"))
+        grids_equal(replay_grid(PLATFORMS, [WORKLOAD], processes=1),
+                    rerun)
 
-    def test_each_shard_runs_and_stores_once_across_the_pool(
-            self, tmp_path):
-        if not _fork_available():
-            pytest.skip("no fork start method on this platform")
-        reference = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
-        clear_cache()
-        shard_journal.STATS.reset()
-        journal = tmp_path / "journal"
-        pooled = replay_grid(PLATFORMS, [WORKLOAD], processes=2,
-                             journal=journal)
-        grids_equal(reference, pooled)
-        stats = shard_journal.STATS.snapshot()
-        # The pool's task queue gives each cell to one worker, and the
-        # workers' tallies merge back: one run and one store per shard.
-        assert stats["runs"] == len(PLATFORMS)
-        assert stats["stores"] == len(PLATFORMS)
-        assert stats["hits"] == stats["fallbacks"] == 0
-        assert len(list(journal.glob("*.shard.json"))) == len(PLATFORMS)
-        assert not list(journal.glob("*.claim"))
 
-    def test_running_shard_reads_as_claimed(self, tmp_path,
-                                            monkeypatch):
-        """While a cell replays, its running marker makes the progress
-        monitor report it ``claimed`` by this process."""
-        journal = tmp_path / "journal"
-        seen = []
+@pytest.fixture(scope="class")
+def killed_default_sweep(tmp_path_factory):
+    """The default ``repro sweep`` grid (every platform x every Table-3
+    workload), killed after its first cell and re-run off the cache it
+    left, beside the same grid run uninterrupted from an empty cache."""
+    if not _fork_available():
+        pytest.skip("no fork start method on this platform")
+    platforms, workloads = list(PLATFORM_NAMES), list(TABLE3_WORKLOADS)
+
+    def crash_after_first_cell():
         original = runner.replay_platform
 
-        def observed(platform_name, *args, **kwargs):
-            snapshot = progress.progress_snapshot(journal)
-            seen.append((platform_name, snapshot["shards_claimed"],
-                         [(shard["platform"], shard.get("pid"))
-                          for shard in snapshot["shards"]
-                          if shard["state"] == "claimed"]))
-            return original(platform_name, *args, **kwargs)
+        def replay_and_die(*args, **kwargs):
+            original(*args, **kwargs)
+            os._exit(9)
 
-        monkeypatch.setattr(runner, "replay_platform", observed)
-        replay_grid(PLATFORMS, [WORKLOAD], processes=1, journal=journal)
-        assert seen == [(platform, 1, [(platform, os.getpid())])
-                        for platform in PLATFORMS]
-        assert progress.progress_snapshot(journal)["shards_claimed"] == 0
+        runner.replay_platform = replay_and_die
+        replay_grid(platforms, workloads, processes=1)
 
-    def test_unwritable_marker_still_runs_the_shard(self, tmp_path,
-                                                   monkeypatch):
-        """ENOSPC writing a running marker costs the progress monitor's
-        view of that cell, not the sweep: the grid equals the unfaulted
-        one, every shard still runs and persists, and each failed
-        marker counts one of the journal's ``fallbacks``."""
-        platforms, workloads = ["ideal", "charon"], ["spark-km"]
-        expected = replay_grid(platforms, workloads, processes=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(TRACE_CACHE_ENV,
+                     str(tmp_path_factory.mktemp("killed-cache")))
         clear_cache()
-        real_write_text = Path.write_text
+        sweep = multiprocessing.get_context("fork").Process(
+            target=crash_after_first_cell)
+        sweep.start()
+        sweep.join()
+        trace_cache.STATS.reset()
+        rerun = replay_grid(platforms, workloads, processes=1)
+        rerun_stats = trace_cache.STATS.snapshot()
+        clear_cache()
+        patch.setenv(TRACE_CACHE_ENV,
+                     str(tmp_path_factory.mktemp("uninterrupted-cache")))
+        uninterrupted = replay_grid(platforms, workloads, processes=2)
+        clear_cache()
+    return sweep.exitcode, rerun_stats, rerun, uninterrupted
 
-        def full_disk_write_text(path, *args, **kwargs):
-            if path.name.endswith(".claim"):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
-                              str(path))
-            return real_write_text(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "write_text", full_disk_write_text)
-        journal = tmp_path / "journal"
-        with pytest.warns(UserWarning, match="No space left"):
-            grid = replay_grid(platforms, workloads, processes=1,
-                               journal=journal)
-        grids_equal(expected, grid)
-        assert shard_journal.STATS["runs"] == len(platforms)
-        assert len(list(journal.glob("*.shard.json"))) == len(platforms)
-        assert not list(journal.glob("*.claim"))
-        # One failed marker per shard; the entries themselves stored.
-        assert shard_journal.STATS["fallbacks"] == len(platforms)
-        assert shard_journal.STATS["stores"] == len(platforms)
+class TestKilledDefaultSweep:
+    """The guarantee that stands in for a resume journal, over the whole
+    default grid: every capture lands in the trace cache before the
+    first cell replays, so a sweep killed at any cell re-runs warm."""
 
-    def test_journal_env_variable_is_honored(self, tmp_path,
-                                             monkeypatch):
-        journal = tmp_path / "journal"
-        monkeypatch.setenv(SHARD_JOURNAL_ENV, str(journal))
-        replay_grid(PLATFORMS, [WORKLOAD])
-        assert len(list(journal.glob("*.shard.json"))) \
-            == len(PLATFORMS)
+    def test_rerun_captures_nothing(self, killed_default_sweep):
+        exitcode, stats, rerun, _ = killed_default_sweep
+        assert exitcode == 9
+        assert stats["generated"] == stats["misses"] == 0
+        assert stats["hits"] == len(TABLE3_WORKLOADS)
+        assert list(rerun) == [(platform, workload)
+                               for workload in TABLE3_WORKLOADS
+                               for platform in PLATFORM_NAMES]
+
+    @pytest.mark.parametrize("workload", TABLE3_WORKLOADS)
+    @pytest.mark.parametrize("platform", PLATFORM_NAMES)
+    def test_rerun_cell_matches_uninterrupted(self, killed_default_sweep,
+                                              platform, workload):
+        _, _, rerun, uninterrupted = killed_default_sweep
+        assert rerun[(platform, workload)] \
+            == uninterrupted[(platform, workload)]
+
+
+class TestKilledMidWrite:
+    def test_sweep_killed_mid_write_recaptures(self, tmp_path,
+                                               monkeypatch):
+        """Kill the sweep while it writes its capture: the temp file is
+        on disk but never renamed into place.  The re-run trusts
+        nothing half-written — it misses, captures once, stores the
+        entry — and returns the uninterrupted grid."""
+        if not _fork_available():
+            pytest.skip("no fork start method on this platform")
+        uninterrupted = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
+        clear_cache()
+        cache = tmp_path / "killed-cache"
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(cache))
+
+        entry = store.TRACES.path(cache, trace_cache.run_cache_key(
+            WORKLOAD, runner.workload_config(WORKLOAD)))
+
+        def crash_before_rename():
+            real_replace = os.replace
+
+            def die_on_trace_entry(source, target, *args, **kwargs):
+                if os.fspath(target) == os.fspath(entry):
+                    os._exit(9)
+                return real_replace(source, target, *args, **kwargs)
+
+            os.replace = die_on_trace_entry
+            replay_grid(PLATFORMS, [WORKLOAD], processes=1)
+
+        sweep = multiprocessing.get_context("fork").Process(
+            target=crash_before_rename)
+        sweep.start()
+        sweep.join()
+        assert sweep.exitcode == 9
+        assert store.TRACES.entries(cache) == []
+        assert [path for path in cache.iterdir()
+                if ".tmp" in path.name]  # the torn write is on disk
+
+        trace_cache.STATS.reset()
+        grids_equal(uninterrupted,
+                    replay_grid(PLATFORMS, [WORKLOAD], processes=1))
+        assert trace_cache.STATS["misses"] == 1
+        assert trace_cache.STATS["generated"] == 1
+        assert trace_cache.STATS["stores"] == 1
+        assert len(store.TRACES.entries(cache)) == 1
+
+
+class TestNoCollection:
+    """A heap so large that the workload never collects leaves no GC
+    to replay: one ``ConfigError`` naming the workload and the heap,
+    raised in the parent before any replay or fan-out."""
+
+    HEAP_MB = 160  # 10x graphchi-cc's default heap
+
+    def test_replay_platform_names_workload_and_heap(self):
+        with pytest.raises(ConfigError,
+                           match="graphchi-cc ran no collection in a "
+                                 "160 MiB heap"):
+            replay_platform("charon", "graphchi-cc",
+                            heap_bytes=self.HEAP_MB << 20)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_grid_fails_before_fan_out(self, processes, monkeypatch):
+        def no_fan_out(*args, **kwargs):
+            raise AssertionError("fanned out a grid with no collection")
+
+        monkeypatch.setattr(runner, "_fan_out", no_fan_out)
+        with pytest.raises(ConfigError,
+                           match="graphchi-cc ran no collection"):
+            # spark-km still collects at this heap; graphchi-cc does not.
+            replay_grid(PLATFORMS, ["spark-km", "graphchi-cc"],
+                        heap_bytes=self.HEAP_MB << 20,
+                        processes=processes)
+
+    @pytest.mark.parametrize("workload", TABLE3_WORKLOADS)
+    def test_no_table3_workload_collects_at_ten_times_its_heap(
+            self, workload):
+        heap_bytes = 10 * runner.default_heap_bytes(workload)
+        with pytest.raises(ConfigError,
+                           match=f"{workload} ran no collection in a "
+                                 f"{heap_bytes >> 20} MiB heap"):
+            replay_platform("cpu-ddr4", workload, heap_bytes=heap_bytes)
+
+    @pytest.mark.parametrize("workload", TABLE3_WORKLOADS)
+    def test_grid_at_ten_times_the_heap_replays_no_cell(
+            self, workload, monkeypatch):
+        def no_replay(*args, **kwargs):
+            raise AssertionError("replayed a cell with no collection")
+
+        monkeypatch.setattr(runner, "replay_platform", no_replay)
+        with pytest.raises(ConfigError,
+                           match=f"{workload} ran no collection"):
+            replay_grid(PLATFORMS, [workload],
+                        heap_bytes=10 * runner.default_heap_bytes(
+                            workload),
+                        processes=2)
+
+    @pytest.mark.parametrize("command", [
+        ["run", "graphchi-cc"], ["compare", "graphchi-cc"],
+        ["stats", "graphchi-cc"], ["timeline", "graphchi-cc"],
+        ["sweep", "--workloads", "graphchi-cc"]],
+        ids=["run", "compare", "stats", "timeline", "sweep"])
+    def test_every_replaying_command_reports_it(self, command, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(ConfigError,
+                           match="graphchi-cc ran no collection in a "
+                                 "160 MiB heap"):
+            main(command + ["--heap-mb", str(self.HEAP_MB)])
 
 
 class TestKilledWorker:
     """A pool worker SIGKILLed mid-cell must not hang the sweep: the
     pool breaks, ``fanout.fallbacks`` counts it once, and the parent
     finishes the missing cells, returning the serial grid.  The dead
-    worker's telemetry is lost, never counted twice: journaled or not,
-    a sweep records every cell's ``replay.wall_seconds`` exactly once,
-    with the serial value."""
+    worker's telemetry is lost, never counted twice: a sweep records
+    every cell's ``replay.wall_seconds`` exactly once, with the serial
+    value."""
 
-    @pytest.mark.parametrize("journaled", [False, True],
-                             ids=["plain", "journaled"])
-    def test_killed_worker_falls_back_to_serial(self, tmp_path,
-                                                journaled):
+    def test_killed_worker_falls_back_to_serial(self):
         if not _fork_available():
             pytest.skip("no fork start method on this platform")
         reference = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
         clear_cache()
-        journal = tmp_path / "journal" if journaled else None
 
         def sweep_with_a_dying_worker():
             os.setpgid(0, 0)  # lets the test reap a hung pool too
@@ -297,8 +337,7 @@ class TestKilledWorker:
 
             runner.replay_platform = fragile
             try:
-                grid = replay_grid(PLATFORMS, [WORKLOAD], processes=2,
-                                   journal=journal)
+                grid = replay_grid(PLATFORMS, [WORKLOAD], processes=2)
                 same = (list(grid) == list(reference)
                         and all(grid[key] == result
                                 for key, result in reference.items()))
@@ -330,10 +369,6 @@ class TestKilledWorker:
         assert sweep.exitcode != 3  # a cell's telemetry lost or doubled
         assert sweep.exitcode != 4  # the broken pool not counted once
         assert sweep.exitcode == 0
-        if journaled:
-            assert len(list(journal.glob("*.shard.json"))) \
-                == len(PLATFORMS)
-            assert not list(journal.glob("*.claim"))
 
 
 class TestGridShape:

@@ -1,5 +1,5 @@
-"""Tests for the one persistent store behind the trace cache, the
-stage-1 cache and the shard journal.
+"""Tests for the one persistent store behind the trace cache and the
+stage-1 cache.
 
 Persistent state is an accelerator, never a dependency: a failed write
 must leave the run going uncached (correct result, no temp file left,
@@ -18,18 +18,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.config import (SHARD_JOURNAL_ENV, TRACE_CACHE_ENV,
-                          default_config)
-from repro.experiments import (shard_journal, stage1_cache, store,
-                               trace_cache)
-from repro.experiments.runner import clear_cache, replay_grid
+from repro.config import TRACE_CACHE_ENV, default_config
+from repro.experiments import stage1_cache, store, trace_cache
+from repro.experiments.runner import clear_cache
 from repro.gcalgo.trace_io import trace_to_dict
 
 from tests.conftest import SMALL_HEAP_BYTES, make_mixed_run
 
 #: Each namespace's entry suffix (entries are ``<64-hex key><suffix>``).
-SUFFIXES = {"trace_cache": ".npz", "stage1_cache": ".stage1.npz",
-            "shard_journal": ".shard.json"}
+SUFFIXES = {"trace_cache": ".npz", "stage1_cache": ".stage1.npz"}
 
 
 def is_entry(name: str, namespace: str) -> bool:
@@ -39,8 +36,7 @@ def is_entry(name: str, namespace: str) -> bool:
 
 @pytest.fixture(autouse=True)
 def isolated(monkeypatch):
-    for name in (TRACE_CACHE_ENV, SHARD_JOURNAL_ENV):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv(TRACE_CACHE_ENV, raising=False)
     clear_cache()
     yield
     clear_cache()
@@ -71,21 +67,11 @@ def compute_stage1(directory: Path):
             [array.tolist() for array in produce()])
 
 
-def sweep_journaled(directory: Path):
-    """One shard write: a journaled one-cell sweep, and the unjournaled
-    sweep it must equal."""
-    grid = replay_grid(["ideal"], ["graphchi-als"], processes=1,
-                       journal=directory)
-    clear_cache()
-    return grid, replay_grid(["ideal"], ["graphchi-als"], processes=1)
-
-
 NAMESPACES = {namespace.name: namespace
-              for namespace in (store.TRACES, store.STAGE1, store.SHARDS)}
+              for namespace in (store.TRACES, store.STAGE1)}
 
 OPERATIONS = {"trace_cache": capture_traces,
-              "stage1_cache": compute_stage1,
-              "shard_journal": sweep_journaled}
+              "stage1_cache": compute_stage1}
 
 
 @pytest.mark.parametrize("namespace", sorted(OPERATIONS))
@@ -121,9 +107,8 @@ def test_failed_write_degrades_to_uncached(namespace, tmp_path,
 #: Arms every exporter the environment offers, then stores a stage-1
 #: entry whose bytes go to ``/dev/full``: a real ENOSPC from the kernel.
 FULL_DISK_PROBE = """
-import json, sys, urllib.request, warnings
+import json, sys, warnings
 from repro.experiments import store
-from repro.obs.live import get_live_server
 from repro.obs.tracer import install_env_exporters
 
 armed = install_env_exporters()
@@ -135,38 +120,31 @@ def encode(temp):
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     stored = store.write(store.STAGE1, sys.argv[1], "0" * 64, encode)
-url = f"http://127.0.0.1:{get_live_server().port}/metrics"
-with urllib.request.urlopen(url, timeout=5) as response:
-    exposition = response.read().decode()
 print(json.dumps({"armed": sorted(armed), "stored": stored is None,
-                  "warned": [str(w.message) for w in caught],
-                  "exposition": exposition}))
+                  "warned": [str(w.message) for w in caught]}))
 """
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs the /dev/full device")
 def test_full_disk_degrades_with_every_exporter_armed(tmp_path):
-    """With the trace/metrics export and the live endpoint armed, a
-    write that hits ENOSPC still returns ``None`` (no exporter writes
-    on the fault path), and its fallback reaches both the live
-    ``/metrics`` exposition and the exported ``metrics.json``."""
+    """With the trace/metrics export armed, a write that hits ENOSPC
+    still returns ``None`` (the exporter writes nothing on the fault
+    path), and its fallback reaches the exported ``metrics.json``."""
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    [str(Path(__file__).resolve().parent.parent / "src"),
                     os.environ.get("PYTHONPATH", "")]),
-               REPRO_OBS_OUT=str(tmp_path / "obs"),
-               REPRO_METRICS_PORT="0")
+               REPRO_OBS_OUT=str(tmp_path / "obs"))
     process = subprocess.run(
         [sys.executable, "-c", FULL_DISK_PROBE, str(tmp_path / "store")],
         env=env, capture_output=True, text=True, timeout=60)
     assert process.returncode == 0, process.stderr
     report = json.loads(process.stdout)
-    assert report["armed"] == ["REPRO_METRICS_PORT", "REPRO_OBS_OUT"]
+    assert report["armed"] == ["REPRO_OBS_OUT"]
     assert report["stored"]
     assert any("No space left" in message
                for message in report["warned"])
-    assert "repro_stage1_cache_fallbacks 1" in report["exposition"]
     exported = json.loads((tmp_path / "obs" / "metrics.json").read_text())
     assert {row["metric"]: row["value"] for row in exported["metrics"]
             }["stage1_cache.fallbacks"] == 1
@@ -197,16 +175,12 @@ class TestNamespaces:
         from repro.experiments import store
 
         for name in ("a" * 64 + ".npz", "b" * 64 + ".stage1.npz",
-                     "c" * 64 + ".shard.json", "c" * 64 + ".claim",
-                     "d" * 64 + ".npz.tmp1f_2e", "sweep.json",
-                     "short.npz"):
+                     "d" * 64 + ".npz.tmp1f_2e", "short.npz"):
             (tmp_path / name).write_bytes(b"")
         assert [path.name for path in store.TRACES.entries(tmp_path)] \
             == ["a" * 64 + ".npz"]
         assert [path.name for path in store.STAGE1.entries(tmp_path)] \
             == ["b" * 64 + ".stage1.npz"]
-        assert [path.name for path in store.SHARDS.entries(tmp_path)] \
-            == ["c" * 64 + ".shard.json"]
         assert store.STAGE1.clear(tmp_path) == 1
         assert store.TRACES.entries(tmp_path)
 
@@ -218,7 +192,6 @@ class TestNamespaces:
         space, load = {
             "trace_cache": (store.TRACES, trace_cache.load_run),
             "stage1_cache": (store.STAGE1, stage1_cache.load),
-            "shard_journal": (store.SHARDS, shard_journal.load_shard),
         }[namespace]
         key = "e" * 64
         space.path(tmp_path, key).write_bytes(b"PK\x03\x04torn")
