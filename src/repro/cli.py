@@ -8,10 +8,10 @@ Commands:
 * ``compare WORKLOAD`` — replay one workload on every platform;
 * ``figure N`` / ``table N`` — regenerate a paper exhibit;
 * ``ablation NAME`` — run one of the ablation studies;
-* ``trace WORKLOAD OUT.json`` / ``replay IN.json`` — capture a GC
-  trace to disk (``.npz`` for the binary columnar format) and replay
-  it later on any platform (``--mode event`` replays it through the
-  event-by-event oracle instead of the platform's replay kernel);
+* ``trace WORKLOAD OUT.npz`` / ``replay IN.npz`` — capture a GC
+  trace to a trace file and replay it later on any platform
+  (``--mode event`` replays it through the event-by-event oracle
+  instead of the platform's replay kernel);
 * ``sweep [--platforms P,..] [--workloads W,..] [--jobs N]`` — replay
   a platform x workload grid;
 * ``cache stats|path|clear`` — the trace and stage-1 product cache;
@@ -37,12 +37,13 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.config import REPLAY_MODES, default_config
+from repro.errors import ConfigError
 from repro.experiments import ablations, figures, tables
 from repro.experiments.report import render_table
 from repro.experiments.runner import (collect_run, gc_traces,
                                       replay_grid, replay_platform)
 from repro.gcalgo.trace import Primitive
-from repro.gcalgo.trace_io import load_traces, save_traces
+from repro.gcalgo.trace_io import load_compiled, save_traces_npz
 from repro.obs import provenance
 from repro.obs.tracer import get_tracer, install_env_exporters
 from repro.platform.factory import PLATFORM_NAMES, build_platform
@@ -136,12 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
     trace = commands.add_parser("trace", help="capture a workload's GC "
                                               "trace to a file")
     trace.add_argument("workload", choices=WORKLOAD_NAMES)
-    trace.add_argument("output")
+    trace.add_argument("output", help="the trace file (.npz)")
     trace.add_argument("--heap-mb", type=int, default=None)
 
     replay = commands.add_parser("replay", help="replay a captured "
                                                 "trace file")
-    replay.add_argument("input")
+    replay.add_argument("input", help="a trace file (.npz) written by "
+                                      "repro trace")
     replay.add_argument("--platform", choices=PLATFORM_NAMES,
                         default="charon")
     replay.add_argument("--threads", type=int, default=None)
@@ -314,28 +316,22 @@ def _cmd_compare(args) -> str:
     return render_table(rows, title=f"{args.workload} across platforms")
 
 
+def _trace_file(path: str) -> str:
+    """``path``, if it names a trace file (the one codec is .npz)."""
+    if not path.endswith(".npz"):
+        raise ConfigError(f"{path} is not a trace file name: trace "
+                          f"files are .npz")
+    return path
+
+
 def _cmd_replay(args) -> str:
-    from repro.gcalgo.trace_io import load_manifest, stream_compiled
     from repro.heap.heap import JavaHeap
     from repro.platform import FastTraceReplayer, make_replayer
     from repro.workloads.base import workload_klasses
 
-    binary = args.input.endswith(".npz")
-    if binary:
-        # Sizing decisions need only the manifest; the event stream is
-        # replayed through the chunked generator reader, one trace in
-        # RAM at a time.
-        entries = load_manifest(args.input)["traces"]
-        traces = None
-        heap_bytes = max((entry.get("heap_bytes", 0)
-                          for entry in entries), default=0) \
-            or 16 * (1 << 20)
-        count = len(entries)
-    else:
-        traces = load_traces(args.input)
-        heap_bytes = max((t.heap_bytes for t in traces), default=0) \
-            or 16 * (1 << 20)
-        count = len(traces)
+    traces, _ = load_compiled(_trace_file(args.input))
+    heap_bytes = max((t.heap_bytes for t in traces), default=0) \
+        or 16 * (1 << 20)
     config = default_config().with_heap_bytes(heap_bytes)
     if args.distributed:
         config = config.with_distributed_charon(True)
@@ -345,9 +341,8 @@ def _cmd_replay(args) -> str:
                              mode=args.mode)
     path_note = ("fast path" if isinstance(replayer, FastTraceReplayer)
                  else "event-by-event")
-    result = replayer.replay_all(stream_compiled(args.input) if binary
-                                 else traces)
-    return (f"replayed {count} traces on {args.platform} "
+    result = replayer.replay_all(traces)
+    return (f"replayed {len(traces)} traces on {args.platform} "
             f"({path_note}): "
             f"{result.wall_seconds * 1e3:.3f} ms, "
             f"{result.energy.total_j * 1e3:.2f} mJ, "
@@ -623,9 +618,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                              f"ablation-{args.name}.txt", text)
         print(text)
     elif args.command == "trace":
+        output = _trace_file(args.output)
         heap_bytes = args.heap_mb * (1 << 20) if args.heap_mb else None
         run = collect_run(args.workload, heap_bytes=heap_bytes)
-        events = save_traces(run.traces, args.output)
+        events = save_traces_npz(run.traces, output)
         print(f"wrote {len(run.traces)} GC traces "
               f"({events} primitive events) to {args.output}")
     elif args.command == "replay":

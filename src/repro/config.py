@@ -483,12 +483,6 @@ def scaled_heap_bytes(workload: str) -> int:
 #: event-by-event golden oracle).
 REPLAY_MODES = ("fast", "event")
 
-#: Default events per chunk of the chunked binary trace layout.  Small
-#: enough that a writer/reader holds only a bounded slab per trace in
-#: addition to the trace being assembled, large enough that the zip
-#: member overhead stays negligible.
-DEFAULT_TRACE_CHUNK_EVENTS = 65536
-
 #: Functional-layer kernel selection (see
 #: :mod:`repro.heap.fast_kernels`): ``fast`` (default) runs the
 #: collectors on the vectorized heap primitives, ``scalar`` keeps the

@@ -50,9 +50,10 @@ def trace_content_key(compiled: GCTrace) -> str:
 
     Hashes the trace *content* — kind, heap size, phase names, schema
     version, and the raw bytes of the event columns — so the key is
-    stable across processes, machines and codecs: the same captured
-    trace loaded from the trace cache, streamed from a chunked file, or
-    inherited by a forked worker resolves to the same stage-1 entries.
+    stable across processes and machines: the same captured trace,
+    fresh from the collectors, read from the trace cache or a trace
+    file, or inherited by a forked worker, resolves to the same
+    stage-1 entries.
     """
     key = compiled.__dict__.get("_content_key")
     if key is None:

@@ -5,12 +5,14 @@ platform grid.  This module keys a captured
 :class:`~repro.workloads.mutator.WorkloadRun` by a hash of exactly the
 inputs that determine its traces:
 
-* the workload name (its parameters are code, versioned below),
+* the workload name,
 * the heap configuration (geometry decides when collections happen and
   what they move),
 * :data:`~repro.gcalgo.columnar.TRACE_SCHEMA_VERSION` (the columnar
-  layout) and :data:`GENERATOR_VERSION` (the collectors' recording
-  semantics).
+  layout),
+* :func:`capture_digest`: a sha256 of the code that captures traces --
+  the workloads, the collectors, the heap and the C capture kernels --
+  so an entry made by other capture code is never served.
 
 Timing-side parameters — platform, GC thread count, Charon unit
 organisation — deliberately do **not** enter the key: one captured
@@ -25,6 +27,7 @@ columns alone, which the fast replayer reads as they are.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -34,12 +37,16 @@ from repro.config import SystemConfig
 from repro.experiments import store
 from repro.gcalgo.columnar import TRACE_SCHEMA_VERSION
 from repro.gcalgo.trace_io import load_compiled, save_traces_npz
+from repro.platform.native import source_digest
 from repro.workloads.mutator import WorkloadRun
 
-#: Bump when the functional collectors' *recording* changes (what events
-#: or residuals they emit for the same workload/heap), so cached traces
-#: from older code are regenerated.
-GENERATOR_VERSION = 1
+#: The ``repro`` package directory the capture sources are read from.
+_SOURCES_ROOT = Path(__file__).resolve().parents[1]
+
+#: The capture sources: every module of these packages, plus the C
+#: capture kernels.
+_CAPTURE_PACKAGES = ("workloads", "gcalgo", "heap")
+_CAPTURE_KERNELS = "platform/_scavenge.c"
 
 #: WorkloadRun stats stored alongside the traces (everything but the
 #: trace list itself).
@@ -51,13 +58,24 @@ _RUN_FIELDS = ("name", "heap_bytes", "allocated_bytes",
 STATS = store.TRACES.stats
 
 
+@functools.lru_cache(maxsize=None)
+def capture_digest(root: Path = _SOURCES_ROOT) -> str:
+    """sha256 of the capture sources under the package directory
+    ``root`` (computed once per process)."""
+    paths = [path for package in _CAPTURE_PACKAGES
+             for path in sorted((root / package).glob("*.py"))]
+    paths.append(root / _CAPTURE_KERNELS)
+    return source_digest({path.relative_to(root).as_posix():
+                          path.read_bytes() for path in paths}).hexdigest()
+
+
 def run_cache_key(workload: str, config: SystemConfig) -> str:
     """Content hash of everything that determines the captured traces."""
     payload = {
         "workload": workload,
         "heap": dataclasses.asdict(config.heap),
         "schema": TRACE_SCHEMA_VERSION,
-        "generator": GENERATOR_VERSION,
+        "capture": capture_digest(),
     }
     canonical = json.dumps(payload, sort_keys=True,
                            separators=(",", ":"))

@@ -29,7 +29,6 @@ from repro.gcalgo.mark_sweep import MarkSweepGC
 from repro.gcalgo.g1 import G1Collector
 from repro.gcalgo.concurrent_mark import ConcurrentMarkGC
 from repro.gcalgo.gclog import format_gc_line, format_gc_log
-from repro.gcalgo.trace_io import load_traces, save_traces
 
 __all__ = [
     "GCTrace",
@@ -43,6 +42,4 @@ __all__ = [
     "ConcurrentMarkGC",
     "format_gc_line",
     "format_gc_log",
-    "load_traces",
-    "save_traces",
 ]

@@ -81,13 +81,13 @@ def build_manifest(command: Optional[str] = None,
     # Function-level imports: provenance sits below the experiments
     # layer, so the version constants are pulled lazily rather than
     # creating an import cycle at module load.
-    from repro.experiments.trace_cache import GENERATOR_VERSION, STATS
+    from repro.experiments.trace_cache import STATS, capture_digest
     from repro.gcalgo.columnar import TRACE_SCHEMA_VERSION
 
     manifest: Dict[str, Any] = {
         "schema": MANIFEST_SCHEMA_VERSION,
         "trace_schema_version": TRACE_SCHEMA_VERSION,
-        "generator_version": GENERATOR_VERSION,
+        "capture_digest": capture_digest(),
         "python": sys.version.split()[0],
         "platform": _platform.platform(),
         "host_wall_seconds": round(time.perf_counter() - _EPOCH, 6),

@@ -80,6 +80,16 @@ def library() -> ctypes.CDLL:
     return _LIBRARY
 
 
+def source_digest(sources: Dict[str, bytes]) -> "hashlib._Hash":
+    """A sha256 over named sources, each fed as its name, a NUL, its
+    bytes and a NUL, in the mapping's order (the library's key, and
+    the trace cache's key for the capture code)."""
+    digest = hashlib.sha256()
+    for name, source in sources.items():
+        digest.update(name.encode() + b"\x00" + source + b"\x00")
+    return digest
+
+
 def _compiler() -> Tuple[str, str]:
     """``(path, version banner)`` of the C compiler (``$CC``, else
     ``gcc`` on ``PATH``)."""
@@ -110,9 +120,7 @@ def _load() -> ctypes.CDLL:
     sources = {name: package.joinpath(name).read_bytes()
                for name in SOURCES}
     cc, version = _compiler()
-    digest = hashlib.sha256()
-    for name, source in sources.items():
-        digest.update(name.encode() + b"\x00" + source + b"\x00")
+    digest = source_digest(sources)
     for part in (" ".join(FLAGS), version):
         digest.update(b"\x00" + part.encode())
     key = digest.hexdigest()

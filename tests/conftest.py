@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import HeapConfig, SystemConfig, default_config
+from repro.gcalgo.trace import STAT_FIELDS
 from repro.heap.heap import JavaHeap
 from repro.heap.klass import standard_klass_table
 from repro.platform.factory import build_platform, build_vm
@@ -14,6 +15,16 @@ from repro.workloads.mutator import MutatorDriver
 from repro.workloads.spark import BayesianClassifier
 
 SMALL_HEAP_BYTES = 8 * 1024 * 1024
+
+
+def trace_contents(traces):
+    """What two trace lists must share to be the same traces, one
+    comparable tuple per trace: kind, heap size, the event bytes, the
+    phase names, the residuals in order and the stats."""
+    return [(trace.kind, trace.heap_bytes, trace.events.tobytes(),
+             tuple(trace.phase_names), list(trace.residuals.items()),
+             [getattr(trace, name) for name in STAT_FIELDS])
+            for trace in traces]
 
 
 def make_heap(heap_bytes: int = SMALL_HEAP_BYTES) -> JavaHeap:

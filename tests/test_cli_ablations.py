@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import ABLATIONS, FIGURES, TABLES, build_parser, main
+from repro.errors import ConfigError
 from repro.experiments import ablations
 from repro.experiments.runner import clear_cache
 
@@ -93,7 +95,7 @@ class TestCli:
             build_parser().parse_args([])
 
     def test_trace_and_replay(self, tmp_path, capsys):
-        path = tmp_path / "als.gctrace.json"
+        path = tmp_path / "als.gctrace.npz"
         assert main(["trace", "graphchi-als", str(path)]) == 0
         assert path.exists()
         capsys.readouterr()
@@ -103,11 +105,21 @@ class TestCli:
         assert "replayed" in out
         assert "ms" in out
 
+    @pytest.mark.parametrize("argv", [["trace", "graphchi-als"],
+                                      ["replay"]])
+    def test_trace_file_must_be_npz(self, tmp_path, argv, monkeypatch):
+        """A non-.npz name is refused before any capture or read."""
+        monkeypatch.setattr(cli, "collect_run", None)
+        path = tmp_path / "als.gctrace.json"
+        path.write_text("{}")
+        with pytest.raises(ConfigError, match=r"\.npz"):
+            main([*argv, str(path)])
+
     def test_replay_fast_mode_distributed_supported(self, tmp_path,
                                                     capsys):
         """--distributed no longer refuses --mode fast: the batched
         kernel resolves the per-cube TLB/bitmap-cache slices."""
-        path = tmp_path / "als.gctrace.json"
+        path = tmp_path / "als.gctrace.npz"
         assert main(["trace", "graphchi-als", str(path)]) == 0
         capsys.readouterr()
         assert main(["replay", str(path), "--platform", "charon",
@@ -115,7 +127,7 @@ class TestCli:
         assert "replayed" in capsys.readouterr().out
 
     def test_replay_fast_mode_supported(self, tmp_path, capsys):
-        path = tmp_path / "als.gctrace.json"
+        path = tmp_path / "als.gctrace.npz"
         assert main(["trace", "graphchi-als", str(path)]) == 0
         capsys.readouterr()
         assert main(["replay", str(path), "--platform", "charon",

@@ -22,11 +22,10 @@ import pytest
 
 from repro.gcalgo.concurrent_mark import ConcurrentMarkGC
 from repro.gcalgo.gclog import format_gc_line, format_gc_log
-from repro.gcalgo.trace_io import (load_traces, save_traces,
-                                   save_traces_npz, trace_to_dict)
+from repro.gcalgo.trace_io import load_compiled, save_traces_npz
 from repro.platform import TraceReplayer
 
-from tests.conftest import make_heap, platform_for
+from tests.conftest import make_heap, platform_for, trace_contents
 
 GOLDEN_PATH = Path(__file__).parent / "data" / \
     "concurrent_golden.gctrace.npz"
@@ -65,7 +64,7 @@ def make_golden_cycle():
 def bless_golden() -> Path:
     """Regenerate the committed golden file (intentional changes only)."""
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
-    save_traces([make_golden_cycle()], GOLDEN_PATH)
+    save_traces_npz([make_golden_cycle()], GOLDEN_PATH)
     return GOLDEN_PATH
 
 
@@ -78,7 +77,7 @@ def fresh_trace():
 def golden_trace():
     assert GOLDEN_PATH.exists(), \
         "golden file missing; run bless_golden() and commit it"
-    traces = load_traces(GOLDEN_PATH)
+    traces, _ = load_compiled(GOLDEN_PATH)
     assert len(traces) == 1
     return traces[0]
 
@@ -86,7 +85,8 @@ def golden_trace():
 class TestGoldenStability:
     def test_event_stream_matches_golden(self, fresh_trace,
                                          golden_trace):
-        assert trace_to_dict(fresh_trace) == trace_to_dict(golden_trace)
+        assert trace_contents([fresh_trace]) \
+            == trace_contents([golden_trace])
 
     def test_summary_matches_golden(self, fresh_trace, golden_trace):
         assert fresh_trace.summary() == golden_trace.summary()
@@ -101,7 +101,7 @@ class TestGoldenStability:
     def test_event_bytes_match_golden(self, fresh_trace, tmp_path):
         """The event member's bytes pin the column layout: recording
         order, dtype and phase interning.  (Only that member: the
-        golden manifest predates ``chunk_events``.)"""
+        golden manifest predates the per-trace event count.)"""
         path = tmp_path / "fresh.gctrace.npz"
         save_traces_npz([fresh_trace], path)
         member = "events_00000.npy"
@@ -110,30 +110,16 @@ class TestGoldenStability:
             assert fresh.read(member) == golden.read(member)
 
     def test_generation_is_deterministic(self, fresh_trace):
-        assert trace_to_dict(make_golden_cycle()) == \
-            trace_to_dict(fresh_trace)
+        assert trace_contents([make_golden_cycle()]) == \
+            trace_contents([fresh_trace])
 
 
 class TestCodecRoundTrips:
-    def test_json_round_trip(self, tmp_path, golden_trace):
-        path = tmp_path / "concurrent.gctrace.json"
-        save_traces([golden_trace], path)
-        back = load_traces(path)[0]
-        assert trace_to_dict(back) == trace_to_dict(golden_trace)
-
     def test_npz_round_trip(self, tmp_path, golden_trace):
         path = tmp_path / "concurrent.gctrace.npz"
-        save_traces([golden_trace], path)
-        back = load_traces(path)[0]
-        assert trace_to_dict(back) == trace_to_dict(golden_trace)
-
-    def test_cross_codec_agreement(self, tmp_path, golden_trace):
-        json_path = tmp_path / "a.gctrace.json"
-        npz_path = tmp_path / "a.gctrace.npz"
-        save_traces([golden_trace], json_path)
-        save_traces([golden_trace], npz_path)
-        assert trace_to_dict(load_traces(json_path)[0]) == \
-            trace_to_dict(load_traces(npz_path)[0])
+        save_traces_npz([golden_trace], path)
+        back, _ = load_compiled(path)
+        assert trace_contents(back) == trace_contents([golden_trace])
 
 
 class TestTooling:

@@ -7,11 +7,10 @@ replayer holds no hidden state across fresh platform instances.
 
 import pytest
 
-from repro.gcalgo.trace_io import trace_to_dict
 from repro.platform import TraceReplayer
 from repro.workloads import run_workload
 
-from tests.conftest import TinySpark, platform_for
+from tests.conftest import TinySpark, platform_for, trace_contents
 
 
 class TestWorkloadDeterminism:
@@ -20,8 +19,8 @@ class TestWorkloadDeterminism:
         second = TinySpark().run()
         assert first.minor_count == second.minor_count
         assert first.allocated_bytes == second.allocated_bytes
-        for a, b in zip(first.traces, second.traces):
-            assert trace_to_dict(a) == trace_to_dict(b)
+        assert trace_contents(first.traces) \
+            == trace_contents(second.traces)
 
     def test_rmat_workload_deterministic(self):
         first = run_workload("graphchi-als")

@@ -10,7 +10,7 @@ import pytest
 
 from repro.gcalgo.g1 import G1Collector
 from repro.gcalgo.gclog import format_gc_log
-from repro.gcalgo.trace_io import load_traces, save_traces
+from repro.gcalgo.trace_io import load_compiled, save_traces_npz
 from repro.platform import TraceReplayer
 
 from tests.conftest import make_heap, platform_for
@@ -36,9 +36,9 @@ def g1_traces():
 
 
 def test_g1_traces_serialize(tmp_path, g1_traces):
-    path = tmp_path / "g1.gctrace.json"
-    save_traces(g1_traces, path)
-    restored = load_traces(path)
+    path = tmp_path / "g1.gctrace.npz"
+    save_traces_npz(g1_traces, path)
+    restored, _ = load_compiled(path)
     assert [t.kind for t in restored] == ["g1"] * len(g1_traces)
     for original, back in zip(g1_traces, restored):
         assert back.phase_names == original.phase_names

@@ -1,12 +1,12 @@
-"""The heap buffer stays lazy: RSS tracks the bytes touched, not the
-configured capacity.
+"""The lazy heap: RSS tracks the bytes touched, not the configured
+capacity.
 
 ``JavaHeap`` and ``MarkBitmaps`` allocate with ``np.zeros``, which is
 ``calloc``: pages are committed on first touch.  Two fresh-interpreter
 RSS measurements pin that at a 10x-scaled heap: building the heap, and
-replaying chunk-streamed workload traces on it under a hard
-address-space cap.  A change that eagerly fills or copies the heap
-buffer, or materializes a whole trace file, fails here.
+replaying a workload trace file on it under a hard address-space cap.
+A change that eagerly fills or copies the heap buffer or the mark
+bitmaps fails here.
 
 RSS is the child's current ``VmRSS`` while the buffers are live, never
 ``ru_maxrss``: a forked child's ``ru_maxrss`` inherits the parent's
@@ -32,15 +32,15 @@ _PRINT_RSS = (
     "int(status.split('VmRSS:')[1].split()[0]) * 1024\n"
     "print(json.dumps(report))\n")
 
-#: Replays a chunked trace file (argv[1]) on charon at 8 GC threads
-#: with a heap of argv[2] bytes, under an address-space cap of argv[3]
-#: bytes, so materializing the event stream dies with MemoryError.
+#: Replays a trace file (argv[1]) on charon at 8 GC threads with a
+#: heap of argv[2] bytes, under an address-space cap of argv[3] bytes
+#: (an allocation past the cap dies with MemoryError).
 _SCALED_REPLAY = (
     "import json, resource, sys\n"
     "cap = int(sys.argv[3])\n"
     "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
     "from repro.config import default_config\n"
-    "from repro.gcalgo.trace_io import load_manifest, stream_compiled\n"
+    "from repro.gcalgo.trace_io import load_compiled\n"
     "from repro.heap.heap import JavaHeap\n"
     "from repro.platform import build_platform\n"
     "from repro.platform.fast_replay import make_replayer\n"
@@ -49,9 +49,9 @@ _SCALED_REPLAY = (
     "heap = JavaHeap(config.heap, klasses=workload_klasses())\n"
     "replayer = make_replayer(build_platform('charon', config, heap),\n"
     "                         threads=8, mode='fast')\n"
-    "result = replayer.replay_all(stream_compiled(sys.argv[1]))\n"
-    "report = {'events': sum(entry['events'] for entry\n"
-    "                        in load_manifest(sys.argv[1])['traces']),\n"
+    "traces, _ = load_compiled(sys.argv[1])\n"
+    "result = replayer.replay_all(traces)\n"
+    "report = {'events': sum(len(trace.events) for trace in traces),\n"
     "          'replay_kernel': result.replay_kernel}\n"
     + _PRINT_RSS)
 
@@ -86,10 +86,9 @@ class TestPeakRss:
             f"RSS {rss / (1 << 20):.0f} MiB not decoupled from "
             f"the {scale_bytes / (1 << 20):.0f} MiB heap")
 
-    def test_streamed_replay_at_10x_heap_stays_below_capacity(
-            self, tmp_path):
+    def test_replay_at_10x_heap_stays_below_capacity(self, tmp_path):
         """graphchi-als and spark-km, captured at their default heaps
-        and written in 4096-event chunks, replay through the batched
+        and written to one trace file, replay through the batched
         Charon kernel on a heap 10x the larger default, under an
         address-space cap of that heap plus 1 GiB, with RSS below the
         heap size (about 43 MiB on a 320 MiB heap)."""
@@ -98,7 +97,7 @@ class TestPeakRss:
         events = save_traces_npz(
             (trace for name in workloads
              for trace in collect_run(name).traces),
-            trace_path, chunk_events=4096)
+            trace_path)
         assert events
         heap_bytes = 10 * max(map(default_heap_bytes, workloads))
         report = run_child(_SCALED_REPLAY, trace_path, heap_bytes,

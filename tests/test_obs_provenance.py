@@ -45,8 +45,7 @@ def test_build_manifest_contents():
     manifest = provenance.build_manifest(command="test", outputs=["x"])
     assert manifest["schema"] == provenance.MANIFEST_SCHEMA_VERSION
     assert manifest["trace_schema_version"] == TRACE_SCHEMA_VERSION
-    assert manifest["generator_version"] == \
-        trace_cache.GENERATOR_VERSION
+    assert manifest["capture_digest"] == trace_cache.capture_digest()
     assert manifest["command"] == "test"
     assert manifest["outputs"] == ["x"]
     assert manifest["runs"] == [record]

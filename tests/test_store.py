@@ -21,9 +21,7 @@ import pytest
 from repro.config import TRACE_CACHE_ENV, default_config
 from repro.experiments import stage1_cache, store, trace_cache
 from repro.experiments.runner import clear_cache
-from repro.gcalgo.trace_io import trace_to_dict
-
-from tests.conftest import SMALL_HEAP_BYTES, make_mixed_run
+from tests.conftest import SMALL_HEAP_BYTES, make_mixed_run, trace_contents
 
 #: Each namespace's entry suffix (entries are ``<64-hex key><suffix>``).
 SUFFIXES = {"trace_cache": ".npz", "stage1_cache": ".stage1.npz"}
@@ -52,8 +50,8 @@ def capture_traces(directory: Path):
     config = default_config().with_heap_bytes(SMALL_HEAP_BYTES)
     run = trace_cache.fetch_run("mixed", config, make_mixed_run,
                                 directory=directory)
-    return ([trace_to_dict(trace) for trace in run.traces],
-            [trace_to_dict(trace) for trace in make_mixed_run().traces])
+    return (trace_contents(run.traces),
+            trace_contents(make_mixed_run().traces))
 
 
 def compute_stage1(directory: Path):

@@ -1,14 +1,16 @@
 """Tests for the content-addressed trace cache.
 
 The cache key must change exactly when something that determines the
-*captured traces* changes (workload, heap geometry, schema/generator
-versions) and must ignore everything that only affects *replay timing*
-(platform organisation, thread counts).  Stored entries must round-trip
+*captured traces* changes (workload, heap geometry, schema version,
+the capture sources) and must ignore everything that only affects
+*replay timing* (platform organisation, thread counts, timing code).  Stored entries must round-trip
 the run event-for-event, and stale entries must be rejected loudly and
 regenerated — never misreplayed.
 """
 
 import dataclasses
+import functools
+import shutil
 
 import pytest
 
@@ -17,20 +19,15 @@ from repro.experiments import store, trace_cache
 from repro.experiments.trace_cache import (fetch_run, load_run,
                                            run_cache_key, store_run)
 from repro.gcalgo import trace_io
-from repro.gcalgo.trace_io import trace_to_dict
 from repro.obs.metrics import global_metrics
 
-from tests.conftest import SMALL_HEAP_BYTES, make_mixed_run
+from tests.conftest import SMALL_HEAP_BYTES, make_mixed_run, trace_contents
 
 WORKLOAD = "mixed"
 
 
 def small_config():
     return default_config().with_heap_bytes(SMALL_HEAP_BYTES)
-
-
-def trace_dicts(run):
-    return [trace_to_dict(trace) for trace in run.traces]
 
 
 @pytest.fixture(autouse=True)
@@ -86,12 +83,39 @@ class TestCacheKey:
                             trace_cache.TRACE_SCHEMA_VERSION + 1)
         assert run_cache_key(WORKLOAD, config) != before
 
-    def test_generator_version_changes_key(self, monkeypatch):
+    @pytest.mark.parametrize("source", [
+        "workloads/graphchi.py", "gcalgo/trace_io.py", "heap/heap.py",
+        "platform/_scavenge.c"])
+    def test_capture_source_byte_changes_key(self, source, tmp_path,
+                                             monkeypatch):
+        """The key covers the code that captures traces: flipping one
+        byte of one capture source gives another key."""
+        root = trace_cache._SOURCES_ROOT
+        ignore = shutil.ignore_patterns("__pycache__")
+        same, flipped = tmp_path / "same", tmp_path / "flipped"
+        shutil.copytree(root, same, ignore=ignore)
+        shutil.copytree(root, flipped, ignore=ignore)
+        assert trace_cache.capture_digest(same) \
+            == trace_cache.capture_digest()
+        data = bytearray((flipped / source).read_bytes())
+        data[len(data) // 2] ^= 1
+        (flipped / source).write_bytes(bytes(data))
         config = small_config()
         before = run_cache_key(WORKLOAD, config)
-        monkeypatch.setattr(trace_cache, "GENERATOR_VERSION",
-                            trace_cache.GENERATOR_VERSION + 1)
+        monkeypatch.setattr(
+            trace_cache, "capture_digest",
+            functools.partial(trace_cache.capture_digest, flipped))
         assert run_cache_key(WORKLOAD, config) != before
+
+    def test_replay_sources_do_not_enter_key(self, tmp_path):
+        """Timing-layer code is not a capture source."""
+        root = trace_cache._SOURCES_ROOT
+        copy = tmp_path / "repro"
+        shutil.copytree(root, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (copy / "platform" / "_stage2.c").write_text("/* edited */")
+        assert trace_cache.capture_digest(copy) \
+            == trace_cache.capture_digest()
 
 
 class TestStoreLoad:
@@ -101,7 +125,8 @@ class TestStoreLoad:
         assert path.exists() and path.suffix == ".npz"
         loaded = load_run(tmp_path, key)
         assert len(loaded.traces) == len(mixed_run.traces)
-        assert trace_dicts(loaded) == trace_dicts(mixed_run)
+        assert trace_contents(loaded.traces) \
+            == trace_contents(mixed_run.traces)
         for name in trace_cache._RUN_FIELDS:
             assert getattr(loaded, name) == getattr(mixed_run, name)
 
@@ -184,7 +209,7 @@ class TestFetchRun:
         again = fetch_run(WORKLOAD, small_config(),
                           lambda: pytest.fail("should hit"),
                           directory=tmp_path)
-        assert trace_dicts(again) == trace_dicts(run)
+        assert trace_contents(again.traces) == trace_contents(run.traces)
 
 
 class TestInterleavedReuse:
@@ -199,10 +224,10 @@ class TestInterleavedReuse:
         served = fetch_run(WORKLOAD, small_config(),
                            lambda: pytest.fail("should hit"),
                            directory=tmp_path)
-        golden = trace_dicts(live)
-        assert trace_dicts(captured) == golden
-        assert trace_dicts(cached) == golden
-        assert trace_dicts(served) == golden
+        golden = trace_contents(live.traces)
+        assert trace_contents(captured.traces) == golden
+        assert trace_contents(cached.traces) == golden
+        assert trace_contents(served.traces) == golden
 
     def test_clear_empties_the_directory(self, tmp_path):
         fetch_run(WORKLOAD, small_config(), make_mixed_run,

@@ -1,9 +1,10 @@
-"""Property tests for the trace codecs (JSON and binary columnar).
+"""Property tests for the trace file codec.
 
 Hypothesis records arbitrary traces through the recording methods —
 any primitive mix, phase interleaving, residuals, stats counters — and
-sealing and both codecs must round-trip them field-for-field.  Version or format tampering must be
-rejected loudly with :class:`ConfigError`, never half-read.
+sealing and the codec must round-trip them field-for-field.  Version,
+format or manifest tampering must be rejected loudly with
+:class:`ConfigError`, never half-read.
 """
 
 import json
@@ -20,10 +21,10 @@ from repro.gcalgo import trace_io
 from repro.gcalgo.columnar import STAT_FIELDS, compile_trace
 from repro.gcalgo.trace import (GCTrace, Primitive, ResidualWork,
                                 TraceEvent)
-from repro.gcalgo.trace_io import (load_compiled, load_manifest,
-                                   load_summaries, load_traces,
-                                   save_traces, save_traces_npz,
-                                   stream_compiled, trace_to_dict)
+from repro.gcalgo.trace_io import load_compiled, save_traces_npz
+
+from tests.conftest import (SMALL_HEAP_BYTES, make_mixed_run, platform_for,
+                            trace_contents)
 
 PHASES = ("setup", "root", "mark", "evacuate", "drain", "sweep",
           "summary")
@@ -94,109 +95,42 @@ class TestRoundTripProperties:
 
     @settings(max_examples=25, deadline=None)
     @given(batch=trace_lists)
-    def test_json_file_round_trip(self, batch):
-        with tempfile.TemporaryDirectory() as directory:
-            path = Path(directory) / "run.gctrace.json"
-            save_traces(batch, path)
-            loaded = load_traces(path)
-        assert [trace_to_dict(t) for t in loaded] \
-            == [trace_to_dict(t) for t in batch]
-
-    @settings(max_examples=25, deadline=None)
-    @given(batch=trace_lists)
     def test_npz_file_round_trip(self, batch):
+        """Residual insertion order survives too."""
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "run.gctrace.npz"
-            save_traces(batch, path)
-            loaded = load_traces(path)
-        assert [trace_to_dict(t) for t in loaded] \
-            == [trace_to_dict(t) for t in batch]
+            assert save_traces_npz(batch, path) \
+                == sum(len(t.events) for t in batch)
+            loaded, extra = load_compiled(path)
+        assert trace_contents(loaded) == trace_contents(batch)
+        assert extra == {}
 
-    @settings(max_examples=25, deadline=None)
-    @given(batch=trace_lists)
-    def test_formats_agree(self, batch):
-        """Saving through either codec loads back the same traces, and
-        residual insertion order survives both."""
-        with tempfile.TemporaryDirectory() as directory:
-            json_path = Path(directory) / "a.gctrace.json"
-            npz_path = Path(directory) / "a.gctrace.npz"
-            save_traces(batch, json_path)
-            save_traces(batch, npz_path)
-            from_json = load_traces(json_path)
-            from_npz = load_traces(npz_path)
-        assert [trace_to_dict(t) for t in from_json] \
-            == [trace_to_dict(t) for t in from_npz]
-        for original, loaded in zip(batch, from_npz):
-            assert list(loaded.residuals) == list(original.residuals)
-
-
-class TestChunkedLayout:
-    @settings(max_examples=25, deadline=None)
-    @given(batch=trace_lists, chunk_events=st.integers(1, 64))
-    def test_any_chunk_boundary_matches_monolithic(self, batch,
-                                                   chunk_events):
-        """Chunk size is a storage detail: every boundary — including
-        1-event chunks and a single chunk holding everything — loads
-        back identical to the monolithic layout, eagerly or streamed."""
-        with tempfile.TemporaryDirectory() as directory:
-            mono = Path(directory) / "mono.gctrace.npz"
-            chunked = Path(directory) / "chunked.gctrace.npz"
-            save_traces_npz(batch, mono, chunk_events=10**9)
-            save_traces_npz(batch, chunked, chunk_events=chunk_events)
-            eager, _ = load_compiled(chunked)
-            reference, _ = load_compiled(mono)
-            streamed = list(stream_compiled(chunked))
-            summaries = load_summaries(chunked)
-        assert [trace_to_dict(t) for t in eager] \
-            == [trace_to_dict(t) for t in reference]
-        for left, right in zip(eager, reference):
-            assert np.array_equal(left.events, right.events)
-        assert [trace_to_dict(t) for t in streamed] \
-            == [trace_to_dict(t) for t in eager]
-        assert summaries == [t.summary() for t in reference]
-
-    def test_single_chunk_keeps_monolithic_member_name(self, tmp_path,
-                                                       mixed_run):
-        """A trace that fits one chunk stays byte-layout-compatible
-        with pre-chunking readers: same member names as before."""
+    def test_one_member_per_trace(self, tmp_path, mixed_run):
         path = tmp_path / "run.gctrace.npz"
         save_traces_npz(mixed_run.traces, path)
         with zipfile.ZipFile(path) as archive:
-            names = archive.namelist()
-        assert "events_00000.npy" in names
-        assert not any(name.count("_") > 1 for name in names
-                       if name.startswith("events_"))
+            names = sorted(archive.namelist())
+        assert names == [f"events_{index:05d}.npy" for index
+                         in range(len(mixed_run.traces))] \
+            + ["manifest.npy"]
 
-    def test_chunked_members_are_indexed_per_trace(self, tmp_path,
-                                                   mixed_run):
-        path = tmp_path / "run.gctrace.npz"
-        save_traces_npz(mixed_run.traces, path, chunk_events=1)
-        with zipfile.ZipFile(path) as archive:
-            names = set(archive.namelist())
-        assert "events_00000_00000.npy" in names
-        assert "events_00000.npy" not in names
-        manifest = load_manifest(path)
-        for entry in manifest["traces"]:
-            assert entry["chunks"] == max(1, entry["events"])
-
-    def test_streaming_feed_replays_identically(self, tmp_path,
-                                                mixed_run):
-        """The generator feed drives the fast replayer to the same
-        result as the fully materialized list."""
+    def test_loaded_traces_replay_identically(self, tmp_path,
+                                              mixed_run):
+        """The fast replayer gives the same result for the loaded
+        traces as for the captured ones."""
         from repro.platform.fast_replay import make_replayer
-        from tests.conftest import platform_for
         path = tmp_path / "run.gctrace.npz"
-        save_traces_npz(mixed_run.traces, path, chunk_events=3)
-        eager = make_replayer(platform_for("charon")[0],
-                              threads=4).replay_all(load_compiled(path)[0])
-        streamed = make_replayer(platform_for("charon")[0],
-                                 threads=4).replay_all(stream_compiled(path))
-        assert eager == streamed
+        save_traces_npz(mixed_run.traces, path)
+        captured = make_replayer(platform_for("charon")[0],
+                                 threads=4).replay_all(mixed_run.traces)
+        loaded = make_replayer(platform_for("charon")[0],
+                               threads=4).replay_all(load_compiled(path)[0])
+        assert loaded == captured
 
 
 def saved_npz(tmp_path, mixed_run):
     path = tmp_path / "run.gctrace.npz"
-    save_traces(mixed_run.traces, path)
+    save_traces_npz(mixed_run.traces, path)
     return path
 
 
@@ -242,27 +176,88 @@ class TestTampering:
         path = saved_npz(tmp_path, mixed_run)
         with np.load(path) as archive:
             members = {key: archive[key] for key in archive.files}
-        members[trace_io._event_key(1)]["prim"][0] = 9
+        members["events_00001"]["prim"][0] = 9
         np.savez(path, **members)
         with pytest.raises(ConfigError,
                            match="trace 1 has unknown primitive code 9"):
             main(["replay", str(path), "--platform", platform,
                   "--mode", mode])
 
-    def test_json_version_mismatch_rejected(self, tmp_path, mixed_run):
-        path = tmp_path / "run.gctrace.json"
-        save_traces(mixed_run.traces, path)
-        document = json.loads(path.read_text())
-        document["version"] = 999
-        path.write_text(json.dumps(document))
-        with pytest.raises(ConfigError, match="version"):
-            load_traces(path)
+    def test_declared_event_count_must_match(self, tmp_path, mixed_run):
+        path = saved_npz(tmp_path, mixed_run)
+        rewrite_manifest(path, with_entry("events", 10**6))
+        with pytest.raises(ConfigError, match="trace 0 declares"):
+            load_compiled(path)
 
-    def test_json_foreign_format_rejected(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(ConfigError, match="not a gctrace"):
-            load_traces(path)
+
+def rewrite_manifest(path, edit):
+    """Rewrite the archive's manifest as ``edit`` returns it, keeping
+    every event member."""
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name)
+                   for name in archive.namelist()}
+    with np.load(path) as archive:
+        manifest = edit(json.loads(str(archive["manifest"])))
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            if name != "manifest.npy":
+                archive.writestr(name, data)
+        with archive.open("manifest.npy", "w") as member:
+            np.lib.format.write_array(
+                member, np.asarray(json.dumps(manifest)))
+
+
+def with_entry(field, value):
+    """A manifest edit setting trace 0's ``field`` to ``value``."""
+    def edit(manifest):
+        manifest["traces"][0][field] = value
+        return manifest
+    return edit
+
+
+#: Manifests of the wrong shape: each once escaped the reader as an
+#: AttributeError or a TypeError.
+MALFORMED_MANIFESTS = {
+    "manifest-list": lambda manifest: [1],
+    "traces-int": lambda manifest: {**manifest, "traces": 5},
+    "residuals-list": with_entry("residuals", [1]),
+    "stats-list": with_entry("stats", [1]),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_MANIFESTS.values(),
+                         ids=MALFORMED_MANIFESTS.keys())
+def test_malformed_manifest_is_stale(tmp_path, mixed_run, edit):
+    """A manifest of the wrong shape is a ConfigError from the reader
+    and from ``repro replay``; as a trace-cache entry it is counted
+    stale, deleted and recaptured."""
+    from repro.cli import main
+    from repro.config import default_config
+    from repro.experiments import trace_cache
+
+    path = saved_npz(tmp_path, mixed_run)
+    rewrite_manifest(path, edit)
+    with pytest.raises(ConfigError):
+        load_compiled(path)
+    with pytest.raises(ConfigError):
+        main(["replay", str(path), "--platform", "charon"])
+
+    directory = tmp_path / "cache"
+    config = default_config().with_heap_bytes(SMALL_HEAP_BYTES)
+    trace_cache.fetch_run("mixed", config, make_mixed_run,
+                          directory=directory)
+    (entry,) = directory.glob("*.npz")
+    rewrite_manifest(entry, edit)
+    before = trace_cache.STATS.snapshot()
+    with pytest.warns(UserWarning, match="stale trace-cache entry"):
+        run = trace_cache.fetch_run("mixed", config, make_mixed_run,
+                                    directory=directory)
+    after = trace_cache.STATS.snapshot()
+    assert after["stale"] - before["stale"] == 1
+    assert after["generated"] - before["generated"] == 1
+    assert trace_contents(run.traces) == trace_contents(mixed_run.traces)
+    assert trace_contents(load_compiled(entry)[0]) \
+        == trace_contents(mixed_run.traces)
 
 
 def corrupt_event_members(path):
@@ -278,23 +273,8 @@ def corrupt_event_members(path):
 
 
 class TestLazyMemberAccess:
-    """Metadata queries must not decompress event members.
-
-    Pins the fix for the eager-``np.load`` regression: asking for the
-    manifest or the summaries used to materialize every event array.
-    Corrupting the event members while keeping the manifest intact
-    makes any hidden event read blow up loudly.
-    """
-
-    def test_summary_queries_skip_event_members(self, tmp_path,
-                                                mixed_run):
-        path = saved_npz(tmp_path, mixed_run)
-        expected = load_summaries(path)
-        corrupt_event_members(path)
-        manifest = load_manifest(path)
-        assert [entry["kind"] for entry in manifest["traces"]] \
-            == [trace.kind for trace in mixed_run.traces]
-        assert load_summaries(path) == expected
+    """A readable manifest does not vouch for the event members: the
+    reader decodes and checks every one of them."""
 
     def test_eager_load_still_validates_event_members(self, tmp_path,
                                                       mixed_run):
@@ -303,18 +283,11 @@ class TestLazyMemberAccess:
         with pytest.raises(ConfigError):
             load_compiled(path)
 
-    def test_streaming_still_validates_event_members(self, tmp_path,
-                                                     mixed_run):
-        path = saved_npz(tmp_path, mixed_run)
-        corrupt_event_members(path)
-        with pytest.raises(ConfigError):
-            list(stream_compiled(path))
-
 
 class TestAtomicWrite:
     def test_no_temp_file_left_behind(self, tmp_path, mixed_run):
         path = tmp_path / "run.gctrace.npz"
-        save_traces(mixed_run.traces, path)
+        save_traces_npz(mixed_run.traces, path)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_npz_is_a_plain_zip(self, tmp_path, mixed_run):

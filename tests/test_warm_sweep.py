@@ -180,7 +180,7 @@ class TestColumnsAreTheRun:
                        for thing in gc.get_objects())
 
     def test_hit_holds_the_entry_columns(self):
-        from repro.gcalgo.trace_io import trace_to_dict
+        from tests.conftest import trace_contents
 
         captured = runner.collect_run(WORKLOAD)
         clear_cache()
@@ -191,8 +191,8 @@ class TestColumnsAreTheRun:
             == (captured.minor_count, captured.major_count)
         assert run.traces is run.traces
         assert all(trace._rows is None for trace in run.traces)
-        assert [trace_to_dict(trace) for trace in run.traces] \
-            == [trace_to_dict(trace) for trace in captured.traces]
+        assert trace_contents(run.traces) \
+            == trace_contents(captured.traces)
 
 
 class TestSerialFallback:
