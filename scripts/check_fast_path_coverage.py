@@ -12,7 +12,13 @@ each of the 1/2/4/8 GC-thread counts the paper sweeps, then fails if
   loads it) does not build or load,
 * kernel selection raised for any platform x thread cell (no replay
   kernel models it), or
-* any replay result reports ``replay_kernel == "event"``.
+* any replay result reports ``replay_kernel == "event"``, or
+* a Charon cell (unified, ``charon-cpuside`` or ``--distributed``)
+  re-plans a trace set whose plans the traces already keep: a trace
+  keeps its plan from its second Charon plan on, and the thread count
+  is not part of the plan's key, so once a set's plans are kept the
+  platform's later thread counts must reuse them
+  (``replay.charon_plans{outcome=miss}`` must not move).
 
 The trace sets themselves are generated fresh at the top, which also
 pins the *collect-side* fast path: the script fails if that generation
@@ -51,6 +57,7 @@ sys.path.insert(0, str(REPO))
 
 PLATFORMS = ("ideal", "cpu-ddr4", "cpu-hmc", "charon",
              "charon-cpuside", "charon-distributed")
+CHARON = ("charon", "charon-cpuside", "charon-distributed")
 THREADS = (1, 2, 4, 8)
 
 #: The collectors whose scalar runs the collect-side guard rejects.
@@ -75,6 +82,14 @@ def event_path_references() -> list:
                 found.append(f"{path.relative_to(REPO)}:{number}: "
                              f"{line.strip()}")
     return found
+
+
+def charon_misses() -> float:
+    """Charon stage-1 plans built (not reused) so far."""
+    from repro.obs.metrics import global_metrics
+
+    return global_metrics().as_dict().get(
+        "replay.charon_plans{outcome=miss}", 0.0)
 
 
 def main() -> int:
@@ -149,6 +164,8 @@ def main() -> int:
         print(f"collect-side kernels: {fast_calls:.0f} fast calls, "
               f"{majors:.0f} native MajorGC runs, 0 fallbacks, "
               f"0 scalar collector runs")
+    planned = set()  # trace sets some Charon cell has planned
+    kept = set()  # (platform, trace set) whose plans the traces keep
     for name in PLATFORMS:
         for threads in THREADS:
             platform, _, _ = platform_for(name)
@@ -159,7 +176,18 @@ def main() -> int:
                                 f"({exc})")
                 continue
             for set_name, traces in trace_sets.items():
+                misses = charon_misses()
                 result = replayer.replay_all(traces)
+                if name in CHARON:
+                    missed = charon_misses() - misses
+                    if (name, set_name) in kept and missed:
+                        failures.append(
+                            f"{name} x{threads} on {set_name}: re-planned "
+                            f"{missed:.0f} trace(s) whose plans the "
+                            f"traces keep")
+                    if set_name in planned:
+                        kept.add((name, set_name))
+                    planned.add(set_name)
                 if result.replay_kernel in ("", "event", "mixed"):
                     failures.append(
                         f"{name} x{threads} on {set_name}: replay "
@@ -186,7 +214,9 @@ def main() -> int:
     if not failures:
         print(f"fast-path coverage: OK — {len(PLATFORMS)} platforms x "
               f"{len(THREADS)} thread counts x {len(trace_sets)} "
-              f"trace sets, every cell on a replay kernel")
+              f"trace sets, every cell on a replay kernel, no kept "
+              f"Charon plan re-planned ({charon_misses():.0f} plans "
+              f"built)")
     return 1 if failures else 0
 
 

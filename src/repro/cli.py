@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.config import REPLAY_MODES, default_config
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.experiments import ablations, figures, tables
 from repro.experiments.report import render_table
 from repro.experiments.runner import (collect_run, gc_traces,
@@ -497,7 +497,6 @@ def _cmd_fuzz(args) -> int:
     if args.collector and "all" not in args.collector:
         collectors = tuple(args.collector)
     if args.replay:
-        from repro.errors import ReproError
         from repro.fuzz.shrink import replay_reproducer
         try:
             results = replay_reproducer(args.replay, config)
@@ -576,8 +575,19 @@ def _cmd_fuzz(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; a library error (:class:`ReproError`) prints
+    ``repro: error: <message>`` on stderr and returns 2, the status of a
+    usage error."""
     install_env_exporters()
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ReproError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "list":
         print(_cmd_list())
     elif args.command == "run":

@@ -7,8 +7,12 @@ functions of the trace's event columns and a small, hashable parameter key,
 so this module persists the two trace-pure products — the host cost
 columns (``host_cols``) and the primitive index (``prim_index``) —
 beside the captured traces, and a warm sweep reads them instead of
-recomputing them.  The per-platform plans are not cached: every
-replay's ``begin`` still plans its Charon, HMC or DDR4 templates.
+recomputing them.  The per-platform plans are not stored here.  A
+trace keeps its Charon plans in memory (see
+:func:`repro.platform.batched._kernel_memo`), so a sweep over thread
+counts, unit counts or dispatch costs plans each trace at most twice
+per Charon design; a new process plans again.  Every ``begin`` re-plans
+the HMC and DDR4 templates.
 
 Entries are keyed by a hash of exactly the inputs that determine the
 arrays:

@@ -32,7 +32,8 @@ the scalar path it shadows — same GCTrace event streams, same residual
 totals, byte-identical post-GC heap buffers.  The differential fuzzer
 (``repro fuzz --kernels``) runs every collector under both modes and
 asserts exactly that.  The ``REPRO_HEAP_KERNELS`` knob (read through
-:func:`repro.config.settings`; :func:`set_kernel_mode` /
+:func:`repro.config.settings`, once per collection and mutator batch
+call — :func:`mode_read_once`; :func:`set_kernel_mode` /
 :func:`use_kernel_mode` override it) selects the path; ``fast`` is the
 default and ``scalar`` stays as the oracle.
 """
@@ -71,12 +72,33 @@ class FastKernelFallback(Exception):
 
 _MODE_OVERRIDE: Optional[str] = None
 
+#: The knob's value for the collection or batch call in progress.
+_MODE_READ: Optional[str] = None
+
 
 def kernel_mode() -> str:
     """The selected heap-kernel mode: ``fast`` (default) or ``scalar``."""
     if _MODE_OVERRIDE is not None:
         return _MODE_OVERRIDE
+    if _MODE_READ is not None:
+        return _MODE_READ
     return settings().heap_kernels
+
+
+@contextmanager
+def mode_read_once() -> Iterator[None]:
+    """Read the ``REPRO_HEAP_KERNELS`` knob once for a collection or a
+    mutator batch call: :func:`kernel_mode` inside returns that value
+    (an override still wins), and the next call reads the knob again."""
+    global _MODE_READ
+    if _MODE_READ is not None or _MODE_OVERRIDE is not None:
+        yield
+        return
+    _MODE_READ = settings().heap_kernels
+    try:
+        yield
+    finally:
+        _MODE_READ = None
 
 
 def set_kernel_mode(mode: Optional[str]) -> None:

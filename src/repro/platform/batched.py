@@ -31,7 +31,9 @@ The batched kernels work in two stages:
   Charon templates add a kind code, TLB ``(slot, penalty)`` pairs,
   packet-chain addends and a tail time, and bitmap-count and
   marking-scan events carry a per-event CSR of ``(line, slice,
-  penalty)`` bitmap-cache touches.  Every row is planned this way —
+  penalty)`` bitmap-cache touches.  A Charon plan is kept on the trace
+  and reused by later kernels with the same stage-1 inputs (see
+  :func:`_kernel_memo`).  Every row is planned this way —
   address ranges split into per-cube runs by one columnar lookup per
   page crossed (:meth:`_CubeMap.runs`) — and a trace the event path
   would fault on raises its first ``ProtectionFault`` here, before any
@@ -61,6 +63,8 @@ comparisons.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 from functools import partial
 from typing import Dict, List, NamedTuple, Sequence, Tuple
@@ -71,6 +75,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.gcalgo.trace import (CODE_TO_PRIMITIVE, GCTrace,
                                 PRIMITIVE_TYPE_CODES, Primitive,
                                 is_marking_phase)
+from repro.obs.metrics import global_metrics
 from repro.platform import native
 from repro.units import CACHE_LINE, HMC_MAX_REQUEST, WORD
 
@@ -107,7 +112,7 @@ def _prim_index(compiled: GCTrace) -> Tuple[List[Primitive], np.ndarray]:
 
 
 def _kernel_memo(compiled: GCTrace) -> Dict:
-    """Per-trace memo for trace-pure stage-1 products.
+    """Per-trace memo for stage-1 products.
 
     The trace cache hands the same :class:`GCTrace` to every
     platform's replayer, so anything that depends only on the trace (or
@@ -116,8 +121,16 @@ def _kernel_memo(compiled: GCTrace) -> Dict:
     persistent :mod:`~repro.experiments.stage1_cache`: on a memo miss
     the producers below read through it (and write back on a disk
     miss), so a warm sweep process recomputes neither cached product
-    (``host_cols``, ``prim_index``).  The rest of stage 1 — the Charon,
-    HMC and DDR4 plans — is not cached: every ``begin`` re-plans it.
+    (``host_cols``, ``prim_index``).
+
+    It also holds the trace's Charon plans (:class:`_CharonPlan`), in
+    memory only, keyed by everything :meth:`CharonBatchedKernel.begin`
+    reads (:meth:`CharonBatchedKernel._plan_key`), so a Fig. 15 or
+    ablation sweep that changes only the thread count, the unit counts
+    or the dispatch cost reuses them.  A trace keeps a plan only from
+    its second Charon plan on (``"charon_plans"`` counts them), so a
+    sweep that plans each trace once retains nothing.  The HMC and DDR4 plans are not kept: every ``begin``
+    re-plans them.
     """
     memo = compiled.__dict__.get("_kernel_memo")
     if memo is None:
@@ -942,38 +955,52 @@ _BC_STATS = ("hits", "misses", "evictions", "writebacks")
 
 
 class _Lines:
-    """Per-event bitmap-cache lines ``(address, slice, penalty)``,
-    gathered in any row order and laid out as one CSR in event order."""
+    """Per-event bitmap-cache lines ``(address, penalty code)``, gathered
+    in any row order and laid out in event order.  A line's penalty
+    code is ``2 * slice + remote?``, the index of its penalty in
+    :attr:`CharonBatchedKernel._bc_pens`."""
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.pieces: List[Tuple] = []
 
-    def add(self, rows, counts, addrs, slices, pens) -> None:
+    def add(self, rows, counts, addrs, codes) -> None:
         """Lines of ``rows`` (``counts[k]`` lines for ``rows[k]``, in
         row order)."""
         if len(rows):
             self.pieces.append(tuple(np.asarray(a) for a in
-                                     (rows, counts, addrs, slices, pens)))
+                                     (rows, counts, addrs, codes)))
 
-    def columns(self) -> Dict[str, np.ndarray]:
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """``(rows, counts, base, offsets, codes)``: the rows with lines
+        and their line counts, in event order, then every line's
+        address as an offset from ``base`` and its penalty code, each in
+        the narrowest dtype that holds it."""
         counts = np.zeros(self.n, dtype=np.int64)
-        for rows, count, _, _, _ in self.pieces:
+        for rows, count, _, _ in self.pieces:
             counts[rows] = count
         off = _offsets(counts)
         total = int(off[-1])
         addrs = np.zeros(total, dtype=np.int64)
-        slices = np.zeros(total, dtype=np.int32)
-        pens = np.zeros(total, dtype=np.float64)
-        for rows, count, addr, si, pen in self.pieces:
+        codes = np.zeros(total, dtype=np.int64)
+        for rows, count, addr, code in self.pieces:
             seg = np.cumsum(count) - count
             dest = np.repeat(off[rows] - seg, count) \
                 + np.arange(int(count.sum()), dtype=np.int64)
             addrs[dest] = addr
-            slices[dest] = si
-            pens[dest] = pen
-        return {"line_off": off, "line_addr": addrs, "line_slice": slices,
-                "line_pen": pens}
+            codes[dest] = code
+        rows = np.flatnonzero(counts)
+        base = int(addrs.min()) if total else 0
+        addrs -= base
+        return (rows.astype(np.int32), _narrow(counts[rows]), base,
+                _narrow(addrs), _narrow(codes))
+
+
+def _narrow(column: np.ndarray) -> np.ndarray:
+    """A non-negative integer column in the narrowest unsigned dtype
+    holding its largest value."""
+    top = int(column.max()) if len(column) else 0
+    return column.astype(np.min_scalar_type(top))
 
 
 def _charon_template_columns(templates: Sequence[Tuple]
@@ -1057,6 +1084,33 @@ class _PlanState:
                         "probes": 0, "probing": 0}
 
 
+class _CharonPlan(NamedTuple):
+    """One trace's Charon stage-1 plan, free of any one kernel's state,
+    so a later kernel with the same :meth:`CharonBatchedKernel._plan_key`
+    can reuse it (its arrays are read-only).
+
+    The ``line_*`` fields are :meth:`_Lines.columns`.  ``columns`` are
+    the template and stream columns, except that ``t_tlb_slot`` and
+    ``s_slot`` index ``lanes``: each lane is a ``(resource, priority?)``
+    pair named by :meth:`CharonBatchedKernel._resource`, and
+    :meth:`_freeze` maps it to the kernel's own lane slot.
+    ``batches``, ``tallies`` and ``pairs`` are the order-independent
+    counters :meth:`_finish_accounting` applies.
+    """
+
+    tid: np.ndarray
+    line_rows: np.ndarray
+    line_counts: np.ndarray
+    line_base: int
+    line_addr: np.ndarray
+    line_code: np.ndarray
+    columns: Dict[str, np.ndarray]
+    lanes: Tuple[Tuple[Tuple, int], ...]
+    batches: Dict[Tuple[int, int], int]
+    tallies: Dict[str, object]
+    pairs: Dict[Tuple[int, int], List[int]]
+
+
 class CharonBatchedKernel:
     """Batched offload replay for ``charon`` / ``charon-cpuside``.
 
@@ -1106,7 +1160,21 @@ class CharonBatchedKernel:
         self.ref_cubes = cfg.hmc.cubes
         self.central = device.central
 
+        # Stage 1 reads the whole configuration except what only stage
+        # 2 uses: the thread count, the unit counts (each pool keeps its
+        # routing key) and the dispatch cost.
+        self._config_key = dataclasses.replace(
+            cfg, gc_threads=0,
+            charon=dataclasses.replace(cfg.charon, copy_search_units=0,
+                                       bitmap_count_units=0,
+                                       scan_push_units=0),
+            costs=dataclasses.replace(cfg.costs,
+                                      charon_dispatch_overhead_s=0.0))
+        self._placement = (None, None, "")
+
         self.lanes = _Lanes()
+        # Each lane resource's name for :meth:`_resource`, by index.
+        self._names: Dict[int, Tuple] = {}
         self.map = _CubeMap(device.context.vm, self.pcid)
         self._page_fault = partial(device.context.vm.lookup, pcid=self.pcid)
 
@@ -1119,16 +1187,16 @@ class CharonBatchedKernel:
         # penalty vary per lookup.
         self.distributed = device.tlbs.distributed
         self.tlbs = device.tlbs.slices
-        self.tlb_slots = [self.lanes.slot(t.port, False)
-                          for t in self.tlbs]
+        self.tlb_slots = [self._lane(("tlb", si), False)
+                          for si in range(len(self.tlbs))]
         self.tlb_svc = 1 / self.tlbs[0].port.rate
         self._tlb_uses = {}  # (unit cube, slice) -> lookup tuple
         self._tlb_stamp = None
         self._tlb_keys: List[Tuple[List[int], np.ndarray]] = []
 
         self.bcs = device.bitmap_cache.slices
-        self.bc_slots = [self.lanes.slot(b.port, False)
-                         for b in self.bcs]
+        self.bc_slots = [self._lane(("bc", si), False)
+                         for si in range(len(self.bcs))]
         self.bc_svc = 1 / self.bcs[0].port.rate
         self.bc_mem = self.bcs[0].memory_latency_s
         self.bc_enabled = self.bcs[0].enabled
@@ -1197,6 +1265,22 @@ class CharonBatchedKernel:
 
     # -- stage-1 helpers ---------------------------------------------------
 
+    def _resource(self, name: Tuple):
+        """The lane resource ``name`` names: ``("tlb", slice)``, ``("bc",
+        slice)`` or ``("path", unit cube, target cube, position)``."""
+        if name[0] == "tlb":
+            return self.tlbs[name[1]].port
+        if name[0] == "bc":
+            return self.bcs[name[1]].port
+        _, c, t, pos = name
+        return self._path(c, t)[0][pos]
+
+    def _lane(self, name: Tuple, prio: bool) -> int:
+        """The lane slot of resource ``name`` (registering it)."""
+        slot = self.lanes.slot(self._resource(name), prio)
+        self._names.setdefault(slot >> 1, name)
+        return slot
+
     def _path(self, c: int, t: int) -> Tuple[List, float]:
         key = (c, t)
         path = self._paths.get(key)
@@ -1215,7 +1299,8 @@ class CharonBatchedKernel:
         plan = self._plan_cache.get(key)
         if plan is None:
             resources, rt = self._path(c, t)
-            slots = tuple(self.lanes.slot(r, prio) for r in resources)
+            slots = tuple(self._lane(("path", c, t, pos), prio)
+                          for pos in range(len(resources)))
             svcs = tuple(nbytes / r.rate for r in resources)
             n = math.ceil(nbytes / chunk)
             plan = (slots, svcs, rt * 1, (n - 1) * (rt / self.mai),
@@ -1362,12 +1447,51 @@ class CharonBatchedKernel:
                     np.array([held[k] for k in keys] + [0], dtype=np.int64)))
         return self._tlb_keys
 
+    def _plan_key(self, info) -> Tuple:
+        """Everything stage 1 reads besides the trace: the stage-1
+        configuration, the device's side and pcid, the heap addresses
+        and a digest of the page placement (the cube map's tables and
+        the TLB slices' entries), rehashed only when either changes."""
+        tables, pages = self.map._tables, self._tlb_pages()
+        if self._placement[0] is not tables \
+                or self._placement[1] is not pages:
+            digest = hashlib.blake2b(digest_size=16)
+            for group in (tables, pages):
+                digest.update(repr([(size, len(keys))
+                                    for size, keys, _ in group]).encode())
+                for _, keys, values in group:
+                    digest.update(keys.tobytes())
+                    digest.update(values.tobytes())
+            self._placement = (tables, pages, digest.hexdigest())
+        return ("charon_plan", self._config_key, self.cpu_side, self.pcid,
+                info, self._placement[2])
+
     def begin(self, compiled: GCTrace) -> None:
-        """Plan every event of ``compiled``; a trace the event path
-        would fault on raises its first fault before any counter
-        moves."""
+        """Plan every event of ``compiled``, or reuse the plan the trace
+        keeps for this kernel's :meth:`_plan_key`, then apply its
+        counters; a trace the event path would fault on raises its
+        first fault before any counter moves."""
         info = self.device._require_init()
         self.map.refresh()
+        memo = _kernel_memo(compiled)
+        key = self._plan_key(info)
+        plan = memo.get(key)
+        global_metrics().counter(
+            "replay.charon_plans",
+            "Charon stage-1 plans reused from the trace (hit) or built "
+            "(miss)", outcome="miss" if plan is None else "hit").add(1)
+        if plan is None:
+            plan = self._plan(compiled, info)
+            planned = memo.get("charon_plans", 0)
+            memo["charon_plans"] = planned + 1
+            if planned:
+                memo[key] = plan
+        self._finish_accounting(compiled, plan)
+        self._freeze(compiled, plan)
+
+    def _plan(self, compiled: GCTrace, info) -> _CharonPlan:
+        """Plan every event of ``compiled``, raising the event path's
+        first fault if there is one."""
         state = _PlanState(self, compiled)
         self._templates = _Interner()
         self._streams = _Interner()
@@ -1388,8 +1512,25 @@ class CharonBatchedKernel:
             check(addr)
             raise SimulationError(f"stage 1 expected event {row} to fault "
                                   f"at {addr:#x}")
-        self._finish_accounting(state)
-        self._freeze(compiled, state.tid, state.lines)
+        columns = {**_charon_template_columns(self._templates.items),
+                   **_stream_columns(self._streams.items)}
+        # Name each lane slot the plan uses (a template's unused TLB
+        # entries hold slot 0, a registered lane).
+        slots, inverse = np.unique(
+            np.concatenate([columns["t_tlb_slot"], columns["s_slot"]]),
+            return_inverse=True)
+        ntlb = len(columns["t_tlb_slot"])
+        columns["t_tlb_slot"] = inverse[:ntlb].astype(np.int32)
+        columns["s_slot"] = inverse[ntlb:].astype(np.int32)
+        plan = _CharonPlan(
+            state.tid, *state.lines.columns(), columns,
+            tuple((self._names[slot >> 1], slot & 1)
+                  for slot in slots.tolist()),
+            state.batches, state.tallies, state.pairs)
+        for array in (plan.tid, plan.line_rows, plan.line_counts,
+                      plan.line_addr, plan.line_code, *columns.values()):
+            array.flags.writeable = False
+        return plan
 
     def _copies_and_searches(self, state: _PlanState) -> None:
         """Copies read their source runs and write their destination
@@ -1625,12 +1766,12 @@ class CharonBatchedKernel:
             self._check_mapped(state, _LINES,
                                np.repeat(rows, counts), line_addr, mapped)
         si = cube if self.distributed else np.zeros_like(cube)
-        pen = self._bc_pens[2 * si + (unit != self._bc_home[si])]
         t_bc = state.tallies["bc_port"]
         for ci, accesses in enumerate(
                 np.bincount(si, minlength=len(t_bc)).tolist()):
             t_bc[ci] += accesses
-        state.lines.add(rows, counts, line_addr, si, pen)
+        state.lines.add(rows, counts, line_addr,
+                        2 * si + (unit != self._bc_home[si]))
 
     def _plan_trivial(self, state: _PlanState, rows: np.ndarray,
                       kind_key: str, code: int, has_value: int,
@@ -1647,19 +1788,20 @@ class CharonBatchedKernel:
 
         _group(state.tid, rows, units, plan)
 
-    def _finish_accounting(self, state: _PlanState) -> None:
-        """Apply every order-independent counter begin accumulated."""
+    def _finish_accounting(self, compiled: GCTrace,
+                           plan: _CharonPlan) -> None:
+        """Apply every order-independent counter of ``plan``."""
         device = self.device
-        batches = state.batches
-        tallies = state.tallies
+        batches = plan.batches
+        tallies = plan.tallies
         code_copy = PRIMITIVE_TYPE_CODES[Primitive.COPY]
         for (cube, p), count in batches.items():
             device.record_offload_batch(cube, CODE_TO_PRIMITIVE[p],
                                         count, p != code_copy)
         if not self.cpu_side:
             hl = self.hmc.host_link
-            n_events = len(state.ev)
-            n_copy = int(state.derived["is_copy"].sum())
+            n_events = len(compiled.events)
+            n_copy = int(compiled.derived_columns()["is_copy"].sum())
             req_b = self._req_size * n_events
             resp_b = self._resp_sizes[0] * n_copy \
                 + self._resp_sizes[1] * (n_events - n_copy)
@@ -1679,10 +1821,10 @@ class CharonBatchedKernel:
             for nbytes, requests, link in cross.values():
                 link.account_bulk(nbytes, requests)
             local = sum(nbytes for (c, t), (nbytes, _)
-                        in state.pairs.items() if c == t)
+                        in plan.pairs.items() if c == t)
             self.hmc.unit_local_bytes += local
             self.hmc.unit_remote_bytes += sum(
-                nbytes for nbytes, _ in state.pairs.values()) - local
+                nbytes for nbytes, _ in plan.pairs.values()) - local
         for si, lookups in enumerate(tallies["tlb"]):
             if lookups:
                 tlb = self.tlbs[si]
@@ -1695,18 +1837,26 @@ class CharonBatchedKernel:
             if accesses:
                 self.bcs[ci].port.account_bulk(accesses, accesses)
         _deposit((self._path(c, t)[0], nbytes, streams)
-                 for (c, t), (nbytes, streams) in state.pairs.items())
+                 for (c, t), (nbytes, streams) in plan.pairs.items())
 
-    def _freeze(self, compiled: GCTrace, tid: np.ndarray,
-                lines: _Lines) -> None:
-        """Flatten this trace's plan into :attr:`plan` (the columns
-        stage 2 reads) and the stage-2 argument block."""
+    def _freeze(self, compiled: GCTrace, plan: _CharonPlan) -> None:
+        """Expand ``plan`` into :attr:`plan` (the columns stage 2 reads,
+        on this kernel's lane slots) and the stage-2 argument block."""
         keys, pid = _prim_index(compiled)
+        slots = np.array([self._lane(name, prio) for name, prio
+                          in plan.lanes], dtype=np.int32)
         self.lanes.size()
         self._sums = _PrimSums(keys)
-        self.plan = {"tid": tid, **lines.columns(),
-                     **_charon_template_columns(self._templates.items),
-                     **_stream_columns(self._streams.items)}
+        lines = np.zeros(len(plan.tid), dtype=np.int64)
+        lines[plan.line_rows] = plan.line_counts
+        self.plan = {"tid": plan.tid, "line_off": _offsets(lines),
+                     "line_addr": plan.line_addr.astype(np.int64)
+                     + plan.line_base,
+                     "line_slice": (plan.line_code >> 1).astype(np.int32),
+                     "line_pen": self._bc_pens[plan.line_code],
+                     **plan.columns,
+                     "t_tlb_slot": slots[plan.columns["t_tlb_slot"]],
+                     "s_slot": slots[plan.columns["s_slot"]]}
         self._block = native.Block(native.CHARON_FIELDS, {
             "threads": self.threads, "pid": pid, **self.plan,
             "dispatch": self.dispatch, "tlb_svc": self.tlb_svc,

@@ -190,6 +190,7 @@ class MutatorDriver:
         return (np.full(count, kid, dtype=np.int64),
                 np.full(count, length, dtype=np.int64))
 
+    @fast_kernels.mode_read_once()
     def allocate_batch(self, kids: np.ndarray, lengths: np.ndarray,
                        sink: Callable[[int, np.ndarray], None]) -> None:
         """Allocate objects of klass ids ``kids`` and lengths
@@ -297,6 +298,7 @@ class MutatorDriver:
         """
         return self._collect("sweep")
 
+    @fast_kernels.mode_read_once()
     def _collect(self, kind: str) -> GCTrace:
         for hook in self.pre_gc_hooks:
             hook(self.heap, kind)

@@ -27,6 +27,19 @@ def trace_contents(traces):
             for trace in traces]
 
 
+def cli_error(capsys, argv) -> str:
+    """Run ``repro argv`` in-process where it must fail with a library
+    error: it exits 2 with one ``repro: error: <message>`` line on
+    stderr; returns the message."""
+    from repro.cli import main
+
+    capsys.readouterr()
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("repro: error: ")
+    return line[len("repro: error: "):]
+
+
 def make_heap(heap_bytes: int = SMALL_HEAP_BYTES) -> JavaHeap:
     """A fresh small heap with the workload klasses plus a Node class."""
     heap = JavaHeap(HeapConfig(heap_bytes=heap_bytes),

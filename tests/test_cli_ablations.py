@@ -1,12 +1,18 @@
 """Tests for the CLI and the ablation studies (fast workload only)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro import cli
 from repro.cli import ABLATIONS, FIGURES, TABLES, build_parser, main
-from repro.errors import ConfigError
 from repro.experiments import ablations
 from repro.experiments.runner import clear_cache
+
+from tests.conftest import cli_error
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -107,13 +113,13 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [["trace", "graphchi-als"],
                                       ["replay"]])
-    def test_trace_file_must_be_npz(self, tmp_path, argv, monkeypatch):
+    def test_trace_file_must_be_npz(self, tmp_path, capsys, argv,
+                                    monkeypatch):
         """A non-.npz name is refused before any capture or read."""
         monkeypatch.setattr(cli, "collect_run", None)
         path = tmp_path / "als.gctrace.json"
         path.write_text("{}")
-        with pytest.raises(ConfigError, match=r"\.npz"):
-            main([*argv, str(path)])
+        assert ".npz" in cli_error(capsys, [*argv, str(path)])
 
     def test_replay_fast_mode_distributed_supported(self, tmp_path,
                                                     capsys):
@@ -139,6 +145,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "offloads" in out
         assert "copy_search#0" in out
+
+
+SRC = pathlib.Path(__file__).parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["trace", "spark-lr", "x.json"], "trace files are .npz"),
+    (["sweep", "--heap-mb", "160"], "ran no collection in a 160 MiB heap"),
+], ids=["trace-json", "sweep-no-collection"])
+def test_library_error_is_one_line(tmp_path, argv, message):
+    """``python -m repro`` reports a library error as one stderr line and
+    exit status 2, with no traceback."""
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith("REPRO_")}
+    env.update(PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    process = subprocess.run([sys.executable, "-m", "repro", *argv],
+                             cwd=tmp_path, env=env, text=True,
+                             capture_output=True, timeout=300)
+    assert process.returncode == 2
+    assert "Traceback" not in process.stderr
+    (line,) = process.stderr.splitlines()
+    assert line.startswith("repro: error: ") and message in line
 
 
 class TestAblations:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import HeapConfig
+from repro.config import HEAP_KERNELS_ENV, HeapConfig
 from repro.errors import InvalidObjectError, OracleViolation
 from repro.fuzz.differential import (_assert_kernel_equivalence,
                                      compare_kernel_modes)
@@ -463,6 +463,56 @@ class TestBadRoots:
         scalar = outcome("scalar")
         assert scalar[0] is InvalidObjectError and error in scalar[1]
         assert outcome("fast") == scalar
+
+
+class TestModeReadOnce:
+    """The ``REPRO_HEAP_KERNELS`` knob is read once per mutator batch
+    call and once per collection, not once per ``fast_enabled``."""
+
+    def test_one_read_per_batch_call_and_collection(self, monkeypatch):
+        monkeypatch.delenv(HEAP_KERNELS_ENV, raising=False)
+        driver = MutatorDriver(make_heap())
+        heap = driver.heap
+        anchor = driver.handle(driver.allocate("objArray", length=64).addr)
+        reads = []
+        real = fast_kernels.settings
+
+        def counted(*args):
+            reads.append(1)
+            return real(*args)
+
+        def sink(first, addrs):
+            ids = np.arange(first, first + len(addrs))
+            for _ in range(3):
+                heap.store_refs(anchor.addr, ids, addrs)
+                heap.store_refs(addrs, 0, heap.load_refs(anchor.addr, ids))
+
+        monkeypatch.setattr(fast_kernels, "settings", counted)
+        driver.allocate_batch(*driver.shapes("Record", 64), sink)
+        assert len(reads) == 1
+        driver.minor_gc()
+        assert len(reads) == 2
+
+    def test_knob_changes_between_calls_and_override_wins(self,
+                                                          monkeypatch):
+        driver = MutatorDriver(make_heap())
+        modes = []
+
+        def sink(first, addrs):
+            modes.append(fast_kernels.kernel_mode())
+            monkeypatch.setenv(HEAP_KERNELS_ENV, "scalar")
+            modes.append(fast_kernels.kernel_mode())
+            with use_kernel_mode("scalar"):
+                modes.append(fast_kernels.kernel_mode())
+            modes.append(fast_kernels.kernel_mode())
+
+        monkeypatch.setenv(HEAP_KERNELS_ENV, "fast")
+        driver.allocate_batch(*driver.shapes("Record", 4), sink)
+        assert modes == ["fast", "fast", "scalar", "fast"]
+        assert fast_kernels.kernel_mode() == "scalar"
+        modes.clear()
+        driver.allocate_batch(*driver.shapes("Record", 4), sink)
+        assert modes == ["scalar"] * 16  # the per-object path: 4 sinks
 
 
 class TestKernelMetrics:

@@ -24,6 +24,8 @@ from repro.obs.metrics import global_metrics, reset_global_metrics
 from repro.platform.factory import PLATFORM_NAMES
 from repro.workloads.registry import TABLE3_WORKLOADS
 
+from tests.conftest import cli_error
+
 WORKLOAD = "graphchi-als"  # fastest real workload
 PLATFORMS = ("cpu-ddr4", "ideal", "charon")
 
@@ -297,13 +299,12 @@ class TestNoCollection:
         ["stats", "graphchi-cc"], ["timeline", "graphchi-cc"],
         ["sweep", "--workloads", "graphchi-cc"]],
         ids=["run", "compare", "stats", "timeline", "sweep"])
-    def test_every_replaying_command_reports_it(self, command, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(ConfigError,
-                           match="graphchi-cc ran no collection in a "
-                                 "160 MiB heap"):
-            main(command + ["--heap-mb", str(self.HEAP_MB)])
+    def test_every_replaying_command_reports_it(self, command, tmp_path,
+                                                capsys):
+        message = cli_error(capsys, command + ["--heap-mb",
+                                               str(self.HEAP_MB)])
+        assert message.startswith("graphchi-cc ran no collection in a "
+                                  "160 MiB heap")
 
 
 class TestKilledWorker:

@@ -23,8 +23,8 @@ from repro.gcalgo.trace import (GCTrace, Primitive, ResidualWork,
                                 TraceEvent)
 from repro.gcalgo.trace_io import load_compiled, save_traces_npz
 
-from tests.conftest import (SMALL_HEAP_BYTES, make_mixed_run, platform_for,
-                            trace_contents)
+from tests.conftest import (SMALL_HEAP_BYTES, cli_error, make_mixed_run,
+                            platform_for, trace_contents)
 
 PHASES = ("setup", "root", "mark", "evacuate", "drain", "sweep",
           "summary")
@@ -167,21 +167,20 @@ class TestTampering:
 
     @pytest.mark.parametrize("mode", ["fast", "event"])
     @pytest.mark.parametrize("platform", ["ideal", "cpu-ddr4", "charon"])
-    def test_unknown_primitive_code_rejected(self, tmp_path, mixed_run,
-                                             platform, mode):
+    def test_unknown_primitive_code_rejected(self, tmp_path, capsys,
+                                             mixed_run, platform, mode):
         """A ``prim`` byte that names no primitive is rejected once, at
         decode, whichever replayer would have consumed it."""
-        from repro.cli import main
-
         path = saved_npz(tmp_path, mixed_run)
         with np.load(path) as archive:
             members = {key: archive[key] for key in archive.files}
         members["events_00001"]["prim"][0] = 9
         np.savez(path, **members)
-        with pytest.raises(ConfigError,
-                           match="trace 1 has unknown primitive code 9"):
-            main(["replay", str(path), "--platform", platform,
-                  "--mode", mode])
+        message = "trace 1 has unknown primitive code 9"
+        with pytest.raises(ConfigError, match=message):
+            load_compiled(path)
+        assert message in cli_error(capsys, [
+            "replay", str(path), "--platform", platform, "--mode", mode])
 
     def test_declared_event_count_must_match(self, tmp_path, mixed_run):
         path = saved_npz(tmp_path, mixed_run)
@@ -227,11 +226,10 @@ MALFORMED_MANIFESTS = {
 
 @pytest.mark.parametrize("edit", MALFORMED_MANIFESTS.values(),
                          ids=MALFORMED_MANIFESTS.keys())
-def test_malformed_manifest_is_stale(tmp_path, mixed_run, edit):
+def test_malformed_manifest_is_stale(tmp_path, capsys, mixed_run, edit):
     """A manifest of the wrong shape is a ConfigError from the reader
     and from ``repro replay``; as a trace-cache entry it is counted
     stale, deleted and recaptured."""
-    from repro.cli import main
     from repro.config import default_config
     from repro.experiments import trace_cache
 
@@ -239,8 +237,7 @@ def test_malformed_manifest_is_stale(tmp_path, mixed_run, edit):
     rewrite_manifest(path, edit)
     with pytest.raises(ConfigError):
         load_compiled(path)
-    with pytest.raises(ConfigError):
-        main(["replay", str(path), "--platform", "charon"])
+    cli_error(capsys, ["replay", str(path), "--platform", "charon"])
 
     directory = tmp_path / "cache"
     config = default_config().with_heap_bytes(SMALL_HEAP_BYTES)

@@ -17,7 +17,8 @@ from repro.gcalgo.trace import GCTrace, Primitive
 from repro.gcalgo.trace_io import load_compiled, save_traces_npz
 from repro.platform import TraceReplayer
 
-from tests.conftest import make_heap, platform_for, trace_contents
+from tests.conftest import (cli_error, make_heap, platform_for,
+                            trace_contents)
 
 
 def real_traces():
@@ -157,17 +158,16 @@ def three_fields(events):
     (three_fields, "event", "trace 0 event layout does not match"),
 ], ids=["npz-phase-id-fast", "npz-phase-id-event", "npz-short-row-fast",
         "npz-short-row-event"])
-def test_malformed_trace_file_is_a_config_error(tmp_path, edit, mode,
-                                                message):
+def test_malformed_trace_file_is_a_config_error(tmp_path, capsys, edit,
+                                                mode, message):
     """``repro replay`` reports a malformed trace file as a
     ConfigError, never a traceback from deep inside a replayer."""
-    from repro.cli import main
-
     path = tmp_path / "bad.gctrace.npz"
     npz_with_events(path, edit)
     with pytest.raises(ConfigError, match=message):
-        main(["replay", str(path), "--platform", "charon",
-              "--mode", mode])
+        load_compiled(path)
+    assert message in cli_error(capsys, ["replay", str(path), "--platform",
+                                         "charon", "--mode", mode])
 
 
 class TestDeviceReport:
