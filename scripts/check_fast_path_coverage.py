@@ -18,7 +18,12 @@ each of the 1/2/4/8 GC-thread counts the paper sweeps, then fails if
   keeps its plan from its second Charon plan on, and the thread count
   is not part of the plan's key, so once a set's plans are kept the
   platform's later thread counts must reuse them
-  (``replay.charon_plans{outcome=miss}`` must not move).
+  (``replay.charon_plans{outcome=miss}`` must not move), or
+* a batched cell makes other than one native stage-2 call per replayed
+  trace (a closed-form cell, none): the phase loop, residual shares
+  and bitmap-cache flushes run inside that one call.  The script counts
+  the calls by wrapping the library's entry points
+  (``native.TRACE_ENTRIES``).
 
 The trace sets themselves are generated fresh at the top, which also
 pins the *collect-side* fast path: the script fails if that generation
@@ -92,6 +97,20 @@ def charon_misses() -> float:
         "replay.charon_plans{outcome=miss}", 0.0)
 
 
+def count_stage2_calls(lib) -> dict:
+    """Wrap the library's stage-2 entry points; returns the live call
+    counts, by entry point."""
+    from repro.platform import native
+
+    calls = dict.fromkeys(native.TRACE_ENTRIES, 0)
+    for name in native.TRACE_ENTRIES:
+        def counted(*args, _entry=getattr(lib, name), _name=name):
+            calls[_name] += 1
+            return _entry(*args)
+        setattr(lib, name, counted)
+    return calls
+
+
 def main() -> int:
     from repro.errors import ReproError
     from repro.obs.metrics import global_metrics
@@ -109,7 +128,7 @@ def main() -> int:
 
     # First, because fast capture below needs the library too.
     try:
-        native.library()
+        stage2_calls = count_stage2_calls(native.library())
     except (ReproError, OSError) as exc:
         print(f"fast-path coverage: the compiled kernel library did not "
               f"build or load: {exc}", file=sys.stderr)
@@ -177,7 +196,17 @@ def main() -> int:
                 continue
             for set_name, traces in trace_sets.items():
                 misses = charon_misses()
+                calls = sum(stage2_calls.values())
                 result = replayer.replay_all(traces)
+                calls = sum(stage2_calls.values()) - calls
+                per_trace = 0 if result.replay_kernel == "closed-form" \
+                    else 1
+                if calls != per_trace * len(traces):
+                    failures.append(
+                        f"{name} x{threads} on {set_name}: {calls} native "
+                        f"stage-2 calls for {len(traces)} traces "
+                        f"({result.replay_kernel}; want {per_trace} "
+                        f"per trace)")
                 if name in CHARON:
                     missed = charon_misses() - misses
                     if (name, set_name) in kept and missed:
@@ -216,7 +245,8 @@ def main() -> int:
               f"{len(THREADS)} thread counts x {len(trace_sets)} "
               f"trace sets, every cell on a replay kernel, no kept "
               f"Charon plan re-planned ({charon_misses():.0f} plans "
-              f"built)")
+              f"built), one native stage-2 call per batched trace "
+              f"({sum(stage2_calls.values())} calls)")
     return 1 if failures else 0
 
 

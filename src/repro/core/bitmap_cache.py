@@ -80,19 +80,6 @@ class BitmapCache:
             finish += 2 * self.link_latency_s
         return hit, finish
 
-    def record_reads(self, accesses: int, hits: int) -> None:
-        """Fold a chunk of read-access statistics into the counters.
-
-        The batched replay kernel runs the real tag/LRU state machine
-        (``self.cache``) event by event — hit/miss outcomes are order-
-        dependent — but accumulates the read counters locally in its
-        tight loop and deposits them here once per phase.
-        """
-        if accesses < 0 or hits < 0 or hits > accesses:
-            raise ValueError("inconsistent bitmap-cache read batch")
-        self.read_accesses += accesses
-        self.read_hits += hits
-
     def flush(self) -> int:
         """Write back and invalidate (after each MajorGC phase)."""
         self.flushes += 1

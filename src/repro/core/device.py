@@ -33,6 +33,10 @@ from repro.mem.hmc import HMCSystem
 from repro.mem.vm import VirtualMemory
 from repro.units import WORD
 
+#: The MajorGC phases after which the bitmap cache is flushed for
+#: coherence with the host (Sec. 4.5).
+FLUSHED_PHASES = ("mark", "adjust", "compact")
+
 
 @dataclass(frozen=True)
 class HeapInfo:
@@ -260,7 +264,7 @@ class CharonDevice:
 
     def phase_completed(self, phase: str) -> int:
         """Flush the bitmap cache after a MajorGC phase (Sec. 4.5)."""
-        if phase in ("mark", "adjust", "compact"):
+        if phase in FLUSHED_PHASES:
             return self.bitmap_cache.flush_all()
         return 0
 

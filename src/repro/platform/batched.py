@@ -4,12 +4,17 @@
 event columns through the kernel :func:`kernel_for` picks for a platform and a
 GC thread count.  Every kernel provides ``name``, ``begin(compiled)``
 (stage 1, once per trace), ``run_phase(lo, hi, start, prim_seconds) ->
-(barrier, busy)`` (stage 2, once per phase run).
+(end, residual seconds)`` (stage 2, once per trace: the replayer passes
+the whole trace, ``lo, hi = 0, len(events)``), and after ``begin`` the
+trace's :class:`_Steps` as ``steps`` and, after ``run_phase``, each
+step's ``(start, duration)`` as ``span`` (read only for tracing).
 
 * **closed-form** (:class:`ClosedFormKernel`: ``ideal`` at any thread
   count, ``cpu-ddr4`` with one GC thread) — every event's duration is a
   pure function of the event, so ``begin`` prices the whole trace in a
-  handful of numpy operations and ``run_phase`` only sums slices.
+  handful of numpy operations and ``run_phase`` walks the steps in
+  Python, summing slices and charging each residual through the scalar
+  :meth:`HostCostModel.residual_seconds`.
 * **batched-stateful** (multi-threaded ``cpu-ddr4``, ``cpu-hmc``,
   ``charon`` — unified or ``--distributed`` — and ``charon-cpuside``)
   — costs couple events through shared state: FIFO bandwidth horizons,
@@ -37,23 +42,28 @@ The batched kernels work in two stages:
   address ranges split into per-cube runs by one columnar lookup per
   page crossed (:meth:`_CubeMap.runs`) — and a trace the event path
   would fault on raises its first ``ProtectionFault`` here, before any
-  accounting;
+  accounting.  Stage 1 also tabulates the trace's steps (:func:`_steps`:
+  its phase runs, then its residual-only phases) and each residual's
+  now-independent part (:meth:`HostCostModel.residual_demand`) with its
+  miss stream: an interned DDR4 stream, or an anonymous HMC stream;
 * **stage 2** (:meth:`run_phase`) replays only the order-dependent
   recurrence — thread clocks under least-loaded assignment, fluid
   resource ``busy_until`` horizons, unit busy clocks, the anonymous cube
-  cursor, and the bitmap cache's real tag/LRU state — in one compiled C
-  loop over those columns (``_stage2.c``: ``host_phase`` for the DDR4
-  and HMC host kernels, ``charon_phase`` for Charon; built and loaded
-  by :mod:`repro.platform.native`).  The state it touches is loaded
-  from the platform objects into arrays before each phase run and
-  written back after it, so between phases the objects stay
-  authoritative for the scalar residual path and the phase-end hooks.
+  cursor, and the bitmap cache's real tag/LRU state — plus each step's
+  residual share at its barrier and the bitmap-cache flush after each
+  MajorGC phase, in one compiled call per trace (``_stage2.c``:
+  ``host_trace`` for the DDR4 and HMC host kernels, ``charon_trace`` for
+  Charon; built and loaded by :mod:`repro.platform.native`).  The state
+  it touches is loaded from the platform objects into arrays once
+  before the call and written back once after it, so between traces
+  the objects stay authoritative.
 
 Equivalence is *exact by construction* for every integer counter and
 every individual IEEE-754 operation on the critical path: stage 2
 replicates the scalar code's operation order (``max`` placement,
 addition association, division operands, the ``(clock, thread)``
-heap order) and is compiled without floating-point contraction, so
+heap order, the order float counters and per-primitive keys
+accumulate) and is compiled without floating-point contraction, so
 clock values match bit for bit; only bulk-summed float accounting
 (busy time, energy) and cross-phase float accumulations may differ
 within the fast path's 1e-9 relative contract.
@@ -71,10 +81,11 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.device import FLUSHED_PHASES
 from repro.errors import ConfigError, SimulationError
 from repro.gcalgo.trace import (CODE_TO_PRIMITIVE, GCTrace,
                                 PRIMITIVE_TYPE_CODES, Primitive,
-                                is_marking_phase)
+                                ResidualWork, is_marking_phase)
 from repro.obs.metrics import global_metrics
 from repro.platform import native
 from repro.units import CACHE_LINE, HMC_MAX_REQUEST, WORD
@@ -334,23 +345,30 @@ class _Lanes:
 
     Each registered :class:`FluidResource` owns two slots — the bulk
     FIFO lane at ``2i`` and the short-request priority lane at ``2i+1``
-    — mirroring ``busy_until``/``small_busy_until``.  ``sync_in`` loads
-    the real horizons before a phase, ``sync_out`` writes them back
-    after, so outside :meth:`run_phase` the real objects stay
-    authoritative (the scalar residual path and phase-end hooks run
-    against them unchanged).  Dynamic accounting (streams whose target
-    is only known in stage 2, e.g. anonymous fault traffic) accumulates
-    in ``acc_bytes``/``acc_reqs`` and is deposited at ``sync_out``.
-    Resources register while plans are built; :meth:`size` then sizes
-    the arrays the compiled loop reads and writes.
+    — mirroring ``busy_until``/``small_busy_until``.  The first
+    :attr:`accounted` resources (registered by :meth:`account` before
+    any other) are the ones residual and anonymous streams reserve one
+    request at a time; stage 2 moves their counters (bytes, requests,
+    busy time, energy) in the scalar code's order.  ``sync_in`` loads
+    the horizons and those counters before a trace, ``sync_out`` writes
+    them back after, so outside :meth:`run_phase` the real objects stay
+    authoritative.  Resources register while plans are built;
+    :meth:`size` then sizes the horizon array.
     """
+
+    #: Each accounted resource's counters, as the stage-2 fields
+    #: holding them.
+    COUNTERS = (("bytes", "bytes_served", np.int64),
+                ("reqs", "requests", np.int64),
+                ("busy", "busy_time", np.float64),
+                ("energy", "energy_joules", np.float64))
 
     def __init__(self) -> None:
         self.resources: List = []
         self._index: Dict[int, int] = {}
         self.H = np.zeros(0)
-        self.acc_bytes = np.zeros(0, dtype=np.int64)
-        self.acc_reqs = np.zeros(0, dtype=np.int64)
+        self.accounted = 0
+        self.fields = self._counters([])
 
     def register(self, resource) -> int:
         """Resource index (lane slots are ``2i`` bulk, ``2i+1`` small)."""
@@ -365,29 +383,53 @@ class _Lanes:
     def slot(self, resource, priority: bool) -> int:
         return 2 * self.register(resource) + (1 if priority else 0)
 
+    def account(self, resources: Sequence) -> None:
+        """Register ``resources`` as the accounted ones (before any other
+        lane, so they hold indices ``0 .. accounted - 1``)."""
+        if self.resources:
+            raise ValueError("accounted lanes must register first")
+        for resource in resources:
+            self.register(resource)
+        self.accounted = len(self.resources)
+        self.fields = self._counters(self.resources)
+
+    def _counters(self, resources: Sequence) -> Dict[str, np.ndarray]:
+        n = len(resources)
+        fields = {name: np.zeros(n, dtype=dtype)
+                  for name, _, dtype in self.COUNTERS}
+        fields["rate"] = np.array([r.rate for r in resources],
+                                  dtype=np.float64)
+        fields["epb"] = np.array([r.energy_per_byte for r in resources],
+                                 dtype=np.float64)
+        fields["acc_bytes"] = np.zeros(n, dtype=np.int64)
+        fields["acc_reqs"] = np.zeros(n, dtype=np.int64)
+        fields["accounted"] = n
+        return fields
+
     def size(self) -> None:
-        """(Re)allocate the state arrays for every registered resource."""
-        count = len(self.resources)
-        if len(self.acc_bytes) != count:
-            self.H = np.zeros(2 * count)
-            self.acc_bytes = np.zeros(count, dtype=np.int64)
-            self.acc_reqs = np.zeros(count, dtype=np.int64)
+        """(Re)allocate the horizons for every registered resource."""
+        if len(self.H) != 2 * len(self.resources):
+            self.H = np.zeros(2 * len(self.resources))
 
     def sync_in(self) -> None:
         self.H[:] = [horizon for resource in self.resources
                      for horizon in (resource.busy_until,
                                      resource.small_busy_until)]
+        accounted = self.resources[:self.accounted]
+        for name, attribute, _ in self.COUNTERS:
+            self.fields[name][:] = [getattr(resource, attribute)
+                                    for resource in accounted]
 
     def sync_out(self) -> None:
         H = self.H.tolist()
         for i, resource in enumerate(self.resources):
             resource.busy_until = H[2 * i]
             resource.small_busy_until = H[2 * i + 1]
-        for i in np.flatnonzero(self.acc_reqs | self.acc_bytes).tolist():
-            self.resources[i].account_bulk(int(self.acc_bytes[i]),
-                                           int(self.acc_reqs[i]))
-            self.acc_bytes[i] = 0
-            self.acc_reqs[i] = 0
+        accounted = self.resources[:self.accounted]
+        for name, attribute, _ in self.COUNTERS:
+            for resource, value in zip(accounted,
+                                       self.fields[name].tolist()):
+                setattr(resource, attribute, value)
 
 
 def host_event_columns(compiled: GCTrace, costs, ipc_hz: float,
@@ -531,38 +573,64 @@ class ClosedFormKernel:
     the event.
 
     ``begin`` prices the whole trace through ``price(compiled)``;
-    ``run_phase`` then needs no state.  One GC thread runs a phase's
-    events back to back, so the phase lasts their sum.  With several
-    threads only the zero-duration ``ideal`` kernel is selected, where
-    any assignment has a zero makespan.  Per-primitive seconds are
-    reduced per phase in primitive-code order, and busy time counts
-    only for host-executed (non-offloading) platforms.
+    ``run_phase`` then walks the steps in Python with no kernel state.
+    One GC thread runs a phase's events back to back, so the phase
+    lasts their sum.  With several threads only the zero-duration
+    ``ideal`` kernel is selected, where any assignment has a zero
+    makespan.  Per-primitive seconds are reduced per phase in
+    primitive-code order, and each residual is charged through the
+    platform's scalar :meth:`HostCostModel.residual_seconds`, then
+    :meth:`Platform.phase_end` runs.
     """
 
     name = "closed-form"
 
     def __init__(self, platform, threads: int, price) -> None:
+        self.platform = platform
         self.threads = threads
+        self.res_threads = _residual_threads(platform, threads)
         self.price = price
-        self.host_executed = not platform.offloads
+        self.steps = None
+        self.span = np.zeros(0)
         self._durations = None
         self._codes = None
 
     def begin(self, compiled: GCTrace) -> None:
+        self.steps = _steps(compiled)
         self._durations = self.price(compiled)
         self._codes = compiled.events["prim"]
 
     def run_phase(self, lo: int, hi: int, start: float,
                   prim_seconds: Dict[Primitive, float]
                   ) -> Tuple[float, float]:
-        seg = self._durations[lo:hi]
-        span = float(seg.sum()) if self.threads == 1 else 0.0
-        codes = self._codes[lo:hi]
-        for code in np.unique(codes):
-            key = CODE_TO_PRIMITIVE[int(code)]
-            prim_seconds[key] = prim_seconds.get(key, 0.0) \
-                + float(seg[codes == code].sum())
-        return start + span, (span if self.host_executed else 0.0)
+        steps = self.steps
+        steps.whole(lo, hi)
+        platform = self.platform
+        threads = self.res_threads
+        span = self.span = np.zeros(2 * len(steps.names))
+        now = start
+        residual = 0.0
+        for s, (name, lo, hi, r) in enumerate(zip(
+                steps.names, steps.lo.tolist(), steps.hi.tolist(),
+                steps.res.tolist())):
+            begin = now
+            seg = self._durations[lo:hi]
+            codes = self._codes[lo:hi]
+            for code in np.unique(codes):
+                key = CODE_TO_PRIMITIVE[int(code)]
+                prim_seconds[key] = prim_seconds.get(key, 0.0) \
+                    + float(seg[codes == code].sum())
+            now = now + (float(seg.sum()) if self.threads == 1 else 0.0)
+            share = 0.0
+            if r >= 0:
+                share = platform.cost_model.residual_seconds(
+                    now, steps.works[r], threads)
+                residual += share * threads
+                now += share
+            platform.phase_end(name)
+            span[2 * s] = begin
+            span[2 * s + 1] = now - begin if lo < hi else share
+        return now, residual
 
 
 def _zero_durations(compiled: GCTrace) -> np.ndarray:
@@ -677,43 +745,250 @@ def _stream_columns(streams: Sequence[Tuple]) -> Dict[str, np.ndarray]:
 
 
 class _PrimSums:
-    """Per-primitive duration sums stage 2 accumulates, one slot per key
-    of the trace's primitive index.  A "present" flag per slot makes a
-    key enter ``prim_seconds`` exactly when its first event adds to it,
-    and each key's events still add in event order."""
+    """Per-primitive duration sums stage 2 accumulates over one trace,
+    one slot per key of its primitive index.  ``first[j]`` is 0 until
+    key ``j``'s first event adds to it, then that event's step + 1, so
+    keys enter ``prim_seconds`` in the order per-phase stores would have
+    inserted them, and each key's events still add in event order."""
 
     def __init__(self, keys: List[Primitive]) -> None:
         self.keys = keys
         self.sums = np.zeros(len(keys))
-        self.present = np.zeros(len(keys), dtype=np.uint8)
-
-    def load(self, prim_seconds: Dict[Primitive, float]) -> None:
-        for j, key in enumerate(self.keys):
-            value = prim_seconds.get(key)
-            self.present[j] = value is not None
-            self.sums[j] = 0.0 if value is None else value
+        self.first = np.zeros(len(keys), dtype=np.int64)
 
     def store(self, prim_seconds: Dict[Primitive, float]) -> None:
-        for key, value, present in zip(self.keys, self.sums.tolist(),
-                                       self.present.tolist()):
-            if present:
-                prim_seconds[key] = value
+        sums = self.sums.tolist()
+        for _, j in sorted((first, j) for j, first
+                           in enumerate(self.first.tolist()) if first):
+            prim_seconds[self.keys[j]] = sums[j]
 
 
-def _check_run(lo: int, hi: int, events: int) -> None:
-    """Check that a phase run lies inside the trace (the C loop
-    indexes the per-event columns unchecked)."""
-    if not 0 <= lo <= hi <= events:
-        raise IndexError(f"phase run [{lo}, {hi}) outside a trace of "
-                         f"{events} events")
+class _Steps(NamedTuple):
+    """A trace's replay steps, in the order both replayers walk them:
+    one per phase run (events ``[lo, hi)``), then one empty step per
+    residual-only phase, in ``trace.residuals`` order.  ``res`` indexes
+    ``works`` (the residuals' values; -1: the phase has none), so a phase
+    name recurring in several runs charges its residual at every run,
+    and ``flush`` marks the MajorGC phases after which Charon flushes its
+    bitmap cache (:data:`~repro.core.device.FLUSHED_PHASES`)."""
+
+    names: Tuple[str, ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    res: np.ndarray
+    flush: np.ndarray
+    works: Tuple[ResidualWork, ...]
+
+    def whole(self, lo: int, hi: int) -> None:
+        """Check that ``[lo, hi)`` is the whole trace (stage 2 replays
+        a trace in one call)."""
+        end = int(self.hi[-1]) if len(self.hi) else 0
+        if (lo, hi) != (0, end):
+            raise ValueError(f"stage 2 replays a whole trace, events "
+                             f"[0, {end}), not [{lo}, {hi})")
+
+
+def _steps(compiled: GCTrace) -> _Steps:
+    """The trace's :class:`_Steps`, checked once and memoized on it."""
+    memo = _kernel_memo(compiled)
+    steps = memo.get("steps")
+    if steps is None:
+        runs = compiled.phase_runs()
+        names = [name for name, _, _ in runs]
+        seen = set(names)
+        names += [name for name in compiled.residuals if name not in seen]
+        end = runs[-1][2] if runs else 0
+        bounds = np.array([(lo, hi) for _, lo, hi in runs]
+                          + [(end, end)] * (len(names) - len(runs)),
+                          dtype=np.int64).reshape(-1, 2)
+        lo, hi = bounds[:, 0].copy(), bounds[:, 1].copy()
+        _check_steps(lo, hi, len(compiled.events))
+        index = {name: i for i, name in enumerate(compiled.residuals)}
+        steps = _Steps(
+            tuple(names), lo, hi,
+            np.array([index.get(name, -1) for name in names],
+                     dtype=np.int32),
+            np.array([name in FLUSHED_PHASES for name in names],
+                     dtype=np.int8),
+            tuple(compiled.residuals.values()))
+        for array in (steps.lo, steps.hi, steps.res, steps.flush):
+            array.flags.writeable = False
+        memo["steps"] = steps
+    return steps
+
+
+def _check_steps(lo: np.ndarray, hi: np.ndarray, events: int) -> None:
+    """Check that the steps tile the trace's events in order: contiguous,
+    monotone, from 0 to its last event (the C loop indexes the
+    per-event columns unchecked)."""
+    edges = np.concatenate([[0], hi])
+    bad = np.flatnonzero((lo != edges[:-1]) | (lo > hi))
+    if len(bad) or edges[-1] != events:
+        at = int(bad[0]) if len(bad) else len(lo) - 1
+        where = (f"run [{lo[at]}, {hi[at]})" if at >= 0
+                 else "no phase runs")
+        raise IndexError(f"phase runs do not tile a trace of {events} "
+                         f"events in order: {where}")
+
+
+def _residual_demands(compiled: GCTrace, cost_model, threads: int
+                      ) -> List[Tuple[float, int]]:
+    """:meth:`HostCostModel.residual_demand` of each of the trace's
+    residuals, memoized on the trace by what it reads."""
+    key = ("residuals", threads, cost_model.costs,
+           cost_model.core.config.freq_hz)
+    memo = _kernel_memo(compiled)
+    demands = memo.get(key)
+    if demands is None:
+        demands = memo[key] = [cost_model.residual_demand(work, threads)
+                               for work in _steps(compiled).works]
+    return demands
+
+
+def _residual_threads(platform, threads: int) -> int:
+    """The host threads a phase's residual work splits over: one per
+    GC thread, core-bounded (as :class:`TraceReplayer` splits it)."""
+    return min(threads, platform.config.host.num_cores)
+
+
+# ---------------------------------------------------------------------------
+# Stage 2: one native call per trace
+# ---------------------------------------------------------------------------
+
+class _NativeKernel:
+    """What the batched kernels share: the lanes, the anonymous streams
+    of an HMC host port, a trace's steps and residual table, and the one
+    ``_stage2.c`` call (:attr:`entry`) that replays the trace.
+
+    A residual's miss stream is anonymous on an HMC port: spread
+    round-robin over the host paths, as ``HMCHostPort.stream_anon``
+    spreads it, from the port's cube cursor, which stage 2 loads and
+    writes back.  Subclasses fill :attr:`_block` in ``begin`` and may
+    load and store more state around the call (:meth:`_load`,
+    :meth:`_store`).
+    """
+
+    entry = ""
+
+    def __init__(self, platform, threads: int) -> None:
+        self.native = native.library()
+        self.platform = platform
+        self.threads = threads
+        self.res_threads = _residual_threads(platform, threads)
+        self.lanes = _Lanes()
+        self._port = None  # holds the anonymous cube cursor, if any
+        self._anon = {"cubes": 0, "anon_off": np.zeros(1, dtype=np.int64),
+                      "anon_res": np.zeros(0, dtype=np.int32),
+                      "anon_lat": np.zeros(0), "mlp": 1.0}
+        self._cursor = np.zeros(1, dtype=np.int64)
+        self._out = np.zeros(2)
+        self._block = None
+        self._sums = None
+        self.steps = None
+        self.span = np.zeros(0)
+
+    def _anon_paths(self) -> List[Tuple[List, float]]:
+        """Account every cube's host path for anonymous streams (before
+        any other lane); returns the paths as ``(resources, latency)``."""
+        hmc = self.platform.hmc
+        self._port = self.platform.port
+        paths = []
+        for cube in range(hmc.config.cubes):
+            resources = hmc.host_path(cube).resources
+            paths.append((resources, _path_latency(resources)))
+        self.lanes.account([r for resources, _ in paths
+                            for r in resources])
+        self._anon = {
+            "cubes": len(paths),
+            "anon_off": _offsets([len(r) for r, _ in paths]),
+            "anon_res": np.array([self.lanes.register(r)
+                                  for resources, _ in paths
+                                  for r in resources], dtype=np.int32),
+            "anon_lat": np.array([lat for _, lat in paths],
+                                 dtype=np.float64),
+            "mlp": float(self.platform.host.core.mlp)}
+        return paths
+
+    def _trace_fields(self, compiled: GCTrace,
+                      streams: List[Tuple] = None) -> Dict[str, object]:
+        """The block fields every kernel shares for one trace: its steps
+        (``begin`` sets :attr:`steps` first), residual table, lanes and
+        per-primitive sums (residual streams are interned into
+        ``streams``, :meth:`_residual_stream`)."""
+        keys, pid = _prim_index(compiled)
+        steps = self.steps
+        self._sums = _PrimSums(keys)
+        self.span = np.zeros(2 * len(steps.names))
+        table = [(compute, *self._residual_stream(streams, miss))
+                 for compute, miss in _residual_demands(
+                     compiled, self.platform.cost_model, self.res_threads)]
+        self.lanes.size()
+        return {"pid": pid, **self._anon, "cursor": self._cursor,
+                "H": self.lanes.H, **self.lanes.fields,
+                "steps": len(steps.names), "step_lo": steps.lo,
+                "step_hi": steps.hi, "step_res": steps.res,
+                "step_flush": steps.flush, "res_threads": self.res_threads,
+                "res_compute": np.array([t[0] for t in table],
+                                        dtype=np.float64),
+                "res_nbytes": np.array([t[1] for t in table],
+                                       dtype=np.int64),
+                "res_stream": np.array([t[2] for t in table],
+                                       dtype=np.int32),
+                "span": self.span, "sums": self._sums.sums,
+                "first": self._sums.first}
+
+    def _fill(self, fields: Tuple, values: Dict[str, object]) -> None:
+        """Point the kernel's argument block at one trace's ``values``."""
+        if self._block is None:
+            self._block = native.Block(fields, values)
+        else:
+            self._block.update(values)
+
+    def run_phase(self, lo: int, hi: int, start: float,
+                  prim_seconds: Dict[Primitive, float]
+                  ) -> Tuple[float, float]:
+        """Stage 2: replay the whole trace, ``[lo, hi) = [0, events)``,
+        step by step from ``start`` in one native call, once per
+        ``begin``; returns ``(end, residual seconds)`` and stores the
+        per-primitive sums into the empty ``prim_seconds``.  The state
+        the call touches is loaded here once and written back once."""
+        self.steps.whole(lo, hi)
+        self.lanes.sync_in()
+        port = self._port
+        if port is not None:
+            self._cursor[0] = port._anon_cube
+        self._load()
+        if getattr(self.native, self.entry)(self._block.address, start,
+                                            self._out.ctypes.data):
+            raise MemoryError("stage-2 thread heap allocation failed")
+        self._store()
+        if port is not None:
+            port._anon_cube = int(self._cursor[0])
+        self.lanes.sync_out()
+        self._sums.store(prim_seconds)
+        end, residual = self._out.tolist()
+        return end, residual
+
+    def _residual_stream(self, streams: List[Tuple], miss: int
+                         ) -> Tuple[int, int]:
+        """A residual's miss stream as ``(bytes, stream id)``: an
+        interned stream reserving the bytes on each of its lanes, or,
+        here, id -1 for an anonymous stream of ``miss`` bytes."""
+        return miss, -1
+
+    def _load(self) -> None:
+        """Load kernel-specific state before the call."""
+
+    def _store(self) -> None:
+        """Write kernel-specific state back after the call."""
 
 
 # ---------------------------------------------------------------------------
 # Host-executed kernels (cpu-ddr4 multi-thread, cpu-hmc)
 # ---------------------------------------------------------------------------
 
-class _HostBatchedKernel:
-    """Stage 2 of the host-executed kernels: ``host_phase`` over flat
+class _HostBatchedKernel(_NativeKernel):
+    """Stage 2 of the host-executed kernels: ``host_trace`` over flat
     host plans.
 
     An event with a memory stream points at a template: a list of runs
@@ -721,42 +996,26 @@ class _HostBatchedKernel:
     its latency term, and the event waits for the latest), or one
     anonymous stream (bytes, per-cube share, priority) spread over the
     cubes by the shared round-robin cursor, which stage 2 advances in
-    event order.
+    event order.  An anonymous event stream's bytes are accounted in
+    bulk at the end of its step, as ``_Lanes`` deposits them.
     """
 
-    def __init__(self, platform, threads: int) -> None:
-        self.native = native.library()
-        self.platform = platform
-        self.threads = threads
-        self.lanes = _Lanes()
-        self._port = None  # holds the anonymous cube cursor, if any
-        self._anon = {"cubes": 0, "anon_off": np.zeros(1, dtype=np.int64),
-                      "anon_res": np.zeros(0, dtype=np.int32),
-                      "anon_rate": np.zeros(0), "anon_lat": np.zeros(0),
-                      "mlp": 1.0}
-        self._cursor = np.zeros(1, dtype=np.int64)
-        self._out = np.zeros(2)
-        self._block = None
-        self._sums = None
-        self._tid = np.zeros(0, dtype=np.int32)
+    entry = "host_trace"
 
     def _freeze(self, compiled: GCTrace, compute: np.ndarray,
                 tid: np.ndarray, templates: Sequence[Tuple],
-                streams: Sequence[Tuple]) -> None:
+                streams: List[Tuple]) -> None:
         """Flatten one trace's plans into the stage-2 argument block.
 
         ``templates`` are ``(0, stream ids)`` run lists or ``(1, nbytes,
-        share, priority)`` anonymous streams.
+        share, priority)`` anonymous streams; residual streams are
+        interned into ``streams`` (:meth:`_residual_stream`).
         """
-        keys, pid = _prim_index(compiled)
-        self.lanes.size()
-        self._sums = _PrimSums(keys)
-        self._tid = tid
+        trace = self._trace_fields(compiled, streams)
         runs = [t[1] if t[0] == 0 else () for t in templates]
         anon = [t if t[0] == 1 else (0, 0, 0, False) for t in templates]
-        self._block = native.Block(native.HOST_FIELDS, {
+        self._fill(native.HOST_FIELDS, {
             "threads": self.threads, "compute": compute, "tid": tid,
-            "pid": pid,
             "t_anon": np.array([t[0] for t in templates], dtype=np.int8),
             "t_off": _offsets([len(r) for r in runs]),
             "t_stream": np.array([s for r in runs for s in r],
@@ -764,29 +1023,7 @@ class _HostBatchedKernel:
             "t_nbytes": np.array([t[1] for t in anon], dtype=np.int64),
             "t_share": np.array([t[2] for t in anon], dtype=np.int64),
             "t_prio": np.array([t[3] for t in anon], dtype=np.int8),
-            **_stream_columns(streams), **self._anon,
-            "H": self.lanes.H, "acc_bytes": self.lanes.acc_bytes,
-            "acc_reqs": self.lanes.acc_reqs, "cursor": self._cursor,
-            "sums": self._sums.sums, "present": self._sums.present})
-
-    def run_phase(self, lo: int, hi: int, start: float,
-                  prim_seconds: Dict[Primitive, float]
-                  ) -> Tuple[float, float]:
-        _check_run(lo, hi, len(self._tid))
-        self.lanes.sync_in()
-        port = self._port
-        if port is not None:
-            self._cursor[0] = port._anon_cube
-        self._sums.load(prim_seconds)
-        if self.native.host_phase(self._block.address, lo, hi, start,
-                                  self._out.ctypes.data):
-            raise MemoryError("stage-2 thread heap allocation failed")
-        self._sums.store(prim_seconds)
-        if port is not None:
-            port._anon_cube = int(self._cursor[0])
-        self.lanes.sync_out()
-        barrier, busy = self._out.tolist()
-        return barrier, busy
+            **_stream_columns(streams), **trace})
 
 
 class DDR4BatchedKernel(_HostBatchedKernel):
@@ -798,7 +1035,8 @@ class DDR4BatchedKernel(_HostBatchedKernel):
     for a miss too small to reach a channel — no lane and a latency
     bound of ``(now + a) + 0.0``, which is the scalar ``now + a``.  The
     only state left for stage 2 is the channels' FIFO horizons and the
-    GC thread clocks.
+    GC thread clocks, plus the channels' counters, which each residual
+    stream moves.
     """
 
     name = "ddr4-batched"
@@ -806,11 +1044,13 @@ class DDR4BatchedKernel(_HostBatchedKernel):
     def __init__(self, platform, threads: int) -> None:
         super().__init__(platform, threads)
         self.streams = _DDR4Streams(platform)
+        self.lanes.account(self.streams.channels)
         self.ch_slots = [(self.lanes.slot(ch, False),
                           self.lanes.slot(ch, True))
                          for ch in self.streams.channels]
 
     def begin(self, compiled: GCTrace) -> None:
+        self.steps = _steps(compiled)  # checked before any accounting
         compute, miss, r_i, service, a_term, b_term, priority = \
             self.streams.columns(compiled)
         tid = np.full(len(miss), -1, dtype=np.int32)
@@ -836,6 +1076,24 @@ class DDR4BatchedKernel(_HostBatchedKernel):
         self._freeze(compiled, compute, tid,
                      [(0, (s,)) for s in range(len(streams))], streams)
 
+    def _residual_stream(self, streams: List[Tuple], miss: int
+                         ) -> Tuple[int, int]:
+        """``DDR4Port.stream_anon`` of ``miss`` bytes: every channel's
+        priority lane serves the rounded per-channel share (none when it
+        rounds to 0, leaving the latency bound)."""
+        ddr4 = self.streams
+        share = int(round(miss / ddr4.n_ch))
+        lat = ddr4.ch_latency
+        if share > 0:
+            slots = tuple(prio for _, prio in self.ch_slots)
+            n_req = math.ceil(share / CACHE_LINE)
+            streams.append((slots, (share / ddr4.ch_rate,) * len(slots),
+                            lat, (n_req - 1) * (lat / ddr4.ch_mlp),
+                            0.0, 0.0))
+        else:
+            streams.append(((), (), lat, 0.0, 0.0, 0.0))
+        return share, len(streams) - 1
+
 
 class HostHMCBatchedKernel(_HostBatchedKernel):
     """``cpu-hmc`` replay: per-cube routed host streams, batched.
@@ -846,9 +1104,8 @@ class HostHMCBatchedKernel(_HostBatchedKernel):
     replays only the shared-FIFO horizon recurrence.  Ranges reaching an
     unmapped page fall back — exactly like
     :meth:`HMCHostPort.stream_range` — to the anonymous round-robin
-    stream, whose cube cursor is *shared state*: stage 2 loads it from
-    the port and writes it back, so the interleaving with scalar
-    residual work is preserved.
+    stream, whose cube cursor is *shared state* with the residual
+    streams: stage 2 advances it for both, in the event path's order.
     """
 
     name = "hmc-batched"
@@ -858,7 +1115,7 @@ class HostHMCBatchedKernel(_HostBatchedKernel):
         core = platform.host.core
         costs = platform.config.costs
         self.costs = costs
-        self.port = self._port = platform.port
+        self.port = platform.port
         self.hmc = platform.hmc
         self.ipc_hz = core.config.gc_ipc * core.config.freq_hz
         self.hit_lat = costs.cache_hit_latency_s
@@ -867,21 +1124,7 @@ class HostHMCBatchedKernel(_HostBatchedKernel):
         # Per-cube host paths: resource lists and path latency, frozen
         # from the real topology objects (anonymous streams pick their
         # cube in stage 2, so every path's lanes exist up front).
-        self._paths = []
-        for cube in range(self.hmc.config.cubes):
-            resources = self.hmc.host_path(cube).resources
-            self._paths.append((resources, _path_latency(resources)))
-        self._anon = {
-            "cubes": len(self._paths),
-            "anon_off": _offsets([len(r) for r, _ in self._paths]),
-            "anon_res": np.array([self.lanes.register(r)
-                                  for resources, _ in self._paths
-                                  for r in resources], dtype=np.int32),
-            "anon_rate": np.array([r.rate for resources, _ in self._paths
-                                   for r in resources], dtype=np.float64),
-            "anon_lat": np.array([lat for _, lat in self._paths],
-                                 dtype=np.float64),
-            "mlp": float(self.mlp)}
+        self._paths = self._anon_paths()
         self._plan_cache: Dict[Tuple, Tuple] = {}
 
     def _stream_plan(self, cube: int, nbytes: int, prio: bool,
@@ -899,6 +1142,7 @@ class HostHMCBatchedKernel(_HostBatchedKernel):
         return plan
 
     def begin(self, compiled: GCTrace) -> None:
+        self.steps = _steps(compiled)  # checked before any accounting
         compute, miss, dep, priority = host_event_columns(
             compiled, self.costs, self.ipc_hz, self.hit_lat)
         self.map.refresh()
@@ -950,8 +1194,12 @@ class HostHMCBatchedKernel(_HostBatchedKernel):
 #: Charon template kinds (``KIND_*`` in ``_stage2.c``).
 FIXED, COPY, SEARCH, SCAN, BITMAP = range(5)
 
-#: Per-slice bitmap-cache counters stage 2 returns (``BC_*``).
-_BC_STATS = ("hits", "misses", "evictions", "writebacks")
+#: Per-slice bitmap-cache counters stage 2 returns (``BC_*``): which
+#: object of the slice holds each (its :class:`SetAssociativeCache` or
+#: the :class:`BitmapCache`) and the attribute's name.
+_BC_STATS = (("cache", "hits"), ("cache", "misses"), ("cache", "evictions"),
+             ("cache", "writebacks"), ("slice", "read_accesses"),
+             ("slice", "read_hits"), ("slice", "flushes"))
 
 
 class _Lines:
@@ -1111,7 +1359,7 @@ class _CharonPlan(NamedTuple):
     pairs: Dict[Tuple[int, int], List[int]]
 
 
-class CharonBatchedKernel:
+class CharonBatchedKernel(_NativeKernel):
     """Batched offload replay for ``charon`` / ``charon-cpuside``.
 
     Stage 1 routes every event to its (cube, unit-class) pool, freezes
@@ -1138,13 +1386,14 @@ class CharonBatchedKernel:
     """
 
     name = "charon-batched"
+    entry = "charon_trace"
 
     def __init__(self, platform, threads: int) -> None:
-        self.native = native.library()
+        super().__init__(platform, threads)
+        # Residual work streams anonymously over the host paths.
+        self._host_paths = self._anon_paths()
         device = platform.device
         cfg = platform.config
-        self.platform = platform
-        self.threads = threads
         self.device = device
         self.hmc = platform.hmc
         self.cpu_side = device.cpu_side
@@ -1172,9 +1421,11 @@ class CharonBatchedKernel:
                                       charon_dispatch_overhead_s=0.0))
         self._placement = (None, None, "")
 
-        self.lanes = _Lanes()
         # Each lane resource's name for :meth:`_resource`, by index.
         self._names: Dict[int, Tuple] = {}
+        for cube, (resources, _) in enumerate(self._host_paths):
+            for pos in range(len(resources)):
+                self._lane(("host", cube, pos), False)
         self.map = _CubeMap(device.context.vm, self.pcid)
         self._page_fault = partial(device.context.vm.lookup, pcid=self.pcid)
 
@@ -1208,7 +1459,7 @@ class CharonBatchedKernel:
             [pen for b in self.bcs for pen in (0.0, 2 * b.link_latency_s)],
             dtype=np.float64)
         # Tag/dirty/LRU-stamp arrays of every slice, loaded from the
-        # real caches around each phase that touches them.
+        # real caches around each trace that touches them.
         cache = self.bcs[0].cache
         self._sets = cache.num_sets
         self._ways = cache.ways
@@ -1217,7 +1468,8 @@ class CharonBatchedKernel:
         self._dirty = np.zeros(lines, dtype=np.uint8)
         self._stamp = np.zeros(lines, dtype=np.int64)
         self._clock = np.zeros(len(self.bcs), dtype=np.int64)
-        self._bc_stats = np.zeros(6 * len(self.bcs), dtype=np.int64)
+        self._bc_stats = np.zeros(len(_BC_STATS) * len(self.bcs),
+                                  dtype=np.int64)
 
         # Unit pools, in the device's routing keys, flattened.
         self.pool_of: Dict[Tuple[str, int], int] = {}
@@ -1231,6 +1483,10 @@ class CharonBatchedKernel:
         self._unit_busy = np.zeros(len(self._units))
         self._unit_cmds = np.zeros(len(self._units), dtype=np.int64)
         self._unit_time = np.zeros(len(self._units))
+        self._unit_total = np.zeros(len(self._units))
+        self._tags_loaded = False
+        self._tags_empty = True  # no line was valid when they loaded
+        self._tags_mark = None  # _cache_marks() at the last write-back
 
         # Per-(unit cube, target cube) stream paths.
         self._paths: Dict[Tuple[int, int], Tuple[List, float]] = {}
@@ -1258,20 +1514,20 @@ class CharonBatchedKernel:
                         size / hl.rate, hl.latency)
         self._templates = _Interner()
         self._streams = _Interner()
-        self._out = np.zeros(1)
-        self._block = None
-        self._sums = None
         self.plan: Dict[str, np.ndarray] = {}
 
     # -- stage-1 helpers ---------------------------------------------------
 
     def _resource(self, name: Tuple):
         """The lane resource ``name`` names: ``("tlb", slice)``, ``("bc",
-        slice)`` or ``("path", unit cube, target cube, position)``."""
+        slice)``, ``("host", cube, position)`` or ``("path", unit cube,
+        target cube, position)``."""
         if name[0] == "tlb":
             return self.tlbs[name[1]].port
         if name[0] == "bc":
             return self.bcs[name[1]].port
+        if name[0] == "host":
+            return self._host_paths[name[1]][0][name[2]]
         _, c, t, pos = name
         return self._path(c, t)[0][pos]
 
@@ -1472,6 +1728,7 @@ class CharonBatchedKernel:
         counters; a trace the event path would fault on raises its
         first fault before any counter moves."""
         info = self.device._require_init()
+        self.steps = _steps(compiled)  # checked before any accounting
         self.map.refresh()
         memo = _kernel_memo(compiled)
         key = self._plan_key(info)
@@ -1842,11 +2099,8 @@ class CharonBatchedKernel:
     def _freeze(self, compiled: GCTrace, plan: _CharonPlan) -> None:
         """Expand ``plan`` into :attr:`plan` (the columns stage 2 reads,
         on this kernel's lane slots) and the stage-2 argument block."""
-        keys, pid = _prim_index(compiled)
         slots = np.array([self._lane(name, prio) for name, prio
                           in plan.lanes], dtype=np.int32)
-        self.lanes.size()
-        self._sums = _PrimSums(keys)
         lines = np.zeros(len(plan.tid), dtype=np.int64)
         lines[plan.line_rows] = plan.line_counts
         self.plan = {"tid": plan.tid, "line_off": _offsets(lines),
@@ -1857,96 +2111,112 @@ class CharonBatchedKernel:
                      **plan.columns,
                      "t_tlb_slot": slots[plan.columns["t_tlb_slot"]],
                      "s_slot": slots[plan.columns["s_slot"]]}
-        self._block = native.Block(native.CHARON_FIELDS, {
-            "threads": self.threads, "pid": pid, **self.plan,
+        trace = self._trace_fields(compiled)
+        # The tags stage 2 reads: a trace with bitmap lines or a flush.
+        self._tags_loaded = self.bc_enabled and bool(
+            len(plan.line_rows) or self.steps.flush.any())
+        self._fill(native.CHARON_FIELDS, {
+            "threads": self.threads, **self.plan, **trace,
             "dispatch": self.dispatch, "tlb_svc": self.tlb_svc,
             "access_lat": self.access_lat, "bc_svc": self.bc_svc,
             "bc_mem": self.bc_mem, "bc_enabled": int(self.bc_enabled),
             "bc_slot": np.array(self.bc_slots, dtype=np.int32),
-            "pool_off": self._pool_off, "unit_busy": self._unit_busy,
-            "unit_cmds": self._unit_cmds, "unit_time": self._unit_time,
-            "sets": self._sets, "ways": self._ways,
-            "line_bytes": self.bcs[0].line_bytes, "tag": self._tag,
-            "dirty": self._dirty, "stamp": self._stamp,
-            "clock": self._clock, "bc_stats": self._bc_stats,
-            "H": self.lanes.H, "sums": self._sums.sums,
-            "present": self._sums.present})
-
-    # -- stage 2 -----------------------------------------------------------
-
-    def run_phase(self, lo: int, hi: int, start: float,
-                  prim_seconds: Dict[Primitive, float]
-                  ) -> Tuple[float, float]:
-        _check_run(lo, hi, len(self.plan["tid"]))
-        line_off = self.plan["line_off"]
-        bitmap = bool(line_off[hi] > line_off[lo])
-        self.lanes.sync_in()
-        self._unit_busy[:] = [unit.busy_until for unit in self._units]
-        if bitmap and self.bc_enabled:
-            self._caches_in()
-        self._sums.load(prim_seconds)
-        if self.native.charon_phase(self._block.address, lo, hi, start,
-                                    self._out.ctypes.data):
-            raise MemoryError("stage-2 thread heap allocation failed")
-        self._sums.store(prim_seconds)
-        if bitmap:
-            self._caches_out()
-        self.lanes.sync_out()
-        self._units_out()
-        return float(self._out[0]), (hi - lo) * self.dispatch
+            "pool_off": self._pool_off, "units": len(self._units),
+            "unit_busy": self._unit_busy, "unit_cmds": self._unit_cmds,
+            "unit_time": self._unit_time, "unit_total": self._unit_total,
+            "slices": len(self.bcs), "sets": self._sets,
+            "ways": self._ways, "line_bytes": self.bcs[0].line_bytes,
+            "tag": self._tag, "dirty": self._dirty, "stamp": self._stamp,
+            "clock": self._clock, "bc_stats": self._bc_stats})
 
     # -- state synchronisation ---------------------------------------------
 
-    def _units_out(self) -> None:
-        for unit, busy, cmds, seconds in zip(
-                self._units, self._unit_busy.tolist(),
-                self._unit_cmds.tolist(), self._unit_time.tolist()):
-            unit.busy_until = busy
-            if cmds:
-                unit.commands += cmds
-                unit.busy_time += seconds
+    def _load(self) -> None:
+        self._unit_busy[:] = [unit.busy_until for unit in self._units]
+        self._unit_total[:] = [unit.busy_time for unit in self._units]
+        if self._tags_loaded:
+            self._caches_in()
+
+    def _store(self) -> None:
+        # Only units that ran a command moved.
+        busy, cmds, total = (self._unit_busy.tolist(),
+                             self._unit_cmds.tolist(),
+                             self._unit_total.tolist())
+        for u in np.flatnonzero(self._unit_cmds).tolist():
+            unit = self._units[u]
+            unit.busy_until = busy[u]
+            unit.commands += cmds[u]
+            unit.busy_time = total[u]
         self._unit_cmds[:] = 0
-        self._unit_time[:] = 0.0
+        self._caches_out()
+
+    def _cache_marks(self) -> List[Tuple[int, ...]]:
+        """Every slice's counters: any access, flush or stage-2 write-back
+        moves one of them."""
+        return [(bc.cache.hits, bc.cache.misses, bc.cache.writebacks,
+                 bc.flushes) for bc in self.bcs]
 
     def _caches_in(self) -> None:
         """Load every slice's tags into the stage-2 arrays: a set's
-        lines take stamps ``1..k`` from least to most recently used."""
+        lines take stamps ``1..k`` from least to most recently used.
+        The arrays still hold them if no slice counter moved since this
+        kernel wrote them back."""
+        if self._cache_marks() == self._tags_mark:
+            self._tags_empty = not self._stamp.any()
+            return
         ways = self._ways
-        tag, dirty, stamp = self._tag, self._dirty, self._stamp
-        stamp[:] = 0
-        for ci, bc in enumerate(self.bcs):
-            base = ci * self._sets
-            for s, lines in enumerate(bc.cache.lru_state()):
-                w0 = (base + s) * ways
-                for w, (line_tag, line_dirty) in enumerate(lines):
-                    tag[w0 + w] = line_tag
-                    dirty[w0 + w] = line_dirty
-                    stamp[w0 + w] = w + 1
+        self._stamp[:] = 0
         self._clock[:] = ways
+        at, tags, dirty, stamps = [], [], [], []
+        for ci, bc in enumerate(self.bcs):
+            for s, lines in enumerate(bc.cache.lru_state()):
+                w0 = (ci * self._sets + s) * ways
+                for w, (line_tag, line_dirty) in enumerate(lines):
+                    at.append(w0 + w)
+                    tags.append(line_tag)
+                    dirty.append(line_dirty)
+                    stamps.append(w + 1)
+        self._tags_empty = not at
+        if at:
+            self._tag[at] = tags
+            self._dirty[at] = dirty
+            self._stamp[at] = stamps
 
     def _caches_out(self) -> None:
-        """Write the tags back (LRU order = stamp order) and fold the
-        phase's counters into each slice."""
-        stats = self._bc_stats.reshape(len(self.bcs), 6).tolist()
-        if self.bc_enabled:
-            ways = self._ways
-            rows = zip(self._stamp.reshape(-1, ways).tolist(),
-                       self._tag.reshape(-1, ways).tolist(),
-                       self._dirty.reshape(-1, ways).tolist())
+        """Write the tags back (LRU order = stamp order) if stage 2 read
+        them and they changed, and fold the trace's counters into each
+        slice."""
+        ways = self._ways
+        stamp = self._stamp.reshape(-1, ways)
+        live = np.flatnonzero(stamp.any(axis=1)) if self._tags_loaded \
+            else ()
+        if len(live) or (self._tags_loaded and not self._tags_empty):
+            states = [()] * len(stamp)
+            if len(live):
+                # Invalid ways (stamp 0) sort first, valid ones by age.
+                order = np.argsort(stamp[live], axis=1)
+                rows = live[:, None]
+                for row, valid, tags, dirty in zip(
+                        live.tolist(),
+                        np.count_nonzero(stamp[live], axis=1).tolist(),
+                        self._tag.reshape(-1, ways)[rows, order].tolist(),
+                        self._dirty.reshape(-1, ways)[rows, order]
+                        .astype(bool).tolist()):
+                    states[row] = list(zip(tags[ways - valid:],
+                                           dirty[ways - valid:]))
+            for ci, bc in enumerate(self.bcs):
+                bc.cache.set_lru_state(
+                    states[ci * self._sets:(ci + 1) * self._sets])
+        if self._bc_stats.any():
+            stats = self._bc_stats.reshape(len(self.bcs), -1).tolist()
             for bc, counts in zip(self.bcs, stats):
-                state = []
-                for _ in range(self._sets):
-                    stamps, tags, dirty = next(rows)
-                    state.append([(t, bool(d)) for stamp, t, d in
-                                  sorted(zip(stamps, tags, dirty))
-                                  if stamp])
-                bc.cache.set_lru_state(state)
-                for name, value in zip(_BC_STATS, counts):
-                    setattr(bc.cache, name, getattr(bc.cache, name) + value)
-        for bc, counts in zip(self.bcs, stats):
-            if counts[4]:
-                bc.record_reads(counts[4], counts[5])
-        self._bc_stats[:] = 0
+                for (part, name), value in zip(_BC_STATS, counts):
+                    if value:
+                        owner = bc.cache if part == "cache" else bc
+                        setattr(owner, name, getattr(owner, name) + value)
+            self._bc_stats[:] = 0
+        if self._tags_loaded:
+            self._tags_mark = self._cache_marks()
 
 
 def kernel_for(platform, threads: int):

@@ -9,7 +9,13 @@ runtime.  :class:`FastTraceReplayer` costs the event columns of a whole
 GC thread count — closed-form for ``ideal`` and single-thread
 ``cpu-ddr4``, batched-stateful everywhere else (see
 :mod:`repro.platform.batched`).  Every kernel speaks one protocol, so
-one replay loop drives them all.
+one call path drives them all: ``begin`` plans the trace, and one
+``run_phase`` call replays all of it — every phase run, each phase's
+residual host work at its barrier, and the bitmap-cache flush after
+each MajorGC phase, in the event-by-event replayer's order.  For the
+batched kernels that call is one compiled ``_stage2.c`` call per trace,
+and the platform objects' state is loaded once before it and written
+back once after it.
 
 Equivalence contract (what the golden tests in
 ``tests/test_fast_replay_equivalence.py`` assert): integer counters
@@ -39,11 +45,14 @@ __all__ = ["FastTraceReplayer", "make_replayer"]
 class FastTraceReplayer(TraceReplayer):
     """Kernel-driven replay of a trace's event columns.
 
-    Residual (non-offloadable) phase work still goes through the real
-    :meth:`HostCostModel.residual_seconds` scalar path in phase order,
-    so its resource accounting — and on HMC-backed platforms its
-    stateful cube round-robin — evolves identically to the event-by-
-    event replayer.  A platform no kernel models raises
+    The kernel plans the trace (``begin``), then replays it in one
+    ``run_phase`` call: every phase run, its residual (non-offloadable)
+    share at the barrier and the bitmap-cache flush after each MajorGC
+    phase, in the event-by-event replayer's order.  The batched kernels
+    do all of it in compiled C, the closed-form kernel in Python through
+    the scalar :meth:`HostCostModel.residual_seconds`.  Phase spans come
+    from the kernel's per-step ``span`` array, read only when the
+    tracer is enabled.  A platform no kernel models raises
     :class:`~repro.errors.ConfigError`.
     """
 
@@ -68,51 +77,20 @@ class FastTraceReplayer(TraceReplayer):
                          cat="phase", args={"platform": platform.name})
 
         primitive_seconds: Dict[Primitive, float] = {}
-        residual_seconds = 0.0
-        host_busy = flush_seconds
         before = self._snapshot()
-        # Stage 1: plans and bulk accounting for the whole trace (after
-        # the snapshot so counter deltas attribute to this GC).
+        # Stage 1: plans, steps and bulk accounting for the whole trace
+        # (after the snapshot so counter deltas attribute to this GC);
+        # stage 2: every step, residual and flush in one call.
         kernel.begin(trace)
-
-        now = work_start
-        runs = trace.phase_runs()
-        for name, lo, hi in runs:
-            phase_start = now
-            barrier, busy = kernel.run_phase(lo, hi, now,
-                                             primitive_seconds)
-            host_busy += busy
-            now = barrier
-            work = trace.residuals.get(name)
-            if work is not None:
-                share = platform.cost_model.residual_seconds(
-                    now, work, self._residual_threads)
-                residual_seconds += share * self._residual_threads
-                host_busy += share * self._residual_threads
-                now += share
-            platform.phase_end(name)
-            if obs is not None:
-                obs.add_span(name, phase_start, now - phase_start,
-                             cat="phase", args={"gc": trace.kind,
-                                                "events": hi - lo})
-
-        # Residual-only phases that had no events (e.g. summary), in
-        # the trace's insertion order — same as the event-by-event path.
-        seen = {name for name, _, _ in runs}
-        for name, work in trace.residuals.items():
-            if name in seen:
-                continue
-            share = platform.cost_model.residual_seconds(
-                now, work, self._residual_threads)
-            residual_seconds += share * self._residual_threads
-            host_busy += share * self._residual_threads
-            if obs is not None:
-                obs.add_span(name, now, share, cat="phase",
-                             args={"gc": trace.kind, "events": 0})
-            now += share
-            platform.phase_end(name)
-
+        now, residual_seconds = kernel.run_phase(
+            0, len(trace.events), work_start, primitive_seconds)
         if obs is not None:
+            steps = kernel.steps
+            for name, lo, hi, (start, seconds) in zip(
+                    steps.names, steps.lo.tolist(), steps.hi.tolist(),
+                    kernel.span.reshape(-1, 2).tolist()):
+                obs.add_span(name, start, seconds, cat="phase",
+                             args={"gc": trace.kind, "events": hi - lo})
             obs.add_span(f"{trace.kind} gc", gc_start, now - gc_start,
                          cat="gc",
                          args={"platform": platform.name,
@@ -120,7 +98,7 @@ class FastTraceReplayer(TraceReplayer):
         self.clock = now
         result = self._package(trace.kind, gc_start, now,
                                flush_seconds, primitive_seconds,
-                               residual_seconds, host_busy, before)
+                               residual_seconds, before)
         self._note_replay(len(trace.events), perf_counter() - started)
         return result
 

@@ -18,6 +18,7 @@ platforms for the residual (non-offloaded) work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.config import CostModelConfig
 from repro.cpu.core import CoreModel
@@ -127,9 +128,12 @@ class HostCostModel:
 
     # -- residual work -----------------------------------------------------------
 
-    def residual_seconds(self, now: float, work: ResidualWork,
-                         threads: int) -> float:
-        """Duration of one thread's share of a phase's residual work."""
+    def residual_demand(self, work: ResidualWork,
+                        threads: int) -> Tuple[float, int]:
+        """One thread's share of a phase's residual work, independent of
+        when it runs: ``(compute seconds, miss bytes)``.  The batched
+        replay kernels tabulate it once per trace and stream the miss
+        bytes themselves, in :meth:`residual_seconds`' operation order."""
         instructions = work.instructions / threads
         touched = work.bytes_accessed // threads
         hit = self.costs.residual_hit_fraction
@@ -138,6 +142,12 @@ class HostCostModel:
         compute = instructions * self.costs.residual_cpi \
             / self.core.config.freq_hz
         compute += hits * self.costs.cache_hit_latency_s / 4.0
+        return compute, miss_bytes
+
+    def residual_seconds(self, now: float, work: ResidualWork,
+                         threads: int) -> float:
+        """Duration of one thread's share of a phase's residual work."""
+        compute, miss_bytes = self.residual_demand(work, threads)
         memory_done = self.port.stream_anon(now, miss_bytes, CACHE_LINE,
                                             self.core.mlp)
         return max(compute, memory_done - now)

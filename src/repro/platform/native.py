@@ -3,8 +3,9 @@
 Two C99 sources ship as package data and are built into one shared
 object:
 
-* ``_stage2.c`` — the batched replay kernels' order-dependent stage-2
-  recurrence (``host_phase``, ``charon_phase``;
+* ``_stage2.c`` — the batched replay kernels' stage 2: a trace's
+  order-dependent recurrence, residual shares and bitmap-cache flushes,
+  phase by phase in one call (``host_trace``, ``charon_trace``;
   :mod:`repro.platform.batched`);
 * ``_scavenge.c`` — the capture kernels fast mode runs in place on the
   heap's u64 buffer: ParallelScavenge's drain/evacuate loop
@@ -57,6 +58,9 @@ FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 SOURCES = ("_stage2.c", "_scavenge.c")
 
+#: The stage-2 entry points: one call replays one whole trace.
+TRACE_ENTRIES = ("host_trace", "charon_trace")
+
 _LIBRARY = None
 
 
@@ -65,10 +69,9 @@ def library() -> ctypes.CDLL:
     global _LIBRARY
     if _LIBRARY is None:
         lib = _load()
-        for name in ("host_phase", "charon_phase"):
+        for name in TRACE_ENTRIES:
             function = getattr(lib, name)
-            function.argtypes = (ctypes.c_void_p, ctypes.c_int64,
-                                 ctypes.c_int64, ctypes.c_double,
+            function.argtypes = (ctypes.c_void_p, ctypes.c_double,
                                  ctypes.c_void_p)
             function.restype = ctypes.c_int
         for name in ("scavenge_drain", "parse_space", "major_mark",
@@ -179,16 +182,25 @@ STREAM_FIELDS = (("s_off", "*i8"), ("s_slot", "*i4"), ("s_svc", "*f8"),
                  ("s_a", "*f8"), ("s_b", "*f8"), ("s_i1", "*f8"),
                  ("s_i2", "*f8"))
 
+#: ``Anon``, ``Lanes`` and ``Steps`` in ``_stage2.c``, which both
+#: kernel blocks embed in this order.
+TRACE_FIELDS = (
+    ("cubes", "i8"), ("anon_off", "*i8"), ("anon_res", "*i4"),
+    ("anon_lat", "*f8"), ("mlp", "f8"), ("cursor", "*i8"),
+    ("H", "*f8"), ("accounted", "i8"), ("bytes", "*i8"), ("reqs", "*i8"),
+    ("busy", "*f8"), ("energy", "*f8"), ("rate", "*f8"), ("epb", "*f8"),
+    ("acc_bytes", "*i8"), ("acc_reqs", "*i8"),
+    ("steps", "i8"), ("step_lo", "*i8"), ("step_hi", "*i8"),
+    ("step_res", "*i4"), ("step_flush", "*i1"), ("res_threads", "i8"),
+    ("res_compute", "*f8"), ("res_nbytes", "*i8"), ("res_stream", "*i4"),
+    ("span", "*f8"))
+
 #: ``HostKernel`` in ``_stage2.c``, field for field.
 HOST_FIELDS = (
     ("threads", "i8"), ("compute", "*f8"), ("tid", "*i4"), ("pid", "*i4"),
     ("t_anon", "*i1"), ("t_off", "*i8"), ("t_stream", "*i4"),
     ("t_nbytes", "*i8"), ("t_share", "*i8"), ("t_prio", "*i1"),
-    *STREAM_FIELDS,
-    ("cubes", "i8"), ("anon_off", "*i8"), ("anon_res", "*i4"),
-    ("anon_rate", "*f8"), ("anon_lat", "*f8"), ("mlp", "f8"),
-    ("H", "*f8"), ("acc_bytes", "*i8"), ("acc_reqs", "*i8"),
-    ("cursor", "*i8"), ("sums", "*f8"), ("present", "*u1"))
+    *STREAM_FIELDS, *TRACE_FIELDS, ("sums", "*f8"), ("first", "*i8"))
 
 #: ``CharonKernel`` in ``_stage2.c``, field for field.
 CHARON_FIELDS = (
@@ -199,16 +211,15 @@ CHARON_FIELDS = (
     ("chain", "*f8"), ("t_ntlb", "*i1"), ("t_tlb_slot", "*i4"),
     ("t_tlb_pen", "*f8"), ("t_group", "*i8"), ("t_stream", "*i4"),
     ("t_tail", "*f8"),
-    *STREAM_FIELDS,
+    *STREAM_FIELDS, *TRACE_FIELDS,
     ("dispatch", "f8"), ("tlb_svc", "f8"), ("access_lat", "f8"),
     ("bc_svc", "f8"), ("bc_mem", "f8"), ("bc_enabled", "i8"),
     ("bc_slot", "*i4"),
-    ("pool_off", "*i8"), ("unit_busy", "*f8"), ("unit_cmds", "*i8"),
-    ("unit_time", "*f8"),
-    ("sets", "i8"), ("ways", "i8"), ("line_bytes", "i8"),
+    ("pool_off", "*i8"), ("units", "i8"), ("unit_busy", "*f8"),
+    ("unit_cmds", "*i8"), ("unit_time", "*f8"), ("unit_total", "*f8"),
+    ("slices", "i8"), ("sets", "i8"), ("ways", "i8"), ("line_bytes", "i8"),
     ("tag", "*i8"), ("dirty", "*u1"), ("stamp", "*i8"), ("clock", "*i8"),
-    ("bc_stats", "*i8"),
-    ("H", "*f8"), ("sums", "*f8"), ("present", "*u1"))
+    ("bc_stats", "*i8"), ("sums", "*f8"), ("first", "*i8"))
 
 #: ``Scavenge`` in ``_scavenge.c``, field for field.
 SCAVENGE_FIELDS = (
@@ -300,7 +311,7 @@ COMPACT_FIELDS = (
  SCAVENGE_BAD_OBJECT, SCAVENGE_NO_SPACE, PARSE_BAD_LENGTH, MAJOR_BAD_SPAN,
  MAJOR_BAD_GAP, MAJOR_GROW_LIVE) = range(10)
 
-_TYPES: Dict[Tuple, type] = {}
+_TYPES: Dict[Tuple, Tuple] = {}
 
 
 class Block:
@@ -310,29 +321,45 @@ class Block:
     Pointer fields take numpy arrays of exactly the field's dtype, C
     contiguous, so the C loop writes into the caller's state arrays
     and never into a silent copy; the block keeps them alive.
+    :meth:`update` refills fields in place, so a kernel keeps one block
+    and re-points only the arrays that changed.
     """
 
     def __init__(self, fields: Tuple, values: Dict[str, object]) -> None:
-        struct_type = _TYPES.get(fields)
-        if struct_type is None:
-            struct_type = _TYPES[fields] = type(
+        layout = _TYPES.get(fields)
+        if layout is None:
+            struct_type = type(
                 "NativeBlock", (ctypes.Structure,),
                 {"_fields_": [(name, _SCALARS.get(code, ctypes.c_void_p))
                               for name, code in fields]})
+            dtypes = {name: (None if code in _SCALARS
+                             else np.dtype(code[1:]))
+                      for name, code in fields}
+            layout = _TYPES[fields] = (struct_type, dtypes)
+        struct_type, self._dtypes = layout
         self.arrays: Dict[str, np.ndarray] = {}
         self.struct = struct_type()
-        for name, code in fields:
-            value = values[name]
-            if code in _SCALARS:
+        self.update({name: values[name] for name in self._dtypes})
+        self.address = ctypes.addressof(self.struct)
+
+    def update(self, values: Dict[str, object]) -> None:
+        """Set the fields named in ``values`` (other keys are ignored,
+        and an array already pointed at is skipped)."""
+        arrays = self.arrays
+        for name, value in values.items():
+            if name not in self._dtypes:
+                continue
+            dtype = self._dtypes[name]
+            if dtype is None:
                 setattr(self.struct, name, value)
                 continue
-            if value.dtype != np.dtype(code[1:]) \
-                    or not value.flags.c_contiguous:
+            if arrays.get(name) is value:
+                continue
+            if value.dtype != dtype or not value.flags.c_contiguous:
                 raise TypeError(f"native field {name} needs a contiguous "
-                                f"{code[1:]} array, got {value.dtype}")
-            self.arrays[name] = value
+                                f"{dtype} array, got {value.dtype}")
+            arrays[name] = value
             setattr(self.struct, name, value.ctypes.data)
-        self.address = ctypes.addressof(self.struct)
 
     def grow(self, name: str, keep: int) -> np.ndarray:
         """Point field ``name`` at an array twice as long, holding the

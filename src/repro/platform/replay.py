@@ -68,7 +68,6 @@ class TraceReplayer:
         thread_clock = [work_start] * self.threads
         primitive_seconds: Dict[Primitive, float] = {}
         residual_seconds = 0.0
-        host_busy = flush_seconds  # LLC flush occupies the host
         before = self._snapshot()
 
         phases = self._phases(trace)
@@ -85,13 +84,6 @@ class TraceReplayer:
                 duration = finish - now
                 primitive_seconds[event.primitive] = \
                     primitive_seconds.get(event.primitive, 0.0) + duration
-                if not platform.offloads:
-                    host_busy += duration
-                elif platform.name != "ideal":
-                    # The host thread blocks on the response; only the
-                    # dispatch instant burns host pipeline.
-                    host_busy += \
-                        platform.config.costs.charon_dispatch_overhead_s
                 heapq.heappush(heap, (finish, index))
             for clock, index in heap:
                 thread_clock[index] = clock
@@ -102,7 +94,6 @@ class TraceReplayer:
                 share = platform.cost_model.residual_seconds(
                     barrier, work, self._residual_threads)
                 residual_seconds += share * self._residual_threads
-                host_busy += share * self._residual_threads
                 barrier += share
                 thread_clock = [barrier] * self.threads
             else:
@@ -126,7 +117,6 @@ class TraceReplayer:
             share = platform.cost_model.residual_seconds(
                 now, trace.residuals[phase], self._residual_threads)
             residual_seconds += share * self._residual_threads
-            host_busy += share * self._residual_threads
             if obs is not None:
                 obs.add_span(phase, now, share, cat="phase",
                              args={"gc": trace.kind, "events": 0})
@@ -140,8 +130,7 @@ class TraceReplayer:
                                "events": len(trace.events)})
         self.clock = now
         result = self._package(trace.kind, gc_start, now, flush_seconds,
-                               primitive_seconds, residual_seconds,
-                               host_busy, before)
+                               primitive_seconds, residual_seconds, before)
         self._note_replay(len(trace.events), perf_counter() - started)
         return result
 
@@ -187,7 +176,7 @@ class TraceReplayer:
     def _package(self, gc_kind: str, gc_start: float, now: float,
                  flush_seconds: float,
                  primitive_seconds: Dict[Primitive, float],
-                 residual_seconds: float, host_busy: float,
+                 residual_seconds: float,
                  before: Tuple) -> GCTimingResult:
         """Assemble the timing result from counter deltas.
 
@@ -219,7 +208,7 @@ class TraceReplayer:
         result.bitmap_cache_hits = bc_hits - bc_hits_before
         result.bitmap_cache_accesses = bc_accesses - bc_accesses_before
         result.energy = self._energy(
-            wall, host_busy, energy_after - energy_before,
+            wall, energy_after - energy_before,
             platform.charon_busy_seconds() - charon_busy_before)
         result.replay_kernel = self.kernel_name
         return result
@@ -230,7 +219,7 @@ class TraceReplayer:
         return [(name, events[lo:hi])
                 for name, lo, hi in trace.phase_runs()]
 
-    def _energy(self, wall: float, host_busy: float, memory_j: float,
+    def _energy(self, wall: float, memory_j: float,
                 charon_busy: float) -> PlatformEnergy:
         """Package-level energy model.
 

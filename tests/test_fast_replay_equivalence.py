@@ -29,14 +29,20 @@ import time
 import numpy as np
 import pytest
 
+from repro.config import default_config
 from repro.errors import ConfigError
-from repro.gcalgo.trace import Primitive
+from repro.experiments import runner
+from repro.gcalgo.trace import (EVENT_DTYPE, PRIMITIVE_TYPE_CODES, GCTrace,
+                                Primitive)
 from repro.gcalgo.trace_io import load_compiled, save_traces_npz
+from repro.heap.heap import JavaHeap
 from repro.obs.metrics import global_metrics
+from repro.platform.factory import build_platform
 from repro.platform.fast_replay import FastTraceReplayer, make_replayer
 from repro.platform.replay import TraceReplayer
+from repro.workloads.base import workload_klasses
 
-from tests.conftest import platform_for
+from tests.conftest import make_concurrent_traces, platform_for
 
 REL = 1e-9
 
@@ -130,18 +136,22 @@ def counters(platform):
     return out
 
 
-def assert_counters_match(fast_platform, slow_platform):
+def assert_counters_match(fast_platform, slow_platform,
+                          skip=("._release_at",)):
     """Every platform counter agrees after fast and event replay:
     integers exactly, floats within the 1e-9 contract.
 
-    ``ProcessingUnit._release_at`` is skipped: it is the event path's
-    per-dispatch working value (the last command's early release time), which
-    stage 2 keeps in a local and never writes back.
+    Paths ending in ``skip`` are left out: by default
+    ``ProcessingUnit._release_at``, the event path's per-dispatch
+    working value (the last command's early release time), which stage
+    2 keeps in a local and never writes back.  The closed-form kernels
+    never move the FIFO horizons (``busy_until``), so their cells skip
+    those too.
     """
     fast = {path: value for path, value in counters(fast_platform).items()
-            if not path.endswith("._release_at")}
+            if not path.endswith(skip)}
     slow = {path: value for path, value in counters(slow_platform).items()
-            if not path.endswith("._release_at")}
+            if not path.endswith(skip)}
     assert fast.keys() == slow.keys()
     for path, value in slow.items():
         if isinstance(value, float) or isinstance(fast[path], float):
@@ -210,6 +220,172 @@ class TestGoldenEquivalence:
         loaded = FastTraceReplayer(b_platform).replay(
             load_compiled(path)[0][0])
         assert_equivalent(captured, loaded)
+
+
+def trap_trace(major, concurrent):
+    """A major trace built from the golden traces' rows to trip every
+    trap of the phase loop: a phase name recurring across runs with a
+    residual (charged at every run), residual-only phases after the
+    runs (``setup`` recorded first, so insertion order is not run
+    order), zero-miss residuals (``drain``, ``summary``: DDR4's
+    latency-only stream, a no-op anonymous HMC stream), and the MajorGC
+    phases after which Charon flushes its bitmap cache — ``mark`` and
+    ``adjust`` runs, and a residual-only ``compact`` that writes back
+    the dirty mark lines the last run (``drain``) leaves."""
+    def rows(trace, phase, prim):
+        ev = trace.events
+        pid = trace.phase_names.index(phase)
+        return ev[(ev["phase"] == pid)
+                  & (ev["prim"] == PRIMITIVE_TYPE_CODES[prim])]
+
+    pushing = rows(concurrent, "concurrent-mark-0", Primitive.SCAN_PUSH)
+    counts = rows(major, "adjust", Primitive.BITMAP_COUNT)
+    copies = rows(major, "compact", Primitive.COPY)
+    assert (pushing["pushes"] > 0).any() and len(counts) and len(copies)
+    trace = GCTrace("major")
+    trace.residual("setup", 100000.0, 98304)
+    third = len(pushing) // 3
+    for phase, block in (("mark", pushing[:third]),
+                         ("adjust", counts[:len(counts) // 2]),
+                         ("mark", pushing[third:2 * third]),
+                         ("adjust", counts[len(counts) // 2:]),
+                         ("drain", np.concatenate([copies,
+                                                   pushing[2 * third:]]))):
+        trace.append_columns(phase, **{name: block[name]
+                                       for name in EVENT_DTYPE.names
+                                       if name != "phase"})
+    trace.residual("mark", 3840.0, 6720)
+    trace.residual("adjust", 2490.0, 4096)
+    trace.residual("drain", 5000.0, 0)
+    trace.residual("compact", 1000.0, 640)
+    trace.residual("summary", 28120.0, 0)
+    return trace
+
+
+def horizons_skipped(fast):
+    """:func:`assert_counters_match`'s ``skip`` for a fast replayer."""
+    if fast.kernel_name == "closed-form":
+        return ("._release_at", "busy_until")
+    return ("._release_at",)
+
+
+class TestPhaseLoop:
+    """The whole phase loop — runs, residual shares at the barriers and
+    the bitmap-cache flushes — agrees with the event-by-event path."""
+
+    PLATFORMS = ("cpu-ddr4", "cpu-hmc", "charon", "charon-cpuside",
+                 "charon-distributed")
+
+    @pytest.mark.parametrize("threads", (1, 8))
+    @pytest.mark.parametrize("platform_name", PLATFORMS)
+    def test_residual_traps(self, mixed_run, concurrent_traces_session,
+                            platform_name, threads):
+        major = traces_of_kind(mixed_run, "major")[0]
+        trace = trap_trace(major, concurrent_traces_session[1])
+        runs = [name for name, _, _ in trace.phase_runs()]
+        assert runs == ["mark", "adjust", "mark", "adjust", "drain"]
+        assert list(trace.residuals) == ["setup", "mark", "adjust",
+                                         "drain", "compact", "summary"]
+        slow_platform, _, _ = platform_for(platform_name)
+        fast_platform, _, _ = platform_for(platform_name)
+        slow = TraceReplayer(slow_platform, threads=threads)
+        fast = FastTraceReplayer(fast_platform, threads=threads)
+        for _ in range(2):  # the second replay starts from the first's state
+            assert_equivalent(fast.replay(trace), slow.replay(trace))
+        assert fast.clock == pytest.approx(slow.clock, rel=REL)
+        assert_counters_match(fast_platform, slow_platform,
+                              horizons_skipped(fast))
+        port = fast_platform.port
+        if hasattr(port, "_anon_cube"):
+            assert port._anon_cube == slow_platform.port._anon_cube
+        if fast_platform.device is not None:
+            slices = fast_platform.device.bitmap_cache.slices
+            # Four flushed runs and one residual-only flush, twice.
+            assert [s.flushes for s in slices] == [10] * len(slices)
+            assert sum(s.cache.writebacks for s in slices) > 0
+
+    @pytest.mark.parametrize("platform_name", ["cpu-hmc", "charon",
+                                               "charon-distributed"])
+    def test_state_moved_between_traces_is_read_again(
+            self, concurrent_traces_session, platform_name):
+        """A kernel loads the platform's state once per trace, so what
+        moves it between two traces — a direct bitmap-cache flush, an
+        event-by-event replay on the same platform — shows in the next
+        trace, as on the event path."""
+        first, second = concurrent_traces_session[:2]
+        pairs = []
+        for replayer_type in (FastTraceReplayer, TraceReplayer):
+            platform, _, _ = platform_for(platform_name)
+            replayer = replayer_type(platform, threads=8)
+            replayer.replay(first)
+            if platform.device is not None:
+                platform.device.bitmap_cache.flush_all()
+            TraceReplayer(platform, threads=2).replay(second)
+            pairs.append((platform, replayer.replay(first)))
+        (fast_platform, fast), (slow_platform, slow) = pairs
+        assert_equivalent(fast, slow)
+        assert_counters_match(fast_platform, slow_platform)
+
+    @pytest.mark.parametrize("platform_name,threads", [
+        ("cpu-ddr4", 1), ("cpu-ddr4", 8), ("cpu-hmc", 8), ("charon", 8),
+        ("charon-distributed", 8)])
+    def test_concurrent_mark_workload(self, concurrent_mark_run,
+                                      platform_name, threads):
+        """The concurrent-mark workload: 1,476 phase runs over six
+        traces, most of them short, with residual-only barrier phases."""
+        assert sum(len(t.phase_runs())
+                   for t in concurrent_mark_run.traces) == 1476
+        config = runner.workload_config("concurrent-mark")
+        if platform_name == "charon-distributed":
+            platform_name = "charon"
+            config = config.with_distributed_charon(True)
+        platforms = [build_platform(platform_name, config,
+                                    JavaHeap(config.heap,
+                                             klasses=workload_klasses()))
+                     for _ in range(2)]
+        fast = FastTraceReplayer(platforms[0], threads=threads)
+        slow = TraceReplayer(platforms[1], threads=threads)
+        for trace in concurrent_mark_run.traces:
+            assert_equivalent(fast.replay(trace), slow.replay(trace))
+        assert_counters_match(*platforms, horizons_skipped(fast))
+
+    @pytest.mark.parametrize("runs", [
+        "past-the-end", "gap", "overlap", "backwards", "short"])
+    @pytest.mark.parametrize("platform_name,threads", [
+        ("cpu-ddr4", 8), ("cpu-hmc", 8), ("charon", 8), ("ideal", 1)])
+    def test_runs_outside_the_columns_never_reach_c(
+            self, mixed_run, concurrent_traces_session, platform_name,
+            threads, runs):
+        """The step table is checked once, before anything is planned or
+        accounted: phase runs that do not tile the trace's event columns
+        raise ``IndexError`` and the compiled stage 2 is never called."""
+        trace = trap_trace(traces_of_kind(mixed_run, "major")[0],
+                           concurrent_traces_session[1])
+        n = len(trace.events)
+        trace._phase_runs = {
+            "past-the-end": [("mark", 0, n + 8)],
+            "gap": [("mark", 0, 10), ("drain", 12, n)],
+            "overlap": [("mark", 0, 10), ("drain", 8, n)],
+            "backwards": [("mark", 0, 10), ("adjust", 10, 5),
+                          ("drain", 5, n)],
+            "short": [("mark", 0, n - 1)]}[runs]
+        platform, _, _ = platform_for(platform_name)
+        replayer = FastTraceReplayer(platform, threads=threads)
+
+        class Unreachable:
+            def __getattr__(self, name):
+                raise AssertionError(f"stage 2 reached C ({name})")
+
+        replayer._kernel.native = Unreachable()
+        before = counters(platform)
+        with pytest.raises(IndexError, match="phase runs do not tile"):
+            replayer.replay(trace)
+        assert counters(platform) == before
+
+
+@pytest.fixture(scope="module")
+def concurrent_mark_run():
+    return runner.collect_run("concurrent-mark")
 
 
 class TestModeSelection:

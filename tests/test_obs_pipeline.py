@@ -65,6 +65,44 @@ def test_fast_replay_spans_cover_sim_time(tracing, tiny_spark_run):
     assert _sim_gc_coverage(tracing, result) >= 0.95
 
 
+def _phase_spans(tracer, replayer, traces):
+    """``(name, ts, dur, events)`` of the phase spans one replay of
+    ``traces`` records."""
+    tracer.clear()
+    for trace in traces:
+        replayer.replay(trace)
+    return [(e["name"], e["ts"], e["dur"], e["args"].get("events"))
+            for e in tracer.chrome_events()
+            if e.get("cat") == "phase" and e["name"] != "llc-flush"]
+
+
+@pytest.mark.parametrize("platform_name,threads", [
+    ("cpu-ddr4", 1), ("cpu-ddr4", 8), ("cpu-hmc", 8), ("charon", 8),
+    ("charon-distributed", 8), ("ideal", 8)])
+def test_fast_phase_spans_match_event_spans(tracing, mixed_run,
+                                            concurrent_traces_session,
+                                            platform_name, threads):
+    """The fast path's phase spans — read from the kernel's per-step
+    span array — are the event path's: same names in the same order,
+    starts and durations within 1e-9 relative, same event counts
+    (residual-only phases last their share and count no events)."""
+    from tests.test_fast_replay_equivalence import trap_trace
+
+    major = [t for t in mixed_run.traces if t.kind == "major"][0]
+    traces = list(mixed_run.traces) + list(concurrent_traces_session) \
+        + [trap_trace(major, concurrent_traces_session[1])]
+    fast = _phase_spans(tracing, FastTraceReplayer(
+        platform_for(platform_name)[0], threads=threads), traces)
+    slow = _phase_spans(tracing, TraceReplayer(
+        platform_for(platform_name)[0], threads=threads), traces)
+    assert [(name, events) for name, _, _, events in fast] == \
+        [(name, events) for name, _, _, events in slow]
+    assert any(events == 0 for *_, events in slow)
+    for (_, ts, dur, _), (_, want_ts, want_dur, _) in zip(fast, slow):
+        assert ts == pytest.approx(want_ts, rel=1e-9, abs=1e-12)
+        assert dur == pytest.approx(want_dur, rel=1e-9, abs=1e-12)
+
+
 def test_collectors_emit_host_spans(tracing):
     from tests.conftest import make_mixed_run
 

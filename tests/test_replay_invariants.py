@@ -22,25 +22,33 @@ Charon kernels, unified, distributed and CPU-side):
   cache absorbs some copy bytes);
 * fast and event-by-event replay agree within the golden 1e-9 contract;
 * replay is deterministic: two replays on fresh platforms are
-  bit-identical.
+  bit-identical;
+* the LRU stack property: at a fixed set count, a bitmap cache with
+  more ways never gets fewer hits, flushes between MajorGC phases
+  included.
 """
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.config import default_fuzz_config
+from repro.config import default_config, default_fuzz_config
+from repro.cpu.cache import SetAssociativeCache
 from repro.errors import ProtectionFault
 from repro.fuzz.differential import run_schedule
 from repro.fuzz.generator import build_schedule
 from repro.gcalgo.columnar import trace_from_columns
 from repro.gcalgo.trace import PRIMITIVE_TYPE_CODES, STAT_FIELDS, Primitive
+from repro.heap.heap import JavaHeap
+from repro.platform.factory import build_platform
 from repro.platform.fast_replay import make_replayer
 from repro.sim.resources import FluidResource
+from repro.workloads.base import workload_klasses
 
-from tests.conftest import platform_for
+from tests.conftest import SMALL_HEAP_BYTES, platform_for
 from tests.test_fast_replay_equivalence import assert_equivalent
 
 PLATFORMS = ("ideal", "cpu-ddr4", "cpu-hmc", "charon", "charon-cpuside",
@@ -222,3 +230,64 @@ def test_schedules_yield_events(collector):
     """Every collector's schedules produce traces with events, so the
     properties above are not vacuous."""
     assert sum(len(trace.events) for trace in fuzz_traces(1, collector))
+
+
+# -- the LRU stack property (more ways never lose hits) ---------------------
+
+#: One operation on a cache: read or write a line-sized address, or
+#: flush the whole cache (a MajorGC phase end).
+cache_ops = st.lists(st.one_of(
+    st.tuples(st.just("access"), st.integers(min_value=0, max_value=4095),
+              st.booleans()),
+    st.just(("flush",))), max_size=300)
+
+
+@given(cache_ops, st.integers(min_value=1, max_value=7),
+       st.sampled_from((1, 2, 4)))
+@settings(max_examples=200, deadline=None)
+def test_lru_stack_property(ops, ways, sets):
+    """At a fixed set count, an LRU cache with ``ways + 1`` ways holds
+    every line one with ``ways`` ways holds, so it never gets fewer hits
+    on the same accesses — flushes included, which empty both."""
+    line = 32
+    small = SetAssociativeCache(sets * ways * line, ways, line)
+    large = SetAssociativeCache(sets * (ways + 1) * line, ways + 1, line)
+    for op in ops:
+        for cache in (small, large):
+            if op[0] == "flush":
+                cache.flush()
+            else:
+                cache.access(op[1] * 8, op[2])
+        assert large.hits >= small.hits
+
+
+@pytest.mark.parametrize("name", ["charon", "charon-distributed"])
+def test_more_bitmap_cache_ways_never_lose_hits(mixed_run,
+                                                concurrent_traces_session,
+                                                name):
+    """The Bitmap Count unit's cache hits on the golden major trace (and
+    the concurrent traces, whose marking writes lines the MajorGC-phase
+    flushes write back) do not fall as the ways grow 1, 2, 4, 8 at a
+    fixed set count; the fast replay's compiled tag state and flushes
+    count exactly what the event path does."""
+    major = [t for t in mixed_run.traces if t.kind == "major"]
+    config = default_config().with_heap_bytes(SMALL_HEAP_BYTES) \
+        .with_distributed_charon(name == "charon-distributed")
+    for traces in (major, concurrent_traces_session):
+        hits = []
+        for ways in (1, 2, 4, 8):
+            charon = dataclasses.replace(
+                config.charon, bitmap_cache_ways=ways,
+                bitmap_cache_bytes=ways * config.charon.bitmap_cache_bytes
+                // config.charon.bitmap_cache_ways)
+            cell = dataclasses.replace(config, charon=charon)
+            fast, slow = (
+                make_replayer(build_platform("charon", cell, JavaHeap(
+                    cell.heap, klasses=workload_klasses())),
+                              threads=8, mode=mode).replay_all(traces)
+                for mode in ("fast", "event"))
+            assert (fast.bitmap_cache_hits, fast.bitmap_cache_accesses) \
+                == (slow.bitmap_cache_hits, slow.bitmap_cache_accesses)
+            hits.append(fast.bitmap_cache_hits)
+        assert hits == sorted(hits), hits
+        assert hits[-1] > hits[0], hits  # not vacuous
