@@ -6,13 +6,14 @@ performance: functional scavenge throughput, the bitmap count
 datapaths, the bitmap cache, and offload dispatch.
 """
 
-from repro.config import HeapConfig
+from repro.config import HeapConfig, default_config
 from repro.core.bitmap_math import streaming_live_words
 from repro.cpu.cache import SetAssociativeCache
 from repro.gcalgo.parallel_scavenge import MinorGC
 from repro.gcalgo.trace import Primitive, TraceEvent
 from repro.heap.heap import JavaHeap
 from repro.heap.mark_bitmap import MarkBitmaps
+from repro.heap.spaces import HeapLayout
 from repro.platform import TraceReplayer, build_platform
 from repro.workloads.base import workload_klasses
 
@@ -89,15 +90,12 @@ def test_bitmap_cache_access(benchmark):
 
 def test_offload_dispatch_rate(benchmark):
     """End-to-end offload cost: packet, routing, unit, response."""
-    heap = JavaHeap(HeapConfig(heap_bytes=HEAP_BYTES),
-                    klasses=workload_klasses())
-    platform = build_platform(
-        "charon",
-        __import__("repro.config", fromlist=["default_config"])
-        .default_config().with_heap_bytes(HEAP_BYTES), heap)
+    config = default_config().with_heap_bytes(HEAP_BYTES)
+    platform = build_platform("charon", config)
+    layout = HeapLayout(config.heap)
     event = TraceEvent(Primitive.COPY, "evacuate",
-                       src=heap.layout.eden.start,
-                       dst=heap.layout.old.start, size_bytes=4096)
+                       src=layout.eden.start,
+                       dst=layout.old.start, size_bytes=4096)
     clock = iter(range(1, 10_000_000))
 
     def offload():
@@ -111,12 +109,10 @@ def test_trace_replay_throughput(benchmark):
     """Replayer event rate on a real minor-GC trace."""
     heap = populated_heap()
     trace = MinorGC(heap).collect()
-    from repro.config import default_config
     config = default_config().with_heap_bytes(HEAP_BYTES)
 
     def replay():
-        fresh = JavaHeap(config.heap, klasses=workload_klasses())
-        platform = build_platform("cpu-ddr4", config, fresh)
+        platform = build_platform("cpu-ddr4", config)
         return TraceReplayer(platform).replay(trace)
 
     result = benchmark(replay)

@@ -10,6 +10,7 @@ the way a ported collector would.
 from repro import MinorGC, MarkSweepGC, Primitive, default_config
 from repro.core.intrinsics import CharonRuntime
 from repro.core.device import CharonDevice
+from repro.heap.spaces import HeapInfo
 from repro.mem.hmc import HMCSystem
 from repro.platform.factory import build_vm
 from repro.workloads.graphchi import ConnectedComponents
@@ -65,10 +66,10 @@ def main() -> None:
 
     # Now the raw intrinsics, as a ported collector would call them.
     config = default_config().with_heap_bytes(heap.config.heap_bytes)
-    vm = build_vm(config, heap)
+    vm = build_vm(config)
     device = CharonDevice(config, HMCSystem(config.hmc), vm)
     runtime = CharonRuntime(device)
-    entries = runtime.initialize(heap, vm)
+    entries = runtime.initialize(HeapInfo.of(config.heap), vm)
     print(f"\ninitialize(): {entries} TLB entries pinned DRAM-side")
 
     now = 0.0

@@ -51,8 +51,7 @@ def main() -> None:
 
     print("\nreplaying the pause:")
     for name in ("cpu-ddr4", "charon"):
-        fresh = JavaHeap(config.heap, klasses=workload_klasses())
-        platform = build_platform(name, config, fresh)
+        platform = build_platform(name, config)
         result = TraceReplayer(platform).replay(trace)
         print(f"  {name:10s} {result.wall_seconds * 1e6:8.1f} us")
 

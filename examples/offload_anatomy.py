@@ -4,27 +4,27 @@ where it is routed, and how the four processing units spend their time.
     python examples/offload_anatomy.py
 """
 
-from repro import JavaHeap, Primitive, default_config
+from repro import Primitive, default_config
 from repro.core.device import CharonDevice
-from repro.core.intrinsics import heap_info_of
 from repro.core.packets import OffloadRequest
 from repro.gcalgo.trace import TraceEvent
+from repro.heap.spaces import HeapInfo, HeapLayout
 from repro.mem.hmc import HMCSystem
 from repro.platform.factory import build_vm
 
 
 def main() -> None:
     config = default_config().with_heap_bytes(16 * 1024 * 1024)
-    heap = JavaHeap(config.heap)
-    vm = build_vm(config, heap)
+    layout, info = HeapLayout(config.heap), HeapInfo.of(config.heap)
+    vm = build_vm(config)
     hmc = HMCSystem(config.hmc)
     device = CharonDevice(config, hmc, vm)
-    device.initialize(heap_info_of(heap), vm)
+    device.initialize(info, vm)
 
     # The wire format of Sec. 4.1.
     request = OffloadRequest(Primitive.COPY, dest_cube=1,
-                             src=heap.layout.eden.start,
-                             dst=heap.layout.old.start, arg=65536)
+                             src=layout.eden.start,
+                             dst=layout.old.start, arg=65536)
     packet = request.encode()
     print(f"offload request packet ({len(packet)} bytes): "
           f"{packet.hex()}")
@@ -33,24 +33,24 @@ def main() -> None:
     events = [
         ("Copy 256 B (one object)",
          TraceEvent(Primitive.COPY, "evacuate",
-                    src=heap.layout.eden.start,
-                    dst=heap.layout.old.start, size_bytes=256)),
+                    src=layout.eden.start,
+                    dst=layout.old.start, size_bytes=256)),
         ("Copy 1 MB (an ALS factor matrix)",
          TraceEvent(Primitive.COPY, "evacuate",
-                    src=heap.layout.eden.start,
-                    dst=heap.layout.old.start, size_bytes=1 << 20)),
+                    src=layout.eden.start,
+                    dst=layout.old.start, size_bytes=1 << 20)),
         ("Search 64 cards",
          TraceEvent(Primitive.SEARCH, "card-search",
-                    src=heap.card_table.table_base, size_bytes=64)),
+                    src=info.card_table_base, size_bytes=64)),
         ("Scan&Push 2 refs (a Spark record)",
          TraceEvent(Primitive.SCAN_PUSH, "evacuate",
-                    src=heap.layout.eden.start, refs=2, pushes=1)),
+                    src=layout.eden.start, refs=2, pushes=1)),
         ("Scan&Push 48 refs (a graph adjacency chunk)",
          TraceEvent(Primitive.SCAN_PUSH, "mark",
-                    src=heap.layout.old.start, refs=48, pushes=20)),
+                    src=layout.old.start, refs=48, pushes=20)),
         ("Bitmap Count 256 bits (half a region)",
          TraceEvent(Primitive.BITMAP_COUNT, "adjust",
-                    src=heap.layout.old.start, bits=256)),
+                    src=layout.old.start, bits=256)),
     ]
     print(f"{'primitive invocation':44s} {'cube':>4s} "
           f"{'round trip':>11s}")

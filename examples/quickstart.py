@@ -42,9 +42,7 @@ def main() -> None:
     print("\nGC time by platform (identical logical work):")
     baseline = None
     for name in ("cpu-ddr4", "cpu-hmc", "charon", "ideal"):
-        platform_heap = JavaHeap(config.heap)
-        platform_heap.klasses.define_instance("ListNode", ref_fields=2)
-        platform = build_platform(name, config, platform_heap)
+        platform = build_platform(name, config)
         result = TraceReplayer(platform).replay_all(traces)
         if baseline is None:
             baseline = result.wall_seconds

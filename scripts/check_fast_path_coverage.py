@@ -23,7 +23,12 @@ each of the 1/2/4/8 GC-thread counts the paper sweeps, then fails if
   trace (a closed-form cell, none): the phase loop, residual shares
   and bitmap-cache flushes run inside that one call.  The script counts
   the calls by wrapping the library's entry points
-  (``native.TRACE_ENTRIES``).
+  (``native.TRACE_ENTRIES``), or
+* a cell builds a ``JavaHeap`` while its platform is built or its
+  traces replay: a platform takes the heap's layout
+  (``HeapInfo.of(config.heap)``), never a heap.  The script counts
+  constructions by wrapping ``JavaHeap.__init__`` once the trace sets
+  below are generated.
 
 The trace sets themselves are generated fresh at the top, which also
 pins the *collect-side* fast path: the script fails if that generation
@@ -111,6 +116,22 @@ def count_stage2_calls(lib) -> dict:
     return calls
 
 
+def count_heaps() -> dict:
+    """Wrap ``JavaHeap.__init__``; returns the live construction count
+    (under ``"JavaHeap"``)."""
+    from repro.heap.heap import JavaHeap
+
+    built = {"JavaHeap": 0}
+    init = JavaHeap.__init__
+
+    def counted(self, *args, **kwargs):
+        built["JavaHeap"] += 1
+        init(self, *args, **kwargs)
+
+    JavaHeap.__init__ = counted
+    return built
+
+
 def main() -> int:
     from repro.errors import ReproError
     from repro.obs.metrics import global_metrics
@@ -183,10 +204,12 @@ def main() -> int:
         print(f"collect-side kernels: {fast_calls:.0f} fast calls, "
               f"{majors:.0f} native MajorGC runs, 0 fallbacks, "
               f"0 scalar collector runs")
+    heaps = count_heaps()  # only capture builds heaps, and it is done
     planned = set()  # trace sets some Charon cell has planned
     kept = set()  # (platform, trace set) whose plans the traces keep
     for name in PLATFORMS:
         for threads in THREADS:
+            built = heaps["JavaHeap"]
             platform, _, _ = platform_for(name)
             try:
                 replayer = make_replayer(platform, threads=threads)
@@ -224,6 +247,12 @@ def main() -> int:
                 else:
                     print(f"{name:15s} x{threads} {set_name:8s} -> "
                           f"{result.replay_kernel}")
+            if heaps["JavaHeap"] != built:
+                failures.append(
+                    f"{name} x{threads}: built "
+                    f"{heaps['JavaHeap'] - built} JavaHeap(s) to build "
+                    f"the platform or replay (a replay takes the "
+                    f"layout, never a heap)")
 
     # Publish the verdict as a gauge in the registry (exported by
     # REPRO_OBS_OUT) — a kernel-coverage regression then shows up in
@@ -246,7 +275,8 @@ def main() -> int:
               f"trace sets, every cell on a replay kernel, no kept "
               f"Charon plan re-planned ({charon_misses():.0f} plans "
               f"built), one native stage-2 call per batched trace "
-              f"({sum(stage2_calls.values())} calls)")
+              f"({sum(stage2_calls.values())} calls), no JavaHeap "
+              f"built by any replay")
     return 1 if failures else 0
 
 

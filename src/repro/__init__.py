@@ -27,7 +27,7 @@ Quickstart::
     obj = heap.new_object("typeArray", length=1024)
     heap.roots.append(obj.addr)
     trace = MinorGC(heap).collect()
-    platform = build_platform("charon", config, heap)
+    platform = build_platform("charon", config)
     result = TraceReplayer(platform).replay(trace)
     print(result.wall_seconds)
 """

@@ -325,9 +325,7 @@ def _trace_file(path: str) -> str:
 
 
 def _cmd_replay(args) -> str:
-    from repro.heap.heap import JavaHeap
     from repro.platform import FastTraceReplayer, make_replayer
-    from repro.workloads.base import workload_klasses
 
     traces, _ = load_compiled(_trace_file(args.input))
     heap_bytes = max((t.heap_bytes for t in traces), default=0) \
@@ -335,8 +333,7 @@ def _cmd_replay(args) -> str:
     config = default_config().with_heap_bytes(heap_bytes)
     if args.distributed:
         config = config.with_distributed_charon(True)
-    heap = JavaHeap(config.heap, klasses=workload_klasses())
-    platform = build_platform(args.platform, config, heap)
+    platform = build_platform(args.platform, config)
     replayer = make_replayer(platform, threads=args.threads,
                              mode=args.mode)
     path_note = ("fast path" if isinstance(replayer, FastTraceReplayer)
@@ -377,14 +374,11 @@ def _cmd_cache(args) -> str:
 
 def _cmd_report(args) -> str:
     from repro.core.report import full_report
-    from repro.heap.heap import JavaHeap
     from repro.platform import FastTraceReplayer
-    from repro.workloads.base import workload_klasses
     from repro.experiments.runner import workload_config
 
     config = workload_config(args.workload)
-    heap = JavaHeap(config.heap, klasses=workload_klasses())
-    platform = build_platform("charon", config, heap)
+    platform = build_platform("charon", config)
     FastTraceReplayer(platform).replay_all(
         collect_run(args.workload).traces)
     return full_report(platform.device)
@@ -393,18 +387,15 @@ def _cmd_report(args) -> str:
 def _cmd_stats(args) -> str:
     from repro.experiments.runner import workload_config
     from repro.experiments.store import CACHES
-    from repro.heap.heap import JavaHeap
     from repro.obs.adapters import (device_metrics, hmc_metrics,
                                     timing_metrics)
     from repro.obs.export import metrics_csv, metrics_snapshot
     from repro.obs.metrics import global_metrics
     from repro.platform import FastTraceReplayer
-    from repro.workloads.base import workload_klasses
 
     heap_bytes = args.heap_mb * (1 << 20) if args.heap_mb else None
     config = workload_config(args.workload, heap_bytes)
-    heap = JavaHeap(config.heap, klasses=workload_klasses())
-    platform = build_platform(args.platform, config, heap)
+    platform = build_platform(args.platform, config)
     result = FastTraceReplayer(platform, threads=args.threads).replay_all(
         gc_traces(args.workload, heap_bytes))
 

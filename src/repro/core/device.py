@@ -17,7 +17,6 @@ returned time is when the (blocked) host thread resumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import SystemConfig
@@ -29,6 +28,7 @@ from repro.core.units import (BitmapCountUnit, CharonContext, CopySearchUnit,
                               ProcessingUnit, ScanPushUnit)
 from repro.errors import ConfigError
 from repro.gcalgo.trace import Primitive, TraceEvent
+from repro.heap.spaces import HeapInfo
 from repro.mem.hmc import HMCSystem
 from repro.mem.vm import VirtualMemory
 from repro.units import WORD
@@ -36,19 +36,6 @@ from repro.units import WORD
 #: The MajorGC phases after which the bitmap cache is flushed for
 #: coherence with the host (Sec. 4.5).
 FLUSHED_PHASES = ("mark", "adjust", "compact")
-
-
-@dataclass(frozen=True)
-class HeapInfo:
-    """The globally-accessed addresses ``initialize()`` configures
-    (Sec. 4.1): heap bounds, bitmap base/size, card-table base."""
-
-    heap_start: int
-    heap_end: int
-    bitmap_base: int
-    bitmap_bytes: int
-    bitmap_covered_start: int
-    card_table_base: int
 
 
 class CharonDevice:

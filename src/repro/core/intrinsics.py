@@ -20,24 +20,12 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.device import CharonDevice, HeapInfo
+from repro.core.device import CharonDevice
 from repro.core.packets import OffloadRequest, OffloadResponse
 from repro.errors import ConfigError
 from repro.gcalgo.trace import Primitive, TraceEvent
-from repro.heap.heap import JavaHeap
+from repro.heap.spaces import HeapInfo
 from repro.mem.vm import VirtualMemory
-
-
-def heap_info_of(heap: JavaHeap) -> HeapInfo:
-    """Derive the ``initialize()`` register values from a heap."""
-    return HeapInfo(
-        heap_start=heap.layout.heap_start,
-        heap_end=heap.layout.heap_end,
-        bitmap_base=heap.bitmaps.bitmap_base,
-        bitmap_bytes=heap.bitmaps.bitmap_bytes,
-        bitmap_covered_start=heap.bitmaps.covered_start,
-        card_table_base=heap.card_table.table_base,
-    )
 
 
 class CharonRuntime:
@@ -47,10 +35,10 @@ class CharonRuntime:
         self.device = device
         self.initialized = False
 
-    def initialize(self, heap: JavaHeap, vm: VirtualMemory,
+    def initialize(self, info: HeapInfo, vm: VirtualMemory,
                    pcid: int = 0) -> int:
         """Program the device at application launch."""
-        entries = self.device.initialize(heap_info_of(heap), vm, pcid)
+        entries = self.device.initialize(info, vm, pcid)
         self.initialized = True
         return entries
 

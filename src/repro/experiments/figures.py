@@ -13,10 +13,8 @@ from repro.experiments.runner import (collect_run, find_min_heap,
                                       replay_grid, replay_platform,
                                       workload_config)
 from repro.gcalgo.trace import Primitive
-from repro.heap.heap import JavaHeap
 from repro.platform import FastTraceReplayer, build_platform
 from repro.units import align_up, geomean
-from repro.workloads.base import workload_klasses
 from repro.workloads.registry import TABLE3_WORKLOADS, WORKLOAD_ABBREV
 
 ALL_WORKLOADS: Sequence[str] = TABLE3_WORKLOADS
@@ -76,8 +74,7 @@ def figure4(workloads: Optional[Iterable[str]] = None
             traces = [trace for trace in run.traces if trace.kind == kind]
             if not traces:
                 continue
-            heap = JavaHeap(config.heap, klasses=workload_klasses())
-            platform = build_platform("cpu-ddr4", config, heap)
+            platform = build_platform("cpu-ddr4", config)
             result = FastTraceReplayer(platform).replay_all(traces)
             total = (result.offloadable_seconds
                      + result.residual_seconds)

@@ -21,21 +21,19 @@ from typing import Dict, List
 
 from repro.config import SystemConfig, default_config
 from repro.gcalgo.trace import Primitive, TraceEvent
-from repro.heap.heap import JavaHeap
+from repro.heap.spaces import HeapLayout
 from repro.mem.hmc import HMCSystem
 from repro.platform.factory import build_platform
 from repro.units import CACHE_LINE, MB
-from repro.workloads.base import workload_klasses
 
 HEAP_BYTES = 16 * MB
 
 
 def _kit(config: SystemConfig = None):
     config = config or default_config().with_heap_bytes(HEAP_BYTES)
-    heap = JavaHeap(config.heap, klasses=workload_klasses())
-    host = build_platform("cpu-ddr4", config, heap)
-    charon = build_platform("charon", config, heap)
-    return config, heap, host, charon
+    host = build_platform("cpu-ddr4", config)
+    charon = build_platform("charon", config)
+    return config, HeapLayout(config.heap), host, charon
 
 
 def linked_list_study(nodes: int = 4096) -> List[Dict[str, object]]:
@@ -47,7 +45,7 @@ def linked_list_study(nodes: int = 4096) -> List[Dict[str, object]]:
     a logic-layer access (TSV) — nothing like the bandwidth-parallel
     wins of the real primitives.
     """
-    config, heap, host, charon = _kit()
+    config, layout, host, charon = _kit()
     node_bytes = CACHE_LINE
 
     # Host: N dependent cold misses.
@@ -70,8 +68,8 @@ def linked_list_study(nodes: int = 4096) -> List[Dict[str, object]]:
     # The same byte volume as a Copy primitive, for contrast.
     volume = nodes * node_bytes
     copy_event = TraceEvent(Primitive.COPY, "evacuate",
-                            src=heap.layout.eden.start,
-                            dst=heap.layout.old.start,
+                            src=layout.eden.start,
+                            dst=layout.old.start,
                             size_bytes=volume)
     host_copy = host.cost_model.event_finish(0.0, copy_event)
     charon_copy = charon.offload_finish(0.0, copy_event, "minor")
@@ -99,7 +97,7 @@ def check_mark_study() -> List[Dict[str, object]]:
     The offload packet path alone dwarfs the operation, which is the
     paper's "small offloading granularity" point.
     """
-    config, heap, host, charon = _kit()
+    config = default_config().with_heap_bytes(HEAP_BYTES)
     hmc = HMCSystem(config.hmc)
 
     host_seconds = config.ddr4.access_latency_s \

@@ -32,7 +32,6 @@ from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 from repro.config import SystemConfig, default_config, settings
 from repro.errors import ConfigError, OutOfMemoryError
 from repro.experiments import trace_cache
-from repro.heap.heap import JavaHeap
 from repro.obs import provenance
 from repro.obs.adapters import timing_metrics
 from repro.obs.metrics import global_metrics
@@ -41,7 +40,6 @@ from repro.platform import build_platform, native
 from repro.platform.fast_replay import FastTraceReplayer
 from repro.platform.timing import GCTimingResult
 from repro.workloads import get_workload, run_workload
-from repro.workloads.base import workload_klasses
 from repro.workloads.mutator import WorkloadRun
 
 _RUN_CACHE: Dict[Tuple[str, int], WorkloadRun] = {}
@@ -103,17 +101,6 @@ def clear_cache() -> None:
     _REPLAY_CACHE.clear()
 
 
-def layout_heap(name: str,
-                heap_bytes: Optional[int] = None) -> JavaHeap:
-    """A heap with the same address layout the cached run used.
-
-    Platforms only need the layout/metadata addresses, which depend
-    solely on the heap configuration.
-    """
-    config = workload_config(name, heap_bytes)
-    return JavaHeap(config.heap, klasses=workload_klasses())
-
-
 def gc_traces(name: str, heap_bytes: Optional[int]) -> list:
     """The run's GC traces; a heap so large that the workload never
     collects leaves nothing to replay, which is a ``ConfigError``."""
@@ -143,9 +130,7 @@ def replay_platform(platform_name: str, name: str,
     key = (platform_name, name, resolved_config, threads)
     if key not in _REPLAY_CACHE:
         traces = gc_traces(name, heap_bytes)
-        heap = JavaHeap(resolved_config.heap,
-                        klasses=workload_klasses())
-        platform = build_platform(platform_name, resolved_config, heap)
+        platform = build_platform(platform_name, resolved_config)
         replayer = FastTraceReplayer(platform, threads=threads)
         with get_tracer().span("replay", cat="runner", workload=name,
                                platform=platform_name):

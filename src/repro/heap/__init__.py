@@ -11,7 +11,7 @@ primitive traces that the timing layer replays.
 
 from repro.heap.klass import KlassDescriptor, KlassKind, KlassTable
 from repro.heap.object_model import MarkWord, ObjectView
-from repro.heap.spaces import HeapLayout, Space
+from repro.heap.spaces import HeapInfo, HeapLayout, Space
 from repro.heap.card_table import CardTable
 from repro.heap.mark_bitmap import MarkBitmaps
 from repro.heap.heap import JavaHeap
@@ -23,6 +23,7 @@ __all__ = [
     "KlassTable",
     "MarkWord",
     "ObjectView",
+    "HeapInfo",
     "HeapLayout",
     "Space",
     "CardTable",

@@ -24,22 +24,28 @@ CLEAN = 0xFF
 DIRTY = 0x00
 
 
+def card_count(covered_start: int, covered_end: int,
+               card_bytes: int) -> int:
+    """Cards (table bytes) covering ``[covered_start, covered_end)``."""
+    if covered_end <= covered_start:
+        raise ConfigError("card table covers an empty range")
+    if card_bytes <= 0 or card_bytes & (card_bytes - 1):
+        raise ConfigError("card size must be a power of two")
+    return -(-(covered_end - covered_start) // card_bytes)
+
+
 class CardTable:
     """One byte per ``card_bytes`` of the covered range."""
 
     def __init__(self, covered_start: int, covered_end: int,
                  card_bytes: int = 512, table_base: int = 0) -> None:
-        if covered_end <= covered_start:
-            raise ConfigError("card table covers an empty range")
-        if card_bytes <= 0 or card_bytes & (card_bytes - 1):
-            raise ConfigError("card size must be a power of two")
+        n_cards = card_count(covered_start, covered_end, card_bytes)
         self.covered_start = covered_start
         self.covered_end = covered_end
         self.card_bytes = card_bytes
         #: virtual address where the table itself lives (for traffic
         #: modelling of the Search primitive).
         self.table_base = table_base
-        n_cards = -(-(covered_end - covered_start) // card_bytes)
         self.bytes = np.full(n_cards, CLEAN, dtype=np.uint8)
 
     @property

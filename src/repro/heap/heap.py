@@ -26,7 +26,7 @@ from repro.heap.klass import (ARRAY_LENGTH_OFFSET, HEADER_BYTES,
                               standard_klass_table)
 from repro.heap.mark_bitmap import MarkBitmaps
 from repro.heap.object_model import MarkWord, ObjectView
-from repro.heap.spaces import HeapLayout, Space
+from repro.heap.spaces import HeapInfo, HeapLayout, Space
 from repro.units import WORD, align_up
 
 
@@ -37,6 +37,7 @@ class JavaHeap:
                  klasses: Optional[KlassTable] = None) -> None:
         self.config = config or HeapConfig()
         self.layout = HeapLayout(self.config)
+        info = HeapInfo.of(self.config)
         self.klasses = klasses or standard_klass_table()
         self.base = self.layout.heap_start
         size = self.layout.heap_end - self.layout.heap_start
@@ -44,21 +45,15 @@ class JavaHeap:
         # a scaled heap costs RSS for the bytes the workload uses.
         self.buffer = np.zeros(size, dtype=np.uint8)
         self._u64 = self.buffer.view(np.uint64)
-        # Metadata regions sit above the heap in the virtual address
-        # space (their *contents* live in dedicated structures; the
-        # addresses are what the traffic models see).  The base is
-        # huge-page aligned so the heap's huge-page mapping and the
-        # metadata's finer pinned mapping never overlap.
-        metadata_base = align_up(self.layout.heap_end, 1 << 20)
+        # The metadata's *contents* live in dedicated structures; its
+        # addresses (HeapInfo's) are what the traffic models see.
         old = self.layout.old
         self.card_table = CardTable(old.start, old.end,
                                     card_bytes=self.config.card_bytes,
-                                    table_base=metadata_base)
-        bitmap_base = align_up(metadata_base + self.card_table.num_cards,
-                               4096)
+                                    table_base=info.card_table_base)
         self.bitmaps = MarkBitmaps(self.layout.heap_start,
                                    self.layout.heap_end,
-                                   bitmap_base=bitmap_base)
+                                   bitmap_base=info.bitmap_base)
         #: the root set: object addresses reachable from outside the heap
         #: (stack slots, globals).  Collectors update entries in place.
         self.roots: List[int] = []

@@ -31,22 +31,28 @@ def _popcount(value: int) -> int:
     return popcount_int(value)
 
 
+def bitmap_nbytes(covered_start: int, covered_end: int) -> int:
+    """Bytes of one bitmap over ``[covered_start, covered_end)``: a bit
+    per heap word, in whole u64 words."""
+    if covered_end <= covered_start:
+        raise ConfigError("bitmap covers an empty range")
+    if covered_start % WORD or covered_end % WORD:
+        raise ConfigError("bitmap bounds must be word aligned")
+    return -(-(covered_end - covered_start) // (64 * WORD)) * 8
+
+
 class MarkBitmaps:
     """Paired begin/end bitmaps covering ``[covered_start, covered_end)``."""
 
     def __init__(self, covered_start: int, covered_end: int,
                  bitmap_base: int = 0) -> None:
-        if covered_end <= covered_start:
-            raise ConfigError("bitmap covers an empty range")
-        if covered_start % WORD or covered_end % WORD:
-            raise ConfigError("bitmap bounds must be word aligned")
+        n_words = bitmap_nbytes(covered_start, covered_end) // 8
         self.covered_start = covered_start
         self.covered_end = covered_end
         #: virtual address of the begin bitmap itself; the end bitmap
         #: lives at ``bitmap_base + OFFSET`` (Fig. 8 line 3).
         self.bitmap_base = bitmap_base
         self.num_bits = (covered_end - covered_start) // WORD
-        n_words = -(-self.num_bits // 64)
         self.beg = np.zeros(n_words, dtype=np.uint64)
         self.end = np.zeros(n_words, dtype=np.uint64)
 

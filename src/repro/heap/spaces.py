@@ -1,4 +1,5 @@
-"""Heap spaces and the generational layout (Fig. 1).
+"""Heap spaces, the generational layout (Fig. 1) and the metadata
+addresses above it (:class:`HeapInfo`).
 
 The heap splits into a Young generation — Eden plus two Survivor
 semispaces (From/To) — and an Old generation, at the HotSpot default
@@ -12,7 +13,9 @@ from typing import List, Optional
 
 from repro.config import HeapConfig
 from repro.errors import ConfigError, OutOfMemoryError
-from repro.units import align_down
+from repro.heap.card_table import card_count
+from repro.heap.mark_bitmap import bitmap_nbytes
+from repro.units import align_down, align_up
 
 
 class Space:
@@ -140,3 +143,45 @@ class HeapLayout:
             if space.contains(addr):
                 return space
         return None
+
+
+@dataclass(frozen=True)
+class HeapInfo:
+    """The globally-accessed addresses ``initialize()`` configures
+    (Sec. 4.1): heap bounds, bitmap base/size, card-table base (and
+    the table's size, which places the bitmaps)."""
+
+    heap_start: int
+    heap_end: int
+    bitmap_base: int
+    bitmap_bytes: int
+    bitmap_covered_start: int
+    card_table_base: int
+    card_table_bytes: int
+
+    @classmethod
+    def of(cls, config: HeapConfig) -> "HeapInfo":
+        """The addresses a :class:`~repro.heap.heap.JavaHeap` built from
+        ``config`` holds, without allocating it; raises the same
+        :class:`ConfigError` for an invalid ``config``.
+
+        The metadata sits above the heap in the virtual address space
+        (the card table, then the begin and end bitmaps).  Its base is
+        huge-page aligned, so the heap's huge-page mapping and the
+        metadata's finer pinned mapping never overlap.
+        """
+        layout = HeapLayout(config)
+        start, end = layout.heap_start, layout.heap_end
+        cards = card_count(layout.old.start, layout.old.end,
+                           config.card_bytes)
+        metadata_base = align_up(end, 1 << 20)
+        return cls(heap_start=start, heap_end=end,
+                   bitmap_base=align_up(metadata_base + cards, 4096),
+                   bitmap_bytes=bitmap_nbytes(start, end),
+                   bitmap_covered_start=start,
+                   card_table_base=metadata_base, card_table_bytes=cards)
+
+    @property
+    def metadata_end(self) -> int:
+        """Where the metadata ends: past the end bitmap."""
+        return self.bitmap_base + 2 * self.bitmap_bytes

@@ -10,7 +10,7 @@ from repro.core.device import CharonDevice
 from repro.core.intrinsics import CharonRuntime
 from repro.cpu.host import HostProcessor
 from repro.gcalgo.trace import TraceEvent
-from repro.heap.heap import JavaHeap
+from repro.heap.spaces import HeapInfo
 from repro.mem.ddr4 import DDR4System
 from repro.mem.hmc import HMCSystem
 from repro.mem.vm import VirtualMemory
@@ -94,8 +94,7 @@ class CpuHMCPlatform(Platform):
 
     name = "cpu-hmc"
 
-    def __init__(self, config: SystemConfig, heap: JavaHeap,
-                 vm: VirtualMemory) -> None:
+    def __init__(self, config: SystemConfig, vm: VirtualMemory) -> None:
         hmc = HMCSystem(config.hmc)
         super().__init__(config, HMCHostPort(hmc, vm))
         self.hmc = hmc
@@ -108,8 +107,8 @@ class CharonPlatform(Platform):
     name = "charon"
     offloads = True
 
-    def __init__(self, config: SystemConfig, heap: JavaHeap,
-                 vm: VirtualMemory, cpu_side: bool = False) -> None:
+    def __init__(self, config: SystemConfig, vm: VirtualMemory,
+                 cpu_side: bool = False) -> None:
         hmc = HMCSystem(config.hmc)
         super().__init__(config, HMCHostPort(hmc, vm))
         self.hmc = hmc
@@ -119,7 +118,7 @@ class CharonPlatform(Platform):
             self.name = "charon-cpuside"
         self.device = CharonDevice(config, hmc, vm, cpu_side=cpu_side)
         self.runtime = CharonRuntime(self.device)
-        self.runtime.initialize(heap, vm)
+        self.runtime.initialize(HeapInfo.of(config.heap), vm)
         self._flushed = False
 
     def begin_gc(self, now: float) -> float:
@@ -145,8 +144,7 @@ class IdealPlatform(Platform):
     name = "ideal"
     offloads = True
 
-    def __init__(self, config: SystemConfig, heap: JavaHeap,
-                 vm: VirtualMemory) -> None:
+    def __init__(self, config: SystemConfig, vm: VirtualMemory) -> None:
         hmc = HMCSystem(config.hmc)
         super().__init__(config, HMCHostPort(hmc, vm))
         self.hmc = hmc

@@ -8,7 +8,8 @@ from repro.config import HeapConfig, SystemConfig, default_config
 from repro.gcalgo.trace import STAT_FIELDS
 from repro.heap.heap import JavaHeap
 from repro.heap.klass import standard_klass_table
-from repro.platform.factory import build_platform, build_vm
+from repro.heap.spaces import HeapLayout
+from repro.platform.factory import build_platform
 from repro.workloads.base import workload_klasses
 from repro.workloads.graphchi import ConnectedComponents
 from repro.workloads.mutator import MutatorDriver
@@ -109,7 +110,7 @@ def tiny_graph_run():
 
 
 def platform_for(name: str, heap_bytes: int = SMALL_HEAP_BYTES):
-    """(platform, heap, config) triple for a named platform.
+    """(platform, heap layout, config) triple for a named platform.
 
     ``charon-distributed`` is the ``charon`` platform built with the
     per-cube TLB/bitmap-cache slices enabled — the equivalence suite
@@ -119,8 +120,7 @@ def platform_for(name: str, heap_bytes: int = SMALL_HEAP_BYTES):
     if name == "charon-distributed":
         name = "charon"
         cfg = cfg.with_distributed_charon(True)
-    heap = JavaHeap(cfg.heap, klasses=workload_klasses())
-    return build_platform(name, cfg, heap), heap, cfg
+    return build_platform(name, cfg), HeapLayout(cfg.heap), cfg
 
 
 def make_mixed_run(run_name: str = "mixed"):

@@ -16,13 +16,11 @@ from repro.config import default_config
 from repro.errors import ProtectionFault
 from repro.gcalgo.columnar import trace_from_columns
 from repro.gcalgo.trace import STAT_FIELDS
-from repro.heap.heap import JavaHeap
 from repro.obs.metrics import global_metrics
 from repro.platform import batched
 from repro.platform.factory import build_platform
 from repro.platform.fast_replay import FastTraceReplayer
 from repro.platform.replay import TraceReplayer
-from repro.workloads.base import workload_klasses
 
 from tests.conftest import SMALL_HEAP_BYTES
 from tests.test_charon_planning import CODE_SCAN, first_row, mutated
@@ -69,8 +67,7 @@ def traces(mixed_run, g1_traces_session, concurrent_traces_session):
 def replay(config, traces, platform_name="charon", setup=None):
     """Replay ``traces`` in order on a fresh platform; returns the
     results and the platform."""
-    heap = JavaHeap(config.heap, klasses=workload_klasses())
-    platform = build_platform(platform_name, config, heap)
+    platform = build_platform(platform_name, config)
     if setup is not None:
         setup(platform)
     replayer = FastTraceReplayer(platform, threads=config.gc_threads)
@@ -236,8 +233,7 @@ def test_faulting_trace_faults_every_time(mixed_run):
     def unpinned(platform):
         platform.device.context.vm.map_small(src, 4096, cube=1)
 
-    heap = JavaHeap(BASE.heap, klasses=workload_klasses())
-    platform = build_platform("charon", BASE, heap)
+    platform = build_platform("charon", BASE)
     unpinned(platform)
     with pytest.raises(ProtectionFault) as event_fault:
         TraceReplayer(platform).replay(trace)

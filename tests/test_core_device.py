@@ -4,14 +4,13 @@ import pytest
 
 from repro.config import default_config
 from repro.core import area_power
-from repro.core.device import CharonDevice, HeapInfo
-from repro.core.intrinsics import CharonRuntime, heap_info_of
+from repro.core.device import CharonDevice
+from repro.core.intrinsics import CharonRuntime
 from repro.errors import ConfigError
 from repro.gcalgo.trace import Primitive, TraceEvent
-from repro.heap.heap import JavaHeap
+from repro.heap.spaces import HeapInfo, HeapLayout
 from repro.mem.hmc import HMCSystem
 from repro.platform.factory import build_vm
-from repro.workloads.base import workload_klasses
 
 HEAP_BYTES = 8 * 1024 * 1024
 
@@ -20,18 +19,17 @@ def make_kit(cpu_side=False, distributed=False):
     config = default_config().with_heap_bytes(HEAP_BYTES)
     if distributed:
         config = config.with_distributed_charon(True)
-    heap = JavaHeap(config.heap, klasses=workload_klasses())
-    vm = build_vm(config, heap)
+    vm = build_vm(config)
     hmc = HMCSystem(config.hmc)
     device = CharonDevice(config, hmc, vm, cpu_side=cpu_side)
-    device.initialize(heap_info_of(heap), vm)
-    return device, heap, config
+    device.initialize(HeapInfo.of(config.heap), vm)
+    return device, HeapLayout(config.heap), config
 
 
-def copy_event(heap, size=4096):
+def copy_event(layout, size=4096):
     return TraceEvent(Primitive.COPY, "evacuate",
-                      src=heap.layout.eden.start,
-                      dst=heap.layout.old.start, size_bytes=size)
+                      src=layout.eden.start,
+                      dst=layout.old.start, size_bytes=size)
 
 
 class TestDeviceSetup:
@@ -59,37 +57,37 @@ class TestDeviceSetup:
 
     def test_offload_requires_initialize(self):
         config = default_config().with_heap_bytes(HEAP_BYTES)
-        heap = JavaHeap(config.heap, klasses=workload_klasses())
-        vm = build_vm(config, heap)
+        vm = build_vm(config)
         device = CharonDevice(config, HMCSystem(config.hmc), vm)
         with pytest.raises(ConfigError):
-            device.offload_event(0.0, copy_event(heap), "minor")
+            device.offload_event(0.0, copy_event(HeapLayout(config.heap)),
+                                 "minor")
 
 
 class TestOffloadRouting:
     def test_copy_routed_to_source_cube(self):
-        device, heap, _ = make_kit()
-        event = copy_event(heap)
+        device, layout, _ = make_kit()
+        event = copy_event(layout)
         cube = device._target_cube(event)
         assert cube == device.context.vm.cube_of(event.src)
 
     def test_scan_push_routed_to_central(self):
-        device, heap, _ = make_kit()
+        device, layout, _ = make_kit()
         event = TraceEvent(Primitive.SCAN_PUSH, "mark",
-                           src=heap.layout.old.start, refs=4, pushes=2)
+                           src=layout.old.start, refs=4, pushes=2)
         assert device._target_cube(event) == device.central
 
     def test_bitmap_count_routed_to_bitmap_cube(self):
-        device, heap, _ = make_kit()
+        device, layout, _ = make_kit()
         event = TraceEvent(Primitive.BITMAP_COUNT, "adjust",
-                           src=heap.layout.old.start, bits=128)
+                           src=layout.old.start, bits=128)
         cube = device._target_cube(event)
-        bitmap_addr = device._bitmap_addr(heap.layout.old.start)
+        bitmap_addr = device._bitmap_addr(layout.old.start)
         assert cube == device.context.vm.cube_of(bitmap_addr)
 
     def test_least_busy_unit_selected(self):
-        device, heap, _ = make_kit()
-        event = copy_event(heap, size=65536)
+        device, layout, _ = make_kit()
+        event = copy_event(layout, size=65536)
         device.offload_event(0.0, event, "minor")
         cube = device._target_cube(event)
         units = device.units[("copy_search", cube)]
@@ -102,15 +100,15 @@ class TestOffloadRouting:
 
 class TestOffloadTiming:
     def test_all_primitives_complete(self):
-        device, heap, _ = make_kit()
+        device, layout, _ = make_kit()
         events = [
-            copy_event(heap),
+            copy_event(layout),
             TraceEvent(Primitive.SEARCH, "card-search",
-                       src=heap.card_table.table_base, size_bytes=64),
+                       src=device.heap_info.card_table_base, size_bytes=64),
             TraceEvent(Primitive.SCAN_PUSH, "evacuate",
-                       src=heap.layout.eden.start, refs=5, pushes=3),
+                       src=layout.eden.start, refs=5, pushes=3),
             TraceEvent(Primitive.BITMAP_COUNT, "adjust",
-                       src=heap.layout.old.start, bits=256),
+                       src=layout.old.start, bits=256),
         ]
         for event in events:
             finish = device.offload_event(1e-3, event, "minor")
@@ -118,35 +116,35 @@ class TestOffloadTiming:
         assert device.offloads == 4
 
     def test_bigger_copy_takes_longer(self):
-        device, heap, _ = make_kit()
-        small = device.offload_event(0.0, copy_event(heap, 256), "minor")
+        device, layout, _ = make_kit()
+        small = device.offload_event(0.0, copy_event(layout, 256), "minor")
         device.reset_unit_clocks()
-        big = device.offload_event(0.0, copy_event(heap, 1 << 20),
+        big = device.offload_event(0.0, copy_event(layout, 1 << 20),
                                    "minor")
         assert big > small
 
     def test_packet_bytes_accounted(self):
-        device, heap, _ = make_kit()
-        device.offload_event(0.0, copy_event(heap), "minor")
+        device, layout, _ = make_kit()
+        device.offload_event(0.0, copy_event(layout), "minor")
         assert device.request_bytes_sent == 48
         assert device.response_bytes_sent == 16  # copy: no return value
         device.offload_event(0.0, TraceEvent(
             Primitive.SEARCH, "card-search",
-            src=heap.card_table.table_base, size_bytes=64), "minor")
+            src=device.heap_info.card_table_base, size_bytes=64), "minor")
         assert device.response_bytes_sent == 16 + 32
 
     def test_mark_scan_touches_bitmap_cache(self):
-        device, heap, _ = make_kit()
+        device, layout, _ = make_kit()
         event = TraceEvent(Primitive.SCAN_PUSH, "mark",
-                           src=heap.layout.old.start, refs=8, pushes=8)
+                           src=layout.old.start, refs=8, pushes=8)
         device.offload_event(0.0, event, "major")
         cache = device.bitmap_cache.slices[0].cache
         assert cache.accesses > 0
 
     def test_phase_completed_flushes(self):
-        device, heap, _ = make_kit()
+        device, layout, _ = make_kit()
         event = TraceEvent(Primitive.SCAN_PUSH, "mark",
-                           src=heap.layout.old.start, refs=4, pushes=4)
+                           src=layout.old.start, refs=4, pushes=4)
         device.offload_event(0.0, event, "major")
         flushed = device.phase_completed("mark")
         assert flushed >= 0
@@ -157,14 +155,14 @@ class TestOffloadTiming:
         # CPU-side placement: command packets are register writes (no
         # link), but every byte of data crosses the external link --
         # the Fig. 16 bottleneck.
-        device, heap, _ = make_kit(cpu_side=True)
-        finish = device.offload_event(0.0, copy_event(heap), "minor")
+        device, layout, _ = make_kit(cpu_side=True)
+        finish = device.offload_event(0.0, copy_event(layout), "minor")
         assert finish > 0
         assert device.hmc.host_link.bytes_served >= 2 * 4096
 
     def test_memory_side_data_stays_off_host_link(self):
-        device, heap, _ = make_kit(cpu_side=False)
-        device.offload_event(0.0, copy_event(heap), "minor")
+        device, layout, _ = make_kit(cpu_side=False)
+        device.offload_event(0.0, copy_event(layout), "minor")
         # Only packets and probes ride the host link, not the copy data.
         assert device.hmc.host_link.bytes_served < 2 * 4096
 
@@ -176,39 +174,39 @@ class TestOffloadTiming:
 
 class TestRuntimeIntrinsics:
     def make_runtime(self):
-        device, heap, config = make_kit()
+        device, layout, config = make_kit()
         runtime = CharonRuntime(device)
-        heap2 = JavaHeap(config.heap, klasses=workload_klasses())
-        runtime.initialize(heap2, device.context.vm)
-        return runtime, heap2
+        runtime.initialize(HeapInfo.of(config.heap), device.context.vm)
+        return runtime, layout
 
     def test_initialize_required(self):
-        device, heap, _ = make_kit()
+        device, layout, _ = make_kit()
         runtime = CharonRuntime(device)
         with pytest.raises(ConfigError):
-            runtime.offload(0.0, Primitive.COPY, heap.layout.eden.start,
-                            heap.layout.old.start, 64)
+            runtime.offload(0.0, Primitive.COPY, layout.eden.start,
+                            layout.old.start, 64)
 
     def test_offload_copy(self):
-        runtime, heap = self.make_runtime()
+        runtime, layout = self.make_runtime()
         finish, response = runtime.offload(
-            0.0, Primitive.COPY, heap.layout.eden.start,
-            heap.layout.old.start, 4096)
+            0.0, Primitive.COPY, layout.eden.start,
+            layout.old.start, 4096)
         assert finish > 0
         assert not response.has_value
 
     def test_offload_search_returns_value(self):
-        runtime, heap = self.make_runtime()
+        runtime, layout = self.make_runtime()
         finish, response = runtime.offload(
-            0.0, Primitive.SEARCH, heap.card_table.table_base, 0, 64,
+            0.0, Primitive.SEARCH, runtime.device.heap_info.card_table_base,
+            0, 64,
             found=True)
         assert response.has_value
         assert response.value == 1
 
     def test_offload_event_entry(self):
-        runtime, heap = self.make_runtime()
+        runtime, layout = self.make_runtime()
         event = TraceEvent(Primitive.BITMAP_COUNT, "adjust",
-                           src=heap.layout.old.start, bits=64)
+                           src=layout.old.start, bits=64)
         assert runtime.offload_event(0.0, event, "major") > 0
 
 

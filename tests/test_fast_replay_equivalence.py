@@ -35,12 +35,10 @@ from repro.experiments import runner
 from repro.gcalgo.trace import (EVENT_DTYPE, PRIMITIVE_TYPE_CODES, GCTrace,
                                 Primitive)
 from repro.gcalgo.trace_io import load_compiled, save_traces_npz
-from repro.heap.heap import JavaHeap
 from repro.obs.metrics import global_metrics
 from repro.platform.factory import build_platform
 from repro.platform.fast_replay import FastTraceReplayer, make_replayer
 from repro.platform.replay import TraceReplayer
-from repro.workloads.base import workload_klasses
 
 from tests.conftest import make_concurrent_traces, platform_for
 
@@ -104,8 +102,8 @@ def assert_equivalent(fast, slow):
 
 
 def counters(platform):
-    """Every number reachable from the platform's attributes, by path
-    (the heap itself, which replay never writes, is skipped)."""
+    """Every number reachable from the platform's attributes, by
+    path."""
     out = {}
     seen = set()
 
@@ -124,8 +122,7 @@ def counters(platform):
         elif isinstance(value, (list, tuple)):
             for index, item in enumerate(value):
                 walk(item, f"{path}[{index}]")
-        elif type(value).__module__.startswith("repro.") \
-                and type(value).__name__ != "JavaHeap":
+        elif type(value).__module__.startswith("repro."):
             fields = (vars(value) if hasattr(value, "__dict__")
                       else {name: getattr(value, name)
                             for name in getattr(value, "__slots__", ())})
@@ -339,9 +336,7 @@ class TestPhaseLoop:
         if platform_name == "charon-distributed":
             platform_name = "charon"
             config = config.with_distributed_charon(True)
-        platforms = [build_platform(platform_name, config,
-                                    JavaHeap(config.heap,
-                                             klasses=workload_klasses()))
+        platforms = [build_platform(platform_name, config)
                      for _ in range(2)]
         fast = FastTraceReplayer(platforms[0], threads=threads)
         slow = TraceReplayer(platforms[1], threads=threads)
@@ -402,16 +397,13 @@ class TestModeSelection:
         """The cpu-side organisation keeps the host-side unified
         TLB/bitmap cache, so --distributed does not refuse it."""
         from repro.config import default_config
-        from repro.heap.heap import JavaHeap
         from repro.platform.factory import build_platform
-        from repro.workloads.base import workload_klasses
 
         from tests.conftest import SMALL_HEAP_BYTES
 
         config = default_config().with_heap_bytes(SMALL_HEAP_BYTES) \
             .with_distributed_charon(True)
-        heap = JavaHeap(config.heap, klasses=workload_klasses())
-        platform = build_platform("charon-cpuside", config, heap)
+        platform = build_platform("charon-cpuside", config)
         assert isinstance(make_replayer(platform), FastTraceReplayer)
 
     @pytest.mark.parametrize("platform_name,threads", SUPPORTED)

@@ -176,16 +176,13 @@ class TestG1Trace:
     def test_replayable_on_platforms(self, g1, heap):
         from repro.platform import TraceReplayer, build_platform
         from repro.config import default_config
-        from repro.workloads.base import workload_klasses
-        from repro.heap.heap import JavaHeap
         build_chain(g1, heap, 300)
         trace = g1.collect()
         config = default_config().with_heap_bytes(
             heap.config.heap_bytes)
         results = {}
         for name in ("cpu-ddr4", "charon"):
-            fresh = JavaHeap(config.heap, klasses=workload_klasses())
-            platform = build_platform(name, config, fresh)
+            platform = build_platform(name, config)
             results[name] = TraceReplayer(platform).replay(trace)
         assert results["charon"].wall_seconds > 0
         assert results["cpu-ddr4"].wall_seconds > 0

@@ -2,11 +2,12 @@
 capacity.
 
 ``JavaHeap`` and ``MarkBitmaps`` allocate with ``np.zeros``, which is
-``calloc``: pages are committed on first touch.  Two fresh-interpreter
-RSS measurements pin that at a 10x-scaled heap: building the heap, and
-replaying a workload trace file on it under a hard address-space cap.
-A change that eagerly fills or copies the heap buffer or the mark
-bitmaps fails here.
+``calloc``: pages are committed on first touch.  A fresh-interpreter
+RSS measurement pins that at a 10x-scaled heap; a change that eagerly
+fills or copies the heap buffer or the mark bitmaps fails here.  A
+replay allocates no heap at all: a second child replays a workload
+trace file with a heap configured several times larger than its hard
+address-space cap.
 
 RSS is the child's current ``VmRSS`` while the buffers are live, never
 ``ru_maxrss``: a forked child's ``ru_maxrss`` inherits the parent's
@@ -20,8 +21,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.experiments.runner import collect_run, default_heap_bytes
+from repro.experiments import figures, primitive_selection, runner
+from repro.experiments.runner import collect_run
 from repro.gcalgo.trace_io import save_traces_npz
+from repro.heap.heap import JavaHeap
+from repro.platform import PLATFORM_NAMES
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -41,13 +45,10 @@ _SCALED_REPLAY = (
     "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
     "from repro.config import default_config\n"
     "from repro.gcalgo.trace_io import load_compiled\n"
-    "from repro.heap.heap import JavaHeap\n"
     "from repro.platform import build_platform\n"
     "from repro.platform.fast_replay import make_replayer\n"
-    "from repro.workloads.base import workload_klasses\n"
     "config = default_config().with_heap_bytes(int(sys.argv[2]))\n"
-    "heap = JavaHeap(config.heap, klasses=workload_klasses())\n"
-    "replayer = make_replayer(build_platform('charon', config, heap),\n"
+    "replayer = make_replayer(build_platform('charon', config),\n"
     "                         threads=8, mode='fast')\n"
     "traces, _ = load_compiled(sys.argv[1])\n"
     "result = replayer.replay_all(traces)\n"
@@ -89,9 +90,9 @@ class TestPeakRss:
     def test_replay_at_10x_heap_stays_below_capacity(self, tmp_path):
         """graphchi-als and spark-km, captured at their default heaps
         and written to one trace file, replay through the batched
-        Charon kernel on a heap 10x the larger default, under an
-        address-space cap of that heap plus 1 GiB, with RSS below the
-        heap size (about 43 MiB on a 320 MiB heap)."""
+        Charon kernel under a 1 GiB address-space cap with a 4 GiB
+        heap configured: a replay takes the heap's layout, so building
+        the heap would die with MemoryError (RSS is about 46 MiB)."""
         workloads = ("graphchi-als", "spark-km")
         trace_path = tmp_path / "scale.gctrace.npz"
         events = save_traces_npz(
@@ -99,11 +100,36 @@ class TestPeakRss:
              for trace in collect_run(name).traces),
             trace_path)
         assert events
-        heap_bytes = 10 * max(map(default_heap_bytes, workloads))
-        report = run_child(_SCALED_REPLAY, trace_path, heap_bytes,
-                           heap_bytes + (1 << 30))
+        cap = 1 << 30
+        heap_bytes = 4 * cap
+        report = run_child(_SCALED_REPLAY, trace_path, heap_bytes, cap)
         assert report["events"] == events
         assert report["replay_kernel"] == "charon-batched"
-        assert report["rss_bytes"] < heap_bytes, (
+        assert report["rss_bytes"] < cap / 4, (
             f"RSS {report['rss_bytes'] / (1 << 20):.0f} MiB is not "
-            f"below the {heap_bytes / (1 << 20):.0f} MiB scaled heap")
+            f"below a quarter of the {cap >> 20} MiB cap")
+
+
+class TestReplayBuildsNoHeap:
+    def test_production_replays_build_no_heap(self, monkeypatch, capsys):
+        """The production replay paths -- ``replay_platform`` on every
+        platform, Fig. 4, the Sec. 3.3 studies and the ``report`` and
+        ``stats`` commands -- build their platforms from the layout
+        alone: once the run is captured, no ``JavaHeap`` is built."""
+        from repro.cli import main
+
+        name = "graphchi-als"
+        collect_run(name)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a replay built a JavaHeap")
+
+        monkeypatch.setattr(JavaHeap, "__init__", refuse)
+        monkeypatch.setattr(runner, "_REPLAY_CACHE", {})
+        for platform in PLATFORM_NAMES:
+            assert runner.replay_platform(platform, name).wall_seconds > 0
+        assert figures.figure4([name])
+        assert primitive_selection.selection_summary()
+        assert main(["report", name]) == 0
+        assert main(["stats", name, "--platform", "charon"]) == 0
+        capsys.readouterr()

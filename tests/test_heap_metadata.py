@@ -1,13 +1,79 @@
-"""Tests for the card table and mark bitmaps."""
+"""Tests for the card table and mark bitmaps, and the addresses
+``HeapInfo.of`` places them at."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.config import HeapConfig, VMConfig
 from repro.errors import ConfigError
 from repro.heap.card_table import CLEAN, DIRTY, CardTable
+from repro.heap.heap import JavaHeap
 from repro.heap.mark_bitmap import MarkBitmaps
+from repro.heap.spaces import HeapInfo
 
 BASE = 0x1000_0000
+HUGE_PAGE = VMConfig().huge_page_bytes
+
+
+def held_by(heap: JavaHeap) -> tuple:
+    """The addresses and sizes an allocated heap's metadata holds, in
+    :func:`layout_of`'s order."""
+    return (heap.layout.heap_start, heap.layout.heap_end,
+            heap.card_table.table_base, len(heap.card_table.bytes),
+            heap.bitmaps.bitmap_base, heap.bitmaps.beg.nbytes,
+            heap.bitmaps.covered_start)
+
+
+def layout_of(info: HeapInfo) -> tuple:
+    return (info.heap_start, info.heap_end, info.card_table_base,
+            info.card_table_bytes, info.bitmap_base, info.bitmap_bytes,
+            info.bitmap_covered_start)
+
+
+class TestHeapInfo:
+    """A replay's layout (``HeapInfo.of``, no heap allocated) is the one
+    a ``JavaHeap`` built from the same config holds, and an invalid
+    config fails both the same way."""
+
+    @given(heap_bytes=st.integers(min_value=0, max_value=48 << 20),
+           card_bytes=st.one_of(
+               st.sampled_from([128, 256, 512, 1024, 4096]),
+               st.integers(min_value=-64, max_value=8192)),
+           pages=st.integers(min_value=1, max_value=1 << 20))
+    @settings(max_examples=80, deadline=None)
+    @example(heap_bytes=16 << 20, card_bytes=512, pages=256)
+    @example(heap_bytes=2048, card_bytes=512, pages=256)  # too small
+    @example(heap_bytes=16 << 20, card_bytes=100, pages=256)
+    @example(heap_bytes=16 << 20, card_bytes=0, pages=256)
+    def test_matches_an_allocated_heap(self, heap_bytes, card_bytes,
+                                       pages):
+        self.check(HeapConfig(heap_bytes=heap_bytes, card_bytes=card_bytes,
+                              base_address=pages * HUGE_PAGE))
+
+    @pytest.mark.parametrize("base", [BASE + 4, BASE + 1])
+    def test_misaligned_base_fails_both(self, base):
+        error = self.check(HeapConfig(base_address=base))
+        assert "8-byte aligned" in str(error)
+
+    @staticmethod
+    def check(config: HeapConfig):
+        """Compare ``HeapInfo.of(config)`` with ``JavaHeap(config)``;
+        returns the ``ConfigError`` both raised, else None."""
+        try:
+            info = HeapInfo.of(config)
+        except ConfigError as error:
+            with pytest.raises(ConfigError) as built:
+                JavaHeap(config)
+            assert str(built.value) == str(error)
+            return error
+        assert layout_of(info) == held_by(JavaHeap(config))
+        # The metadata sits above the heap, card table first.
+        assert info.card_table_base >= info.heap_end
+        assert info.bitmap_base >= info.card_table_base \
+            + info.card_table_bytes
+        assert info.metadata_end == info.bitmap_base \
+            + 2 * info.bitmap_bytes
+        return None
 
 
 class TestCardTable:

@@ -10,11 +10,11 @@ import pytest
 
 from repro.config import HeapConfig, default_config
 from repro.core.device import CharonDevice
-from repro.core.intrinsics import CharonRuntime, heap_info_of
 from repro.errors import ProtectionFault
 from repro.gcalgo.parallel_scavenge import MinorGC
 from repro.gcalgo.trace import Primitive, TraceEvent
 from repro.heap.heap import JavaHeap
+from repro.heap.spaces import HeapInfo
 from repro.mem.hmc import HMCSystem
 from repro.mem.vm import VirtualMemory
 from repro.units import MB, align_up
@@ -28,27 +28,24 @@ def make_processes():
     config = default_config().with_heap_bytes(HEAP_BYTES)
     vm = VirtualMemory(huge_page_bytes=config.vm.huge_page_bytes,
                        cubes=config.hmc.cubes)
-    heaps = {}
+    heaps, infos = {}, {}
     for pcid, base in ((1, 0x1000_0000), (2, 0x4000_0000)):
         heap_config = HeapConfig(heap_bytes=HEAP_BYTES,
                                  base_address=base)
-        heap = JavaHeap(heap_config, klasses=workload_klasses())
-        metadata_end = heap.bitmaps.bitmap_base \
-            + 2 * heap.bitmaps.bitmap_bytes
-        vm.map_heap(base, align_up(heap.layout.heap_end - base,
+        info = infos[pcid] = HeapInfo.of(heap_config)
+        vm.map_heap(base, align_up(info.heap_end - base,
                                    config.vm.huge_page_bytes),
                     pcid=pcid)
-        metadata_base = heap.card_table.table_base
-        vm.map_pinned(metadata_base,
-                      align_up(metadata_end - metadata_base,
+        vm.map_pinned(info.card_table_base,
+                      align_up(info.metadata_end - info.card_table_base,
                                config.vm.metadata_page_bytes),
                       config.vm.metadata_page_bytes, pcid=pcid)
-        heaps[pcid] = heap
+        heaps[pcid] = JavaHeap(heap_config, klasses=workload_klasses())
     hmc = HMCSystem(config.hmc)
     devices = {}
-    for pcid, heap in heaps.items():
+    for pcid, info in infos.items():
         device = CharonDevice(config, hmc, vm, pcid=pcid)
-        device.initialize(heap_info_of(heap), vm, pcid=pcid)
+        device.initialize(info, vm, pcid=pcid)
         devices[pcid] = device
     return config, vm, hmc, heaps, devices
 

@@ -146,18 +146,18 @@ class TestDependentBatches:
 
 class TestHostCostEdges:
     def test_zero_byte_copy_has_fixed_cost(self):
-        platform, heap, _ = platform_for("cpu-ddr4")
+        platform, layout, _ = platform_for("cpu-ddr4")
         event = TraceEvent(Primitive.COPY, "evacuate",
-                           src=heap.layout.eden.start,
-                           dst=heap.layout.old.start, size_bytes=0)
+                           src=layout.eden.start,
+                           dst=layout.old.start, size_bytes=0)
         finish = platform.cost_model.event_finish(0.0, event)
         # The per-object bookkeeping still costs instructions.
         assert finish > 0
 
     def test_zero_ref_scan_minimal(self):
-        platform, heap, _ = platform_for("cpu-ddr4")
+        platform, layout, _ = platform_for("cpu-ddr4")
         event = TraceEvent(Primitive.SCAN_PUSH, "evacuate",
-                           src=heap.layout.eden.start, refs=0)
+                           src=layout.eden.start, refs=0)
         assert platform.cost_model.event_finish(0.0, event) < 500e-9
 
     def test_residual_scales_with_threads(self):

@@ -7,6 +7,7 @@ from repro.gcalgo.parallel_scavenge import MinorGC
 from repro.gcalgo.mark_compact import MajorGC
 from repro.gcalgo.trace import GCTrace, Primitive, TraceEvent
 from repro.errors import ConfigError
+from repro.heap.spaces import HeapInfo
 from repro.platform import TraceReplayer, build_platform
 from repro.platform.factory import PLATFORM_NAMES
 from repro.platform.timing import GCTimingResult, PlatformEnergy
@@ -47,9 +48,8 @@ class TestFactory:
 
     def test_unknown_platform_rejected(self):
         config = default_config().with_heap_bytes(SMALL_HEAP_BYTES)
-        heap = make_heap()
         with pytest.raises(ConfigError):
-            build_platform("gpu", config, heap)
+            build_platform("gpu", config)
 
     def test_offload_flags(self):
         assert not platform_for("cpu-ddr4")[0].offloads
@@ -59,64 +59,66 @@ class TestFactory:
 
 
 class TestHostCosts:
-    def events(self, heap):
+    def events(self, layout):
+        table = HeapInfo.of(layout.config).card_table_base
         return {
             "copy": TraceEvent(Primitive.COPY, "evacuate",
-                               src=heap.layout.eden.start,
-                               dst=heap.layout.old.start,
+                               src=layout.eden.start,
+                               dst=layout.old.start,
                                size_bytes=65536),
             "small_copy": TraceEvent(Primitive.COPY, "evacuate",
-                                     src=heap.layout.eden.start,
-                                     dst=heap.layout.old.start,
+                                     src=layout.eden.start,
+                                     dst=layout.old.start,
                                      size_bytes=64),
             "search": TraceEvent(Primitive.SEARCH, "card-search",
-                                 src=heap.card_table.table_base,
+                                 src=table,
                                  size_bytes=64),
             "scan": TraceEvent(Primitive.SCAN_PUSH, "evacuate",
-                               src=heap.layout.eden.start, refs=2,
+                               src=layout.eden.start, refs=2,
                                pushes=1),
             "mark_scan": TraceEvent(Primitive.SCAN_PUSH, "mark",
-                                    src=heap.layout.old.start, refs=2,
+                                    src=layout.old.start, refs=2,
                                     pushes=1),
             "bitmap": TraceEvent(Primitive.BITMAP_COUNT, "adjust",
-                                 src=heap.layout.old.start, bits=256),
+                                 src=layout.old.start, bits=256),
             "bitmap_cached": TraceEvent(Primitive.BITMAP_COUNT,
                                         "compact",
-                                        src=heap.layout.old.start,
+                                        src=layout.old.start,
                                         bits=256, bits_cached=8),
         }
 
     def test_costs_positive_and_ordered(self):
-        platform, heap, _ = platform_for("cpu-ddr4")
-        events = self.events(heap)
+        platform, layout, _ = platform_for("cpu-ddr4")
+        events = self.events(layout)
         costs = {name: platform.cost_model.event_finish(0.0, event)
                  for name, event in events.items()}
         assert all(value > 0 for value in costs.values())
         assert costs["copy"] > costs["small_copy"]
 
     def test_mark_scan_colder_than_evacuate_scan(self):
-        platform, heap, _ = platform_for("cpu-ddr4")
-        events = self.events(heap)
+        platform, layout, _ = platform_for("cpu-ddr4")
+        events = self.events(layout)
         evac = platform.cost_model.event_finish(0.0, events["scan"])
         mark = platform.cost_model.event_finish(0.0,
                                                 events["mark_scan"])
         assert mark > evac
 
     def test_query_cache_cheaper(self):
-        platform, heap, _ = platform_for("cpu-ddr4")
-        events = self.events(heap)
+        platform, layout, _ = platform_for("cpu-ddr4")
+        events = self.events(layout)
         full = platform.cost_model.event_finish(0.0, events["bitmap"])
         cached = platform.cost_model.event_finish(
             0.0, events["bitmap_cached"])
         assert cached < full
 
     def test_search_early_exit_cheaper(self):
-        platform, heap, _ = platform_for("cpu-ddr4")
+        platform, layout, _ = platform_for("cpu-ddr4")
+        table = HeapInfo.of(layout.config).card_table_base
         found = TraceEvent(Primitive.SEARCH, "card-search",
-                           src=heap.card_table.table_base,
+                           src=table,
                            size_bytes=512, found=True)
         missed = TraceEvent(Primitive.SEARCH, "card-search",
-                            src=heap.card_table.table_base,
+                            src=table,
                             size_bytes=512, found=False)
         t_found = platform.cost_model.event_finish(0.0, found)
         t_missed = platform.cost_model.event_finish(0.0, missed)

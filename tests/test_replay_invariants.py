@@ -42,11 +42,9 @@ from repro.fuzz.differential import run_schedule
 from repro.fuzz.generator import build_schedule
 from repro.gcalgo.columnar import trace_from_columns
 from repro.gcalgo.trace import PRIMITIVE_TYPE_CODES, STAT_FIELDS, Primitive
-from repro.heap.heap import JavaHeap
 from repro.platform.factory import build_platform
 from repro.platform.fast_replay import make_replayer
 from repro.sim.resources import FluidResource
-from repro.workloads.base import workload_klasses
 
 from tests.conftest import SMALL_HEAP_BYTES, platform_for
 from tests.test_fast_replay_equivalence import assert_equivalent
@@ -92,7 +90,6 @@ def resources(platform):
             for item in value:
                 walk(item)
         elif type(value).__module__.startswith("repro.") \
-                and type(value).__name__ != "JavaHeap" \
                 and hasattr(value, "__dict__"):
             for item in vars(value).values():
                 walk(item)
@@ -282,9 +279,8 @@ def test_more_bitmap_cache_ways_never_lose_hits(mixed_run,
                 // config.charon.bitmap_cache_ways)
             cell = dataclasses.replace(config, charon=charon)
             fast, slow = (
-                make_replayer(build_platform("charon", cell, JavaHeap(
-                    cell.heap, klasses=workload_klasses())),
-                              threads=8, mode=mode).replay_all(traces)
+                make_replayer(build_platform("charon", cell), threads=8,
+                              mode=mode).replay_all(traces)
                 for mode in ("fast", "event"))
             assert (fast.bitmap_cache_hits, fast.bitmap_cache_accesses) \
                 == (slow.bitmap_cache_hits, slow.bitmap_cache_accesses)

@@ -172,7 +172,7 @@ def test_malformed_trace_file_is_a_config_error(tmp_path, capsys, edit,
 
 class TestDeviceReport:
     def make_used_device(self):
-        platform, heap, _ = platform_for("charon")
+        platform, _, _ = platform_for("charon")
         traces = real_traces()
         TraceReplayer(platform).replay_all(traces)
         return platform.device
