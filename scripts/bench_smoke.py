@@ -2,18 +2,19 @@
 """Benchmark smoke: prove the trace cache makes replays capture-free.
 
 Runs ``python -m repro figure 12 --workloads spark-km graphchi-cc
---out-dir DIR`` twice against a fresh cache directory, and reads each
-run's provenance manifest (``DIR/manifest.json``):
+--out-dir DIR`` twice against a fresh cache directory, both times on a
+2-process pool (``REPRO_JOBS=2``), and reads each run's provenance
+manifest (``DIR/manifest.json``):
 
-1. the first run must capture both workloads (its manifest's
-   ``trace_cache`` tally: 2 generated, 2 stored; every ``runs[].cache``
-   is ``generated``), leaving 2 trace entries in the cache;
+1. the first run must capture both workloads, in the pool workers (its
+   manifest's ``trace_cache`` tally: 2 generated, 2 stored; one
+   ``runs[]`` record per workload, each ``generated``), leaving 2 trace
+   entries in the cache;
 2. the second run must serve both from the cache: 0 generated runs,
    0 misses, at least 2 hits, every ``runs[].cache`` a ``hit`` — the
    proof of zero collector re-execution.
 
-The second run replays the Fig. 12 grid on a 2-process pool
-(``REPRO_JOBS=2``) and exports telemetry through ``REPRO_OBS_OUT``
+The second run exports telemetry through ``REPRO_OBS_OUT``
 into ``$BENCH_SMOKE_ARTIFACTS`` (default ``bench-smoke-artifacts/``:
 ``trace.json`` and ``metrics.json``); the script then checks the
 Chrome trace and metric snapshot are well-formed, that they carry one
@@ -54,27 +55,25 @@ FIG12_PLATFORMS = ("cpu-ddr4", "cpu-hmc", "charon", "ideal")
 HOST_PID = 1
 
 
-def run_figure(cache_dir: str, out_dir: Path, pooled: bool) -> dict:
-    """One ``repro figure 12`` run on the smoke grid; returns its
-    provenance manifest."""
+def run_figure(cache_dir: str, out_dir: Path, cached: bool) -> dict:
+    """One ``repro figure 12`` run on the smoke grid, on a 2-process
+    pool; returns its provenance manifest."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     env["REPRO_TRACE_CACHE"] = cache_dir
-    for name in ("REPRO_JOBS", "REPRO_OBS_OUT"):
-        env.pop(name, None)
-    if pooled:
-        # The cached run replays on the pool and leaves its telemetry
-        # behind for CI artifacts.
+    env["REPRO_JOBS"] = "2"
+    env.pop("REPRO_OBS_OUT", None)
+    if cached:
+        # The cached run leaves its telemetry behind for CI artifacts.
         ARTIFACTS.mkdir(parents=True, exist_ok=True)
         env["REPRO_OBS_OUT"] = str(ARTIFACTS)
-        env["REPRO_JOBS"] = "2"
     process = subprocess.run(
         [sys.executable, "-m", "repro", "figure", "12", "--workloads",
          *SMOKE_WORKLOADS, "--out-dir", str(out_dir)],
         cwd=REPO, env=env, text=True,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
-    label = "second (cached)" if pooled else "first (capture)"
+    label = "second (cached)" if cached else "first (capture)"
     if process.returncode != 0:
         print(process.stdout)
         sys.exit(f"bench smoke: {label} run failed "
@@ -84,9 +83,17 @@ def run_figure(cache_dir: str, out_dir: Path, pooled: bool) -> dict:
 
 
 def run_caches(manifest: dict) -> list:
-    """The ``runs[].cache`` of the smoke workloads' captures."""
-    return [run["cache"] for run in manifest["runs"]
-            if run["workload"] in SMOKE_WORKLOADS]
+    """The ``(workload, runs[].cache)`` of the smoke workloads'
+    captures, sorted."""
+    return sorted((run["workload"], run["cache"])
+                  for run in manifest["runs"]
+                  if run["workload"] in SMOKE_WORKLOADS)
+
+
+def each_run_once(cache: str) -> list:
+    """What :func:`run_caches` reads when each smoke workload's run is
+    recorded once, as ``cache``."""
+    return [(workload, cache) for workload in sorted(SMOKE_WORKLOADS)]
 
 
 def check_geomean(out_dir: Path) -> None:
@@ -175,10 +182,10 @@ def main() -> None:
     out_dirs = [ARTIFACTS / "fig12-capture", ARTIFACTS / "fig12-cached"]
     workloads = len(SMOKE_WORKLOADS)
     with tempfile.TemporaryDirectory(prefix="trace-cache-") as cache:
-        manifest = run_figure(cache, out_dirs[0], pooled=False)
+        manifest = run_figure(cache, out_dirs[0], cached=False)
         first = manifest["trace_cache"]
         if first["generated"] != workloads or first["stores"] != workloads \
-                or run_caches(manifest) != ["generated"] * workloads:
+                or run_caches(manifest) != each_run_once("generated"):
             sys.exit(f"bench smoke: first run should capture "
                      f"{workloads} workloads, tallied {first}, runs "
                      f"{run_caches(manifest)}")
@@ -189,10 +196,10 @@ def main() -> None:
         if entries != workloads:
             sys.exit(f"bench smoke: expected {workloads} cache "
                      f"entries, found {entries}")
-        manifest = run_figure(cache, out_dirs[1], pooled=True)
+        manifest = run_figure(cache, out_dirs[1], cached=True)
         second = manifest["trace_cache"]
         if second["generated"] != 0 or second["misses"] != 0 \
-                or run_caches(manifest) != ["hit"] * workloads:
+                or run_caches(manifest) != each_run_once("hit"):
             sys.exit(f"bench smoke: second run re-executed a "
                      f"collector, tallied {second}, runs "
                      f"{run_caches(manifest)}")

@@ -15,9 +15,14 @@ pipeline:
 * :func:`replay_grid` fans the platform x workload grid out over a
   fork pool made per call (:func:`_fan_out`, the one place worker
   processes are created) with a deterministic merge of the results
-  and of the metrics and spans each worker recorded.  A sweep that is
-  killed re-runs warm: its captures and stage-1 products are already
-  in the caches, so the re-run only replays.
+  and of the metrics, spans and provenance records each worker
+  recorded.  With a trace-cache directory and at least as many
+  workloads to replay as processes, each workload is one task that
+  captures (or reads) its run and replays its cells in one worker;
+  otherwise the runs are captured in the parent first and each cell
+  is one task.  A sweep that is killed re-runs warm: its captures and
+  stage-1 products are already in the caches, so the re-run only
+  replays.
 """
 
 from __future__ import annotations
@@ -27,11 +32,13 @@ import functools
 import multiprocessing
 import os
 import time
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.config import SystemConfig, default_config, settings
 from repro.errors import ConfigError, OutOfMemoryError
-from repro.experiments import trace_cache
+from repro.experiments import store, trace_cache
 from repro.obs import provenance
 from repro.obs.adapters import timing_metrics
 from repro.obs.metrics import global_metrics
@@ -149,39 +156,72 @@ def _memo_key(job: tuple) -> tuple:
             threads)
 
 
-def _replay_cell(job: tuple) -> GCTimingResult:
-    """Replay one grid cell.  ``replay_platform`` is looked up when the
-    cell runs, so a rebound module attribute is what every cell calls."""
-    platform_name, name, heap_bytes, threads = job
-    return replay_platform(platform_name, name, heap_bytes=heap_bytes,
-                           threads=threads)
+def _replay_cells(task: Tuple[tuple, ...]) -> List[GCTimingResult]:
+    """Replay a task's cells: the per-cell schedule's task function
+    (one cell per task).  ``replay_platform`` is looked up when a cell
+    runs, so a rebound module attribute is what every cell calls."""
+    return [replay_platform(platform_name, name, heap_bytes=heap_bytes,
+                            threads=threads)
+            for platform_name, name, heap_bytes, threads in task]
+
+
+def _replay_workload(task: Tuple[tuple, ...]) -> List[GCTimingResult]:
+    """Collect one workload's run (capture and store it, or take a
+    trace-cache hit), then replay its cells: the per-workload
+    schedule's task function.  A run the process did not hold before
+    is dropped afterwards, which bounds a worker's resident set."""
+    _, name, heap_bytes, _ = task[0]
+    key = (name, heap_bytes or default_heap_bytes(name))
+    held = key in _RUN_CACHE
+    try:
+        gc_traces(name, heap_bytes)
+        return _replay_cells(task)
+    finally:
+        if not held:
+            _RUN_CACHE.pop(key, None)
+
+
+def _stored_bytes(directory: Path, task: Tuple[tuple, ...]) -> float:
+    """A per-workload task's cost: the size of its trace-cache entry,
+    or infinity when there is none yet (it captures first)."""
+    _, name, heap_bytes, _ = task[0]
+    key = trace_cache.run_cache_key(name, workload_config(name, heap_bytes))
+    try:
+        return store.TRACES.path(directory, key).stat().st_size
+    except OSError:
+        return float("inf")
 
 
 def _drain_telemetry() -> tuple:
-    """Take this worker's metric rows and spans.  As the pool
-    initializer it drops the fork's copies of the parent's."""
+    """Take this worker's metric rows, spans and provenance records.
+    As the pool initializer it drops the fork's copies of the
+    parent's."""
     return (global_metrics().drain(),
-            get_tracer().drain(host_tid=os.getpid()))
+            get_tracer().drain(host_tid=os.getpid()),
+            provenance.drain_runs())
 
 
 def _run_task(function: Callable, item) -> tuple:
     return function(item), _drain_telemetry()
 
 
-def _fan_out(function: Callable, items: Sequence,
-             processes: int) -> list:
+def _fan_out(function: Callable, items: Sequence, processes: int,
+             cost: Optional[Callable] = None) -> list:
     """``[function(item) for item in items]``, on worker processes.
 
     The only code that creates worker processes: a fork-context pool
-    made for this call, one item per task (grid cells are coarse and
+    made for this call, one item per task (grid tasks are coarse and
     uneven, and contiguous chunks can serialize the most expensive
-    ones onto one worker), reaped before returning.  It runs serially
-    in this process when ``processes <= 1``, for a single item, or
-    where ``fork`` does not exist.
+    ones onto one worker), reaped before returning.  Items start in
+    descending ``cost(item)`` when ``cost`` is given (equal costs in
+    list order), else in list order.  It runs serially in this
+    process when ``processes <= 1``, for a single item, or where
+    ``fork`` does not exist.
 
-    Each task returns the metric rows and spans its worker recorded,
-    merged here in item order, so telemetry reads as if the items had
-    run in this process.
+    Each task returns the metric rows, spans and provenance records
+    its worker recorded, merged here in item order, whatever order the
+    items ran in, so telemetry reads as if the items had run in this
+    process.
 
     An exception raised in a worker reaches the caller.  A worker that
     *dies* breaks the pool instead: the ``fanout.fallbacks`` counter
@@ -200,17 +240,28 @@ def _fan_out(function: Callable, items: Sequence,
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    order = range(len(items))
+    if cost is not None:
+        order = sorted(order, key=lambda index: -cost(items[index]))
+    task = functools.partial(_run_task, function)
     results: list = []
     context = multiprocessing.get_context("fork")
     try:
         with ProcessPoolExecutor(min(processes, len(items)),
                                  mp_context=context,
                                  initializer=_drain_telemetry) as pool:
-            for result, (rows, events) in pool.map(
-                    functools.partial(_run_task, function), items):
-                global_metrics().merge(rows)
-                get_tracer().merge(events)
-                results.append(result)
+            futures = {index: pool.submit(task, items[index])
+                       for index in order}
+            try:
+                for index in range(len(items)):
+                    result, (rows, events, runs) = futures[index].result()
+                    global_metrics().merge(rows)
+                    get_tracer().merge(events)
+                    provenance.merge_runs(runs)
+                    results.append(result)
+            finally:
+                for future in futures.values():
+                    future.cancel()
     except BrokenProcessPool:
         global_metrics().add("fanout.fallbacks", description=(
             "pools broken by a dead worker; the parent finished the "
@@ -227,14 +278,32 @@ def replay_grid(platform_names: Iterable[str],
     """Replay every platform x workload pair; returns the result grid.
 
     ``processes`` > 1 fans the pairs out over a fork pool made for
-    this call (default from ``REPRO_JOBS``; see :func:`_fan_out`).
-    Workload runs are captured in the parent first, so
-    workers inherit the traces instead of regenerating them; results
-    merge back in job order, so the outcome — including the parent's
-    replay memo — is identical to a serial sweep regardless of worker
-    scheduling.  Cells a dead worker left unfinished are replayed in
-    the parent.  A workload that ran no collection is a ``ConfigError``
-    before any cell replays.
+    this call (default from ``REPRO_JOBS``; see :func:`_fan_out`), on
+    one of two schedules:
+
+    * **per workload**, when a trace-cache directory is configured and
+      at least ``processes`` workloads have cells to replay: one task
+      per workload collects its run in a worker (capture and store, or
+      a trace-cache hit) and replays that workload's cells there, so
+      capture runs in parallel and each trace's stage-1 products are
+      computed by one process.  Tasks start largest trace-cache entry
+      first; workloads still to capture start first, in grid order.
+      The worker drops the run afterwards, and no run travels back:
+      the parent's run memo stays as it was.
+    * **per cell**, otherwise: workload runs are captured in the
+      parent first, so workers inherit the traces instead of
+      regenerating them, and each cell is one task.  Without a cache
+      this is the only schedule that leaves the parent's run memo warm
+      for later replays; for a single workload it is the only one that
+      keeps the cells parallel.
+
+    Results merge back in job order, so the outcome — including the
+    parent's replay memo and its telemetry — is identical to a serial
+    sweep regardless of worker scheduling.  Tasks a dead worker left
+    unfinished run in the parent through the same task function.  A
+    workload that ran no collection is a ``ConfigError`` before any of
+    its cells replays (before any cell at all on the per-cell
+    schedule).
     """
     platform_names = list(platform_names)
     workload_names = list(workload_names)
@@ -242,19 +311,29 @@ def replay_grid(platform_names: Iterable[str],
         processes = settings().jobs
     jobs = [(platform, name, heap_bytes, threads)
             for name in workload_names for platform in platform_names]
-    for name in workload_names:
-        gc_traces(name, heap_bytes)
-    pending = [job for job in jobs if _memo_key(job) not in _REPLAY_CACHE]
-    for job, result in zip(pending,
-                           _fan_out(_replay_cell, pending, processes)):
-        _REPLAY_CACHE[_memo_key(job)] = result
-    grid: Dict[Tuple[str, str], GCTimingResult] = {}
+    by_workload: Dict[str, list] = {}
     for job in jobs:
-        result = _REPLAY_CACHE.get(_memo_key(job))
-        if result is None:  # a dead worker's cell: finish it here
-            result = _replay_cell(job)
-        grid[job[:2]] = result
-    return grid
+        if _memo_key(job) not in _REPLAY_CACHE:
+            by_workload.setdefault(job[1], []).append(job)
+    directory = store.resolve()
+    cost = None
+    if directory is not None and 1 < processes <= len(by_workload) \
+            and _fork_available():
+        function = _replay_workload
+        tasks = [tuple(cells) for cells in by_workload.values()]
+        cost = functools.partial(_stored_bytes, directory)
+    else:
+        for name in workload_names:
+            gc_traces(name, heap_bytes)
+        function = _replay_cells
+        tasks = [(job,) for cells in by_workload.values() for job in cells]
+    results = _fan_out(function, tasks, processes, cost)
+    # A dead worker's tasks: finish them here.
+    results += [function(task) for task in tasks[len(results):]]
+    for task, cells in zip(tasks, results):
+        for job, result in zip(task, cells):
+            _REPLAY_CACHE[_memo_key(job)] = result
+    return {job[:2]: _REPLAY_CACHE[_memo_key(job)] for job in jobs}
 
 
 def _fork_available() -> bool:

@@ -2,9 +2,10 @@
 
 Every fact a run measures is recorded once, into the process's
 :func:`global_metrics` registry (spans into :func:`get_tracer`).  A
-``replay_grid`` pool worker hands its rows and spans back with each
-result, and ``runner._fan_out`` merges them into the parent's, so a
-pooled sweep reports what a serial one does.  The package:
+``replay_grid`` pool worker hands its rows, spans and provenance
+records back with each result, and ``runner._fan_out`` merges them
+into the parent's, so a pooled sweep reports what a serial one does.
+The package:
 
 * :mod:`repro.obs.tracer` — a span tracer with two clock domains:
   *simulated* seconds (what the replayers compute) and *host* wall

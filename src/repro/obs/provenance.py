@@ -10,10 +10,12 @@ the trace schema / generator versions, the environment knobs in force
 (:func:`repro.config.settings`), and host wall time.
 
 The experiment runner reports every :func:`record_run` as it captures
-or fetches a workload; :func:`write_manifest` snapshots the session
-into a file.  "Distilling the Real Cost of Production Garbage
-Collectors" (Cai et al., 2021) is the motivation: a reported number
-without its exact provenance is not evidence.
+or fetches a workload (a pool worker's records reach the parent
+through :func:`drain_runs` and :func:`merge_runs`);
+:func:`write_manifest` snapshots the session into a file.
+"Distilling the Real Cost of Production Garbage Collectors" (Cai et
+al., 2021) is the motivation: a reported number without its exact
+provenance is not evidence.
 """
 
 from __future__ import annotations
@@ -66,6 +68,19 @@ def record_run(workload: str, heap_bytes: int, config_hash: str,
 def session_runs() -> List[Dict[str, Any]]:
     """The runs recorded so far in this process (copies)."""
     return [dict(record) for record in _RUNS]
+
+
+def drain_runs() -> List[Dict[str, Any]]:
+    """Take the recorded runs and forget them (a pool worker hands its
+    runs to the parent this way)."""
+    runs = list(_RUNS)
+    _RUNS.clear()
+    return runs
+
+
+def merge_runs(runs: List[Dict[str, Any]]) -> None:
+    """Append the runs another process's :func:`drain_runs` took."""
+    _RUNS.extend(runs)
 
 
 def reset_session() -> None:

@@ -140,8 +140,8 @@ def _kernel_memo(compiled: GCTrace) -> Dict:
     ablation sweep that changes only the thread count, the unit counts
     or the dispatch cost reuses them.  A trace keeps a plan only from
     its second Charon plan on (``"charon_plans"`` counts them), so a
-    sweep that plans each trace once retains nothing.  The HMC and DDR4 plans are not kept: every ``begin``
-    re-plans them.
+    sweep that plans each trace once retains nothing.  The HMC and
+    DDR4 plans are not kept: every ``begin`` re-plans them.
     """
     memo = compiled.__dict__.get("_kernel_memo")
     if memo is None:

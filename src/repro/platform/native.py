@@ -16,9 +16,11 @@ object:
   :func:`repro.heap.fast_kernels.parse_space`, behind every fast
   collector's card search, card rebuild and sweep).
 
-:func:`library` compiles both with the installed gcc in one run::
+:func:`library` compiles both sources with the installed gcc at
+once, one process per source, and links the two objects::
 
-    gcc -std=c99 -O2 -ffp-contract=off -shared -fPIC _stage2.c _scavenge.c
+    gcc -std=c99 -O2 -ffp-contract=off -fPIC -c SOURCE -o OBJECT
+    gcc -shared OBJECTS -o LIBRARY
 
 — no ``-ffast-math`` and no floating-point contraction, so every
 parenthesised operation keeps the IEEE-754 result the Python model
@@ -53,8 +55,11 @@ import numpy as np
 from repro.config import settings
 from repro.errors import ConfigError
 
-#: The compiler invocation (the output and source paths follow).
-FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+#: The code generation flags each source is compiled with.
+FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-fPIC")
+
+#: The flags the objects are linked with.
+LINK_FLAGS = ("-shared",)
 
 SOURCES = ("_stage2.c", "_scavenge.c")
 
@@ -119,12 +124,10 @@ def _load() -> ctypes.CDLL:
     # Imported here: repro.experiments imports the platforms.
     from repro.experiments import store
 
-    package = resources.files("repro.platform")
-    sources = {name: package.joinpath(name).read_bytes()
-               for name in SOURCES}
+    sources = _sources()
     cc, version = _compiler()
     digest = source_digest(sources)
-    for part in (" ".join(FLAGS), version):
+    for part in (" ".join(FLAGS), " ".join(LINK_FLAGS), version):
         digest.update(b"\x00" + part.encode())
     key = digest.hexdigest()
     directory = store.resolve()
@@ -148,6 +151,12 @@ def _load() -> ctypes.CDLL:
         return ctypes.CDLL(str(built))
 
 
+def _sources() -> Dict[str, bytes]:
+    """The C sources, by file name, read from the package."""
+    package = resources.files("repro.platform")
+    return {name: package.joinpath(name).read_bytes() for name in SOURCES}
+
+
 def _open_entry(path: Path) -> ctypes.CDLL:
     """Load a stored library.  An entry is the shared object followed
     by the sha256 of its bytes (the loader ignores trailing bytes); it
@@ -160,15 +169,28 @@ def _open_entry(path: Path) -> ctypes.CDLL:
 
 
 def _compile(cc: str, sources: Dict[str, bytes], out: Path) -> None:
-    paths = []
+    """Compile every source to an object beside ``out``, all at once,
+    then link the objects into ``out``."""
+    objects, running = [], []
     for name, source in sources.items():
         path = out.with_name(name)
         path.write_bytes(source)
-        paths.append(str(path))
-    done = subprocess.run([cc, *FLAGS, "-o", str(out), *paths],
+        objects.append(str(path.with_suffix(".o")))
+        running.append(subprocess.Popen(
+            [cc, *FLAGS, "-c", str(path), "-o", objects[-1]],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True))
+    # Each wait drains its own pipe, so no compiler blocks for good.
+    errors = [process.communicate()[1] for process in running]
+    failed = [(name, error) for name, process, error
+              in zip(sources, running, errors) if process.returncode != 0]
+    if failed:
+        raise ConfigError(
+            f"compiling {' and '.join(name for name, _ in failed)} with "
+            f"{cc} failed:\n" + "".join(error for _, error in failed))
+    done = subprocess.run([cc, *LINK_FLAGS, *objects, "-o", str(out)],
                           capture_output=True, text=True)
     if done.returncode != 0:
-        raise ConfigError(f"compiling {' and '.join(sources)} with {cc} "
+        raise ConfigError(f"linking {' and '.join(sources)} with {cc} "
                           f"failed:\n{done.stderr}")
 
 

@@ -9,11 +9,13 @@ after a pooled sweep must match a serial sweep's — rows keyed by
 host-span names.  Host-time rows (``replay.kernel_seconds`` and
 ``replay.kernel_events_per_sec``) differ run to run and are left out.
 
-One counter counts work that genuinely differs with scheduling, so it
-is bounded instead of compared: each worker memoises the trace-pure
-stage-1 products on its own copy of a trace, so a product two workers
-need is read from the stage-1 cache once per worker
-(``stage1_cache.hits``).
+On the per-cell schedule (one workload) one counter counts work that
+genuinely differs with scheduling, so it is bounded instead of
+compared: each worker memoises the trace-pure stage-1 products on its
+own copy of a trace, so a product two workers need is read from the
+stage-1 cache once per worker (``stage1_cache.hits``).  On the
+per-workload schedule each trace lives in one worker, so every row is
+compared.
 
 A fallback — a store write that failed, so the caller went uncached —
 is counted where it happens, so a worker's fallbacks reach the parent
@@ -53,13 +55,13 @@ def tracing():
     reset_global_metrics()
 
 
-def telemetry(tracer, processes):
+def telemetry(tracer, processes, workloads=(WORKLOAD,)):
     """One sweep from cold memos, a reset registry and an empty tracer
     (the disk caches stay warm); returns what the parent then holds."""
     clear_cache()
     reset_global_metrics()
     tracer.clear()
-    replay_grid(PLATFORMS, [WORKLOAD], processes=processes)
+    replay_grid(PLATFORMS, workloads, processes=processes)
     tallies = {"trace_cache": trace_cache.STATS.snapshot(),
                "stage1_cache": stage1_cache.STATS.snapshot()}
     rows = {(row["metric"], tuple(sorted(row["labels"].items()))):
@@ -106,6 +108,30 @@ def test_pooled_telemetry_equals_serial(tracing):
         "misses": 0, "stale": 0, "stores": 0, "fallbacks": 0}
     # Every worker read reached the parent, none twice.
     assert 0 < serial_hits <= hits <= 2 * serial_hits
+
+
+def test_per_workload_pool_telemetry_equals_serial(tracing):
+    """Two workloads on two processes take the per-workload schedule:
+    each worker replays one workload's cells, so every trace is
+    planned in one process and nothing is exempt — the stage-1 hits
+    and the Charon plan outcomes equal the serial sweep's too."""
+    if not _fork_available():
+        pytest.skip("no fork start method on this platform")
+    workloads = ("spark-km", "graphchi-als")
+    replay_grid(PLATFORMS, workloads, processes=1)  # warm the caches
+
+    serial = telemetry(tracing, 1, workloads)
+    pooled = telemetry(tracing, 2, workloads)
+
+    rows, tallies, sim, host = pooled
+    assert len([key for key in rows
+                if key[0] == "replay.wall_seconds"]) == 6
+    assert any(key[0] == "replay.charon_plans" for key in rows)
+    assert rows == serial[0]
+    assert tallies == serial[1]
+    assert tallies["stage1_cache"]["hits"] > 0
+    assert sim == serial[2]  # merged in job order
+    assert host == serial[3]
 
 
 def test_pooled_store_fallbacks_reach_the_parent(monkeypatch):

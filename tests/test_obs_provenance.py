@@ -164,6 +164,34 @@ class TestSweepProvenance:
         self._assert_one_run_with_disk_entry()
         assert len(store.TRACES.entries(self.cache_dir)) == 1
 
+    def test_per_workload_pool_records_each_run_once(self, tmp_path,
+                                                     monkeypatch):
+        """Workers that capture or hit the cache hand their records to
+        the parent: a pooled sweep's session lists each workload's run
+        once, in grid order, with the serial sweep's ``cache`` values,
+        cold and warm."""
+        from repro.experiments.runner import (_fork_available,
+                                              clear_cache, replay_grid)
+
+        if not _fork_available():
+            pytest.skip("no fork start method on this platform")
+        workloads = ["spark-km", self.WORKLOAD]
+
+        def cold_then_warm(processes):
+            provenance.reset_session()
+            for _ in range(2):
+                clear_cache()
+                replay_grid(self.PLATFORMS, workloads,
+                            processes=processes)
+            return [(run["workload"], run["cache"], run["config_hash"])
+                    for run in provenance.session_runs()]
+
+        serial = cold_then_warm(1)
+        assert [cache for _, cache, _ in serial] \
+            == ["generated"] * 2 + ["hit"] * 2
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "pooled"))
+        assert cold_then_warm(2) == serial
+
     def test_rerun_after_kill_does_not_duplicate_entries(
             self, tmp_path):
         import multiprocessing

@@ -20,6 +20,7 @@ from repro.errors import ConfigError
 from repro.experiments import runner, store, trace_cache
 from repro.experiments.runner import (_fork_available, clear_cache,
                                       replay_grid, replay_platform)
+from repro.obs import provenance
 from repro.obs.metrics import global_metrics, reset_global_metrics
 from repro.platform.factory import PLATFORM_NAMES
 from repro.workloads.registry import TABLE3_WORKLOADS
@@ -247,7 +248,9 @@ class TestKilledMidWrite:
 class TestNoCollection:
     """A heap so large that the workload never collects leaves no GC
     to replay: one ``ConfigError`` naming the workload and the heap,
-    raised in the parent before any replay or fan-out."""
+    raised before any of that workload's cells replays — in the parent
+    on the per-cell schedule, in the worker collecting it on the
+    per-workload schedule."""
 
     HEAP_MB = 160  # 10x graphchi-cc's default heap
 
@@ -259,11 +262,21 @@ class TestNoCollection:
                             heap_bytes=self.HEAP_MB << 20)
 
     @pytest.mark.parametrize("processes", [1, 2])
-    def test_grid_fails_before_fan_out(self, processes, monkeypatch):
-        def no_fan_out(*args, **kwargs):
-            raise AssertionError("fanned out a grid with no collection")
+    def test_grid_fails_before_replaying_the_workload(self, processes,
+                                                      monkeypatch):
+        """Two workloads on two processes take the per-workload
+        schedule, so the error is raised in a pool worker; a replay of
+        a graphchi-cc cell anywhere would raise ``AssertionError``
+        instead (the workers inherit the patch)."""
+        original = runner.replay_platform
 
-        monkeypatch.setattr(runner, "_fan_out", no_fan_out)
+        def no_graphchi_cc(platform_name, name, *args, **kwargs):
+            if name == "graphchi-cc":
+                raise AssertionError("replayed a cell with no "
+                                     "collection")
+            return original(platform_name, name, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "replay_platform", no_graphchi_cc)
         with pytest.raises(ConfigError,
                            match="graphchi-cc ran no collection"):
             # spark-km still collects at this heap; graphchi-cc does not.
@@ -372,6 +385,78 @@ class TestKilledWorker:
         assert sweep.exitcode == 0
 
 
+class TestKilledWorkloadWorker:
+    """The same contract on the per-workload schedule: a worker
+    SIGKILLed after replaying one cell of its workload breaks the pool
+    once, the parent finishes that workload from the trace-cache entry
+    the worker stored, and every cell's ``replay.wall_seconds`` is
+    recorded once, with the serial value."""
+
+    WORKLOADS = ("spark-km", "graphchi-als")
+
+    def test_killed_worker_finishes_its_workload_in_the_parent(
+            self, tmp_path):
+        if not _fork_available():
+            pytest.skip("no fork start method on this platform")
+        reference = replay_grid(PLATFORMS, self.WORKLOADS, processes=1)
+        clear_cache()
+
+        def sweep_with_a_dying_worker():
+            os.setpgid(0, 0)  # lets the test reap a hung pool too
+            # An empty cache: the workers capture and store.
+            os.environ[TRACE_CACHE_ENV] = str(tmp_path / "fresh")
+            reset_global_metrics()  # the reference sweep's rows
+            provenance.reset_session()
+            sweep_pid = os.getpid()
+            original = runner.replay_platform
+
+            def fragile(platform_name, name, *args, **kwargs):
+                result = original(platform_name, name, *args, **kwargs)
+                if name == self.WORKLOADS[1] \
+                        and os.getpid() != sweep_pid:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return result
+
+            runner.replay_platform = fragile
+            try:
+                grid = replay_grid(PLATFORMS, self.WORKLOADS, processes=2)
+                same = (list(grid) == list(reference)
+                        and all(grid[key] == result
+                                for key, result in reference.items()))
+                if not same:
+                    os._exit(1)
+                if global_metrics().counter("fanout.fallbacks").value != 1:
+                    os._exit(4)
+                if [run["cache"] for run in provenance.session_runs()
+                        if run["workload"] == self.WORKLOADS[1]] \
+                        != ["hit"]:
+                    os._exit(5)
+                os._exit(0 if counted_once() else 3)
+            except BaseException:
+                os._exit(2)
+
+        def counted_once():
+            walls = {(row["labels"]["platform"], row["labels"]["workload"]):
+                     row["value"] for row in global_metrics().samples()
+                     if row["metric"] == "replay.wall_seconds"}
+            return walls == {key: result.wall_seconds
+                             for key, result in reference.items()}
+
+        context = multiprocessing.get_context("fork")
+        sweep = context.Process(target=sweep_with_a_dying_worker)
+        sweep.start()
+        sweep.join(60)
+        if sweep.is_alive():
+            os.killpg(sweep.pid, signal.SIGKILL)
+            sweep.join()
+            pytest.fail("the sweep hung after its worker was killed")
+        assert sweep.exitcode != 1  # returned the serial grid
+        assert sweep.exitcode != 3  # a cell's telemetry lost or doubled
+        assert sweep.exitcode != 4  # the broken pool not counted once
+        assert sweep.exitcode != 5  # not finished off the stored entry
+        assert sweep.exitcode == 0
+
+
 class TestGridShape:
     def test_grid_covers_every_cell(self):
         grid = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
@@ -384,3 +469,51 @@ class TestGridShape:
         """One pending job must not pay for a worker pool."""
         grid = replay_grid(("ideal",), [WORKLOAD], processes=4)
         assert set(grid) == {("ideal", WORKLOAD)}
+
+
+def started(item):
+    """A fan-out task that reports when it started, then stays busy
+    long enough for the order of the starts to show."""
+    import time
+
+    began = time.monotonic()
+    time.sleep(0.3)
+    return item, began
+
+
+class TestPerWorkloadSchedule:
+    def test_task_leaves_the_run_memo_as_it_found_it(self):
+        """A worker drops the run its task collected, so its resident
+        set holds one workload at a time; a run already memoised stays."""
+        task = tuple((platform, WORKLOAD, None, None)
+                     for platform in PLATFORMS)
+        key = (WORKLOAD, runner.default_heap_bytes(WORKLOAD))
+        dropped = runner._replay_workload(task)
+        assert key not in runner._RUN_CACHE
+        clear_cache()
+        run = runner.collect_run(WORKLOAD)
+        kept = runner._replay_workload(task)
+        assert runner._RUN_CACHE[key] is run
+        assert dropped == kept
+
+    def test_largest_starts_first_and_merges_in_item_order(self):
+        if not _fork_available():
+            pytest.skip("no fork start method on this platform")
+        results = runner._fan_out(started, [1, 2, 3], processes=2,
+                                  cost=lambda item: item)
+        assert [item for item, _ in results] == [1, 2, 3]
+        begins = {item: began for item, began in results}
+        # Two workers start the two largest; the smallest waits for one.
+        assert begins[1] > max(begins[2], begins[3])
+
+    def test_task_cost_is_its_stored_entry(self, tmp_path):
+        """Costs known before a task runs: its trace-cache entry's
+        size; a workload still to capture costs more than any."""
+        directory = tmp_path / "trace-cache"
+        runner.collect_run(WORKLOAD)
+        (entry,) = store.TRACES.entries(directory)
+        stored = ((PLATFORMS[0], WORKLOAD, None, None),)
+        uncaptured = ((PLATFORMS[0], "spark-km", None, None),)
+        assert runner._stored_bytes(directory, stored) \
+            == entry.stat().st_size
+        assert runner._stored_bytes(directory, uncaptured) == float("inf")

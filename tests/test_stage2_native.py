@@ -11,6 +11,7 @@ error for fast replay only; the event-by-event oracle needs none.
 import errno
 import hashlib
 import os
+import tempfile
 
 import pytest
 
@@ -128,3 +129,28 @@ def test_missing_compiler_is_a_config_error(tmp_path, monkeypatch,
         assert event.dram_bytes == results[cell].dram_bytes
         assert event.wall_seconds == pytest.approx(
             results[cell].wall_seconds, rel=1e-9)
+
+
+def test_broken_source_is_a_config_error_naming_it(tmp_path, monkeypatch,
+                                                   unloaded):
+    """The two sources compile at once; one that does not compile
+    raises one ``ConfigError`` naming it and carrying gcc's message,
+    and the build leaves nothing behind: no store entry, and nothing
+    in the temporary directory's parent."""
+    sources = native._sources()
+    sources["_scavenge.c"] += b"\nint broken(void) { return }\n"
+    monkeypatch.setattr(native, "_sources", lambda: sources)
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setenv("TMPDIR", str(temp))
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "cache"))
+    with pytest.raises(ConfigError) as raised:
+        native.library()
+    message = str(raised.value)
+    assert message.startswith("compiling _scavenge.c with ")
+    assert "_stage2.c" not in message.splitlines()[0]
+    assert "error" in message
+    assert not list(temp.iterdir())
+    assert store.NATIVE.entries(tmp_path / "cache") == []
+    assert store.NATIVE.stats["builds"] == 0

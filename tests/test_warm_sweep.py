@@ -74,6 +74,42 @@ class TestStage1Cache:
         assert trace_cache.STATS["misses"] == 0
         grids_equal(cold, warm)
 
+    def test_per_workload_pool_computes_each_product_once(
+            self, tmp_path, monkeypatch):
+        """Two workloads on two processes take the per-workload
+        schedule: the cold pooled sweep captures in the workers and
+        computes and stores each stage-1 product once, as the serial
+        sweep does; the warm pooled repeat captures nothing, misses
+        nothing and returns the cold serial grid bit for bit."""
+        if not runner._fork_available():
+            pytest.skip("no fork start method on this platform")
+        workloads = ["spark-km", "graphchi-als"]
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "serial"))
+        cold = replay_grid(PLATFORMS, workloads, processes=1)
+        serial = stage1_cache.STATS.snapshot()
+        assert serial["misses"] > 0
+
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "pooled"))
+        clear_cache()
+        stage1_cache.STATS.reset()
+        trace_cache.STATS.reset()
+        pooled = replay_grid(PLATFORMS, workloads, processes=2)
+        stats = stage1_cache.STATS.snapshot()
+        assert stats["misses"] == stats["stores"] == serial["misses"]
+        assert trace_cache.STATS["generated"] == len(workloads)
+        assert len(store.TRACES.entries(tmp_path / "pooled")) \
+            == len(workloads)
+        grids_equal(cold, pooled)
+
+        clear_cache()
+        stage1_cache.STATS.reset()
+        trace_cache.STATS.reset()
+        warm = replay_grid(PLATFORMS, workloads, processes=2)
+        assert trace_cache.STATS["generated"] == 0
+        assert trace_cache.STATS["misses"] == 0
+        assert stage1_cache.STATS["misses"] == 0
+        grids_equal(cold, warm)
+
     def test_unset_directory_degrades_to_recompute(self, monkeypatch):
         monkeypatch.delenv(TRACE_CACHE_ENV)
         grid = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
