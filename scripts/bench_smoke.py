@@ -2,19 +2,21 @@
 """Benchmark smoke: prove the trace cache makes replays capture-free.
 
 Runs ``python -m repro figure 12 --workloads spark-km graphchi-cc
---out-dir DIR`` twice against a fresh cache directory, both times on a
-2-process pool (``REPRO_JOBS=2``), and reads each run's provenance
-manifest (``DIR/manifest.json``):
+--out-dir DIR`` three times and reads each run's provenance manifest
+(``DIR/manifest.json``):
 
-1. the first run must capture both workloads, in the pool workers (its
-   manifest's ``trace_cache`` tally: 2 generated, 2 stored; one
-   ``runs[]`` record per workload, each ``generated``), leaving 2 trace
-   entries in the cache;
-2. the second run must serve both from the cache: 0 generated runs,
-   0 misses, at least 2 hits, every ``runs[].cache`` a ``hit`` — the
-   proof of zero collector re-execution.
+1. serially into a fresh cache directory, and
+2. on a 2-process pool (``REPRO_JOBS=2``) into a second fresh cache
+   directory, where the pool workers capture: each of these runs must
+   capture both workloads (its manifest's ``trace_cache`` tally: 2
+   generated, 2 stored; one ``runs[]`` record per workload, each
+   ``generated``), leaving 2 trace entries in its cache;
+3. on the pool again, against the first cache: it must serve both
+   workloads from the cache: 0 generated runs, 0 misses, at least 2
+   hits, every ``runs[].cache`` a ``hit`` — the proof of zero
+   collector re-execution.
 
-The second run exports telemetry through ``REPRO_OBS_OUT``
+The third run exports telemetry through ``REPRO_OBS_OUT``
 into ``$BENCH_SMOKE_ARTIFACTS`` (default ``bench-smoke-artifacts/``:
 ``trace.json`` and ``metrics.json``); the script then checks the
 Chrome trace and metric snapshot are well-formed, that they carry one
@@ -55,16 +57,19 @@ FIG12_PLATFORMS = ("cpu-ddr4", "cpu-hmc", "charon", "ideal")
 HOST_PID = 1
 
 
-def run_figure(cache_dir: str, out_dir: Path, cached: bool) -> dict:
-    """One ``repro figure 12`` run on the smoke grid, on a 2-process
-    pool; returns its provenance manifest."""
+def run_figure(cache_dir: str, out_dir: Path, label: str, pooled: bool,
+               telemetry: bool = False) -> dict:
+    """One ``repro figure 12`` run on the smoke grid, serial or on a
+    2-process pool; returns its provenance manifest."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     env["REPRO_TRACE_CACHE"] = cache_dir
-    env["REPRO_JOBS"] = "2"
-    env.pop("REPRO_OBS_OUT", None)
-    if cached:
+    for name in ("REPRO_JOBS", "REPRO_OBS_OUT"):
+        env.pop(name, None)
+    if pooled:
+        env["REPRO_JOBS"] = "2"
+    if telemetry:
         # The cached run leaves its telemetry behind for CI artifacts.
         ARTIFACTS.mkdir(parents=True, exist_ok=True)
         env["REPRO_OBS_OUT"] = str(ARTIFACTS)
@@ -73,7 +78,6 @@ def run_figure(cache_dir: str, out_dir: Path, cached: bool) -> dict:
          *SMOKE_WORKLOADS, "--out-dir", str(out_dir)],
         cwd=REPO, env=env, text=True,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
-    label = "second (cached)" if cached else "first (capture)"
     if process.returncode != 0:
         print(process.stdout)
         sys.exit(f"bench smoke: {label} run failed "
@@ -94,6 +98,23 @@ def each_run_once(cache: str) -> list:
     """What :func:`run_caches` reads when each smoke workload's run is
     recorded once, as ``cache``."""
     return [(workload, cache) for workload in sorted(SMOKE_WORKLOADS)]
+
+
+def check_capture(cache: str, manifest: dict, label: str) -> None:
+    """A cold run captured and stored each smoke workload once."""
+    workloads = len(SMOKE_WORKLOADS)
+    tally = manifest["trace_cache"]
+    if tally["generated"] != workloads or tally["stores"] != workloads \
+            or run_caches(manifest) != each_run_once("generated"):
+        sys.exit(f"bench smoke: {label} run should capture "
+                 f"{workloads} workloads, tallied {tally}, runs "
+                 f"{run_caches(manifest)}")
+    # Stage-1 products share the directory; count trace entries.
+    from repro.experiments.store import TRACES
+    entries = len(TRACES.entries(cache))
+    if entries != workloads:
+        sys.exit(f"bench smoke: {label} run left {entries} cache "
+                 f"entries, expected {workloads}")
 
 
 def check_geomean(out_dir: Path) -> None:
@@ -150,7 +171,6 @@ def check_artifacts(cache: Path, out_dirs: list) -> None:
         sys.exit("bench smoke: Chrome trace artifact has no simulated "
                  "gc spans")
 
-    sys.path.insert(0, str(REPO / "src"))
     from repro.experiments.store import TRACES
     from repro.obs.provenance import load_manifest, round_trips
 
@@ -179,36 +199,33 @@ def check_artifacts(cache: Path, out_dirs: list) -> None:
 
 
 def main() -> None:
-    out_dirs = [ARTIFACTS / "fig12-capture", ARTIFACTS / "fig12-cached"]
+    sys.path.insert(0, str(REPO / "src"))
+    out_dirs = [ARTIFACTS / "fig12-capture", ARTIFACTS / "fig12-pool-capture",
+                ARTIFACTS / "fig12-cached"]
     workloads = len(SMOKE_WORKLOADS)
-    with tempfile.TemporaryDirectory(prefix="trace-cache-") as cache:
-        manifest = run_figure(cache, out_dirs[0], cached=False)
-        first = manifest["trace_cache"]
-        if first["generated"] != workloads or first["stores"] != workloads \
-                or run_caches(manifest) != each_run_once("generated"):
-            sys.exit(f"bench smoke: first run should capture "
-                     f"{workloads} workloads, tallied {first}, runs "
-                     f"{run_caches(manifest)}")
-        # Stage-1 products share the directory; count trace entries.
-        sys.path.insert(0, str(REPO / "src"))
-        from repro.experiments.store import TRACES
-        entries = len(TRACES.entries(cache))
-        if entries != workloads:
-            sys.exit(f"bench smoke: expected {workloads} cache "
-                     f"entries, found {entries}")
-        manifest = run_figure(cache, out_dirs[1], cached=True)
-        second = manifest["trace_cache"]
-        if second["generated"] != 0 or second["misses"] != 0 \
+    with tempfile.TemporaryDirectory(prefix="trace-cache-") as cache, \
+            tempfile.TemporaryDirectory(prefix="trace-cache-") as pooled:
+        label = "first (serial capture)"
+        check_capture(cache, run_figure(cache, out_dirs[0], label,
+                                        pooled=False), label)
+        label = "second (pooled capture)"
+        check_capture(pooled, run_figure(pooled, out_dirs[1], label,
+                                         pooled=True), label)
+        label = "third (cached)"
+        manifest = run_figure(cache, out_dirs[2], label, pooled=True,
+                              telemetry=True)
+        third = manifest["trace_cache"]
+        if third["generated"] != 0 or third["misses"] != 0 \
                 or run_caches(manifest) != each_run_once("hit"):
-            sys.exit(f"bench smoke: second run re-executed a "
-                     f"collector, tallied {second}, runs "
+            sys.exit(f"bench smoke: third run re-executed a "
+                     f"collector, tallied {third}, runs "
                      f"{run_caches(manifest)}")
-        if second["hits"] < workloads:
-            sys.exit(f"bench smoke: second run should hit the cache "
-                     f"{workloads} times, tallied {second}")
+        if third["hits"] < workloads:
+            sys.exit(f"bench smoke: third run should hit the cache "
+                     f"{workloads} times, tallied {third}")
         check_artifacts(Path(cache), out_dirs)
-        check_geomean(out_dirs[1])
-    print(f"bench smoke: OK — second run served {second['hits']} "
+        check_geomean(out_dirs[2])
+    print(f"bench smoke: OK — third run served {third['hits']} "
           f"cached trace set(s), zero collector re-execution")
 
 

@@ -323,7 +323,7 @@ def replay_grid(platform_names: Iterable[str],
         tasks = [tuple(cells) for cells in by_workload.values()]
         cost = functools.partial(_stored_bytes, directory)
     else:
-        for name in workload_names:
+        for name in by_workload:
             gc_traces(name, heap_bytes)
         function = _replay_cells
         tasks = [(job,) for cells in by_workload.values() for job in cells]

@@ -496,6 +496,23 @@ class TestPerWorkloadSchedule:
         assert runner._RUN_CACHE[key] is run
         assert dropped == kept
 
+    def test_repeat_grid_collects_nothing(self):
+        """A grid whose cells are all memoised replays and collects
+        nothing, after a pooled sweep as after a serial one: no run
+        is loaded into the parent and no provenance record is added."""
+        if not _fork_available():
+            pytest.skip("no fork start method on this platform")
+        provenance.reset_session()
+        workloads = ("spark-km", WORKLOAD)
+        first = replay_grid(PLATFORMS, workloads, processes=2)
+        runs = provenance.session_runs()
+        assert len(runs) == 2
+        assert not runner._RUN_CACHE
+        second = replay_grid(PLATFORMS, workloads, processes=2)
+        assert provenance.session_runs() == runs
+        assert not runner._RUN_CACHE
+        grids_equal(first, second)
+
     def test_largest_starts_first_and_merges_in_item_order(self):
         if not _fork_available():
             pytest.skip("no fork start method on this platform")
