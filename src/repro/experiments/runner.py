@@ -290,9 +290,10 @@ def replay_grid(platform_names: Iterable[str],
       first; workloads still to capture start first, in grid order.
       The worker drops the run afterwards, and no run travels back:
       the parent's run memo stays as it was.
-    * **per cell**, otherwise: workload runs are captured in the
-      parent first, so workers inherit the traces instead of
-      regenerating them, and each cell is one task.  Without a cache
+    * **per cell**, otherwise: the runs of the workloads with cells
+      to replay are captured in the parent first, so workers inherit
+      the traces instead of regenerating them, and each cell is one
+      task.  Without a cache
       this is the only schedule that leaves the parent's run memo warm
       for later replays; for a single workload it is the only one that
       keeps the cells parallel.
