@@ -7,7 +7,7 @@ against a fresh run.  Workload traces are produced once per session and
 shared through :mod:`repro.experiments.runner`'s cache, so the full
 suite replays each workload on each platform exactly once.
 
-Captured traces and stage-1 products also persist across sessions:
+Captured traces also persist across sessions:
 unless the caller already pointed ``REPRO_TRACE_CACHE`` somewhere, the
 content-addressed cache lives in ``benchmarks/.trace-cache``, so a
 second benchmark run skips every collector execution and goes straight
@@ -57,6 +57,5 @@ def run_once(benchmark, func):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    from repro.experiments.store import CACHES
-    for namespace in CACHES:
-        terminalreporter.write_line(namespace.stats_line())
+    from repro.experiments.store import TRACES
+    terminalreporter.write_line(TRACES.stats_line())

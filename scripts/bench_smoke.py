@@ -10,7 +10,9 @@ Runs ``python -m repro figure 12 --workloads spark-km graphchi-cc
    directory, where the pool workers capture: each of these runs must
    capture both workloads (its manifest's ``trace_cache`` tally: 2
    generated, 2 stored; one ``runs[]`` record per workload, each
-   ``generated``), leaving 2 trace entries in its cache;
+   ``generated``), leaving exactly its 2 trace entries and the
+   compiled kernel library in its cache: no stage-1 file and no temp
+   file from an atomic write;
 3. on the pool again, against the first cache: it must serve both
    workloads from the cache: 0 generated runs, 0 misses, at least 2
    hits, every ``runs[].cache`` a ``hit`` — the proof of zero
@@ -109,12 +111,15 @@ def check_capture(cache: str, manifest: dict, label: str) -> None:
         sys.exit(f"bench smoke: {label} run should capture "
                  f"{workloads} workloads, tallied {tally}, runs "
                  f"{run_caches(manifest)}")
-    # Stage-1 products share the directory; count trace entries.
-    from repro.experiments.store import TRACES
-    entries = len(TRACES.entries(cache))
-    if entries != workloads:
-        sys.exit(f"bench smoke: {label} run left {entries} cache "
-                 f"entries, expected {workloads}")
+    # The whole listing: the traces and the library, nothing else.
+    from repro.experiments.store import NATIVE, TRACES
+    traces, library = TRACES.entries(cache), NATIVE.entries(cache)
+    listing = sorted(path.name for path in Path(cache).iterdir())
+    if len(traces) != workloads or len(library) != 1 \
+            or listing != sorted(path.name for path in traces + library):
+        sys.exit(f"bench smoke: {label} run left {listing} in its "
+                 f"cache, expected {workloads} trace entries and one "
+                 f"compiled library")
 
 
 def check_geomean(out_dir: Path) -> None:

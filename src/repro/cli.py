@@ -14,7 +14,7 @@ Commands:
   instead of the platform's replay kernel);
 * ``sweep [--platforms P,..] [--workloads W,..] [--jobs N]`` — replay
   a platform x workload grid;
-* ``cache stats|path|clear`` — the trace and stage-1 product cache;
+* ``cache stats|path|clear`` — the trace cache;
 * ``report WORKLOAD`` — a zsim-style Charon device statistics dump;
 * ``stats WORKLOAD`` — the unified metric registry for one replay
   (table, JSON snapshot, or CSV);
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cache = commands.add_parser("cache", help="inspect or clear the "
                                               "content-addressed trace "
-                                              "and stage-1 cache")
+                                              "cache")
     cache.add_argument("action", choices=("path", "stats", "clear"))
     cache.add_argument("--dir", default=None,
                        help="cache directory (default "
@@ -354,21 +354,18 @@ def _cmd_cache(args) -> str:
         return (str(directory) if directory is not None else
                 "cache disabled (set REPRO_TRACE_CACHE or --dir)")
     if args.action == "clear":
-        counts = [(ns.noun, ns.clear(directory)) for ns in store.CACHES]
-        return "removed " + ", ".join(
-            f"{n} {noun} entr{'y' if n == 1 else 'ies'}"
-            for noun, n in counts)
+        n = store.TRACES.clear(directory)
+        return (f"removed {n} {store.TRACES.noun} "
+                f"entr{'y' if n == 1 else 'ies'}")
     lines = [] if directory is None else [str(directory)]
-    for namespace in store.CACHES:
-        entries = namespace.entries(directory)
-        if entries:
-            total = sum(path.stat().st_size for path in entries)
-            lines.append(f"{namespace.noun}: {len(entries)} entries, "
-                         f"{total / 2**20:.2f} MB")
-            lines += [f"  {path.name}  "
-                      f"{path.stat().st_size / 2**10:.1f} KB"
-                      for path in entries]
-        lines.append(namespace.stats_line())
+    entries = store.TRACES.entries(directory)
+    if entries:
+        total = sum(path.stat().st_size for path in entries)
+        lines.append(f"{store.TRACES.noun}: {len(entries)} entries, "
+                     f"{total / 2**20:.2f} MB")
+        lines += [f"  {path.name}  {path.stat().st_size / 2**10:.1f} KB"
+                  for path in entries]
+    lines.append(store.TRACES.stats_line())
     return "\n".join(lines)
 
 
@@ -386,7 +383,7 @@ def _cmd_report(args) -> str:
 
 def _cmd_stats(args) -> str:
     from repro.experiments.runner import workload_config
-    from repro.experiments.store import CACHES
+    from repro.experiments.store import TRACES
     from repro.obs.adapters import (device_metrics, hmc_metrics,
                                     timing_metrics)
     from repro.obs.export import metrics_csv, metrics_snapshot
@@ -401,8 +398,7 @@ def _cmd_stats(args) -> str:
 
     registry = global_metrics()
     timing_metrics(registry, result, workload=args.workload)
-    for namespace in CACHES:
-        namespace.stats.snapshot()  # list each cache tally, even at 0
+    TRACES.stats.snapshot()  # list the cache tally, even at 0
     if platform.device is not None:
         device_metrics(registry, platform.device)
     if platform.hmc is not None:
@@ -435,7 +431,7 @@ def _cmd_stats(args) -> str:
 def _cmd_sweep(args) -> int:
     """``repro sweep`` replays the grid through ``replay_grid``, on a
     fork pool made for the sweep when ``--jobs`` exceeds 1."""
-    from repro.experiments.store import CACHES
+    from repro.experiments.store import TRACES
     from repro.workloads.registry import TABLE3_WORKLOADS
 
     platforms = (args.platforms.split(",") if args.platforms
@@ -450,8 +446,7 @@ def _cmd_sweep(args) -> int:
         print(f"{platform:18s} {workload:16s} "
               f"{result.wall_seconds * 1e3:10.3f} ms  "
               f"{result.energy.total_j * 1e3:8.2f} mJ")
-    for namespace in CACHES:
-        print(namespace.stats_line())
+    print(TRACES.stats_line())
     return 0
 
 

@@ -491,7 +491,7 @@ REPLAY_MODES = ("fast", "event")
 HEAP_KERNEL_MODES = ("scalar", "fast")
 
 #: The environment knobs; :func:`settings` is their only reader.
-TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"          #: trace + stage-1 cache
+TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"          #: trace cache + kernel library
 REPLAY_JOBS_ENV = "REPRO_JOBS"                 #: replay_grid processes
 OBS_OUT_ENV = "REPRO_OBS_OUT"                  #: trace + metrics at exit
 HEAP_KERNELS_ENV = "REPRO_HEAP_KERNELS"        #: scalar | fast

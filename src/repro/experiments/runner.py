@@ -20,9 +20,8 @@ pipeline:
   workloads to replay as processes, each workload is one task that
   captures (or reads) its run and replays its cells in one worker;
   otherwise the runs are captured in the parent first and each cell
-  is one task.  A sweep that is killed re-runs warm: its captures and
-  stage-1 products are already in the caches, so the re-run only
-  replays.
+  is one task.  A sweep that is killed re-runs warm: its captures are
+  already in the trace cache, so the re-run only replays.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
 """One persistent store for everything a sweep keeps on disk.
 
-Captured traces and stage-1 replay products are each a *namespace* of
-content-addressed entries ``<64-hex key><suffix>``: :data:`TRACES`
-(``.npz``, :mod:`.trace_cache`) and :data:`STAGE1` (``.stage1.npz``,
-:mod:`.stage1_cache`); the compiled loop is :data:`NATIVE`
+Each kind of entry is a *namespace* of content-addressed files
+``<64-hex key><suffix>``: captured traces are :data:`TRACES` (``.npz``,
+:mod:`.trace_cache`) and the compiled kernel library is :data:`NATIVE`
 (``.stage2.so``, :mod:`repro.platform.native`).  Those modules own
-their keys and codecs; this one owns the mechanics.  All three share
-the ``REPRO_TRACE_CACHE`` directory.
+their keys and codecs; this one owns the mechanics.  Both share the
+``REPRO_TRACE_CACHE`` directory.
 
 Persistent state is an accelerator, never a dependency, so every fault
 degrades to recompute: :func:`read` discards a stale, torn or foreign
@@ -112,23 +111,14 @@ TRACES = Namespace(
     "trace cache: {hits} hit(s), {misses} miss(es), {stale} stale, "
     "{stores} store(s), {generated} run(s) generated")
 
-STAGE1 = Namespace(
-    "stage1_cache", ".stage1.npz", "stage1-cache",
-    ("hits", "misses", "stale", "stores"),
-    "stage-1 cache: {hits} hit(s), {misses} miss(es), {stale} stale, "
-    "{stores} store(s)")
-
-#: The compiled stage-2 loop (:mod:`repro.platform.native`): a build
-#: product beside the caches, not a cache of results, so ``repro cache
-#: clear`` leaves it.  ``builds``: compilations in this process tree.
+#: The compiled kernel library (:mod:`repro.platform.native`): a build
+#: product beside the trace entries, not a cache of results, so ``repro
+#: cache clear`` leaves it.  ``builds``: compilations in this process tree.
 NATIVE = Namespace(
     "stage2_native", ".stage2.so", "compiled-kernel",
     ("hits", "builds", "stale", "stores"),
     "compiled stage 2: {hits} hit(s), {builds} build(s), {stale} stale, "
     "{stores} store(s)")
-
-#: The namespaces of the one cache directory.
-CACHES = (TRACES, STAGE1)
 
 
 def resolve(directory: Optional[PathLike] = None) -> Optional[Path]:

@@ -13,8 +13,8 @@ The package:
   actually spend);
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of labeled
   counters, gauges and histograms (with percentile queries); the
-  store tallies (``trace_cache.hits``, ``stage1_cache.misses``, …)
-  are its counters;
+  store tallies (``trace_cache.hits``, ``stage2_native.builds``, …)
+  and the stage-1 memo's (``stage1_cache.misses``) are its counters;
 * :mod:`repro.obs.adapters` — records a replay's
   :class:`~repro.platform.timing.GCTimingResult`, its
   :class:`~repro.core.device.CharonDevice` counters and its HMC

@@ -102,24 +102,19 @@ def _prim_index(compiled: GCTrace) -> Tuple[List[Primitive], np.ndarray]:
     indexed by these ids instead of hashing enum members per event;
     the per-primitive addition order is untouched (each primitive's
     events still add in event order), so results stay bit-identical.
-    Pure function of the trace, memoized on it (callers must not
-    mutate the returned key list or int32 id array).
+    Pure function of the trace, memoized on it through
+    :func:`repro.experiments.stage1_cache.fetch` (callers must not
+    mutate the returned key list; the int32 id array is read-only).
     """
-    cache = _kernel_memo(compiled)
-    hit = cache.get("prim_index")
-    if hit is None:
-        from repro.experiments import stage1_cache
+    from repro.experiments import stage1_cache
 
-        def produce():
-            codes = compiled.events["prim"]
-            uq = np.unique(codes)
-            return uq, np.searchsorted(uq, codes)
+    def produce():
+        codes = compiled.events["prim"]
+        uq = np.unique(codes)
+        return ([CODE_TO_PRIMITIVE[int(code)] for code in uq.tolist()],
+                np.searchsorted(uq, codes).astype(np.int32))
 
-        uq, ids = stage1_cache.fetch(compiled, "prim_index", (),
-                                     produce)
-        keys = [CODE_TO_PRIMITIVE[int(code)] for code in uq.tolist()]
-        hit = cache["prim_index"] = (keys, ids.astype(np.int32))
-    return hit
+    return stage1_cache.fetch(compiled, "prim_index", produce)
 
 
 def _kernel_memo(compiled: GCTrace) -> Dict:
@@ -128,11 +123,9 @@ def _kernel_memo(compiled: GCTrace) -> Dict:
     The trace cache hands the same :class:`GCTrace` to every
     platform's replayer, so anything that depends only on the trace (or
     on a hashable parameter key) is computed once per trace instead of
-    once per ``begin``.  This memo is the in-process front of the
-    persistent :mod:`~repro.experiments.stage1_cache`: on a memo miss
-    the producers below read through it (and write back on a disk
-    miss), so a warm sweep process recomputes neither cached product
-    (``host_cols``, ``prim_index``).
+    once per ``begin``: :func:`repro.experiments.stage1_cache.fetch`
+    keeps the two trace-pure products here (``host_cols`` and
+    ``prim_index``), so each process computes them once per trace.
 
     It also holds the trace's Charon plans (:class:`_CharonPlan`), in
     memory only, keyed by everything :meth:`CharonBatchedKernel.begin`
@@ -445,8 +438,9 @@ def host_event_columns(compiled: GCTrace, costs, ipc_hz: float,
     short-request lane (everything except bulk copies).
 
     Pure in the trace and the listed cost parameters, so results are
-    memoized on the trace keyed by those parameters (the same
-    trace replays on several platforms and, in benchmarks, repeatedly).
+    memoized on the trace keyed by those parameters
+    (:func:`repro.experiments.stage1_cache.fetch`; the same trace
+    replays on several platforms and, in benchmarks, repeatedly).
     The cached arrays are frozen read-only; kernels index them but
     never write.
     """
@@ -460,25 +454,17 @@ def host_event_columns(compiled: GCTrace, costs, ipc_hz: float,
            costs.scan_push_hit_major, costs.scan_push_hit_minor,
            costs.bitmap_instructions_per_bit,
            costs.bitmap_hit_fraction)
-    cache = _kernel_memo(compiled)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     from repro.experiments import stage1_cache
 
-    compute, miss, dep, priority = stage1_cache.fetch(
-        compiled, "host_cols", key[1:],
-        lambda: _compute_host_columns(compiled, costs, ipc_hz, hit_lat))
-    for array in (compute, miss, dep, priority):
-        array.flags.writeable = False
-    cache[key] = (compute, miss, dep, priority)
-    return compute, miss, dep, priority
+    return stage1_cache.fetch(
+        compiled, key,
+        partial(_compute_host_columns, compiled, costs, ipc_hz, hit_lat))
 
 
 def _compute_host_columns(compiled: GCTrace, costs,
                           ipc_hz: float, hit_lat: float):
     """The actual :func:`host_event_columns` precompute (the producer
-    behind the memo and the stage-1 cache)."""
+    behind the memo)."""
     ev = compiled.events
     derived = compiled.derived_columns()
     n = len(ev)

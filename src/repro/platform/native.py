@@ -32,23 +32,28 @@ The shared object is an entry of the persistent store's
 in the ``REPRO_TRACE_CACHE`` directory), keyed by both sources, the
 flags and ``gcc --version``, and written atomically with a checksum.
 An entry whose checksum or ``dlopen`` fails is stale: it is deleted
-(counted ``stale``) and rebuilt.  With no store directory, or when the
-store cannot be written, the library is built in a per-process
-temporary directory.  A missing compiler raises
+(counted ``stale``) and rebuilt.  A process that misses builds under
+an exclusive ``flock`` on ``<sha256>.stage2.lock`` beside the entry and
+looks the entry up again once it holds the lock, so processes that
+start at once on an empty store build it once.  With no store
+directory, or when the store cannot be written, the library is built
+in a per-process temporary directory.  A missing compiler raises
 :class:`~repro.errors.ConfigError`; replay with ``--mode event`` and
 capture with ``REPRO_HEAP_KERNELS=scalar`` need none.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import fcntl
 import hashlib
 import shutil
 import subprocess
 import tempfile
 from importlib import resources
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -131,11 +136,57 @@ def _load() -> ctypes.CDLL:
         digest.update(b"\x00" + part.encode())
     key = digest.hexdigest()
     directory = store.resolve()
-    if directory is not None:
-        lib = store.read(store.NATIVE, directory, key, _open_entry)
-        if lib is not None:
-            store.NATIVE.stats.add("hits")
-            return lib
+    if directory is None:
+        return _build(cc, sources, None, key)
+    lib = _stored(directory, key)
+    if lib is not None:
+        return lib
+    with _locked(store.NATIVE.path(directory, key).with_suffix(".lock")):
+        # Another process may have stored it while this one waited.
+        lib = _stored(directory, key)
+        if lib is None:
+            lib = _build(cc, sources, directory, key)
+    return lib
+
+
+def _stored(directory: Path, key: str) -> Optional[ctypes.CDLL]:
+    """The stored library under ``key``, or ``None``."""
+    from repro.experiments import store
+
+    lib = store.read(store.NATIVE, directory, key, _open_entry)
+    if lib is not None:
+        store.NATIVE.stats.add("hits")
+    return lib
+
+
+@contextlib.contextmanager
+def _locked(path: Path) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on ``path``, so processes that start
+    at once on an empty store build the library once.  The lock file is
+    removed before it is released: a process that opens the name later
+    finds the entry already stored.  A lock that cannot be taken
+    (``OSError``) only costs a duplicate build."""
+    locked = False
+    with contextlib.ExitStack() as stack:
+        with contextlib.suppress(OSError):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle = stack.enter_context(open(path, "a"))
+            fcntl.flock(handle, fcntl.LOCK_EX)
+            locked = True
+        try:
+            yield
+        finally:
+            if locked:
+                with contextlib.suppress(OSError):
+                    path.unlink()
+
+
+def _build(cc: str, sources: Dict[str, bytes],
+           directory: Optional[Path], key: str) -> ctypes.CDLL:
+    """Compile the library, store it under ``key`` when there is a
+    directory, and load it."""
+    from repro.experiments import store
+
     with tempfile.TemporaryDirectory(prefix="repro-stage2-") as temp:
         built = Path(temp) / "stage2.so"
         _compile(cc, sources, built)

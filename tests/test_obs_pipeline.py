@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.experiments.store import CACHES
+from repro.experiments import stage1_cache, store
 from repro.obs.adapters import device_metrics, hmc_metrics, timing_metrics
 from repro.obs.export import (METRICS_SCHEMA_VERSION, metrics_csv,
                               metrics_snapshot, write_chrome_trace,
@@ -180,8 +180,8 @@ def test_adapters_fill_one_registry(mixed_run):
     timing_metrics(registry, result, workload="mixed")
     device_metrics(registry, platform.device)
     hmc_metrics(registry, platform.hmc)
-    for namespace in CACHES:  # the store tallies are rows of it too
-        namespace.stats.snapshot()
+    for tally in (store.TRACES.stats, stage1_cache.STATS):
+        tally.snapshot()  # the store and memo tallies are rows of it too
     names = {row["metric"] for row in registry.samples()}
     assert "replay.kernel_events" in names
     assert "replay.wall_seconds" in names

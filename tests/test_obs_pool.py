@@ -9,17 +9,18 @@ after a pooled sweep must match a serial sweep's — rows keyed by
 host-span names.  Host-time rows (``replay.kernel_seconds`` and
 ``replay.kernel_events_per_sec``) differ run to run and are left out.
 
-On the per-cell schedule (one workload) one counter counts work that
-genuinely differs with scheduling, so it is bounded instead of
-compared: each worker memoises the trace-pure stage-1 products on its
-own copy of a trace, so a product two workers need is read from the
-stage-1 cache once per worker (``stage1_cache.hits``).  On the
-per-workload schedule each trace lives in one worker, so every row is
-compared.
+On the per-cell schedule (one workload) two counters count work that
+genuinely differs with scheduling, so they are bounded instead of
+compared: each worker computes the trace-pure stage-1 products on its
+own copy of a shared trace, so a product two workers need is computed
+once per worker (``stage1_cache.misses``), and a lookup that would
+have hit the serial sweep's memo misses (``stage1_cache.hits``).
+Their sum, the lookups, is the same.  On the per-workload schedule
+each trace lives in one worker, so every row is compared.
 
 A fallback — a store write that failed, so the caller went uncached —
-is counted where it happens, so a worker's fallbacks reach the parent
-the same way.
+is counted where it happens, so the fallbacks of a worker that
+captured a run and could not store it reach the parent the same way.
 """
 
 import errno
@@ -39,7 +40,7 @@ from tests.test_replay_grid import (PLATFORMS, WORKLOAD,  # noqa: F401
                                     isolated_caches)
 
 HOST_TIME_ROWS = ("replay.kernel_seconds", "replay.kernel_events_per_sec")
-SCHEDULED = ("stage1_cache.hits",)
+SCHEDULED = ("stage1_cache.hits", "stage1_cache.misses")
 #: The Chrome-trace pids of the simulated and host clock domains.
 SIM_PID, HOST_PID = 0, 1
 
@@ -101,20 +102,19 @@ def test_pooled_telemetry_equals_serial(tracing):
     assert sim == serial_sim  # merged in job order
 
     assert tallies["trace_cache"] == serial_tallies["trace_cache"]
-    pooled_stage1 = dict(tallies["stage1_cache"])
-    serial_stage1 = dict(serial_tallies["stage1_cache"])
-    hits, serial_hits = pooled_stage1.pop("hits"), serial_stage1.pop("hits")
-    assert pooled_stage1 == serial_stage1 == {
-        "misses": 0, "stale": 0, "stores": 0, "fallbacks": 0}
-    # Every worker read reached the parent, none twice.
-    assert 0 < serial_hits <= hits <= 2 * serial_hits
+    pooled, serial = tallies["stage1_cache"], serial_tallies["stage1_cache"]
+    # Every worker lookup reached the parent, none twice.
+    assert sum(pooled.values()) == sum(serial.values())
+    assert 0 < serial["misses"] <= pooled["misses"] \
+        <= 2 * serial["misses"]
 
 
 def test_per_workload_pool_telemetry_equals_serial(tracing):
     """Two workloads on two processes take the per-workload schedule:
     each worker replays one workload's cells, so every trace is
-    planned in one process and nothing is exempt — the stage-1 hits
-    and the Charon plan outcomes equal the serial sweep's too."""
+    planned in one process and nothing is exempt — the stage-1 memo
+    tallies and the Charon plan outcomes equal the serial sweep's
+    too."""
     if not _fork_available():
         pytest.skip("no fork start method on this platform")
     workloads = ("spark-km", "graphchi-als")
@@ -135,39 +135,39 @@ def test_per_workload_pool_telemetry_equals_serial(tracing):
 
 
 def test_pooled_store_fallbacks_reach_the_parent(monkeypatch):
-    """Workers whose stage-1 writes hit ENOSPC count the fallbacks in
-    their own registries; the parent, which replays nothing itself,
-    ends up holding every one of them."""
+    """On the per-workload schedule the workers capture; workers whose
+    trace writes hit ENOSPC count the fallbacks in their own
+    registries, and the parent, which captures nothing itself, ends up
+    holding every one of them, as many as a serial sweep counts."""
     if not _fork_available():
         pytest.skip("no fork start method on this platform")
+    workloads = ("spark-km", "graphchi-als")
     real_replace = os.replace
 
     def full_disk(source, target):
-        if str(target).endswith(store.STAGE1.suffix):
+        if str(target).endswith(store.TRACES.suffix):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
                           str(target))
         return real_replace(source, target)
 
     monkeypatch.setattr(os, "replace", full_disk)  # forked workers too
 
-    def stage1_counters(processes):
+    def trace_counters(processes):
         clear_cache()
         reset_global_metrics()
-        replay_grid(PLATFORMS, [WORKLOAD], processes=processes)
+        replay_grid(PLATFORMS, workloads, processes=processes)
         counters = {row["metric"]: row["value"]
                     for row in global_metrics().samples()
                     if not row["labels"]}
-        return (counters.get("stage1_cache.fallbacks", 0),
-                counters.get("stage1_cache.misses", 0))
+        return {field: counters.get(f"trace_cache.{field}", 0)
+                for field in ("generated", "stores", "fallbacks")}
 
     try:
         with pytest.warns(UserWarning, match="No space left"):
-            serial_fallbacks, serial_misses = stage1_counters(1)
-        fallbacks, misses = stage1_counters(2)
+            serial = trace_counters(1)
+        pooled = trace_counters(2)
     finally:
         reset_global_metrics()
-    # Every miss tried to store its product and fell back.
-    assert 0 < fallbacks == misses
-    # A worker misses each product it needs once (its own memo), so
-    # the pool counts at least the serial sweep's fallbacks.
-    assert 0 < serial_fallbacks == serial_misses <= fallbacks
+    # Nothing was stored, so the pooled sweep captured every run again.
+    assert pooled == serial == {"generated": len(workloads), "stores": 0,
+                                "fallbacks": len(workloads)}

@@ -4,14 +4,19 @@ The batched replay kernels run stage 2 in ``_stage2.c``, which
 :mod:`repro.platform.native` compiles with gcc and stores in the cache
 directory.  Persistent state must degrade, never break a replay: a
 stale library is discarded and rebuilt, an unwritable store compiles
-into a temporary directory.  A missing compiler is a configuration
+into a temporary directory, and processes that start at once on an
+empty store build it once.  A missing compiler is a configuration
 error for fast replay only; the event-by-event oracle needs none.
 """
 
 import errno
 import hashlib
+import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +114,43 @@ def test_unwritable_store_builds_in_a_temp_dir(tmp_path, monkeypatch,
     traces, results = expected
     for cell in CELLS:
         assert replay(cell, traces) == results[cell]
+
+
+#: Loads the library against the store in ``REPRO_TRACE_CACHE`` and
+#: prints the process's tally.
+LOAD_PROBE = """
+import json
+from repro.experiments import store
+from repro.platform import native
+
+native.library()
+print(json.dumps(store.NATIVE.stats.snapshot()))
+"""
+
+
+def test_concurrent_first_loads_build_once(tmp_path):
+    """Two processes that start at once on an empty store compile the
+    library once: one builds under the lock, the other waits for it
+    and loads the stored entry.  The lock file goes with the lock."""
+    cache = tmp_path / "cache"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [str(Path(__file__).resolve().parent.parent / "src"),
+                    os.environ.get("PYTHONPATH", "")]),
+               **{TRACE_CACHE_ENV: str(cache)})
+    processes = [subprocess.Popen(
+        [sys.executable, "-c", LOAD_PROBE], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for _ in range(2)]
+    tallies = []
+    for process in processes:
+        out, err = process.communicate(timeout=300)
+        assert process.returncode == 0, err
+        tallies.append(json.loads(out))
+    assert sum(tally["builds"] for tally in tallies) == 1
+    assert all(tally["builds"] + tally["hits"] == 1 for tally in tallies)
+    assert sorted(cache.iterdir()) == store.NATIVE.entries(cache)
+    assert len(store.NATIVE.entries(cache)) == 1
 
 
 @pytest.mark.parametrize("variable", ["CC", "PATH"])

@@ -1,5 +1,5 @@
 """Tests for the one persistent store behind the trace cache and the
-stage-1 cache.
+compiled kernel library.
 
 Persistent state is an accelerator, never a dependency: a failed write
 must leave the run going uncached (correct result, no temp file left,
@@ -15,16 +15,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.config import TRACE_CACHE_ENV, default_config
-from repro.experiments import stage1_cache, store, trace_cache
+from repro.experiments import store, trace_cache
 from repro.experiments.runner import clear_cache
+from repro.platform import native
 from tests.conftest import SMALL_HEAP_BYTES, make_mixed_run, trace_contents
 
 #: Each namespace's entry suffix (entries are ``<64-hex key><suffix>``).
-SUFFIXES = {"trace_cache": ".npz", "stage1_cache": ".stage1.npz"}
+SUFFIXES = {"trace_cache": ".npz", "stage2_native": ".stage2.so"}
 
 
 def is_entry(name: str, namespace: str) -> bool:
@@ -40,10 +40,6 @@ def isolated(monkeypatch):
     clear_cache()
 
 
-def mixed_compiled():
-    return make_mixed_run().traces[0]
-
-
 def capture_traces(directory: Path):
     """One trace-cache write: a captured run, and the live capture it
     must equal."""
@@ -54,22 +50,10 @@ def capture_traces(directory: Path):
             trace_contents(make_mixed_run().traces))
 
 
-def compute_stage1(directory: Path):
-    """One stage-1 write: a product, and the arrays it must equal."""
-    def produce():
-        return np.arange(7, dtype=np.int64), np.full(3, 0.25)
-
-    arrays = stage1_cache.fetch(mixed_compiled(), "probe", (1,), produce,
-                                directory=directory)
-    return ([array.tolist() for array in arrays],
-            [array.tolist() for array in produce()])
-
-
 NAMESPACES = {namespace.name: namespace
-              for namespace in (store.TRACES, store.STAGE1)}
+              for namespace in (store.TRACES, store.NATIVE)}
 
-OPERATIONS = {"trace_cache": capture_traces,
-              "stage1_cache": compute_stage1}
+OPERATIONS = {"trace_cache": capture_traces}
 
 
 @pytest.mark.parametrize("namespace", sorted(OPERATIONS))
@@ -102,7 +86,7 @@ def test_failed_write_degrades_to_uncached(namespace, tmp_path,
                        for name in NAMESPACES}
 
 
-#: Arms every exporter the environment offers, then stores a stage-1
+#: Arms every exporter the environment offers, then stores a trace
 #: entry whose bytes go to ``/dev/full``: a real ENOSPC from the kernel.
 FULL_DISK_PROBE = """
 import json, sys, warnings
@@ -117,7 +101,7 @@ def encode(temp):
 
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
-    stored = store.write(store.STAGE1, sys.argv[1], "0" * 64, encode)
+    stored = store.write(store.TRACES, sys.argv[1], "0" * 64, encode)
 print(json.dumps({"armed": sorted(armed), "stored": stored is None,
                   "warned": [str(w.message) for w in caught]}))
 """
@@ -145,27 +129,29 @@ def test_full_disk_degrades_with_every_exporter_armed(tmp_path):
                for message in report["warned"])
     exported = json.loads((tmp_path / "obs" / "metrics.json").read_text())
     assert {row["metric"]: row["value"] for row in exported["metrics"]
-            }["stage1_cache.fallbacks"] == 1
+            }["trace_cache.fallbacks"] == 1
 
 
 def test_cache_clear_reports_each_namespace(tmp_path, capsys):
-    """One trace entry and five stage-1 entries in one directory clear
-    as exactly that, and ``--dir`` reaches both namespaces."""
+    """``repro cache`` lists and clears the trace entries of ``--dir``
+    and only those: the compiled library beside them, and a stage-1
+    file an earlier version stored, stay."""
     from repro.cli import main
 
     capture_traces(tmp_path)
-    compiled = mixed_compiled()
-    for param in range(5):
-        stage1_cache.fetch(compiled, "probe", (param,),
-                           lambda: (np.arange(3),), directory=tmp_path)
+    kept = [store.NATIVE.path(tmp_path, "c" * 64),
+            tmp_path / ("b" * 64 + ".stage1.npz")]
+    for path in kept:
+        path.write_bytes(b"")
     main(["cache", "stats", "--dir", str(tmp_path)])
     listing = capsys.readouterr().out
     assert "trace-cache: 1 entries" in listing
-    assert "stage1-cache: 5 entries" in listing
+    assert ".stage1.npz" not in listing
+    assert ".stage2.so" not in listing
     main(["cache", "clear", "--dir", str(tmp_path)])
-    assert capsys.readouterr().out.strip() == (
-        "removed 1 trace-cache entry, 5 stage1-cache entries")
-    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().out.strip() == \
+        "removed 1 trace-cache entry"
+    assert sorted(tmp_path.iterdir()) == sorted(kept)
 
 
 class TestNamespaces:
@@ -173,14 +159,17 @@ class TestNamespaces:
         from repro.experiments import store
 
         for name in ("a" * 64 + ".npz", "b" * 64 + ".stage1.npz",
+                     "c" * 64 + ".stage2.so", "c" * 64 + ".stage2.lock",
                      "d" * 64 + ".npz.tmp1f_2e", "short.npz"):
             (tmp_path / name).write_bytes(b"")
         assert [path.name for path in store.TRACES.entries(tmp_path)] \
             == ["a" * 64 + ".npz"]
-        assert [path.name for path in store.STAGE1.entries(tmp_path)] \
-            == ["b" * 64 + ".stage1.npz"]
-        assert store.STAGE1.clear(tmp_path) == 1
-        assert store.TRACES.entries(tmp_path)
+        assert [path.name for path in store.NATIVE.entries(tmp_path)] \
+            == ["c" * 64 + ".stage2.so"]
+        assert store.TRACES.clear(tmp_path) == 1
+        assert not store.TRACES.entries(tmp_path)
+        assert store.NATIVE.entries(tmp_path)
+        assert len(list(tmp_path.iterdir())) == 5
 
     @pytest.mark.parametrize("namespace", sorted(SUFFIXES))
     def test_torn_entry_is_discarded_as_stale(self, namespace,
@@ -189,7 +178,9 @@ class TestNamespaces:
 
         space, load = {
             "trace_cache": (store.TRACES, trace_cache.load_run),
-            "stage1_cache": (store.STAGE1, stage1_cache.load),
+            "stage2_native": (store.NATIVE, lambda directory, key:
+                              store.read(store.NATIVE, directory, key,
+                                         native._open_entry)),
         }[namespace]
         key = "e" * 64
         space.path(tmp_path, key).write_bytes(b"PK\x03\x04torn")
@@ -206,7 +197,7 @@ class TestNamespaces:
         blocker = tmp_path / "file"
         blocker.write_bytes(b"")
         with pytest.warns(UserWarning, match="not storing"):
-            assert store.write(store.STAGE1, blocker / "cache", "f" * 64,
+            assert store.write(store.TRACES, blocker / "cache", "f" * 64,
                                lambda temp: temp.write_bytes(b"")) \
                 is None
 

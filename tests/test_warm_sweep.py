@@ -1,11 +1,12 @@
 """Tests for the warm sweep engine.
 
-The persistent stage-1 product cache must be invisible in the results
-— a warm sweep, serial or pooled, returns field-identical grids to a
-cold serial sweep — while being loudly visible in the tallies (hits,
-misses, stores) that ``repro stats`` and the benchmark ledger report.
-A warm sweep's speed is the ledger's business; here its gate is that it
-captures nothing and misses no stage-1 product.  The crash test pins the
+A warm sweep reads its traces from the trace cache and recomputes the
+stage-1 products from them; it must return field-identical grids to a
+cold serial sweep, serial or pooled, and the stage-1 memo tallies
+(hits, misses) that ``repro stats`` and the benchmark ledger report
+must show each product computed once per trace in each process.  A warm
+sweep's speed is the ledger's business; here its gate is that it
+captures nothing and stores no stage-1 product.  The crash test pins the
 failure contract of the fork-pool fan-out: a raising cell surfaces its
 error to the caller (never a hang, never a silently dropped cell).
 """
@@ -13,7 +14,6 @@ error to the caller (never a hang, never a silently dropped cell).
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.config import TRACE_CACHE_ENV
@@ -42,60 +42,53 @@ def grids_equal(a, b):
 
 
 class TestStage1Cache:
-    def test_store_load_round_trip(self, tmp_path):
-        arrays = (np.arange(5, dtype=np.int64),
-                  np.ones((2, 3)) * 0.25)
-        key = "ab" * 32
-        stage1_cache.save(tmp_path, key, arrays)
-        loaded = stage1_cache.load(tmp_path, key)
-        assert len(loaded) == len(arrays)
-        for original, back in zip(arrays, loaded):
-            np.testing.assert_array_equal(back, original)
-            assert back.dtype == original.dtype
-
     @pytest.mark.parametrize("processes", [1, 2])
     def test_cold_then_warm_sweep_is_bit_exact(self, processes):
         """A warm sweep, serial or on the fork pool, captures nothing,
-        misses no stage-1 product and returns the cold serial grid bit
-        for bit."""
+        recomputes the stage-1 products from the traces it reads and
+        returns the cold serial grid bit for bit; the cache directory
+        holds trace entries and the library, and no stage-1 file."""
+        directory = Path(os.environ[TRACE_CACHE_ENV])
         cold = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
-        stats = stage1_cache.STATS.snapshot()
-        assert stats["misses"] > 0
-        assert stats["stores"] == stats["misses"]
-        assert stats["hits"] == 0
+        computed = stage1_cache.STATS["misses"]
+        assert computed > 0
         clear_cache()
         stage1_cache.STATS.reset()
         trace_cache.STATS.reset()
         warm = replay_grid(PLATFORMS, [WORKLOAD], processes=processes)
-        stats = stage1_cache.STATS.snapshot()
-        assert stats["hits"] > 0
-        assert stats["misses"] == 0  # the 100%-hit-rate contract
         assert trace_cache.STATS["generated"] == 0
         assert trace_cache.STATS["misses"] == 0
+        # Once per trace in a serial process; on the per-cell pool
+        # once per worker that replays the trace.
+        assert computed <= stage1_cache.STATS["misses"] \
+            <= processes * computed
         grids_equal(cold, warm)
+        assert sorted(directory.iterdir()) == sorted(
+            store.TRACES.entries(directory)
+            + store.NATIVE.entries(directory))
+        assert not list(directory.glob("*.stage1.npz"))
 
     def test_per_workload_pool_computes_each_product_once(
             self, tmp_path, monkeypatch):
         """Two workloads on two processes take the per-workload
         schedule: the cold pooled sweep captures in the workers and
-        computes and stores each stage-1 product once, as the serial
-        sweep does; the warm pooled repeat captures nothing, misses
-        nothing and returns the cold serial grid bit for bit."""
+        computes each stage-1 product once, as the serial sweep does;
+        the warm pooled repeat captures nothing, computes each product
+        once again and returns the cold serial grid bit for bit."""
         if not runner._fork_available():
             pytest.skip("no fork start method on this platform")
         workloads = ["spark-km", "graphchi-als"]
         monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "serial"))
         cold = replay_grid(PLATFORMS, workloads, processes=1)
-        serial = stage1_cache.STATS.snapshot()
-        assert serial["misses"] > 0
+        serial = stage1_cache.STATS["misses"]
+        assert serial > 0
 
         monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "pooled"))
         clear_cache()
         stage1_cache.STATS.reset()
         trace_cache.STATS.reset()
         pooled = replay_grid(PLATFORMS, workloads, processes=2)
-        stats = stage1_cache.STATS.snapshot()
-        assert stats["misses"] == stats["stores"] == serial["misses"]
+        assert stage1_cache.STATS["misses"] == serial
         assert trace_cache.STATS["generated"] == len(workloads)
         assert len(store.TRACES.entries(tmp_path / "pooled")) \
             == len(workloads)
@@ -107,55 +100,8 @@ class TestStage1Cache:
         warm = replay_grid(PLATFORMS, workloads, processes=2)
         assert trace_cache.STATS["generated"] == 0
         assert trace_cache.STATS["misses"] == 0
-        assert stage1_cache.STATS["misses"] == 0
+        assert stage1_cache.STATS["misses"] == serial
         grids_equal(cold, warm)
-
-    def test_unset_directory_degrades_to_recompute(self, monkeypatch):
-        monkeypatch.delenv(TRACE_CACHE_ENV)
-        grid = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
-        assert len(grid) == len(PLATFORMS)
-        assert stage1_cache.STATS.snapshot() == {
-            "hits": 0, "misses": 0, "stale": 0, "stores": 0,
-            "fallbacks": 0}
-
-    def test_warm_grid_misses_nothing_cleared_stage1_recomputes(self):
-        """The tallies are the warm-sweep gate: a warm grid misses
-        neither cache, and a cleared stage-1 namespace only costs
-        recompute (misses) for a bit-identical grid."""
-        cold = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
-        clear_cache()
-        stage1_cache.STATS.reset()
-        trace_cache.STATS.reset()
-        warm = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
-        assert trace_cache.STATS["misses"] == 0
-        assert stage1_cache.STATS["misses"] == 0
-        grids_equal(cold, warm)
-        clear_cache()
-        # Clearing the stage-1 namespace keeps the traces: the misses
-        # are stage-1 products'.
-        assert store.STAGE1.clear(os.environ[TRACE_CACHE_ENV]) > 0
-        assert store.TRACES.entries(os.environ[TRACE_CACHE_ENV])
-        trace_cache.STATS.reset()
-        recomputed = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
-        assert stage1_cache.STATS["misses"] > 0
-        assert trace_cache.STATS["misses"] == 0
-        grids_equal(cold, recomputed)
-
-    def test_stale_entry_is_discarded_and_regenerated(self):
-        reference = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
-        entries = sorted(
-            Path(os.environ[TRACE_CACHE_ENV]).glob("*.stage1.npz"))
-        assert entries
-        entries[0].write_bytes(b"not an npz archive")
-        clear_cache()
-        stage1_cache.STATS.reset()
-        with pytest.warns(UserWarning, match="stale stage1-cache"):
-            regenerated = replay_grid(PLATFORMS, [WORKLOAD],
-                                      processes=1)
-        grids_equal(reference, regenerated)
-        stats = stage1_cache.STATS.snapshot()
-        assert stats["stale"] == 1
-        assert stats["stores"] == 1  # only the corrupted entry rebuilt
 
 
 def forbid_event_objects(monkeypatch):
@@ -284,16 +230,16 @@ class TestMemoServedRebuild:
 
 class TestStoreTallies:
     def test_cold_then_warm_sweep_counts_misses_then_hits(self):
-        """The stage-1 tallies tell a cold sweep from a warm one: the
-        cold sweep misses and stores every product, the warm repeat
-        hits each one, and no write fell back."""
+        """The stage-1 tallies count the memo: a sweep misses each
+        product once per trace and hits it for every later platform,
+        and a warm repeat, on fresh copies of the traces read from the
+        trace cache, counts exactly the same."""
         replay_grid(PLATFORMS, [WORKLOAD], processes=1)
         cold = stage1_cache.STATS.snapshot()
         assert cold["misses"] > 0
-        assert cold["stores"] == cold["misses"]
+        assert cold["hits"] > 0
         clear_cache()
         replay_grid(PLATFORMS, [WORKLOAD], processes=1)
         warm = stage1_cache.STATS.snapshot()
-        assert warm["misses"] == cold["misses"]
-        assert warm["hits"] - cold["hits"] == cold["misses"]
-        assert warm["fallbacks"] == 0
+        assert warm == {field: 2 * count
+                        for field, count in cold.items()}
