@@ -165,18 +165,18 @@ def _locked(path: Path) -> Iterator[None]:
     at once on an empty store build the library once.  The lock file is
     removed before it is released: a process that opens the name later
     finds the entry already stored.  A lock that cannot be taken
-    (``OSError``) only costs a duplicate build."""
-    locked = False
+    (``OSError``) only costs a duplicate build, and its file goes too."""
+    opened = False
     with contextlib.ExitStack() as stack:
         with contextlib.suppress(OSError):
             path.parent.mkdir(parents=True, exist_ok=True)
             handle = stack.enter_context(open(path, "a"))
+            opened = True
             fcntl.flock(handle, fcntl.LOCK_EX)
-            locked = True
         try:
             yield
         finally:
-            if locked:
+            if opened:
                 with contextlib.suppress(OSError):
                     path.unlink()
 

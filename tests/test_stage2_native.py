@@ -153,6 +153,56 @@ def test_concurrent_first_loads_build_once(tmp_path):
     assert len(store.NATIVE.entries(cache)) == 1
 
 
+def test_waiter_loads_the_entry_stored_while_it_waited(
+        tmp_path, monkeypatch, expected, unloaded):
+    """A process that misses and then takes the lock looks the entry up
+    again: when another process stored it meanwhile, this one loads it
+    and builds nothing."""
+    monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "scratch"))
+    native.library()
+    (entry,) = store.NATIVE.entries(tmp_path / "scratch")
+    directory = tmp_path / "cache"
+    monkeypatch.setenv(TRACE_CACHE_ENV, str(directory))
+    monkeypatch.setattr(native, "_LIBRARY", None)
+    store.NATIVE.stats.reset()
+    real_locked = native._locked
+
+    def locked_after_a_peer_stored(path):
+        # The peer stores its build while this process waits.
+        directory.mkdir(exist_ok=True)
+        (directory / entry.name).write_bytes(entry.read_bytes())
+        return real_locked(path)
+
+    monkeypatch.setattr(native, "_locked", locked_after_a_peer_stored)
+    native.library()
+    assert store.NATIVE.stats.snapshot() == {
+        "hits": 1, "builds": 0, "stale": 0, "stores": 0, "fallbacks": 0}
+    assert sorted(directory.iterdir()) == [directory / entry.name]
+    traces, results = expected
+    for cell in CELLS:
+        assert replay(cell, traces) == results[cell]
+
+
+def test_unlockable_store_builds_unlocked(tmp_path, monkeypatch,
+                                          expected, unloaded):
+    """A lock that cannot be taken costs only the lock: the library is
+    built, stored and loaded as without one, and no lock file stays."""
+    def no_lock(handle, operation):
+        raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+    monkeypatch.setattr(native.fcntl, "flock", no_lock)
+    directory = tmp_path / "cache"
+    monkeypatch.setenv(TRACE_CACHE_ENV, str(directory))
+    native.library()
+    assert store.NATIVE.stats.snapshot() == {
+        "hits": 0, "builds": 1, "stale": 0, "stores": 1, "fallbacks": 0}
+    assert len(store.NATIVE.entries(directory)) == 1
+    assert sorted(directory.iterdir()) == store.NATIVE.entries(directory)
+    traces, results = expected
+    for cell in CELLS:
+        assert replay(cell, traces) == results[cell]
+
+
 @pytest.mark.parametrize("variable", ["CC", "PATH"])
 def test_missing_compiler_is_a_config_error(tmp_path, monkeypatch,
                                             expected, unloaded,

@@ -103,6 +103,68 @@ class TestStage1Cache:
         assert stage1_cache.STATS["misses"] == serial
         grids_equal(cold, warm)
 
+    def test_unset_directory_degrades_to_recompute(self, monkeypatch):
+        """Without a cache directory the stage-1 products are computed
+        exactly as with one: the same memo tallies, the same grid."""
+        with_directory = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
+        counted = stage1_cache.STATS.snapshot()
+        monkeypatch.delenv(TRACE_CACHE_ENV)
+        clear_cache()
+        stage1_cache.STATS.reset()
+        grid = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
+        assert stage1_cache.STATS.snapshot() == counted
+        grids_equal(with_directory, grid)
+
+    def test_fetch_computes_once_and_freezes(self):
+        """A product is computed on its first fetch and handed out, the
+        same read-only arrays, to every later fetch of its key; another
+        key, or another copy of the trace, is a product of its own."""
+        import numpy as np
+
+        from tests.conftest import make_mixed_run
+
+        calls = []
+
+        def produce():
+            calls.append(1)
+            return np.arange(5, dtype=np.int64), np.full(3, 0.25)
+
+        compiled, copy = make_mixed_run().traces[0], \
+            make_mixed_run().traces[0]
+        first = stage1_cache.fetch(compiled, ("probe", 1), produce)
+        assert stage1_cache.fetch(compiled, ("probe", 1), produce) \
+            is first
+        assert len(calls) == 1
+        for array, fresh in zip(first, produce()):
+            np.testing.assert_array_equal(array, fresh)
+            assert array.dtype == fresh.dtype
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0][0] = 1
+        calls.clear()
+        stage1_cache.fetch(compiled, ("probe", 2), produce)
+        stage1_cache.fetch(copy, ("probe", 1), produce)
+        assert len(calls) == 2
+        assert stage1_cache.STATS.snapshot() == {"hits": 1, "misses": 3}
+
+    def test_leftover_stage1_file_is_ignored(self):
+        """A ``.stage1.npz`` file an earlier version stored in the cache
+        directory is read by nothing: a sweep beside it warns of
+        nothing, leaves it as it was and returns the grid it returns
+        without it."""
+        import warnings
+
+        directory = Path(os.environ[TRACE_CACHE_ENV])
+        reference = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
+        leftover = directory / ("a" * 64 + ".stage1.npz")
+        leftover.write_bytes(b"not an npz archive")
+        clear_cache()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = replay_grid(PLATFORMS, [WORKLOAD], processes=1)
+        grids_equal(reference, grid)
+        assert leftover.read_bytes() == b"not an npz archive"
+
 
 def forbid_event_objects(monkeypatch):
     """Make building per-event objects, or replaying event by event,
